@@ -127,21 +127,29 @@ def split_suffix(fx: Fingerprint, fy: Fingerprint) -> Fingerprint:
 
 
 class PrefixFpTable:
-    """Prefix fingerprints of a string; substring fingerprints in O(1)."""
+    """Prefix fingerprints of a string; substring fingerprints in O(1).
+
+    The table holds its own inverse powers of r, one per position, so they
+    live only as long as the table does.
+    """
 
     def __init__(self, fn: FpFunction, s):
         arr = to_symbols(s)
         p, r = fn.p, fn.r
         vals = [0] * (len(arr) + 1)
+        inv_pows = [1] * (len(arr) + 1)
+        r_inv = pow(r, -1, p)
         value = 0
         rp = 1
         for i, c in enumerate(arr.tolist()):
             value = (value + c * rp) % p
             rp = rp * r % p
             vals[i + 1] = value
+            inv_pows[i + 1] = inv_pows[i] * r_inv % p
         self.fn = fn
         self.length = len(arr)
         self._vals = vals
+        self._inv_pows = inv_pows
 
     def prefix_fp(self, j: int) -> Fingerprint:
         return Fingerprint(self._vals[j], j, self.fn)
@@ -154,8 +162,7 @@ class PrefixFpTable:
         """The raw value of phi(s[i, j]); cheaper than substring_fp."""
         if i < 1 or j > self.length or i > j + 1:
             raise ValueError("substring out of range")
-        fn = self.fn
-        return (self._vals[j] - self._vals[i - 1]) * fn.r_inv_pow(i - 1) % fn.p
+        return (self._vals[j] - self._vals[i - 1]) * self._inv_pows[i - 1] % self.fn.p
 
 
 def prefix_table(fn: FpFunction, s) -> PrefixFpTable:

@@ -1,9 +1,11 @@
 """Balanced straight-line program over a capped LZ77 parse.
 
 The text is carved into fixed-length blocks and each block gets its own
-AVL-balanced binary grammar; nodes are shared freely across blocks. A block
-table of running prefix fingerprints then gives substring extraction in
-O(lg(block) + length) node visits and substring fingerprints in O(lg(block)).
+AVL-balanced binary grammar; nodes are shared freely across blocks. Every
+node carries the fingerprints of its expansion and of its reversal, and
+running fingerprints over whole blocks give substring extraction in
+O(lg(block) + length) node visits and the fingerprint of any substring, or
+of its reversal, in O(lg(block)).
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ class _Arena:
     """Append-only node store. Terminals carry a symbol; pairs carry children.
 
     Every node knows its expansion length, AVL height (terminal = 1) and the
-    fingerprint value of its expansion.
+    fingerprint values of its expansion (fpv) and of its expansion reversed
+    (rfpv). All four follow from the children, so a stored grammar needs
+    only its structure.
     """
 
     def __init__(self, fn: fp.FpFunction):
@@ -28,34 +32,39 @@ class _Arena:
         self.length: list[int] = []
         self.height: list[int] = []
         self.fpv: list[int] = []
+        self.rfpv: list[int] = []
         self._terminals: dict[int, int] = {}
 
     def terminal(self, symbol: int) -> int:
         v = self._terminals.get(symbol)
         if v is None:
-            v = self._push(symbol, -1, -1, 1, 1, symbol % self.fn.p)
+            v = self._push(symbol, -1, -1)
             self._terminals[symbol] = v
         return v
 
     def pair(self, a: int, b: int) -> int:
-        fn = self.fn
-        value = (self.fpv[a] + fn.r_pow(self.length[a]) * self.fpv[b]) % fn.p
-        return self._push(
-            -1,
-            a,
-            b,
-            self.length[a] + self.length[b],
-            max(self.height[a], self.height[b]) + 1,
-            value,
-        )
+        return self._push(-1, a, b)
 
-    def _push(self, sym, left, right, length, height, fpv) -> int:
+    def _push(self, sym: int, left: int, right: int) -> int:
+        """Append a terminal (sym >= 0) or the pair (left, right)."""
+        if sym >= 0:
+            length, height = 1, 1
+            fpv = rfpv = sym % self.fn.p
+        else:
+            fn = self.fn
+            la, lb = self.length[left], self.length[right]
+            length = la + lb
+            height = max(self.height[left], self.height[right]) + 1
+            # phi(ab) = phi(a) + r^|a| phi(b); phi(rev(ab)) = phi(rev b) + r^|b| phi(rev a)
+            fpv = (self.fpv[left] + fn.r_pow(la) * self.fpv[right]) % fn.p
+            rfpv = (self.rfpv[right] + fn.r_pow(lb) * self.rfpv[left]) % fn.p
         self.sym.append(sym)
         self.left.append(left)
         self.right.append(right)
         self.length.append(length)
         self.height.append(height)
         self.fpv.append(fpv)
+        self.rfpv.append(rfpv)
         return len(self.sym) - 1
 
     # -- balanced concatenation ------------------------------------------
@@ -126,41 +135,26 @@ class _Arena:
                 stack.append(self.right[u])
                 stack.append(self.left[u])
 
-    def prefix_fp(self, v: int, t: int, counter) -> fp.Fingerprint:
-        """Fingerprint of the first t characters of expansion(v)."""
-        fn = self.fn
-        value = 0
-        done = 0
-        while t > 0:
-            counter[0] += 1
-            if t == self.length[v]:
-                value = (value + fn.r_pow(done) * self.fpv[v]) % fn.p
-                done += t
-                t = 0
-                break
-            l = self.left[v]
-            ll = self.length[l]
-            if t <= ll:
-                v = l
-            else:
-                value = (value + fn.r_pow(done) * self.fpv[l]) % fn.p
-                done += ll
-                t -= ll
-                v = self.right[v]
-        return fp.Fingerprint(value, done, fn)
-
 
 class BlockTable:
-    """Per-block grammar roots plus running prefix fingerprints."""
+    """Per-block grammar roots plus running fingerprints over whole blocks."""
 
-    def __init__(self, arena: _Arena, n: int, block_len: int, roots: list[int], cum_fp: list[fp.Fingerprint]):
+    def __init__(self, arena: _Arena, n: int, block_len: int, roots: list[int]):
         self.arena = arena
-        self.fn = arena.fn
+        self.fn = fn = arena.fn
         self.n = n
         self.block_len = block_len
         self.roots = roots
-        self.cum_fp = cum_fp  # cum_fp[k] = phi(text[1, end of block k]); cum_fp[0] = phi("")
         self.node_visits = 0  # instrumentation, cumulative over queries
+        # run_fpv[k] = phi(blocks k, k+1, ... to the end of the text);
+        # run_rfpv[k] = phi(reversal of blocks 0 .. k-1)
+        self.run_fpv = [0] * (len(roots) + 1)
+        for k in range(len(roots) - 1, -1, -1):
+            v = roots[k]
+            self.run_fpv[k] = (arena.fpv[v] + fn.r_pow(arena.length[v]) * self.run_fpv[k + 1]) % fn.p
+        self.run_rfpv = [0]
+        for v in roots:
+            self.run_rfpv.append((arena.rfpv[v] + fn.r_pow(arena.length[v]) * self.run_rfpv[-1]) % fn.p)
 
     @property
     def node_count(self) -> int:
@@ -195,32 +189,59 @@ class BlockTable:
         self.node_visits += counter[0]
         return out
 
+    def _cover(self, i: int, j: int) -> tuple[list[int], int, int, list[int]]:
+        """text[i, j] (i <= j) as (head, lo, hi, tail): the nodes covering
+        its part of its first block, the run of whole blocks lo .. hi-1 and
+        the nodes covering its part of its last block, left to right. The
+        run and the tail are empty for a range inside one block. Touches
+        O(lg block_len) nodes."""
+        b = self.block_len
+        k1, k2 = (i - 1) // b, (j - 1) // b
+        arena = self.arena
+        head: list[int] = []
+        tail: list[int] = []
+        counter = [0]
+        if k1 == k2:
+            arena.cover(self.roots[k1], i - k1 * b, j - k1 * b, head, counter)
+        else:
+            arena.cover(self.roots[k1], i - k1 * b, b, head, counter)
+            arena.cover(self.roots[k2], 1, j - k2 * b, tail, counter)
+        self.node_visits += counter[0]
+        return head, k1 + 1, k2, tail
+
+    def _horner(self, nodes, values: list[int], acc: int) -> int:
+        """Fold nodes into acc, each as acc = value + r^length * acc."""
+        arena, fn = self.arena, self.fn
+        p = fn.p
+        for v in nodes:
+            acc = (values[v] + fn.r_pow(arena.length[v]) * acc) % p
+        return acc
+
     def substring_fp(self, i: int, j: int) -> fp.Fingerprint:
-        """phi(text[i, j]) touching O(lg block_len) nodes."""
+        """phi(text[i, j]): the cover folded right to left."""
         self._check_range(i, j)
         if i > j:
             return fp.empty_fp(self.fn)
-        counter = [0]
-        arena = self.arena
-        b = self.block_len
-        k1 = (i - 1) // b
-        k2 = (j - 1) // b
-        if k1 == k2:
-            root = self.roots[k1]
-            hi = self.arena.prefix_fp(root, j - k1 * b, counter)
-            lo = self.arena.prefix_fp(root, i - 1 - k1 * b, counter)
-            result = fp.split_suffix(hi, lo)
-        else:
-            r1 = self.roots[k1]
-            head = fp.split_suffix(
-                fp.Fingerprint(arena.fpv[r1], arena.length[r1], self.fn),
-                arena.prefix_fp(r1, i - 1 - k1 * b, counter),
-            )
-            mid = fp.split_suffix(self.cum_fp[k2], self.cum_fp[k1 + 1])
-            tail = arena.prefix_fp(self.roots[k2], j - k2 * b, counter)
-            result = fp.compose(fp.compose(head, mid), tail)
-        self.node_visits += counter[0]
-        return result
+        head, lo, hi, tail = self._cover(i, j)
+        fpv = self.arena.fpv
+        acc = self._horner(reversed(tail), fpv, 0)
+        if lo < hi:
+            run = self.run_fpv
+            acc = (run[lo] + self.fn.r_pow((hi - lo) * self.block_len) * (acc - run[hi])) % self.fn.p
+        return fp.Fingerprint(self._horner(reversed(head), fpv, acc), j - i + 1, self.fn)
+
+    def reversed_fp(self, i: int, j: int) -> fp.Fingerprint:
+        """phi(reversal of text[i, j]): the cover folded left to right."""
+        self._check_range(i, j)
+        if i > j:
+            return fp.empty_fp(self.fn)
+        head, lo, hi, tail = self._cover(i, j)
+        rfpv = self.arena.rfpv
+        acc = self._horner(head, rfpv, 0)
+        if lo < hi:
+            run = self.run_rfpv
+            acc = (run[hi] + self.fn.r_pow((hi - lo) * self.block_len) * (acc - run[lo])) % self.fn.p
+        return fp.Fingerprint(self._horner(tail, rfpv, acc), j - i + 1, self.fn)
 
 
 def build_slp(parse: Lz77Parse, fn: fp.FpFunction, block_len: int | None = None) -> BlockTable:
@@ -297,11 +318,7 @@ def build_slp(parse: Lz77Parse, fn: fp.FpFunction, block_len: int | None = None)
 
     if cur is not None:
         completed.append(cur)
-
-    cum = [fp.empty_fp(fn)]
-    for root in completed:
-        cum.append(fp.compose(cum[-1], fp.Fingerprint(arena.fpv[root], arena.length[root], fn)))
-    return BlockTable(arena, n, block_len, completed, cum)
+    return BlockTable(arena, n, block_len, completed)
 
 
 def extract(bt: BlockTable, i: int, j: int) -> list[int]:

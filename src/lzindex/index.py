@@ -9,7 +9,11 @@ leaf rank ranges, a 2-d range query reports the border positions where they
 meet, and a fingerprint verification pass removes the false positives weak
 search may produce. Patterns of length at most tau instead walk a trie of
 the short strings around each border. Extraction runs on the balanced
-grammar built from the parse.
+grammar built from the parse; the same grammar gives the fingerprints of
+text substrings and of their reversals, so the reversed side has no grammar
+of its own. The build makes one suffix array, for the parse and the suffix
+trie. The file stores the grammar's structure only, and loading derives
+every node's fingerprints from its children.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .grammar import BlockTable, _Arena, build_slp
 from .range_report import Grid
 from .trie import CompactTrie
 
-MAGIC = b"LZXIDX1\n"
+MAGIC = b"LZXIDX2\n"
 _MAX_FN_ATTEMPTS = 8
 _POW2_CERT_LIMIT = 1 << 16
 # above this text length the per-length prefix certification is skipped and
@@ -73,7 +77,6 @@ class Index:
         fn: fp.FpFunction,
         capped: lz77.Lz77Parse,
         bt: BlockTable,
-        rev_bt: BlockTable,
         t_d: CompactTrie,
         rd_pos: list[int],
         ps_d: prefix_search.PrefixSearchStructure,
@@ -97,7 +100,6 @@ class Index:
         self.fn = fn
         self.capped = capped
         self.bt = bt
-        self.rev_bt = rev_bt
         self.t_d = t_d
         self.rd_pos = rd_pos
         self.ps_d = ps_d
@@ -123,34 +125,31 @@ class Index:
             raise ValueError("symbols must be >= 1")
         sigma = int(arr.max())
 
-        orig = lz77.parse(arr)
+        ctx = SuffixContext(arr)
+        orig = lz77.parse(arr, ctx)
         block_len = -(-n // orig.z)
         tau = cfg.tau if cfg.tau is not None else default_tau(n, orig.z)
         if tau < 1:
             raise ValueError("tau must be >= 1")
         capped = lz77.cap_phrases(orig, block_len)
 
-        rev_arr = arr[::-1].copy()
-        rev_orig = lz77.parse(rev_arr)
-        rev_block = -(-n // rev_orig.z)
-        rev_capped = lz77.cap_phrases(rev_orig, rev_block)
-
-        ctx = SuffixContext(arr)
         for attempt in range(_MAX_FN_ATTEMPTS):
             fn = fp.select_function(n, cfg.seed * 1009 + attempt)
             try:
                 return cls._assemble(
-                    arr, rev_arr, n, sigma, orig.z, tau, block_len,
-                    capped, rev_capped, rev_block, ctx, fn, cfg.seed,
+                    arr, n, sigma, orig.z, tau, block_len, capped, ctx, fn, cfg.seed,
                 )
             except prefix_search.FingerprintCollision:
                 continue
         raise RuntimeError("cannot certify a collision-free fingerprint function")
 
     @classmethod
-    def _assemble(cls, arr, rev_arr, n, sigma, orig_z, tau, block_len,
-                  capped, rev_capped, rev_block, ctx, fn, seed) -> "Index":
+    def _assemble(cls, arr, n, sigma, orig_z, tau, block_len, capped, ctx, fn,
+                  seed) -> "Index":
         x = block_len
+        # the build reads the reversed text to certify reversal fingerprints
+        # and for its own prefix table; the index keeps no reversed copy
+        rev_arr = arr[::-1].copy()
         prefix_certified = n <= _PREFIX_CERT_LIMIT
         pow2_certified = n <= _POW2_CERT_LIMIT
         if pow2_certified:
@@ -160,14 +159,10 @@ class Index:
                 raise prefix_search.FingerprintCollision("reversed text")
 
         bt = build_slp(capped, fn, block_len)
-        rev_bt = build_slp(rev_capped, fn, rev_block)
         term_fp = fp.fingerprint(fn, [sigma + 1])
-        symbols = arr.tolist()
-        rev_symbols = rev_arr.tolist()
         # construction may read the text directly; queries go through the
-        # grammars instead
-        ptab = fp.PrefixFpTable(fn, arr)
-        rtab = fp.PrefixFpTable(fn, rev_arr)
+        # grammar instead
+        symbols = arr.tolist()
 
         # relevant substrings: for each phrase border e, the strings ending
         # at e..e+tau-1 that start at the phrase start; dedup by end position
@@ -200,6 +195,10 @@ class Index:
         for sid, key in enumerate(d_distinct):
             rd_pos[sid] = first_pos[key]
 
+        # each prefix table lives only while its dictionaries are built:
+        # one value and one inverse power per text position
+        rtab = fp.PrefixFpTable(fn, rev_arr)
+
         def d_prefix_fp(v: int, l: int) -> int:
             p0 = rd_pos[t_d.sample[v]]
             if t_d.is_leaf(v) and l == t_d.strlen[v]:
@@ -207,9 +206,10 @@ class Index:
             return rtab.substring_value(p0, p0 + l - 1)
 
         def d_char(sid: int, q: int) -> int:
-            return rev_symbols[rd_pos[sid] + q - 2]
+            return symbols[n + 1 - rd_pos[sid] - q]
 
         ps_d = prefix_search.build(t_d, x, fn, d_prefix_fp, d_char, certify=prefix_certified)
+        del rtab
 
         # trie over the associated suffixes, assembled in suffix array order
         # so the suffixes never have to be materialized
@@ -230,6 +230,8 @@ class Index:
 
         trie.finalize(t_dp, dp_char)
 
+        ptab = fp.PrefixFpTable(fn, arr)
+
         def dp_prefix_fp(v: int, l: int) -> int:
             p0 = t_dp.sample[v]
             if t_dp.is_leaf(v) and l == t_dp.strlen[v]:
@@ -237,6 +239,7 @@ class Index:
             return ptab.substring_value(p0, p0 + l - 1)
 
         ps_dp = prefix_search.build(t_dp, x, fn, dp_prefix_fp, dp_char, certify=prefix_certified)
+        del ptab
 
         # the grid joining both tries: one point per relevant substring
         xr = [0] * len(items)
@@ -278,7 +281,7 @@ class Index:
             n=n, sigma=sigma, orig_z=orig_z, tau=tau, x=x, block_len=block_len,
             seed=seed, pow2_certified=pow2_certified,
             prefix_certified=prefix_certified, fn=fn, capped=capped,
-            bt=bt, rev_bt=rev_bt, t_d=t_d, rd_pos=rd_pos, ps_d=ps_d,
+            bt=bt, t_d=t_d, rd_pos=rd_pos, ps_d=ps_d,
             t_dp=t_dp, ps_dp=ps_dp, grid_r=grid_r, grid_q=grid_q,
             t_f=t_f, f_strings=f_strings, f_info=f_info,
         )
@@ -525,13 +528,17 @@ class Index:
             if c["qlen"] <= lcs:
                 verified.add(c["key"])
 
+    # the d side reads the reversed text: reversed position q is forward
+    # position n - q + 1, so reversed [q1, q2] is forward [n-q2+1, n-q1+1]
+    # read backwards
+
     def _node_fp_d(self, v: int, a: int, b: int) -> int:
-        p0 = self.rd_pos[self.t_d.sample[v]]
-        return self.rev_bt.substring_fp(p0 + a - 1, p0 + b - 1).value
+        e = self.n + 2 - self.rd_pos[self.t_d.sample[v]]
+        return self.bt.reversed_fp(e - b, e - a).value
 
     def _node_extract_d(self, v: int, ln: int) -> list[int]:
-        p0 = self.rd_pos[self.t_d.sample[v]]
-        return self.rev_bt.extract(p0, p0 + ln - 1)
+        e = self.n + 1 - self.rd_pos[self.t_d.sample[v]]
+        return self.bt.extract(e - ln + 1, e)[::-1]
 
     def _node_fp_dp(self, v: int, a: int, b: int) -> int:
         p0 = self.t_dp.sample[v]
@@ -574,8 +581,6 @@ class Index:
             "prefix_certified": self.prefix_certified,
             "grammar_nodes": self.bt.node_count,
             "grammar_height": max(self.bt.block_heights(), default=0),
-            "rev_grammar_nodes": self.rev_bt.node_count,
-            "rev_grammar_height": max(self.rev_bt.block_heights(), default=0),
             "trie_d_vertices": self.t_d.num_vertices,
             "trie_suffix_vertices": self.t_dp.num_vertices,
             "trie_short_vertices": self.t_f.num_vertices,
@@ -612,9 +617,9 @@ class Index:
         _write_grammar(w, self.bt)
         out.append(("grammar", bytes(w.buf)))
 
-        w = Writer()
-        _write_grammar(w, self.rev_bt)
-        out.append(("reverse_grammar", bytes(w.buf)))
+        # empty: the grammar above serves the reversed side too; the section
+        # stays so that size reports keep listing it
+        out.append(("reverse_grammar", b""))
 
         w = Writer()
         _write_trie(w, self.t_d)
@@ -680,7 +685,6 @@ class Index:
         phrases = tuple(lz77.Phrase(r.u(), r.u(), r.u()) for _ in range(r.u()))
         capped = lz77.Lz77Parse(phrases, n, len(phrases), sigma)
         bt = _read_grammar(r, fn)
-        rev_bt = _read_grammar(r, fn)
         t_d = _read_trie(r)
         rd_pos = r.seq()
         t_dp = _read_trie(r)
@@ -697,7 +701,8 @@ class Index:
             ))
 
         def d_char(sid: int, q: int) -> int:
-            return rev_bt.extract(rd_pos[sid] + q - 1, rd_pos[sid] + q - 1)[0]
+            pos = n + 2 - rd_pos[sid] - q
+            return bt.extract(pos, pos)[0]
 
         def dp_char(start: int, q: int) -> int:
             return bt.extract(start + q - 1, start + q - 1)[0]
@@ -714,7 +719,7 @@ class Index:
             n=n, sigma=sigma, orig_z=orig_z, tau=tau, x=x, block_len=block_len,
             seed=seed, pow2_certified=bool(pow2_cert),
             prefix_certified=bool(prefix_cert), fn=fn, capped=capped,
-            bt=bt, rev_bt=rev_bt, t_d=t_d, rd_pos=rd_pos, ps_d=ps_d,
+            bt=bt, t_d=t_d, rd_pos=rd_pos, ps_d=ps_d,
             t_dp=t_dp, ps_dp=ps_dp, grid_r=grids[0], grid_q=grids[1],
             t_f=t_f, f_strings=f_strings, f_info=f_info,
         )
@@ -726,41 +731,43 @@ class Index:
 
 
 def _write_grammar(w: Writer, bt: BlockTable) -> None:
+    """Structure only: a terminal as (0, symbol), a pair as (left + 1, right)."""
     ar = bt.arena
     w.u(bt.n)
     w.u(bt.block_len)
     w.u(len(ar.sym))
     for i in range(len(ar.sym)):
         if ar.sym[i] >= 0:
-            w.u(1)
+            w.u(0)
             w.u(ar.sym[i])
         else:
-            w.u(0)
-            w.u(ar.left[i])
+            w.u(ar.left[i] + 1)
             w.u(ar.right[i])
-        w.u(ar.fpv[i])
     w.seq(bt.roots)
 
 
 def _read_grammar(r: Reader, fn: fp.FpFunction) -> BlockTable:
+    """Rebuild the grammar, deriving every node's lengths and fingerprints
+    from its children in one bottom-up pass."""
     n = r.u()
     block_len = r.u()
     count = r.u()
     ar = _Arena(fn)
     for i in range(count):
-        if r.u():
+        a = r.u()
+        if a == 0:
             sym = r.u()
-            ar._push(sym, -1, -1, 1, 1, r.u())
+            ar._push(sym, -1, -1)
             ar._terminals.setdefault(sym, i)
         else:
-            a, b = r.u(), r.u()
-            ar._push(-1, a, b, ar.length[a] + ar.length[b],
-                     max(ar.height[a], ar.height[b]) + 1, r.u())
+            b = r.u()
+            if a > i or b >= i:  # children come before their parent
+                raise ValueError("corrupt index")
+            ar._push(-1, a - 1, b)
     roots = r.seq()
-    cum = [fp.empty_fp(fn)]
-    for root in roots:
-        cum.append(fp.compose(cum[-1], fp.Fingerprint(ar.fpv[root], ar.length[root], fn)))
-    return BlockTable(ar, n, block_len, roots, cum)
+    if any(v >= count for v in roots):
+        raise ValueError("corrupt index")
+    return BlockTable(ar, n, block_len, roots)
 
 
 def _write_trie(w: Writer, t: CompactTrie) -> None:

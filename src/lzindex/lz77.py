@@ -49,11 +49,13 @@ class Lz77Parse:
         return out
 
 
-def parse(text) -> Lz77Parse:
+def parse(text, ctx: SuffixContext | None = None) -> Lz77Parse:
     """Greedy leftmost-longest LZ77 parse of `text` (symbols >= 1).
 
     Built from the suffix array via longest-previous-factor queries; each
-    phrase source is the leftmost occurrence of the factor.
+    phrase source is the leftmost occurrence of the factor. `ctx` is the
+    text's suffix context when the caller already has one; without it the
+    parse builds its own.
     """
     arr = to_symbols(text)
     n = len(arr)
@@ -65,7 +67,8 @@ def parse(text) -> Lz77Parse:
     if n == 1:
         return Lz77Parse((Phrase(0, 0, int(arr[0])),), 1, 1, sigma)
 
-    ctx = SuffixContext(arr)
+    if ctx is None:
+        ctx = SuffixContext(arr)
     lpf = _longest_previous_factor(ctx)
 
     phrases = []

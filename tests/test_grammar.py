@@ -97,10 +97,18 @@ class TestSubstringFp:
         rng = random.Random(36)
         text = random_text(rng, 26, 2000)
         bt = build_for(text)
+        b = bt.block_len
+        assert len(bt.roots) > 3
         for _ in range(500):
             i = rng.randint(1, len(text))
             j = rng.randint(i - 1, len(text))
             assert bt.substring_fp(i, j) == fp.fingerprint(FN, text[i - 1 : j])
+            assert bt.reversed_fp(i, j) == fp.fingerprint(FN, text[i - 1 : j][::-1])
+        for _ in range(300):  # ranges inside one block
+            i = rng.randint(1, len(text))
+            j = min(len(text), i + rng.randint(0, b - 1 - (i - 1) % b))
+            assert bt.substring_fp(i, j) == fp.fingerprint(FN, text[i - 1 : j])
+            assert bt.reversed_fp(i, j) == fp.fingerprint(FN, text[i - 1 : j][::-1])
 
     def test_node_visits_logarithmic(self):
         rng = random.Random(37)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lzindex import Index, IndexConfig, index as ix, oracle
+from lzindex._io import Reader
 
 from conftest import absent_pattern, planted_pattern, random_text
 
@@ -216,7 +217,13 @@ class TestSerialization:
     def test_byte_identical_round_trip(self):
         _, _, idx = self.build_random(99)
         blob = idx.to_bytes()
-        assert Index.from_bytes(blob).to_bytes() == blob
+        loaded = Index.from_bytes(blob)
+        assert loaded.to_bytes() == blob
+        # the file holds no fingerprints; loading derives the same ones
+        assert loaded.bt.arena.fpv == idx.bt.arena.fpv
+        assert loaded.bt.arena.rfpv == idx.bt.arena.rfpv
+        assert loaded.bt.run_fpv == idx.bt.run_fpv
+        assert loaded.bt.run_rfpv == idx.bt.run_rfpv
 
     def test_locate_identical_after_load(self, tmp_path):
         rng, text, idx = self.build_random(100)
@@ -242,8 +249,26 @@ class TestSerialization:
         assert sizes["grammar"] > 0 and sizes["grids"] > 0
 
     def test_bad_magic(self):
-        with pytest.raises(ValueError, match="not an index file"):
-            Index.from_bytes(b"garbage!" + b"\x00" * 40)
+        # the second is the magic of the older format, which stored node
+        # fingerprints and a grammar of the reversed text
+        for blob in (b"garbage!", b"LZXIDX1\n"):
+            with pytest.raises(ValueError, match="not an index file"):
+                Index.from_bytes(blob + b"\x00" * 40)
+
+    def test_grammar_child_not_below_node(self):
+        _, _, idx = self.build_random(106)
+        sizes = idx.component_sizes()
+        blob = idx.to_bytes()
+        start = sizes["header"] + sizes["parse"]
+        r = Reader(blob)
+        r.pos = start
+        r.u(), r.u(), r.u()  # n, block_len, node count
+        first = r.pos  # node 0: a terminal, written as (0, symbol)
+        assert blob[first] == 0
+        # make node 0 the pair (node 0, node 0), which refers to itself
+        crafted = blob[:first] + b"\x01\x00" + blob[first + 2 :]
+        with pytest.raises(ValueError, match="corrupt index"):
+            Index.from_bytes(crafted)
 
     def test_truncated(self):
         _, _, idx = self.build_random(103)
@@ -260,10 +285,25 @@ class TestStats:
         assert s["alphabet_size"] == 4
         assert s["phrases"] <= s["capped_phrases"]
         assert s["tau"] >= 1 and s["x"] == s["block_len"]
-        for key in ("grammar_nodes", "grammar_height", "rev_grammar_nodes",
+        for key in ("grammar_nodes", "grammar_height",
                     "trie_d_vertices", "trie_suffix_vertices",
                     "trie_short_vertices", "grid_points", "source_points"):
             assert s[key] > 0
+        # the file's sections, in file order; size reports read them by name
+        assert list(idx.component_sizes()) == [
+            "header", "parse", "grammar", "reverse_grammar", "substring_trie",
+            "suffix_trie", "short_trie", "dictionaries", "grids",
+        ]
+        assert idx.component_sizes()["reverse_grammar"] == 0
+
+    def test_build_leaves_no_inverse_power_cache(self):
+        # the build's prefix tables keep their own inverse powers, so the
+        # fingerprint function the index keeps holds none per text position
+        rng = random.Random(108)
+        base = random_text(rng, 4, 500)
+        text = (base * 40)[:20_000]
+        idx = Index.build(text)
+        assert len(idx.fn._inv_pows) < idx.n // 10
 
     def test_last_stats_partition(self):
         rng = random.Random(105)
