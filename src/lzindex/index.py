@@ -2,7 +2,9 @@
 
 The index stores a capped LZ77 parse of the text and answers locate(P) by
 finding the primary occurrences (those spanning a phrase border) and then
-recursively mapping phrase sources onto copies for the secondary ones. Long
+recursively mapping phrase sources onto copies for the secondary ones; the
+sources are sorted by start with a range-max over their ends (Kärkkäinen and
+Ukkonen), derived from the parse whenever an index is built or loaded. Long
 patterns are cut at multiples of tau and each cut is matched as a (reversed
 prefix, suffix) pair: a weak prefix search in two tries narrows both sides to
 leaf rank ranges, a 2-d range query reports the border positions where they
@@ -12,8 +14,9 @@ the short strings around each border. Extraction runs on the balanced
 grammar built from the parse; the same grammar gives the fingerprints of
 text substrings and of their reversals, so the reversed side has no grammar
 of its own. The build makes one suffix array, for the parse and the suffix
-trie. The file stores the grammar's structure only, and loading derives
-every node's fingerprints from its children.
+trie's leaf order, and drops it before the rest of the build. The file
+stores the grammar's structure only, and loading derives every node's
+fingerprints from its children.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ from ._io import Reader, Writer
 from ._suffixes import SuffixContext
 from ._text import to_symbols
 from .grammar import BlockTable, _Arena, build_slp
-from .range_report import Grid
+from .range_report import Grid, SourceIndex
 from .trie import CompactTrie
 
-MAGIC = b"LZXIDX2\n"
+MAGIC = b"LZXIDX3\n"
 _MAX_FN_ATTEMPTS = 8
 _POW2_CERT_LIMIT = 1 << 16
 # above this text length the per-length prefix certification is skipped and
@@ -83,7 +86,6 @@ class Index:
         t_dp: CompactTrie,
         ps_dp: prefix_search.PrefixSearchStructure,
         grid_r: Grid,
-        grid_q: Grid,
         t_f: CompactTrie,
         f_strings: list[tuple[int, ...]],
         f_info: list[tuple[int, int]],
@@ -106,7 +108,8 @@ class Index:
         self.t_dp = t_dp
         self.ps_dp = ps_dp
         self.grid_r = grid_r
-        self.grid_q = grid_q
+        # derived, never stored: each phrase's source and where it is copied
+        self.sources = SourceIndex(_phrase_sources(capped))
         self.t_f = t_f
         self.f_strings = f_strings
         self.f_info = f_info
@@ -132,20 +135,32 @@ class Index:
         if tau < 1:
             raise ValueError("tau must be >= 1")
         capped = lz77.cap_phrases(orig, block_len)
+        items = _relevant_substrings(capped, tau, n)
+
+        # the suffix trie's leaf order and lcps are the only other use of
+        # the suffix context, so it goes before the rest of the build
+        starts = [e + 1 for _, e, _ in items]  # distinct since ends are
+        starts.sort(key=lambda st: -1 if st > n else int(ctx.rank[st - 1]))
+        lcps = [0] * len(starts)
+        for i in range(1, len(starts)):
+            a, b = starts[i - 1], starts[i]
+            lcps[i] = 0 if a > n or b > n else ctx.lcp_between(a - 1, b - 1)
+        del ctx
 
         for attempt in range(_MAX_FN_ATTEMPTS):
             fn = fp.select_function(n, cfg.seed * 1009 + attempt)
             try:
                 return cls._assemble(
-                    arr, n, sigma, orig.z, tau, block_len, capped, ctx, fn, cfg.seed,
+                    arr, n, sigma, orig.z, tau, block_len, capped, items,
+                    starts, lcps, fn, cfg.seed,
                 )
             except prefix_search.FingerprintCollision:
                 continue
         raise RuntimeError("cannot certify a collision-free fingerprint function")
 
     @classmethod
-    def _assemble(cls, arr, n, sigma, orig_z, tau, block_len, capped, ctx, fn,
-                  seed) -> "Index":
+    def _assemble(cls, arr, n, sigma, orig_z, tau, block_len, capped, items,
+                  starts, lcps, fn, seed) -> "Index":
         x = block_len
         # the build reads the reversed text to certify reversal fingerprints
         # and for its own prefix table; the index keeps no reversed copy
@@ -163,27 +178,6 @@ class Index:
         # construction may read the text directly; queries go through the
         # grammar instead
         symbols = arr.tolist()
-
-        # relevant substrings: for each phrase border e, the strings ending
-        # at e..e+tau-1 that start at the phrase start; dedup by end position
-        # keeping the longest (smallest start).
-        best: dict[int, int] = {}
-        pos = 1
-        for ph in capped.phrases:
-            e = pos + ph.span() - 1
-            for k in range(tau):
-                end = e + k
-                if end > n:
-                    break
-                cur = best.get(end)
-                if cur is None or pos < cur:
-                    best[end] = pos
-            pos = e + 1
-        borders = capped.border_positions()
-        items = []  # (start, end, rightmost border <= end)
-        for end in sorted(best):
-            b = borders[bisect_right(borders, end) - 1]
-            items.append((best[end], end, b))
 
         # trie over the reversed relevant substrings
         rd_strings = [tuple(reversed(symbols[s - 1 : e])) for s, e, _ in items]
@@ -212,14 +206,8 @@ class Index:
         del rtab
 
         # trie over the associated suffixes, assembled in suffix array order
-        # so the suffixes never have to be materialized
-        starts = [e + 1 for _, e, _ in items]  # distinct since ends are
+        # (starts, lcps) so the suffixes never have to be materialized
         item_of = {e + 1: idx for idx, (_, e, _) in enumerate(items)}
-        starts.sort(key=lambda st: -1 if st > n else int(ctx.rank[st - 1]))
-        lcps = [0] * len(starts)
-        for i in range(1, len(starts)):
-            a, b = starts[i - 1], starts[i]
-            lcps[i] = 0 if a > n or b > n else ctx.lcp_between(a - 1, b - 1)
         t_dp = trie.build_from_sorted(
             starts, [n - st + 1 for st in starts], lcps,
             [[item_of[st]] for st in starts],
@@ -254,15 +242,6 @@ class Index:
             (xr[idx], yr[idx], (e, b)) for idx, (_, e, b) in enumerate(items)
         )
 
-        # phrase sources for the secondary occurrence expansion
-        q_points = []
-        pos = 1
-        for ph in capped.phrases:
-            if ph.len > 0:
-                q_points.append((ph.start, ph.start + ph.len - 1, (ph.start, pos)))
-            pos += ph.span()
-        grid_q = Grid(q_points)
-
         # short pattern trie: all strings from at most tau before a border
         # up to tau - 1 past it, tagged with their start and that border
         f_info: list[tuple[int, int]] = []
@@ -282,7 +261,7 @@ class Index:
             seed=seed, pow2_certified=pow2_certified,
             prefix_certified=prefix_certified, fn=fn, capped=capped,
             bt=bt, t_d=t_d, rd_pos=rd_pos, ps_d=ps_d,
-            t_dp=t_dp, ps_dp=ps_dp, grid_r=grid_r, grid_q=grid_q,
+            t_dp=t_dp, ps_dp=ps_dp, grid_r=grid_r,
             t_f=t_f, f_strings=f_strings, f_info=f_info,
         )
 
@@ -554,10 +533,10 @@ class Index:
         out = []
         seen = set(found)
         queue = list(found)
+        copies = self.sources.copies
         while queue:
             o = queue.pop()
-            for src, phrase_pos in self.grid_q.query(1, o, o + m - 1, self.n):
-                o2 = phrase_pos + o - src
+            for o2 in copies(o, o + m - 1):
                 if o2 in seen:
                     continue
                 seen.add(o2)
@@ -585,7 +564,7 @@ class Index:
             "trie_suffix_vertices": self.t_dp.num_vertices,
             "trie_short_vertices": self.t_f.num_vertices,
             "grid_points": self.grid_r.size,
-            "source_points": self.grid_q.size,
+            "source_points": self.sources.size,
         }
 
     # -- serialization -------------------------------------------------------
@@ -651,15 +630,15 @@ class Index:
                     w.u(v)
         out.append(("dictionaries", bytes(w.buf)))
 
+        # the border grid only: the phrase sources come from the parse
         w = Writer()
-        for grid in (self.grid_r, self.grid_q):
-            pts = grid.points()
-            w.u(len(pts))
-            for gx, gy, (pa, pb) in pts:
-                w.u(gx)
-                w.u(gy)
-                w.u(pa)
-                w.u(pb)
+        pts = self.grid_r.points()
+        w.u(len(pts))
+        for gx, gy, (pa, pb) in pts:
+            w.u(gx)
+            w.u(gy)
+            w.u(pa)
+            w.u(pb)
         out.append(("grids", bytes(w.buf)))
         return out
 
@@ -683,6 +662,7 @@ class Index:
          pow2_cert, prefix_cert) = (r.u() for _ in range(9))
         fn = fp.FpFunction(r.u(), r.u())
         phrases = tuple(lz77.Phrase(r.u(), r.u(), r.u()) for _ in range(r.u()))
+        _check_parse(phrases, n)
         capped = lz77.Lz77Parse(phrases, n, len(phrases), sigma)
         bt = _read_grammar(r, fn)
         t_d = _read_trie(r)
@@ -694,11 +674,7 @@ class Index:
         tables = []
         for _ in range(4):
             tables.append({(r.u(), r.u()): r.u() for _ in range(r.u())})
-        grids = []
-        for _ in range(2):
-            grids.append(Grid(
-                (r.u(), r.u(), (r.u(), r.u())) for _ in range(r.u())
-            ))
+        grid_r = Grid((r.u(), r.u(), (r.u(), r.u())) for _ in range(r.u()))
 
         def d_char(sid: int, q: int) -> int:
             pos = n + 2 - rd_pos[sid] - q
@@ -720,7 +696,7 @@ class Index:
             seed=seed, pow2_certified=bool(pow2_cert),
             prefix_certified=bool(prefix_cert), fn=fn, capped=capped,
             bt=bt, t_d=t_d, rd_pos=rd_pos, ps_d=ps_d,
-            t_dp=t_dp, ps_dp=ps_dp, grid_r=grids[0], grid_q=grids[1],
+            t_dp=t_dp, ps_dp=ps_dp, grid_r=grid_r,
             t_f=t_f, f_strings=f_strings, f_info=f_info,
         )
 
@@ -728,6 +704,52 @@ class Index:
     def load(cls, path) -> "Index":
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
+
+
+def _relevant_substrings(capped: lz77.Lz77Parse, tau: int, n: int) -> list:
+    """For each phrase border e, the strings ending at e..e+tau-1 that start
+    at the phrase start, deduplicated by end position keeping the longest
+    (smallest start); as (start, end, rightmost border <= end) by end."""
+    best: dict[int, int] = {}
+    pos = 1
+    for ph in capped.phrases:
+        e = pos + ph.span() - 1
+        for k in range(tau):
+            end = e + k
+            if end > n:
+                break
+            cur = best.get(end)
+            if cur is None or pos < cur:
+                best[end] = pos
+        pos = e + 1
+    borders = capped.border_positions()
+    items = []
+    for end in sorted(best):
+        b = borders[bisect_right(borders, end) - 1]
+        items.append((best[end], end, b))
+    return items
+
+
+def _phrase_sources(capped: lz77.Lz77Parse) -> list[tuple[int, int, int]]:
+    """(start, end, phrase position) of every nonempty phrase source."""
+    out = []
+    pos = 1
+    for ph in capped.phrases:
+        if ph.len > 0:
+            out.append((ph.start, ph.start + ph.len - 1, pos))
+        pos += ph.span()
+    return out
+
+
+def _check_parse(phrases, n: int) -> None:
+    """The stored parse must tile the text and copy only from earlier."""
+    pos = 1
+    for ph in phrases:
+        if ph.len > 0 and not 1 <= ph.start < pos:
+            raise ValueError("corrupt index")
+        pos += ph.span()
+    if pos != n + 1:
+        raise ValueError("corrupt index")
 
 
 def _write_grammar(w: Writer, bt: BlockTable) -> None:

@@ -1,10 +1,18 @@
-"""2-d orthogonal range reporting with integer payload pairs.
+"""Range reporting: the border grid and the phrase-source index.
 
-A static merge-sort tree: points sorted by x sit at the leaves of a
-heap-indexed segment tree and every node stores its points sorted by y.
-A closed-rectangle query decomposes the x range into O(lg n) canonical
-nodes and bisects each node's y list, so a query costs O(lg^2 n + k) for
-k reported points.
+`Grid` answers 2-d orthogonal range queries with integer payload pairs. It
+is a static merge-sort tree: points sorted by x sit at the leaves of a
+heap-indexed segment tree and every node stores its points sorted by y. A
+closed-rectangle query decomposes the x range into O(lg n) canonical nodes
+and bisects each node's y list, so a query costs O(lg^2 n + k) for k
+reported points.
+
+`SourceIndex` answers the two-sided query of secondary occurrences, "the
+intervals with start <= lo and end >= hi", as Kärkkäinen and Ukkonen do:
+intervals sorted by start, a bisection for the prefix that starts early
+enough, and a sparse-table range-max over the ends that hands out the
+intervals reaching far enough one at a time. A query costs one bisection
+plus O(1) per reported interval.
 """
 
 from __future__ import annotations
@@ -95,6 +103,51 @@ def _merge(a, b):
     ys.extend(by[ib:])
     payloads.extend(bp[ib:])
     return ys, payloads
+
+
+class SourceIndex:
+    def __init__(self, sources):
+        """sources: iterable of (start, end, target), closed intervals whose
+        text is copied to position target."""
+        srcs = sorted(sources)
+        self.size = len(srcs)
+        self.starts = [s for s, _, _ in srcs]
+        self.ends = [e for _, e, _ in srcs]
+        self.targets = [t for _, _, t in srcs]
+        # _argmax[k][i]: index of a largest end in ends[i : i + 2^k]
+        ends = self.ends
+        row = list(range(self.size))
+        table = [row]
+        span = 1
+        while 2 * span <= self.size:
+            row = [a if ends[a] >= ends[b] else b
+                   for a, b in zip(row, row[span:])]
+            table.append(row)
+            span *= 2
+        self._argmax = table
+
+    def copies(self, lo: int, hi: int) -> list[int]:
+        """Where each interval containing [lo, hi] copies position lo to."""
+        out: list[int] = []
+        starts, ends, targets, table = self.starts, self.ends, self.targets, self._argmax
+        # ranges [a, b) of candidates, all with start <= lo
+        stack = [0, bisect_right(starts, lo)]
+        while stack:
+            b = stack.pop()
+            a = stack.pop()
+            if a >= b:
+                continue
+            k = (b - a).bit_length() - 1
+            row = table[k]
+            j = row[a]
+            j2 = row[b - (1 << k)]
+            if ends[j2] > ends[j]:
+                j = j2
+            if ends[j] < hi:
+                continue  # no interval in [a, b) reaches hi
+            out.append(targets[j] + lo - starts[j])
+            stack += (a, j, j + 1, b)
+        return out
 
 
 def build(points) -> Grid:

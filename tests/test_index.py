@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from lzindex import Index, IndexConfig, index as ix, oracle
-from lzindex._io import Reader
+from lzindex import Index, IndexConfig, index as ix, lz77, oracle
+from lzindex._io import Reader, Writer
 
 from conftest import absent_pattern, planted_pattern, random_text
 
@@ -224,6 +224,9 @@ class TestSerialization:
         assert loaded.bt.arena.rfpv == idx.bt.arena.rfpv
         assert loaded.bt.run_fpv == idx.bt.run_fpv
         assert loaded.bt.run_rfpv == idx.bt.run_rfpv
+        # nor the phrase sources; loading derives them from the parse
+        for attr in ("starts", "ends", "targets"):
+            assert getattr(loaded.sources, attr) == getattr(idx.sources, attr)
 
     def test_locate_identical_after_load(self, tmp_path):
         rng, text, idx = self.build_random(100)
@@ -249,9 +252,9 @@ class TestSerialization:
         assert sizes["grammar"] > 0 and sizes["grids"] > 0
 
     def test_bad_magic(self):
-        # the second is the magic of the older format, which stored node
-        # fingerprints and a grammar of the reversed text
-        for blob in (b"garbage!", b"LZXIDX1\n"):
+        # the older formats: the first stored node fingerprints and a grammar
+        # of the reversed text, the second a grid of the phrase sources
+        for blob in (b"garbage!", b"LZXIDX1\n", b"LZXIDX2\n"):
             with pytest.raises(ValueError, match="not an index file"):
                 Index.from_bytes(blob + b"\x00" * 40)
 
@@ -269,6 +272,35 @@ class TestSerialization:
         crafted = blob[:first] + b"\x01\x00" + blob[first + 2 :]
         with pytest.raises(ValueError, match="corrupt index"):
             Index.from_bytes(crafted)
+
+    @staticmethod
+    def with_parse(idx, phrases) -> bytes:
+        """The index file with its parse section replaced by `phrases`."""
+        w = Writer()
+        w.u(len(phrases))
+        for ph in phrases:
+            w.u(ph.start)
+            w.u(ph.len)
+            w.u(ph.border)
+        return b"".join(bytes(w.buf) if name == "parse" else data
+                        for name, data in idx._sections())
+
+    def test_corrupt_parse(self):
+        _, _, idx = self.build_random(107)
+        phrases = list(idx.capped.phrases)
+        assert Index.from_bytes(self.with_parse(idx, phrases)).to_bytes() == idx.to_bytes()
+        i, pos = next((i, sum(ph.span() for ph in phrases[:i]) + 1)
+                      for i, ph in enumerate(phrases) if ph.len > 0)
+        ph = phrases[i]
+        crafted = {
+            "spans past n": phrases + [lz77.Phrase(0, 0, 1)],
+            "spans short of n": phrases[:-1],
+            "source start 0": phrases[:i] + [lz77.Phrase(0, ph.len, ph.border)] + phrases[i + 1 :],
+            "source at its phrase": phrases[:i] + [lz77.Phrase(pos, ph.len, ph.border)] + phrases[i + 1 :],
+        }
+        for case, bad in crafted.items():
+            with pytest.raises(ValueError, match="corrupt index"):
+                Index.from_bytes(self.with_parse(idx, bad))
 
     def test_truncated(self):
         _, _, idx = self.build_random(103)

@@ -60,3 +60,46 @@ class TestGrid:
         g.query(1, 1, 1, 1)
         g.query(1, 1, 1, 1)
         assert g.query_count == 2
+
+
+def contained_scan(sources, lo, hi):
+    return sorted(t + lo - s for s, e, t in sources if s <= lo and e >= hi)
+
+
+class TestSourceIndex:
+    def test_empty(self):
+        idx = range_report.SourceIndex([])
+        assert idx.size == 0
+        assert idx.copies(1, 1) == []
+
+    def test_single_source(self):
+        idx = range_report.SourceIndex([(3, 7, 20)])
+        assert idx.copies(3, 7) == [20]
+        assert idx.copies(5, 6) == [22]
+        assert idx.copies(2, 4) == []
+        assert idx.copies(6, 8) == []
+
+    def test_matches_scan_oracle(self):
+        rng = random.Random(64)
+        for trial in range(40):
+            count = rng.choice([0, 1, 2, 3, rng.randint(4, 300)])
+            u = rng.choice([5, 30, 1000])
+            sources = []
+            for t in range(count):
+                s = rng.randint(1, u)
+                e = s + rng.randint(0, u // 3)
+                if sources and rng.random() < 0.4:
+                    s0, e0, _ = rng.choice(sources)
+                    if rng.random() < 0.5:  # equal start
+                        s, e = s0, s0 + rng.randint(0, u // 3)
+                    else:  # nested
+                        s = rng.randint(s0, e0)
+                        e = rng.randint(s, e0)
+                sources.append((s, e, 10 * u + 7 * t))
+            idx = range_report.SourceIndex(sources)
+            assert list(zip(idx.starts, idx.ends, idx.targets)) == sorted(sources)
+            for _ in range(200):
+                lo = rng.randint(0, u + 2)
+                hi = lo + rng.randint(0, u // 2)
+                got = idx.copies(lo, hi)
+                assert sorted(got) == contained_scan(sources, lo, hi)
