@@ -15,8 +15,13 @@ grammar built from the parse; the same grammar gives the fingerprints of
 text substrings and of their reversals, so the reversed side has no grammar
 of its own. The build makes one suffix array, for the parse and the suffix
 trie's leaf order, and drops it before the rest of the build. The file
-stores the grammar's structure only, and loading derives every node's
-fingerprints from its children.
+stores only the header, the parse, that leaf order with the lcps of adjacent
+leaves, and the values of the fingerprint dictionaries. Both build and load
+make the grammar from the parse by build_slp, and one shared derivation
+makes the two tries over the relevant substrings, the border grid and the
+short-pattern trie from the text: the build reads the text it was given,
+loading extracts it once from the grammar. The dictionary keys follow from
+the tries.
 """
 
 from __future__ import annotations
@@ -29,11 +34,11 @@ from . import lz77, prefix_search, trie
 from ._io import Reader, Writer
 from ._suffixes import SuffixContext
 from ._text import to_symbols
-from .grammar import BlockTable, _Arena, build_slp
+from .grammar import BlockTable, build_slp
 from .range_report import Grid, SourceIndex
 from .trie import CompactTrie
 
-MAGIC = b"LZXIDX3\n"
+MAGIC = b"LZXIDX4\n"
 _MAX_FN_ATTEMPTS = 8
 _POW2_CERT_LIMIT = 1 << 16
 # above this text length the per-length prefix certification is skipped and
@@ -72,7 +77,6 @@ class Index:
         sigma: int,
         orig_z: int,
         tau: int,
-        x: int,
         block_len: int,
         seed: int,
         pow2_certified: bool,
@@ -84,6 +88,7 @@ class Index:
         rd_pos: list[int],
         ps_d: prefix_search.PrefixSearchStructure,
         t_dp: CompactTrie,
+        dp_lcps: list[int],
         ps_dp: prefix_search.PrefixSearchStructure,
         grid_r: Grid,
         t_f: CompactTrie,
@@ -94,7 +99,7 @@ class Index:
         self.sigma = sigma
         self.orig_z = orig_z
         self.tau = tau
-        self.x = x
+        self.x = block_len
         self.block_len = block_len
         self.seed = seed
         self.pow2_certified = pow2_certified
@@ -106,6 +111,7 @@ class Index:
         self.rd_pos = rd_pos
         self.ps_d = ps_d
         self.t_dp = t_dp
+        self.dp_lcps = dp_lcps
         self.ps_dp = ps_dp
         self.grid_r = grid_r
         # derived, never stored: each phrase's source and where it is copied
@@ -135,33 +141,41 @@ class Index:
         if tau < 1:
             raise ValueError("tau must be >= 1")
         capped = lz77.cap_phrases(orig, block_len)
-        items = _relevant_substrings(capped, tau, n)
 
-        # the suffix trie's leaf order and lcps are the only other use of
-        # the suffix context, so it goes before the rest of the build
-        starts = [e + 1 for _, e, _ in items]  # distinct since ends are
-        starts.sort(key=lambda st: -1 if st > n else int(ctx.rank[st - 1]))
-        lcps = [0] * len(starts)
-        for i in range(1, len(starts)):
-            a, b = starts[i - 1], starts[i]
-            lcps[i] = 0 if a > n or b > n else ctx.lcp_between(a - 1, b - 1)
+        # the suffix trie's leaf order (an item per rank) and the lcps of
+        # adjacent leaves are the only other use of the suffix context, so
+        # it goes before the rest of the build; item i's suffix starts after
+        # its end, at 0-based text position e
+        ends = [e for _, e, _ in _relevant_substrings(capped, tau, n)]
+        order = sorted(range(len(ends)),
+                       key=lambda i: -1 if ends[i] == n else int(ctx.rank[ends[i]]))
+        lcps = [0] * len(order)
+        for r in range(1, len(order)):
+            a, b = ends[order[r - 1]], ends[order[r]]
+            lcps[r] = 0 if a == n or b == n else ctx.lcp_between(a, b)
         del ctx
 
+        # construction may read the text directly; queries go through the
+        # grammar instead
+        symbols = arr.tolist()
+        parts = _derive(capped, tau, symbols, order, lcps)
         for attempt in range(_MAX_FN_ATTEMPTS):
             fn = fp.select_function(n, cfg.seed * 1009 + attempt)
             try:
                 return cls._assemble(
-                    arr, n, sigma, orig.z, tau, block_len, capped, items,
-                    starts, lcps, fn, cfg.seed,
+                    arr, symbols, sigma, orig.z, tau, block_len, capped, parts,
+                    fn, cfg.seed,
                 )
             except prefix_search.FingerprintCollision:
                 continue
         raise RuntimeError("cannot certify a collision-free fingerprint function")
 
     @classmethod
-    def _assemble(cls, arr, n, sigma, orig_z, tau, block_len, capped, items,
-                  starts, lcps, fn, seed) -> "Index":
-        x = block_len
+    def _assemble(cls, arr, symbols, sigma, orig_z, tau, block_len, capped,
+                  parts, fn, seed) -> "Index":
+        """The parts that depend on the fingerprint function: the
+        certification, the grammar and the dictionaries."""
+        n = len(symbols)
         # the build reads the reversed text to certify reversal fingerprints
         # and for its own prefix table; the index keeps no reversed copy
         rev_arr = arr[::-1].copy()
@@ -175,19 +189,7 @@ class Index:
 
         bt = build_slp(capped, fn, block_len)
         term_fp = fp.fingerprint(fn, [sigma + 1])
-        # construction may read the text directly; queries go through the
-        # grammar instead
-        symbols = arr.tolist()
-
-        # trie over the reversed relevant substrings
-        rd_strings = [tuple(reversed(symbols[s - 1 : e])) for s, e, _ in items]
-        t_d, d_distinct = trie.build(rd_strings, ids=range(len(items)))
-        rd_pos = [0] * len(d_distinct)
-        first_pos = {}
-        for idx, (s, e, _) in enumerate(items):
-            first_pos.setdefault(rd_strings[idx], n - e + 1)
-        for sid, key in enumerate(d_distinct):
-            rd_pos[sid] = first_pos[key]
+        t_d, rd_pos, t_dp = parts["t_d"], parts["rd_pos"], parts["t_dp"]
 
         # each prefix table lives only while its dictionaries are built:
         # one value and one inverse power per text position
@@ -202,22 +204,8 @@ class Index:
         def d_char(sid: int, q: int) -> int:
             return symbols[n + 1 - rd_pos[sid] - q]
 
-        ps_d = prefix_search.build(t_d, x, fn, d_prefix_fp, d_char, certify=prefix_certified)
+        ps_d = prefix_search.build(t_d, block_len, fn, d_prefix_fp, d_char, certify=prefix_certified)
         del rtab
-
-        # trie over the associated suffixes, assembled in suffix array order
-        # (starts, lcps) so the suffixes never have to be materialized
-        item_of = {e + 1: idx for idx, (_, e, _) in enumerate(items)}
-        t_dp = trie.build_from_sorted(
-            starts, [n - st + 1 for st in starts], lcps,
-            [[item_of[st]] for st in starts],
-        )
-
-        def dp_char(start: int, q: int) -> int:
-            return symbols[start + q - 2]
-
-        trie.finalize(t_dp, dp_char)
-
         ptab = fp.PrefixFpTable(fn, arr)
 
         def dp_prefix_fp(v: int, l: int) -> int:
@@ -226,43 +214,17 @@ class Index:
                 return fp.compose(ptab.substring_fp(p0, p0 + l - 2), term_fp).value
             return ptab.substring_value(p0, p0 + l - 1)
 
-        ps_dp = prefix_search.build(t_dp, x, fn, dp_prefix_fp, dp_char, certify=prefix_certified)
+        def dp_char(start: int, q: int) -> int:
+            return symbols[start + q - 2]
+
+        ps_dp = prefix_search.build(t_dp, block_len, fn, dp_prefix_fp, dp_char, certify=prefix_certified)
         del ptab
 
-        # the grid joining both tries: one point per relevant substring
-        xr = [0] * len(items)
-        for rank in range(1, t_d.num_leaves + 1):
-            for idx in t_d.leaf_ids[rank]:
-                xr[idx] = rank
-        yr = [0] * len(items)
-        for rank in range(1, t_dp.num_leaves + 1):
-            for idx in t_dp.leaf_ids[rank]:
-                yr[idx] = rank
-        grid_r = Grid(
-            (xr[idx], yr[idx], (e, b)) for idx, (_, e, b) in enumerate(items)
-        )
-
-        # short pattern trie: all strings from at most tau before a border
-        # up to tau - 1 past it, tagged with their start and that border
-        f_info: list[tuple[int, int]] = []
-        f_raw = []
-        pos = 1
-        for ph in capped.phrases:
-            e = pos + ph.span() - 1
-            hi = min(e + tau - 1, n)
-            for k in range(max(pos, e - tau + 1), e + 1):
-                f_info.append((k, e))
-                f_raw.append(tuple(symbols[k - 1 : hi]))
-            pos = e + 1
-        t_f, f_strings = trie.build(f_raw, ids=range(len(f_info)))
-
         return cls(
-            n=n, sigma=sigma, orig_z=orig_z, tau=tau, x=x, block_len=block_len,
+            n=n, sigma=sigma, orig_z=orig_z, tau=tau, block_len=block_len,
             seed=seed, pow2_certified=pow2_certified,
             prefix_certified=prefix_certified, fn=fn, capped=capped,
-            bt=bt, t_d=t_d, rd_pos=rd_pos, ps_d=ps_d,
-            t_dp=t_dp, ps_dp=ps_dp, grid_r=grid_r,
-            t_f=t_f, f_strings=f_strings, f_info=f_info,
+            bt=bt, ps_d=ps_d, ps_dp=ps_dp, **parts,
         )
 
     # -- queries -------------------------------------------------------------
@@ -571,18 +533,16 @@ class Index:
 
     def _sections(self) -> list[tuple[str, bytes]]:
         """The serialized index as named (component, bytes) sections, in file
-        order; to_bytes is their concatenation."""
-        out: list[tuple[str, bytes]] = []
-
+        order; to_bytes is their concatenation. Loading rebuilds every part
+        the file does not hold, so the sections it does not fill stay empty
+        for size reports to keep listing them."""
         w = Writer()
         w.raw(MAGIC)
-        for v in (self.n, self.sigma, self.orig_z, self.tau, self.x,
-                  self.block_len, self.seed, int(self.pow2_certified),
-                  int(self.prefix_certified)):
+        for v in (self.n, self.sigma, self.orig_z, self.tau, self.block_len,
+                  self.seed, int(self.pow2_certified),
+                  int(self.prefix_certified), self.fn.p, self.fn.r):
             w.u(v)
-        w.u(self.fn.p)
-        w.u(self.fn.r)
-        out.append(("header", bytes(w.buf)))
+        header = bytes(w.buf)
 
         w = Writer()
         w.u(len(self.capped.phrases))
@@ -590,57 +550,32 @@ class Index:
             w.u(ph.start)
             w.u(ph.len)
             w.u(ph.border)
-        out.append(("parse", bytes(w.buf)))
+        parse = bytes(w.buf)
 
+        # the suffix trie as its leaf order (an item per rank) and the lcps
+        # of adjacent leaves
         w = Writer()
-        _write_grammar(w, self.bt)
-        out.append(("grammar", bytes(w.buf)))
+        w.seq(ids[0] for ids in self.t_dp.leaf_ids[1:])
+        w.seq(self.dp_lcps)
+        suffix_trie = bytes(w.buf)
 
-        # empty: the grammar above serves the reversed side too; the section
-        # stays so that size reports keep listing it
-        out.append(("reverse_grammar", b""))
-
-        w = Writer()
-        _write_trie(w, self.t_d)
-        w.seq(self.rd_pos)
-        out.append(("substring_trie", bytes(w.buf)))
-
-        w = Writer()
-        _write_trie(w, self.t_dp)
-        out.append(("suffix_trie", bytes(w.buf)))
-
-        w = Writer()
-        _write_trie(w, self.t_f)
-        w.u(len(self.f_strings))
-        for s in self.f_strings:
-            w.seq(s)
-        w.u(len(self.f_info))
-        for k, b in self.f_info:
-            w.u(k)
-            w.u(b)
-        out.append(("short_trie", bytes(w.buf)))
-
+        # the values of G and H in vertex order, one fixed-width residue
+        # each; their key lengths follow from the tries
+        width = _value_width(self.fn.p)
         w = Writer()
         for ps in (self.ps_d, self.ps_dp):
-            for table in (ps.G, ps.H):
-                w.u(len(table))
-                for (value, length), v in table.items():
-                    w.u(value)
-                    w.u(length)
-                    w.u(v)
-        out.append(("dictionaries", bytes(w.buf)))
+            for values in (ps.g_values, ps.h_values):
+                w.u(len(values))
+                for value in values:
+                    w.raw(value.to_bytes(width, "little"))
+        dictionaries = bytes(w.buf)
 
-        # the border grid only: the phrase sources come from the parse
-        w = Writer()
-        pts = self.grid_r.points()
-        w.u(len(pts))
-        for gx, gy, (pa, pb) in pts:
-            w.u(gx)
-            w.u(gy)
-            w.u(pa)
-            w.u(pb)
-        out.append(("grids", bytes(w.buf)))
-        return out
+        return [
+            ("header", header), ("parse", parse), ("grammar", b""),
+            ("reverse_grammar", b""), ("substring_trie", b""),
+            ("suffix_trie", suffix_trie), ("short_trie", b""),
+            ("dictionaries", dictionaries), ("grids", b""),
+        ]
 
     def component_sizes(self) -> dict[str, int]:
         """Bytes each component occupies in the index file."""
@@ -658,46 +593,37 @@ class Index:
         r = Reader(data)
         if r.raw(len(MAGIC)) != MAGIC:
             raise ValueError("not an index file")
-        (n, sigma, orig_z, tau, x, block_len, seed,
-         pow2_cert, prefix_cert) = (r.u() for _ in range(9))
-        fn = fp.FpFunction(r.u(), r.u())
+        (n, sigma, orig_z, tau, block_len, seed, pow2_cert, prefix_cert,
+         p, base) = (r.u() for _ in range(10))
+        if min(n, tau, block_len) < 1 or not 1 <= base < p:
+            raise ValueError("corrupt index")
+        fn = fp.FpFunction(p, base)
         phrases = tuple(lz77.Phrase(r.u(), r.u(), r.u()) for _ in range(r.u()))
-        _check_parse(phrases, n)
+        _check_parse(phrases, n, sigma, block_len)
         capped = lz77.Lz77Parse(phrases, n, len(phrases), sigma)
-        bt = _read_grammar(r, fn)
-        t_d = _read_trie(r)
-        rd_pos = r.seq()
-        t_dp = _read_trie(r)
-        t_f = _read_trie(r)
-        f_strings = [tuple(r.seq()) for _ in range(r.u())]
-        f_info = [(r.u(), r.u()) for _ in range(r.u())]
-        tables = []
+        order = r.seq()
+        lcps = r.seq()
+        width = _value_width(p)
+        values = []
         for _ in range(4):
-            tables.append({(r.u(), r.u()): r.u() for _ in range(r.u())})
-        grid_r = Grid((r.u(), r.u(), (r.u(), r.u())) for _ in range(r.u()))
+            raw = r.raw(r.u() * width)
+            values.append([int.from_bytes(raw[i : i + width], "little")
+                           for i in range(0, len(raw), width)])
+        if r.pos != len(data):
+            raise ValueError("corrupt index")
 
-        def d_char(sid: int, q: int) -> int:
-            pos = n + 2 - rd_pos[sid] - q
-            return bt.extract(pos, pos)[0]
-
-        def dp_char(start: int, q: int) -> int:
-            return bt.extract(start + q - 1, start + q - 1)[0]
-
-        def f_char(sid: int, q: int) -> int:
-            return f_strings[sid][q - 1]
-
-        trie.finalize(t_d, d_char)
-        trie.finalize(t_dp, dp_char)
-        trie.finalize(t_f, f_char)
-        ps_d = prefix_search.PrefixSearchStructure(t_d, tables[0], tables[1], x, fn)
-        ps_dp = prefix_search.PrefixSearchStructure(t_dp, tables[2], tables[3], x, fn)
+        bt = build_slp(capped, fn, block_len)
+        parts = _derive(capped, tau, bt.extract(1, n), order, lcps)
+        try:
+            ps_d = prefix_search.PrefixSearchStructure(parts["t_d"], *values[:2], block_len, fn)
+            ps_dp = prefix_search.PrefixSearchStructure(parts["t_dp"], *values[2:], block_len, fn)
+        except ValueError:
+            raise ValueError("corrupt index") from None
         return cls(
-            n=n, sigma=sigma, orig_z=orig_z, tau=tau, x=x, block_len=block_len,
+            n=n, sigma=sigma, orig_z=orig_z, tau=tau, block_len=block_len,
             seed=seed, pow2_certified=bool(pow2_cert),
             prefix_certified=bool(prefix_cert), fn=fn, capped=capped,
-            bt=bt, t_d=t_d, rd_pos=rd_pos, ps_d=ps_d,
-            t_dp=t_dp, ps_dp=ps_dp, grid_r=grid_r,
-            t_f=t_f, f_strings=f_strings, f_info=f_info,
+            bt=bt, ps_d=ps_d, ps_dp=ps_dp, **parts,
         )
 
     @classmethod
@@ -741,81 +667,86 @@ def _phrase_sources(capped: lz77.Lz77Parse) -> list[tuple[int, int, int]]:
     return out
 
 
-def _check_parse(phrases, n: int) -> None:
-    """The stored parse must tile the text and copy only from earlier."""
+def _check_parse(phrases, n: int, sigma: int, block_len: int) -> None:
+    """The stored parse must tile the text with phrases that fit a block,
+    copy only from earlier and end in a symbol of the alphabet."""
     pos = 1
     for ph in phrases:
         if ph.len > 0 and not 1 <= ph.start < pos:
+            raise ValueError("corrupt index")
+        if not 1 <= ph.border <= sigma or ph.span() > block_len:
             raise ValueError("corrupt index")
         pos += ph.span()
     if pos != n + 1:
         raise ValueError("corrupt index")
 
 
-def _write_grammar(w: Writer, bt: BlockTable) -> None:
-    """Structure only: a terminal as (0, symbol), a pair as (left + 1, right)."""
-    ar = bt.arena
-    w.u(bt.n)
-    w.u(bt.block_len)
-    w.u(len(ar.sym))
-    for i in range(len(ar.sym)):
-        if ar.sym[i] >= 0:
-            w.u(0)
-            w.u(ar.sym[i])
-        else:
-            w.u(ar.left[i] + 1)
-            w.u(ar.right[i])
-    w.seq(bt.roots)
+def _value_width(p: int) -> int:
+    """Bytes per stored dictionary value: a residue mod p."""
+    return (p.bit_length() + 7) // 8
 
 
-def _read_grammar(r: Reader, fn: fp.FpFunction) -> BlockTable:
-    """Rebuild the grammar, deriving every node's lengths and fingerprints
-    from its children in one bottom-up pass."""
-    n = r.u()
-    block_len = r.u()
-    count = r.u()
-    ar = _Arena(fn)
-    for i in range(count):
-        a = r.u()
-        if a == 0:
-            sym = r.u()
-            ar._push(sym, -1, -1)
-            ar._terminals.setdefault(sym, i)
-        else:
-            b = r.u()
-            if a > i or b >= i:  # children come before their parent
-                raise ValueError("corrupt index")
-            ar._push(-1, a - 1, b)
-    roots = r.seq()
-    if any(v >= count for v in roots):
+def _derive(capped: lz77.Lz77Parse, tau: int, symbols: list[int], order, lcps) -> dict:
+    """The parts of the index that follow from the capped parse, tau, the
+    text and the suffix trie's leaf order (an item index per rank) with the
+    lcps of adjacent leaves: both tries over the relevant substrings, the
+    border grid and the short-pattern trie. None depends on the fingerprint
+    function. Build and load both make them here; a leaf order or lcp list
+    that cannot come from the text raises ValueError("corrupt index")."""
+    n = len(symbols)
+    items = _relevant_substrings(capped, tau, n)
+    if (sorted(order) != list(range(len(items))) or len(lcps) != len(order)
+            or lcps[0] != 0):
         raise ValueError("corrupt index")
-    return BlockTable(ar, n, block_len, roots)
+    starts = [items[i][1] + 1 for i in order]
+    for r in range(1, len(starts)):
+        # no longer than the shorter of the two suffixes
+        if lcps[r] > n + 1 - max(starts[r - 1], starts[r]):
+            raise ValueError("corrupt index")
 
+    # trie over the reversed relevant substrings
+    rd_strings = [tuple(reversed(symbols[s - 1 : e])) for s, e, _ in items]
+    t_d, d_distinct = trie.build(rd_strings, ids=range(len(items)))
+    first_pos: dict[tuple, int] = {}
+    for key, (_, e, _) in zip(rd_strings, items):
+        first_pos.setdefault(key, n - e + 1)
+    rd_pos = [first_pos[key] for key in d_distinct]
 
-def _write_trie(w: Writer, t: CompactTrie) -> None:
-    w.u(t.num_vertices)
-    for v in range(1, t.num_vertices):
-        w.u(t.parent[v])
-        w.u(t.strlen[v])
-        w.u(t.sample[v] + 1)
-        w.u(t.leaf_rank[v])
-    w.u(t.num_leaves)
-    for rank in range(1, t.num_leaves + 1):
-        w.u(t.real_len[rank])
-        w.seq(t.leaf_ids[rank])
+    # trie over the suffixes that follow them, assembled in suffix array
+    # order so the suffixes never have to be materialized
+    t_dp = trie.build_from_sorted(
+        starts, [n - st + 1 for st in starts], lcps, [[i] for i in order]
+    )
 
+    def dp_char(start: int, q: int) -> int:
+        return symbols[start + q - 2]
 
-def _read_trie(r: Reader) -> CompactTrie:
-    t = CompactTrie()
-    count = r.u()
-    for v in range(1, count):
-        t._new_vertex(r.u(), r.u())
-        t.sample[v] = r.u() - 1
-        t.leaf_rank[v] = r.u()
-    for _ in range(r.u()):
-        t.real_len.append(r.u())
-        t.leaf_ids.append(r.seq())
-    return t
+    trie.finalize(t_dp, dp_char)
+
+    # the grid joining both tries: one point per relevant substring
+    xr = [0] * len(items)
+    for rank in range(1, t_d.num_leaves + 1):
+        for i in t_d.leaf_ids[rank]:
+            xr[i] = rank
+    grid_r = Grid(
+        (xr[i], rank, items[i][1:]) for rank, i in enumerate(order, start=1)
+    )
+
+    # short pattern trie: all strings from at most tau before a border
+    # up to tau - 1 past it, tagged with their start and that border
+    f_info: list[tuple[int, int]] = []
+    f_raw = []
+    pos = 1
+    for ph in capped.phrases:
+        e = pos + ph.span() - 1
+        hi = min(e + tau - 1, n)
+        for k in range(max(pos, e - tau + 1), e + 1):
+            f_info.append((k, e))
+            f_raw.append(tuple(symbols[k - 1 : hi]))
+        pos = e + 1
+    t_f, f_strings = trie.build(f_raw, ids=range(len(f_info)))
+    return dict(t_d=t_d, rd_pos=rd_pos, t_dp=t_dp, dp_lcps=lcps, grid_r=grid_r,
+                t_f=t_f, f_strings=f_strings, f_info=f_info)
 
 
 def build(text, config: IndexConfig | None = None) -> Index:

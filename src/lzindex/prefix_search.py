@@ -39,16 +39,40 @@ def two_fattest(lo: int, hi: int) -> int:
     return hi & ~((1 << ((lo ^ hi).bit_length() - 1)) - 1)
 
 
+def key_lengths(t: CompactTrie, x: int):
+    """Per vertex in vertex order: (vertex, G key length, H key length or 0
+    when the skip interval holds no multiple of x)."""
+    for v in range(1, t.num_vertices):
+        lo, hi = t.skip_interval(v)
+        mult = (lo // x + 1) * x
+        yield v, two_fattest(lo, hi), mult if mult <= hi else 0
+
+
 @dataclass
 class PrefixSearchStructure:
+    """The per-vertex fingerprint values are the source of truth: g_values
+    holds one per vertex, h_values one per vertex with an x-prefix, both in
+    vertex order. G and H are keyed from them in that order, so a later
+    vertex wins an (uncertified) key clash however the values were made."""
+
     trie: CompactTrie
-    G: dict[tuple[int, int], int]
-    H: dict[tuple[int, int], int]
+    g_values: list[int]
+    h_values: list[int]
     x: int
     fn: fp.FpFunction
+    G: dict[tuple[int, int], int] = field(init=False, repr=False)
+    H: dict[tuple[int, int], int] = field(init=False, repr=False)
     # instrumentation
     h_lookups: int = field(default=0, compare=False)
     g_lookups: int = field(default=0, compare=False)
+
+    def __post_init__(self) -> None:
+        keys = list(key_lengths(self.trie, self.x))
+        h_keys = [(v, mult) for v, _, mult in keys if mult]
+        if len(self.g_values) != len(keys) or len(self.h_values) != len(h_keys):
+            raise ValueError("dictionary values do not match the trie")
+        self.G = {(value, fat): v for value, (v, fat, _) in zip(self.g_values, keys)}
+        self.H = {(value, mult): v for value, (v, mult) in zip(self.h_values, h_keys)}
 
     def reset_counters(self) -> None:
         self.h_lookups = 0
@@ -57,17 +81,18 @@ class PrefixSearchStructure:
 
 def build(t: CompactTrie, x: int, fn: fp.FpFunction, prefix_fp_value, char_access,
           certify: bool = True) -> PrefixSearchStructure:
-    """Populate G and H; with certify=True additionally prove the function
-    collision-free for every fat, pseudo-fat and multiple-of-x prefix of the
-    indexed strings (equal-length prefixes only; the keys carry the length).
+    """Compute the G and H values; with certify=True additionally prove the
+    function collision-free for every fat, pseudo-fat and multiple-of-x
+    prefix of the indexed strings (equal-length prefixes only; the keys
+    carry the length).
 
     prefix_fp_value(v, l) -> fingerprint value of str(v)[1, l] (l may include
     the terminator of a leaf); char_access(sample_id, pos) -> symbol.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
-    G: dict[tuple[int, int], int] = {}
-    H: dict[tuple[int, int], int] = {}
+    g_values: list[int] = []
+    h_values: list[int] = []
     seen: dict[tuple[int, int], int] = {}  # (value, length) -> vertex
 
     def check(v: int, l: int, value: int) -> None:
@@ -80,29 +105,27 @@ def build(t: CompactTrie, x: int, fn: fp.FpFunction, prefix_fp_value, char_acces
             if t.edge_symbol(v, pos, char_access) != t.edge_symbol(ov, pos, char_access):
                 raise FingerprintCollision(key)
 
-    for v in range(1, t.num_vertices):
-        lo, hi = t.skip_interval(v)
-        fat = two_fattest(lo, hi)
+    for v, fat, mult in key_lengths(t, x):
         fat_value = prefix_fp_value(v, fat)
-        G[(fat_value, fat)] = v
-        mult = (lo // x + 1) * x
-        if mult <= hi:
-            H[(prefix_fp_value(v, mult), mult)] = v
+        g_values.append(fat_value)
+        if mult:
+            h_values.append(prefix_fp_value(v, mult))
         if not certify:
             continue
         check(v, fat, fat_value)
+        lo, hi = t.skip_interval(v)
         lengths = set()
         f = lo + 1  # pseudo-fat numbers: 2-fattest of [lo+1, p] for p < fat
         while f < fat:
             lengths.add(f)
             f += f & -f
-        while mult <= hi:
+        while mult and mult <= hi:
             lengths.add(mult)
             mult += x
         lengths.discard(fat)
         for l in sorted(lengths):
             check(v, l, prefix_fp_value(v, l))
-    return PrefixSearchStructure(t, G, H, x, fn)
+    return PrefixSearchStructure(t, g_values, h_values, x, fn)
 
 
 def find_x_range(ps: PrefixSearchStructure, m: int, pattern_fp) -> tuple[int, str]:

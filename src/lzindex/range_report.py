@@ -70,14 +70,6 @@ class Grid:
         b = bisect_right(ys, y_hi)
         out.extend(payloads[a:b])
 
-    def points(self):
-        """All (x, y, payload) triples in x order (for serialization)."""
-        leaf0 = self._leaf0
-        return [
-            (self.xs[i], self._tree[leaf0 + i][0][0], self._tree[leaf0 + i][1][0])
-            for i in range(self.size)
-        ]
-
 
 def _merge(a, b):
     ay, ap = a

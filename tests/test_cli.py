@@ -31,7 +31,10 @@ class TestBuild:
         stats = dict(line.split(": ") for line in out.strip().splitlines())
         assert int(stats["n"]) == len(data)
         assert int(stats["phrases"]) < len(data)
-        assert int(stats["bytes[grammar]"]) > 0
+        # every section is listed and the sizes add up to the file
+        sections = {k for k in stats if k.startswith("bytes[")}
+        assert sum(int(stats[k]) for k in sections) == idx_path.stat().st_size
+        assert int(stats["bytes[dictionaries]"]) > 0
 
     def test_empty_input_fails(self, tmp_path, capsys):
         src = write_text(tmp_path, b"")

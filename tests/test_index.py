@@ -214,6 +214,13 @@ class TestSerialization:
         text = random_text(rng, sigma, n)
         return rng, text, Index.build(text)
 
+    @staticmethod
+    def trie_fields(t):
+        """Every field of a trie, with each child dict in insertion order."""
+        fields = dict(vars(t))
+        fields["children"] = [list(c.items()) for c in t.children]
+        return fields
+
     def test_byte_identical_round_trip(self):
         _, _, idx = self.build_random(99)
         blob = idx.to_bytes()
@@ -227,6 +234,20 @@ class TestSerialization:
         # nor the phrase sources; loading derives them from the parse
         for attr in ("starts", "ends", "targets"):
             assert getattr(loaded.sources, attr) == getattr(idx.sources, attr)
+        # nor the tries, the grid or the dictionary keys: loading rebuilds
+        # them from the parse, the suffix trie's leaf order and the values
+        for attr in ("t_d", "t_dp", "t_f"):
+            assert self.trie_fields(getattr(loaded, attr)) == self.trie_fields(getattr(idx, attr))
+        assert loaded.rd_pos == idx.rd_pos
+        assert loaded.f_strings == idx.f_strings
+        assert loaded.f_info == idx.f_info
+        everything = (1, loaded.t_d.num_leaves, 1, loaded.t_dp.num_leaves)
+        assert loaded.grid_r.query(*everything) == idx.grid_r.query(*everything)
+        for attr in ("ps_d", "ps_dp"):
+            a, b = getattr(loaded, attr), getattr(idx, attr)
+            assert a.g_values == b.g_values and a.h_values == b.h_values
+            assert list(a.G.items()) == list(b.G.items())
+            assert list(a.H.items()) == list(b.H.items())
 
     def test_locate_identical_after_load(self, tmp_path):
         rng, text, idx = self.build_random(100)
@@ -249,32 +270,27 @@ class TestSerialization:
         _, _, idx = self.build_random(102)
         sizes = idx.component_sizes()
         assert sum(sizes.values()) == len(idx.to_bytes())
-        assert sizes["grammar"] > 0 and sizes["grids"] > 0
+        assert sizes["suffix_trie"] > 0 and sizes["dictionaries"] > 0
+        # rebuilt on load, so stored empty
+        for name in ("grammar", "reverse_grammar", "substring_trie",
+                     "short_trie", "grids"):
+            assert sizes[name] == 0
 
     def test_bad_magic(self):
         # the older formats: the first stored node fingerprints and a grammar
-        # of the reversed text, the second a grid of the phrase sources
-        for blob in (b"garbage!", b"LZXIDX1\n", b"LZXIDX2\n"):
+        # of the reversed text, the second a grid of the phrase sources, the
+        # third the grammar, every trie and the border grid
+        for blob in (b"garbage!", b"LZXIDX1\n", b"LZXIDX2\n", b"LZXIDX3\n"):
             with pytest.raises(ValueError, match="not an index file"):
                 Index.from_bytes(blob + b"\x00" * 40)
 
-    def test_grammar_child_not_below_node(self):
-        _, _, idx = self.build_random(106)
-        sizes = idx.component_sizes()
-        blob = idx.to_bytes()
-        start = sizes["header"] + sizes["parse"]
-        r = Reader(blob)
-        r.pos = start
-        r.u(), r.u(), r.u()  # n, block_len, node count
-        first = r.pos  # node 0: a terminal, written as (0, symbol)
-        assert blob[first] == 0
-        # make node 0 the pair (node 0, node 0), which refers to itself
-        crafted = blob[:first] + b"\x01\x00" + blob[first + 2 :]
-        with pytest.raises(ValueError, match="corrupt index"):
-            Index.from_bytes(crafted)
-
     @staticmethod
-    def with_parse(idx, phrases) -> bytes:
+    def with_sections(idx, **replaced) -> bytes:
+        """The index file with the named sections replaced."""
+        return b"".join(replaced.get(name, data) for name, data in idx._sections())
+
+    @classmethod
+    def with_parse(cls, idx, phrases) -> bytes:
         """The index file with its parse section replaced by `phrases`."""
         w = Writer()
         w.u(len(phrases))
@@ -282,8 +298,19 @@ class TestSerialization:
             w.u(ph.start)
             w.u(ph.len)
             w.u(ph.border)
-        return b"".join(bytes(w.buf) if name == "parse" else data
-                        for name, data in idx._sections())
+        return cls.with_sections(idx, parse=bytes(w.buf))
+
+    @staticmethod
+    def header_fields(idx) -> list[int]:
+        """n, sigma, z, tau, block_len, seed, both flags, p and r."""
+        r = Reader(dict(idx._sections())["header"])
+        r.pos = len(ix.MAGIC)
+        return [r.u() for _ in range(10)]
+
+    def assert_corrupt(self, crafted: dict) -> None:
+        for case, blob in crafted.items():
+            with pytest.raises(ValueError, match="corrupt index"):
+                Index.from_bytes(blob)
 
     def test_corrupt_parse(self):
         _, _, idx = self.build_random(107)
@@ -292,15 +319,93 @@ class TestSerialization:
         i, pos = next((i, sum(ph.span() for ph in phrases[:i]) + 1)
                       for i, ph in enumerate(phrases) if ph.len > 0)
         ph = phrases[i]
-        crafted = {
-            "spans past n": phrases + [lz77.Phrase(0, 0, 1)],
-            "spans short of n": phrases[:-1],
-            "source start 0": phrases[:i] + [lz77.Phrase(0, ph.len, ph.border)] + phrases[i + 1 :],
-            "source at its phrase": phrases[:i] + [lz77.Phrase(pos, ph.len, ph.border)] + phrases[i + 1 :],
-        }
-        for case, bad in crafted.items():
-            with pytest.raises(ValueError, match="corrupt index"):
-                Index.from_bytes(self.with_parse(idx, bad))
+        last = phrases[-1]
+        self.assert_corrupt({
+            case: self.with_parse(idx, bad) for case, bad in {
+                "spans past n": phrases + [lz77.Phrase(0, 0, 1)],
+                "spans short of n": phrases[:-1],
+                "source start 0": phrases[:i] + [lz77.Phrase(0, ph.len, ph.border)] + phrases[i + 1 :],
+                "source at its phrase": phrases[:i] + [lz77.Phrase(pos, ph.len, ph.border)] + phrases[i + 1 :],
+                "border 0": phrases[:-1] + [lz77.Phrase(last.start, last.len, 0)],
+                "border above sigma": phrases[:-1] + [lz77.Phrase(last.start, last.len, idx.sigma + 1)],
+            }.items()
+        })
+
+    def test_phrase_longer_than_block(self):
+        # a valid LZ77 parse of the text, but not capped at the block length
+        base = random_text(random.Random(106), 4, 80)
+        text = base * 6
+        idx = Index.build(text)
+        uncapped = lz77.parse(text).phrases
+        assert max(ph.span() for ph in uncapped) > idx.block_len
+        with pytest.raises(ValueError, match="corrupt index"):
+            Index.from_bytes(self.with_parse(idx, uncapped))
+
+    def test_corrupt_header(self):
+        _, _, idx = self.build_random(109)
+        fields = self.header_fields(idx)
+        crafted = {}
+        for case, at in (("n 0", 0), ("tau 0", 3), ("block_len 0", 4), ("p 0", 8), ("r 0", 9)):
+            w = Writer()
+            w.raw(ix.MAGIC)
+            for k, v in enumerate(fields):
+                w.u(0 if k == at else v)
+            crafted[case] = self.with_sections(idx, header=bytes(w.buf))
+        self.assert_corrupt(crafted)
+
+    def test_corrupt_suffix_trie(self):
+        _, _, idx = self.build_random(110)
+        order = [ids[0] for ids in idx.t_dp.leaf_ids[1:]]
+        lcps = list(idx.dp_lcps)
+        n = idx.n
+
+        def section(order, lcps) -> bytes:
+            w = Writer()
+            w.seq(order)
+            w.seq(lcps)
+            return bytes(w.buf)
+
+        blob = self.with_sections(idx, suffix_trie=section(order, lcps))
+        assert Index.from_bytes(blob).to_bytes() == idx.to_bytes()
+        # the adjacent pair whose shorter suffix is longest
+        ends = [e for _, e, _ in ix._relevant_substrings(idx.capped, idx.tau, n)]
+        r = max(range(1, len(order)), key=lambda r: n - max(ends[order[r - 1]], ends[order[r]]))
+        shorter = n - max(ends[order[r - 1]], ends[order[r]])
+        too_long = lcps[:r] + [shorter + 1] + lcps[r + 1 :]
+        self.assert_corrupt({
+            case: self.with_sections(idx, suffix_trie=section(o, l)) for case, (o, l) in {
+                "item repeated": ([order[1]] + order[1:], lcps),
+                "item out of range": (order[:-1] + [len(order)], lcps),
+                "item missing": (order[:-1], lcps[:-1]),
+                "lcps too few": (order, lcps[:-1]),
+                "first lcp not 0": (order, [1] + lcps[1:]),
+                "lcp past the shorter suffix": (order, too_long),
+            }.items()
+        })
+
+    def test_corrupt_dictionaries(self):
+        _, _, idx = self.build_random(111)
+        width = (idx.fn.p.bit_length() + 7) // 8
+        arrays = [idx.ps_d.g_values, idx.ps_d.h_values, idx.ps_dp.g_values, idx.ps_dp.h_values]
+        assert all(arrays)  # so that dropping a value changes each one
+
+        def section(arrays) -> bytes:
+            w = Writer()
+            for values in arrays:
+                w.u(len(values))
+                for v in values:
+                    w.raw(v.to_bytes(width, "little"))
+            return bytes(w.buf)
+
+        blob = self.with_sections(idx, dictionaries=section(arrays))
+        assert blob == idx.to_bytes()
+        crafted = {"bytes after the last section": blob + b"\x00"}
+        for k in range(4):
+            for case, values in (("one value more", arrays[k] + [0]),
+                                 ("one value fewer", arrays[k][:-1])):
+                bad = arrays[:k] + [values] + arrays[k + 1 :]
+                crafted[f"array {k}: {case}"] = self.with_sections(idx, dictionaries=section(bad))
+        self.assert_corrupt(crafted)
 
     def test_truncated(self):
         _, _, idx = self.build_random(103)

@@ -47,14 +47,6 @@ class TestGrid:
                 assert sorted(got) == scan(points, x_lo, x_hi, y_lo, y_hi)
                 assert len(got) == len(set(got))  # payloads are distinct here
 
-    def test_points_round_trip(self):
-        rng = random.Random(63)
-        points = [(rng.randint(1, 30), rng.randint(1, 30), (i, 0)) for i in range(100)]
-        g = range_report.build(points)
-        assert sorted(g.points()) == sorted(points)
-        g2 = range_report.build(g.points())
-        assert g2.query(1, 30, 1, 30) == g.query(1, 30, 1, 30)
-
     def test_query_counter(self):
         g = range_report.build([(1, 1, (0, 0))])
         g.query(1, 1, 1, 1)
