@@ -1,8 +1,13 @@
-"""Suffix array machinery shared by the LZ77 parser and the index builder.
+"""The one suffix-array pass of a build: suffix array, ranks and LCP array.
 
 Everything here treats the text as a numpy int array and end-of-string as
 smaller than any symbol, so suffix order matches Python's prefix-first
-ordering of the raw sequences.
+ordering of the raw sequences. The parser (lz77.parse) reads the suffix
+array to find each phrase's longest previous factor and source, and the
+index builder reads the ranks and the LCP array for the suffix trie's leaf
+order and adjacent lcps. No range-minimum table is built: the parser
+compares characters, and the builder takes its minima of the LCP array in
+one pass.
 """
 
 from __future__ import annotations
@@ -11,23 +16,25 @@ import numpy as np
 
 
 def suffix_array(text: np.ndarray) -> np.ndarray:
-    """Suffix array by prefix doubling (numpy lexsort), O(n lg n) rounds."""
+    """Suffix array by prefix doubling, O(lg n) rounds of one stable argsort.
+
+    The symbols are first mapped to dense ranks, so the round key
+    rank * (n + 2) + (rank k later, + 1; 0 past the end) fits in int64
+    whatever the alphabet.
+    """
     n = len(text)
-    rank = np.array(text, dtype=np.int64)  # copy: the doubling loop writes ranks
+    _, rank = np.unique(text, return_inverse=True)
+    rank = rank.astype(np.int64).reshape(n)
     sa = np.argsort(rank, kind="stable")
-    tmp = np.empty(n, dtype=np.int64)
     k = 1
     while k < n:
-        # rank of the suffix starting k later; -1 past the end (sorts first)
-        second = np.full(n, -1, dtype=np.int64)
-        second[: n - k] = rank[k:]
-        sa = np.lexsort((second, rank))
-        tmp[sa[0]] = 0
-        prev = sa[:-1]
-        cur = sa[1:]
-        bump = (rank[cur] != rank[prev]) | (second[cur] != second[prev])
-        tmp[cur] = np.cumsum(bump)
-        rank, tmp = tmp.copy(), rank
+        key = rank * (n + 2)
+        key[: n - k] += rank[k:] + 1
+        sa = np.argsort(key, kind="stable")
+        sorted_key = key[sa]
+        rank = np.empty(n, dtype=np.int64)
+        rank[sa[0]] = 0
+        rank[sa[1:]] = np.cumsum(sorted_key[1:] != sorted_key[:-1])
         if rank[sa[-1]] == n - 1:
             break
         k <<= 1
@@ -37,46 +44,27 @@ def suffix_array(text: np.ndarray) -> np.ndarray:
 def lcp_array(text: np.ndarray, sa: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Kasai: lcp[i] = lcp(suffix sa[i-1], suffix sa[i]), lcp[0] = 0."""
     n = len(text)
-    lcp = np.zeros(n, dtype=np.int64)
+    # a sentinel no symbol equals ends every comparison at the text's end:
+    # the two suffixes differ, so at most one of them reaches it
+    t = text.tolist() + [None]
+    s = sa.tolist()
+    lcp = [0] * n
     h = 0
-    for i in range(n):
-        r = rank[i]
+    for i, r in enumerate(rank.tolist()):
         if r > 0:
-            j = sa[r - 1]
-            while i + h < n and j + h < n and text[i + h] == text[j + h]:
+            j = s[r - 1]
+            while t[i + h] == t[j + h]:
                 h += 1
             lcp[r] = h
             if h > 0:
                 h -= 1
         else:
             h = 0
-    return lcp
-
-
-class MinSparseTable:
-    """Idempotent range-min over a fixed int array, O(1) queries."""
-
-    def __init__(self, values: np.ndarray):
-        n = len(values)
-        levels = max(1, n.bit_length())
-        table = [np.asarray(values, dtype=np.int64)]
-        k = 1
-        while (1 << k) <= n:
-            prev = table[-1]
-            span = 1 << (k - 1)
-            table.append(np.minimum(prev[: n - 2 * span + 1], prev[span : n - span + 1]))
-            k += 1
-        self._table = table
-
-    def query(self, lo: int, hi: int) -> int:
-        """Min over values[lo:hi], hi exclusive; lo < hi required."""
-        k = (hi - lo).bit_length() - 1
-        row = self._table[k]
-        return int(min(row[lo], row[hi - (1 << k)]))
+    return np.array(lcp, dtype=np.int64)
 
 
 class SuffixContext:
-    """Suffix array, ranks, lcps and the range-min tables over them."""
+    """Suffix array, ranks (the inverse suffix array) and LCP array."""
 
     def __init__(self, text: np.ndarray):
         self.n = len(text)
@@ -84,48 +72,3 @@ class SuffixContext:
         self.rank = np.empty(self.n, dtype=np.int64)
         self.rank[self.sa] = np.arange(self.n)
         self.lcp = lcp_array(text, self.sa, self.rank)
-        self._lcp_rmq = MinSparseTable(self.lcp)
-        self._sa_rmq = MinSparseTable(self.sa)
-
-    def lcp_between(self, i: int, j: int) -> int:
-        """lcp of the suffixes starting at text positions i and j (0-based)."""
-        if i == j:
-            return self.n - i
-        ri, rj = int(self.rank[i]), int(self.rank[j])
-        if ri > rj:
-            ri, rj = rj, ri
-        return self._lcp_rmq.query(ri + 1, rj + 1)
-
-    def leftmost_occurrence(self, pos: int, length: int) -> int:
-        """Smallest start of an occurrence of text[pos:pos+length] (0-based).
-
-        Extends the lcp-interval around rank(pos) to all suffixes sharing a
-        prefix of `length` characters and takes the min suffix start there.
-        """
-        if length == 0:
-            return 0
-        r = int(self.rank[pos])
-        lo = self._bisect_left(r, length)
-        hi = self._bisect_right(r, length)
-        return self._sa_rmq.query(lo, hi + 1)
-
-    def _bisect_left(self, r: int, length: int) -> int:
-        # smallest l <= r with min(lcp[l+1..r]) >= length
-        lo, hi = 0, r  # answer in [lo, hi]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._lcp_rmq.query(mid + 1, r + 1) >= length:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    def _bisect_right(self, r: int, length: int) -> int:
-        lo, hi = r, self.n - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._lcp_rmq.query(r + 1, mid + 1) >= length:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo

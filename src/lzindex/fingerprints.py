@@ -48,20 +48,12 @@ class FpFunction:
     p: int
     r: int
     _pows: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
-    _inv_pows: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     def r_pow(self, length: int) -> int:
         v = self._pows.get(length)
         if v is None:
             v = pow(self.r, length, self.p)
             self._pows[length] = v
-        return v
-
-    def r_inv_pow(self, length: int) -> int:
-        v = self._inv_pows.get(length)
-        if v is None:
-            v = pow(self.r, (self.p - 2) * length, self.p) if length else 1
-            self._inv_pows[length] = v
         return v
 
 
@@ -74,10 +66,6 @@ class Fingerprint:
     @property
     def r_pow(self) -> int:
         return self.fn.r_pow(self.length)
-
-    @property
-    def r_inv_pow(self) -> int:
-        return self.fn.r_inv_pow(self.length)
 
 
 def select_function(n: int, rng_seed: int = 0) -> FpFunction:
@@ -115,15 +103,6 @@ def compose(fy: Fingerprint, fz: Fingerprint) -> Fingerprint:
     fn = fy.fn
     value = (fy.value + fy.r_pow * fz.value) % fn.p
     return Fingerprint(value, fy.length + fz.length, fn)
-
-
-def split_suffix(fx: Fingerprint, fy: Fingerprint) -> Fingerprint:
-    """Given x = yz, recover phi(z) from phi(x) and phi(y)."""
-    if fy.length > fx.length:
-        raise ValueError("prefix longer than string")
-    fn = fx.fn
-    value = (fx.value - fy.value) * fy.r_inv_pow % fn.p
-    return Fingerprint(value, fx.length - fy.length, fn)
 
 
 class PrefixFpTable:

@@ -13,21 +13,25 @@ search may produce. Patterns of length at most tau instead walk a trie of
 the short strings around each border. Extraction runs on the balanced
 grammar built from the parse; the same grammar gives the fingerprints of
 text substrings and of their reversals, so the reversed side has no grammar
-of its own. The build makes one suffix array, for the parse and the suffix
-trie's leaf order, and drops it before the rest of the build. The file
-stores only the header, the parse, that leaf order with the lcps of adjacent
-leaves, and the values of the fingerprint dictionaries. Both build and load
-make the grammar from the parse by build_slp, and one shared derivation
-makes the two tries over the relevant substrings, the border grid and the
-short-pattern trie from the text: the build reads the text it was given,
-loading extracts it once from the grammar. The dictionary keys follow from
-the tries.
+of its own. The build makes one suffix array with its ranks and LCP array,
+for the parse and the suffix trie's leaf order and adjacent lcps, and drops
+it before the rest of the build. The file stores only the header, the
+parse, that leaf order with the lcps of adjacent leaves, and the values of
+the fingerprint dictionaries. Both build and load make the grammar from the
+parse by build_slp, and share two derivations from the text (the build
+reads the text it was given, loading extracts it once from the grammar):
+the two tries over the relevant substrings, which the dictionaries are
+keyed on, and then the border grid and the short-pattern trie, which the
+build makes only once its dictionaries are certified. The dictionary keys
+follow from the tries.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import fingerprints as fp
 from . import lz77, prefix_search, trie
@@ -142,39 +146,36 @@ class Index:
             raise ValueError("tau must be >= 1")
         capped = lz77.cap_phrases(orig, block_len)
 
-        # the suffix trie's leaf order (an item per rank) and the lcps of
-        # adjacent leaves are the only other use of the suffix context, so
-        # it goes before the rest of the build; item i's suffix starts after
-        # its end, at 0-based text position e
-        ends = [e for _, e, _ in _relevant_substrings(capped, tau, n)]
-        order = sorted(range(len(ends)),
-                       key=lambda i: -1 if ends[i] == n else int(ctx.rank[ends[i]]))
-        lcps = [0] * len(order)
-        for r in range(1, len(order)):
-            a, b = ends[order[r - 1]], ends[order[r]]
-            lcps[r] = 0 if a == n or b == n else ctx.lcp_between(a, b)
+        items = _relevant_substrings(capped, tau, n)
+        order, lcps = _suffix_trie_order(ctx, items)
         del ctx
 
         # construction may read the text directly; queries go through the
         # grammar instead
         symbols = arr.tolist()
-        parts = _derive(capped, tau, symbols, order, lcps)
+        tries = _derive_tries(items, symbols, order, lcps)
         for attempt in range(_MAX_FN_ATTEMPTS):
             fn = fp.select_function(n, cfg.seed * 1009 + attempt)
             try:
-                return cls._assemble(
-                    arr, symbols, sigma, orig.z, tau, block_len, capped, parts,
-                    fn, cfg.seed,
-                )
+                fn_parts = cls._fn_parts(arr, symbols, sigma, block_len, capped, tries, fn)
+                break
             except prefix_search.FingerprintCollision:
                 continue
-        raise RuntimeError("cannot certify a collision-free fingerprint function")
+        else:
+            raise RuntimeError("cannot certify a collision-free fingerprint function")
+        # the rest is made only now, so it is not resident while the
+        # certification and the prefix tables peak
+        return cls(
+            n=n, sigma=sigma, orig_z=orig.z, tau=tau, block_len=block_len,
+            seed=cfg.seed, capped=capped, **fn_parts, **tries,
+            **_derive_rest(capped, tau, items, symbols, tries["t_d"], order),
+        )
 
-    @classmethod
-    def _assemble(cls, arr, symbols, sigma, orig_z, tau, block_len, capped,
-                  parts, fn, seed) -> "Index":
-        """The parts that depend on the fingerprint function: the
-        certification, the grammar and the dictionaries."""
+    @staticmethod
+    def _fn_parts(arr, symbols, sigma, block_len, capped, tries, fn) -> dict:
+        """The parts that depend on the fingerprint function: the certification,
+        the grammar and the dictionaries. Raises FingerprintCollision when fn
+        fails a certification."""
         n = len(symbols)
         # the build reads the reversed text to certify reversal fingerprints
         # and for its own prefix table; the index keeps no reversed copy
@@ -189,7 +190,7 @@ class Index:
 
         bt = build_slp(capped, fn, block_len)
         term_fp = fp.fingerprint(fn, [sigma + 1])
-        t_d, rd_pos, t_dp = parts["t_d"], parts["rd_pos"], parts["t_dp"]
+        t_d, rd_pos, t_dp = tries["t_d"], tries["rd_pos"], tries["t_dp"]
 
         # each prefix table lives only while its dictionaries are built:
         # one value and one inverse power per text position
@@ -220,12 +221,8 @@ class Index:
         ps_dp = prefix_search.build(t_dp, block_len, fn, dp_prefix_fp, dp_char, certify=prefix_certified)
         del ptab
 
-        return cls(
-            n=n, sigma=sigma, orig_z=orig_z, tau=tau, block_len=block_len,
-            seed=seed, pow2_certified=pow2_certified,
-            prefix_certified=prefix_certified, fn=fn, capped=capped,
-            bt=bt, ps_d=ps_d, ps_dp=ps_dp, **parts,
-        )
+        return dict(pow2_certified=pow2_certified, prefix_certified=prefix_certified,
+                    fn=fn, bt=bt, ps_d=ps_d, ps_dp=ps_dp)
 
     # -- queries -------------------------------------------------------------
 
@@ -613,17 +610,20 @@ class Index:
             raise ValueError("corrupt index")
 
         bt = build_slp(capped, fn, block_len)
-        parts = _derive(capped, tau, bt.extract(1, n), order, lcps)
+        symbols = bt.extract(1, n)
+        items = _relevant_substrings(capped, tau, n)
+        tries = _derive_tries(items, symbols, order, lcps)
         try:
-            ps_d = prefix_search.PrefixSearchStructure(parts["t_d"], *values[:2], block_len, fn)
-            ps_dp = prefix_search.PrefixSearchStructure(parts["t_dp"], *values[2:], block_len, fn)
+            ps_d = prefix_search.PrefixSearchStructure(tries["t_d"], *values[:2], block_len, fn)
+            ps_dp = prefix_search.PrefixSearchStructure(tries["t_dp"], *values[2:], block_len, fn)
         except ValueError:
             raise ValueError("corrupt index") from None
         return cls(
             n=n, sigma=sigma, orig_z=orig_z, tau=tau, block_len=block_len,
             seed=seed, pow2_certified=bool(pow2_cert),
             prefix_certified=bool(prefix_cert), fn=fn, capped=capped,
-            bt=bt, ps_d=ps_d, ps_dp=ps_dp, **parts,
+            bt=bt, ps_d=ps_d, ps_dp=ps_dp, **tries,
+            **_derive_rest(capped, tau, items, symbols, tries["t_d"], order),
         )
 
     @classmethod
@@ -656,6 +656,31 @@ def _relevant_substrings(capped: lz77.Lz77Parse, tau: int, n: int) -> list:
     return items
 
 
+def _suffix_trie_order(ctx: SuffixContext, items) -> tuple[list[int], list[int]]:
+    """The suffix trie's leaf order (an item index per rank) and the lcps of
+    adjacent leaves, from the suffix context.
+
+    Item i's suffix starts after its end, at 0-based text position e. Ends
+    are distinct and ascending, so only the last item can end at n; its
+    suffix is empty and sorts first, with lcp 0 to both neighbours. The lcp
+    of two adjacent leaves is the least LCP entry after the first one's rank
+    up to the second one's.
+    """
+    n = ctx.n
+    ranks = ctx.rank[[e for _, e, _ in items if e < n]]
+    order = np.argsort(ranks).tolist()
+    sorted_ranks = ranks[order]
+    lcps = []
+    if len(order) > 1:
+        lcps = np.minimum.reduceat(
+            ctx.lcp[: sorted_ranks[-1] + 1], sorted_ranks[:-1] + 1
+        ).tolist()
+    if len(order) < len(items):
+        order.insert(0, len(items) - 1)
+    # the first leaf, and the one after the empty suffix, have lcp 0
+    return order, [0] * (len(order) - len(lcps)) + lcps
+
+
 def _phrase_sources(capped: lz77.Lz77Parse) -> list[tuple[int, int, int]]:
     """(start, end, phrase position) of every nonempty phrase source."""
     out = []
@@ -686,15 +711,15 @@ def _value_width(p: int) -> int:
     return (p.bit_length() + 7) // 8
 
 
-def _derive(capped: lz77.Lz77Parse, tau: int, symbols: list[int], order, lcps) -> dict:
-    """The parts of the index that follow from the capped parse, tau, the
-    text and the suffix trie's leaf order (an item index per rank) with the
-    lcps of adjacent leaves: both tries over the relevant substrings, the
-    border grid and the short-pattern trie. None depends on the fingerprint
-    function. Build and load both make them here; a leaf order or lcp list
-    that cannot come from the text raises ValueError("corrupt index")."""
+def _derive_tries(items, symbols: list[int], order, lcps) -> dict:
+    """The tries the dictionaries are keyed on, from the relevant substrings,
+    the text and the suffix trie's leaf order (an item index per rank) with
+    the lcps of adjacent leaves: the trie over the reversed relevant
+    substrings with rd_pos, and the trie over the suffixes that follow them.
+    Neither depends on the fingerprint function. Build and load both make
+    them here; a leaf order or lcp list that cannot come from the text
+    raises ValueError("corrupt index")."""
     n = len(symbols)
-    items = _relevant_substrings(capped, tau, n)
     if (sorted(order) != list(range(len(items))) or len(lcps) != len(order)
             or lcps[0] != 0):
         raise ValueError("corrupt index")
@@ -722,6 +747,15 @@ def _derive(capped: lz77.Lz77Parse, tau: int, symbols: list[int], order, lcps) -
         return symbols[start + q - 2]
 
     trie.finalize(t_dp, dp_char)
+    return dict(t_d=t_d, rd_pos=rd_pos, t_dp=t_dp, dp_lcps=lcps)
+
+
+def _derive_rest(capped: lz77.Lz77Parse, tau: int, items, symbols: list[int],
+                 t_d: CompactTrie, order) -> dict:
+    """The parts only queries read: the border grid, which joins the tries of
+    _derive_tries, and the short-pattern trie. Build and load both make them
+    here."""
+    n = len(symbols)
 
     # the grid joining both tries: one point per relevant substring
     xr = [0] * len(items)
@@ -745,8 +779,7 @@ def _derive(capped: lz77.Lz77Parse, tau: int, symbols: list[int], order, lcps) -
             f_raw.append(tuple(symbols[k - 1 : hi]))
         pos = e + 1
     t_f, f_strings = trie.build(f_raw, ids=range(len(f_info)))
-    return dict(t_d=t_d, rd_pos=rd_pos, t_dp=t_dp, dp_lcps=lcps, grid_r=grid_r,
-                t_f=t_f, f_strings=f_strings, f_info=f_info)
+    return dict(grid_r=grid_r, t_f=t_f, f_strings=f_strings, f_info=f_info)
 
 
 def build(text, config: IndexConfig | None = None) -> Index:

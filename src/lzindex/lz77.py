@@ -4,13 +4,18 @@ A phrase copies a (possibly empty, possibly self-overlapping) source from
 earlier in the text and appends one literal character, the phrase border.
 Parsing is greedy leftmost-longest; when several sources of maximal length
 exist the one with the smallest start is chosen so parses are deterministic.
+
+The parser reads one suffix array and follows Kärkkäinen, Kempa and Puglisi
+(CPM 2013): the longest previous factor is needed only where a phrase
+starts, and there it is the longer lcp with the previous and next smaller
+suffix starts, found by comparing characters. Nothing is computed per text
+position beyond those two neighbours.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._suffixes import SuffixContext
 from ._text import to_symbols
@@ -52,8 +57,13 @@ class Lz77Parse:
 def parse(text, ctx: SuffixContext | None = None) -> Lz77Parse:
     """Greedy leftmost-longest LZ77 parse of `text` (symbols >= 1).
 
-    Built from the suffix array via longest-previous-factor queries; each
-    phrase source is the leftmost occurrence of the factor. `ctx` is the
+    The longest previous factor is taken only at phrase starts, by direct
+    comparison with the previous and next smaller suffix starts in suffix
+    array order (Kärkkäinen, Kempa and Puglisi, "Linear time Lempel-Ziv
+    factorization: simple, fast, small", CPM 2013); each comparison stops
+    within the phrase, so all of them take O(n) together. The source is the
+    smallest start in the suffix array interval of the factor, found by
+    bisecting the suffix array against the text. `ctx` is the
     text's suffix context when the caller already has one; without it the
     parse builds its own.
     """
@@ -69,58 +79,55 @@ def parse(text, ctx: SuffixContext | None = None) -> Lz77Parse:
 
     if ctx is None:
         ctx = SuffixContext(arr)
-    lpf = _longest_previous_factor(ctx)
+    sa = ctx.sa.tolist()
+    psv, nsv = _smaller_neighbours(sa)
+    # the sentinel stops a comparison at the text's end: the source side
+    # starts earlier, so it never reaches the end first
+    t = arr.tolist() + [None]
 
     phrases = []
     j = 0  # 0-based position of the next phrase
     while j < n:
-        length = min(int(lpf[j]), n - 1 - j)
+        lpf = 0
+        for c in (psv[j], nsv[j]):
+            if c >= 0:
+                l = 0
+                while t[c + l] == t[j + l]:
+                    l += 1
+                lpf = max(lpf, l)
+        length = min(lpf, n - 1 - j)
         if length == 0:
-            phrases.append(Phrase(0, 0, int(arr[j])))
+            phrases.append(Phrase(0, 0, t[j]))
             j += 1
-        else:
-            src = ctx.leftmost_occurrence(j, length)
-            phrases.append(Phrase(src + 1, length, int(arr[j + length])))
-            j += length + 1
+            continue
+        factor = t[j : j + length]
+
+        def prefix(s: int) -> list:
+            return t[s : min(s + length, n)]  # never the sentinel
+
+        r = int(ctx.rank[j])
+        lo = bisect_left(sa, factor, 0, r, key=prefix)
+        hi = bisect_right(sa, factor, r + 1, n, key=prefix)
+        src = int(ctx.sa[lo:hi].min())
+        phrases.append(Phrase(src + 1, length, t[j + length]))
+        j += length + 1
     return Lz77Parse(tuple(phrases), n, len(phrases), sigma)
 
 
-def _longest_previous_factor(ctx: SuffixContext) -> np.ndarray:
-    """lpf[j] = longest l such that text[j:j+l] occurs starting before j.
-
-    Uses the previous/next smaller suffix-start neighbours in suffix array
-    order; the longer of the two lcps is the LPF.
-    """
-    n = ctx.n
-    sa = ctx.sa
-    prev_smaller = np.full(n, -1, dtype=np.int64)
-    next_smaller = np.full(n, -1, dtype=np.int64)
+def _smaller_neighbours(sa: list[int]) -> tuple[list[int], list[int]]:
+    """Per text position, the previous and the next smaller suffix start in
+    suffix array order (-1 where there is none), by one stack pass."""
+    n = len(sa)
+    psv = [-1] * n
+    nsv = [-1] * n
     stack: list[int] = []
-    for r in range(n):
-        pos = int(sa[r])
+    for pos in sa:
         while stack and stack[-1] > pos:
-            stack.pop()
+            nsv[stack.pop()] = pos
         if stack:
-            prev_smaller[r] = stack[-1]
+            psv[pos] = stack[-1]
         stack.append(pos)
-    stack.clear()
-    for r in range(n - 1, -1, -1):
-        pos = int(sa[r])
-        while stack and stack[-1] > pos:
-            stack.pop()
-        if stack:
-            next_smaller[r] = stack[-1]
-        stack.append(pos)
-
-    lpf = np.zeros(n, dtype=np.int64)
-    for r in range(n):
-        pos = int(sa[r])
-        best = 0
-        for cand in (int(prev_smaller[r]), int(next_smaller[r])):
-            if cand >= 0:
-                best = max(best, ctx.lcp_between(pos, cand))
-        lpf[pos] = best
-    return lpf
+    return psv, nsv
 
 
 def decompress(parsed: Lz77Parse) -> bytes | tuple[int, ...]:

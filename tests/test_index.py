@@ -433,14 +433,14 @@ class TestStats:
         ]
         assert idx.component_sizes()["reverse_grammar"] == 0
 
-    def test_build_leaves_no_inverse_power_cache(self):
-        # the build's prefix tables keep their own inverse powers, so the
-        # fingerprint function the index keeps holds none per text position
+    def test_build_leaves_small_power_cache(self):
+        # the build's prefix tables keep their own powers of r, so the
+        # fingerprint function the index keeps caches none per text position
         rng = random.Random(108)
         base = random_text(rng, 4, 500)
         text = (base * 40)[:20_000]
         idx = Index.build(text)
-        assert len(idx.fn._inv_pows) < idx.n // 10
+        assert len(idx.fn._pows) < idx.n // 10
 
     def test_last_stats_partition(self):
         rng = random.Random(105)

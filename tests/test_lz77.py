@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from lzindex import lz77
+from lzindex._suffixes import SuffixContext
 from lzindex.lz77 import Lz77Parse, Phrase
 from lzindex.oracle import naive_lz77
 
@@ -38,6 +40,40 @@ class TestParse:
             n = rng.randint(1, 512)
             text = random_text(rng, sigma, n)
             assert lz77.parse(text).phrases == naive_lz77(text).phrases
+
+    def test_matches_naive_parser_on_repetitive_texts(self):
+        # long phrases with many equal-length sources
+        rng = random.Random(15)
+        for _ in range(3):
+            base = list(random_text(rng, rng.choice([2, 4, 26]), 300))
+            text = []
+            while len(text) < 3000:
+                copy = base[:]
+                for _ in range(rng.randint(0, 4)):
+                    copy[rng.randrange(len(copy))] = rng.randint(1, 26)
+                text += copy
+            text = bytes(text)
+            assert lz77.parse(text).phrases == naive_lz77(text).phrases
+
+    def test_matches_naive_parser_on_self_overlapping_sources(self):
+        for n in (2, 3, 10, 257, 1000):
+            for text in (b"\x01" * n, (b"\x01\x02\x03" * n)[:n]):
+                assert lz77.parse(text).phrases == naive_lz77(text).phrases
+
+    def test_matches_naive_parser_on_integer_alphabet(self):
+        rng = random.Random(16)
+        for _ in range(4):
+            base = [rng.randint(1, 1000) for _ in range(rng.randint(1, 200))]
+            text = [c if rng.random() < 0.97 else rng.randint(1, 1000)
+                    for c in base * rng.randint(1, 5)]
+            assert lz77.parse(text).phrases == naive_lz77(text).phrases
+
+    def test_given_context_matches_own(self):
+        rng = random.Random(17)
+        for sigma in (2, 26, 1000):
+            text = [rng.randint(1, sigma) for _ in range(rng.randint(1, 400))] * 3
+            arr = np.asarray(text, dtype=np.int64)
+            assert lz77.parse(text) == lz77.parse(text, SuffixContext(arr))
 
     def test_phrase_spans_cover_text(self):
         rng = random.Random(12)
