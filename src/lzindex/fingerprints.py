@@ -5,6 +5,14 @@ a string answers any substring fingerprint in constant time. The module also
 houses the build-time collision checks the index relies on: the dictionaries
 keyed by fingerprint values are only sound once the chosen (p, r) has been
 certified collision-free for the relevant prefix sets.
+
+The index certifies the text and its reversal with
+verify_pow2_collision_free at n <= 2^16, and the dictionaries' keys with
+verify_collision_free at n <= 2^12; at greater n it relies on p >= n^5
+alone. The text check names windows level by level, as Karp, Miller and
+Rosenberg (STOC 1972) do: per window and power-of-two length it takes one
+multiply-add mod p and one set insert, plus one pair insert until the
+windows of a length are all distinct, and it compares no substrings.
 """
 
 from __future__ import annotations
@@ -172,22 +180,31 @@ def verify_collision_free(fn: FpFunction, strings, lengths) -> bool:
 
 def verify_pow2_collision_free(fn: FpFunction, s) -> bool:
     """True iff equal fingerprints of power-of-two length substrings of `s`
-    always mean equal substrings."""
-    arr = to_symbols(s)
-    n = len(arr)
-    if n == 0:
-        return True
-    table = PrefixFpTable(fn, arr)
-    raw = bytes(arr.astype("uint8")) if arr.max() <= 255 else tuple(arr.tolist())
+    always mean equal substrings.
+
+    Level by level, after Karp, Miller and Rosenberg: once the length-L
+    window values are injective on strings, a length-2L window is named
+    exactly by the pair of its halves' values, so the number of distinct
+    pairs is the number of distinct length-2L substrings, and the level is
+    injective iff its values are as many. No substring is ever compared.
+    """
+    text = to_symbols(s).tolist()
+    p = fn.p
+    cur = [c % p for c in text]  # symbols may be >= p
+    names = len(set(cur))
+    if names != len(set(text)):
+        return False
+    # once every window of a length is distinct, so is every longer one
+    all_distinct = names == len(cur)
     length = 1
-    while length <= n:
-        seen: dict[int, int] = {}
-        for i in range(1, n - length + 2):
-            v = table.substring_fp(i, i + length - 1).value
-            j = seen.get(v)
-            if j is None:
-                seen[v] = i
-            elif raw[j - 1 : j - 1 + length] != raw[i - 1 : i - 1 + length]:
-                return False
+    while 2 * length <= len(text):
+        rl = pow(fn.r, length, p)
+        right = cur[length:]
+        nxt = [(a + rl * b) % p for a, b in zip(cur, right)]
+        names = len(nxt) if all_distinct else len(set(zip(cur, right)))
+        if len(set(nxt)) != names:
+            return False
+        all_distinct = names == len(nxt)
+        cur = nxt
         length <<= 1
     return True

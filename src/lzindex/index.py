@@ -15,11 +15,12 @@ grammar built from the parse; the same grammar gives the fingerprints of
 text substrings and of their reversals, so the reversed side has no grammar
 of its own. The build makes one suffix array with its ranks and LCP array,
 for the parse and the suffix trie's leaf order and adjacent lcps, and drops
-it before the rest of the build. The file stores only the header, the
-parse, that leaf order with the lcps of adjacent leaves, and the values of
-the fingerprint dictionaries. Both build and load make the grammar from the
-parse by build_slp, and share two derivations from the text (the build
-reads the text it was given, loading extracts it once from the grammar):
+it before the rest of the build. The file stores only the header with a
+CRC-32 of the file, the parse, that leaf order with the lcps of adjacent
+leaves, and the values of the fingerprint dictionaries. Both build and load
+make the grammar from the parse by build_slp, and share two derivations
+from the text (the build reads the text it was given, loading extracts it
+once from the grammar):
 the two tries over the relevant substrings, which the dictionaries are
 keyed on, and then the border grid and the short-pattern trie, which the
 build makes only once its dictionaries are certified. The dictionary keys
@@ -28,6 +29,7 @@ follow from the tries.
 
 from __future__ import annotations
 
+import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -42,7 +44,9 @@ from .grammar import BlockTable, build_slp
 from .range_report import Grid, SourceIndex
 from .trie import CompactTrie
 
-MAGIC = b"LZXIDX4\n"
+MAGIC = b"LZXIDX5\n"
+# the file's CRC-32 takes the four bytes after the magic and covers the rest
+_CRC_AT = len(MAGIC)
 _MAX_FN_ATTEMPTS = 8
 _POW2_CERT_LIMIT = 1 << 16
 # above this text length the per-length prefix certification is skipped and
@@ -275,7 +279,10 @@ class Index:
     def locate_secondary(self, primaries, m: int) -> list[int]:
         """The secondary occurrences reachable from the given primary
         positions of a length-m pattern."""
-        return sorted(self._secondary(set(primaries), m))
+        # positions that are not primaries may copy one another, so the
+        # expansion may meet them twice; locate never passes such input
+        found = set(primaries)
+        return sorted(set(self._secondary(found, m)) - found)
 
     def verify_candidates(self, suffix_candidates) -> list[tuple[tuple, int]]:
         """Filter weak-search candidates for the suffix trie down to the
@@ -488,19 +495,17 @@ class Index:
 
     def _secondary(self, found: set[int], m: int) -> list[int]:
         """Expand every known occurrence through the phrase sources that
-        cover it; each copy is produced by exactly one source."""
+        cover it. Each copy is produced by exactly one source, and copies lie
+        inside a phrase while primaries span a border, so starting from the
+        primaries no position is met twice."""
         out = []
-        seen = set(found)
         queue = list(found)
         copies = self.sources.copies
         while queue:
             o = queue.pop()
-            for o2 in copies(o, o + m - 1):
-                if o2 in seen:
-                    continue
-                seen.add(o2)
-                out.append(o2)
-                queue.append(o2)
+            found_copies = copies(o, o + m - 1)
+            out += found_copies
+            queue += found_copies
         return out
 
     # -- introspection -------------------------------------------------------
@@ -534,12 +539,11 @@ class Index:
         the file does not hold, so the sections it does not fill stay empty
         for size reports to keep listing them."""
         w = Writer()
-        w.raw(MAGIC)
         for v in (self.n, self.sigma, self.orig_z, self.tau, self.block_len,
                   self.seed, int(self.pow2_certified),
                   int(self.prefix_certified), self.fn.p, self.fn.r):
             w.u(v)
-        header = bytes(w.buf)
+        fields = bytes(w.buf)
 
         w = Writer()
         w.u(len(self.capped.phrases))
@@ -567,12 +571,15 @@ class Index:
                     w.raw(value.to_bytes(width, "little"))
         dictionaries = bytes(w.buf)
 
-        return [
-            ("header", header), ("parse", parse), ("grammar", b""),
+        sections = [
+            ("header", MAGIC + bytes(4) + fields), ("parse", parse), ("grammar", b""),
             ("reverse_grammar", b""), ("substring_trie", b""),
             ("suffix_trie", suffix_trie), ("short_trie", b""),
             ("dictionaries", dictionaries), ("grids", b""),
         ]
+        crc = _checksum(b"".join(data for _, data in sections))
+        sections[0] = ("header", MAGIC + crc.to_bytes(4, "little") + fields)
+        return sections
 
     def component_sizes(self) -> dict[str, int]:
         """Bytes each component occupies in the index file."""
@@ -590,6 +597,8 @@ class Index:
         r = Reader(data)
         if r.raw(len(MAGIC)) != MAGIC:
             raise ValueError("not an index file")
+        if int.from_bytes(r.raw(4), "little") != _checksum(data):
+            raise ValueError("corrupt index")
         (n, sigma, orig_z, tau, block_len, seed, pow2_cert, prefix_cert,
          p, base) = (r.u() for _ in range(10))
         if min(n, tau, block_len) < 1 or not 1 <= base < p:
@@ -704,6 +713,12 @@ def _check_parse(phrases, n: int, sigma: int, block_len: int) -> None:
         pos += ph.span()
     if pos != n + 1:
         raise ValueError("corrupt index")
+
+
+def _checksum(data) -> int:
+    """CRC-32 of an index file's bytes, all but the checksum's own four."""
+    view = memoryview(data)
+    return zlib.crc32(view[_CRC_AT + 4 :], zlib.crc32(view[:_CRC_AT]))
 
 
 def _value_width(p: int) -> int:

@@ -149,3 +149,79 @@ class TestVerification:
         text = random_text(rng, 4, 4096)
         assert fp.verify_pow2_collision_free(fn, text)
         assert fp.verify_collision_free(fn, [text], set(range(1, 200)))
+
+
+def pow2_collision_free_by_strings(p: int, r: int, text: list[int]) -> bool:
+    """The definition: for each power-of-two L, map every window's value to
+    the window and look for a value shared by two different windows."""
+    n = len(text)
+    # pre[i] = sum of text[k] * r^k over k < i; window [i, i + L) has the
+    # value (pre[i + L] - pre[i]) / r^i
+    pre = [0]
+    rp = 1
+    for c in text:
+        pre.append((pre[-1] + c * rp) % p)
+        rp = rp * r % p
+    r_inv = pow(r, -1, p)
+    length = 1
+    while length <= n:
+        windows: dict[int, tuple] = {}
+        inv = 1
+        for i in range(n - length + 1):
+            value = (pre[i + length] - pre[i]) * inv % p
+            window = tuple(text[i : i + length])
+            if windows.setdefault(value, window) != window:
+                return False
+            inv = inv * r_inv % p
+        length <<= 1
+    return True
+
+
+class TestPow2Equivalence:
+    SIGMAS = (2, 4, 26, 300, 1 << 62)
+
+    @staticmethod
+    def primes(rng: random.Random) -> list[int]:
+        """Primes from 7 up to 2^61 - 1, a few at each magnitude."""
+        out = [7, 11, 13, 101, 257, 65_537, (1 << 31) - 1, (1 << 61) - 1]
+        for bits in (5, 8, 12, 16, 24, 32, 48, 60):
+            while True:
+                c = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+                if c >= 7 and fp._is_prime(c):
+                    out.append(c)
+                    break
+        return out
+
+    @staticmethod
+    def text(rng: random.Random, sigma: int, p: int) -> list[int]:
+        n = rng.randint(1, 200)
+        pool = [rng.randint(1, sigma) for _ in range(rng.randint(1, 8))]
+        if sigma > p and rng.random() < 0.5:
+            # two symbols that differ by a multiple of p: equal mod p
+            c = rng.choice(pool)
+            pool.append(c - p if c > p else c + p)
+        if rng.random() < 0.5:
+            base = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+            return (base * n)[:n]  # periodic
+        return [rng.randint(1, sigma) if rng.random() < 0.3 else rng.choice(pool)
+                for _ in range(n)]
+
+    def test_matches_the_definition(self):
+        rng = random.Random(26)
+        primes = self.primes(rng)
+        outcomes = {True: 0, False: 0}
+        for _ in range(2_000):
+            p = rng.choice(primes)
+            r = rng.randrange(1, p)
+            text = self.text(rng, rng.choice(self.SIGMAS), p)
+            want = pow2_collision_free_by_strings(p, r, text)
+            assert fp.verify_pow2_collision_free(fp.FpFunction(p, r), text) == want, (p, r, text)
+            outcomes[want] += 1
+        assert min(outcomes.values()) >= 200, outcomes
+
+    def test_symbols_equal_mod_p(self):
+        # a text of two symbols equal mod p collides at length 1 only
+        p = (1 << 61) - 1
+        text = [5, 5 + p] * 8
+        assert not pow2_collision_free_by_strings(p, 3, text)
+        assert not fp.verify_pow2_collision_free(fp.FpFunction(p, 3), text)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lzindex import Index, IndexConfig, index as ix, lz77, oracle
+from lzindex import Index, IndexConfig, fingerprints as fp, index as ix, lz77, oracle
 from lzindex._io import Reader, Writer
 
 from conftest import absent_pattern, planted_pattern, random_text
@@ -126,6 +126,27 @@ class TestPhaseOps:
     def test_no_primaries_no_secondaries(self):
         _, _, idx = self.build_case(95)
         assert ix.locate_secondary(idx, [], 3) == []
+
+    def test_primary_given_with_its_own_copy(self):
+        # the expansion meets the given copy again from its primary; it is
+        # not reported, since it was given, and nothing is reported twice
+        rng, text, idx = self.build_case(114)
+        for _ in range(40):
+            pattern = planted_pattern(rng, text, 2, 6)
+            occ, primaries = self.primaries_by_oracle(text, idx, pattern)
+            for o in primaries:
+                copies = ix.locate_secondary(idx, [o], len(pattern))
+                if copies:
+                    break
+            else:
+                continue
+            secondary = ix.locate_secondary(idx, primaries, len(pattern))
+            given = primaries + [copies[0]]
+            got = ix.locate_secondary(idx, given, len(pattern))
+            assert got == [s for s in secondary if s != copies[0]]
+            assert len(set(got)) == len(got)
+            return
+        raise AssertionError("no primary with a copy")
 
     def test_chained_copies(self):
         idx = Index.build(b"\x01" * 64)
@@ -280,14 +301,22 @@ class TestSerialization:
         # the older formats: the first stored node fingerprints and a grammar
         # of the reversed text, the second a grid of the phrase sources, the
         # third the grammar, every trie and the border grid
-        for blob in (b"garbage!", b"LZXIDX1\n", b"LZXIDX2\n", b"LZXIDX3\n"):
+        # and the fourth the same sections as today but no checksum
+        for blob in (b"garbage!", b"LZXIDX1\n", b"LZXIDX2\n", b"LZXIDX3\n", b"LZXIDX4\n"):
             with pytest.raises(ValueError, match="not an index file"):
                 Index.from_bytes(blob + b"\x00" * 40)
 
     @staticmethod
-    def with_sections(idx, **replaced) -> bytes:
+    def sealed(blob: bytes) -> bytes:
+        """The file with its checksum recomputed, so that loading reaches
+        the checks behind it."""
+        at = ix._CRC_AT
+        return blob[:at] + ix._checksum(blob).to_bytes(4, "little") + blob[at + 4 :]
+
+    @classmethod
+    def with_sections(cls, idx, **replaced) -> bytes:
         """The index file with the named sections replaced."""
-        return b"".join(replaced.get(name, data) for name, data in idx._sections())
+        return cls.sealed(b"".join(replaced.get(name, data) for name, data in idx._sections()))
 
     @classmethod
     def with_parse(cls, idx, phrases) -> bytes:
@@ -304,7 +333,7 @@ class TestSerialization:
     def header_fields(idx) -> list[int]:
         """n, sigma, z, tau, block_len, seed, both flags, p and r."""
         r = Reader(dict(idx._sections())["header"])
-        r.pos = len(ix.MAGIC)
+        r.pos = ix._CRC_AT + 4
         return [r.u() for _ in range(10)]
 
     def assert_corrupt(self, crafted: dict) -> None:
@@ -347,7 +376,7 @@ class TestSerialization:
         crafted = {}
         for case, at in (("n 0", 0), ("tau 0", 3), ("block_len 0", 4), ("p 0", 8), ("r 0", 9)):
             w = Writer()
-            w.raw(ix.MAGIC)
+            w.raw(ix.MAGIC + bytes(4))  # with_sections fills the checksum in
             for k, v in enumerate(fields):
                 w.u(0 if k == at else v)
             crafted[case] = self.with_sections(idx, header=bytes(w.buf))
@@ -399,7 +428,7 @@ class TestSerialization:
 
         blob = self.with_sections(idx, dictionaries=section(arrays))
         assert blob == idx.to_bytes()
-        crafted = {"bytes after the last section": blob + b"\x00"}
+        crafted = {"bytes after the last section": self.sealed(blob + b"\x00")}
         for k in range(4):
             for case, values in (("one value more", arrays[k] + [0]),
                                  ("one value fewer", arrays[k][:-1])):
@@ -411,6 +440,93 @@ class TestSerialization:
         _, _, idx = self.build_random(103)
         with pytest.raises(ValueError, match="corrupt index"):
             Index.from_bytes(idx.to_bytes()[:50])
+
+    def test_stale_checksum(self):
+        # a changed dictionary value still loads under a recomputed
+        # checksum, so only the checksum tells the damage apart
+        _, _, idx = self.build_random(115)
+        sections = dict(idx._sections())
+        width = ix._value_width(idx.fn.p)
+        dictionaries = bytearray(sections["dictionaries"])
+        dictionaries[-width] ^= 1  # the low byte of the last value
+        sections["dictionaries"] = bytes(dictionaries)
+        Index.from_bytes(self.with_sections(idx, dictionaries=sections["dictionaries"]))
+        with pytest.raises(ValueError, match="corrupt index"):
+            Index.from_bytes(b"".join(sections.values()))
+
+    def test_bit_flips_and_truncations(self):
+        """Every damaged file must fail with a clean ValueError or load and
+        answer exactly right."""
+        rng = random.Random(116)
+        text = random_text(rng, 4, 600)
+        blob = Index.build(text).to_bytes()
+        patterns = [planted_pattern(rng, text, 1, 40) for _ in range(20)]
+        patterns.append(absent_pattern(rng, text, 4, 8))
+        expected = [oracle.naive_locate(text, pattern) for pattern in patterns]
+
+        def loads(data: bytes) -> bool:
+            try:
+                loaded = Index.from_bytes(data)
+            except ValueError:
+                return False
+            assert bytes(loaded.extract(1, loaded.n)) == text
+            assert [loaded.locate(pattern) for pattern in patterns] == expected
+            return True
+
+        assert loads(blob)
+        flipped = []
+        for k in rng.sample(range(8 * len(blob)), 300):
+            bad = bytearray(blob)
+            bad[k // 8] ^= 1 << (k % 8)
+            flipped.append(loads(bytes(bad)))
+        # CRC-32 detects every single-bit error
+        assert not any(flipped)
+        for cut in rng.sample(range(len(blob)), 150):
+            assert not loads(blob[:cut])
+
+
+class TestCertification:
+    @staticmethod
+    def colliding_text():
+        text = random_text(random.Random(117), 26, 400)
+        assert not fp.verify_pow2_collision_free(fp.FpFunction(7, 3), text)
+        return text
+
+    def test_retries_after_a_collision(self, monkeypatch):
+        # attempt 0 gets a function that collides on the text; the build
+        # must reject it and certify the one of attempt 1
+        text = self.colliding_text()
+        select = fp.select_function
+        seeds = []
+
+        def select_tiny_first(n, rng_seed=0):
+            seeds.append(rng_seed)
+            return fp.FpFunction(7, 3) if rng_seed == 0 else select(n, rng_seed)
+
+        monkeypatch.setattr(fp, "select_function", select_tiny_first)
+        idx = Index.build(text)
+        assert seeds == [0, 1]
+        want = select(len(text), 1)
+        assert (idx.fn.p, idx.fn.r) == (want.p, want.r)
+        assert idx.pow2_certified and idx.prefix_certified
+        rng = random.Random(118)
+        patterns = [planted_pattern(rng, text, 1, 60) for _ in range(60)]
+        patterns += [absent_pattern(rng, text, 26, 5) for _ in range(5)]
+        for pattern in patterns:
+            assert idx.locate(pattern) == oracle.naive_locate(text, pattern)
+
+    def test_every_attempt_collides(self, monkeypatch):
+        text = self.colliding_text()
+        seeds = []
+
+        def select_tiny(n, rng_seed=0):
+            seeds.append(rng_seed)
+            return fp.FpFunction(7, 3)
+
+        monkeypatch.setattr(fp, "select_function", select_tiny)
+        with pytest.raises(RuntimeError, match="cannot certify"):
+            Index.build(text)
+        assert len(seeds) == ix._MAX_FN_ATTEMPTS == 8
 
 
 class TestStats:
