@@ -94,7 +94,8 @@ def main(argv=None) -> int:
     group.add_argument("-p", "--pattern", help="pattern as a literal string")
     group.add_argument("-f", "--pattern-file",
                        help="file with one pattern per line, queried in order")
-    p_locate.add_argument("--json", action="store_true", help="print a JSON array")
+    p_locate.add_argument("--json", action="store_true",
+                          help="print one JSON object per pattern, one per line")
     p_locate.set_defaults(func=_cmd_locate)
 
     p_extract = sub.add_parser("extract", help="print a substring of the indexed text")

@@ -152,6 +152,40 @@ class PrefixFpTable:
         return (self._vals[j] - self._vals[i - 1]) * self._inv_pows[i - 1] % self.fn.p
 
 
+class PatternFps:
+    """The fingerprints of every substring of a pattern and of its reversal,
+    from one pass over the pattern with no modular inverse.
+
+    S[i] = phi(s[i, m]) and Q[j] = phi(reversal of s[1, j]), so that
+    phi(s[i, j]) = S[i] - r^(j-i+1) S[j+1] and
+    phi(reversal of s[i, j]) = Q[j] - r^(j-i+1) Q[i-1], the powers kept in a
+    list of the table's own. Ranges are 1-based inclusive and not checked.
+    """
+
+    __slots__ = ("p", "_s", "_q", "_pw")
+
+    def __init__(self, fn: FpFunction, s: tuple):
+        p, r = fn.p, fn.r
+        m = len(s)
+        S = [0] * (m + 2)
+        Q = [0] * (m + 1)
+        pw = [1] * (m + 1)
+        for t in range(1, m + 1):
+            S[m + 1 - t] = (s[m - t] + r * S[m + 2 - t]) % p
+            Q[t] = (s[t - 1] + r * Q[t - 1]) % p
+            pw[t] = pw[t - 1] * r % p
+        self.p = p
+        self._s, self._q, self._pw = S, Q, pw
+
+    def value(self, i: int, j: int) -> int:
+        """The raw value of phi(s[i, j]); i = j + 1 gives the empty string."""
+        return (self._s[i] - self._pw[j - i + 1] * self._s[j + 1]) % self.p
+
+    def reversed_value(self, i: int, j: int) -> int:
+        """The raw value of phi(reversal of s[i, j])."""
+        return (self._q[j] - self._pw[j - i + 1] * self._q[i - 1]) % self.p
+
+
 def prefix_table(fn: FpFunction, s) -> PrefixFpTable:
     return PrefixFpTable(fn, s)
 

@@ -6,6 +6,14 @@ node carries the fingerprints of its expansion and of its reversal, and
 running fingerprints over whole blocks give substring extraction in
 O(lg(block) + length) node visits and the fingerprint of any substring, or
 of its reversal, in O(lg(block)).
+
+One iterative descent (`_Arena.cover`) finds the nodes that cover a range
+of a node's expansion; extraction, the grammar's own construction and both
+fingerprint folds use it. A fold is Horner's rule over the cover of the
+range's first and last block and the running value of the whole blocks
+between, in raw ints, after Bille et al. ("Fingerprints in compressed
+strings", WADS 2013). The powers of r it needs, r^l for l <= block_len and
+r^(k * block_len), are tables that BlockTable makes once.
 """
 
 from __future__ import annotations
@@ -107,37 +115,88 @@ class _Arena:
 
     # -- queries ----------------------------------------------------------
 
-    def cover(self, v: int, lo: int, hi: int, out: list[int], counter) -> None:
-        """Existing nodes whose expansions concatenate to expansion(v)[lo,hi]."""
-        counter[0] += 1
-        if lo <= 1 and hi >= self.length[v]:
-            out.append(v)
-            return
-        l = self.left[v]
-        ll = self.length[l]
-        if hi <= ll:
-            self.cover(l, lo, hi, out, counter)
-        elif lo > ll:
-            self.cover(self.right[v], lo - ll, hi - ll, out, counter)
-        else:
-            self.cover(l, lo, ll, out, counter)
-            self.cover(self.right[v], 1, hi - ll, out, counter)
+    def cover(self, v: int, lo: int, hi: int, out: list[int]) -> int:
+        """Append the existing nodes whose expansions concatenate to
+        expansion(v)[lo, hi] to out, left to right; returns the nodes visited.
 
-    def expand(self, v: int, out: list[int], counter) -> None:
+        One iterative descent: down to the node that splits the range, then
+        down the suffix of its left child and the prefix of its right one,
+        taking each whole sibling met on the way.
+        """
+        length, left, right = self.length, self.left, self.right
+        visits = 1
+        while lo > 1 or hi < length[v]:
+            l = left[v]
+            ll = length[l]
+            if hi <= ll:
+                v = l
+            elif lo > ll:
+                v, lo, hi = right[v], lo - ll, hi - ll
+            else:
+                break
+            visits += 1
+        else:
+            out.append(v)
+            return visits
+        # the suffix [lo, |left|] of the left child; its pieces come right
+        # to left
+        pieces = []
+        u = left[v]
+        visits += 1
+        while lo > 1:
+            l = left[u]
+            ll = length[l]
+            if lo > ll:
+                u, lo = right[u], lo - ll
+            else:
+                pieces.append(right[u])
+                u = l
+                visits += 1
+            visits += 1
+        pieces.append(u)
+        out += reversed(pieces)
+        # the prefix [1, hi - |left|] of the right child, left to right
+        hi -= length[left[v]]
+        u = right[v]
+        visits += 1
+        while hi < length[u]:
+            l = left[u]
+            ll = length[l]
+            if hi <= ll:
+                u = l
+            else:
+                out.append(l)
+                u, hi = right[u], hi - ll
+                visits += 1
+            visits += 1
+        out.append(u)
+        return visits
+
+    def expand(self, v: int, out: list[int]) -> int:
+        """Append the symbols of expansion(v) to out; returns the nodes visited."""
+        sym, left, right = self.sym, self.left, self.right
+        visits = 0
         stack = [v]
         while stack:
             u = stack.pop()
-            counter[0] += 1
-            s = self.sym[u]
+            visits += 1
+            s = sym[u]
             if s >= 0:
                 out.append(s)
             else:
-                stack.append(self.right[u])
-                stack.append(self.left[u])
+                stack.append(right[u])
+                stack.append(left[u])
+        return visits
 
 
 class BlockTable:
-    """Per-block grammar roots plus running fingerprints over whole blocks."""
+    """Per-block grammar roots plus running fingerprints over whole blocks.
+
+    No node under a root is longer than block_len, so pw[l] = r^l for
+    l <= block_len and run_pw[k] = r^(k * block_len), both made here, hold
+    every power of r that a query needs: queries never grow the function's
+    own power cache.
+    """
 
     def __init__(self, arena: _Arena, n: int, block_len: int, roots: list[int]):
         self.arena = arena
@@ -146,15 +205,23 @@ class BlockTable:
         self.block_len = block_len
         self.roots = roots
         self.node_visits = 0  # instrumentation, cumulative over queries
+        p, r = fn.p, fn.r
+        self.pw = pw = [1] * (block_len + 1)
+        for l in range(1, block_len + 1):
+            pw[l] = pw[l - 1] * r % p
+        self.run_pw = run_pw = [1] * (len(roots) + 1)
+        for k in range(1, len(roots) + 1):
+            run_pw[k] = run_pw[k - 1] * pw[block_len] % p
         # run_fpv[k] = phi(blocks k, k+1, ... to the end of the text);
         # run_rfpv[k] = phi(reversal of blocks 0 .. k-1)
+        length, fpv, rfpv = arena.length, arena.fpv, arena.rfpv
         self.run_fpv = [0] * (len(roots) + 1)
         for k in range(len(roots) - 1, -1, -1):
             v = roots[k]
-            self.run_fpv[k] = (arena.fpv[v] + fn.r_pow(arena.length[v]) * self.run_fpv[k + 1]) % fn.p
+            self.run_fpv[k] = (fpv[v] + pw[length[v]] * self.run_fpv[k + 1]) % p
         self.run_rfpv = [0]
         for v in roots:
-            self.run_rfpv.append((arena.rfpv[v] + fn.r_pow(arena.length[v]) * self.run_rfpv[-1]) % fn.p)
+            self.run_rfpv.append((rfpv[v] + pw[length[v]] * self.run_rfpv[-1]) % p)
 
     @property
     def node_count(self) -> int:
@@ -167,28 +234,6 @@ class BlockTable:
         if i < 1 or j > self.n or i > j + 1:
             raise ValueError("range out of bounds")
 
-    def extract(self, i: int, j: int) -> list[int]:
-        """text[i, j] as a list of symbols (1-based inclusive; empty if i > j)."""
-        self._check_range(i, j)
-        if i > j:
-            return []
-        out: list[int] = []
-        counter = [0]
-        arena = self.arena
-        b = self.block_len
-        k = (i - 1) // b
-        while k * b < j:
-            root = self.roots[k]
-            lo = max(i - k * b, 1)
-            hi = min(j - k * b, arena.length[root])
-            pieces: list[int] = []
-            arena.cover(root, lo, hi, pieces, counter)
-            for v in pieces:
-                arena.expand(v, out, counter)
-            k += 1
-        self.node_visits += counter[0]
-        return out
-
     def _cover(self, i: int, j: int) -> tuple[list[int], int, int, list[int]]:
         """text[i, j] (i <= j) as (head, lo, hi, tail): the nodes covering
         its part of its first block, the run of whole blocks lo .. hi-1 and
@@ -197,51 +242,71 @@ class BlockTable:
         O(lg block_len) nodes."""
         b = self.block_len
         k1, k2 = (i - 1) // b, (j - 1) // b
-        arena = self.arena
+        cover = self.arena.cover
         head: list[int] = []
         tail: list[int] = []
-        counter = [0]
         if k1 == k2:
-            arena.cover(self.roots[k1], i - k1 * b, j - k1 * b, head, counter)
+            self.node_visits += cover(self.roots[k1], i - k1 * b, j - k1 * b, head)
         else:
-            arena.cover(self.roots[k1], i - k1 * b, b, head, counter)
-            arena.cover(self.roots[k2], 1, j - k2 * b, tail, counter)
-        self.node_visits += counter[0]
+            self.node_visits += (cover(self.roots[k1], i - k1 * b, b, head)
+                                 + cover(self.roots[k2], 1, j - k2 * b, tail))
         return head, k1 + 1, k2, tail
+
+    def extract(self, i: int, j: int) -> list[int]:
+        """text[i, j] as a list of symbols (1-based inclusive; empty if i > j)."""
+        self._check_range(i, j)
+        if i > j:
+            return []
+        head, lo, hi, tail = self._cover(i, j)
+        out: list[int] = []
+        expand = self.arena.expand
+        visits = 0
+        for v in head + self.roots[lo:hi] + tail:
+            visits += expand(v, out)
+        self.node_visits += visits
+        return out
 
     def _horner(self, nodes, values: list[int], acc: int) -> int:
         """Fold nodes into acc, each as acc = value + r^length * acc."""
-        arena, fn = self.arena, self.fn
-        p = fn.p
+        length, pw, p = self.arena.length, self.pw, self.fn.p
         for v in nodes:
-            acc = (values[v] + fn.r_pow(arena.length[v]) * acc) % p
+            acc = (values[v] + pw[length[v]] * acc) % p
         return acc
 
-    def substring_fp(self, i: int, j: int) -> fp.Fingerprint:
-        """phi(text[i, j]): the cover folded right to left."""
+    def substring_value(self, i: int, j: int) -> int:
+        """The raw value of phi(text[i, j]): the cover folded right to left."""
         self._check_range(i, j)
         if i > j:
-            return fp.empty_fp(self.fn)
+            return 0
         head, lo, hi, tail = self._cover(i, j)
         fpv = self.arena.fpv
         acc = self._horner(reversed(tail), fpv, 0)
         if lo < hi:
             run = self.run_fpv
-            acc = (run[lo] + self.fn.r_pow((hi - lo) * self.block_len) * (acc - run[hi])) % self.fn.p
-        return fp.Fingerprint(self._horner(reversed(head), fpv, acc), j - i + 1, self.fn)
+            acc = (run[lo] + self.run_pw[hi - lo] * (acc - run[hi])) % self.fn.p
+        return self._horner(reversed(head), fpv, acc)
 
-    def reversed_fp(self, i: int, j: int) -> fp.Fingerprint:
-        """phi(reversal of text[i, j]): the cover folded left to right."""
+    def reversed_value(self, i: int, j: int) -> int:
+        """The raw value of phi(reversal of text[i, j]): the cover folded
+        left to right."""
         self._check_range(i, j)
         if i > j:
-            return fp.empty_fp(self.fn)
+            return 0
         head, lo, hi, tail = self._cover(i, j)
         rfpv = self.arena.rfpv
         acc = self._horner(head, rfpv, 0)
         if lo < hi:
             run = self.run_rfpv
-            acc = (run[hi] + self.fn.r_pow((hi - lo) * self.block_len) * (acc - run[lo])) % self.fn.p
-        return fp.Fingerprint(self._horner(tail, rfpv, acc), j - i + 1, self.fn)
+            acc = (run[hi] + self.run_pw[hi - lo] * (acc - run[lo])) % self.fn.p
+        return self._horner(tail, rfpv, acc)
+
+    def substring_fp(self, i: int, j: int) -> fp.Fingerprint:
+        """phi(text[i, j])."""
+        return fp.Fingerprint(self.substring_value(i, j), j - i + 1, self.fn)
+
+    def reversed_fp(self, i: int, j: int) -> fp.Fingerprint:
+        """phi(reversal of text[i, j])."""
+        return fp.Fingerprint(self.reversed_value(i, j), j - i + 1, self.fn)
 
 
 def build_slp(parse: Lz77Parse, fn: fp.FpFunction, block_len: int | None = None) -> BlockTable:
@@ -258,7 +323,6 @@ def build_slp(parse: Lz77Parse, fn: fp.FpFunction, block_len: int | None = None)
         raise ValueError("phrase exceeds block length")
 
     arena = _Arena(fn)
-    counter = [0]
     completed: list[int] = []
     cur: int | None = None
     cur_len = 0
@@ -272,13 +336,13 @@ def build_slp(parse: Lz77Parse, fn: fp.FpFunction, block_len: int | None = None)
             root = completed[k] if k < len(completed) else cur
             lo = max(a - k * block_len, 1)
             hi = min(b - k * block_len, arena.length[root])
-            arena.cover(root, lo, hi, pieces, counter)
+            arena.cover(root, lo, hi, pieces)
             k += 1
         return pieces
 
     def take(g: int, lo: int, hi: int) -> int:
         pieces: list[int] = []
-        arena.cover(g, lo, hi, pieces, counter)
+        arena.cover(g, lo, hi, pieces)
         return arena.concat(pieces)
 
     def push(g: int) -> None:

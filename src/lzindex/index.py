@@ -2,14 +2,18 @@
 
 The index stores a capped LZ77 parse of the text and answers locate(P) by
 finding the primary occurrences (those spanning a phrase border) and then
-recursively mapping phrase sources onto copies for the secondary ones; the
-sources are sorted by start with a range-max over their ends (Kärkkäinen and
-Ukkonen), derived from the parse whenever an index is built or loaded. Long
-patterns are cut at multiples of tau and each cut is matched as a (reversed
-prefix, suffix) pair: a weak prefix search in two tries narrows both sides to
-leaf rank ranges, a 2-d range query reports the border positions where they
-meet, and a fingerprint verification pass removes the false positives weak
-search may produce. Patterns of length at most tau instead walk a trie of
+expanding them, in one loop over a queue, through the phrase sources into
+the secondary ones; the sources are sorted by start with a prefix maximum
+and a range-max over their ends (Kärkkäinen and Ukkonen), derived from the
+parse whenever an index is built or loaded. Long patterns are cut at
+multiples of tau and each cut is matched as a (reversed prefix, suffix)
+pair: a weak prefix search in two tries narrows both sides to leaf rank
+ranges, a 2-d range query reports the border positions where they meet,
+and a fingerprint verification pass removes the false positives weak
+search may produce. Both compare raw fingerprint values: the pattern's
+come from one pass over it (fingerprints.PatternFps), the text's from folds
+down the grammar, and neither touches the fingerprint function's power
+cache. Patterns of length at most tau instead walk a trie of
 the short strings around each border. Extraction runs on the balanced
 grammar built from the parse; the same grammar gives the fingerprints of
 text substrings and of their reversals, so the reversed side has no grammar
@@ -250,7 +254,7 @@ class Index:
             prim = set(self._primary_short(p, identified))
         else:
             prim = set(self._primary_long(p, identified))
-        sec = self._secondary(prim, m)
+        sec = self.sources.expand(prim, m)
         self.last_stats["primary"] = sorted(prim)
         self.last_stats["secondary"] = sorted(sec)
         return sorted(prim | set(sec))
@@ -282,7 +286,7 @@ class Index:
         # positions that are not primaries may copy one another, so the
         # expansion may meet them twice; locate never passes such input
         found = set(primaries)
-        return sorted(set(self._secondary(found, m)) - found)
+        return sorted(set(self.sources.expand(found, m)) - found)
 
     def verify_candidates(self, suffix_candidates) -> list[tuple[tuple, int]]:
         """Filter weak-search candidates for the suffix trie down to the
@@ -301,16 +305,14 @@ class Index:
         for s, _ in cands:
             if longest[ln - len(s):] != s:
                 raise ValueError("candidates must share the longest suffix")
-        tab = fp.PrefixFpTable(self.fn, longest)
-        verified: set = set()
-        self._verify_side(
-            [{"v": v, "qlen": len(s), "key": (s, v)} for s, v in cands],
+        value = fp.PatternFps(self.fn, longest).value
+        verified = self._verify_side(
+            [(v, len(s), (s, v)) for s, v in cands],
             self.t_dp,
             node_fp=self._node_fp_dp,
-            q_fp=lambda c, a, b: tab.substring_fp(ln - c["qlen"] + a, ln - c["qlen"] + b).value,
+            q_fp=lambda q, a, b: value(ln - q + a, ln - q + b),
             node_extract=self._node_extract_dp,
-            q_tail=lambda c: longest[ln - c["qlen"]:],
-            verified=verified,
+            q_tail=lambda q: longest[ln - q :],
         )
         return [c for c in cands if c in verified]
 
@@ -341,9 +343,8 @@ class Index:
     def _primary_long(self, p: tuple, identified: dict) -> dict[int, int]:
         m = len(p)
         tau = self.tau
-        rp = tuple(reversed(p))
-        ptab = fp.PrefixFpTable(self.fn, p)
-        rtab = fp.PrefixFpTable(self.fn, rp)
+        tab = fp.PatternFps(self.fn, p)
+        value, reversed_value = tab.value, tab.reversed_value
 
         i_max = min(m // tau, -(-self.block_len // tau))
         ks = [i * tau for i in range(1, i_max + 1)]
@@ -356,10 +357,10 @@ class Index:
             # left side: the reversed length-k prefix against the reversed
             # relevant substrings
             def rfp(a, b, k=k):
-                return rtab.substring_fp(m - k + a, m - k + b).value
+                return reversed_value(k + 1 - b, k + 1 - a)
 
             def rsym(q, k=k):
-                return rp[m - k + q - 1]
+                return p[k - q]
 
             res = prefix_search.weak_search(self.ps_d, k, rfp, rsym)
             if res is None:
@@ -369,7 +370,7 @@ class Index:
                 # right side: the remaining suffix against the suffixes that
                 # follow each relevant substring
                 def qfp(a, b, k=k):
-                    return ptab.substring_fp(k + a, k + b).value
+                    return value(k + a, k + b)
 
                 def qsym(q, k=k):
                     return p[k + q - 1]
@@ -380,26 +381,23 @@ class Index:
                     continue
                 dp_res[k] = res2
 
-        ver_d: set[int] = set()
-        self._verify_side(
-            [{"v": d_res[k][0], "qlen": k, "key": k} for k in sorted(d_res)],
+        # a d-side query of length q is the reversal of p[1, q], a suffix-side
+        # one is p[m - q + 1, m]
+        ver_d = self._verify_side(
+            [(d_res[k][0], k, k) for k in sorted(d_res)],
             self.t_d,
             node_fp=self._node_fp_d,
-            q_fp=lambda c, a, b: rtab.substring_fp(m - c["qlen"] + a, m - c["qlen"] + b).value,
+            q_fp=lambda q, a, b: reversed_value(q + 1 - b, q + 1 - a),
             node_extract=self._node_extract_d,
-            q_tail=lambda c: rp[m - c["qlen"] :],
-            verified=ver_d,
+            q_tail=lambda q: p[q - 1 :: -1],
         )
-        ver_dp: set[int] = set()
-        self._verify_side(
-            [{"v": dp_res[k][0], "qlen": m - k, "key": k}
-             for k in sorted(dp_res, reverse=True) if k < m],
+        ver_dp = self._verify_side(
+            [(dp_res[k][0], m - k, k) for k in sorted(dp_res, reverse=True) if k < m],
             self.t_dp,
             node_fp=self._node_fp_dp,
-            q_fp=lambda c, a, b: ptab.substring_fp(m - c["qlen"] + a, m - c["qlen"] + b).value,
+            q_fp=lambda q, a, b: value(m - q + a, m - q + b),
             node_extract=self._node_extract_dp,
-            q_tail=lambda c: p[m - c["qlen"] :],
-            verified=ver_dp,
+            q_tail=lambda q: p[m - q :],
         )
 
         out: dict[int, int] = {}
@@ -432,46 +430,47 @@ class Index:
         return out
 
     def _verify_side(self, cands, t: CompactTrie, node_fp, q_fp, node_extract,
-                     q_tail, verified: set) -> None:
-        """Filter weak search results down to the true loci.
+                     q_tail) -> set:
+        """Filter weak search results down to the true loci; returns the keys
+        of those that survive.
 
-        cands come sorted by ascending query length and each query is a
-        suffix of every longer one. A candidate survives if its own prefix
-        and suffix fingerprints match the query and if it chains to the
-        previous survivor: the fingerprints certify that each survivor's
-        string is a suffix of the next one's, so one real comparison at the
-        longest survivor settles them all.
+        cands are (vertex, query length, key) triples sorted by ascending
+        query length, and each query is a suffix of every longer one;
+        q_fp(q, a, b) is the value of [a, b] of the length-q query and
+        q_tail(q) that query. A candidate survives if its own prefix and
+        suffix fingerprints match the query and if it chains to the previous
+        survivor: the fingerprints certify that each survivor's string is a
+        suffix of the next one's, so one real comparison at the longest
+        survivor settles them all.
         """
         kept = []
+        usable_len = t.usable_len
         for c in cands:
-            v, ln = c["v"], c["qlen"]
-            if t.usable_len(v) < ln:
+            v, ln, _ = c
+            if usable_len(v) < ln:
                 continue
             h = 1 << (ln.bit_length() - 1)
-            if node_fp(v, ln - h + 1, ln) != q_fp(c, ln - h + 1, ln):
+            if node_fp(v, ln - h + 1, ln) != q_fp(ln, ln - h + 1, ln):
                 continue
-            if node_fp(v, 1, h) != q_fp(c, 1, h):
+            if node_fp(v, 1, h) != q_fp(ln, 1, h):
                 continue
             if kept:
-                a = kept[-1]
-                la = a["qlen"]
+                la = kept[-1][1]
                 ha = 1 << (la.bit_length() - 1)
-                if node_fp(v, ln - ha + 1, ln) != q_fp(a, la - ha + 1, la):
+                if node_fp(v, ln - ha + 1, ln) != q_fp(la, la - ha + 1, la):
                     continue
-                if node_fp(v, ln - la + 1, ln - la + ha) != q_fp(a, 1, ha):
+                if node_fp(v, ln - la + 1, ln - la + ha) != q_fp(la, 1, ha):
                     continue
             kept.append(c)
         if not kept:
-            return
-        f = kept[-1]
-        pf = node_extract(f["v"], f["qlen"])
-        qf = list(q_tail(f))
+            return set()
+        v, ln, _ = kept[-1]
+        pf = node_extract(v, ln)
+        qf = q_tail(ln)
         lcs = 0
-        while lcs < len(pf) and pf[len(pf) - 1 - lcs] == qf[len(qf) - 1 - lcs]:
+        while lcs < ln and pf[ln - 1 - lcs] == qf[ln - 1 - lcs]:
             lcs += 1
-        for c in kept:
-            if c["qlen"] <= lcs:
-                verified.add(c["key"])
+        return {key for _, q, key in kept if q <= lcs}
 
     # the d side reads the reversed text: reversed position q is forward
     # position n - q + 1, so reversed [q1, q2] is forward [n-q2+1, n-q1+1]
@@ -479,7 +478,7 @@ class Index:
 
     def _node_fp_d(self, v: int, a: int, b: int) -> int:
         e = self.n + 2 - self.rd_pos[self.t_d.sample[v]]
-        return self.bt.reversed_fp(e - b, e - a).value
+        return self.bt.reversed_value(e - b, e - a)
 
     def _node_extract_d(self, v: int, ln: int) -> list[int]:
         e = self.n + 1 - self.rd_pos[self.t_d.sample[v]]
@@ -487,26 +486,11 @@ class Index:
 
     def _node_fp_dp(self, v: int, a: int, b: int) -> int:
         p0 = self.t_dp.sample[v]
-        return self.bt.substring_fp(p0 + a - 1, p0 + b - 1).value
+        return self.bt.substring_value(p0 + a - 1, p0 + b - 1)
 
     def _node_extract_dp(self, v: int, ln: int) -> list[int]:
         p0 = self.t_dp.sample[v]
         return self.bt.extract(p0, p0 + ln - 1)
-
-    def _secondary(self, found: set[int], m: int) -> list[int]:
-        """Expand every known occurrence through the phrase sources that
-        cover it. Each copy is produced by exactly one source, and copies lie
-        inside a phrase while primaries span a border, so starting from the
-        primaries no position is met twice."""
-        out = []
-        queue = list(found)
-        copies = self.sources.copies
-        while queue:
-            o = queue.pop()
-            found_copies = copies(o, o + m - 1)
-            out += found_copies
-            queue += found_copies
-        return out
 
     # -- introspection -------------------------------------------------------
 

@@ -7,12 +7,16 @@ closed-rectangle query decomposes the x range into O(lg n) canonical nodes
 and bisects each node's y list, so a query costs O(lg^2 n + k) for k
 reported points.
 
-`SourceIndex` answers the two-sided query of secondary occurrences, "the
-intervals with start <= lo and end >= hi", as Kärkkäinen and Ukkonen do:
-intervals sorted by start, a bisection for the prefix that starts early
-enough, and a sparse-table range-max over the ends that hands out the
-intervals reaching far enough one at a time. A query costs one bisection
-plus O(1) per reported interval.
+`SourceIndex` expands occurrences into their secondary copies as
+Kärkkäinen and Ukkonen do. The copies of an occurrence [lo, hi] come from
+the intervals with start <= lo and end >= hi. The intervals are sorted by
+start, so a bisection finds the prefix that starts early enough; a prefix
+maximum of the ends hands out the intervals of that prefix that reach hi
+from the largest end down, and a sparse-table range-max over the ends hands
+out those in the gaps it leaves, one at a time. One loop drains the queue
+of occurrences and the copies it finds. An occurrence costs one bisection
+plus O(1) per copy, and one that no interval reaches only the bisection and
+one comparison.
 """
 
 from __future__ import annotations
@@ -106,8 +110,13 @@ class SourceIndex:
         self.starts = [s for s, _, _ in srcs]
         self.ends = [e for _, e, _ in srcs]
         self.targets = [t for _, _, t in srcs]
-        # _argmax[k][i]: index of a largest end in ends[i : i + 2^k]
         ends = self.ends
+        # _first[b]: index of a largest end among the first b intervals
+        self._first = first = [0] * (self.size + 1)
+        for b in range(2, self.size + 1):
+            j = first[b - 1]
+            first[b] = b - 1 if ends[b - 1] > ends[j] else j
+        # _argmax[k][i]: index of a largest end in ends[i : i + 2^k]
         row = list(range(self.size))
         table = [row]
         span = 1
@@ -118,28 +127,53 @@ class SourceIndex:
             span *= 2
         self._argmax = table
 
-    def copies(self, lo: int, hi: int) -> list[int]:
-        """Where each interval containing [lo, hi] copies position lo to."""
-        out: list[int] = []
-        starts, ends, targets, table = self.starts, self.ends, self.targets, self._argmax
-        # ranges [a, b) of candidates, all with start <= lo
-        stack = [0, bisect_right(starts, lo)]
-        while stack:
-            b = stack.pop()
-            a = stack.pop()
-            if a >= b:
-                continue
-            k = (b - a).bit_length() - 1
-            row = table[k]
-            j = row[a]
-            j2 = row[b - (1 << k)]
-            if ends[j2] > ends[j]:
-                j = j2
-            if ends[j] < hi:
-                continue  # no interval in [a, b) reaches hi
-            out.append(targets[j] + lo - starts[j])
-            stack += (a, j, j + 1, b)
-        return out
+    def expand(self, seeds, m: int) -> list[int]:
+        """Every copy of a length-m string that the intervals make from the
+        seed positions, and from those copies in turn, in one pass over a
+        queue: an occurrence o is copied by each interval with start <= o
+        and end >= o + m - 1, to target + o - start. A copy made twice is
+        listed twice. From the primaries of a parse that never happens: each
+        copy is made by exactly one phrase source, and copies lie inside a
+        phrase while primaries span a border."""
+        out = list(seeds)
+        starts, ends, targets = self.starts, self.ends, self.targets
+        first, table = self._first, self._argmax
+        d = m - 1
+        i = 0
+        while i < len(out):
+            lo = out[i]
+            i += 1
+            hi = lo + d
+            # the intervals [0, b) start early enough; walk their prefix
+            # maxima down while they reach hi, so an occurrence that none
+            # reaches costs one bisection, and keep the ranges they pass
+            # over for the sparse table
+            b = bisect_right(starts, lo)
+            ranges = []
+            while b:
+                j = first[b]
+                if ends[j] < hi:
+                    break
+                out.append(targets[j] + lo - starts[j])
+                if j + 1 < b:
+                    ranges.append((j + 1, b))
+                b = j
+            while ranges:
+                a, b = ranges.pop()
+                k = (b - a).bit_length() - 1
+                row = table[k]
+                j = row[a]
+                j2 = row[b - (1 << k)]
+                if ends[j2] > ends[j]:
+                    j = j2
+                if ends[j] < hi:
+                    continue  # no interval in [a, b) reaches hi
+                out.append(targets[j] + lo - starts[j])
+                if a < j:
+                    ranges.append((a, j))
+                if j + 1 < b:
+                    ranges.append((j + 1, b))
+        return out[len(seeds):]
 
 
 def build(points) -> Grid:

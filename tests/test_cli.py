@@ -69,6 +69,15 @@ class TestLocate:
         assert cli.main(["locate", "-x", str(idx_path), "-p", "abc", "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record == {"pattern": "abc", "count": 3, "positions": [1, 4, 7]}
+        batch = tmp_path / "patterns.txt"
+        batch.write_bytes(b"abc\nbc\nzz\n")
+        assert cli.main(["locate", "-x", str(idx_path), "-f", str(batch), "--json"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert records == [
+            {"pattern": "abc", "count": 3, "positions": [1, 4, 7]},
+            {"pattern": "bc", "count": 3, "positions": [2, 5, 8]},
+            {"pattern": "zz", "count": 0, "positions": []},
+        ]
 
     def test_symbols_outside_alphabet(self, tmp_path, capsys):
         idx_path = build_index(tmp_path, b"abcabcabc")

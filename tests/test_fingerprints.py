@@ -109,6 +109,32 @@ class TestPrefixTable:
                 assert table.substring_fp(i, j) == fp.fingerprint(fn, s[i - 1 : j])
 
 
+class TestPatternFps:
+    def test_every_range_matches_fingerprint(self):
+        # symbols up to 2^62 exceed p = 2^61 - 1, and some are equal mod p
+        rng = random.Random(27)
+        p = (1 << 61) - 1
+        fn = fp.FpFunction(p, rng.randrange(2, p))
+        for sigma in (2, 4, 1 << 62):
+            for m in range(1, 61):
+                pool = [rng.randint(1, sigma) for _ in range(4)]
+                if sigma > p:
+                    pool += [c - p if c > p else c + p for c in pool]
+                s = tuple(rng.choice(pool) for _ in range(m))
+                table = fp.PatternFps(fn, s)
+                for i in range(1, m + 2):
+                    for j in range(i - 1, m + 1):
+                        piece = s[i - 1 : j]
+                        assert table.value(i, j) == fp.fingerprint(fn, piece).value
+                        assert table.reversed_value(i, j) == fp.fingerprint(fn, piece[::-1]).value
+
+    def test_leaves_the_power_cache_alone(self):
+        fn = fp.select_function(100, 0)
+        table = fp.PatternFps(fn, (1, 2, 3) * 20)
+        assert table.value(5, 40) == fp.fingerprint(fn, ((1, 2, 3) * 20)[4:40]).value
+        assert fn._pows == {}
+
+
 class TestVerification:
     def test_distinct_single_chars(self):
         fn = fp.select_function(10, 0)

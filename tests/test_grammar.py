@@ -40,7 +40,7 @@ class TestBuild:
             out = []
             for root in bt.roots:
                 piece: list[int] = []
-                bt.arena.expand(root, piece, [0])
+                bt.arena.expand(root, piece)
                 out.extend(piece)
             assert bytes(out) == text
 
@@ -110,6 +110,31 @@ class TestSubstringFp:
             assert bt.substring_fp(i, j) == fp.fingerprint(FN, text[i - 1 : j])
             assert bt.reversed_fp(i, j) == fp.fingerprint(FN, text[i - 1 : j][::-1])
 
+    def test_block_borders(self):
+        rng = random.Random(38)
+        text = random_text(rng, 4, 2000)
+        bt = build_for(text)
+        n, b, blocks = len(text), bt.block_len, len(bt.roots)
+        assert blocks > 4 and n % b  # the last block is short
+        ranges = [(1, n), (1, 0), (n + 1, n)]
+        for k in range(blocks):
+            s, e = k * b + 1, min(n, (k + 1) * b)  # exactly block k
+            cut = rng.randint(1, e - s)
+            ranges += [(s, e), (s, s), (e, e), (s + 1, e), (s, e - 1),
+                       (s + cut, e), (s, s + cut - 1), (s, s - 1), (e + 1, e)]
+            for k2 in range(k + 1, min(blocks, k + 4)):
+                # runs of whole blocks, with whole or partial ends
+                e2 = min(n, (k2 + 1) * b)
+                ranges += [(s, e2), (s + cut, e2), (s, e2 - cut), (s + cut, e2 - 1),
+                           (e, e2), (e, e + 1), (e, k2 * b + 1)]
+        for _ in range(100):
+            i = rng.randint(1, n)
+            ranges.append((i, i))
+        for i, j in ranges:
+            piece = text[i - 1 : j]
+            assert bt.substring_fp(i, j) == fp.fingerprint(FN, piece), (i, j)
+            assert bt.reversed_fp(i, j) == fp.fingerprint(FN, piece[::-1]), (i, j)
+
     def test_node_visits_logarithmic(self):
         rng = random.Random(37)
         text = random_text(rng, 4, 4096)
@@ -117,7 +142,8 @@ class TestSubstringFp:
         for _ in range(200):
             i = rng.randint(1, len(text))
             j = rng.randint(i - 1, len(text))
-            before = bt.node_visits
-            bt.substring_fp(i, j)
-            # two descents per touched block end, each bounded by the height
-            assert bt.node_visits - before <= 4 * (max(bt.block_heights()) + 1)
+            for fold in (bt.substring_fp, bt.reversed_fp):
+                before = bt.node_visits
+                fold(i, j)
+                # two descents per touched block end, each bounded by the height
+                assert bt.node_visits - before <= 4 * (max(bt.block_heights()) + 1)

@@ -558,6 +558,30 @@ class TestStats:
         idx = Index.build(text)
         assert len(idx.fn._pows) < idx.n // 10
 
+    def test_queries_leave_power_cache_alone(self):
+        # queries take their powers of r from the grammar's and the
+        # pattern's own tables, so they never grow the shared cache
+        rng = random.Random(109)
+        base = random_text(rng, 4, 300)
+        text = (base * 12)[:3_000]
+        built = Index.build(text)
+        for idx in (built, Index.from_bytes(built.to_bytes())):
+            keys = set(idx.fn._pows)
+            for _ in range(20):
+                long = planted_pattern(rng, text, idx.tau + 1, 15 * idx.block_len)
+                idx.locate(long)
+                idx.locate(planted_pattern(rng, text, 1, idx.tau))
+                near = bytearray(long)
+                near[rng.randrange(len(near))] = rng.randint(1, 4)
+                idx.locate(bytes(near))
+                i = rng.randint(1, len(text))
+                idx.extract(i, min(len(text), i + rng.randint(0, 500)))
+            t = idx.t_dp
+            v = next(u for u in range(1, t.num_vertices) if t.usable_len(u) >= 6)
+            q = tuple(idx.extract(t.sample[v], t.sample[v] + 5))
+            assert (q, v) in idx.verify_candidates([(q[-3:], v), (q, v)])
+            assert set(idx.fn._pows) == keys
+
     def test_last_stats_partition(self):
         rng = random.Random(105)
         text = random_text(rng, 4, 500)

@@ -58,18 +58,33 @@ def contained_scan(sources, lo, hi):
     return sorted(t + lo - s for s, e, t in sources if s <= lo and e >= hi)
 
 
+def closure_scan(sources, seeds, m):
+    """Every copy the sources make from the seeds and from those copies, by
+    scanning to a fixpoint; copies made twice are listed twice."""
+    out = []
+    queue = list(seeds)
+    while queue:
+        lo = queue.pop()
+        copies = contained_scan(sources, lo, lo + m - 1)
+        out += copies
+        queue += copies
+    return sorted(out)
+
+
 class TestSourceIndex:
     def test_empty(self):
         idx = range_report.SourceIndex([])
         assert idx.size == 0
-        assert idx.copies(1, 1) == []
+        assert idx.expand([1], 1) == []
+        assert idx.expand([], 3) == []
 
     def test_single_source(self):
         idx = range_report.SourceIndex([(3, 7, 20)])
-        assert idx.copies(3, 7) == [20]
-        assert idx.copies(5, 6) == [22]
-        assert idx.copies(2, 4) == []
-        assert idx.copies(6, 8) == []
+        assert idx.expand([3], 5) == [20]
+        assert idx.expand([5], 2) == [22]
+        assert idx.expand([2], 3) == []
+        assert idx.expand([6], 3) == []
+        assert sorted(idx.expand([3, 4, 5, 6, 7], 1)) == [20, 21, 22, 23, 24]
 
     def test_matches_scan_oracle(self):
         rng = random.Random(64)
@@ -87,11 +102,41 @@ class TestSourceIndex:
                     else:  # nested
                         s = rng.randint(s0, e0)
                         e = rng.randint(s, e0)
+                # targets lie past every interval, so no copy is copied again
                 sources.append((s, e, 10 * u + 7 * t))
             idx = range_report.SourceIndex(sources)
             assert list(zip(idx.starts, idx.ends, idx.targets)) == sorted(sources)
             for _ in range(200):
                 lo = rng.randint(0, u + 2)
                 hi = lo + rng.randint(0, u // 2)
-                got = idx.copies(lo, hi)
+                got = idx.expand([lo], hi - lo + 1)
                 assert sorted(got) == contained_scan(sources, lo, hi)
+
+    def test_closure_matches_fixpoint(self):
+        rng = random.Random(65)
+        chained = 0
+        for trial in range(40):
+            u = rng.choice([8, 40, 300])
+            sources = []
+            for _ in range(min(u, rng.choice([1, 2, 5, rng.randint(6, 60)]))):
+                s = rng.randint(1, u)
+                e = s + rng.randint(0, u // 4)
+                if sources and rng.random() < 0.4:
+                    s0, e0, _ = rng.choice(sources)
+                    if rng.random() < 0.5:  # equal start
+                        s, e = s0, s0 + rng.randint(0, u // 4)
+                    else:  # nested
+                        s = rng.randint(s0, e0)
+                        e = rng.randint(s, e0)
+                # a target after its start, often inside other intervals, so
+                # copies are copied again but never back to where they began
+                sources.append((s, e, s + rng.randint(1, u // 2)))
+            idx = range_report.SourceIndex(sources)
+            for _ in range(30):
+                m = rng.randint(1, u // 4 + 1)
+                seeds = [rng.randint(1, u) for _ in range(rng.randint(0, 4))]
+                want = closure_scan(sources, seeds, m)
+                assert sorted(idx.expand(seeds, m)) == want
+                one_step = sum((contained_scan(sources, o, o + m - 1) for o in seeds), [])
+                chained += len(want) > len(one_step)
+        assert chained >= 100  # copies of copies are common
