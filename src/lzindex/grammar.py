@@ -384,10 +384,3 @@ def build_slp(parse: Lz77Parse, fn: fp.FpFunction, block_len: int | None = None)
         completed.append(cur)
     return BlockTable(arena, n, block_len, completed)
 
-
-def extract(bt: BlockTable, i: int, j: int) -> list[int]:
-    return bt.extract(i, j)
-
-
-def substring_fp(bt: BlockTable, i: int, j: int) -> fp.Fingerprint:
-    return bt.substring_fp(i, j)

@@ -13,28 +13,29 @@ and a fingerprint verification pass removes the false positives weak
 search may produce. Both compare raw fingerprint values: the pattern's
 come from one pass over it (fingerprints.PatternFps), the text's from folds
 down the grammar, and neither touches the fingerprint function's power
-cache. Patterns of length at most tau instead walk a trie of
-the short strings around each border. Extraction runs on the balanced
-grammar built from the parse; the same grammar gives the fingerprints of
-text substrings and of their reversals, so the reversed side has no grammar
-of its own. The build makes one suffix array with its ranks and LCP array,
-for the parse and the suffix trie's leaf order and adjacent lcps, and drops
-it before the rest of the build. The file stores only the header with a
+cache. Patterns of length at most tau instead bisect the sorted list of
+the short strings around each border: the strings a pattern prefixes form
+one run of it. Extraction runs on the balanced grammar built from the
+parse; the same grammar gives the fingerprints of text substrings and of
+their reversals, so the reversed side has no grammar of its own. The
+build makes one suffix array with its ranks and LCP array, for the parse
+and the suffix trie's leaf order and adjacent lcps, and drops it before the
+rest of the build. The file stores only the header with a
 CRC-32 of the file, the parse, that leaf order with the lcps of adjacent
 leaves, and the values of the fingerprint dictionaries. Both build and load
 make the grammar from the parse by build_slp, and share two derivations
 from the text (the build reads the text it was given, loading extracts it
 once from the grammar):
 the two tries over the relevant substrings, which the dictionaries are
-keyed on, and then the border grid and the short-pattern trie, which the
-build makes only once its dictionaries are certified. The dictionary keys
-follow from the tries.
+keyed on, and then the border grid and the sorted short strings, which
+the build makes only once its dictionaries are certified. The dictionary
+keys follow from the tries.
 """
 
 from __future__ import annotations
 
 import zlib
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +104,8 @@ class Index:
         dp_lcps: list[int],
         ps_dp: prefix_search.PrefixSearchStructure,
         grid_r: Grid,
-        t_f: CompactTrie,
         f_strings: list[tuple[int, ...]],
-        f_info: list[tuple[int, int]],
+        f_pairs: list[list[tuple[int, int]]],
     ):
         self.n = n
         self.sigma = sigma
@@ -128,9 +128,8 @@ class Index:
         self.grid_r = grid_r
         # derived, never stored: each phrase's source and where it is copied
         self.sources = SourceIndex(_phrase_sources(capped))
-        self.t_f = t_f
         self.f_strings = f_strings
-        self.f_info = f_info
+        self.f_pairs = f_pairs
         self.last_stats: dict = {}
 
     # -- construction -------------------------------------------------------
@@ -213,7 +212,7 @@ class Index:
         def d_char(sid: int, q: int) -> int:
             return symbols[n + 1 - rd_pos[sid] - q]
 
-        ps_d = prefix_search.build(t_d, block_len, fn, d_prefix_fp, d_char, certify=prefix_certified)
+        ps_d = prefix_search.build(t_d, block_len, d_prefix_fp, d_char, certify=prefix_certified)
         del rtab
         ptab = fp.PrefixFpTable(fn, arr)
 
@@ -226,7 +225,7 @@ class Index:
         def dp_char(start: int, q: int) -> int:
             return symbols[start + q - 2]
 
-        ps_dp = prefix_search.build(t_dp, block_len, fn, dp_prefix_fp, dp_char, certify=prefix_certified)
+        ps_dp = prefix_search.build(t_dp, block_len, dp_prefix_fp, dp_char, certify=prefix_certified)
         del ptab
 
         return dict(pow2_certified=pow2_certified, prefix_certified=prefix_certified,
@@ -321,20 +320,15 @@ class Index:
         return self.bt.extract(i, j)
 
     def _primary_short(self, p: tuple, identified: dict) -> dict[int, int]:
-        t = self.t_f
-
-        def f_char(sid: int, q: int) -> int:
-            return self.f_strings[sid][q - 1]
-
-        locus = t.locus_by_walk(p, f_char)
-        if locus is None:
-            return {}
+        # the short strings p prefixes sort from p up to, not including, p
+        # with its last symbol raised by one
+        strings = self.f_strings
+        lo = bisect_left(strings, p)
+        hi = bisect_left(strings, p[:-1] + (p[-1] + 1,), lo)
         m = len(p)
         out: dict[int, int] = {}
-        lo, hi = t.leaf_range(locus)
-        for rank in range(lo, hi + 1):
-            for fid in t.leaf_ids[rank]:
-                k, border = self.f_info[fid]
+        for pairs in self.f_pairs[lo:hi]:
+            for k, border in pairs:
                 if border <= k + m - 1:  # the occurrence spans the border
                     identified[k] = identified.get(k, 0) + 1
                     out[k] = border
@@ -510,7 +504,7 @@ class Index:
             "grammar_height": max(self.bt.block_heights(), default=0),
             "trie_d_vertices": self.t_d.num_vertices,
             "trie_suffix_vertices": self.t_dp.num_vertices,
-            "trie_short_vertices": self.t_f.num_vertices,
+            "short_strings": len(self.f_strings),
             "grid_points": self.grid_r.size,
             "source_points": self.sources.size,
         }
@@ -607,8 +601,8 @@ class Index:
         items = _relevant_substrings(capped, tau, n)
         tries = _derive_tries(items, symbols, order, lcps)
         try:
-            ps_d = prefix_search.PrefixSearchStructure(tries["t_d"], *values[:2], block_len, fn)
-            ps_dp = prefix_search.PrefixSearchStructure(tries["t_dp"], *values[2:], block_len, fn)
+            ps_d = prefix_search.PrefixSearchStructure(tries["t_d"], *values[:2], block_len)
+            ps_dp = prefix_search.PrefixSearchStructure(tries["t_dp"], *values[2:], block_len)
         except ValueError:
             raise ValueError("corrupt index") from None
         return cls(
@@ -752,8 +746,8 @@ def _derive_tries(items, symbols: list[int], order, lcps) -> dict:
 def _derive_rest(capped: lz77.Lz77Parse, tau: int, items, symbols: list[int],
                  t_d: CompactTrie, order) -> dict:
     """The parts only queries read: the border grid, which joins the tries of
-    _derive_tries, and the short-pattern trie. Build and load both make them
-    here."""
+    _derive_tries, and the sorted short strings with the (start, border)
+    pairs of each. Build and load both make them here."""
     n = len(symbols)
 
     # the grid joining both tries: one point per relevant substring
@@ -765,28 +759,23 @@ def _derive_rest(capped: lz77.Lz77Parse, tau: int, items, symbols: list[int],
         (xr[i], rank, items[i][1:]) for rank, i in enumerate(order, start=1)
     )
 
-    # short pattern trie: all strings from at most tau before a border
-    # up to tau - 1 past it, tagged with their start and that border
-    f_info: list[tuple[int, int]] = []
-    f_raw = []
+    # short patterns: all strings from at most tau before a border up to
+    # tau - 1 past it, each distinct one with the (start, border) pairs it
+    # occurs at
+    groups: dict[tuple, list[tuple[int, int]]] = {}
     pos = 1
     for ph in capped.phrases:
         e = pos + ph.span() - 1
         hi = min(e + tau - 1, n)
         for k in range(max(pos, e - tau + 1), e + 1):
-            f_info.append((k, e))
-            f_raw.append(tuple(symbols[k - 1 : hi]))
+            groups.setdefault(tuple(symbols[k - 1 : hi]), []).append((k, e))
         pos = e + 1
-    t_f, f_strings = trie.build(f_raw, ids=range(len(f_info)))
-    return dict(grid_r=grid_r, t_f=t_f, f_strings=f_strings, f_info=f_info)
+    f_strings = sorted(groups)
+    return dict(grid_r=grid_r, f_strings=f_strings, f_pairs=[groups[s] for s in f_strings])
 
 
 def build(text, config: IndexConfig | None = None) -> Index:
     return Index.build(text, config)
-
-
-def locate(idx: Index, pattern) -> list[int]:
-    return idx.locate(pattern)
 
 
 def locate_long_primary(idx: Index, pattern) -> list[tuple[int, int]]:
@@ -799,11 +788,3 @@ def locate_short_primary(idx: Index, pattern) -> list[tuple[int, int]]:
 
 def locate_secondary(idx: Index, primaries, m: int) -> list[int]:
     return idx.locate_secondary(primaries, m)
-
-
-def verify_candidates(idx: Index, suffix_candidates) -> list[tuple[tuple, int]]:
-    return idx.verify_candidates(suffix_candidates)
-
-
-def extract(idx: Index, i: int, j: int) -> list[int]:
-    return idx.extract(i, j)

@@ -10,15 +10,19 @@ prefixes no indexed string.
 Dictionary keys are (fingerprint value, prefix length) pairs, so only
 equal-length prefixes can ever collide; the optional build-time
 certification makes even those impossible by comparing the underlying
-strings whenever two fingerprints agree.
+strings whenever two fingerprints agree. It checks only the lengths that
+some G or H key has: a lookup of length l can hit only a vertex keyed at l,
+and the vertex a correct answer names, whose skip interval holds l, is
+checked at l as well.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import fingerprints as fp
-from .trie import TERMINATOR, CompactTrie, build as build_trie
+from .trie import CompactTrie, build as build_trie
 
 LOCUS_FOUND = "locus_found"
 X_RANGE = "x_range"
@@ -59,7 +63,6 @@ class PrefixSearchStructure:
     g_values: list[int]
     h_values: list[int]
     x: int
-    fn: fp.FpFunction
     G: dict[tuple[int, int], int] = field(init=False, repr=False)
     H: dict[tuple[int, int], int] = field(init=False, repr=False)
     # instrumentation
@@ -79,12 +82,19 @@ class PrefixSearchStructure:
         self.g_lookups = 0
 
 
-def build(t: CompactTrie, x: int, fn: fp.FpFunction, prefix_fp_value, char_access,
+def build(t: CompactTrie, x: int, prefix_fp_value, char_access,
           certify: bool = True) -> PrefixSearchStructure:
     """Compute the G and H values; with certify=True additionally prove the
-    function collision-free for every fat, pseudo-fat and multiple-of-x
-    prefix of the indexed strings (equal-length prefixes only; the keys
-    carry the length).
+    function collision-free at every length a lookup can match.
+
+    A lookup of length l can hit only a vertex whose G or H key has length
+    l, and when P prefixes an indexed string, P[1, l] is the prefix of the
+    vertex whose skip interval holds l. Certification therefore checks each
+    vertex at the key lengths of all vertices that fall in its skip interval,
+    found by bisection in their sorted set: both vertices of any wrong hit
+    are checked at l, and two fingerprints that agree there are compared
+    symbol by symbol (equal-length prefixes only; the keys carry the
+    length).
 
     prefix_fp_value(v, l) -> fingerprint value of str(v)[1, l] (l may include
     the terminator of a leaf); char_access(sample_id, pos) -> symbol.
@@ -93,39 +103,24 @@ def build(t: CompactTrie, x: int, fn: fp.FpFunction, prefix_fp_value, char_acces
         raise ValueError("x must be >= 1")
     g_values: list[int] = []
     h_values: list[int] = []
-    seen: dict[tuple[int, int], int] = {}  # (value, length) -> vertex
-
-    def check(v: int, l: int, value: int) -> None:
-        key = (value, l)
-        ov = seen.get(key)
-        if ov is None:
-            seen[key] = v
-            return
-        for pos in range(1, l + 1):  # bucket clash: compare the real strings
-            if t.edge_symbol(v, pos, char_access) != t.edge_symbol(ov, pos, char_access):
-                raise FingerprintCollision(key)
-
     for v, fat, mult in key_lengths(t, x):
-        fat_value = prefix_fp_value(v, fat)
-        g_values.append(fat_value)
+        g_values.append(prefix_fp_value(v, fat))
         if mult:
             h_values.append(prefix_fp_value(v, mult))
-        if not certify:
-            continue
-        check(v, fat, fat_value)
-        lo, hi = t.skip_interval(v)
-        lengths = set()
-        f = lo + 1  # pseudo-fat numbers: 2-fattest of [lo+1, p] for p < fat
-        while f < fat:
-            lengths.add(f)
-            f += f & -f
-        while mult and mult <= hi:
-            lengths.add(mult)
-            mult += x
-        lengths.discard(fat)
-        for l in sorted(lengths):
-            check(v, l, prefix_fp_value(v, l))
-    return PrefixSearchStructure(t, g_values, h_values, x, fn)
+    if certify:
+        lengths = sorted({l for _, fat, mult in key_lengths(t, x) for l in (fat, mult) if l})
+        seen: dict[tuple[int, int], int] = {}  # (value, length) -> vertex
+        for (v, fat, _), fat_value in zip(key_lengths(t, x), g_values):
+            lo, hi = t.skip_interval(v)
+            for l in lengths[bisect_right(lengths, lo) : bisect_right(lengths, hi)]:
+                key = (fat_value if l == fat else prefix_fp_value(v, l), l)
+                ov = seen.setdefault(key, v)
+                if ov == v:
+                    continue
+                for pos in range(1, l + 1):  # bucket clash: compare the real strings
+                    if t.edge_symbol(v, pos, char_access) != t.edge_symbol(ov, pos, char_access):
+                        raise FingerprintCollision(key)
+    return PrefixSearchStructure(t, g_values, h_values, x)
 
 
 def find_x_range(ps: PrefixSearchStructure, m: int, pattern_fp) -> tuple[int, str]:
@@ -216,7 +211,7 @@ def build_from_strings(strings, x: int, fn: fp.FpFunction):
     def char_access(sid: int, pos: int) -> int:
         return distinct[sid][pos - 1]
 
-    ps = build(t, x, fn, prefix_fp_value, char_access)
+    ps = build(t, x, prefix_fp_value, char_access)
     return ps, distinct
 
 

@@ -2,10 +2,10 @@
 
 `Grid` answers 2-d orthogonal range queries with integer payload pairs. It
 is a static merge-sort tree: points sorted by x sit at the leaves of a
-heap-indexed segment tree and every node stores its points sorted by y. A
-closed-rectangle query decomposes the x range into O(lg n) canonical nodes
-and bisects each node's y list, so a query costs O(lg^2 n + k) for k
-reported points.
+heap-indexed segment tree and every node stores its points sorted by y,
+made by a stable sort of its two children's lists. A closed-rectangle
+query decomposes the x range into O(lg n) canonical nodes and bisects each
+node's y list, so a query costs O(lg^2 n + k) for k reported points.
 
 `SourceIndex` expands occurrences into their secondary copies as
 Kärkkäinen and Ukkonen do. The copies of an occurrence [lo, hi] come from
@@ -22,6 +22,7 @@ one comparison.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 
 
 class Grid:
@@ -35,19 +36,20 @@ class Grid:
         while size_p2 < max(self.size, 1):
             size_p2 <<= 1
         self._leaf0 = size_p2
-        # heap layout: node 1 is the root, leaves at size_p2 .. 2*size_p2-1
+        # heap layout: node 1 is the root, leaves at size_p2 .. 2*size_p2-1;
+        # the sort is stable, so on equal y the left child's points come first
         tree: list[tuple[list[int], list]] = [([], [])] * (2 * size_p2)
         for i, p in enumerate(pts):
             tree[size_p2 + i] = ([p[1]], [p[2]])
         for v in range(size_p2 - 1, 0, -1):
-            tree[v] = _merge(tree[2 * v], tree[2 * v + 1])
+            (ay, ap), (by, bp) = tree[2 * v], tree[2 * v + 1]
+            merged = sorted(zip(ay + by, ap + bp), key=itemgetter(0))
+            tree[v] = ([y for y, _ in merged], [p for _, p in merged])
         self._tree = tree
 
     def query(self, x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> list:
         """Payloads of all points in [x_lo, x_hi] x [y_lo, y_hi]."""
         self.query_count += 1
-        if self.size == 0 or x_lo > x_hi or y_lo > y_hi:
-            return []
         lo = bisect_left(self.xs, x_lo)
         hi = bisect_right(self.xs, x_hi)  # half-open index range [lo, hi)
         out: list = []
@@ -68,37 +70,7 @@ class Grid:
     @staticmethod
     def _emit(node, y_lo, y_hi, out) -> None:
         ys, payloads = node
-        if not ys:
-            return
-        a = bisect_left(ys, y_lo)
-        b = bisect_right(ys, y_hi)
-        out.extend(payloads[a:b])
-
-
-def _merge(a, b):
-    ay, ap = a
-    by, bp = b
-    if not ay:
-        return b
-    if not by:
-        return a
-    ys = []
-    payloads = []
-    ia = ib = 0
-    while ia < len(ay) and ib < len(by):
-        if ay[ia] <= by[ib]:
-            ys.append(ay[ia])
-            payloads.append(ap[ia])
-            ia += 1
-        else:
-            ys.append(by[ib])
-            payloads.append(bp[ib])
-            ib += 1
-    ys.extend(ay[ia:])
-    payloads.extend(ap[ia:])
-    ys.extend(by[ib:])
-    payloads.extend(bp[ib:])
-    return ys, payloads
+        out.extend(payloads[bisect_left(ys, y_lo) : bisect_right(ys, y_hi)])
 
 
 class SourceIndex:
@@ -179,6 +151,3 @@ class SourceIndex:
 def build(points) -> Grid:
     return Grid(points)
 
-
-def query(g: Grid, x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> list:
-    return g.query(x_lo, x_hi, y_lo, y_hi)

@@ -28,7 +28,6 @@ class CompactTrie:
         self.sample: list[int] = [-1]
         self.leaf_rank: list[int] = [0]  # 0 for internal vertices
         self.leaf_ids: list[list[int]] = [[]]  # rank -> original string ids; [0] unused
-        self.real_len: list[int] = [0]  # per rank; [0] unused
 
     @property
     def num_leaves(self) -> int:
@@ -116,7 +115,6 @@ def build_from_sorted(keys: list[int], real_lens, lcps, ids_per_key) -> CompactT
         rank = i + 1
         t.leaf_rank[leaf] = rank
         t.leaf_ids.append(list(ids_per_key[i]))
-        t.real_len.append(real_lens[i])
         stack.append(leaf)
 
     # samples for internal vertices created before their subtree finished

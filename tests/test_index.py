@@ -106,13 +106,28 @@ class TestPhaseOps:
 
     def test_short_primary_pairs(self):
         rng, text, idx = self.build_case(93)
-        for _ in range(40):
-            pattern = planted_pattern(rng, text, 1, idx.tau)
-            occ, primaries = self.primaries_by_oracle(text, idx, pattern)
-            pairs = ix.locate_short_primary(idx, pattern)
-            assert [p for p, _ in pairs] == primaries
-            for p, b in pairs:
-                assert p <= b <= p + len(pattern) - 1
+        cases = [(text, idx, [planted_pattern(rng, text, 1, idx.tau) for _ in range(40)])]
+        # a reloaded index over an integer alphabet, asked every pattern
+        # that ends in the text's largest symbol, so the bisection's upper
+        # bound lies past the alphabet
+        base = [rng.randint(1, 300) for _ in range(150)] + [300]
+        ints = [c if rng.random() > 0.05 else rng.randint(1, 300) for c in base * 8]
+        loaded = Index.from_bytes(Index.build(ints, IndexConfig(tau=4)).to_bytes())
+        top = max(ints)
+        ends = {tuple(ints[i - m + 1 : i + 1]) for i, c in enumerate(ints) if c == top
+                for m in range(1, min(loaded.tau, i + 1) + 1)}
+        ends.update((top,) * m for m in range(1, loaded.tau + 1))
+        cases.append((ints, loaded, sorted(ends)))
+        for text, idx, patterns in cases:
+            found = 0
+            for pattern in patterns:
+                occ, primaries = self.primaries_by_oracle(text, idx, pattern)
+                pairs = ix.locate_short_primary(idx, pattern)
+                assert [p for p, _ in pairs] == primaries
+                for p, b in pairs:
+                    assert p <= b <= p + len(pattern) - 1
+                found += bool(pairs)
+            assert found
 
     def test_secondary_completes_the_partition(self):
         rng, text, idx = self.build_case(94)
@@ -255,13 +270,14 @@ class TestSerialization:
         # nor the phrase sources; loading derives them from the parse
         for attr in ("starts", "ends", "targets"):
             assert getattr(loaded.sources, attr) == getattr(idx.sources, attr)
-        # nor the tries, the grid or the dictionary keys: loading rebuilds
-        # them from the parse, the suffix trie's leaf order and the values
-        for attr in ("t_d", "t_dp", "t_f"):
+        # nor the tries, the grid, the short strings or the dictionary keys:
+        # loading rebuilds them from the parse, the suffix trie's leaf order
+        # and the values
+        for attr in ("t_d", "t_dp"):
             assert self.trie_fields(getattr(loaded, attr)) == self.trie_fields(getattr(idx, attr))
         assert loaded.rd_pos == idx.rd_pos
         assert loaded.f_strings == idx.f_strings
-        assert loaded.f_info == idx.f_info
+        assert loaded.f_pairs == idx.f_pairs
         everything = (1, loaded.t_d.num_leaves, 1, loaded.t_dp.num_leaves)
         assert loaded.grid_r.query(*everything) == idx.grid_r.query(*everything)
         for attr in ("ps_d", "ps_dp"):
@@ -540,7 +556,7 @@ class TestStats:
         assert s["tau"] >= 1 and s["x"] == s["block_len"]
         for key in ("grammar_nodes", "grammar_height",
                     "trie_d_vertices", "trie_suffix_vertices",
-                    "trie_short_vertices", "grid_points", "source_points"):
+                    "short_strings", "grid_points", "source_points"):
             assert s[key] > 0
         # the file's sections, in file order; size reports read them by name
         assert list(idx.component_sizes()) == [

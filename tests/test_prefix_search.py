@@ -109,6 +109,29 @@ class TestWeakSearch:
         for x in (1, 2, 3, 7, 50):
             self.run_set(rng, count=120, max_len=30, sigma=3, x=x)
 
+    def test_certified_small_primes_answer_every_prefix(self):
+        # with p this small many functions collide; whichever one the
+        # certification accepts must still answer every indexed prefix
+        rng = random.Random(54)
+        primes = [q for q in range(101, 398) if all(q % d for d in range(2, 20))]
+        accepted = 0
+        for _ in range(600):
+            strings = [tuple(random_text(rng, 3, rng.randint(1, 25)))
+                       for _ in range(rng.randint(1, 30))]
+            p = rng.choice(primes)
+            fn = fp.FpFunction(p, rng.randrange(1, p))
+            try:
+                structure, distinct = ps.build_from_strings(strings, rng.choice((1, 2, 3, 5)), fn)
+            except ps.FingerprintCollision:
+                continue
+            accepted += 1
+            for s in distinct:
+                pattern_fp, pattern_symbol = query_fns(s, fn)
+                for k in range(1, len(s) + 1):
+                    res = ps.weak_search(structure, k, pattern_fp, pattern_symbol)
+                    assert res is not None and res[1:] == oracle_range(distinct, s[:k])
+        assert accepted
+
     def test_empty_pattern_full_range(self):
         structure, distinct = ps.build_from_strings(ABC_SET, 2, FN)
         assert ps.weak_search(structure, 0, None, None) == (0, 1, len(distinct))
