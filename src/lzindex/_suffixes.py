@@ -3,11 +3,13 @@
 Everything here treats the text as a numpy int array and end-of-string as
 smaller than any symbol, so suffix order matches Python's prefix-first
 ordering of the raw sequences. The parser (lz77.parse) reads the suffix
-array to find each phrase's longest previous factor and source, and the
-index builder reads the ranks and the LCP array for the suffix trie's leaf
-order and adjacent lcps. No range-minimum table is built: the parser
-compares characters, and the builder takes its minima of the LCP array in
-one pass.
+array to find each phrase's longest previous factor and source, the index
+builder reads the ranks and the LCP array for the suffix trie's leaf order
+and adjacent lcps, and the fingerprint check
+(fingerprints.verify_pow2_collision_free) reads the text, the suffix array
+and the LCP array for one start of each distinct power-of-two length
+substring. No range-minimum table is built: the parser compares
+characters, and the builder takes its minima of the LCP array in one pass.
 """
 
 from __future__ import annotations
@@ -64,11 +66,16 @@ def lcp_array(text: np.ndarray, sa: np.ndarray, rank: np.ndarray) -> np.ndarray:
 
 
 class SuffixContext:
-    """Suffix array, ranks (the inverse suffix array) and LCP array."""
+    """A text with its suffix array, ranks (the inverse suffix array) and
+    LCP array; its length is the text's."""
 
     def __init__(self, text: np.ndarray):
+        self.text = text
         self.n = len(text)
         self.sa = suffix_array(text)
         self.rank = np.empty(self.n, dtype=np.int64)
         self.rank[self.sa] = np.arange(self.n)
         self.lcp = lcp_array(text, self.sa, self.rank)
+
+    def __len__(self) -> int:
+        return self.n

@@ -1,16 +1,18 @@
 """Command line interface: build, locate, extract, stats.
 
 Input files are treated as raw bytes; byte value b becomes symbol b + 1 so
-the whole byte range is usable. Reported positions are 1-based.
+the whole byte range is usable (the library itself takes symbols >= 1 and
+rejects a 0 byte). Reported positions are 1-based.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .index import Index, IndexConfig
+from .index import Index, IndexConfig, default_tau
 
 
 def _encode(data: bytes) -> list[int]:
@@ -70,8 +72,16 @@ def _cmd_extract(args) -> int:
 
 def _cmd_stats(args) -> int:
     idx = Index.load(args.index)
-    for key, value in idx.stats().items():
+    stats = idx.stats()
+    for key, value in stats.items():
         print(f"{key}: {value}")
+    # the paper's terms, with lg(n/z) rounded up, next to the file's size
+    z = stats["phrases"]
+    lg = default_tau(idx.n, z)
+    print(f"z: {z}")
+    print(f"lg_n_over_z: {lg}")
+    print(f"z_lg_n_over_z: {z * lg}")
+    print(f"words_per_z_lg_n_over_z: {os.path.getsize(args.index) / 8 / (z * lg):.3f}")
     for name, size in idx.component_sizes().items():
         print(f"bytes[{name}]: {size}")
     return 0

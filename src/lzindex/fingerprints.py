@@ -1,18 +1,22 @@
 """Karp-Rabin fingerprints: phi(S) = sum S[i] * r^(i-1) mod p.
 
-Fingerprints of concatenated strings compose in O(1), so a prefix table over
-a string answers any substring fingerprint in constant time. The module also
-houses the build-time collision checks the index relies on: the dictionaries
-keyed by fingerprint values are only sound once the chosen (p, r) has been
-certified collision-free for the relevant prefix sets.
+p is fixed at the Mersenne prime 2^61 - 1 and only the base r is drawn, so
+every value fits in 8 bytes. Two strings of length L that differ mod p
+share a fingerprint for at most L - 1 of the p - 1 bases.
 
-The index certifies the text and its reversal with
-verify_pow2_collision_free at n <= 2^16, and the dictionaries' keys with
-verify_collision_free at n <= 2^12; at greater n it relies on p >= n^5
-alone. The text check names windows level by level, as Karp, Miller and
-Rosenberg (STOC 1972) do: per window and power-of-two length it takes one
-multiply-add mod p and one set insert, plus one pair insert until the
-windows of a length are all distinct, and it compares no substrings.
+Fingerprints of concatenated strings compose in O(1), so a prefix table over
+a string answers any substring fingerprint in constant time. The build does
+its bulk fingerprint work on uint64 numpy arrays: a product splits both
+factors into 31-bit limbs, and 2^61 = 1 mod p reduces it by shifts and adds.
+
+The module also houses the build's check of the text: the index keys its
+dictionaries by the fingerprints of text substrings, and
+verify_pow2_collision_free proves that no two different power-of-two length
+substrings of the text, nor two of its reversal, share a value. The
+dictionaries' own check is prefix_search.build's. Both run at every n and
+compare no symbols. What they leave to chance is on the query side only: a
+comparison of a length-m pattern against the text is wrong with probability
+at most m/p.
 """
 
 from __future__ import annotations
@@ -20,47 +24,27 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ._text import to_symbols
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+P = (1 << 61) - 1
+_P = np.uint64(P)
+_LOW31 = np.uint64((1 << 31) - 1)
+_LOW30 = np.uint64((1 << 30) - 1)
 
 
 @dataclass
 class FpFunction:
-    """The function parameters plus cached powers of r."""
+    """The base r plus cached powers of r; p is the fixed prime P."""
 
-    p: int
     r: int
     _pows: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     def r_pow(self, length: int) -> int:
         v = self._pows.get(length)
         if v is None:
-            v = pow(self.r, length, self.p)
+            v = pow(self.r, length, P)
             self._pows[length] = v
         return v
 
@@ -76,80 +60,120 @@ class Fingerprint:
         return self.fn.r_pow(self.length)
 
 
-def select_function(n: int, rng_seed: int = 0) -> FpFunction:
-    """Pick a prime p in [max(n^5, 2^61 - 1), 2x) and a uniform r in Z_p."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lo = max(n**5, (1 << 61) - 1)
-    rng = random.Random(rng_seed)
-    while True:
-        cand = rng.randrange(lo, 2 * lo) | 1
-        if _is_prime(cand):
-            p = cand
-            break
-    r = rng.randrange(1, p)
-    return FpFunction(p, r)
+def select_function(rng_seed: int = 0) -> FpFunction:
+    """A uniform r in [1, p), drawn from the seed."""
+    return FpFunction(random.Random(rng_seed).randrange(1, P))
 
 
 def fingerprint(fn: FpFunction, s) -> Fingerprint:
     arr = to_symbols(s)
     value = 0
     rp = 1
-    p, r = fn.p, fn.r
+    r = fn.r
     for c in arr.tolist():
-        value = (value + c * rp) % p
-        rp = rp * r % p
+        value = (value + c * rp) % P
+        rp = rp * r % P
     return Fingerprint(value, len(arr), fn)
-
-
-def empty_fp(fn: FpFunction) -> Fingerprint:
-    return Fingerprint(0, 0, fn)
 
 
 def compose(fy: Fingerprint, fz: Fingerprint) -> Fingerprint:
     """Fingerprint of the concatenation yz."""
-    fn = fy.fn
-    value = (fy.value + fy.r_pow * fz.value) % fn.p
-    return Fingerprint(value, fy.length + fz.length, fn)
+    value = (fy.value + fy.r_pow * fz.value) % P
+    return Fingerprint(value, fy.length + fz.length, fy.fn)
+
+
+# -- arithmetic mod p on uint64 arrays --------------------------------------
+
+
+def _residues(s) -> np.ndarray:
+    """The symbols of s mod p, as uint64."""
+    return (to_symbols(s) % P).astype(np.uint64)
+
+
+def _reduce(x):
+    """x mod p for any uint64 x: fold the bits above 2^61 onto the low ones."""
+    x = (x & _P) + (x >> np.uint64(61))
+    return x - _P * (x >= _P)
+
+
+def _mulmod(a, b):
+    """a * b mod p for uint64 values below p. With a = a1 2^31 + a0 and
+    b = b1 2^31 + b0, every limb product fits in 64 bits, and 2^62 = 2 and
+    2^61 = 1 mod p place the high parts."""
+    a1, a0 = a >> np.uint64(31), a & _LOW31
+    b1, b0 = b >> np.uint64(31), b & _LOW31
+    mid = a1 * b0 + a0 * b1  # < 2^62
+    return _reduce((a1 * b1 << np.uint64(1)) + (mid >> np.uint64(30))
+                   + ((mid & _LOW30) << np.uint64(31)) + a0 * b0)
+
+
+def _powers(base: int, count: int) -> np.ndarray:
+    """base^0, ..., base^(count - 1) mod p, doubling the run made so far."""
+    out = np.ones(count, dtype=np.uint64)
+    done, step = 1, base % P  # step = base^done
+    while done < count:
+        k = min(done, count - done)
+        out[done : done + k] = _mulmod(out[:k], np.uint64(step))
+        done += k
+        step = step * step % P
+    return out
+
+
+def _prefix_sums(terms: np.ndarray) -> np.ndarray:
+    """[0, t0, t0 + t1, ...] mod p for uint64 terms below p. The running sums
+    of the terms' 31-bit low and 30-bit high limbs fit in 64 bits for fewer
+    than 2^33 terms, and the high sum is then shifted into place mod p."""
+    out = np.zeros(len(terms) + 1, dtype=np.uint64)
+    low = _reduce(np.cumsum(terms & _LOW31, dtype=np.uint64))
+    high = _reduce(np.cumsum(terms >> np.uint64(31), dtype=np.uint64))
+    # high * 2^31 = (high >> 30) 2^61 + (high mod 2^30) 2^31
+    out[1:] = _reduce((high >> np.uint64(30)) + ((high & _LOW30) << np.uint64(31)) + low)
+    return out
+
+
+def _distinct(values: np.ndarray) -> bool:
+    values = np.sort(values)
+    return not np.any(values[1:] == values[:-1])
 
 
 class PrefixFpTable:
-    """Prefix fingerprints of a string; substring fingerprints in O(1).
+    """Prefix sums of a string weighted by r^k and by r^-k, giving the
+    fingerprints of many of its substrings, and of their reversals, at once.
 
-    The table holds its own inverse powers of r, one per position, so they
-    live only as long as the table does.
+    phi(s[i : e]) = r^-i (F[e] - F[i]) with F[k] = sum of s[j] r^j over j < k,
+    and phi of its reversal = r^(e-1) (R[e] - R[i]) with the weights r^-j in
+    R. Starts are 0-based; starts and lengths are numpy int arrays or ints.
     """
 
     def __init__(self, fn: FpFunction, s):
-        arr = to_symbols(s)
-        p, r = fn.p, fn.r
-        vals = [0] * (len(arr) + 1)
-        inv_pows = [1] * (len(arr) + 1)
-        r_inv = pow(r, -1, p)
-        value = 0
-        rp = 1
-        for i, c in enumerate(arr.tolist()):
-            value = (value + c * rp) % p
-            rp = rp * r % p
-            vals[i + 1] = value
-            inv_pows[i + 1] = inv_pows[i] * r_inv % p
-        self.fn = fn
-        self.length = len(arr)
-        self._vals = vals
-        self._inv_pows = inv_pows
+        sym = _residues(s)
+        self.length = n = len(sym)
+        self.pw = _powers(fn.r, n + 1)
+        self._ipw = _powers(pow(fn.r, -1, P), n + 1)
+        self._fwd = _prefix_sums(_mulmod(sym, self.pw[:n]))
+        self._rev = _prefix_sums(_mulmod(sym, self._ipw[:n]))
 
-    def prefix_fp(self, j: int) -> Fingerprint:
-        return Fingerprint(self._vals[j], j, self.fn)
-
-    def substring_fp(self, i: int, j: int) -> Fingerprint:
-        """phi(s[i, j]), 1-based inclusive; i = j + 1 gives the empty string."""
-        return Fingerprint(self.substring_value(i, j), j - i + 1, self.fn)
-
-    def substring_value(self, i: int, j: int) -> int:
-        """The raw value of phi(s[i, j]); cheaper than substring_fp."""
-        if i < 1 or j > self.length or i > j + 1:
+    def _span(self, starts, lengths):
+        starts, lengths = np.asarray(starts), np.asarray(lengths)
+        ends = starts + lengths
+        if ends.size and (starts.min() < 0 or lengths.min() < 0 or ends.max() > self.length):
             raise ValueError("substring out of range")
-        return (self._vals[j] - self._vals[i - 1]) * self._inv_pows[i - 1] % self.fn.p
+        return starts, ends
+
+    def values(self, starts, lengths):
+        """phi(s[i : i + l]) per start i and length l."""
+        starts, ends = self._span(starts, lengths)
+        return _mulmod(_reduce(self._fwd[ends] + (_P - self._fwd[starts])), self._ipw[starts])
+
+    def reversed_values(self, starts, lengths):
+        """phi of the reversal of s[i : i + l] per start i and length l."""
+        starts, ends = self._span(starts, lengths)
+        # an empty substring reads pw[-1], times a difference of 0
+        return _mulmod(_reduce(self._rev[ends] + (_P - self._rev[starts])), self.pw[ends - 1])
+
+    def appended(self, values, lengths, symbol: int):
+        """phi(w c) from phi(w) and |w|, per w, for one symbol c."""
+        return _reduce(values + _mulmod(self.pw[lengths], np.uint64(symbol % P)))
 
 
 class PatternFps:
@@ -162,83 +186,54 @@ class PatternFps:
     list of the table's own. Ranges are 1-based inclusive and not checked.
     """
 
-    __slots__ = ("p", "_s", "_q", "_pw")
+    __slots__ = ("_s", "_q", "_pw")
 
     def __init__(self, fn: FpFunction, s: tuple):
-        p, r = fn.p, fn.r
+        r = fn.r
         m = len(s)
         S = [0] * (m + 2)
         Q = [0] * (m + 1)
         pw = [1] * (m + 1)
         for t in range(1, m + 1):
-            S[m + 1 - t] = (s[m - t] + r * S[m + 2 - t]) % p
-            Q[t] = (s[t - 1] + r * Q[t - 1]) % p
-            pw[t] = pw[t - 1] * r % p
-        self.p = p
+            S[m + 1 - t] = (s[m - t] + r * S[m + 2 - t]) % P
+            Q[t] = (s[t - 1] + r * Q[t - 1]) % P
+            pw[t] = pw[t - 1] * r % P
         self._s, self._q, self._pw = S, Q, pw
 
     def value(self, i: int, j: int) -> int:
         """The raw value of phi(s[i, j]); i = j + 1 gives the empty string."""
-        return (self._s[i] - self._pw[j - i + 1] * self._s[j + 1]) % self.p
+        return (self._s[i] - self._pw[j - i + 1] * self._s[j + 1]) % P
 
     def reversed_value(self, i: int, j: int) -> int:
         """The raw value of phi(reversal of s[i, j])."""
-        return (self._q[j] - self._pw[j - i + 1] * self._q[i - 1]) % self.p
+        return (self._q[j] - self._pw[j - i + 1] * self._q[i - 1]) % P
 
 
-def prefix_table(fn: FpFunction, s) -> PrefixFpTable:
-    return PrefixFpTable(fn, s)
+def verify_pow2_collision_free(fn: FpFunction, ctx) -> bool:
+    """True iff equal fingerprints of power-of-two length substrings of the
+    text always mean equal substrings, in the text and in its reversal.
 
-
-def verify_collision_free(fn: FpFunction, strings, lengths) -> bool:
-    """True iff no two distinct prefixes with a length in `lengths` share a
-    fingerprint value. Equal strings are not collisions."""
-    seen: dict[int, bytes | tuple] = {}
-    wanted = sorted(set(lengths))
-    for s in strings:
-        arr = to_symbols(s)
-        table = PrefixFpTable(fn, arr)
-        raw = bytes(arr.astype("uint8")) if len(arr) and arr.max() <= 255 else tuple(arr.tolist())
-        for l in wanted:
-            if l > len(arr):
-                break
-            v = table.prefix_fp(l).value
-            prefix = raw[:l]
-            other = seen.get(v)
-            if other is None:
-                seen[v] = prefix
-            elif other != prefix:
-                return False
-    return True
-
-
-def verify_pow2_collision_free(fn: FpFunction, s) -> bool:
-    """True iff equal fingerprints of power-of-two length substrings of `s`
-    always mean equal substrings.
-
-    Level by level, after Karp, Miller and Rosenberg: once the length-L
-    window values are injective on strings, a length-2L window is named
-    exactly by the pair of its halves' values, so the number of distinct
-    pairs is the number of distinct length-2L substrings, and the level is
-    injective iff its values are as many. No substring is ever compared.
+    ctx is the text's SuffixContext. For a length L, the suffix array rows
+    whose suffix is at least L long and whose lcp with the row before is
+    less than L hold one start of each distinct length-L substring, so the
+    level passes when the windows at those starts have distinct values; the
+    reversals of those windows are the distinct windows of the reversed
+    text. A window of length 2L joins two of length L, phi(ab) = phi(a) +
+    r^L phi(b) and phi(rev(ab)) = phi(rev b) + r^L phi(rev a), so a level
+    costs one pass of products and two sorts, and no substring is compared.
     """
-    text = to_symbols(s).tolist()
-    p = fn.p
-    cur = [c % p for c in text]  # symbols may be >= p
-    names = len(set(cur))
-    if names != len(set(text)):
-        return False
-    # once every window of a length is distinct, so is every longer one
-    all_distinct = names == len(cur)
+    n = len(ctx)
+    fwd = rev = _residues(ctx.text)  # symbols may be >= p
+    suffix_len = n - ctx.sa
     length = 1
-    while 2 * length <= len(text):
-        rl = pow(fn.r, length, p)
-        right = cur[length:]
-        nxt = [(a + rl * b) % p for a, b in zip(cur, right)]
-        names = len(nxt) if all_distinct else len(set(zip(cur, right)))
-        if len(set(nxt)) != names:
+    while True:
+        starts = ctx.sa[(suffix_len >= length) & (ctx.lcp < length)]
+        if not (_distinct(fwd[starts]) and _distinct(rev[starts])):
             return False
-        all_distinct = names == len(nxt)
-        cur = nxt
+        if 2 * length > n:
+            return True
+        # windows at i and i + L make the window of length 2L at i
+        rl = np.uint64(pow(fn.r, length, P))
+        fwd = _reduce(fwd[:-length] + _mulmod(fwd[length:], rl))
+        rev = _reduce(rev[length:] + _mulmod(rev[:-length], rl))
         length <<= 1
-    return True

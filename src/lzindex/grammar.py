@@ -57,15 +57,15 @@ class _Arena:
         """Append a terminal (sym >= 0) or the pair (left, right)."""
         if sym >= 0:
             length, height = 1, 1
-            fpv = rfpv = sym % self.fn.p
+            fpv = rfpv = sym % fp.P
         else:
             fn = self.fn
             la, lb = self.length[left], self.length[right]
             length = la + lb
             height = max(self.height[left], self.height[right]) + 1
             # phi(ab) = phi(a) + r^|a| phi(b); phi(rev(ab)) = phi(rev b) + r^|b| phi(rev a)
-            fpv = (self.fpv[left] + fn.r_pow(la) * self.fpv[right]) % fn.p
-            rfpv = (self.rfpv[right] + fn.r_pow(lb) * self.rfpv[left]) % fn.p
+            fpv = (self.fpv[left] + fn.r_pow(la) * self.fpv[right]) % fp.P
+            rfpv = (self.rfpv[right] + fn.r_pow(lb) * self.rfpv[left]) % fp.P
         self.sym.append(sym)
         self.left.append(left)
         self.right.append(right)
@@ -205,7 +205,7 @@ class BlockTable:
         self.block_len = block_len
         self.roots = roots
         self.node_visits = 0  # instrumentation, cumulative over queries
-        p, r = fn.p, fn.r
+        p, r = fp.P, fn.r
         self.pw = pw = [1] * (block_len + 1)
         for l in range(1, block_len + 1):
             pw[l] = pw[l - 1] * r % p
@@ -268,7 +268,7 @@ class BlockTable:
 
     def _horner(self, nodes, values: list[int], acc: int) -> int:
         """Fold nodes into acc, each as acc = value + r^length * acc."""
-        length, pw, p = self.arena.length, self.pw, self.fn.p
+        length, pw, p = self.arena.length, self.pw, fp.P
         for v in nodes:
             acc = (values[v] + pw[length[v]] * acc) % p
         return acc
@@ -283,7 +283,7 @@ class BlockTable:
         acc = self._horner(reversed(tail), fpv, 0)
         if lo < hi:
             run = self.run_fpv
-            acc = (run[lo] + self.run_pw[hi - lo] * (acc - run[hi])) % self.fn.p
+            acc = (run[lo] + self.run_pw[hi - lo] * (acc - run[hi])) % fp.P
         return self._horner(reversed(head), fpv, acc)
 
     def reversed_value(self, i: int, j: int) -> int:
@@ -297,7 +297,7 @@ class BlockTable:
         acc = self._horner(head, rfpv, 0)
         if lo < hi:
             run = self.run_rfpv
-            acc = (run[hi] + self.run_pw[hi - lo] * (acc - run[lo])) % self.fn.p
+            acc = (run[hi] + self.run_pw[hi - lo] * (acc - run[lo])) % fp.P
         return self._horner(tail, rfpv, acc)
 
     def substring_fp(self, i: int, j: int) -> fp.Fingerprint:

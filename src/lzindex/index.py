@@ -18,18 +18,22 @@ the short strings around each border: the strings a pattern prefixes form
 one run of it. Extraction runs on the balanced grammar built from the
 parse; the same grammar gives the fingerprints of text substrings and of
 their reversals, so the reversed side has no grammar of its own. The
-build makes one suffix array with its ranks and LCP array, for the parse
-and the suffix trie's leaf order and adjacent lcps, and drops it before the
-rest of the build. The file stores only the header with a
-CRC-32 of the file, the parse, that leaf order with the lcps of adjacent
-leaves, and the values of the fingerprint dictionaries. Both build and load
-make the grammar from the parse by build_slp, and share two derivations
-from the text (the build reads the text it was given, loading extracts it
-once from the grammar):
-the two tries over the relevant substrings, which the dictionaries are
-keyed on, and then the border grid and the sorted short strings, which
-the build makes only once its dictionaries are certified. The dictionary
-keys follow from the tries.
+build makes one suffix array with its ranks and LCP array, for the parse,
+the suffix trie's leaf order and adjacent lcps, and the certification of
+the text's fingerprints. Every build certifies the fingerprint function
+before it keeps it: the text's power-of-two length substrings and their
+reversals (fingerprints.verify_pow2_collision_free), then both
+dictionaries (prefix_search.build), whose values come from one numpy prefix
+table over the text; a function that fails either is replaced by the next
+seed's. The file stores only the header with a CRC-32 of the file and the
+base r, the parse, that leaf order with the lcps of adjacent leaves, and
+the values of the fingerprint dictionaries, 8 bytes each. Both build and
+load make the grammar from the parse by build_slp, and share two
+derivations from the text (the build reads the text it was given, loading
+extracts it once from the grammar): the two tries over the relevant
+substrings, which the dictionaries are keyed on, and then the border grid
+and the sorted short strings, which the build makes only once its
+dictionaries are certified. The dictionary keys follow from the tries.
 """
 
 from __future__ import annotations
@@ -49,14 +53,10 @@ from .grammar import BlockTable, build_slp
 from .range_report import Grid, SourceIndex
 from .trie import CompactTrie
 
-MAGIC = b"LZXIDX5\n"
+MAGIC = b"LZXIDX6\n"
 # the file's CRC-32 takes the four bytes after the magic and covers the rest
 _CRC_AT = len(MAGIC)
 _MAX_FN_ATTEMPTS = 8
-_POW2_CERT_LIMIT = 1 << 16
-# above this text length the per-length prefix certification is skipped and
-# the p = Theta(n^5) union bound carries the collision-freeness guarantee
-_PREFIX_CERT_LIMIT = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,8 @@ class Index:
     """Compressed text self-index over an LZ77 parse.
 
     Construct with Index.build(text) or Index.load(path). Texts are byte
-    strings or sequences of integer symbols >= 1.
+    strings or sequences of integer symbols >= 1; a 0 byte or symbol raises
+    ValueError (the command line shifts every byte up by one instead).
     """
 
     def __init__(
@@ -92,8 +93,6 @@ class Index:
         tau: int,
         block_len: int,
         seed: int,
-        pow2_certified: bool,
-        prefix_certified: bool,
         fn: fp.FpFunction,
         capped: lz77.Lz77Parse,
         bt: BlockTable,
@@ -111,11 +110,8 @@ class Index:
         self.sigma = sigma
         self.orig_z = orig_z
         self.tau = tau
-        self.x = block_len
         self.block_len = block_len
         self.seed = seed
-        self.pow2_certified = pow2_certified
-        self.prefix_certified = prefix_certified
         self.fn = fn
         self.capped = capped
         self.bt = bt
@@ -151,27 +147,27 @@ class Index:
         tau = cfg.tau if cfg.tau is not None else default_tau(n, orig.z)
         if tau < 1:
             raise ValueError("tau must be >= 1")
-        capped = lz77.cap_phrases(orig, block_len)
+        capped = lz77.cap_phrases(orig, block_len, arr)
 
         items = _relevant_substrings(capped, tau, n)
         order, lcps = _suffix_trie_order(ctx, items)
-        del ctx
 
         # construction may read the text directly; queries go through the
         # grammar instead
         symbols = arr.tolist()
         tries = _derive_tries(items, symbols, order, lcps)
         for attempt in range(_MAX_FN_ATTEMPTS):
-            fn = fp.select_function(n, cfg.seed * 1009 + attempt)
+            fn = fp.select_function(cfg.seed * 1009 + attempt)
             try:
-                fn_parts = cls._fn_parts(arr, symbols, sigma, block_len, capped, tries, fn)
+                fn_parts = cls._fn_parts(ctx, sigma, block_len, capped, tries, fn)
                 break
             except prefix_search.FingerprintCollision:
                 continue
         else:
             raise RuntimeError("cannot certify a collision-free fingerprint function")
+        del ctx
         # the rest is made only now, so it is not resident while the
-        # certification and the prefix tables peak
+        # certification and the prefix table peak
         return cls(
             n=n, sigma=sigma, orig_z=orig.z, tau=tau, block_len=block_len,
             seed=cfg.seed, capped=capped, **fn_parts, **tries,
@@ -179,57 +175,26 @@ class Index:
         )
 
     @staticmethod
-    def _fn_parts(arr, symbols, sigma, block_len, capped, tries, fn) -> dict:
-        """The parts that depend on the fingerprint function: the certification,
-        the grammar and the dictionaries. Raises FingerprintCollision when fn
-        fails a certification."""
-        n = len(symbols)
-        # the build reads the reversed text to certify reversal fingerprints
-        # and for its own prefix table; the index keeps no reversed copy
-        rev_arr = arr[::-1].copy()
-        prefix_certified = n <= _PREFIX_CERT_LIMIT
-        pow2_certified = n <= _POW2_CERT_LIMIT
-        if pow2_certified:
-            if not fp.verify_pow2_collision_free(fn, arr):
-                raise prefix_search.FingerprintCollision("text")
-            if not fp.verify_pow2_collision_free(fn, rev_arr):
-                raise prefix_search.FingerprintCollision("reversed text")
-
-        bt = build_slp(capped, fn, block_len)
-        term_fp = fp.fingerprint(fn, [sigma + 1])
-        t_d, rd_pos, t_dp = tries["t_d"], tries["rd_pos"], tries["t_dp"]
-
-        # each prefix table lives only while its dictionaries are built:
-        # one value and one inverse power per text position
-        rtab = fp.PrefixFpTable(fn, rev_arr)
-
-        def d_prefix_fp(v: int, l: int) -> int:
-            p0 = rd_pos[t_d.sample[v]]
-            if t_d.is_leaf(v) and l == t_d.strlen[v]:
-                return fp.compose(rtab.substring_fp(p0, p0 + l - 2), term_fp).value
-            return rtab.substring_value(p0, p0 + l - 1)
-
-        def d_char(sid: int, q: int) -> int:
-            return symbols[n + 1 - rd_pos[sid] - q]
-
-        ps_d = prefix_search.build(t_d, block_len, d_prefix_fp, d_char, certify=prefix_certified)
-        del rtab
-        ptab = fp.PrefixFpTable(fn, arr)
-
-        def dp_prefix_fp(v: int, l: int) -> int:
-            p0 = t_dp.sample[v]
-            if t_dp.is_leaf(v) and l == t_dp.strlen[v]:
-                return fp.compose(ptab.substring_fp(p0, p0 + l - 2), term_fp).value
-            return ptab.substring_value(p0, p0 + l - 1)
-
-        def dp_char(start: int, q: int) -> int:
-            return symbols[start + q - 2]
-
-        ps_dp = prefix_search.build(t_dp, block_len, dp_prefix_fp, dp_char, certify=prefix_certified)
-        del ptab
-
-        return dict(pow2_certified=pow2_certified, prefix_certified=prefix_certified,
-                    fn=fn, bt=bt, ps_d=ps_d, ps_dp=ps_dp)
+    def _fn_parts(ctx: SuffixContext, sigma, block_len, capped, tries, fn) -> dict:
+        """The parts that depend on the fingerprint function: the certified
+        dictionaries and the grammar. Raises FingerprintCollision when fn
+        fails the certification of the text or of a dictionary."""
+        if not fp.verify_pow2_collision_free(fn, ctx):
+            raise prefix_search.FingerprintCollision("text")
+        n = len(ctx)
+        t_d, t_dp = tries["t_d"], tries["t_dp"]
+        rd_pos = np.array(tries["rd_pos"], dtype=np.int64)
+        # one prefix table serves both tries and lives only while their
+        # dictionaries are built; a t_d vertex spells the text backwards
+        # from position n + 1 - rd_pos of its sample
+        table = fp.PrefixFpTable(fn, ctx.text)
+        ps_d = prefix_search.build(t_d, block_len, _prefix_values(
+            t_d, table, sigma + 1,
+            lambda sid, l: table.reversed_values(n + 1 - rd_pos[sid] - l, l)))
+        ps_dp = prefix_search.build(t_dp, block_len, _prefix_values(
+            t_dp, table, sigma + 1, lambda start, l: table.values(start - 1, l)))
+        del table
+        return dict(fn=fn, bt=build_slp(capped, fn, block_len), ps_d=ps_d, ps_dp=ps_dp)
 
     # -- queries -------------------------------------------------------------
 
@@ -495,11 +460,9 @@ class Index:
             "phrases": self.orig_z,
             "capped_phrases": self.capped.z,
             "tau": self.tau,
-            "x": self.x,
+            "x": self.block_len,
             "block_len": self.block_len,
             "seed": self.seed,
-            "pow2_certified": self.pow2_certified,
-            "prefix_certified": self.prefix_certified,
             "grammar_nodes": self.bt.node_count,
             "grammar_height": max(self.bt.block_heights(), default=0),
             "trie_d_vertices": self.t_d.num_vertices,
@@ -518,8 +481,7 @@ class Index:
         for size reports to keep listing them."""
         w = Writer()
         for v in (self.n, self.sigma, self.orig_z, self.tau, self.block_len,
-                  self.seed, int(self.pow2_certified),
-                  int(self.prefix_certified), self.fn.p, self.fn.r):
+                  self.seed, self.fn.r):
             w.u(v)
         fields = bytes(w.buf)
 
@@ -538,15 +500,13 @@ class Index:
         w.seq(self.dp_lcps)
         suffix_trie = bytes(w.buf)
 
-        # the values of G and H in vertex order, one fixed-width residue
-        # each; their key lengths follow from the tries
-        width = _value_width(self.fn.p)
+        # the values of G and H in vertex order, 8 little-endian bytes each;
+        # their key lengths follow from the tries
         w = Writer()
         for ps in (self.ps_d, self.ps_dp):
             for values in (ps.g_values, ps.h_values):
                 w.u(len(values))
-                for value in values:
-                    w.raw(value.to_bytes(width, "little"))
+                w.raw(np.array(values, dtype="<u8").tobytes())
         dictionaries = bytes(w.buf)
 
         sections = [
@@ -577,22 +537,16 @@ class Index:
             raise ValueError("not an index file")
         if int.from_bytes(r.raw(4), "little") != _checksum(data):
             raise ValueError("corrupt index")
-        (n, sigma, orig_z, tau, block_len, seed, pow2_cert, prefix_cert,
-         p, base) = (r.u() for _ in range(10))
-        if min(n, tau, block_len) < 1 or not 1 <= base < p:
+        n, sigma, orig_z, tau, block_len, seed, base = (r.u() for _ in range(7))
+        if min(n, tau, block_len) < 1 or not 1 <= base < fp.P:
             raise ValueError("corrupt index")
-        fn = fp.FpFunction(p, base)
+        fn = fp.FpFunction(base)
         phrases = tuple(lz77.Phrase(r.u(), r.u(), r.u()) for _ in range(r.u()))
         _check_parse(phrases, n, sigma, block_len)
         capped = lz77.Lz77Parse(phrases, n, len(phrases), sigma)
         order = r.seq()
         lcps = r.seq()
-        width = _value_width(p)
-        values = []
-        for _ in range(4):
-            raw = r.raw(r.u() * width)
-            values.append([int.from_bytes(raw[i : i + width], "little")
-                           for i in range(0, len(raw), width)])
+        values = [np.frombuffer(r.raw(r.u() * 8), dtype="<u8").tolist() for _ in range(4)]
         if r.pos != len(data):
             raise ValueError("corrupt index")
 
@@ -607,8 +561,7 @@ class Index:
             raise ValueError("corrupt index") from None
         return cls(
             n=n, sigma=sigma, orig_z=orig_z, tau=tau, block_len=block_len,
-            seed=seed, pow2_certified=bool(pow2_cert),
-            prefix_certified=bool(prefix_cert), fn=fn, capped=capped,
+            seed=seed, fn=fn, capped=capped,
             bt=bt, ps_d=ps_d, ps_dp=ps_dp, **tries,
             **_derive_rest(capped, tau, items, symbols, tries["t_d"], order),
         )
@@ -699,11 +652,6 @@ def _checksum(data) -> int:
     return zlib.crc32(view[_CRC_AT + 4 :], zlib.crc32(view[:_CRC_AT]))
 
 
-def _value_width(p: int) -> int:
-    """Bytes per stored dictionary value: a residue mod p."""
-    return (p.bit_length() + 7) // 8
-
-
 def _derive_tries(items, symbols: list[int], order, lcps) -> dict:
     """The tries the dictionaries are keyed on, from the relevant substrings,
     the text and the suffix trie's leaf order (an item index per rank) with
@@ -741,6 +689,24 @@ def _derive_tries(items, symbols: list[int], order, lcps) -> dict:
 
     trie.finalize(t_dp, dp_char)
     return dict(t_d=t_d, rd_pos=rd_pos, t_dp=t_dp, dp_lcps=lcps)
+
+
+def _prefix_values(t: CompactTrie, table: fp.PrefixFpTable, term: int, read):
+    """prefix_search.build's prefix_values for a trie over text substrings:
+    read(samples, lengths) gives the values of the first l symbols of the
+    strings of those samples, and a prefix that takes in a leaf's
+    terminator has the symbol term appended."""
+    strlen = np.array(t.strlen, dtype=np.int64)
+    sample = np.array(t.sample, dtype=np.int64)
+    leaf = np.array(t.leaf_rank) > 0
+
+    def prefix_values(vertices, lengths):
+        ends = leaf[vertices] & (lengths == strlen[vertices])
+        body = lengths - ends
+        values = read(sample[vertices], body)
+        return np.where(ends, table.appended(values, body, term), values)
+
+    return prefix_values
 
 
 def _derive_rest(capped: lz77.Lz77Parse, tau: int, items, symbols: list[int],

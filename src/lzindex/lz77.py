@@ -150,15 +150,15 @@ def decompress(parsed: Lz77Parse) -> bytes | tuple[int, ...]:
     return tuple(out)
 
 
-def cap_phrases(parsed: Lz77Parse, limit: int) -> Lz77Parse:
+def cap_phrases(parsed: Lz77Parse, limit: int, text) -> Lz77Parse:
     """Split phrases so every phrase covers at most `limit` positions.
 
     Pieces keep copying from the original source region; the borders of the
-    intermediate pieces are the copied characters themselves.
+    intermediate pieces are the copied characters themselves, read from
+    `text`, the text the parse spells.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    text = to_symbols(decompress(parsed))
     phrases: list[Phrase] = []
     for ph in parsed.phrases:
         total = ph.span()

@@ -8,18 +8,17 @@ via G. Answers are leaf rank ranges and may be arbitrary when the pattern
 prefixes no indexed string.
 
 Dictionary keys are (fingerprint value, prefix length) pairs, so only
-equal-length prefixes can ever collide; the optional build-time
-certification makes even those impossible by comparing the underlying
-strings whenever two fingerprints agree. It checks only the lengths that
-some G or H key has: a lookup of length l can hit only a vertex keyed at l,
-and the vertex a correct answer names, whose skip interval holds l, is
-checked at l as well.
+equal-length prefixes can ever collide, and the build certifies that those
+do not either, at every length a lookup can match. Two vertices whose skip
+intervals both hold l spell different length-l strings, so any two equal
+values at the same l are a collision, and no symbol is read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import fingerprints as fp
 from .trie import CompactTrie, build as build_trie
@@ -38,18 +37,23 @@ def two_fattest(lo: int, hi: int) -> int:
     """The unique integer in (lo, hi] with the most trailing binary zeros."""
     if not 0 <= lo < hi:
         raise ValueError("empty interval")
-    if lo == 0:
-        return 1 << (hi.bit_length() - 1)
+    # clear the bits of hi below the highest one where lo and hi differ
     return hi & ~((1 << ((lo ^ hi).bit_length() - 1)) - 1)
 
 
 def key_lengths(t: CompactTrie, x: int):
-    """Per vertex in vertex order: (vertex, G key length, H key length or 0
-    when the skip interval holds no multiple of x)."""
-    for v in range(1, t.num_vertices):
-        lo, hi = t.skip_interval(v)
-        mult = (lo // x + 1) * x
-        yield v, two_fattest(lo, hi), mult if mult <= hi else 0
+    """Per vertex 1, 2, ... in vertex order, as int64 arrays: the ends of the
+    skip interval (lo, hi], the G key length (its 2-fattest number) and the
+    H key length (its least multiple of x, 0 when it holds none)."""
+    strlen = np.array(t.strlen, dtype=np.int64)
+    hi = strlen[1:]
+    lo = strlen[t.parent[1:]]
+    # two_fattest per vertex; frexp gives bit lengths exactly below 2^53
+    top = np.frexp((lo ^ hi).astype(np.float64))[1].astype(np.int64) - 1
+    fat = hi & ~((np.int64(1) << top) - 1)
+    mult = (lo // x + 1) * x
+    mult[mult > hi] = 0
+    return lo, hi, fat, mult
 
 
 @dataclass
@@ -57,7 +61,7 @@ class PrefixSearchStructure:
     """The per-vertex fingerprint values are the source of truth: g_values
     holds one per vertex, h_values one per vertex with an x-prefix, both in
     vertex order. G and H are keyed from them in that order, so a later
-    vertex wins an (uncertified) key clash however the values were made."""
+    vertex wins any key clash, whoever made the values."""
 
     trie: CompactTrie
     g_values: list[int]
@@ -70,57 +74,46 @@ class PrefixSearchStructure:
     g_lookups: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
-        keys = list(key_lengths(self.trie, self.x))
-        h_keys = [(v, mult) for v, _, mult in keys if mult]
-        if len(self.g_values) != len(keys) or len(self.h_values) != len(h_keys):
+        _, _, fat, mult = key_lengths(self.trie, self.x)
+        h_vertices = np.flatnonzero(mult) + 1
+        if len(self.g_values) != len(fat) or len(self.h_values) != len(h_vertices):
             raise ValueError("dictionary values do not match the trie")
-        self.G = {(value, fat): v for value, (v, fat, _) in zip(self.g_values, keys)}
-        self.H = {(value, mult): v for value, (v, mult) in zip(self.h_values, h_keys)}
+        self.G = dict(zip(zip(self.g_values, fat.tolist()), range(1, len(fat) + 1)))
+        self.H = dict(zip(zip(self.h_values, mult[mult > 0].tolist()), h_vertices.tolist()))
 
     def reset_counters(self) -> None:
         self.h_lookups = 0
         self.g_lookups = 0
 
 
-def build(t: CompactTrie, x: int, prefix_fp_value, char_access,
-          certify: bool = True) -> PrefixSearchStructure:
-    """Compute the G and H values; with certify=True additionally prove the
-    function collision-free at every length a lookup can match.
+def build(t: CompactTrie, x: int, prefix_values) -> PrefixSearchStructure:
+    """Compute the G and H values and prove the function collision-free at
+    every length a lookup can match; raises FingerprintCollision otherwise.
 
     A lookup of length l can hit only a vertex whose G or H key has length
     l, and when P prefixes an indexed string, P[1, l] is the prefix of the
-    vertex whose skip interval holds l. Certification therefore checks each
-    vertex at the key lengths of all vertices that fall in its skip interval,
-    found by bisection in their sorted set: both vertices of any wrong hit
-    are checked at l, and two fingerprints that agree there are compared
-    symbol by symbol (equal-length prefixes only; the keys carry the
-    length).
+    vertex whose skip interval holds l. So the check takes each key length l
+    in turn with the vertices whose skip intervals hold it, and both
+    vertices of any wrong hit are among them. Those vertices spell different
+    length-l strings, so their values must be distinct.
 
-    prefix_fp_value(v, l) -> fingerprint value of str(v)[1, l] (l may include
-    the terminator of a leaf); char_access(sample_id, pos) -> symbol.
+    prefix_values(vertices, lengths) -> the fingerprint values of
+    str(v)[1, l] per vertex v and length l, given and returned as numpy
+    arrays (l may include the terminator of a leaf).
     """
     if x < 1:
         raise ValueError("x must be >= 1")
-    g_values: list[int] = []
-    h_values: list[int] = []
-    for v, fat, mult in key_lengths(t, x):
-        g_values.append(prefix_fp_value(v, fat))
-        if mult:
-            h_values.append(prefix_fp_value(v, mult))
-    if certify:
-        lengths = sorted({l for _, fat, mult in key_lengths(t, x) for l in (fat, mult) if l})
-        seen: dict[tuple[int, int], int] = {}  # (value, length) -> vertex
-        for (v, fat, _), fat_value in zip(key_lengths(t, x), g_values):
-            lo, hi = t.skip_interval(v)
-            for l in lengths[bisect_right(lengths, lo) : bisect_right(lengths, hi)]:
-                key = (fat_value if l == fat else prefix_fp_value(v, l), l)
-                ov = seen.setdefault(key, v)
-                if ov == v:
-                    continue
-                for pos in range(1, l + 1):  # bucket clash: compare the real strings
-                    if t.edge_symbol(v, pos, char_access) != t.edge_symbol(ov, pos, char_access):
-                        raise FingerprintCollision(key)
-    return PrefixSearchStructure(t, g_values, h_values, x)
+    lo, hi, fat, mult = key_lengths(t, x)
+    vertices = np.arange(1, t.num_vertices)
+    g_values = prefix_values(vertices, fat)
+    h_values = prefix_values(vertices[mult > 0], mult[mult > 0])
+    # one key length at a time keeps the arrays at one vertex each
+    for l in np.unique(np.concatenate([fat, mult[mult > 0]])).tolist():
+        at = vertices[(lo < l) & (l <= hi)]
+        values = np.sort(prefix_values(at, np.full(len(at), l)))
+        if np.any(values[1:] == values[:-1]):
+            raise FingerprintCollision(l)
+    return PrefixSearchStructure(t, g_values.tolist(), h_values.tolist(), x)
 
 
 def find_x_range(ps: PrefixSearchStructure, m: int, pattern_fp) -> tuple[int, str]:
@@ -194,25 +187,26 @@ def weak_search(ps: PrefixSearchStructure, m: int, pattern_fp, pattern_symbol):
 
 def build_from_strings(strings, x: int, fn: fp.FpFunction):
     """Convenience constructor over materialized strings: builds the compact
-    trie, prefix tables and the search structure in one go.
+    trie, one prefix table over the distinct strings, each followed by the
+    terminator, and the search structure in one go.
 
     Returns (structure, distinct_strings); useful for tests and small sets.
     """
     t, distinct = build_trie(strings)
-    tables = [fp.PrefixFpTable(fn, s) for s in distinct]
-    term_fp = fp.fingerprint(fn, [terminator_symbol(distinct)])
+    term = terminator_symbol(distinct)
+    joined: list[int] = []
+    offsets = []
+    for s in distinct:
+        offsets.append(len(joined))
+        joined += [*s, term]
+    table = fp.PrefixFpTable(fn, joined)
+    starts = np.array(offsets, dtype=np.int64)
+    sample = np.array(t.sample, dtype=np.int64)
 
-    def prefix_fp_value(v: int, l: int) -> int:
-        sid = t.sample[v]
-        if t.is_leaf(v) and l == t.strlen[v]:
-            return fp.compose(tables[sid].prefix_fp(l - 1), term_fp).value
-        return tables[sid].prefix_fp(l).value
+    def prefix_values(vertices, lengths):
+        return table.values(starts[sample[vertices]], lengths)
 
-    def char_access(sid: int, pos: int) -> int:
-        return distinct[sid][pos - 1]
-
-    ps = build(t, x, prefix_fp_value, char_access)
-    return ps, distinct
+    return build(t, x, prefix_values), distinct
 
 
 def terminator_symbol(strings) -> int:

@@ -3,7 +3,8 @@
 `Grid` answers 2-d orthogonal range queries with integer payload pairs. It
 is a static merge-sort tree: points sorted by x sit at the leaves of a
 heap-indexed segment tree and every node stores its points sorted by y,
-made by a stable sort of its two children's lists. A closed-rectangle
+made by a stable sort of its two children's lists, or shared with its left
+child where the right one is empty padding. A closed-rectangle
 query decomposes the x range into O(lg n) canonical nodes and bisects each
 node's y list, so a query costs O(lg^2 n + k) for k reported points.
 
@@ -43,6 +44,9 @@ class Grid:
             tree[size_p2 + i] = ([p[1]], [p[2]])
         for v in range(size_p2 - 1, 0, -1):
             (ay, ap), (by, bp) = tree[2 * v], tree[2 * v + 1]
+            if not by:  # an empty padding node: share the left child's lists
+                tree[v] = tree[2 * v]
+                continue
             merged = sorted(zip(ay + by, ap + bp), key=itemgetter(0))
             tree[v] = ([y for y, _ in merged], [p for _, p in merged])
         self._tree = tree

@@ -136,12 +136,12 @@ class TestGrammarBounds:
         return texts
 
     def test_node_count_and_height(self):
-        fn = fp.select_function(10_000, 0)
+        fn = fp.select_function(0)
         for text in self.corpus():
             parsed = lz77.parse(text)
             n = parsed.n
             block_len = -(-n // parsed.z)
-            capped = lz77.cap_phrases(parsed, block_len)
+            capped = lz77.cap_phrases(parsed, block_len, text)
             bt = build_slp(capped, fn, block_len)
             lg = max(1.0, math.log2(n / parsed.z))
             # z of the parse the grammar is built from (the capped parse)
@@ -151,11 +151,11 @@ class TestGrammarBounds:
 
     def test_extraction_visit_budget(self):
         rng = random.Random(5)
-        fn = fp.select_function(10_000, 0)
+        fn = fp.select_function(0)
         for text in self.corpus():
             parsed = lz77.parse(text)
             block_len = -(-parsed.n // parsed.z)
-            bt = build_slp(lz77.cap_phrases(parsed, block_len), fn, block_len)
+            bt = build_slp(lz77.cap_phrases(parsed, block_len, text), fn, block_len)
             lg = max(1.0, math.log2(parsed.n / parsed.z))
             for _ in range(300):
                 i = rng.randint(1, parsed.n)
@@ -171,7 +171,7 @@ class TestPrefixSearchContract:
 
     def test_all_prefixes_match_sort_oracle(self):
         rng = random.Random(6)
-        fn = fp.select_function(10_000, 0)
+        fn = fp.select_function(0)
         mismatches = 0
         for count, sigma, x in self.CONFIGS:
             strings = [tuple(random_text(rng, sigma, rng.randint(1, 40)))
@@ -179,11 +179,10 @@ class TestPrefixSearchContract:
             structure, distinct = ps.build_from_strings(strings, x, fn)
             prefixes = sorted({s[:k] for s in distinct for k in range(1, len(s) + 1)})
             for pattern in prefixes:
-                table = fp.PrefixFpTable(fn, pattern)
                 structure.reset_counters()
                 res = ps.weak_search(
                     structure, len(pattern),
-                    table.substring_value,
+                    fp.PatternFps(fn, pattern).value,
                     lambda i, pattern=pattern: pattern[i - 1],
                 )
                 ranks = [r + 1 for r, s in enumerate(distinct)

@@ -1,18 +1,19 @@
-"""Oracle checks on the certified build path, over a binary and an integer
+"""Oracle checks on certified builds, over a binary and an integer
 alphabet.
 
-Below 2^16 characters the build certifies that the text's power-of-two
-length substrings, and those of its reversal, have no fingerprint collision;
-below 2^12 it also certifies the dictionaries. These tests build there and
-check locate against a naive scan and extract against slicing.
+Every build certifies that the text's power-of-two length substrings, and
+those of its reversal, have no fingerprint collision, and that neither
+dictionary has one. These tests check locate against a naive scan and
+extract against slicing.
 """
 
 import random
 
 import pytest
 
-from lzindex import Index, oracle
-from lzindex.index import _POW2_CERT_LIMIT, _PREFIX_CERT_LIMIT
+from lzindex import Index, fingerprints as fp, oracle
+from lzindex._suffixes import SuffixContext
+from lzindex._text import to_symbols
 
 
 def mutated_copies(rng: random.Random, sigma: int, base_len: int, n: int, substitutions: int) -> list[int]:
@@ -51,9 +52,11 @@ def planted(rng: random.Random, text: list[int], m: int) -> list[int]:
 
 def test_build_is_certified(case):
     _, _, text, idx = case
-    assert idx.n == len(text) < _POW2_CERT_LIMIT
-    assert idx.pow2_certified
-    assert idx.prefix_certified == (idx.n <= _PREFIX_CERT_LIMIT)
+    assert idx.n == len(text)
+    assert fp.verify_pow2_collision_free(idx.fn, SuffixContext(to_symbols(text)))
+    # no two vertices share a dictionary key
+    for ps in (idx.ps_d, idx.ps_dp):
+        assert len(ps.G) == len(ps.g_values) and len(ps.H) == len(ps.h_values)
 
 
 def test_locate_matches_naive_scan(case):

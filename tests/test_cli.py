@@ -36,6 +36,19 @@ class TestBuild:
         assert sum(int(stats[k]) for k in sections) == idx_path.stat().st_size
         assert int(stats["bytes[dictionaries]"]) > 0
 
+    def test_stats_paper_terms(self, tmp_path, capsys):
+        data = random_text(random.Random(113), 4, 3000) * 2
+        idx_path = build_index(tmp_path, data)
+        assert cli.main(["stats", "-x", str(idx_path)]) == 0
+        stats = dict(line.split(": ") for line in capsys.readouterr().out.strip().splitlines())
+        n, z = len(data), int(stats["z"])
+        assert z == int(stats["phrases"])
+        lg = int(stats["lg_n_over_z"])
+        assert 2 ** (lg - 1) * z < n <= 2 ** lg * z  # lg(n/z) rounded up
+        assert int(stats["z_lg_n_over_z"]) == z * lg
+        words = idx_path.stat().st_size / 8 / (z * lg)
+        assert float(stats["words_per_z_lg_n_over_z"]) == pytest.approx(words, abs=1e-3)
+
     def test_empty_input_fails(self, tmp_path, capsys):
         src = write_text(tmp_path, b"")
         rc = cli.main(["build", "-i", str(src), "-o", str(tmp_path / "x.idx")])

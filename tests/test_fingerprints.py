@@ -1,16 +1,33 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from lzindex import fingerprints as fp
+from lzindex import prefix_search as ps
+from lzindex._suffixes import SuffixContext
+from lzindex._text import to_symbols
 
 from conftest import random_text
 
+P = (1 << 61) - 1
 # small illustrative function used by the hand-computed examples
-TOY = fp.FpFunction(101, 10)
+TOY = fp.FpFunction(10)
 AB = (1, 2)
 ABC = (1, 2, 3)
+
+
+def small_order_bases(orders) -> list[int]:
+    """A base of each multiplicative order k mod p, from the primitive root
+    37: order 1 is r = 1, under which every permutation of a string
+    collides, and order 2 is r = p - 1."""
+    assert all(pow(37, (P - 1) // q, P) != 1 for q in (2, 3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321))
+    return [pow(37, (P - 1) // k, P) for k in orders]
+
+
+def context(s) -> SuffixContext:
+    return SuffixContext(to_symbols(s))
 
 
 class TestFingerprint:
@@ -18,7 +35,7 @@ class TestFingerprint:
         assert fp.fingerprint(TOY, AB).value == 21  # 1 + 2*10 mod 101
 
     def test_abc(self):
-        assert fp.fingerprint(TOY, ABC).value == 18  # 1 + 20 + 300 mod 101
+        assert fp.fingerprint(TOY, ABC).value == 321  # 1 + 2*10 + 3*100
 
     def test_empty(self):
         f = fp.fingerprint(TOY, ())
@@ -28,18 +45,21 @@ class TestFingerprint:
 class TestSelectFunction:
     def test_magnitude_and_primality(self):
         fn = fp.select_function(10)
-        lo = max(10**5, (1 << 61) - 1)
-        assert lo <= fn.p < 2 * lo
-        assert fp._is_prime(fn.p)
-        assert 1 <= fn.r < fn.p
+        assert fp.P == P
+        # Lucas-Lehmer: 2^61 - 1 is prime iff s_59 = 0 mod it
+        s = 4
+        for _ in range(61 - 2):
+            s = (s * s - 2) % P
+        assert s == 0
+        assert 1 <= fn.r < P
 
     def test_deterministic(self):
-        a = fp.select_function(100, rng_seed=42)
-        b = fp.select_function(100, rng_seed=42)
-        assert (a.p, a.r) == (b.p, b.r)
+        a = fp.select_function(rng_seed=42)
+        b = fp.select_function(rng_seed=42)
+        assert a.r == b.r
 
     def test_seeds_differ(self):
-        rs = {fp.select_function(100, rng_seed=s).r for s in range(100)}
+        rs = {fp.select_function(rng_seed=s).r for s in range(100)}
         assert len(rs) > 95
 
 
@@ -47,29 +67,29 @@ class TestComposeSplit:
     def test_compose_example(self):
         fab = fp.fingerprint(TOY, AB)
         fc = fp.fingerprint(TOY, (3,))
-        assert fp.compose(fab, fc).value == 18
+        assert fp.compose(fab, fc).value == 321
 
     def test_compose_identities(self):
         f = fp.fingerprint(TOY, ABC)
-        e = fp.empty_fp(TOY)
+        e = fp.fingerprint(TOY, ())
         assert fp.compose(e, f) == f
         assert fp.compose(f, e) == f
 
     def test_compose_random_splits(self):
         # every split x = yz composes back to phi(x), and phi(y) carries r^|y|
         rng = random.Random(25)
-        for fn in (TOY, fp.select_function(1000, 4)):
+        for fn in (TOY, fp.select_function(4)):
             for _ in range(30):
                 x = random_text(rng, 26, rng.randint(0, 60))
                 fx = fp.fingerprint(fn, x)
                 for k in range(len(x) + 1):
                     fy, fz = fp.fingerprint(fn, x[:k]), fp.fingerprint(fn, x[k:])
-                    assert fy.r_pow == pow(fn.r, k, fn.p)
+                    assert fy.r_pow == pow(fn.r, k, P)
                     assert fp.compose(fy, fz) == fx
 
     def test_associativity(self):
         rng = random.Random(21)
-        fn = fp.select_function(1000, 3)
+        fn = fp.select_function(3)
         for _ in range(50):
             x, y, z = (random_text(rng, 26, rng.randint(0, 40)) for _ in range(3))
             fx, fy, fz = (fp.fingerprint(fn, s) for s in (x, y, z))
@@ -80,33 +100,63 @@ class TestComposeSplit:
 
 class TestPrefixTable:
     def test_substring_example(self):
-        table = fp.prefix_table(TOY, ABC)
-        assert table.substring_fp(2, 3).value == 32  # 2 + 3*10 mod 101
+        table = fp.PrefixFpTable(TOY, ABC)
+        assert table.values(1, 2) == 32  # 2 + 3*10
+        assert table.reversed_values(1, 2) == 23  # 3 + 2*10
 
     def test_empty_substring(self):
-        table = fp.prefix_table(TOY, ABC)
-        assert table.substring_fp(2, 1) == fp.empty_fp(TOY)
+        table = fp.PrefixFpTable(TOY, ABC)
+        for start in range(4):
+            assert table.values(start, 0) == table.reversed_values(start, 0) == 0
 
     def test_whole_string(self):
-        table = fp.prefix_table(TOY, ABC)
-        assert table.substring_fp(1, 3) == fp.fingerprint(TOY, ABC)
+        table = fp.PrefixFpTable(TOY, ABC)
+        assert table.values(0, 3) == fp.fingerprint(TOY, ABC).value
+        assert table.reversed_values(0, 3) == fp.fingerprint(TOY, ABC[::-1]).value
 
     def test_out_of_range(self):
-        table = fp.prefix_table(TOY, ABC)
-        for i, j in ((0, 2), (1, 4), (3, 1)):
+        table = fp.PrefixFpTable(TOY, ABC)
+        for start, length in ((-1, 3), (0, 4), (2, -1), ([0, -1], [1, 1]), ([0, 1], [3, 3])):
             with pytest.raises(ValueError):
-                table.substring_fp(i, j)
+                table.values(start, length)
+            with pytest.raises(ValueError):
+                table.reversed_values(start, length)
 
     def test_matches_direct_evaluation(self):
+        # against the loop of fp.fingerprint, also under the bases of order
+        # 1 and 2 and with symbols equal mod p
         rng = random.Random(22)
-        fn = fp.select_function(256, 1)
-        for _ in range(8):
-            s = random_text(rng, 26, 256)
-            table = fp.prefix_table(fn, s)
-            for _ in range(400):
-                i = rng.randint(1, len(s))
-                j = rng.randint(i - 1, len(s))
-                assert table.substring_fp(i, j) == fp.fingerprint(fn, s[i - 1 : j])
+        for fn in (fp.select_function(1), *map(fp.FpFunction, small_order_bases((1, 2)))):
+            for sigma in (26, 1 << 62):
+                s = [rng.randint(1, sigma) for _ in range(256)]
+                table = fp.PrefixFpTable(fn, s)
+                starts = [rng.randint(0, len(s)) for _ in range(200)]
+                lengths = [rng.randint(0, len(s) - i) for i in starts]
+                forward = table.values(np.array(starts), np.array(lengths)).tolist()
+                backward = table.reversed_values(np.array(starts), np.array(lengths)).tolist()
+                appended = table.appended(np.array(forward, dtype=np.uint64), np.array(lengths), 7)
+                for k, (i, l) in enumerate(zip(starts, lengths)):
+                    piece = s[i : i + l]
+                    assert forward[k] == table.values(i, l) == fp.fingerprint(fn, piece).value
+                    assert backward[k] == fp.fingerprint(fn, piece[::-1]).value
+                    assert appended[k] == fp.fingerprint(fn, [*piece, 7]).value
+
+    def test_limb_arithmetic_at_the_edges(self):
+        # products and sums of values next to 0 and p - 1, the cases where
+        # a limb or a fold carries
+        rng = random.Random(28)
+        edge = [0, 1, 2, (1 << 31) - 1, 1 << 31, (1 << 60) + 1, P - 2, P - 1]
+        a = edge * len(edge) + [rng.randrange(P) for _ in range(1000)]
+        b = [y for y in edge for _ in edge] + [rng.randrange(P) for _ in range(1000)]
+        got = fp._mulmod(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
+        assert got.tolist() == [x * y % P for x, y in zip(a, b)]
+        terms = np.array([P - 1] * 5000 + a, dtype=np.uint64)
+        sums = [0]
+        for t in terms.tolist():
+            sums.append((sums[-1] + t) % P)
+        assert fp._prefix_sums(terms).tolist() == sums
+        for base in (1, P - 1, 3):
+            assert fp._powers(base, 1500).tolist() == [pow(base, k, P) for k in range(1500)]
 
 
 class TestPatternFps:
@@ -114,7 +164,7 @@ class TestPatternFps:
         # symbols up to 2^62 exceed p = 2^61 - 1, and some are equal mod p
         rng = random.Random(27)
         p = (1 << 61) - 1
-        fn = fp.FpFunction(p, rng.randrange(2, p))
+        fn = fp.FpFunction(rng.randrange(2, p))
         for sigma in (2, 4, 1 << 62):
             for m in range(1, 61):
                 pool = [rng.randint(1, sigma) for _ in range(4)]
@@ -129,57 +179,67 @@ class TestPatternFps:
                         assert table.reversed_value(i, j) == fp.fingerprint(fn, piece[::-1]).value
 
     def test_leaves_the_power_cache_alone(self):
-        fn = fp.select_function(100, 0)
+        fn = fp.select_function(0)
         table = fp.PatternFps(fn, (1, 2, 3) * 20)
         assert table.value(5, 40) == fp.fingerprint(fn, ((1, 2, 3) * 20)[4:40]).value
         assert fn._pows == {}
 
 
 class TestVerification:
+    """The checks the build runs: the text's in this module, the
+    dictionaries' in prefix_search.build."""
+
     def test_distinct_single_chars(self):
-        fn = fp.select_function(10, 0)
-        assert fp.verify_collision_free(fn, [(1,), (2,), (3,)], {1})
+        fn = fp.select_function(0)
+        ps.build_from_strings([(1,), (2,), (3,)], 1, fn)
 
     def test_equal_strings_not_collisions(self):
-        fn = fp.select_function(10, 0)
-        assert fp.verify_collision_free(fn, [(1, 2), (1, 2)], {1, 2})
+        # even under r = 1, a string does not collide with itself
+        ps.build_from_strings([(1, 2), (1, 2)], 1, fp.FpFunction(1))
 
     def test_tiny_modulus_collides(self):
-        tiny = fp.FpFunction(7, 3)
+        # under r = p - 1, some two strings of length 2 collide
+        fn = fp.FpFunction(small_order_bases([2])[0])
         pairs = list(product(range(1, 10), repeat=2))
         colliding = next(
             [s, t]
             for s in pairs
             for t in pairs
-            if s != t and fp.fingerprint(tiny, s).value == fp.fingerprint(tiny, t).value
+            if s != t and fp.fingerprint(fn, s).value == fp.fingerprint(fn, t).value
         )
-        assert not fp.verify_collision_free(tiny, colliding, {2})
+        with pytest.raises(ps.FingerprintCollision):
+            ps.build_from_strings(colliding, 1, fn)
 
     def test_pow2_small_string(self):
-        fn = fp.select_function(10, 0)
-        assert fp.verify_pow2_collision_free(fn, (1, 2))
+        fn = fp.select_function(0)
+        assert fp.verify_pow2_collision_free(fn, context((1, 2)))
 
     def test_pow2_constant_string(self):
-        assert fp.verify_pow2_collision_free(fp.FpFunction(7, 3), (1,) * 64)
+        # one window per length, so even r = 1 passes
+        assert fp.verify_pow2_collision_free(fp.FpFunction(1), context((1,) * 64))
 
     def test_pow2_tiny_modulus_fails(self):
-        tiny = fp.FpFunction(7, 3)
         rng = random.Random(23)
-        # some random string over a large alphabet must collide mod 7
+        # under r = 1 any two windows that permute each other collide
         s = tuple(rng.randint(1, 50) for _ in range(200))
-        assert not fp.verify_pow2_collision_free(tiny, s)
+        assert not fp.verify_pow2_collision_free(fp.FpFunction(1), context(s))
 
     def test_large_modulus_collision_free(self):
         rng = random.Random(24)
-        fn = fp.select_function(4096, 5)
+        fn = fp.select_function(5)
         text = random_text(rng, 4, 4096)
-        assert fp.verify_pow2_collision_free(fn, text)
-        assert fp.verify_collision_free(fn, [text], set(range(1, 200)))
+        assert fp.verify_pow2_collision_free(fn, context(text))
+        ps.build_from_strings([text[i : i + 200] for i in range(0, 4096, 7)], 3, fn)
 
 
 def pow2_collision_free_by_strings(p: int, r: int, text: list[int]) -> bool:
-    """The definition: for each power-of-two L, map every window's value to
-    the window and look for a value shared by two different windows."""
+    """The definition, for the text and for its reversal: for each
+    power-of-two L, map every window's value to the window and look for a
+    value shared by two different windows."""
+    return one_way_collision_free(p, r, text) and one_way_collision_free(p, r, text[::-1])
+
+
+def one_way_collision_free(p: int, r: int, text: list[int]) -> bool:
     n = len(text)
     # pre[i] = sum of text[k] * r^k over k < i; window [i, i + L) has the
     # value (pre[i + L] - pre[i]) / r^i
@@ -205,27 +265,20 @@ def pow2_collision_free_by_strings(p: int, r: int, text: list[int]) -> bool:
 
 class TestPow2Equivalence:
     SIGMAS = (2, 4, 26, 300, 1 << 62)
+    # r = 1, r = p - 1 and bases of orders 3 to 10, under which many texts
+    # collide, and uniform bases, under which they do not. Under r = 2 the
+    # windows (1, 3) and (3, 2) collide but their reversals do not, and
+    # under r = 1/2 the other way round
+    BASES = small_order_bases((1, 2, 3, 5, 6, 7, 9, 10)) + [2, (P + 1) // 2]
 
     @staticmethod
-    def primes(rng: random.Random) -> list[int]:
-        """Primes from 7 up to 2^61 - 1, a few at each magnitude."""
-        out = [7, 11, 13, 101, 257, 65_537, (1 << 31) - 1, (1 << 61) - 1]
-        for bits in (5, 8, 12, 16, 24, 32, 48, 60):
-            while True:
-                c = rng.randrange(1 << (bits - 1), 1 << bits) | 1
-                if c >= 7 and fp._is_prime(c):
-                    out.append(c)
-                    break
-        return out
-
-    @staticmethod
-    def text(rng: random.Random, sigma: int, p: int) -> list[int]:
+    def text(rng: random.Random, sigma: int) -> list[int]:
         n = rng.randint(1, 200)
         pool = [rng.randint(1, sigma) for _ in range(rng.randint(1, 8))]
-        if sigma > p and rng.random() < 0.5:
+        if sigma > P and rng.random() < 0.5:
             # two symbols that differ by a multiple of p: equal mod p
             c = rng.choice(pool)
-            pool.append(c - p if c > p else c + p)
+            pool.append(c - P if c > P else c + P)
         if rng.random() < 0.5:
             base = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
             return (base * n)[:n]  # periodic
@@ -234,20 +287,17 @@ class TestPow2Equivalence:
 
     def test_matches_the_definition(self):
         rng = random.Random(26)
-        primes = self.primes(rng)
         outcomes = {True: 0, False: 0}
         for _ in range(2_000):
-            p = rng.choice(primes)
-            r = rng.randrange(1, p)
-            text = self.text(rng, rng.choice(self.SIGMAS), p)
-            want = pow2_collision_free_by_strings(p, r, text)
-            assert fp.verify_pow2_collision_free(fp.FpFunction(p, r), text) == want, (p, r, text)
+            r = rng.choice(self.BASES) if rng.random() < 0.8 else rng.randrange(1, P)
+            text = self.text(rng, rng.choice(self.SIGMAS))
+            want = pow2_collision_free_by_strings(P, r, text)
+            assert fp.verify_pow2_collision_free(fp.FpFunction(r), context(text)) == want, (r, text)
             outcomes[want] += 1
-        assert min(outcomes.values()) >= 200, outcomes
+        assert min(outcomes.values()) >= 800, outcomes
 
     def test_symbols_equal_mod_p(self):
         # a text of two symbols equal mod p collides at length 1 only
-        p = (1 << 61) - 1
-        text = [5, 5 + p] * 8
-        assert not pow2_collision_free_by_strings(p, 3, text)
-        assert not fp.verify_pow2_collision_free(fp.FpFunction(p, 3), text)
+        text = [5, 5 + P] * 8
+        assert not pow2_collision_free_by_strings(P, 3, text)
+        assert not fp.verify_pow2_collision_free(fp.FpFunction(3), context(text))

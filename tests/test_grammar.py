@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from lzindex import fingerprints as fp
@@ -7,13 +8,13 @@ from lzindex import grammar, lz77
 
 from conftest import random_text
 
-FN = fp.select_function(10_000, 0)
+FN = fp.select_function(0)
 
 
 def build_for(text: bytes) -> grammar.BlockTable:
     parsed = lz77.parse(text)
     block_len = -(-parsed.n // parsed.z)
-    return grammar.build_slp(lz77.cap_phrases(parsed, block_len), FN, block_len)
+    return grammar.build_slp(lz77.cap_phrases(parsed, block_len, text), FN, block_len)
 
 
 class TestBuild:
@@ -78,13 +79,13 @@ class TestSubstringFp:
         rng = random.Random(34)
         text = random_text(rng, 4, 1024)
         bt = build_for(text)
-        table = fp.prefix_table(FN, text)
-        for j in range(1, len(text) + 1):
-            assert bt.substring_fp(1, j) == table.prefix_fp(j)
+        prefixes = fp.PrefixFpTable(FN, text).values(0, np.arange(1, len(text) + 1)).tolist()
+        for j, value in enumerate(prefixes, start=1):
+            assert bt.substring_fp(1, j) == fp.Fingerprint(value, j, FN)
 
     def test_empty(self):
         bt = build_for(b"\x01\x02\x03")
-        assert bt.substring_fp(2, 1) == fp.empty_fp(FN)
+        assert bt.substring_fp(2, 1) == fp.fingerprint(FN, ())
 
     def test_full_block_equals_stored(self):
         text = random_text(random.Random(35), 4, 900)

@@ -4,6 +4,8 @@ import pytest
 
 from lzindex import Index, IndexConfig, fingerprints as fp, index as ix, lz77, oracle
 from lzindex._io import Reader, Writer
+from lzindex._suffixes import SuffixContext
+from lzindex._text import to_symbols
 
 from conftest import absent_pattern, planted_pattern, random_text
 
@@ -39,6 +41,11 @@ class TestBuild:
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError, match="empty text"):
             Index.build(b"")
+
+    def test_zero_byte_rejected(self):
+        # symbols start at 1; the CLI shifts every byte up by one instead
+        with pytest.raises(ValueError, match="symbols must be >= 1"):
+            Index.build(b"a\x00b")
 
     def test_bad_tau_rejected(self):
         with pytest.raises(ValueError):
@@ -317,8 +324,11 @@ class TestSerialization:
         # the older formats: the first stored node fingerprints and a grammar
         # of the reversed text, the second a grid of the phrase sources, the
         # third the grammar, every trie and the border grid
-        # and the fourth the same sections as today but no checksum
-        for blob in (b"garbage!", b"LZXIDX1\n", b"LZXIDX2\n", b"LZXIDX3\n", b"LZXIDX4\n"):
+        # the fourth the same sections as today but no checksum, and the
+        # fifth a prime p and two certification flags in the header and
+        # dictionary values as wide as p
+        for blob in (b"garbage!", b"LZXIDX1\n", b"LZXIDX2\n", b"LZXIDX3\n", b"LZXIDX4\n",
+                     b"LZXIDX5\n"):
             with pytest.raises(ValueError, match="not an index file"):
                 Index.from_bytes(blob + b"\x00" * 40)
 
@@ -347,10 +357,10 @@ class TestSerialization:
 
     @staticmethod
     def header_fields(idx) -> list[int]:
-        """n, sigma, z, tau, block_len, seed, both flags, p and r."""
+        """n, sigma, z, tau, block_len, seed and r."""
         r = Reader(dict(idx._sections())["header"])
         r.pos = ix._CRC_AT + 4
-        return [r.u() for _ in range(10)]
+        return [r.u() for _ in range(7)]
 
     def assert_corrupt(self, crafted: dict) -> None:
         for case, blob in crafted.items():
@@ -390,11 +400,12 @@ class TestSerialization:
         _, _, idx = self.build_random(109)
         fields = self.header_fields(idx)
         crafted = {}
-        for case, at in (("n 0", 0), ("tau 0", 3), ("block_len 0", 4), ("p 0", 8), ("r 0", 9)):
+        for case, at, bad in (("n 0", 0, 0), ("tau 0", 3, 0), ("block_len 0", 4, 0),
+                              ("r 0", 6, 0), ("r = p", 6, fp.P)):
             w = Writer()
             w.raw(ix.MAGIC + bytes(4))  # with_sections fills the checksum in
             for k, v in enumerate(fields):
-                w.u(0 if k == at else v)
+                w.u(bad if k == at else v)
             crafted[case] = self.with_sections(idx, header=bytes(w.buf))
         self.assert_corrupt(crafted)
 
@@ -430,7 +441,6 @@ class TestSerialization:
 
     def test_corrupt_dictionaries(self):
         _, _, idx = self.build_random(111)
-        width = (idx.fn.p.bit_length() + 7) // 8
         arrays = [idx.ps_d.g_values, idx.ps_d.h_values, idx.ps_dp.g_values, idx.ps_dp.h_values]
         assert all(arrays)  # so that dropping a value changes each one
 
@@ -439,7 +449,7 @@ class TestSerialization:
             for values in arrays:
                 w.u(len(values))
                 for v in values:
-                    w.raw(v.to_bytes(width, "little"))
+                    w.raw(v.to_bytes(8, "little"))
             return bytes(w.buf)
 
         blob = self.with_sections(idx, dictionaries=section(arrays))
@@ -462,9 +472,8 @@ class TestSerialization:
         # checksum, so only the checksum tells the damage apart
         _, _, idx = self.build_random(115)
         sections = dict(idx._sections())
-        width = ix._value_width(idx.fn.p)
         dictionaries = bytearray(sections["dictionaries"])
-        dictionaries[-width] ^= 1  # the low byte of the last value
+        dictionaries[-8] ^= 1  # the low byte of the last value
         sections["dictionaries"] = bytes(dictionaries)
         Index.from_bytes(self.with_sections(idx, dictionaries=sections["dictionaries"]))
         with pytest.raises(ValueError, match="corrupt index"):
@@ -505,41 +514,60 @@ class TestCertification:
     @staticmethod
     def colliding_text():
         text = random_text(random.Random(117), 26, 400)
-        assert not fp.verify_pow2_collision_free(fp.FpFunction(7, 3), text)
+        # under r = 1 any two windows that permute each other collide
+        assert not fp.verify_pow2_collision_free(fp.FpFunction(1), SuffixContext(to_symbols(text)))
         return text
 
-    def test_retries_after_a_collision(self, monkeypatch):
-        # attempt 0 gets a function that collides on the text; the build
-        # must reject it and certify the one of attempt 1
-        text = self.colliding_text()
+    @staticmethod
+    def select_r1_first(monkeypatch) -> list[int]:
+        """Have the build's attempt 0 draw r = 1; returns the seeds drawn."""
         select = fp.select_function
         seeds = []
 
-        def select_tiny_first(n, rng_seed=0):
+        def select_r1(rng_seed=0):
             seeds.append(rng_seed)
-            return fp.FpFunction(7, 3) if rng_seed == 0 else select(n, rng_seed)
+            return fp.FpFunction(1) if rng_seed == 0 else select(rng_seed)
 
-        monkeypatch.setattr(fp, "select_function", select_tiny_first)
-        idx = Index.build(text)
-        assert seeds == [0, 1]
-        want = select(len(text), 1)
-        assert (idx.fn.p, idx.fn.r) == (want.p, want.r)
-        assert idx.pow2_certified and idx.prefix_certified
+        monkeypatch.setattr(fp, "select_function", select_r1)
+        return seeds
+
+    def assert_answers(self, idx, text) -> None:
         rng = random.Random(118)
         patterns = [planted_pattern(rng, text, 1, 60) for _ in range(60)]
         patterns += [absent_pattern(rng, text, 26, 5) for _ in range(5)]
         for pattern in patterns:
             assert idx.locate(pattern) == oracle.naive_locate(text, pattern)
 
+    def test_retries_after_a_collision(self, monkeypatch):
+        # attempt 0 gets a function that collides on the text; the build
+        # must reject it and certify the one of attempt 1
+        text = self.colliding_text()
+        seeds = self.select_r1_first(monkeypatch)
+        idx = Index.build(text)
+        assert seeds == [0, 1]
+        assert idx.fn.r == fp.select_function(1).r
+        self.assert_answers(idx, text)
+
+    def test_retries_after_a_dictionary_collision(self, monkeypatch):
+        # with the text's check passed over, r = 1 must still fail a
+        # dictionary's own check
+        text = self.colliding_text()
+        seeds = self.select_r1_first(monkeypatch)
+        monkeypatch.setattr(fp, "verify_pow2_collision_free", lambda fn, ctx: True)
+        idx = Index.build(text)
+        assert seeds == [0, 1]
+        assert idx.fn.r == fp.select_function(1).r
+        self.assert_answers(idx, text)
+
     def test_every_attempt_collides(self, monkeypatch):
         text = self.colliding_text()
         seeds = []
 
-        def select_tiny(n, rng_seed=0):
+        def select_r1(rng_seed=0):
             seeds.append(rng_seed)
-            return fp.FpFunction(7, 3)
+            return fp.FpFunction(1)
 
-        monkeypatch.setattr(fp, "select_function", select_tiny)
+        monkeypatch.setattr(fp, "select_function", select_r1)
         with pytest.raises(RuntimeError, match="cannot certify"):
             Index.build(text)
         assert len(seeds) == ix._MAX_FN_ATTEMPTS == 8

@@ -1,16 +1,16 @@
 """Oracle checks on a text above 2^16 characters.
 
-At this length the build skips both fingerprint certification passes and
-relies on the size of p alone, so these tests cover the uncertified build
-path: locate against a naive scan and extract against slicing.
+The build certifies its fingerprint function at every n. Here its first
+attempt draws r = 1, under which the text's windows collide, so the index
+these tests check is the one the build makes after rejecting it: locate
+against a naive scan and extract against slicing.
 """
 
 import random
 
 import pytest
 
-from lzindex import Index, oracle
-from lzindex.index import _POW2_CERT_LIMIT
+from lzindex import Index, fingerprints as fp, oracle
 
 from conftest import absent_pattern, planted_pattern
 
@@ -33,17 +33,28 @@ def mutated_copies(rng: random.Random, base_len: int, n: int, substitutions: int
 def large():
     rng = random.Random(70_000)
     text = mutated_copies(rng, 1_500, N, 6)
-    return rng, text, Index.build(text)
+    select = fp.select_function
+    seeds = []
+
+    def select_r1_first(rng_seed=0):
+        seeds.append(rng_seed)
+        return fp.FpFunction(1) if rng_seed == 0 else select(rng_seed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fp, "select_function", select_r1_first)
+        idx = Index.build(text)
+    return rng, text, idx, seeds
 
 
-def test_build_is_uncertified(large):
-    _, _, idx = large
-    assert idx.n > _POW2_CERT_LIMIT
-    assert not idx.pow2_certified and not idx.prefix_certified
+def test_build_rejects_a_colliding_function(large):
+    _, _, idx, seeds = large
+    assert idx.n == N > 1 << 16
+    assert seeds == [0, 1]
+    assert idx.fn.r == fp.select_function(1).r != 1
 
 
 def test_locate_matches_naive_scan(large):
-    rng, text, idx = large
+    rng, text, idx, _ = large
     tau, b = idx.tau, idx.block_len
     patterns = []
     for m in (1, tau, tau + 1, tau + 2, 3 * b, 5 * b + 7):
@@ -62,7 +73,7 @@ def test_locate_matches_naive_scan(large):
 
 
 def test_extract_across_block_borders(large):
-    rng, text, idx = large
+    rng, text, idx, _ = large
     b = idx.block_len
     for _ in range(60):
         border = b * rng.randint(1, (N - 1) // b)

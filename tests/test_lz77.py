@@ -109,17 +109,18 @@ class TestDecompress:
 class TestCapPhrases:
     def test_splits_long_phrase(self):
         text = b"\x01" * 10
-        capped = lz77.cap_phrases(lz77.parse(text), 5)
+        capped = lz77.cap_phrases(lz77.parse(text), 5, text)
         assert all(ph.span() <= 5 for ph in capped.phrases)
         assert lz77.decompress(capped) == text
 
     def test_limit_n_is_identity(self):
-        parsed = lz77.parse(b"\x01\x02\x03" * 3)
-        assert lz77.cap_phrases(parsed, parsed.n).phrases == parsed.phrases
+        text = b"\x01\x02\x03" * 3
+        parsed = lz77.parse(text)
+        assert lz77.cap_phrases(parsed, parsed.n, text).phrases == parsed.phrases
 
     def test_example_limit_3(self):
         text = b"\x01\x02\x03" * 3
-        capped = lz77.cap_phrases(lz77.parse(text), 3)
+        capped = lz77.cap_phrases(lz77.parse(text), 3, text)
         assert max(ph.span() for ph in capped.phrases) <= 3
         assert lz77.decompress(capped) == text
 
@@ -129,11 +130,11 @@ class TestCapPhrases:
             text = random_text(rng, rng.choice([2, 4]), rng.randint(2, 1500))
             parsed = lz77.parse(text)
             limit = rng.randint(1, parsed.n)
-            capped = lz77.cap_phrases(parsed, limit)
+            capped = lz77.cap_phrases(parsed, limit, text)
             assert lz77.decompress(capped) == text
             assert all(ph.span() <= limit for ph in capped.phrases)
             assert capped.z <= parsed.z + -(-parsed.n // limit)
 
     def test_bad_limit(self):
         with pytest.raises(ValueError):
-            lz77.cap_phrases(lz77.parse(b"\x01"), 0)
+            lz77.cap_phrases(lz77.parse(b"\x01"), 0, b"\x01")

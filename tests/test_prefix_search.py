@@ -9,8 +9,12 @@ from lzindex.prefix_search import two_fattest
 
 from conftest import random_text
 
-FN = fp.select_function(10_000, 0)
+FN = fp.select_function(0)
 ABC_SET = [(1, 2, 3), (1, 2, 4), (2,)]
+P = (1 << 61) - 1
+# r = 1, r = p - 1 and bases of orders 3 to 6: two different strings of
+# the same length often share a fingerprint under them
+SMALL_ORDER_BASES = [pow(37, (P - 1) // k, P) for k in (1, 2, 3, 4, 5, 6)]
 
 
 def oracle_range(distinct, pattern):
@@ -23,15 +27,43 @@ def oracle_range(distinct, pattern):
 
 
 def query_fns(pattern, fn):
-    table = fp.PrefixFpTable(fn, pattern)
-
-    def pattern_fp(i, j):
-        return table.substring_value(i, j)
+    pattern_fp = fp.PatternFps(fn, tuple(pattern)).value
 
     def pattern_symbol(i):
         return pattern[i - 1]
 
     return pattern_fp, pattern_symbol
+
+
+def collision_free_by_strings(strings, x: int, fn) -> bool:
+    """The definition: at every key length l of the trie over the strings,
+    equal values of length-l prefixes of the terminated strings mean equal
+    prefixes. The key lengths are the 2-fattest number and the least
+    multiple of x of each skip interval (lo, hi], where hi is the length of
+    a distinct prefix that ends a string or branches, and lo the longest
+    such prefix shorter than it."""
+    term = max(c for s in strings for c in s) + 1
+    full = {(*s, term) for s in strings}
+    # a prefix is a vertex when it is empty, a whole terminated string or
+    # one after which two of them branch
+    nexts: dict[tuple, set] = {}
+    for s in full:
+        for k in range(len(s)):
+            nexts.setdefault(s[:k], set()).add(s[k])
+    vertices = {()} | full | {q for q, follow in nexts.items() if len(follow) > 1}
+    lengths = set()
+    for v in vertices - {()}:
+        lo = max(len(v[:k]) for k in range(len(v)) if v[:k] in vertices)
+        hi = len(v)
+        lengths.add(two_fattest(lo, hi))
+        if (lo // x + 1) * x <= hi:
+            lengths.add((lo // x + 1) * x)
+    for l in lengths:
+        seen: dict[int, tuple] = {}
+        for s in full:
+            if len(s) >= l and seen.setdefault(fp.fingerprint(fn, s[:l]).value, s[:l]) != s[:l]:
+                return False
+    return True
 
 
 class TestTwoFattest:
@@ -79,10 +111,19 @@ class TestBuild:
         assert len(structure.H) == structure.trie.num_vertices - 1
 
     def test_collision_triggers_reselection_signal(self):
-        tiny = fp.FpFunction(7, 3)
-        # symbols 1 and 8 collide mod 7, so the two leaf fat prefixes collide
+        # symbols 1 and 1 + p are equal mod p, so the two leaves collide
         with pytest.raises(ps.FingerprintCollision):
-            ps.build_from_strings([(1,), (8,)], 1, tiny)
+            ps.build_from_strings([(1,), (1 + P,)], 1, FN)
+
+    def test_same_length_prefixes_collide(self):
+        # under r = 1 "ab" and "ba" collide, and so do the length-2
+        # prefixes of these strings, which differ at every other length;
+        # x = 2 keys both leaves at length 2, x = 3 at no length where they
+        # collide
+        strings = [(1, 2, 3), (2, 1, 4)]
+        with pytest.raises(ps.FingerprintCollision):
+            ps.build_from_strings(strings, 2, fp.FpFunction(1))
+        ps.build_from_strings(strings, 3, fp.FpFunction(1))
 
 
 class TestWeakSearch:
@@ -110,27 +151,31 @@ class TestWeakSearch:
             self.run_set(rng, count=120, max_len=30, sigma=3, x=x)
 
     def test_certified_small_primes_answer_every_prefix(self):
-        # with p this small many functions collide; whichever one the
-        # certification accepts must still answer every indexed prefix
+        # under bases of small multiplicative order many functions collide;
+        # the build must reject exactly those under which two different
+        # indexed prefixes of a key length share a value, and whichever
+        # function it accepts must answer every indexed prefix
         rng = random.Random(54)
-        primes = [q for q in range(101, 398) if all(q % d for d in range(2, 20))]
-        accepted = 0
+        outcomes = {True: 0, False: 0}
         for _ in range(600):
             strings = [tuple(random_text(rng, 3, rng.randint(1, 25)))
                        for _ in range(rng.randint(1, 30))]
-            p = rng.choice(primes)
-            fn = fp.FpFunction(p, rng.randrange(1, p))
+            fn = fp.FpFunction(rng.choice(SMALL_ORDER_BASES))
+            x = rng.choice((1, 2, 3, 5))
             try:
-                structure, distinct = ps.build_from_strings(strings, rng.choice((1, 2, 3, 5)), fn)
+                structure, distinct = ps.build_from_strings(strings, x, fn)
             except ps.FingerprintCollision:
-                continue
-            accepted += 1
-            for s in distinct:
-                pattern_fp, pattern_symbol = query_fns(s, fn)
-                for k in range(1, len(s) + 1):
-                    res = ps.weak_search(structure, k, pattern_fp, pattern_symbol)
-                    assert res is not None and res[1:] == oracle_range(distinct, s[:k])
-        assert accepted
+                accepted = False
+            else:
+                accepted = True
+                for s in distinct:
+                    pattern_fp, pattern_symbol = query_fns(s, fn)
+                    for k in range(1, len(s) + 1):
+                        res = ps.weak_search(structure, k, pattern_fp, pattern_symbol)
+                        assert res is not None and res[1:] == oracle_range(distinct, s[:k])
+            assert accepted == collision_free_by_strings(strings, x, fn)
+            outcomes[accepted] += 1
+        assert outcomes[True] >= 100 and outcomes[False] >= 316, outcomes
 
     def test_empty_pattern_full_range(self):
         structure, distinct = ps.build_from_strings(ABC_SET, 2, FN)
