@@ -23,17 +23,18 @@ the suffix trie's leaf order and adjacent lcps, and the certification of
 the text's fingerprints. Every build certifies the fingerprint function
 before it keeps it: the text's power-of-two length substrings and their
 reversals (fingerprints.verify_pow2_collision_free), then both
-dictionaries (prefix_search.build), whose values come from one numpy prefix
-table over the text; a function that fails either is replaced by the next
-seed's. The file stores only the header with a CRC-32 of the file and the
-base r, the parse, that leaf order with the lcps of adjacent leaves, and
-the values of the fingerprint dictionaries, 8 bytes each. Both build and
-load make the grammar from the parse by build_slp, and share two
-derivations from the text (the build reads the text it was given, loading
-extracts it once from the grammar): the two tries over the relevant
-substrings, which the dictionaries are keyed on, and then the border grid
-and the sorted short strings, which the build makes only once its
-dictionaries are certified. The dictionary keys follow from the tries.
+dictionaries (prefix_search.build); a function that fails either is
+replaced by the next seed's. The file stores only the header with a CRC-32
+of the file and the base r, the parse, and that leaf order with the lcps of
+adjacent leaves. Both build and load make the grammar from the parse by
+build_slp, and share three derivations from the text (the build reads the
+text it was given, loading decodes it from the checked parse): the two
+tries over the relevant substrings; the dictionaries keyed on them, whose
+values come from one numpy prefix table over the text (loading recomputes
+them by prefix_search.derive and does not certify them again, since the
+build certified this r on this text); and then the border grid and the
+sorted short strings, which the build makes only once its dictionaries are
+certified.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .grammar import BlockTable, build_slp
 from .range_report import Grid, SourceIndex
 from .trie import CompactTrie
 
-MAGIC = b"LZXIDX6\n"
+MAGIC = b"LZXIDX7\n"
 # the file's CRC-32 takes the four bytes after the magic and covers the rest
 _CRC_AT = len(MAGIC)
 _MAX_FN_ATTEMPTS = 8
@@ -181,19 +182,8 @@ class Index:
         fails the certification of the text or of a dictionary."""
         if not fp.verify_pow2_collision_free(fn, ctx):
             raise prefix_search.FingerprintCollision("text")
-        n = len(ctx)
-        t_d, t_dp = tries["t_d"], tries["t_dp"]
-        rd_pos = np.array(tries["rd_pos"], dtype=np.int64)
-        # one prefix table serves both tries and lives only while their
-        # dictionaries are built; a t_d vertex spells the text backwards
-        # from position n + 1 - rd_pos of its sample
-        table = fp.PrefixFpTable(fn, ctx.text)
-        ps_d = prefix_search.build(t_d, block_len, _prefix_values(
-            t_d, table, sigma + 1,
-            lambda sid, l: table.reversed_values(n + 1 - rd_pos[sid] - l, l)))
-        ps_dp = prefix_search.build(t_dp, block_len, _prefix_values(
-            t_dp, table, sigma + 1, lambda start, l: table.values(start - 1, l)))
-        del table
+        ps_d, ps_dp = (prefix_search.build(t, block_len, values) for t, values
+                       in _dictionary_values(fn, ctx.text, sigma, tries))
         return dict(fn=fn, bt=build_slp(capped, fn, block_len), ps_d=ps_d, ps_dp=ps_dp)
 
     # -- queries -------------------------------------------------------------
@@ -477,8 +467,8 @@ class Index:
     def _sections(self) -> list[tuple[str, bytes]]:
         """The serialized index as named (component, bytes) sections, in file
         order; to_bytes is their concatenation. Loading rebuilds every part
-        the file does not hold, so the sections it does not fill stay empty
-        for size reports to keep listing them."""
+        the file does not hold, the dictionaries included, so the sections
+        it does not fill stay empty for size reports to keep listing them."""
         w = Writer()
         for v in (self.n, self.sigma, self.orig_z, self.tau, self.block_len,
                   self.seed, self.fn.r):
@@ -500,20 +490,11 @@ class Index:
         w.seq(self.dp_lcps)
         suffix_trie = bytes(w.buf)
 
-        # the values of G and H in vertex order, 8 little-endian bytes each;
-        # their key lengths follow from the tries
-        w = Writer()
-        for ps in (self.ps_d, self.ps_dp):
-            for values in (ps.g_values, ps.h_values):
-                w.u(len(values))
-                w.raw(np.array(values, dtype="<u8").tobytes())
-        dictionaries = bytes(w.buf)
-
         sections = [
             ("header", MAGIC + bytes(4) + fields), ("parse", parse), ("grammar", b""),
             ("reverse_grammar", b""), ("substring_trie", b""),
             ("suffix_trie", suffix_trie), ("short_trie", b""),
-            ("dictionaries", dictionaries), ("grids", b""),
+            ("dictionaries", b""), ("grids", b""),
         ]
         crc = _checksum(b"".join(data for _, data in sections))
         sections[0] = ("header", MAGIC + crc.to_bytes(4, "little") + fields)
@@ -546,23 +527,21 @@ class Index:
         capped = lz77.Lz77Parse(phrases, n, len(phrases), sigma)
         order = r.seq()
         lcps = r.seq()
-        values = [np.frombuffer(r.raw(r.u() * 8), dtype="<u8").tolist() for _ in range(4)]
         if r.pos != len(data):
             raise ValueError("corrupt index")
 
-        bt = build_slp(capped, fn, block_len)
-        symbols = bt.extract(1, n)
+        text = lz77.decompress(capped)
+        symbols = list(text)
         items = _relevant_substrings(capped, tau, n)
         tries = _derive_tries(items, symbols, order, lcps)
-        try:
-            ps_d = prefix_search.PrefixSearchStructure(tries["t_d"], *values[:2], block_len)
-            ps_dp = prefix_search.PrefixSearchStructure(tries["t_dp"], *values[2:], block_len)
-        except ValueError:
-            raise ValueError("corrupt index") from None
+        # the build certified this function on this text, so its dictionary
+        # values need no second check
+        ps_d, ps_dp = (prefix_search.derive(t, block_len, values) for t, values
+                       in _dictionary_values(fn, text, sigma, tries))
         return cls(
             n=n, sigma=sigma, orig_z=orig_z, tau=tau, block_len=block_len,
             seed=seed, fn=fn, capped=capped,
-            bt=bt, ps_d=ps_d, ps_dp=ps_dp, **tries,
+            bt=build_slp(capped, fn, block_len), ps_d=ps_d, ps_dp=ps_dp, **tries,
             **_derive_rest(capped, tau, items, symbols, tries["t_d"], order),
         )
 
@@ -691,8 +670,25 @@ def _derive_tries(items, symbols: list[int], order, lcps) -> dict:
     return dict(t_d=t_d, rd_pos=rd_pos, t_dp=t_dp, dp_lcps=lcps)
 
 
+def _dictionary_values(fn: fp.FpFunction, text, sigma: int, tries: dict) -> list:
+    """(trie, prefix_values) for t_d and for t_dp, the prefix_values that
+    prefix_search.build and derive take, from one prefix table over the
+    text that lives as long as they do."""
+    table = fp.PrefixFpTable(fn, text)
+    n = table.length
+    # a t_d vertex spells the text backwards from position n + 1 - rd_pos of
+    # its sample, a t_dp vertex forwards from its sample
+    rd_pos = np.array(tries["rd_pos"], dtype=np.int64)
+    t_d, t_dp = tries["t_d"], tries["t_dp"]
+    return [
+        (t_d, _prefix_values(t_d, table, sigma + 1,
+                             lambda sid, l: table.reversed_values(n + 1 - rd_pos[sid] - l, l))),
+        (t_dp, _prefix_values(t_dp, table, sigma + 1, lambda start, l: table.values(start - 1, l))),
+    ]
+
+
 def _prefix_values(t: CompactTrie, table: fp.PrefixFpTable, term: int, read):
-    """prefix_search.build's prefix_values for a trie over text substrings:
+    """The prefix_values of a trie over text substrings:
     read(samples, lengths) gives the values of the first l symbols of the
     strings of those samples, and a prefix that takes in a leaf's
     terminator has the symbol term appended."""

@@ -138,16 +138,20 @@ def decompress(parsed: Lz77Parse) -> bytes | tuple[int, ...]:
             src = ph.start - 1
             if src < 0 or src >= len(out):
                 raise ValueError("malformed parse")
-            for k in range(ph.len):  # left to right so self-overlap works
-                out.append(out[src + k])
+            if src + ph.len <= len(out):
+                out += out[src : src + ph.len]
+            else:
+                for k in range(ph.len):  # left to right so self-overlap works
+                    out.append(out[src + k])
         elif ph.start != 0:
             raise ValueError("malformed parse")
         out.append(ph.border)
     if len(out) != parsed.n:
         raise ValueError("malformed parse")
-    if all(0 <= c <= 255 for c in out):
+    try:
         return bytes(out)
-    return tuple(out)
+    except ValueError:  # a symbol above 255
+        return tuple(out)
 
 
 def cap_phrases(parsed: Lz77Parse, limit: int, text) -> Lz77Parse:

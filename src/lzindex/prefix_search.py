@@ -7,11 +7,12 @@ jumps within x of its locus via H, then binary searches the remaining depth
 via G. Answers are leaf rank ranges and may be arbitrary when the pattern
 prefixes no indexed string.
 
-Dictionary keys are (fingerprint value, prefix length) pairs, so only
-equal-length prefixes can ever collide, and the build certifies that those
-do not either, at every length a lookup can match. Two vertices whose skip
-intervals both hold l spell different length-l strings, so any two equal
-values at the same l are a collision, and no symbol is read.
+A dictionary key is one int, value | length << 61, of a prefix's
+fingerprint value (below 2^61) and its length, so only equal-length prefixes
+can ever collide, and the build certifies that those do not either, at
+every length a lookup can match. Two vertices whose skip intervals both
+hold l spell different length-l strings, so any two equal values at the
+same l are a collision, and no symbol is read.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ def key_lengths(t: CompactTrie, x: int):
     """Per vertex 1, 2, ... in vertex order, as int64 arrays: the ends of the
     skip interval (lo, hi], the G key length (its 2-fattest number) and the
     H key length (its least multiple of x, 0 when it holds none)."""
+    if x < 1:
+        raise ValueError("x must be >= 1")
     strlen = np.array(t.strlen, dtype=np.int64)
     hi = strlen[1:]
     lo = strlen[t.parent[1:]]
@@ -58,37 +61,46 @@ def key_lengths(t: CompactTrie, x: int):
 
 @dataclass
 class PrefixSearchStructure:
-    """The per-vertex fingerprint values are the source of truth: g_values
-    holds one per vertex, h_values one per vertex with an x-prefix, both in
-    vertex order. G and H are keyed from them in that order, so a later
-    vertex wins any key clash, whoever made the values."""
+    """G and H, each mapping a key value | length << 61 to a vertex."""
 
     trie: CompactTrie
-    g_values: list[int]
-    h_values: list[int]
     x: int
-    G: dict[tuple[int, int], int] = field(init=False, repr=False)
-    H: dict[tuple[int, int], int] = field(init=False, repr=False)
+    G: dict[int, int] = field(repr=False)
+    H: dict[int, int] = field(repr=False)
     # instrumentation
     h_lookups: int = field(default=0, compare=False)
     g_lookups: int = field(default=0, compare=False)
-
-    def __post_init__(self) -> None:
-        _, _, fat, mult = key_lengths(self.trie, self.x)
-        h_vertices = np.flatnonzero(mult) + 1
-        if len(self.g_values) != len(fat) or len(self.h_values) != len(h_vertices):
-            raise ValueError("dictionary values do not match the trie")
-        self.G = dict(zip(zip(self.g_values, fat.tolist()), range(1, len(fat) + 1)))
-        self.H = dict(zip(zip(self.h_values, mult[mult > 0].tolist()), h_vertices.tolist()))
 
     def reset_counters(self) -> None:
         self.h_lookups = 0
         self.g_lookups = 0
 
 
+def derive(t: CompactTrie, x: int, prefix_values) -> PrefixSearchStructure:
+    """G and H of trie t, keyed in vertex order so that a later vertex wins
+    any key clash. Build and load both make them here; only the build
+    certifies them first (see build).
+
+    prefix_values(vertices, lengths) -> the fingerprint values of
+    str(v)[1, l] per vertex v and length l, given and returned as numpy
+    arrays (l may include the terminator of a leaf).
+    """
+    _, _, fat, mult = key_lengths(t, x)
+    vertices = np.arange(1, t.num_vertices)
+    has_h = mult > 0
+
+    def keys(vertices, lengths) -> list[int]:
+        values = prefix_values(vertices, lengths).tolist()
+        return [v | l << 61 for v, l in zip(values, lengths.tolist())]
+
+    G = dict(zip(keys(vertices, fat), vertices.tolist()))
+    H = dict(zip(keys(vertices[has_h], mult[has_h]), vertices[has_h].tolist()))
+    return PrefixSearchStructure(t, x, G, H)
+
+
 def build(t: CompactTrie, x: int, prefix_values) -> PrefixSearchStructure:
-    """Compute the G and H values and prove the function collision-free at
-    every length a lookup can match; raises FingerprintCollision otherwise.
+    """Prove the function collision-free at every length a lookup can
+    match, then derive G and H; raises FingerprintCollision on a collision.
 
     A lookup of length l can hit only a vertex whose G or H key has length
     l, and when P prefixes an indexed string, P[1, l] is the prefix of the
@@ -96,24 +108,16 @@ def build(t: CompactTrie, x: int, prefix_values) -> PrefixSearchStructure:
     in turn with the vertices whose skip intervals hold it, and both
     vertices of any wrong hit are among them. Those vertices spell different
     length-l strings, so their values must be distinct.
-
-    prefix_values(vertices, lengths) -> the fingerprint values of
-    str(v)[1, l] per vertex v and length l, given and returned as numpy
-    arrays (l may include the terminator of a leaf).
     """
-    if x < 1:
-        raise ValueError("x must be >= 1")
     lo, hi, fat, mult = key_lengths(t, x)
     vertices = np.arange(1, t.num_vertices)
-    g_values = prefix_values(vertices, fat)
-    h_values = prefix_values(vertices[mult > 0], mult[mult > 0])
     # one key length at a time keeps the arrays at one vertex each
     for l in np.unique(np.concatenate([fat, mult[mult > 0]])).tolist():
         at = vertices[(lo < l) & (l <= hi)]
         values = np.sort(prefix_values(at, np.full(len(at), l)))
         if np.any(values[1:] == values[:-1]):
             raise FingerprintCollision(l)
-    return PrefixSearchStructure(t, g_values.tolist(), h_values.tolist(), x)
+    return derive(t, x, prefix_values)
 
 
 def find_x_range(ps: PrefixSearchStructure, m: int, pattern_fp) -> tuple[int, str]:
@@ -126,7 +130,7 @@ def find_x_range(ps: PrefixSearchStructure, m: int, pattern_fp) -> tuple[int, st
             ix = i * ps.x
             if ix > t.strlen[v]:
                 ps.h_lookups += 1
-                u = ps.H.get((pattern_fp(1, ix), ix))
+                u = ps.H.get(pattern_fp(1, ix) | ix << 61)
                 if u is not None:
                     v = u
     if t.strlen[v] >= m:
@@ -150,7 +154,7 @@ def find_exit_vertex(ps: PrefixSearchStructure, start: int, m: int, pattern_fp) 
             l = b
         else:
             ps.g_lookups += 1
-            u = ps.G.get((pattern_fp(1, b), b))
+            u = ps.G.get(pattern_fp(1, b) | b << 61)
             if u is None:
                 r = b
             elif t.strlen[u] < m:

@@ -4,7 +4,9 @@ alphabet.
 Every build certifies that the text's power-of-two length substrings, and
 those of its reversal, have no fingerprint collision, and that neither
 dictionary has one. These tests check locate against a naive scan and
-extract against slicing.
+extract against slicing, on the built index and on the index loaded from
+its file, which recomputes the dictionary values without certifying them
+again.
 """
 
 import random
@@ -42,7 +44,8 @@ def case(request):
         text = mutated_copies(rng, sigma, 1_000, n, 4)
     else:
         text = [rng.randint(1, sigma) for _ in range(n)]
-    return rng, sigma, text, Index.build(text)
+    idx = Index.build(text)
+    return rng, text, idx, patterns(rng, sigma, text, idx)
 
 
 def planted(rng: random.Random, text: list[int], m: int) -> list[int]:
@@ -50,41 +53,65 @@ def planted(rng: random.Random, text: list[int], m: int) -> list[int]:
     return text[start : start + m]
 
 
-def test_build_is_certified(case):
-    _, _, text, idx = case
-    assert idx.n == len(text)
-    assert fp.verify_pow2_collision_free(idx.fn, SuffixContext(to_symbols(text)))
-    # no two vertices share a dictionary key
-    for ps in (idx.ps_d, idx.ps_dp):
-        assert len(ps.G) == len(ps.g_values) and len(ps.H) == len(ps.h_values)
-
-
-def test_locate_matches_naive_scan(case):
-    rng, sigma, text, idx = case
+def patterns(rng: random.Random, sigma: int, text: list[int], idx: Index) -> list[list[int]]:
+    """Planted patterns, near misses and absent ones at lengths around tau
+    and the block length."""
     tau, b = idx.tau, idx.block_len
     occurring = set(text)
-    patterns = []
+    out = []
     for m in sorted({1, tau, tau + 1, 3 * b}):
-        patterns += [planted(rng, text, m) for _ in range(5)]
+        out += [planted(rng, text, m) for _ in range(5)]
         # a near miss: a planted pattern with one symbol changed
         near = planted(rng, text, m)
         k = rng.randrange(m)
         near[k] = near[k] % sigma + 1
-        patterns.append(near)
+        out.append(near)
         # an absent pattern, where the text leaves room for one
         for _ in range(100):
             absent = [rng.randint(1, sigma) for _ in range(m)]
             if not oracle.naive_locate(text, absent):
-                patterns.append(absent)
+                out.append(absent)
                 break
     # a symbol of the alphabet the text does not hold
-    patterns += [[c] for c in range(1, sigma + 1) if c not in occurring][:3]
-    for pattern in patterns:
+    out += [[c] for c in range(1, sigma + 1) if c not in occurring][:3]
+    return out
+
+
+def test_build_is_certified(case):
+    _, text, idx, _ = case
+    assert idx.n == len(text)
+    assert fp.verify_pow2_collision_free(idx.fn, SuffixContext(to_symbols(text)))
+    # no two vertices share a dictionary key: G has one per vertex, H one
+    # per vertex whose skip interval holds a multiple of x
+    for ps in (idx.ps_d, idx.ps_dp):
+        t = ps.trie
+        with_x_prefix = sum(t.strlen[v] // ps.x > t.strlen[t.parent[v]] // ps.x
+                            for v in range(1, t.num_vertices))
+        assert len(ps.G) == t.num_vertices - 1
+        assert len(ps.H) == with_x_prefix
+
+
+def test_locate_matches_naive_scan(case):
+    _, text, idx, pats = case
+    for pattern in pats:
         assert idx.locate(pattern) == oracle.naive_locate(text, pattern)
 
 
+def test_load_round_trip(case):
+    _, text, idx, pats = case
+    blob = idx.to_bytes()
+    loaded = Index.from_bytes(blob)
+    assert loaded.to_bytes() == blob
+    for a, b in ((loaded.ps_d, idx.ps_d), (loaded.ps_dp, idx.ps_dp)):
+        assert list(a.G.items()) == list(b.G.items())
+        assert list(a.H.items()) == list(b.H.items())
+    for pattern in pats:
+        assert loaded.locate(pattern) == oracle.naive_locate(text, pattern)
+    assert loaded.extract(1, loaded.n) == text
+
+
 def test_extract_matches_slicing(case):
-    rng, _, text, idx = case
+    rng, text, idx, _ = case
     n, b = idx.n, idx.block_len
     assert idx.extract(1, n) == text
     for _ in range(100):

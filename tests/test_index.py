@@ -277,9 +277,9 @@ class TestSerialization:
         # nor the phrase sources; loading derives them from the parse
         for attr in ("starts", "ends", "targets"):
             assert getattr(loaded.sources, attr) == getattr(idx.sources, attr)
-        # nor the tries, the grid, the short strings or the dictionary keys:
-        # loading rebuilds them from the parse, the suffix trie's leaf order
-        # and the values
+        # nor the tries, the grid, the short strings or the dictionaries:
+        # loading rebuilds them from the parse and the suffix trie's leaf
+        # order, and recomputes the dictionary values from the text
         for attr in ("t_d", "t_dp"):
             assert self.trie_fields(getattr(loaded, attr)) == self.trie_fields(getattr(idx, attr))
         assert loaded.rd_pos == idx.rd_pos
@@ -289,7 +289,6 @@ class TestSerialization:
         assert loaded.grid_r.query(*everything) == idx.grid_r.query(*everything)
         for attr in ("ps_d", "ps_dp"):
             a, b = getattr(loaded, attr), getattr(idx, attr)
-            assert a.g_values == b.g_values and a.h_values == b.h_values
             assert list(a.G.items()) == list(b.G.items())
             assert list(a.H.items()) == list(b.H.items())
 
@@ -314,21 +313,22 @@ class TestSerialization:
         _, _, idx = self.build_random(102)
         sizes = idx.component_sizes()
         assert sum(sizes.values()) == len(idx.to_bytes())
-        assert sizes["suffix_trie"] > 0 and sizes["dictionaries"] > 0
+        assert sizes["suffix_trie"] > 0
         # rebuilt on load, so stored empty
         for name in ("grammar", "reverse_grammar", "substring_trie",
-                     "short_trie", "grids"):
+                     "short_trie", "dictionaries", "grids"):
             assert sizes[name] == 0
 
     def test_bad_magic(self):
         # the older formats: the first stored node fingerprints and a grammar
         # of the reversed text, the second a grid of the phrase sources, the
         # third the grammar, every trie and the border grid
-        # the fourth the same sections as today but no checksum, and the
+        # the fourth the same sections as the fifth but no checksum, the
         # fifth a prime p and two certification flags in the header and
-        # dictionary values as wide as p
+        # dictionary values as wide as p, and the sixth the dictionary values,
+        # 8 bytes each, which loading now recomputes
         for blob in (b"garbage!", b"LZXIDX1\n", b"LZXIDX2\n", b"LZXIDX3\n", b"LZXIDX4\n",
-                     b"LZXIDX5\n"):
+                     b"LZXIDX5\n", b"LZXIDX6\n"):
             with pytest.raises(ValueError, match="not an index file"):
                 Index.from_bytes(blob + b"\x00" * 40)
 
@@ -440,27 +440,27 @@ class TestSerialization:
         })
 
     def test_corrupt_dictionaries(self):
+        # loading recomputes the dictionary values, so the file stores none
+        # and any byte after the suffix trie is corrupt, among them the
+        # values that the previous format stored there
         _, _, idx = self.build_random(111)
-        arrays = [idx.ps_d.g_values, idx.ps_d.h_values, idx.ps_dp.g_values, idx.ps_dp.h_values]
-        assert all(arrays)  # so that dropping a value changes each one
-
-        def section(arrays) -> bytes:
-            w = Writer()
-            for values in arrays:
-                w.u(len(values))
-                for v in values:
-                    w.raw(v.to_bytes(8, "little"))
-            return bytes(w.buf)
-
-        blob = self.with_sections(idx, dictionaries=section(arrays))
-        assert blob == idx.to_bytes()
-        crafted = {"bytes after the last section": self.sealed(blob + b"\x00")}
-        for k in range(4):
-            for case, values in (("one value more", arrays[k] + [0]),
-                                 ("one value fewer", arrays[k][:-1])):
-                bad = arrays[:k] + [values] + arrays[k + 1 :]
-                crafted[f"array {k}: {case}"] = self.with_sections(idx, dictionaries=section(bad))
-        self.assert_corrupt(crafted)
+        mask = (1 << 61) - 1
+        w = Writer()
+        for ps in (idx.ps_d, idx.ps_dp):
+            for keys in (ps.G, ps.H):
+                w.u(len(keys))
+                for k in keys:
+                    w.raw((k & mask).to_bytes(8, "little"))
+        stored_values = bytes(w.buf)
+        blob = idx.to_bytes()
+        assert blob.endswith(dict(idx._sections())["suffix_trie"])
+        self.assert_corrupt({
+            "one zero byte": self.sealed(blob + b"\x00"),
+            "one byte 1": self.sealed(blob + b"\x01"),
+            "four empty value arrays": self.sealed(blob + bytes(4)),
+            "the stored values": self.sealed(blob + stored_values),
+            "the suffix trie twice": self.sealed(blob + dict(idx._sections())["suffix_trie"]),
+        })
 
     def test_truncated(self):
         _, _, idx = self.build_random(103)
@@ -468,14 +468,16 @@ class TestSerialization:
             Index.from_bytes(idx.to_bytes()[:50])
 
     def test_stale_checksum(self):
-        # a changed dictionary value still loads under a recomputed
-        # checksum, so only the checksum tells the damage apart
+        # a changed seed still loads under a recomputed checksum, so only
+        # the checksum tells the damage apart
         _, _, idx = self.build_random(115)
-        sections = dict(idx._sections())
-        dictionaries = bytearray(sections["dictionaries"])
-        dictionaries[-8] ^= 1  # the low byte of the last value
-        sections["dictionaries"] = bytes(dictionaries)
-        Index.from_bytes(self.with_sections(idx, dictionaries=sections["dictionaries"]))
+        fields = self.header_fields(idx)
+        w = Writer()
+        w.raw(ix.MAGIC + dict(idx._sections())["header"][ix._CRC_AT : ix._CRC_AT + 4])
+        for k, v in enumerate(fields):
+            w.u(v + 1 if k == 5 else v)  # the seed
+        sections = dict(idx._sections(), header=bytes(w.buf))
+        assert Index.from_bytes(self.with_sections(idx, header=sections["header"])).seed == idx.seed + 1
         with pytest.raises(ValueError, match="corrupt index"):
             Index.from_bytes(b"".join(sections.values()))
 
