@@ -34,7 +34,11 @@ values come from one numpy prefix table over the text (loading recomputes
 them by prefix_search.derive and does not certify them again, since the
 build certified this r on this text); and then the border grid and the
 sorted short strings, which the build makes only once its dictionaries are
-certified.
+certified. The derivations make no Python object per symbol of a string
+they sort: the text is encoded once as fixed-width big-endian bytes
+(trie.encode, the width the least that holds sigma + 1), forwards for the
+short strings and backwards for the reversed relevant substrings, and each
+such string is a bytes slice of it, so sorting them is a memcmp sort.
 """
 
 from __future__ import annotations
@@ -104,7 +108,7 @@ class Index:
         dp_lcps: list[int],
         ps_dp: prefix_search.PrefixSearchStructure,
         grid_r: Grid,
-        f_strings: list[tuple[int, ...]],
+        f_strings: list[bytes],
         f_pairs: list[list[tuple[int, int]]],
     ):
         self.n = n
@@ -127,6 +131,7 @@ class Index:
         self.sources = SourceIndex(_phrase_sources(capped))
         self.f_strings = f_strings
         self.f_pairs = f_pairs
+        self._key_width = trie.key_width(sigma)
         self.last_stats: dict = {}
 
     # -- construction -------------------------------------------------------
@@ -155,8 +160,8 @@ class Index:
 
         # construction may read the text directly; queries go through the
         # grammar instead
-        symbols = arr.tolist()
-        tries = _derive_tries(items, symbols, order, lcps)
+        width = trie.key_width(sigma)
+        tries = _derive_tries(items, arr, arr.tolist(), width, order, lcps)
         for attempt in range(_MAX_FN_ATTEMPTS):
             fn = fp.select_function(cfg.seed * 1009 + attempt)
             try:
@@ -172,7 +177,7 @@ class Index:
         return cls(
             n=n, sigma=sigma, orig_z=orig.z, tau=tau, block_len=block_len,
             seed=cfg.seed, capped=capped, **fn_parts, **tries,
-            **_derive_rest(capped, tau, items, symbols, tries["t_d"], order),
+            **_derive_rest(capped, tau, items, arr, width, tries["t_d"], order),
         )
 
     @staticmethod
@@ -276,10 +281,11 @@ class Index:
 
     def _primary_short(self, p: tuple, identified: dict) -> dict[int, int]:
         # the short strings p prefixes sort from p up to, not including, p
-        # with its last symbol raised by one
+        # with its last symbol raised by one, which is at most sigma + 1
         strings = self.f_strings
-        lo = bisect_left(strings, p)
-        hi = bisect_left(strings, p[:-1] + (p[-1] + 1,), lo)
+        width = self._key_width
+        lo = bisect_left(strings, trie.encode(p, width))
+        hi = bisect_left(strings, trie.encode(p[:-1] + (p[-1] + 1,), width), lo)
         m = len(p)
         out: dict[int, int] = {}
         for pairs in self.f_pairs[lo:hi]:
@@ -531,9 +537,10 @@ class Index:
             raise ValueError("corrupt index")
 
         text = lz77.decompress(capped)
-        symbols = list(text)
+        arr = to_symbols(text)
         items = _relevant_substrings(capped, tau, n)
-        tries = _derive_tries(items, symbols, order, lcps)
+        width = trie.key_width(sigma)
+        tries = _derive_tries(items, arr, list(text), width, order, lcps)
         # the build certified this function on this text, so its dictionary
         # values need no second check
         ps_d, ps_dp = (prefix_search.derive(t, block_len, values) for t, values
@@ -542,7 +549,7 @@ class Index:
             n=n, sigma=sigma, orig_z=orig_z, tau=tau, block_len=block_len,
             seed=seed, fn=fn, capped=capped,
             bt=build_slp(capped, fn, block_len), ps_d=ps_d, ps_dp=ps_dp, **tries,
-            **_derive_rest(capped, tau, items, symbols, tries["t_d"], order),
+            **_derive_rest(capped, tau, items, arr, width, tries["t_d"], order),
         )
 
     @classmethod
@@ -613,15 +620,19 @@ def _phrase_sources(capped: lz77.Lz77Parse) -> list[tuple[int, int, int]]:
 
 def _check_parse(phrases, n: int, sigma: int, block_len: int) -> None:
     """The stored parse must tile the text with phrases that fit a block,
-    copy only from earlier and end in a symbol of the alphabet."""
+    copy only from earlier and end in a symbol of the alphabet. The first
+    occurrence of every symbol ends a phrase, so the largest border is
+    sigma, and the build reads symbols as int64."""
     pos = 1
+    top = 0
     for ph in phrases:
         if ph.len > 0 and not 1 <= ph.start < pos:
             raise ValueError("corrupt index")
         if not 1 <= ph.border <= sigma or ph.span() > block_len:
             raise ValueError("corrupt index")
+        top = max(top, ph.border)
         pos += ph.span()
-    if pos != n + 1:
+    if pos != n + 1 or top != sigma or sigma >= 1 << 63:
         raise ValueError("corrupt index")
 
 
@@ -631,14 +642,16 @@ def _checksum(data) -> int:
     return zlib.crc32(view[_CRC_AT + 4 :], zlib.crc32(view[:_CRC_AT]))
 
 
-def _derive_tries(items, symbols: list[int], order, lcps) -> dict:
+def _derive_tries(items, arr: np.ndarray, symbols: list[int], width: int, order,
+                  lcps) -> dict:
     """The tries the dictionaries are keyed on, from the relevant substrings,
-    the text and the suffix trie's leaf order (an item index per rank) with
-    the lcps of adjacent leaves: the trie over the reversed relevant
-    substrings with rd_pos, and the trie over the suffixes that follow them.
-    Neither depends on the fingerprint function. Build and load both make
-    them here; a leaf order or lcp list that cannot come from the text
-    raises ValueError("corrupt index")."""
+    the text (as an array and as a list), the byte key width and the suffix
+    trie's leaf order (an item index per rank) with the lcps of adjacent
+    leaves: the trie over the reversed relevant substrings with rd_pos, and
+    the trie over the suffixes that follow them. Neither depends on the
+    fingerprint function. Build and load both make them here; a leaf order
+    or lcp list that cannot come from the text raises
+    ValueError("corrupt index")."""
     n = len(symbols)
     if (sorted(order) != list(range(len(items))) or len(lcps) != len(order)
             or lcps[0] != 0):
@@ -649,13 +662,27 @@ def _derive_tries(items, symbols: list[int], order, lcps) -> dict:
         if lcps[r] > n + 1 - max(starts[r - 1], starts[r]):
             raise ValueError("corrupt index")
 
-    # trie over the reversed relevant substrings
-    rd_strings = [tuple(reversed(symbols[s - 1 : e])) for s, e, _ in items]
-    t_d, d_distinct = trie.build(rd_strings, ids=range(len(items)))
-    first_pos: dict[tuple, int] = {}
-    for key, (_, e, _) in zip(rd_strings, items):
-        first_pos.setdefault(key, n - e + 1)
-    rd_pos = [first_pos[key] for key in d_distinct]
+    # trie over the reversed relevant substrings, sorted as byte keys: each
+    # is a slice of the reversed text's encoding, item (s, e) its 0-based
+    # [n - e, n + 1 - s)
+    rtext = trie.encode(arr[::-1], width)
+    groups: dict[bytes, list[int]] = {}
+    for i, (s, e, _) in enumerate(items):
+        groups.setdefault(rtext[(n - e) * width : (n + 1 - s) * width], []).append(i)
+    keys = sorted(groups)
+    ids = [groups[key] for key in keys]
+    # where each distinct one first starts in the reversed text
+    rd_pos = [n + 1 - items[same[0]][1] for same in ids]
+    t_d = trie.build_from_sorted(
+        range(len(keys)), [len(key) // width for key in keys],
+        trie.key_lcps(keys, width), ids,
+    )
+
+    def d_char(sid: int, q: int) -> int:
+        # reversed position rd_pos + q - 1 is forward position n + 2 - rd_pos - q
+        return symbols[n + 1 - rd_pos[sid] - q]
+
+    trie.finalize(t_d, d_char)
 
     # trie over the suffixes that follow them, assembled in suffix array
     # order so the suffixes never have to be materialized
@@ -705,12 +732,12 @@ def _prefix_values(t: CompactTrie, table: fp.PrefixFpTable, term: int, read):
     return prefix_values
 
 
-def _derive_rest(capped: lz77.Lz77Parse, tau: int, items, symbols: list[int],
-                 t_d: CompactTrie, order) -> dict:
+def _derive_rest(capped: lz77.Lz77Parse, tau: int, items, arr: np.ndarray,
+                 width: int, t_d: CompactTrie, order) -> dict:
     """The parts only queries read: the border grid, which joins the tries of
-    _derive_tries, and the sorted short strings with the (start, border)
-    pairs of each. Build and load both make them here."""
-    n = len(symbols)
+    _derive_tries, and the sorted short strings, as byte keys, with the
+    (start, border) pairs of each. Build and load both make them here."""
+    n = len(arr)
 
     # the grid joining both tries: one point per relevant substring
     xr = [0] * len(items)
@@ -723,14 +750,15 @@ def _derive_rest(capped: lz77.Lz77Parse, tau: int, items, symbols: list[int],
 
     # short patterns: all strings from at most tau before a border up to
     # tau - 1 past it, each distinct one with the (start, border) pairs it
-    # occurs at
-    groups: dict[tuple, list[tuple[int, int]]] = {}
+    # occurs at; the keys are slices of the text's encoding
+    text = trie.encode(arr, width)
+    groups: dict[bytes, list[tuple[int, int]]] = {}
     pos = 1
     for ph in capped.phrases:
         e = pos + ph.span() - 1
-        hi = min(e + tau - 1, n)
+        hi = min(e + tau - 1, n) * width
         for k in range(max(pos, e - tau + 1), e + 1):
-            groups.setdefault(tuple(symbols[k - 1 : hi]), []).append((k, e))
+            groups.setdefault(text[(k - 1) * width : hi], []).append((k, e))
         pos = e + 1
     f_strings = sorted(groups)
     return dict(grid_r=grid_r, f_strings=f_strings, f_pairs=[groups[s] for s in f_strings])

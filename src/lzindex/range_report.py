@@ -1,12 +1,13 @@
 """Range reporting: the border grid and the phrase-source index.
 
 `Grid` answers 2-d orthogonal range queries with integer payload pairs. It
-is a static merge-sort tree: points sorted by x sit at the leaves of a
-heap-indexed segment tree and every node stores its points sorted by y,
-made by a stable sort of its two children's lists, or shared with its left
-child where the right one is empty padding. A closed-rectangle
-query decomposes the x range into O(lg n) canonical nodes and bisects each
-node's y list, so a query costs O(lg^2 n + k) for k reported points.
+is a static merge-sort tree kept as levels: level k cuts the points, sorted
+by x, into nodes of 2^k consecutive ones (the last node of a level may be
+shorter) and holds each node's points sorted by y, ties in x order, as one
+list of y values and one of payloads for the whole level. One stable numpy
+sort per level makes it. A closed-rectangle query decomposes the x range
+into O(lg n) canonical nodes and bisects each node's segment of its level's
+y list, so a query costs O(lg^2 n + k) for k reported points.
 
 `SourceIndex` expands occurrences into their secondary copies as
 Kärkkäinen and Ukkonen do. The copies of an occurrence [lo, hi] come from
@@ -23,58 +24,66 @@ one comparison.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
+
+import numpy as np
 
 
 class Grid:
     def __init__(self, points):
         """points: iterable of (x, y, payload); payload is any hashable pair."""
-        pts = sorted(points, key=lambda t: (t[0], t[1]))
+        pts = list(points)
         self.size = len(pts)
-        self.xs = [p[0] for p in pts]
         self.query_count = 0  # instrumentation
-        size_p2 = 1
-        while size_p2 < max(self.size, 1):
-            size_p2 <<= 1
-        self._leaf0 = size_p2
-        # heap layout: node 1 is the root, leaves at size_p2 .. 2*size_p2-1;
-        # the sort is stable, so on equal y the left child's points come first
-        tree: list[tuple[list[int], list]] = [([], [])] * (2 * size_p2)
-        for i, p in enumerate(pts):
-            tree[size_p2 + i] = ([p[1]], [p[2]])
-        for v in range(size_p2 - 1, 0, -1):
-            (ay, ap), (by, bp) = tree[2 * v], tree[2 * v + 1]
-            if not by:  # an empty padding node: share the left child's lists
-                tree[v] = tree[2 * v]
-                continue
-            merged = sorted(zip(ay + by, ap + bp), key=itemgetter(0))
-            tree[v] = ([y for y, _ in merged], [p for _, p in merged])
-        self._tree = tree
+        xs = np.array([p[0] for p in pts], dtype=np.int64)
+        ys = np.array([p[1] for p in pts], dtype=np.int64)
+        # by (x, y); lexsort is stable, so equal points keep their input order
+        order = np.lexsort((ys, xs))
+        self.xs = xs[order].tolist()
+        ys = ys[order]
+        # every level lists the same y and payload objects
+        y_of = ys.tolist().__getitem__
+        payload_of = [pts[i][2] for i in order.tolist()].__getitem__
+        pos = np.arange(self.size)
+        # _ys[k], _payloads[k]: level k, its nodes in x order, each by y with
+        # ties in x order
+        self._ys: list[list[int]] = []
+        self._payloads: list[list] = []
+        k = 0
+        while True:
+            at = np.lexsort((ys, pos >> k)).tolist()
+            self._ys.append(list(map(y_of, at)))
+            self._payloads.append(list(map(payload_of, at)))
+            if 1 << k >= self.size:
+                break
+            k += 1
 
     def query(self, x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> list:
         """Payloads of all points in [x_lo, x_hi] x [y_lo, y_hi]."""
         self.query_count += 1
-        lo = bisect_left(self.xs, x_lo)
-        hi = bisect_right(self.xs, x_hi)  # half-open index range [lo, hi)
+        # node l of level k is [l << k, (l + 1) << k) of the x order, cut at
+        # size; take the nodes covering [l, r) bottom up, from both ends in
+        l = bisect_left(self.xs, x_lo)
+        r = bisect_right(self.xs, x_hi)
         out: list = []
-        tree = self._tree
-        l = lo + self._leaf0
-        r = hi + self._leaf0
+        nodes = []
+        k = 0
         while l < r:
             if l & 1:
-                self._emit(tree[l], y_lo, y_hi, out)
+                nodes.append((k, l))
                 l += 1
             if r & 1:
                 r -= 1
-                self._emit(tree[r], y_lo, y_hi, out)
+                nodes.append((k, r))
             l >>= 1
             r >>= 1
+            k += 1
+        for k, node in nodes:
+            ys = self._ys[k]
+            start = node << k
+            end = min(start + (1 << k), self.size)
+            lo = bisect_left(ys, y_lo, start, end)
+            out.extend(self._payloads[k][lo : bisect_right(ys, y_hi, lo, end)])
         return out
-
-    @staticmethod
-    def _emit(node, y_lo, y_hi, out) -> None:
-        ys, payloads = node
-        out.extend(payloads[bisect_left(ys, y_lo) : bisect_right(ys, y_hi)])
 
 
 class SourceIndex:

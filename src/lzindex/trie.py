@@ -3,10 +3,20 @@
 Only the first symbol of every edge is stored; full edge labels are read back
 through a caller-supplied character access when needed. Leaves sit in
 lexicographic order (terminator smallest) and every vertex knows the rank
-range of the leaves below it.
+range of the leaves below it, filled in by the same stack pass that makes
+the vertices.
+
+Strings are sorted as byte keys: each symbol becomes a big-endian word of a
+fixed width (`key_width`), so the bytes order of two keys is the order of
+their symbol sequences, a shorter prefix first, and the lcp of two adjacent
+keys comes from the bit length of the XOR of their common-length prefixes.
+The index encodes its text this way once and takes every string it sorts as
+a slice of it.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 TERMINATOR = -1  # edge key for the $ that ends every indexed string
 
@@ -36,16 +46,6 @@ class CompactTrie:
     @property
     def num_vertices(self) -> int:
         return len(self.parent)
-
-    def _new_vertex(self, parent: int, strlen: int) -> int:
-        self.parent.append(parent)
-        self.strlen.append(strlen)
-        self.children.append({})
-        self.l_rank.append(0)
-        self.r_rank.append(0)
-        self.sample.append(-1)
-        self.leaf_rank.append(0)
-        return len(self.parent) - 1
 
     def is_leaf(self, v: int) -> bool:
         return self.leaf_rank[v] > 0
@@ -88,90 +88,129 @@ class CompactTrie:
         return v
 
 
+def key_width(sigma: int) -> int:
+    """Bytes per symbol of the byte keys over symbols 0..sigma: the smallest
+    of 1, 2, 4 and 8 that holds sigma + 1, so that a key can also end in the
+    successor of any symbol, as a bisection's upper bound does."""
+    for width in (1, 2, 4, 8):
+        if sigma < (1 << 8 * width) - 1:
+            return width
+    raise ValueError("symbol too large for a byte key")
+
+
+def encode(symbols, width: int) -> bytes:
+    """The byte key of a symbol sequence: each symbol as a big-endian
+    width-byte word."""
+    return np.asarray(symbols, dtype=f">u{width}").tobytes()
+
+
+def key_lcps(keys: list[bytes], width: int) -> list[int]:
+    """Symbols shared by each sorted byte key and the one before it; the
+    first entry is 0."""
+    lcps = [0] * len(keys)
+    for i in range(1, len(keys)):
+        a, b = keys[i - 1], keys[i]
+        common = min(len(a), len(b))
+        diff = int.from_bytes(a[:common], "big") ^ int.from_bytes(b[:common], "big")
+        # the first differing byte sits (bit length + 7) // 8 bytes from the end
+        lcps[i] = (common - (diff.bit_length() + 7) // 8) // width
+    return lcps
+
+
 def build_from_sorted(keys: list[int], real_lens, lcps, ids_per_key) -> CompactTrie:
     """Core constructor from distinct strings already in lexicographic order.
 
     keys are opaque string ids used as `sample`s; real_lens[i] is the i-th
     string's length; lcps[i] is the longest common prefix with string i-1
     (lcps[0] ignored); ids_per_key[i] lists the original ids collapsed into
-    leaf i. Edge first-symbols are filled in by the caller via attach_keys.
+    leaf i. Edge first-symbols are filled in by finalize.
+
+    The stack holds the rightmost path. A vertex's first leaf is the one it
+    is made with (a split vertex takes over the first leaf of the subtree it
+    splits off), and its last leaf the newest one when it leaves the stack.
     """
     t = CompactTrie()
-    stack = [0]  # vertices on the rightmost path
+    parent, strlen, sample = t.parent, t.strlen, t.sample
+    l_rank, r_rank, leaf_rank = t.l_rank, t.r_rank, t.leaf_rank
+    stack = [0]
+    rank = 0  # of the newest leaf; the rank lists share its int objects
     for i, key in enumerate(keys):
         l = 0 if i == 0 else lcps[i]
         last = -1
-        while t.strlen[stack[-1]] > l:
+        while strlen[stack[-1]] > l:
             last = stack.pop()
+            r_rank[last] = rank
         top = stack[-1]
-        if t.strlen[top] < l:
-            mid = t._new_vertex(top, l)
-            t.sample[mid] = t.sample[last]
-            t.parent[last] = mid
+        if strlen[top] < l:
+            # split the edge into last at depth l
+            mid = len(parent)
+            parent.append(top)
+            strlen.append(l)
+            sample.append(sample[last])
+            l_rank.append(l_rank[last])
+            r_rank.append(0)
+            leaf_rank.append(0)
+            parent[last] = mid
             stack.append(mid)
             top = mid
-        leaf = t._new_vertex(top, real_lens[i] + 1)
-        t.sample[leaf] = key
         rank = i + 1
-        t.leaf_rank[leaf] = rank
-        t.leaf_ids.append(list(ids_per_key[i]))
-        stack.append(leaf)
-
-    # samples for internal vertices created before their subtree finished
-    for v in range(t.num_vertices - 1, 0, -1):
-        p = t.parent[v]
-        if t.sample[p] == -1:
-            t.sample[p] = t.sample[v]
+        stack.append(len(parent))
+        parent.append(top)
+        strlen.append(real_lens[i] + 1)
+        sample.append(key)
+        l_rank.append(rank)
+        r_rank.append(0)
+        leaf_rank.append(rank)
+    for v in stack:
+        r_rank[v] = rank
+    l_rank[0] = 1
+    if len(stack) > 1:
+        sample[0] = sample[stack[1]]
+    t.children = [{} for _ in parent]
+    t.leaf_ids += [list(ids) for ids in ids_per_key]
     return t
 
 
 def finalize(t: CompactTrie, char_access) -> CompactTrie:
-    """Resolve edge keys and leaf rank ranges once characters are readable.
+    """Key each child dict by the first symbol of the child's edge, once
+    characters are readable.
 
     Vertices are visited in creation order, which is lexicographic among
     siblings, so each child dict ends up ordered by symbol.
     """
+    parent, strlen, sample = t.parent, t.strlen, t.sample
+    leaf_rank, children = t.leaf_rank, t.children
     for child in range(1, t.num_vertices):
-        parent = t.parent[child]
-        key = t.edge_symbol(child, t.strlen[parent] + 1, char_access)
-        t.children[parent][key] = child
-    # children are strictly deeper than parents but may have smaller ids
-    for v in sorted(range(t.num_vertices), key=lambda u: t.strlen[u], reverse=True):
-        if t.is_leaf(v):
-            t.l_rank[v] = t.r_rank[v] = t.leaf_rank[v]
+        p = parent[child]
+        pos = strlen[p] + 1
+        if leaf_rank[child] and pos == strlen[child]:
+            children[p][TERMINATOR] = child
         else:
-            kids = t.children[v].values()
-            t.l_rank[v] = min(t.l_rank[c] for c in kids)
-            t.r_rank[v] = max(t.r_rank[c] for c in kids)
+            children[p][char_access(sample[child], pos)] = child
     return t
 
 
 def build(strings, ids=None) -> tuple[CompactTrie, list]:
-    """Compact trie over materialized symbol sequences ($ implied).
+    """Compact trie over materialized symbol sequences ($ implied) of
+    symbols >= 0.
 
-    Returns the trie plus the distinct sorted strings; `sample` values index
-    into that list. Duplicate strings merge into one leaf with all their ids.
+    Returns the trie plus the distinct sorted strings as tuples; `sample`
+    values index into that list. Duplicate strings merge into one leaf with
+    all their ids.
     """
     seqs = [tuple(s) for s in strings]
     if ids is None:
-        ids = list(range(len(seqs)))
+        ids = range(len(seqs))
     groups: dict[tuple, list] = {}
     for s, i in zip(seqs, ids):
         groups.setdefault(s, []).append(i)
-    distinct = sorted(groups)
-    lcps = [0] * len(distinct)
-    for i in range(1, len(distinct)):
-        a, b = distinct[i - 1], distinct[i]
-        l = 0
-        for x, y in zip(a, b):
-            if x != y:
-                break
-            l += 1
-        lcps[i] = l
+    width = key_width(max((max(s) for s in groups if s), default=0))
+    keys = {s: encode(s, width) for s in groups}
+    distinct = sorted(groups, key=keys.__getitem__)
     t = build_from_sorted(
         list(range(len(distinct))),
         [len(s) for s in distinct],
-        lcps,
+        key_lcps([keys[s] for s in distinct], width),
         [groups[s] for s in distinct],
     )
 

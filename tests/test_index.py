@@ -400,8 +400,11 @@ class TestSerialization:
         _, _, idx = self.build_random(109)
         fields = self.header_fields(idx)
         crafted = {}
+        # the largest border is sigma: a header sigma no parse can have
+        # written is refused, also one too wide for a byte key
         for case, at, bad in (("n 0", 0, 0), ("tau 0", 3, 0), ("block_len 0", 4, 0),
-                              ("r 0", 6, 0), ("r = p", 6, fp.P)):
+                              ("r 0", 6, 0), ("r = p", 6, fp.P),
+                              ("sigma + 1", 1, fields[1] + 1), ("sigma 2^64", 1, 1 << 64)):
             w = Writer()
             w.raw(ix.MAGIC + bytes(4))  # with_sections fills the checksum in
             for k, v in enumerate(fields):
@@ -510,6 +513,50 @@ class TestSerialization:
         assert not any(flipped)
         for cut in rng.sample(range(len(blob)), 150):
             assert not loads(blob[:cut])
+
+
+class TestKeyWidths:
+    """Short strings and the reversed relevant substrings are sorted as byte
+    keys of 1, 2, 4 or 8 bytes a symbol, the least that holds sigma + 1."""
+
+    @staticmethod
+    def texts(sigma):
+        rng = random.Random(sigma)
+        alphabet = [1, 2, sigma - 1, sigma]
+        base = [rng.choice(alphabet) for _ in range(24)]
+        repetitive = list(base)
+        for _ in range(5):
+            copy = list(base)
+            copy[rng.randrange(len(copy))] = rng.choice(alphabet)
+            repetitive += copy
+        rand = [rng.choice(alphabet) for _ in range(120)]
+        return [text + [sigma] for text in (repetitive, rand)]
+
+    @pytest.mark.parametrize("sigma, width", [
+        (254, 1), (255, 2), (256, 2), (65_535, 4), (65_536, 4), (1 << 40, 8),
+    ])
+    def test_locate_and_load(self, sigma, width):
+        for text in self.texts(sigma):
+            idx = Index.build(text)
+            loaded = Index.from_bytes(idx.to_bytes())
+            assert loaded._key_width == width
+            assert loaded.to_bytes() == idx.to_bytes()
+            for attr in ("t_d", "t_dp"):
+                assert (TestSerialization.trie_fields(getattr(loaded, attr))
+                        == TestSerialization.trie_fields(getattr(idx, attr)))
+            assert loaded.rd_pos == idx.rd_pos
+            assert loaded.f_strings == idx.f_strings
+            assert loaded.f_pairs == idx.f_pairs
+            # every substring up to tau + 1 long, and each with its last
+            # symbol replaced by sigma, whose successor needs the full width
+            patterns = set()
+            for m in range(1, loaded.tau + 2):
+                for i in range(len(text) - m + 1):
+                    p = tuple(text[i : i + m])
+                    patterns.add(p)
+                    patterns.add(p[:-1] + (sigma,))
+            for p in sorted(patterns):
+                assert loaded.locate(p) == oracle.naive_locate(text, p), p
 
 
 class TestCertification:

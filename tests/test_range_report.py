@@ -1,10 +1,44 @@
 import random
+from operator import itemgetter
 
 from lzindex import range_report
 
 
 def scan(points, x_lo, x_hi, y_lo, y_hi):
     return sorted(p for x, y, p in points if x_lo <= x <= x_hi and y_lo <= y <= y_hi)
+
+
+class MergeSortTree:
+    """A heap-indexed merge-sort tree of per-node lists: the points sorted
+    by x at the leaves, padded to a power of two, and every node's points
+    sorted by y with the left child's first on equal y."""
+
+    def __init__(self, points):
+        pts = sorted(points, key=lambda t: (t[0], t[1]))
+        self.xs = [x for x, _, _ in pts]
+        self.leaf0 = 1
+        while self.leaf0 < len(pts):
+            self.leaf0 *= 2
+        self.tree = [[] for _ in range(2 * self.leaf0)]
+        for i, (_, y, p) in enumerate(pts):
+            self.tree[self.leaf0 + i] = [(y, p)]
+        for v in range(self.leaf0 - 1, 0, -1):
+            self.tree[v] = sorted(self.tree[2 * v] + self.tree[2 * v + 1], key=itemgetter(0))
+
+    def query(self, x_lo, x_hi, y_lo, y_hi):
+        out = []
+        l = sum(x < x_lo for x in self.xs) + self.leaf0
+        r = sum(x <= x_hi for x in self.xs) + self.leaf0
+        while l < r:
+            if l & 1:
+                out += [p for y, p in self.tree[l] if y_lo <= y <= y_hi]
+                l += 1
+            if r & 1:
+                r -= 1
+                out += [p for y, p in self.tree[r] if y_lo <= y <= y_hi]
+            l >>= 1
+            r >>= 1
+        return out
 
 
 class TestGrid:
@@ -46,6 +80,25 @@ class TestGrid:
                 got = g.query(x_lo, x_hi, y_lo, y_hi)
                 assert sorted(got) == scan(points, x_lo, x_hi, y_lo, y_hi)
                 assert len(got) == len(set(got))  # payloads are distinct here
+
+    def test_order_matches_merge_sort_tree(self):
+        # the order is part of the answer: a border grid query reports the
+        # points of one position in it, and locate keeps the first one's
+        # border; equal y values must keep x order
+        rng = random.Random(63)
+        for count in (0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65, 300):
+            u = max(2, count // 4)  # many equal x and equal y values
+            points = [(rng.randint(1, u), rng.randint(1, u), (i, rng.randint(0, 3)))
+                      for i in range(count)]
+            g = range_report.build(points)
+            ref = MergeSortTree(points)
+            for _ in range(200):
+                x_lo = rng.randint(0, u)
+                x_hi = rng.randint(x_lo - 1, u + 1)
+                y_lo = rng.randint(0, u)
+                y_hi = rng.randint(y_lo - 1, u + 1)
+                assert g.query(x_lo, x_hi, y_lo, y_hi) == ref.query(x_lo, x_hi, y_lo, y_hi)
+            assert g.query(0, u + 1, 0, u + 1) == ref.query(0, u + 1, 0, u + 1)
 
     def test_query_counter(self):
         g = range_report.build([(1, 1, (0, 0))])

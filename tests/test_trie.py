@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from lzindex import trie
 
 from conftest import random_text
@@ -112,3 +114,27 @@ class TestLocusByWalk:
                     assert v is None
                 else:
                     assert t.leaf_range(v) == expected
+
+
+class TestByteKeys:
+    def test_widths(self):
+        # room for sigma + 1, the successor of the largest symbol
+        assert [trie.key_width(sigma) for sigma in (
+            0, 254, 255, 65_534, 65_535, (1 << 32) - 2, (1 << 32) - 1, (1 << 64) - 2)] == [
+            1, 1, 2, 2, 4, 4, 8, 8]
+        with pytest.raises(ValueError):
+            trie.key_width((1 << 64) - 1)
+
+    def test_order_and_lcps_match_tuples(self):
+        rng = random.Random(44)
+        for alphabet in ([1, 2, 3], [1, 255, 256, 257], [1, 65_535, 65_536], [1, 1 << 40]):
+            width = trie.key_width(max(alphabet))
+            strings = sorted({tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+                              for _ in range(200)})
+            keys = [trie.encode(s, width) for s in strings]
+            assert sorted(keys) == keys
+            lcps = [0] + [next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+                          for a, b in zip(strings, strings[1:])]
+            assert trie.key_lcps(keys, width) == lcps
+            t, distinct = trie.build(strings)
+            assert distinct == strings
