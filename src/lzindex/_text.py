@@ -11,12 +11,16 @@ import numpy as np
 
 
 def to_symbols(text) -> np.ndarray:
-    """Coerce bytes / sequence of ints to an int64 numpy array."""
+    """Coerce bytes / sequence of ints to an int64 numpy array; a symbol
+    outside the int64 range raises ValueError."""
     if isinstance(text, np.ndarray):
         return text.astype(np.int64, copy=False)
     if isinstance(text, (bytes, bytearray)):
         return np.frombuffer(bytes(text), dtype=np.uint8).astype(np.int64)
-    return np.asarray(list(text), dtype=np.int64)
+    try:
+        return np.asarray(list(text), dtype=np.int64)
+    except OverflowError:
+        raise ValueError("symbol outside the int64 range") from None
 
 
 def to_bytes_if_possible(arr: np.ndarray) -> bytes | None:

@@ -1,79 +1,130 @@
 """Balanced straight-line program over a capped LZ77 parse.
 
 The text is carved into fixed-length blocks and each block gets its own
-AVL-balanced binary grammar; nodes are shared freely across blocks. Every
-node carries the fingerprints of its expansion and of its reversal, and
-running fingerprints over whole blocks give substring extraction in
-O(lg(block) + length) node visits and the fingerprint of any substring, or
-of its reversal, in O(lg(block)).
+AVL-balanced binary grammar, after Rytter's AVL-grammar construction (TCS
+2003); nodes are shared freely across blocks. Every node carries the
+fingerprints of its expansion and of its reversal, and running fingerprints
+over whole blocks give substring extraction in O(lg(block) + length / SHORT)
+node visits and the fingerprint of any substring, or of its reversal, in
+O(lg(block)).
+
+The build hash-conses its pairs, so no two nodes share both children, and
+then keeps only the nodes the block roots reach, renumbered in their old
+order, so children still come before their parents. Every node whose
+expansion has at most SHORT symbols holds that expansion as a tuple, made
+from its children's tuples; extraction copies those tuples whole, or slices
+one, and splits only the longer nodes.
 
 One iterative descent (`_Arena.cover`) finds the nodes that cover a range
-of a node's expansion; extraction, the grammar's own construction and both
-fingerprint folds use it. A fold is Horner's rule over the cover of the
-range's first and last block and the running value of the whole blocks
-between, in raw ints, after Bille et al. ("Fingerprints in compressed
-strings", WADS 2013). The powers of r it needs, r^l for l <= block_len and
-r^(k * block_len), are tables that BlockTable makes once.
+of a node's expansion; the grammar's own construction and both fingerprint
+folds use it. A fold is Horner's rule over the cover of the range's first
+and last block and the running value of the whole blocks between, in raw
+ints, after Bille et al. ("Fingerprints in compressed strings", WADS 2013).
+The powers of r it needs, r^l for l <= 2 * block_len and
+r^(k * block_len), are tables that build_slp and BlockTable make once, so
+neither the build nor a query touches the fingerprint function's own power
+cache.
 """
 
 from __future__ import annotations
 
 from . import fingerprints as fp
-from ._text import to_symbols
 from .lz77 import Lz77Parse
+
+# the longest expansion a node keeps as a tuple
+SHORT = 32
 
 
 class _Arena:
-    """Append-only node store. Terminals carry a symbol; pairs carry children.
+    """Node store, append-only until compact. Terminals have no children
+    (left = -1); pairs carry two.
 
     Every node knows its expansion length, AVL height (terminal = 1) and the
     fingerprint values of its expansion (fpv) and of its expansion reversed
     (rfpv). All four follow from the children, so a stored grammar needs
-    only its structure.
+    only its structure. pw[l] = r^l for every length a node may have.
     """
 
-    def __init__(self, fn: fp.FpFunction):
-        self.fn = fn
-        self.sym: list[int] = []
+    def __init__(self, pw: list[int]):
+        self.pw = pw
         self.left: list[int] = []
         self.right: list[int] = []
         self.length: list[int] = []
         self.height: list[int] = []
         self.fpv: list[int] = []
         self.rfpv: list[int] = []
+        # the expansion of every node of length <= SHORT, else None; made
+        # by compact
+        self.exp: list[tuple | None] = []
+        # build only: the node of each symbol and of each pair, keyed
+        # left << 32 | right
         self._terminals: dict[int, int] = {}
+        self._pairs: dict[int, int] = {}
 
     def terminal(self, symbol: int) -> int:
         v = self._terminals.get(symbol)
         if v is None:
-            v = self._push(symbol, -1, -1)
-            self._terminals[symbol] = v
+            v = self._terminals[symbol] = self._push(1, 1, symbol % fp.P, symbol % fp.P, -1, -1)
         return v
 
     def pair(self, a: int, b: int) -> int:
-        return self._push(-1, a, b)
-
-    def _push(self, sym: int, left: int, right: int) -> int:
-        """Append a terminal (sym >= 0) or the pair (left, right)."""
-        if sym >= 0:
-            length, height = 1, 1
-            fpv = rfpv = sym % fp.P
-        else:
-            fn = self.fn
-            la, lb = self.length[left], self.length[right]
-            length = la + lb
-            height = max(self.height[left], self.height[right]) + 1
+        key = a << 32 | b
+        v = self._pairs.get(key)
+        if v is None:
+            la, lb = self.length[a], self.length[b]
+            pw, fpv, rfpv = self.pw, self.fpv, self.rfpv
             # phi(ab) = phi(a) + r^|a| phi(b); phi(rev(ab)) = phi(rev b) + r^|b| phi(rev a)
-            fpv = (self.fpv[left] + fn.r_pow(la) * self.fpv[right]) % fp.P
-            rfpv = (self.rfpv[right] + fn.r_pow(lb) * self.rfpv[left]) % fp.P
-        self.sym.append(sym)
+            v = self._pairs[key] = self._push(
+                la + lb, max(self.height[a], self.height[b]) + 1,
+                (fpv[a] + pw[la] * fpv[b]) % fp.P, (rfpv[b] + pw[lb] * rfpv[a]) % fp.P, a, b)
+        return v
+
+    def _push(self, length: int, height: int, fpv: int, rfpv: int, left: int, right: int) -> int:
         self.left.append(left)
         self.right.append(right)
         self.length.append(length)
         self.height.append(height)
         self.fpv.append(fpv)
         self.rfpv.append(rfpv)
-        return len(self.sym) - 1
+        return len(self.left) - 1
+
+    def compact(self, roots: list[int]) -> list[int]:
+        """Keep only the nodes the roots reach, renumbered in id order, make
+        the expansion table and drop the build's lookups; returns the roots'
+        new ids."""
+        left, right, length = self.left, self.right, self.length
+        keep = bytearray(len(left))
+        stack = list(roots)
+        while stack:
+            v = stack.pop()
+            if not keep[v]:
+                keep[v] = 1
+                if left[v] >= 0:
+                    stack.append(left[v])
+                    stack.append(right[v])
+        old = [v for v in range(len(keep)) if keep[v]]
+        # new[-1] stays -1, so a terminal's missing children map to -1
+        new = [-1] * (len(keep) + 1)
+        for i, v in enumerate(old):
+            new[v] = i
+        symbol = {v: s for s, v in self._terminals.items()}
+        exp: list[tuple | None] = []
+        for v in old:
+            if left[v] < 0:
+                exp.append((symbol[v],))
+            elif length[v] <= SHORT:
+                exp.append(exp[new[left[v]]] + exp[new[right[v]]])
+            else:
+                exp.append(None)
+        self.exp = exp
+        self.left = [new[left[v]] for v in old]
+        self.right = [new[right[v]] for v in old]
+        for name in ("length", "height", "fpv", "rfpv"):
+            values = getattr(self, name)
+            setattr(self, name, [values[v] for v in old])
+        self._terminals = {}
+        self._pairs = {}
+        return [new[v] for v in roots]
 
     # -- balanced concatenation ------------------------------------------
 
@@ -174,41 +225,64 @@ class _Arena:
 
     def expand(self, v: int, out: list[int]) -> int:
         """Append the symbols of expansion(v) to out; returns the nodes visited."""
-        sym, left, right = self.sym, self.left, self.right
-        visits = 0
+        exp, left, right = self.exp, self.left, self.right
         stack = [v]
+        splits = 0
         while stack:
             u = stack.pop()
-            visits += 1
-            s = sym[u]
-            if s >= 0:
-                out.append(s)
-            else:
+            t = exp[u]
+            if t is None:
                 stack.append(right[u])
                 stack.append(left[u])
+                splits += 1
+            else:
+                out += t
+        return 2 * splits + 1
+
+    def extract(self, v: int, lo: int, hi: int, out: list[int]) -> int:
+        """Append expansion(v)[lo, hi] to out; returns the nodes visited.
+
+        The descent of cover, down to the first node that holds its
+        expansion, of which the range is a slice, or to a longer node that
+        splits the range, whose two children then give its two parts. Each
+        split recurses one level down, so no deeper than v's height.
+        """
+        exp, length, left = self.exp, self.length, self.left
+        visits = 1
+        while exp[v] is None:
+            l = left[v]
+            ll = length[l]
+            if hi <= ll:
+                v = l
+            elif lo > ll:
+                v, lo, hi = self.right[v], lo - ll, hi - ll
+            elif lo == 1 and hi == length[v]:
+                return visits - 1 + self.expand(v, out)
+            else:
+                return (visits + self.extract(l, lo, ll, out)
+                        + self.extract(self.right[v], 1, hi - ll, out))
+            visits += 1
+        out += exp[v][lo - 1 : hi]
         return visits
 
 
 class BlockTable:
     """Per-block grammar roots plus running fingerprints over whole blocks.
 
-    No node under a root is longer than block_len, so pw[l] = r^l for
-    l <= block_len and run_pw[k] = r^(k * block_len), both made here, hold
-    every power of r that a query needs: queries never grow the function's
-    own power cache.
+    The arena's pw[l] = r^l, for l up to twice block_len, and run_pw[k] =
+    r^(k * block_len), made here, hold every power of r that a query needs:
+    queries never grow the function's own power cache.
     """
 
-    def __init__(self, arena: _Arena, n: int, block_len: int, roots: list[int]):
+    def __init__(self, arena: _Arena, fn: fp.FpFunction, n: int, block_len: int, roots: list[int]):
         self.arena = arena
-        self.fn = fn = arena.fn
+        self.fn = fn
         self.n = n
         self.block_len = block_len
         self.roots = roots
         self.node_visits = 0  # instrumentation, cumulative over queries
-        p, r = fp.P, fn.r
-        self.pw = pw = [1] * (block_len + 1)
-        for l in range(1, block_len + 1):
-            pw[l] = pw[l - 1] * r % p
+        p = fp.P
+        self.pw = pw = arena.pw
         self.run_pw = run_pw = [1] * (len(roots) + 1)
         for k in range(1, len(roots) + 1):
             run_pw[k] = run_pw[k - 1] * pw[block_len] % p
@@ -225,7 +299,7 @@ class BlockTable:
 
     @property
     def node_count(self) -> int:
-        return len(self.arena.sym)
+        return len(self.arena.length)
 
     def block_heights(self) -> list[int]:
         return [self.arena.height[r] for r in self.roots]
@@ -257,12 +331,17 @@ class BlockTable:
         self._check_range(i, j)
         if i > j:
             return []
-        head, lo, hi, tail = self._cover(i, j)
+        b = self.block_len
+        k1, k2 = (i - 1) // b, (j - 1) // b
+        arena, roots = self.arena, self.roots
         out: list[int] = []
-        expand = self.arena.expand
-        visits = 0
-        for v in head + self.roots[lo:hi] + tail:
-            visits += expand(v, out)
+        if k1 == k2:
+            visits = arena.extract(roots[k1], i - k1 * b, j - k1 * b, out)
+        else:
+            visits = arena.extract(roots[k1], i - k1 * b, b, out)
+            for v in roots[k1 + 1 : k2]:
+                visits += arena.expand(v, out)
+            visits += arena.extract(roots[k2], 1, j - k2 * b, out)
         self.node_visits += visits
         return out
 
@@ -322,7 +401,12 @@ def build_slp(parse: Lz77Parse, fn: fp.FpFunction, block_len: int | None = None)
     if any(ph.span() > block_len for ph in parse.phrases):
         raise ValueError("phrase exceeds block length")
 
-    arena = _Arena(fn)
+    # no node is longer than twice block_len: the doubling of a
+    # self-overlapping source stops short of that
+    pw = [1] * (2 * block_len + 1)
+    for l in range(1, len(pw)):
+        pw[l] = pw[l - 1] * fn.r % fp.P
+    arena = _Arena(pw)
     completed: list[int] = []
     cur: int | None = None
     cur_len = 0
@@ -382,5 +466,5 @@ def build_slp(parse: Lz77Parse, fn: fp.FpFunction, block_len: int | None = None)
 
     if cur is not None:
         completed.append(cur)
-    return BlockTable(arena, n, block_len, completed)
+    return BlockTable(arena, fn, n, block_len, arena.compact(completed))
 

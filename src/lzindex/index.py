@@ -197,7 +197,10 @@ class Index:
     def _coerce(pattern) -> tuple:
         if isinstance(pattern, (bytes, bytearray)):
             return tuple(pattern)
-        return tuple(to_symbols(pattern).tolist())
+        if isinstance(pattern, np.ndarray):
+            return tuple(to_symbols(pattern).tolist())
+        # Python ints, so a symbol past the int64 range is merely above sigma
+        return tuple(map(int, pattern))
 
     def locate(self, pattern) -> list[int]:
         """All 1-based starting positions of the pattern, sorted."""

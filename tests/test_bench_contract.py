@@ -25,3 +25,7 @@ def test_traced_run_prints_declared_metrics():
     assert result["failed"] == 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert sorted(result["metrics"]) == sorted(m["name"] for m in declared["per_layer"])
+    # the grammar's layers are wrapped by name; a rename would read 0
+    for name in ("grammar.build_s", "grammar.extract_s.extract_long",
+                 "grammar.node_visits_per_char.extract_long"):
+        assert result["metrics"][name]["value"] > 0, name

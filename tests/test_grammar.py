@@ -17,6 +17,37 @@ def build_for(text: bytes) -> grammar.BlockTable:
     return grammar.build_slp(lz77.cap_phrases(parsed, block_len, text), FN, block_len)
 
 
+def repetitive_text(rng: random.Random, n: int) -> bytes:
+    """Copies of a random 300-symbol base over [1, 4], two substitutions a
+    copy: its blocks are longer than SHORT."""
+    base = random_text(rng, 4, 300)
+    out = bytearray()
+    while len(out) < n:
+        copy = bytearray(base)
+        for pos in rng.sample(range(len(copy)), 2):
+            copy[pos] = copy[pos] % 4 + 1
+        out += copy
+    return bytes(out[:n])
+
+
+def corpus() -> list[bytes]:
+    rng = random.Random(39)
+    return [random_text(rng, 2, 1500), random_text(rng, 26, 1500), repetitive_text(rng, 6000)]
+
+
+def walk(arena, v: int) -> tuple:
+    """expansion(v), read off the terminals by a plain walk."""
+    out = []
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        if arena.left[u] < 0:
+            out.append(arena.exp[u][0])
+        else:
+            stack += (arena.right[u], arena.left[u])
+    return tuple(out)
+
+
 class TestBuild:
     def test_round_trip_example(self):
         text = b"\x01\x02\x03" * 3
@@ -46,6 +77,48 @@ class TestBuild:
             assert bytes(out) == text
 
 
+class TestCompact:
+    def test_every_node_reachable(self):
+        for text in corpus():
+            bt = build_for(text)
+            arena = bt.arena
+            seen = set()
+            stack = list(bt.roots)
+            while stack:
+                v = stack.pop()
+                if v not in seen:
+                    seen.add(v)
+                    if arena.left[v] >= 0:
+                        stack += (arena.left[v], arena.right[v])
+            assert seen == set(range(bt.node_count))
+
+    def test_pairs_distinct_and_children_first(self):
+        for text in corpus():
+            arena = build_for(text).arena
+            pairs = [(arena.left[v], arena.right[v]) for v in range(len(arena.left))
+                     if arena.left[v] >= 0]
+            assert len(set(pairs)) == len(pairs)
+            for v, (a, b) in enumerate(zip(arena.left, arena.right)):
+                assert (a < 0) == (b < 0)
+                assert max(a, b) < v
+            terminals = [arena.exp[v] for v in range(len(arena.left)) if arena.left[v] < 0]
+            assert len(set(terminals)) == len(terminals)
+
+    def test_tuples_equal_walks(self):
+        long_nodes = 0
+        for text in corpus():
+            arena = build_for(text).arena
+            for v, e in enumerate(arena.exp):
+                if arena.length[v] <= grammar.SHORT:
+                    assert e == walk(arena, v)
+                else:
+                    assert e is None
+                    long_nodes += 1
+                if arena.left[v] < 0:
+                    assert len(e) == 1 and arena.length[v] == 1
+        assert long_nodes
+
+
 class TestExtract:
     def test_full_and_empty(self):
         text = random_text(random.Random(32), 4, 777)
@@ -66,6 +139,40 @@ class TestExtract:
                 i = rng.randint(1, len(text))
                 j = rng.randint(i, len(text))
                 assert bytes(bt.extract(i, j)) == text[i - 1 : j]
+
+    def test_repetitive_slices(self):
+        # blocks longer than SHORT: ranges inside a held node below a long
+        # one, ranges that split long nodes, and ranges across blocks
+        rng = random.Random(40)
+        text = repetitive_text(rng, 6000)
+        bt = build_for(text)
+        arena, b, n = bt.arena, bt.block_len, len(text)
+        assert b > grammar.SHORT and arena.exp[bt.roots[0]] is None
+        ranges = [(1, n)]
+        for k, root in enumerate(bt.roots):
+            stack = [(root, k * b + 1)]
+            while stack:
+                v, start = stack.pop()
+                if arena.exp[v] is None:
+                    stack += ((arena.left[v], start),
+                              (arena.right[v], start + arena.length[arena.left[v]]))
+                elif arena.length[v] > 1:
+                    end = start + arena.length[v] - 1
+                    cut = rng.randint(start, end - 1)
+                    ranges += [(start, end), (start + 1, end), (start, end - 1),
+                               (cut, cut + 1), (start, cut), (cut + 1, end)]
+        for _ in range(800):
+            i = rng.randint(1, n)
+            ranges.append((i, min(n, i + rng.randint(0, 3 * b))))
+        for i, j in ranges:
+            assert bytes(bt.extract(i, j)) == text[i - 1 : j], (i, j)
+
+    def test_long_extract_visits_fewer_nodes_than_chars(self):
+        text = repetitive_text(random.Random(41), 6000)
+        bt = build_for(text)
+        before = bt.node_visits
+        assert bytes(bt.extract(1, len(text))) == text
+        assert bt.node_visits - before <= len(text) // 4
 
     def test_out_of_range(self):
         bt = build_for(b"\x01\x02\x03")

@@ -51,6 +51,11 @@ class TestBuild:
         with pytest.raises(ValueError):
             Index.build(b"\x01\x02", IndexConfig(tau=0))
 
+    def test_symbol_past_int64_rejected(self):
+        for big in (1 << 63, 1 << 64):
+            with pytest.raises(ValueError, match="int64"):
+                Index.build([1, big])
+
 
 class TestLocate:
     def test_example(self):
@@ -65,6 +70,18 @@ class TestLocate:
     def test_absent_symbol(self):
         idx = Index.build(b"\x01\x02\x03" * 3)
         assert idx.locate(b"\x09\x09\x09") == []
+
+    @pytest.mark.parametrize("call", [
+        lambda idx, c: idx.locate([c]),
+        lambda idx, c: idx.locate([1] * idx.tau + [c]),
+        lambda idx, c: idx.locate_short_primary([c]),
+        lambda idx, c: idx.locate_long_primary([1] * idx.tau + [c]),
+    ], ids=["locate", "locate_long", "locate_short_primary", "locate_long_primary"])
+    def test_symbol_past_int64_is_absent(self, call):
+        # no symbol above sigma occurs, however large
+        idx = Index.build(b"\x01\x02\x03" * 3)
+        for big in (1 << 63, 1 << 64):
+            assert call(idx, big) == []
 
     def test_pattern_longer_than_text(self):
         idx = Index.build(b"\x01\x02")
@@ -557,6 +574,32 @@ class TestKeyWidths:
                     patterns.add(p[:-1] + (sigma,))
             for p in sorted(patterns):
                 assert loaded.locate(p) == oracle.naive_locate(text, p), p
+            for index in (idx, loaded):
+                for i, j in self.extract_ranges(index.bt):
+                    assert index.extract(i, j) == text[i - 1 : j], (i, j)
+
+    @staticmethod
+    def extract_ranges(bt):
+        """(1, n), every range inside a node that holds its expansion and
+        is the child of one that does not (or a block root), and ranges
+        across every block border."""
+        arena, n, b = bt.arena, bt.n, bt.block_len
+        ranges = [(1, n)]
+        for k, root in enumerate(bt.roots):
+            stack = [(root, k * b + 1)]
+            while stack:
+                v, start = stack.pop()
+                if arena.exp[v] is None:
+                    stack.append((arena.left[v], start))
+                    stack.append((arena.right[v], start + arena.length[arena.left[v]]))
+                    continue
+                end = start + arena.length[v] - 1
+                ranges += [(i, j) for i in range(start, end + 1) for j in range(i, end + 1)]
+            if k:
+                s = k * b + 1  # the first position of block k
+                ranges += [(i, j) for i in range(max(1, s - 3), s)
+                           for j in (s, s + 2, min(n, s + b), n) if j <= n]
+        return ranges
 
 
 class TestCertification:
@@ -643,13 +686,14 @@ class TestStats:
         assert idx.component_sizes()["reverse_grammar"] == 0
 
     def test_build_leaves_small_power_cache(self):
-        # the build's prefix tables keep their own powers of r, so the
-        # fingerprint function the index keeps caches none per text position
+        # the prefix tables and the grammar make their own powers of r, so
+        # neither a build nor a load caches any in the fingerprint function
         rng = random.Random(108)
         base = random_text(rng, 4, 500)
         text = (base * 40)[:20_000]
         idx = Index.build(text)
-        assert len(idx.fn._pows) < idx.n // 10
+        assert idx.fn._pows == {}
+        assert Index.from_bytes(idx.to_bytes()).fn._pows == {}
 
     def test_queries_leave_power_cache_alone(self):
         # queries take their powers of r from the grammar's and the
