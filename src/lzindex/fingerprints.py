@@ -9,14 +9,16 @@ a string answers any substring fingerprint in constant time. The build does
 its bulk fingerprint work on uint64 numpy arrays: a product splits both
 factors into 31-bit limbs, and 2^61 = 1 mod p reduces it by shifts and adds.
 
-The module also houses the build's check of the text: the index keys its
-dictionaries by the fingerprints of text substrings, and
+The index keys its dictionaries by the fingerprints of text substrings,
+and prefix_search.build proves that no two vertices a lookup can hit share
+a key. That check makes weak prefix search exact for a query that prefixes
+an indexed string, and the index rejects every other candidate by reading
+the text, so queries leave nothing to chance (index.py states the
+argument). The module also houses the build's check of the text:
 verify_pow2_collision_free proves that no two different power-of-two length
-substrings of the text, nor two of its reversal, share a value. The
-dictionaries' own check is prefix_search.build's. Both run at every n and
-compare no symbols. What they leave to chance is on the query side only: a
-comparison of a length-m pattern against the text is wrong with probability
-at most m/p.
+substrings of the text, nor two of its reversal, share a value. No query
+relies on it; with the dictionaries' check it decides which r a build
+keeps. Both checks run at every n and compare no symbols.
 """
 
 from __future__ import annotations

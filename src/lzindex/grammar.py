@@ -2,11 +2,11 @@
 
 The text is carved into fixed-length blocks and each block gets its own
 AVL-balanced binary grammar, after Rytter's AVL-grammar construction (TCS
-2003); nodes are shared freely across blocks. Every node carries the
-fingerprints of its expansion and of its reversal, and running fingerprints
-over whole blocks give substring extraction in O(lg(block) + length / SHORT)
-node visits and the fingerprint of any substring, or of its reversal, in
-O(lg(block)).
+2003); nodes are shared freely across blocks. Extraction of a substring
+visits O(lg(block) + length / SHORT) nodes, and queries read the text only
+that way: the index checks a weak-search candidate by comparing the text it
+stands for with the pattern (BlockTable.matches), one block-bounded piece
+at a time, and stops at the first piece that differs.
 
 The build hash-conses its pairs, so no two nodes share both children, and
 then keeps only the nodes the block roots reach, renumbered in their old
@@ -15,15 +15,16 @@ expansion has at most SHORT symbols holds that expansion as a tuple, made
 from its children's tuples; extraction copies those tuples whole, or slices
 one, and splits only the longer nodes.
 
-One iterative descent (`_Arena.cover`) finds the nodes that cover a range
-of a node's expansion; the grammar's own construction and both fingerprint
-folds use it. A fold is Horner's rule over the cover of the range's first
-and last block and the running value of the whole blocks between, in raw
-ints, after Bille et al. ("Fingerprints in compressed strings", WADS 2013).
-The powers of r it needs, r^l for l <= 2 * block_len and
-r^(k * block_len), are tables that build_slp and BlockTable make once, so
-neither the build nor a query touches the fingerprint function's own power
-cache.
+Every node also carries the fingerprint of its expansion, and running
+fingerprints over whole blocks give the fingerprint of any substring in
+O(lg(block)) node visits: one iterative descent (`_Arena.cover`), which the
+grammar's own construction uses too, finds the nodes that cover a range of
+a node's expansion, and the fold is Horner's rule over the cover of the
+range's first and last block and the running value of the whole blocks
+between, in raw ints, after Bille et al. ("Fingerprints in compressed
+strings", WADS 2013). The powers of r it needs, r^l for l <= 2 * block_len
+and r^(k * block_len), are tables that build_slp and BlockTable make once,
+so the build never touches the fingerprint function's own power cache.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ class _Arena:
     (left = -1); pairs carry two.
 
     Every node knows its expansion length, AVL height (terminal = 1) and the
-    fingerprint values of its expansion (fpv) and of its expansion reversed
-    (rfpv). All four follow from the children, so a stored grammar needs
-    only its structure. pw[l] = r^l for every length a node may have.
+    fingerprint value of its expansion (fpv). All three follow from the
+    children, so a stored grammar needs only its structure. pw[l] = r^l for
+    every length a node may have.
     """
 
     def __init__(self, pw: list[int]):
@@ -52,7 +53,6 @@ class _Arena:
         self.length: list[int] = []
         self.height: list[int] = []
         self.fpv: list[int] = []
-        self.rfpv: list[int] = []
         # the expansion of every node of length <= SHORT, else None; made
         # by compact
         self.exp: list[tuple | None] = []
@@ -64,28 +64,26 @@ class _Arena:
     def terminal(self, symbol: int) -> int:
         v = self._terminals.get(symbol)
         if v is None:
-            v = self._terminals[symbol] = self._push(1, 1, symbol % fp.P, symbol % fp.P, -1, -1)
+            v = self._terminals[symbol] = self._push(1, 1, symbol % fp.P, -1, -1)
         return v
 
     def pair(self, a: int, b: int) -> int:
         key = a << 32 | b
         v = self._pairs.get(key)
         if v is None:
-            la, lb = self.length[a], self.length[b]
-            pw, fpv, rfpv = self.pw, self.fpv, self.rfpv
-            # phi(ab) = phi(a) + r^|a| phi(b); phi(rev(ab)) = phi(rev b) + r^|b| phi(rev a)
+            la, fpv = self.length[a], self.fpv
+            # phi(ab) = phi(a) + r^|a| phi(b)
             v = self._pairs[key] = self._push(
-                la + lb, max(self.height[a], self.height[b]) + 1,
-                (fpv[a] + pw[la] * fpv[b]) % fp.P, (rfpv[b] + pw[lb] * rfpv[a]) % fp.P, a, b)
+                la + self.length[b], max(self.height[a], self.height[b]) + 1,
+                (fpv[a] + self.pw[la] * fpv[b]) % fp.P, a, b)
         return v
 
-    def _push(self, length: int, height: int, fpv: int, rfpv: int, left: int, right: int) -> int:
+    def _push(self, length: int, height: int, fpv: int, left: int, right: int) -> int:
         self.left.append(left)
         self.right.append(right)
         self.length.append(length)
         self.height.append(height)
         self.fpv.append(fpv)
-        self.rfpv.append(rfpv)
         return len(self.left) - 1
 
     def compact(self, roots: list[int]) -> list[int]:
@@ -119,7 +117,7 @@ class _Arena:
         self.exp = exp
         self.left = [new[left[v]] for v in old]
         self.right = [new[right[v]] for v in old]
-        for name in ("length", "height", "fpv", "rfpv"):
+        for name in ("length", "height", "fpv"):
             values = getattr(self, name)
             setattr(self, name, [values[v] for v in old])
         self._terminals = {}
@@ -270,8 +268,8 @@ class BlockTable:
     """Per-block grammar roots plus running fingerprints over whole blocks.
 
     The arena's pw[l] = r^l, for l up to twice block_len, and run_pw[k] =
-    r^(k * block_len), made here, hold every power of r that a query needs:
-    queries never grow the function's own power cache.
+    r^(k * block_len), made here, hold every power of r that a fold needs:
+    folds never grow the function's own power cache.
     """
 
     def __init__(self, arena: _Arena, fn: fp.FpFunction, n: int, block_len: int, roots: list[int]):
@@ -286,16 +284,12 @@ class BlockTable:
         self.run_pw = run_pw = [1] * (len(roots) + 1)
         for k in range(1, len(roots) + 1):
             run_pw[k] = run_pw[k - 1] * pw[block_len] % p
-        # run_fpv[k] = phi(blocks k, k+1, ... to the end of the text);
-        # run_rfpv[k] = phi(reversal of blocks 0 .. k-1)
-        length, fpv, rfpv = arena.length, arena.fpv, arena.rfpv
+        # run_fpv[k] = phi(blocks k, k+1, ... to the end of the text)
+        length, fpv = arena.length, arena.fpv
         self.run_fpv = [0] * (len(roots) + 1)
         for k in range(len(roots) - 1, -1, -1):
             v = roots[k]
             self.run_fpv[k] = (fpv[v] + pw[length[v]] * self.run_fpv[k + 1]) % p
-        self.run_rfpv = [0]
-        for v in roots:
-            self.run_rfpv.append((rfpv[v] + pw[length[v]] * self.run_rfpv[-1]) % p)
 
     @property
     def node_count(self) -> int:
@@ -345,6 +339,27 @@ class BlockTable:
         self.node_visits += visits
         return out
 
+    def matches(self, i: int, symbols: list, lo: int = 0, hi: int | None = None) -> bool:
+        """True iff text[i, i + hi - lo - 1] equals symbols[lo:hi] (a list;
+        hi defaults to its length).
+
+        Reads the text one piece at a time, each inside one block, through
+        extract, and stops at the first piece that differs: a mismatch at
+        offset d costs the pieces up to d, not the whole range.
+        """
+        if hi is None:
+            hi = len(symbols)
+        j = i + hi - lo - 1
+        self._check_range(i, j)
+        b = self.block_len
+        while i <= j:
+            e = min(j, (i - 1) // b * b + b)  # the end of i's block
+            if self.extract(i, e) != symbols[lo : lo + e - i + 1]:
+                return False
+            lo += e - i + 1
+            i = e + 1
+        return True
+
     def _horner(self, nodes, values: list[int], acc: int) -> int:
         """Fold nodes into acc, each as acc = value + r^length * acc."""
         length, pw, p = self.arena.length, self.pw, fp.P
@@ -365,27 +380,9 @@ class BlockTable:
             acc = (run[lo] + self.run_pw[hi - lo] * (acc - run[hi])) % fp.P
         return self._horner(reversed(head), fpv, acc)
 
-    def reversed_value(self, i: int, j: int) -> int:
-        """The raw value of phi(reversal of text[i, j]): the cover folded
-        left to right."""
-        self._check_range(i, j)
-        if i > j:
-            return 0
-        head, lo, hi, tail = self._cover(i, j)
-        rfpv = self.arena.rfpv
-        acc = self._horner(head, rfpv, 0)
-        if lo < hi:
-            run = self.run_rfpv
-            acc = (run[hi] + self.run_pw[hi - lo] * (acc - run[lo])) % fp.P
-        return self._horner(tail, rfpv, acc)
-
     def substring_fp(self, i: int, j: int) -> fp.Fingerprint:
         """phi(text[i, j])."""
         return fp.Fingerprint(self.substring_value(i, j), j - i + 1, self.fn)
-
-    def reversed_fp(self, i: int, j: int) -> fp.Fingerprint:
-        """phi(reversal of text[i, j])."""
-        return fp.Fingerprint(self.reversed_value(i, j), j - i + 1, self.fn)
 
 
 def build_slp(parse: Lz77Parse, fn: fp.FpFunction, block_len: int | None = None) -> BlockTable:

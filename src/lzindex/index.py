@@ -7,24 +7,40 @@ the secondary ones; the sources are sorted by start with a prefix maximum
 and a range-max over their ends (Kärkkäinen and Ukkonen), derived from the
 parse whenever an index is built or loaded. Long patterns are cut at
 multiples of tau and each cut is matched as a (reversed prefix, suffix)
-pair: a weak prefix search in two tries narrows both sides to leaf rank
-ranges, a 2-d range query reports the border positions where they meet,
-and a fingerprint verification pass removes the false positives weak
-search may produce. Both compare raw fingerprint values: the pattern's
-come from one pass over it (fingerprints.PatternFps), the text's from folds
-down the grammar, and neither touches the fingerprint function's power
-cache. Patterns of length at most tau instead bisect the sorted list of
-the short strings around each border: the strings a pattern prefixes form
-one run of it. Extraction runs on the balanced grammar built from the
-parse; the same grammar gives the fingerprints of text substrings and of
-their reversals, so the reversed side has no grammar of its own. The
-build makes one suffix array with its ranks and LCP array, for the parse,
-the suffix trie's leaf order and adjacent lcps, and the certification of
-the text's fingerprints. Every build certifies the fingerprint function
-before it keeps it: the text's power-of-two length substrings and their
-reversals (fingerprints.verify_pow2_collision_free), then both
-dictionaries (prefix_search.build); a function that fails either is
-replaced by the next seed's. The file stores only the header with a CRC-32
+pair. A weak prefix search in the trie of reversed relevant substrings
+narrows the prefix side to a leaf rank range and a locus candidate, and
+the candidate is checked at once by reading the text it stands for off
+the grammar and comparing it with the pattern, one block-bounded piece at
+a time up to the first piece that differs. Only a prefix side that passes
+runs the same search and check on the suffix side, in the trie of the
+suffixes that follow the relevant substrings, and only then does a 2-d
+range query report the border positions where the two ranges meet. Weak
+search compares raw fingerprint values, the pattern's from one pass over
+it (fingerprints.PatternFps), and does not touch the fingerprint
+function's power cache. Patterns of length at most tau instead bisect the
+sorted list of the short strings around each border: the strings a
+pattern prefixes form one run of it. Extraction and the candidate check
+both run on the balanced grammar built from the parse, so the reversed
+side has no grammar of its own.
+
+No answer is left to chance. Each dictionary is certified at every key
+length: the vertices whose skip intervals hold that length have distinct
+values. So when a side's query prefixes an indexed string, each lookup it
+makes either misses or hits the vertex of the query's own path at that
+length, and weak search returns the true locus, which the check confirms.
+When the query prefixes no indexed string, no vertex's string starts with
+it, and the check rejects whatever weak search returns. A loaded index
+relies on the build's certification of the same r on the same text: only
+damage to the file that its CRC-32 misses, a chance of about 2^-32, could
+pair a parse with an r that was not certified on it.
+
+The build makes one suffix array with its ranks and LCP array, for the
+parse, the suffix trie's leaf order and adjacent lcps, and the
+certification of the text's fingerprints. Every build certifies the
+fingerprint function before it keeps it: the text's power-of-two length
+substrings and their reversals (fingerprints.verify_pow2_collision_free),
+then both dictionaries (prefix_search.build); a function that fails either
+is replaced by the next seed's. The file stores only the header with a CRC-32
 of the file and the base r, the parse, and that leaf order with the lcps of
 adjacent leaves. Both build and load make the grammar from the parse by
 build_slp, and share three derivations from the text (the build reads the
@@ -213,13 +229,17 @@ class Index:
             return []
         identified = self.last_stats["identified"]
         if m <= self.tau:
-            prim = set(self._primary_short(p, identified))
+            prim = self._primary_short(p, identified)
         else:
-            prim = set(self._primary_long(p, identified))
+            prim = self._primary_long(p, identified)
+        # expand lists each copy once and no primary, so one sort suffices;
+        # the secondaries are kept in the order it found them
         sec = self.sources.expand(prim, m)
-        self.last_stats["primary"] = sorted(prim)
-        self.last_stats["secondary"] = sorted(sec)
-        return sorted(prim | set(sec))
+        self.last_stats["primary"] = prim = sorted(prim)
+        self.last_stats["secondary"] = sec
+        out = sec + prim
+        out.sort()
+        return out
 
     def locate_long_primary(self, pattern) -> list[tuple[int, int]]:
         """Primary occurrences of a pattern with m > tau, as sorted
@@ -267,16 +287,7 @@ class Index:
         for s, _ in cands:
             if longest[ln - len(s):] != s:
                 raise ValueError("candidates must share the longest suffix")
-        value = fp.PatternFps(self.fn, longest).value
-        verified = self._verify_side(
-            [(v, len(s), (s, v)) for s, v in cands],
-            self.t_dp,
-            node_fp=self._node_fp_dp,
-            q_fp=lambda q, a, b: value(ln - q + a, ln - q + b),
-            node_extract=self._node_extract_dp,
-            q_tail=lambda q: longest[ln - q :],
-        )
-        return [c for c in cands if c in verified]
+        return [(s, v) for s, v in cands if self._suffix_holds(v, list(s), 0, len(s))]
 
     def extract(self, i: int, j: int) -> list[int]:
         """text[i, j], 1-based inclusive."""
@@ -303,17 +314,19 @@ class Index:
         tau = self.tau
         tab = fp.PatternFps(self.fn, p)
         value, reversed_value = tab.value, tab.reversed_value
+        symbols = list(p)
 
         i_max = min(m // tau, -(-self.block_len // tau))
         ks = [i * tau for i in range(1, i_max + 1)]
         if m % tau:
             ks.append(m)  # catches occurrences whose border sits in the tail
 
-        d_res: dict[int, tuple] = {}
-        dp_res: dict[int, tuple] = {}
+        out: dict[int, int] = {}
         for k in ks:
             # left side: the reversed length-k prefix against the reversed
-            # relevant substrings
+            # relevant substrings; weak search may answer anything when the
+            # prefix ends none of them, so its candidate is checked against
+            # the text
             def rfp(a, b, k=k):
                 return reversed_value(k + 1 - b, k + 1 - a)
 
@@ -321,48 +334,9 @@ class Index:
                 return p[k - q]
 
             res = prefix_search.weak_search(self.ps_d, k, rfp, rsym)
-            if res is None:
+            if res is None or not self._prefix_holds(res[0], symbols, k):
                 continue
-            d_res[k] = res
-            if k < m:
-                # right side: the remaining suffix against the suffixes that
-                # follow each relevant substring
-                def qfp(a, b, k=k):
-                    return value(k + a, k + b)
-
-                def qsym(q, k=k):
-                    return p[k + q - 1]
-
-                res2 = prefix_search.weak_search(self.ps_dp, m - k, qfp, qsym)
-                if res2 is None:
-                    del d_res[k]
-                    continue
-                dp_res[k] = res2
-
-        # a d-side query of length q is the reversal of p[1, q], a suffix-side
-        # one is p[m - q + 1, m]
-        ver_d = self._verify_side(
-            [(d_res[k][0], k, k) for k in sorted(d_res)],
-            self.t_d,
-            node_fp=self._node_fp_d,
-            q_fp=lambda q, a, b: reversed_value(q + 1 - b, q + 1 - a),
-            node_extract=self._node_extract_d,
-            q_tail=lambda q: p[q - 1 :: -1],
-        )
-        ver_dp = self._verify_side(
-            [(dp_res[k][0], m - k, k) for k in sorted(dp_res, reverse=True) if k < m],
-            self.t_dp,
-            node_fp=self._node_fp_dp,
-            q_fp=lambda q, a, b: value(m - q + a, m - q + b),
-            node_extract=self._node_extract_dp,
-            q_tail=lambda q: p[m - q :],
-        )
-
-        out: dict[int, int] = {}
-        for k in ks:
-            if k not in d_res or k not in ver_d:
-                continue
-            _, l1, r1 = d_res[k]
+            _, l1, r1 = res
             if k == m:
                 # whole-pattern cut: the suffix side is empty, match any
                 pts = self.grid_r.query(l1, r1, 1, self.t_dp.num_leaves)
@@ -376,79 +350,47 @@ class Index:
                             out.setdefault(o, b)
                     else:
                         out.setdefault(o, b)
-            else:
-                if k not in dp_res or k not in ver_dp:
-                    continue
-                _, l2, r2 = dp_res[k]
-                pts = self.grid_r.query(l1, r1, l2, r2)
-                for j, b in pts:
-                    o = j - k + 1
-                    identified[o] = identified.get(o, 0) + 1
-                    out.setdefault(o, b)
+                continue
+
+            # right side: the remaining suffix against the suffixes that
+            # follow each relevant substring, checked the same way
+            def qfp(a, b, k=k):
+                return value(k + a, k + b)
+
+            def qsym(q, k=k):
+                return p[k + q - 1]
+
+            res = prefix_search.weak_search(self.ps_dp, m - k, qfp, qsym)
+            if res is None or not self._suffix_holds(res[0], symbols, k, m):
+                continue
+            _, l2, r2 = res
+            pts = self.grid_r.query(l1, r1, l2, r2)
+            for j, b in pts:
+                o = j - k + 1
+                identified[o] = identified.get(o, 0) + 1
+                out.setdefault(o, b)
         return out
 
-    def _verify_side(self, cands, t: CompactTrie, node_fp, q_fp, node_extract,
-                     q_tail) -> set:
-        """Filter weak search results down to the true loci; returns the keys
-        of those that survive.
+    # A weak-search candidate v stands for its query only if the query
+    # prefixes str(v). When it does, the query prefixes an indexed string,
+    # so weak search was exact and v is the locus (see the module
+    # docstring). Each side reads str(v)'s first symbols off the text and
+    # compares them with the pattern.
 
-        cands are (vertex, query length, key) triples sorted by ascending
-        query length, and each query is a suffix of every longer one;
-        q_fp(q, a, b) is the value of [a, b] of the length-q query and
-        q_tail(q) that query. A candidate survives if its own prefix and
-        suffix fingerprints match the query and if it chains to the previous
-        survivor: the fingerprints certify that each survivor's string is a
-        suffix of the next one's, so one real comparison at the longest
-        survivor settles them all.
-        """
-        kept = []
-        usable_len = t.usable_len
-        for c in cands:
-            v, ln, _ = c
-            if usable_len(v) < ln:
-                continue
-            h = 1 << (ln.bit_length() - 1)
-            if node_fp(v, ln - h + 1, ln) != q_fp(ln, ln - h + 1, ln):
-                continue
-            if node_fp(v, 1, h) != q_fp(ln, 1, h):
-                continue
-            if kept:
-                la = kept[-1][1]
-                ha = 1 << (la.bit_length() - 1)
-                if node_fp(v, ln - ha + 1, ln) != q_fp(la, la - ha + 1, la):
-                    continue
-                if node_fp(v, ln - la + 1, ln - la + ha) != q_fp(la, 1, ha):
-                    continue
-            kept.append(c)
-        if not kept:
-            return set()
-        v, ln, _ = kept[-1]
-        pf = node_extract(v, ln)
-        qf = q_tail(ln)
-        lcs = 0
-        while lcs < ln and pf[ln - 1 - lcs] == qf[ln - 1 - lcs]:
-            lcs += 1
-        return {key for _, q, key in kept if q <= lcs}
-
-    # the d side reads the reversed text: reversed position q is forward
-    # position n - q + 1, so reversed [q1, q2] is forward [n-q2+1, n-q1+1]
-    # read backwards
-
-    def _node_fp_d(self, v: int, a: int, b: int) -> int:
-        e = self.n + 2 - self.rd_pos[self.t_d.sample[v]]
-        return self.bt.reversed_value(e - b, e - a)
-
-    def _node_extract_d(self, v: int, ln: int) -> list[int]:
+    def _prefix_holds(self, v: int, symbols: list, k: int) -> bool:
+        """Whether str(v) of the t_d vertex v starts with the reversal of
+        symbols[:k]: str(v) is the text read backwards from a position e, so
+        text[e - k + 1, e] must equal symbols[:k]."""
+        if self.t_d.usable_len(v) < k:
+            return False
         e = self.n + 1 - self.rd_pos[self.t_d.sample[v]]
-        return self.bt.extract(e - ln + 1, e)[::-1]
+        return self.bt.matches(e - k + 1, symbols, 0, k)
 
-    def _node_fp_dp(self, v: int, a: int, b: int) -> int:
-        p0 = self.t_dp.sample[v]
-        return self.bt.substring_value(p0 + a - 1, p0 + b - 1)
-
-    def _node_extract_dp(self, v: int, ln: int) -> list[int]:
-        p0 = self.t_dp.sample[v]
-        return self.bt.extract(p0, p0 + ln - 1)
+    def _suffix_holds(self, v: int, symbols: list, lo: int, hi: int) -> bool:
+        """Whether str(v) of the t_dp vertex v starts with symbols[lo:hi]."""
+        if self.t_dp.usable_len(v) < hi - lo:
+            return False
+        return self.bt.matches(self.t_dp.sample[v], symbols, lo, hi)
 
     # -- introspection -------------------------------------------------------
 

@@ -211,12 +211,10 @@ class TestSubstringFp:
             i = rng.randint(1, len(text))
             j = rng.randint(i - 1, len(text))
             assert bt.substring_fp(i, j) == fp.fingerprint(FN, text[i - 1 : j])
-            assert bt.reversed_fp(i, j) == fp.fingerprint(FN, text[i - 1 : j][::-1])
         for _ in range(300):  # ranges inside one block
             i = rng.randint(1, len(text))
             j = min(len(text), i + rng.randint(0, b - 1 - (i - 1) % b))
             assert bt.substring_fp(i, j) == fp.fingerprint(FN, text[i - 1 : j])
-            assert bt.reversed_fp(i, j) == fp.fingerprint(FN, text[i - 1 : j][::-1])
 
     def test_block_borders(self):
         rng = random.Random(38)
@@ -241,7 +239,7 @@ class TestSubstringFp:
         for i, j in ranges:
             piece = text[i - 1 : j]
             assert bt.substring_fp(i, j) == fp.fingerprint(FN, piece), (i, j)
-            assert bt.reversed_fp(i, j) == fp.fingerprint(FN, piece[::-1]), (i, j)
+            assert bt.matches(i, list(piece)), (i, j)
 
     def test_node_visits_logarithmic(self):
         rng = random.Random(37)
@@ -250,8 +248,96 @@ class TestSubstringFp:
         for _ in range(200):
             i = rng.randint(1, len(text))
             j = rng.randint(i - 1, len(text))
-            for fold in (bt.substring_fp, bt.reversed_fp):
-                before = bt.node_visits
-                fold(i, j)
-                # two descents per touched block end, each bounded by the height
-                assert bt.node_visits - before <= 4 * (max(bt.block_heights()) + 1)
+            before = bt.node_visits
+            bt.substring_fp(i, j)
+            # two descents per touched block end, each bounded by the height
+            assert bt.node_visits - before <= 4 * (max(bt.block_heights()) + 1)
+
+
+class TestMatches:
+    @staticmethod
+    def pieces(bt, i, j):
+        """The block-bounded pieces of text[i, j], as (start, end)."""
+        b = bt.block_len
+        out = []
+        while i <= j:
+            e = min(j, (i - 1) // b * b + b)
+            out.append((i, e))
+            i = e + 1
+        return out
+
+    def ranges(self, rng, bt, n):
+        """(1, n), and ranges inside one block, across two and across three."""
+        b = bt.block_len
+        blocks = len(bt.roots)
+        assert blocks > 3 and b > 2
+        out = [(1, n)]
+        for _ in range(30):
+            k = rng.randrange(blocks - 3)
+            i = k * b + rng.randint(1, b)
+            for span in range(3):  # j in block k + span
+                out.append((i, rng.randint(max(i, (k + span) * b + 1), (k + span + 1) * b)))
+        return out
+
+    def test_ranges_and_mismatches(self):
+        rng = random.Random(42)
+        for text in (random_text(rng, 4, 2000), repetitive_text(rng, 6000)):
+            bt = build_for(text)
+            n = len(text)
+            spans = set()
+            for i, j in self.ranges(rng, bt, n):
+                piece = list(text[i - 1 : j])
+                assert bt.matches(i, piece), (i, j)
+                pieces = self.pieces(bt, i, j)
+                spans.add(len(pieces))
+                # a mismatch at the first and at the last symbol of each piece
+                for a, e in pieces:
+                    for pos in {a, e}:
+                        wrong = piece.copy()
+                        wrong[pos - i] = wrong[pos - i] % 4 + 1
+                        assert not bt.matches(i, wrong), (i, j, pos)
+            assert {1, 2, 3} <= spans and max(spans) == len(bt.roots)
+
+    def test_window_of_a_longer_list(self):
+        rng = random.Random(43)
+        text = repetitive_text(rng, 3000)
+        bt = build_for(text)
+        b = bt.block_len
+        for _ in range(50):
+            i = rng.randint(1, len(text) - 2 * b)
+            m = rng.randint(1, 2 * b)
+            lo = rng.randint(0, 5)
+            symbols = [9] * lo + list(text[i - 1 : i - 1 + m]) + [9] * 3
+            assert bt.matches(i, symbols, lo, lo + m)
+            assert not bt.matches(i, symbols, lo, lo + m + 1)  # takes in a 9
+            for pos in (lo, lo + m - 1):
+                wrong = symbols.copy()
+                wrong[pos] = wrong[pos] % 4 + 1
+                assert not bt.matches(i, wrong, lo, lo + m)
+
+    def test_empty_and_out_of_range(self):
+        bt = build_for(b"\x01\x02\x03" * 4)
+        assert bt.matches(5, [])
+        assert bt.matches(13, [])
+        for i, symbols in ((0, [1]), (12, [3, 1]), (14, [])):
+            with pytest.raises(ValueError):
+                bt.matches(i, symbols)
+
+    def test_stops_at_the_first_piece_that_differs(self):
+        text = repetitive_text(random.Random(44), 6000)
+        bt = build_for(text)
+        b, n = bt.block_len, len(text)
+        wrong = list(text)
+        wrong[b - 1] = wrong[b - 1] % 4 + 1  # the last symbol of block 0
+        before = bt.node_visits
+        bt.extract(1, b)
+        one_piece = bt.node_visits - before
+        before = bt.node_visits
+        assert not bt.matches(1, wrong)
+        assert bt.node_visits - before == one_piece
+        # a mismatch in the last block reads every block
+        wrong = list(text)
+        wrong[-1] = wrong[-1] % 4 + 1
+        before = bt.node_visits
+        assert not bt.matches(1, wrong)
+        assert bt.node_visits - before > one_piece * (n // b) // 2

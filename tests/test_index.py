@@ -107,6 +107,49 @@ class TestLocate:
                 assert idx.locate(pattern) == oracle.naive_locate(text, pattern)
 
 
+class TestLongPatterns:
+    """Long patterns whose cuts compare many blocks of text with the
+    pattern, present and with one substitution."""
+
+    @staticmethod
+    def check(rng, text, idx, lengths):
+        n = len(text)
+        for m in lengths:
+            for _ in range(6):
+                start = rng.randint(0, n - m)
+                pattern = bytearray(text[start : start + m])
+                assert idx.locate(bytes(pattern)) == oracle.naive_locate(text, bytes(pattern))
+                pos = rng.randrange(m)
+                pattern[pos] = pattern[pos] % 4 + 1
+                assert idx.locate(bytes(pattern)) == oracle.naive_locate(text, bytes(pattern))
+
+    def test_near_periodic_text(self):
+        rng = random.Random(111)
+        text = bytearray(b"\x01\x02\x03\x01\x02\x04\x03" * 1500)
+        for pos in rng.sample(range(len(text)), 12):
+            text[pos] = text[pos] % 4 + 1
+        text = bytes(text)
+        idx = Index.build(text)
+        b = idx.block_len
+        assert b > 100
+        self.check(rng, text, idx, [3 * b, 5 * b, len(text) // 2])
+
+    def test_repetitive_text_around_block_len(self):
+        rng = random.Random(112)
+        base = random_text(rng, 4, 400)
+        text = bytearray()
+        while len(text) < 8000:
+            copy = bytearray(base)
+            for pos in rng.sample(range(len(copy)), 3):
+                copy[pos] = copy[pos] % 4 + 1
+            text += copy
+        text = bytes(text)
+        idx = Index.build(text)
+        b = idx.block_len
+        assert b > idx.tau
+        self.check(rng, text, idx, [b - 1, b + 1, 3 * b])
+
+
 class TestPhaseOps:
     def build_case(self, seed, n=400, sigma=4):
         rng = random.Random(seed)
@@ -247,6 +290,20 @@ class TestVerifyCandidates:
         with pytest.raises(ValueError):
             self.idx.verify_candidates([(not_suffix, v), (q, v)])
 
+    def test_order_and_short_vertex(self):
+        # the output runs from the shortest suffix up, whatever the input
+        # order; a vertex whose string is shorter than its suffix is dropped
+        v = self.pick_vertex(6)
+        q = self.vertex_string(v, 6)
+        short = next(u for u in range(1, self.t.num_vertices) if self.t.usable_len(u) == 2)
+        cands = [(q, v), (q[-4:], v), (q[-4:], short), (q[-1:], v), (q[-2:], v)]
+        got = self.idx.verify_candidates(cands)
+        assert [len(s) for s, _ in got] == sorted(len(s) for s, _ in got)
+        assert (q[-4:], short) not in got
+        assert (q, v) in got
+        for s, u in got:
+            assert self.vertex_string(u, len(s)) == s
+
 
 class TestExtract:
     def test_random_ranges(self):
@@ -286,11 +343,12 @@ class TestSerialization:
         blob = idx.to_bytes()
         loaded = Index.from_bytes(blob)
         assert loaded.to_bytes() == blob
-        # the file holds no fingerprints; loading derives the same ones
-        assert loaded.bt.arena.fpv == idx.bt.arena.fpv
-        assert loaded.bt.arena.rfpv == idx.bt.arena.rfpv
+        # the file holds no grammar; loading derives the same one, with the
+        # same fingerprints
+        for attr in ("left", "right", "length", "height", "exp", "fpv"):
+            assert getattr(loaded.bt.arena, attr) == getattr(idx.bt.arena, attr)
+        assert loaded.bt.roots == idx.bt.roots
         assert loaded.bt.run_fpv == idx.bt.run_fpv
-        assert loaded.bt.run_rfpv == idx.bt.run_rfpv
         # nor the phrase sources; loading derives them from the parse
         for attr in ("starts", "ends", "targets"):
             assert getattr(loaded.sources, attr) == getattr(idx.sources, attr)
