@@ -5,11 +5,9 @@ smaller than any symbol, so suffix order matches Python's prefix-first
 ordering of the raw sequences. The parser (lz77.parse) reads the suffix
 array to find each phrase's longest previous factor and source, the index
 builder reads the ranks and the LCP array for the suffix trie's leaf order
-and adjacent lcps, and the fingerprint check
-(fingerprints.verify_pow2_collision_free) reads the text, the suffix array
-and the LCP array for one start of each distinct power-of-two length
-substring. No range-minimum table is built: the parser compares
-characters, and the builder takes its minima of the LCP array in one pass.
+and adjacent lcps, and then drops all three. No range-minimum table is
+built: the parser compares characters, and the builder takes its minima of
+the LCP array in one pass.
 """
 
 from __future__ import annotations

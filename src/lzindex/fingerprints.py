@@ -4,27 +4,23 @@ p is fixed at the Mersenne prime 2^61 - 1 and only the base r is drawn, so
 every value fits in 8 bytes. Two strings of length L that differ mod p
 share a fingerprint for at most L - 1 of the p - 1 bases.
 
-Fingerprints of concatenated strings compose in O(1), so a prefix table over
-a string answers any substring fingerprint in constant time. The build does
-its bulk fingerprint work on uint64 numpy arrays: a product splits both
-factors into 31-bit limbs, and 2^61 = 1 mod p reduces it by shifts and adds.
-
-The index keys its dictionaries by the fingerprints of text substrings,
-and prefix_search.build proves that no two vertices a lookup can hit share
-a key. That check makes weak prefix search exact for a query that prefixes
+The index uses fingerprints for one thing: the keys of the dictionaries
+behind weak prefix search. PrefixFpTable gives the values of many
+substrings of the text at once, for the build and the load, and PatternFps
+those of a pattern's substrings, for a query. The build does its bulk
+fingerprint work on uint64 numpy arrays: a product splits both factors into
+31-bit limbs, and 2^61 = 1 mod p reduces it by shifts and adds.
+prefix_search.build proves that no two vertices a lookup can hit share a
+key. That check makes weak prefix search exact for a query that prefixes
 an indexed string, and the index rejects every other candidate by reading
 the text, so queries leave nothing to chance (index.py states the
-argument). The module also houses the build's check of the text:
-verify_pow2_collision_free proves that no two different power-of-two length
-substrings of the text, nor two of its reversal, share a value. No query
-relies on it; with the dictionaries' check it decides which r a build
-keeps. Both checks run at every n and compare no symbols.
+argument).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,52 +32,16 @@ _LOW31 = np.uint64((1 << 31) - 1)
 _LOW30 = np.uint64((1 << 30) - 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FpFunction:
-    """The base r plus cached powers of r; p is the fixed prime P."""
+    """The base r; p is the fixed prime P."""
 
     r: int
-    _pows: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
-
-    def r_pow(self, length: int) -> int:
-        v = self._pows.get(length)
-        if v is None:
-            v = pow(self.r, length, P)
-            self._pows[length] = v
-        return v
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    value: int
-    length: int
-    fn: FpFunction = field(repr=False, compare=False)
-
-    @property
-    def r_pow(self) -> int:
-        return self.fn.r_pow(self.length)
 
 
 def select_function(rng_seed: int = 0) -> FpFunction:
     """A uniform r in [1, p), drawn from the seed."""
     return FpFunction(random.Random(rng_seed).randrange(1, P))
-
-
-def fingerprint(fn: FpFunction, s) -> Fingerprint:
-    arr = to_symbols(s)
-    value = 0
-    rp = 1
-    r = fn.r
-    for c in arr.tolist():
-        value = (value + c * rp) % P
-        rp = rp * r % P
-    return Fingerprint(value, len(arr), fn)
-
-
-def compose(fy: Fingerprint, fz: Fingerprint) -> Fingerprint:
-    """Fingerprint of the concatenation yz."""
-    value = (fy.value + fy.r_pow * fz.value) % P
-    return Fingerprint(value, fy.length + fz.length, fy.fn)
 
 
 # -- arithmetic mod p on uint64 arrays --------------------------------------
@@ -211,6 +171,7 @@ class PatternFps:
         return (self._q[j] - self._pw[j - i + 1] * self._q[i - 1]) % P
 
 
+# kept because bench/tracing.py wraps it by name (ROADMAP item 1)
 def verify_pow2_collision_free(fn: FpFunction, ctx) -> bool:
     """True iff equal fingerprints of power-of-two length substrings of the
     text always mean equal substrings, in the text and in its reversal.

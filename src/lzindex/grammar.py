@@ -13,18 +13,9 @@ then keeps only the nodes the block roots reach, renumbered in their old
 order, so children still come before their parents. Every node whose
 expansion has at most SHORT symbols holds that expansion as a tuple, made
 from its children's tuples; extraction copies those tuples whole, or slices
-one, and splits only the longer nodes.
-
-Every node also carries the fingerprint of its expansion, and running
-fingerprints over whole blocks give the fingerprint of any substring in
-O(lg(block)) node visits: one iterative descent (`_Arena.cover`), which the
-grammar's own construction uses too, finds the nodes that cover a range of
-a node's expansion, and the fold is Horner's rule over the cover of the
-range's first and last block and the running value of the whole blocks
-between, in raw ints, after Bille et al. ("Fingerprints in compressed
-strings", WADS 2013). The powers of r it needs, r^l for l <= 2 * block_len
-and r^(k * block_len), are tables that build_slp and BlockTable make once,
-so the build never touches the fingerprint function's own power cache.
+one, and splits only the longer nodes. The grammar holds no fingerprint:
+it depends on the parse alone, so a build makes it once whatever
+fingerprint function it keeps.
 """
 
 from __future__ import annotations
@@ -40,19 +31,16 @@ class _Arena:
     """Node store, append-only until compact. Terminals have no children
     (left = -1); pairs carry two.
 
-    Every node knows its expansion length, AVL height (terminal = 1) and the
-    fingerprint value of its expansion (fpv). All three follow from the
-    children, so a stored grammar needs only its structure. pw[l] = r^l for
-    every length a node may have.
+    Every node knows its expansion length and AVL height (terminal = 1).
+    Both follow from the children, so a stored grammar needs only its
+    structure.
     """
 
-    def __init__(self, pw: list[int]):
-        self.pw = pw
+    def __init__(self):
         self.left: list[int] = []
         self.right: list[int] = []
         self.length: list[int] = []
         self.height: list[int] = []
-        self.fpv: list[int] = []
         # the expansion of every node of length <= SHORT, else None; made
         # by compact
         self.exp: list[tuple | None] = []
@@ -64,26 +52,23 @@ class _Arena:
     def terminal(self, symbol: int) -> int:
         v = self._terminals.get(symbol)
         if v is None:
-            v = self._terminals[symbol] = self._push(1, 1, symbol % fp.P, -1, -1)
+            v = self._terminals[symbol] = self._push(1, 1, -1, -1)
         return v
 
     def pair(self, a: int, b: int) -> int:
         key = a << 32 | b
         v = self._pairs.get(key)
         if v is None:
-            la, fpv = self.length[a], self.fpv
-            # phi(ab) = phi(a) + r^|a| phi(b)
             v = self._pairs[key] = self._push(
-                la + self.length[b], max(self.height[a], self.height[b]) + 1,
-                (fpv[a] + self.pw[la] * fpv[b]) % fp.P, a, b)
+                self.length[a] + self.length[b],
+                max(self.height[a], self.height[b]) + 1, a, b)
         return v
 
-    def _push(self, length: int, height: int, fpv: int, left: int, right: int) -> int:
+    def _push(self, length: int, height: int, left: int, right: int) -> int:
         self.left.append(left)
         self.right.append(right)
         self.length.append(length)
         self.height.append(height)
-        self.fpv.append(fpv)
         return len(self.left) - 1
 
     def compact(self, roots: list[int]) -> list[int]:
@@ -117,9 +102,8 @@ class _Arena:
         self.exp = exp
         self.left = [new[left[v]] for v in old]
         self.right = [new[right[v]] for v in old]
-        for name in ("length", "height", "fpv"):
-            values = getattr(self, name)
-            setattr(self, name, [values[v] for v in old])
+        self.length = [length[v] for v in old]
+        self.height = [self.height[v] for v in old]
         self._terminals = {}
         self._pairs = {}
         return [new[v] for v in roots]
@@ -164,16 +148,15 @@ class _Arena:
 
     # -- queries ----------------------------------------------------------
 
-    def cover(self, v: int, lo: int, hi: int, out: list[int]) -> int:
+    def cover(self, v: int, lo: int, hi: int, out: list[int]) -> None:
         """Append the existing nodes whose expansions concatenate to
-        expansion(v)[lo, hi] to out, left to right; returns the nodes visited.
+        expansion(v)[lo, hi] to out, left to right.
 
         One iterative descent: down to the node that splits the range, then
         down the suffix of its left child and the prefix of its right one,
         taking each whole sibling met on the way.
         """
         length, left, right = self.length, self.left, self.right
-        visits = 1
         while lo > 1 or hi < length[v]:
             l = left[v]
             ll = length[l]
@@ -183,15 +166,13 @@ class _Arena:
                 v, lo, hi = right[v], lo - ll, hi - ll
             else:
                 break
-            visits += 1
         else:
             out.append(v)
-            return visits
+            return
         # the suffix [lo, |left|] of the left child; its pieces come right
         # to left
         pieces = []
         u = left[v]
-        visits += 1
         while lo > 1:
             l = left[u]
             ll = length[l]
@@ -200,14 +181,11 @@ class _Arena:
             else:
                 pieces.append(right[u])
                 u = l
-                visits += 1
-            visits += 1
         pieces.append(u)
         out += reversed(pieces)
         # the prefix [1, hi - |left|] of the right child, left to right
         hi -= length[left[v]]
         u = right[v]
-        visits += 1
         while hi < length[u]:
             l = left[u]
             ll = length[l]
@@ -216,10 +194,7 @@ class _Arena:
             else:
                 out.append(l)
                 u, hi = right[u], hi - ll
-                visits += 1
-            visits += 1
         out.append(u)
-        return visits
 
     def expand(self, v: int, out: list[int]) -> int:
         """Append the symbols of expansion(v) to out; returns the nodes visited."""
@@ -265,31 +240,14 @@ class _Arena:
 
 
 class BlockTable:
-    """Per-block grammar roots plus running fingerprints over whole blocks.
+    """The grammar's nodes plus the root of each block."""
 
-    The arena's pw[l] = r^l, for l up to twice block_len, and run_pw[k] =
-    r^(k * block_len), made here, hold every power of r that a fold needs:
-    folds never grow the function's own power cache.
-    """
-
-    def __init__(self, arena: _Arena, fn: fp.FpFunction, n: int, block_len: int, roots: list[int]):
+    def __init__(self, arena: _Arena, n: int, block_len: int, roots: list[int]):
         self.arena = arena
-        self.fn = fn
         self.n = n
         self.block_len = block_len
         self.roots = roots
         self.node_visits = 0  # instrumentation, cumulative over queries
-        p = fp.P
-        self.pw = pw = arena.pw
-        self.run_pw = run_pw = [1] * (len(roots) + 1)
-        for k in range(1, len(roots) + 1):
-            run_pw[k] = run_pw[k - 1] * pw[block_len] % p
-        # run_fpv[k] = phi(blocks k, k+1, ... to the end of the text)
-        length, fpv = arena.length, arena.fpv
-        self.run_fpv = [0] * (len(roots) + 1)
-        for k in range(len(roots) - 1, -1, -1):
-            v = roots[k]
-            self.run_fpv[k] = (fpv[v] + pw[length[v]] * self.run_fpv[k + 1]) % p
 
     @property
     def node_count(self) -> int:
@@ -301,24 +259,6 @@ class BlockTable:
     def _check_range(self, i: int, j: int) -> None:
         if i < 1 or j > self.n or i > j + 1:
             raise ValueError("range out of bounds")
-
-    def _cover(self, i: int, j: int) -> tuple[list[int], int, int, list[int]]:
-        """text[i, j] (i <= j) as (head, lo, hi, tail): the nodes covering
-        its part of its first block, the run of whole blocks lo .. hi-1 and
-        the nodes covering its part of its last block, left to right. The
-        run and the tail are empty for a range inside one block. Touches
-        O(lg block_len) nodes."""
-        b = self.block_len
-        k1, k2 = (i - 1) // b, (j - 1) // b
-        cover = self.arena.cover
-        head: list[int] = []
-        tail: list[int] = []
-        if k1 == k2:
-            self.node_visits += cover(self.roots[k1], i - k1 * b, j - k1 * b, head)
-        else:
-            self.node_visits += (cover(self.roots[k1], i - k1 * b, b, head)
-                                 + cover(self.roots[k2], 1, j - k2 * b, tail))
-        return head, k1 + 1, k2, tail
 
     def extract(self, i: int, j: int) -> list[int]:
         """text[i, j] as a list of symbols (1-based inclusive; empty if i > j)."""
@@ -360,32 +300,12 @@ class BlockTable:
             i = e + 1
         return True
 
-    def _horner(self, nodes, values: list[int], acc: int) -> int:
-        """Fold nodes into acc, each as acc = value + r^length * acc."""
-        length, pw, p = self.arena.length, self.pw, fp.P
-        for v in nodes:
-            acc = (values[v] + pw[length[v]] * acc) % p
-        return acc
-
-    def substring_value(self, i: int, j: int) -> int:
-        """The raw value of phi(text[i, j]): the cover folded right to left."""
-        self._check_range(i, j)
-        if i > j:
-            return 0
-        head, lo, hi, tail = self._cover(i, j)
-        fpv = self.arena.fpv
-        acc = self._horner(reversed(tail), fpv, 0)
-        if lo < hi:
-            run = self.run_fpv
-            acc = (run[lo] + self.run_pw[hi - lo] * (acc - run[hi])) % fp.P
-        return self._horner(reversed(head), fpv, acc)
-
-    def substring_fp(self, i: int, j: int) -> fp.Fingerprint:
-        """phi(text[i, j])."""
-        return fp.Fingerprint(self.substring_value(i, j), j - i + 1, self.fn)
+    # kept because bench/tracing.py wraps it by name (ROADMAP item 1)
+    def substring_fp(self, i: int, j: int, fn: fp.FpFunction) -> int:
+        return int(fp.PrefixFpTable(fn, self.extract(i, j)).values(0, j - i + 1))
 
 
-def build_slp(parse: Lz77Parse, fn: fp.FpFunction, block_len: int | None = None) -> BlockTable:
+def build_slp(parse: Lz77Parse, block_len: int | None = None) -> BlockTable:
     """Build the per-block balanced grammar for the text the parse produces.
 
     Every phrase must fit inside `block_len` positions (default: ceil(n/z) of
@@ -398,12 +318,7 @@ def build_slp(parse: Lz77Parse, fn: fp.FpFunction, block_len: int | None = None)
     if any(ph.span() > block_len for ph in parse.phrases):
         raise ValueError("phrase exceeds block length")
 
-    # no node is longer than twice block_len: the doubling of a
-    # self-overlapping source stops short of that
-    pw = [1] * (2 * block_len + 1)
-    for l in range(1, len(pw)):
-        pw[l] = pw[l - 1] * fn.r % fp.P
-    arena = _Arena(pw)
+    arena = _Arena()
     completed: list[int] = []
     cur: int | None = None
     cur_len = 0
@@ -463,5 +378,5 @@ def build_slp(parse: Lz77Parse, fn: fp.FpFunction, block_len: int | None = None)
 
     if cur is not None:
         completed.append(cur)
-    return BlockTable(arena, fn, n, block_len, arena.compact(completed))
+    return BlockTable(arena, n, block_len, arena.compact(completed))
 

@@ -16,12 +16,11 @@ runs the same search and check on the suffix side, in the trie of the
 suffixes that follow the relevant substrings, and only then does a 2-d
 range query report the border positions where the two ranges meet. Weak
 search compares raw fingerprint values, the pattern's from one pass over
-it (fingerprints.PatternFps), and does not touch the fingerprint
-function's power cache. Patterns of length at most tau instead bisect the
-sorted list of the short strings around each border: the strings a
-pattern prefixes form one run of it. Extraction and the candidate check
-both run on the balanced grammar built from the parse, so the reversed
-side has no grammar of its own.
+it (fingerprints.PatternFps). Patterns of length at most tau instead
+bisect the sorted list of the short strings around each border: the
+strings a pattern prefixes form one run of it. Extraction and the
+candidate check both run on the balanced grammar built from the parse, so
+the reversed side has no grammar of its own.
 
 No answer is left to chance. Each dictionary is certified at every key
 length: the vertices whose skip intervals hold that length have distinct
@@ -35,26 +34,26 @@ damage to the file that its CRC-32 misses, a chance of about 2^-32, could
 pair a parse with an r that was not certified on it.
 
 The build makes one suffix array with its ranks and LCP array, for the
-parse, the suffix trie's leaf order and adjacent lcps, and the
-certification of the text's fingerprints. Every build certifies the
-fingerprint function before it keeps it: the text's power-of-two length
-substrings and their reversals (fingerprints.verify_pow2_collision_free),
-then both dictionaries (prefix_search.build); a function that fails either
-is replaced by the next seed's. The file stores only the header with a CRC-32
-of the file and the base r, the parse, and that leaf order with the lcps of
-adjacent leaves. Both build and load make the grammar from the parse by
-build_slp, and share three derivations from the text (the build reads the
-text it was given, loading decodes it from the checked parse): the two
-tries over the relevant substrings; the dictionaries keyed on them, whose
-values come from one numpy prefix table over the text (loading recomputes
-them by prefix_search.derive and does not certify them again, since the
-build certified this r on this text); and then the border grid and the
-sorted short strings, which the build makes only once its dictionaries are
-certified. The derivations make no Python object per symbol of a string
-they sort: the text is encoded once as fixed-width big-endian bytes
-(trie.encode, the width the least that holds sigma + 1), forwards for the
-short strings and backwards for the reversed relevant substrings, and each
-such string is a bytes slice of it, so sorting them is a memcmp sort.
+parse and for the suffix trie's leaf order and adjacent lcps, and drops
+them before it draws a fingerprint function. The function keys only the
+dictionaries: every build certifies both (prefix_search.build) before it
+keeps a function, and a function that fails is replaced by the next seed's;
+nothing else the index holds depends on it. The file stores only the header
+with a CRC-32 of the file and the base r, the parse, and that leaf order
+with the lcps of adjacent leaves. Both build and load make the grammar from
+the parse by build_slp, once, and share three derivations from the text
+(the build reads the text it was given, loading decodes it from the checked
+parse): the two tries over the relevant substrings; the dictionaries keyed
+on them, whose values come from one numpy prefix table over the text
+(loading recomputes them by prefix_search.derive and does not certify them
+again, since the build certified this r on this text); and then the border
+grid and the sorted short strings, which the build makes only once its
+dictionaries are certified. The derivations make no Python object per
+symbol of a string they sort: the text is encoded once as fixed-width
+big-endian bytes (trie.encode, the width the least that holds sigma + 1),
+forwards for the short strings and backwards for the reversed relevant
+substrings, and each such string is a bytes slice of it, so sorting them is
+a memcmp sort.
 """
 
 from __future__ import annotations
@@ -173,6 +172,7 @@ class Index:
 
         items = _relevant_substrings(capped, tau, n)
         order, lcps = _suffix_trie_order(ctx, items)
+        del ctx
 
         # construction may read the text directly; queries go through the
         # grammar instead
@@ -181,31 +181,23 @@ class Index:
         for attempt in range(_MAX_FN_ATTEMPTS):
             fn = fp.select_function(cfg.seed * 1009 + attempt)
             try:
-                fn_parts = cls._fn_parts(ctx, sigma, block_len, capped, tries, fn)
+                # the dictionaries are all that depends on fn; build
+                # certifies each
+                ps_d, ps_dp = (prefix_search.build(t, block_len, values) for t, values
+                               in _dictionary_values(fn, arr, sigma, tries))
                 break
             except prefix_search.FingerprintCollision:
                 continue
         else:
             raise RuntimeError("cannot certify a collision-free fingerprint function")
-        del ctx
         # the rest is made only now, so it is not resident while the
         # certification and the prefix table peak
         return cls(
             n=n, sigma=sigma, orig_z=orig.z, tau=tau, block_len=block_len,
-            seed=cfg.seed, capped=capped, **fn_parts, **tries,
+            seed=cfg.seed, fn=fn, capped=capped, bt=build_slp(capped, block_len),
+            ps_d=ps_d, ps_dp=ps_dp, **tries,
             **_derive_rest(capped, tau, items, arr, width, tries["t_d"], order),
         )
-
-    @staticmethod
-    def _fn_parts(ctx: SuffixContext, sigma, block_len, capped, tries, fn) -> dict:
-        """The parts that depend on the fingerprint function: the certified
-        dictionaries and the grammar. Raises FingerprintCollision when fn
-        fails the certification of the text or of a dictionary."""
-        if not fp.verify_pow2_collision_free(fn, ctx):
-            raise prefix_search.FingerprintCollision("text")
-        ps_d, ps_dp = (prefix_search.build(t, block_len, values) for t, values
-                       in _dictionary_values(fn, ctx.text, sigma, tries))
-        return dict(fn=fn, bt=build_slp(capped, fn, block_len), ps_d=ps_d, ps_dp=ps_dp)
 
     # -- queries -------------------------------------------------------------
 
@@ -493,7 +485,7 @@ class Index:
         return cls(
             n=n, sigma=sigma, orig_z=orig_z, tau=tau, block_len=block_len,
             seed=seed, fn=fn, capped=capped,
-            bt=build_slp(capped, fn, block_len), ps_d=ps_d, ps_dp=ps_dp, **tries,
+            bt=build_slp(capped, block_len), ps_d=ps_d, ps_dp=ps_dp, **tries,
             **_derive_rest(capped, tau, items, arr, width, tries["t_d"], order),
         )
 

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fingerprints as fp
-from .trie import CompactTrie, build as build_trie
+from .trie import CompactTrie
 
 LOCUS_FOUND = "locus_found"
 X_RANGE = "x_range"
@@ -31,7 +30,7 @@ EXIT_FOUND = "exit_found"
 
 class FingerprintCollision(Exception):
     """Raised at build time when the chosen function is not collision-free
-    for the required prefix set; the caller reselects (p, r) and retries."""
+    for the required prefix set; the caller reselects r and retries."""
 
 
 def two_fattest(lo: int, hi: int) -> int:
@@ -187,37 +186,3 @@ def weak_search(ps: PrefixSearchStructure, m: int, pattern_fp, pattern_symbol):
         return None  # true negative
     l, r = t.leaf_range(child)
     return child, l, r
-
-
-def build_from_strings(strings, x: int, fn: fp.FpFunction):
-    """Convenience constructor over materialized strings: builds the compact
-    trie, one prefix table over the distinct strings, each followed by the
-    terminator, and the search structure in one go.
-
-    Returns (structure, distinct_strings); useful for tests and small sets.
-    """
-    t, distinct = build_trie(strings)
-    term = terminator_symbol(distinct)
-    joined: list[int] = []
-    offsets = []
-    for s in distinct:
-        offsets.append(len(joined))
-        joined += [*s, term]
-    table = fp.PrefixFpTable(fn, joined)
-    starts = np.array(offsets, dtype=np.int64)
-    sample = np.array(t.sample, dtype=np.int64)
-
-    def prefix_values(vertices, lengths):
-        return table.values(starts[sample[vertices]], lengths)
-
-    return build(t, x, prefix_values), distinct
-
-
-def terminator_symbol(strings) -> int:
-    """Fingerprint symbol standing in for the terminator: one past the
-    largest symbol in use, never zero."""
-    top = 0
-    for s in strings:
-        for c in s:
-            top = max(top, c)
-    return top + 1

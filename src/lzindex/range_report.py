@@ -159,8 +159,3 @@ class SourceIndex:
                 if j + 1 < b:
                     ranges.append((j + 1, b))
         return out[len(seeds):]
-
-
-def build(points) -> Grid:
-    return Grid(points)
-

@@ -57,10 +57,7 @@ class CompactTrie:
     def leaf_range(self, v: int) -> tuple[int, int]:
         return self.l_rank[v], self.r_rank[v]
 
-    def skip_interval(self, v: int) -> tuple[int, int]:
-        """Half-open-below interval (|parent|, |v|]."""
-        return self.strlen[self.parent[v]], self.strlen[v]
-
+    # kept because bench/tracing.py wraps locus_by_walk by name (ROADMAP item 1)
     def edge_symbol(self, v: int, pos: int, char_access) -> int:
         """Symbol at 1-based depth pos of str(v); the terminator for a leaf's
         final position."""
@@ -68,6 +65,7 @@ class CompactTrie:
             return TERMINATOR
         return char_access(self.sample[v], pos)
 
+    # kept because bench/tracing.py wraps it by name (ROADMAP item 1)
     def locus_by_walk(self, pattern, char_access) -> int | None:
         """Minimum depth vertex whose string the pattern prefixes, walking
         edge labels character by character; None when there is no such vertex."""
@@ -190,6 +188,7 @@ def finalize(t: CompactTrie, char_access) -> CompactTrie:
     return t
 
 
+# kept because bench/tracing.py wraps it by name (ROADMAP item 1)
 def build(strings, ids=None) -> tuple[CompactTrie, list]:
     """Compact trie over materialized symbol sequences ($ implied) of
     symbols >= 0.

@@ -19,6 +19,7 @@ from lzindex.grammar import build_slp
 from lzindex.prefix_search import two_fattest
 
 from conftest import absent_pattern, planted_pattern, random_text
+from reference import build_from_strings
 
 SIGMAS = (2, 4, 26)
 # 50 texts per alphabet size, spread over the three text lengths so the
@@ -136,13 +137,12 @@ class TestGrammarBounds:
         return texts
 
     def test_node_count_and_height(self):
-        fn = fp.select_function(0)
         for text in self.corpus():
             parsed = lz77.parse(text)
             n = parsed.n
             block_len = -(-n // parsed.z)
             capped = lz77.cap_phrases(parsed, block_len, text)
-            bt = build_slp(capped, fn, block_len)
+            bt = build_slp(capped, block_len)
             lg = max(1.0, math.log2(n / parsed.z))
             # z of the parse the grammar is built from (the capped parse)
             z = capped.z
@@ -151,11 +151,10 @@ class TestGrammarBounds:
 
     def test_extraction_visit_budget(self):
         rng = random.Random(5)
-        fn = fp.select_function(0)
         for text in self.corpus():
             parsed = lz77.parse(text)
             block_len = -(-parsed.n // parsed.z)
-            bt = build_slp(lz77.cap_phrases(parsed, block_len, text), fn, block_len)
+            bt = build_slp(lz77.cap_phrases(parsed, block_len, text), block_len)
             lg = max(1.0, math.log2(parsed.n / parsed.z))
             for _ in range(300):
                 i = rng.randint(1, parsed.n)
@@ -176,7 +175,7 @@ class TestPrefixSearchContract:
         for count, sigma, x in self.CONFIGS:
             strings = [tuple(random_text(rng, sigma, rng.randint(1, 40)))
                        for _ in range(count)]
-            structure, distinct = ps.build_from_strings(strings, x, fn)
+            structure, distinct = build_from_strings(strings, x, fn)
             prefixes = sorted({s[:k] for s in distinct for k in range(1, len(s) + 1)})
             for pattern in prefixes:
                 structure.reset_counters()

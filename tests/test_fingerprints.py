@@ -10,6 +10,7 @@ from lzindex._suffixes import SuffixContext
 from lzindex._text import to_symbols
 
 from conftest import random_text
+from reference import build_from_strings, compose, fingerprint
 
 P = (1 << 61) - 1
 # small illustrative function used by the hand-computed examples
@@ -32,13 +33,13 @@ def context(s) -> SuffixContext:
 
 class TestFingerprint:
     def test_ab(self):
-        assert fp.fingerprint(TOY, AB).value == 21  # 1 + 2*10 mod 101
+        assert fingerprint(TOY, AB).value == 21  # 1 + 2*10 mod 101
 
     def test_abc(self):
-        assert fp.fingerprint(TOY, ABC).value == 321  # 1 + 2*10 + 3*100
+        assert fingerprint(TOY, ABC).value == 321  # 1 + 2*10 + 3*100
 
     def test_empty(self):
-        f = fp.fingerprint(TOY, ())
+        f = fingerprint(TOY, ())
         assert f.value == 0 and f.length == 0
 
 
@@ -65,15 +66,15 @@ class TestSelectFunction:
 
 class TestComposeSplit:
     def test_compose_example(self):
-        fab = fp.fingerprint(TOY, AB)
-        fc = fp.fingerprint(TOY, (3,))
-        assert fp.compose(fab, fc).value == 321
+        fab = fingerprint(TOY, AB)
+        fc = fingerprint(TOY, (3,))
+        assert compose(fab, fc).value == 321
 
     def test_compose_identities(self):
-        f = fp.fingerprint(TOY, ABC)
-        e = fp.fingerprint(TOY, ())
-        assert fp.compose(e, f) == f
-        assert fp.compose(f, e) == f
+        f = fingerprint(TOY, ABC)
+        e = fingerprint(TOY, ())
+        assert compose(e, f) == f
+        assert compose(f, e) == f
 
     def test_compose_random_splits(self):
         # every split x = yz composes back to phi(x), and phi(y) carries r^|y|
@@ -81,21 +82,21 @@ class TestComposeSplit:
         for fn in (TOY, fp.select_function(4)):
             for _ in range(30):
                 x = random_text(rng, 26, rng.randint(0, 60))
-                fx = fp.fingerprint(fn, x)
+                fx = fingerprint(fn, x)
                 for k in range(len(x) + 1):
-                    fy, fz = fp.fingerprint(fn, x[:k]), fp.fingerprint(fn, x[k:])
+                    fy, fz = fingerprint(fn, x[:k]), fingerprint(fn, x[k:])
                     assert fy.r_pow == pow(fn.r, k, P)
-                    assert fp.compose(fy, fz) == fx
+                    assert compose(fy, fz) == fx
 
     def test_associativity(self):
         rng = random.Random(21)
         fn = fp.select_function(3)
         for _ in range(50):
             x, y, z = (random_text(rng, 26, rng.randint(0, 40)) for _ in range(3))
-            fx, fy, fz = (fp.fingerprint(fn, s) for s in (x, y, z))
-            left = fp.compose(fp.compose(fx, fy), fz)
-            right = fp.compose(fx, fp.compose(fy, fz))
-            assert left == right == fp.fingerprint(fn, x + y + z)
+            fx, fy, fz = (fingerprint(fn, s) for s in (x, y, z))
+            left = compose(compose(fx, fy), fz)
+            right = compose(fx, compose(fy, fz))
+            assert left == right == fingerprint(fn, x + y + z)
 
 
 class TestPrefixTable:
@@ -111,8 +112,8 @@ class TestPrefixTable:
 
     def test_whole_string(self):
         table = fp.PrefixFpTable(TOY, ABC)
-        assert table.values(0, 3) == fp.fingerprint(TOY, ABC).value
-        assert table.reversed_values(0, 3) == fp.fingerprint(TOY, ABC[::-1]).value
+        assert table.values(0, 3) == fingerprint(TOY, ABC).value
+        assert table.reversed_values(0, 3) == fingerprint(TOY, ABC[::-1]).value
 
     def test_out_of_range(self):
         table = fp.PrefixFpTable(TOY, ABC)
@@ -137,9 +138,9 @@ class TestPrefixTable:
                 appended = table.appended(np.array(forward, dtype=np.uint64), np.array(lengths), 7)
                 for k, (i, l) in enumerate(zip(starts, lengths)):
                     piece = s[i : i + l]
-                    assert forward[k] == table.values(i, l) == fp.fingerprint(fn, piece).value
-                    assert backward[k] == fp.fingerprint(fn, piece[::-1]).value
-                    assert appended[k] == fp.fingerprint(fn, [*piece, 7]).value
+                    assert forward[k] == table.values(i, l) == fingerprint(fn, piece).value
+                    assert backward[k] == fingerprint(fn, piece[::-1]).value
+                    assert appended[k] == fingerprint(fn, [*piece, 7]).value
 
     def test_limb_arithmetic_at_the_edges(self):
         # products and sums of values next to 0 and p - 1, the cases where
@@ -175,27 +176,22 @@ class TestPatternFps:
                 for i in range(1, m + 2):
                     for j in range(i - 1, m + 1):
                         piece = s[i - 1 : j]
-                        assert table.value(i, j) == fp.fingerprint(fn, piece).value
-                        assert table.reversed_value(i, j) == fp.fingerprint(fn, piece[::-1]).value
-
-    def test_leaves_the_power_cache_alone(self):
-        fn = fp.select_function(0)
-        table = fp.PatternFps(fn, (1, 2, 3) * 20)
-        assert table.value(5, 40) == fp.fingerprint(fn, ((1, 2, 3) * 20)[4:40]).value
-        assert fn._pows == {}
+                        assert table.value(i, j) == fingerprint(fn, piece).value
+                        assert table.reversed_value(i, j) == fingerprint(fn, piece[::-1]).value
 
 
 class TestVerification:
-    """The checks the build runs: the text's in this module, the
-    dictionaries' in prefix_search.build."""
+    """The dictionaries' check, which the build runs (prefix_search.build),
+    and the power-of-two check of a text, which the tests use to show that
+    a base collides on it."""
 
     def test_distinct_single_chars(self):
         fn = fp.select_function(0)
-        ps.build_from_strings([(1,), (2,), (3,)], 1, fn)
+        build_from_strings([(1,), (2,), (3,)], 1, fn)
 
     def test_equal_strings_not_collisions(self):
         # even under r = 1, a string does not collide with itself
-        ps.build_from_strings([(1, 2), (1, 2)], 1, fp.FpFunction(1))
+        build_from_strings([(1, 2), (1, 2)], 1, fp.FpFunction(1))
 
     def test_tiny_modulus_collides(self):
         # under r = p - 1, some two strings of length 2 collide
@@ -205,10 +201,10 @@ class TestVerification:
             [s, t]
             for s in pairs
             for t in pairs
-            if s != t and fp.fingerprint(fn, s).value == fp.fingerprint(fn, t).value
+            if s != t and fingerprint(fn, s).value == fingerprint(fn, t).value
         )
         with pytest.raises(ps.FingerprintCollision):
-            ps.build_from_strings(colliding, 1, fn)
+            build_from_strings(colliding, 1, fn)
 
     def test_pow2_small_string(self):
         fn = fp.select_function(0)
@@ -229,7 +225,7 @@ class TestVerification:
         fn = fp.select_function(5)
         text = random_text(rng, 4, 4096)
         assert fp.verify_pow2_collision_free(fn, context(text))
-        ps.build_from_strings([text[i : i + 200] for i in range(0, 4096, 7)], 3, fn)
+        build_from_strings([text[i : i + 200] for i in range(0, 4096, 7)], 3, fn)
 
 
 def pow2_collision_free_by_strings(p: int, r: int, text: list[int]) -> bool:

