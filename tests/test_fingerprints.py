@@ -179,6 +179,13 @@ class TestPatternFps:
                         assert table.value(i, j) == fingerprint(fn, piece).value
                         assert table.reversed_value(i, j) == fingerprint(fn, piece[::-1]).value
 
+    def test_leaves_the_power_cache_alone(self):
+        # the table makes its own powers of r; the function keeps none
+        fn = fp.select_function(0)
+        table = fp.PatternFps(fn, (1, 2, 3) * 20)
+        assert table.value(5, 40) == fingerprint(fn, ((1, 2, 3) * 20)[4:40]).value
+        assert vars(fn) == {"r": fp.select_function(0).r}
+
 
 class TestVerification:
     """The dictionaries' check, which the build runs (prefix_search.build),

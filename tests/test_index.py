@@ -703,6 +703,33 @@ class TestCertification:
         assert idx.fn.r == fp.select_function(1).r
         self.assert_answers(idx, text)
 
+    def test_retries_after_a_dictionary_collision(self, monkeypatch):
+        # the build runs no check on the text's own substrings: r = 1 must
+        # be rejected by a dictionary's check, in attempt 0 and no later
+        text = self.colliding_text()
+        seeds = self.select_r1_first(monkeypatch)
+
+        def text_check(fn, ctx):
+            raise AssertionError("the build checked the text")
+
+        monkeypatch.setattr(fp, "verify_pow2_collision_free", text_check)
+        rejected = []
+        build = ix.prefix_search.build
+
+        def certify(*args):
+            try:
+                return build(*args)
+            except ix.prefix_search.FingerprintCollision:
+                rejected.append(seeds[-1])
+                raise
+
+        monkeypatch.setattr(ix.prefix_search, "build", certify)
+        idx = Index.build(text)
+        assert seeds == [0, 1]
+        assert rejected == [0]
+        assert idx.fn.r == fp.select_function(1).r
+        self.assert_answers(idx, text)
+
     def test_every_attempt_collides(self, monkeypatch):
         text = self.colliding_text()
         seeds = []
@@ -737,10 +764,24 @@ class TestStats:
         ]
         assert idx.component_sizes()["reverse_grammar"] == 0
 
-    def test_fingerprint_function_stays_fixed(self):
-        # the function holds its base and nothing else, and cannot be
-        # changed: a build, a load and a batch of queries leave it as drawn
+    def test_build_leaves_small_power_cache(self):
+        # the prefix tables make their own powers of r and the grammar uses
+        # none, so the function holds its base and nothing else, and cannot
+        # be changed: neither a build nor a load caches anything in it
         assert [f.name for f in dataclasses.fields(fp.FpFunction)] == ["r"]
+        rng = random.Random(108)
+        base = random_text(rng, 4, 500)
+        text = (base * 40)[:20_000]
+        idx = Index.build(text)
+        r = fp.select_function(0).r
+        for fn in (idx.fn, Index.from_bytes(idx.to_bytes()).fn):
+            assert vars(fn) == {"r": r}
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                fn.r = 1
+
+    def test_queries_leave_power_cache_alone(self):
+        # queries take their powers of r from the pattern's own tables, so
+        # a batch of them leaves the function as drawn
         rng = random.Random(109)
         base = random_text(rng, 4, 300)
         text = (base * 12)[:3_000]
@@ -761,8 +802,7 @@ class TestStats:
             q = tuple(idx.extract(t.sample[v], t.sample[v] + 5))
             assert (q, v) in idx.verify_candidates([(q[-3:], v), (q, v)])
             assert idx.fn == fp.FpFunction(r)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                idx.fn.r = 1
+            assert vars(idx.fn) == {"r": r}
 
     def test_last_stats_partition(self):
         rng = random.Random(105)
