@@ -5,12 +5,11 @@ without ever storing the text itself uncompressed.
 """
 
 from . import fingerprints, grammar, lz77, oracle, prefix_search, range_report, trie
-from .index import Index, IndexConfig, build, default_tau
+from .index import Index, IndexConfig, default_tau
 
 __all__ = [
     "Index",
     "IndexConfig",
-    "build",
     "default_tau",
     "fingerprints",
     "grammar",

@@ -35,25 +35,25 @@ pair a parse with an r that was not certified on it.
 
 The build makes one suffix array with its ranks and LCP array, for the
 parse and for the suffix trie's leaf order and adjacent lcps, and drops
-them before it draws a fingerprint function. The function keys only the
-dictionaries: every build certifies both (prefix_search.build) before it
-keeps a function, and a function that fails is replaced by the next seed's;
-nothing else the index holds depends on it. The file stores only the header
+them before it draws a fingerprint function. The file stores only the header
 with a CRC-32 of the file and the base r, the parse, and that leaf order
-with the lcps of adjacent leaves. Both build and load make the grammar from
-the parse by build_slp, once, and share three derivations from the text
-(the build reads the text it was given, loading decodes it from the checked
-parse): the two tries over the relevant substrings; the dictionaries keyed
-on them, whose values come from one numpy prefix table over the text
-(loading recomputes them by prefix_search.derive and does not certify them
-again, since the build certified this r on this text); and then the border
-grid and the sorted short strings, which the build makes only once its
-dictionaries are certified. The derivations make no Python object per
-symbol of a string they sort: the text is encoded once as fixed-width
-big-endian bytes (trie.encode, the width the least that holds sigma + 1),
-forwards for the short strings and backwards for the reversed relevant
-substrings, and each such string is a bytes slice of it, so sorting them is
-a memcmp sort.
+with the lcps of adjacent leaves, and the constructor takes exactly those
+with the text: the build passes the text it was given, loading decodes it
+from the checked parse. From them the constructor derives the rest in one
+order: the two tries over the relevant substrings; the dictionaries keyed
+on them, whose values come from one numpy prefix table over the text; the
+grammar (build_slp); the border grid; the sorted short strings; and the
+phrase sources. The function keys only the dictionaries, and the caller
+says how they are made: the build passes prefix_search.build, which
+certifies both, and retries the constructor with the next seed's function
+when one collides, so nothing past the dictionaries is made for a function
+that fails; loading passes prefix_search.derive and does not certify them
+again, since the build certified this r on this text. The derivations make
+no Python object per symbol of a string they sort: the text is encoded once
+as fixed-width big-endian bytes (trie.encode, the width the least that
+holds sigma + 1), forwards for the short strings and backwards for the
+reversed relevant substrings, and each such string is a bytes slice of it,
+so sorting them is a memcmp sort.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from . import lz77, prefix_search, trie
 from ._io import Reader, Writer
 from ._suffixes import SuffixContext
 from ._text import to_symbols
-from .grammar import BlockTable, build_slp
+from .grammar import build_slp
 from .range_report import Grid, SourceIndex
 from .trie import CompactTrie
 
@@ -104,28 +104,22 @@ class Index:
     ValueError (the command line shifts every byte up by one instead).
     """
 
+    # -- construction -------------------------------------------------------
+
     def __init__(
-        self,
-        *,
-        n: int,
-        sigma: int,
-        orig_z: int,
-        tau: int,
-        block_len: int,
-        seed: int,
-        fn: fp.FpFunction,
-        capped: lz77.Lz77Parse,
-        bt: BlockTable,
-        t_d: CompactTrie,
-        rd_pos: list[int],
-        ps_d: prefix_search.PrefixSearchStructure,
-        t_dp: CompactTrie,
-        dp_lcps: list[int],
-        ps_dp: prefix_search.PrefixSearchStructure,
-        grid_r: Grid,
-        f_strings: list[bytes],
-        f_pairs: list[list[tuple[int, int]]],
+        self, *, n: int, sigma: int, orig_z: int, tau: int, block_len: int, seed: int,
+        fn: fp.FpFunction, capped: lz77.Lz77Parse, order: list[int], lcps: list[int],
+        arr: np.ndarray, make_dictionary,
     ):
+        """The index from what its file stores: the header fields, the
+        function, the capped parse and the suffix trie's leaf order (an item
+        index per rank) with the lcps of adjacent leaves. Everything else is
+        derived from those and the text arr, which construction may read
+        directly (queries go through the grammar instead). make_dictionary
+        is prefix_search.build, which certifies each dictionary and raises
+        FingerprintCollision, or prefix_search.derive, which trusts fn. A
+        leaf order or lcp list that cannot come from the text raises
+        ValueError("corrupt index")."""
         self.n = n
         self.sigma = sigma
         self.orig_z = orig_z
@@ -134,22 +128,27 @@ class Index:
         self.seed = seed
         self.fn = fn
         self.capped = capped
-        self.bt = bt
-        self.t_d = t_d
-        self.rd_pos = rd_pos
-        self.ps_d = ps_d
-        self.t_dp = t_dp
-        self.dp_lcps = dp_lcps
-        self.ps_dp = ps_dp
-        self.grid_r = grid_r
-        # derived, never stored: each phrase's source and where it is copied
-        self.sources = SourceIndex(_phrase_sources(capped))
-        self.f_strings = f_strings
-        self.f_pairs = f_pairs
-        self._key_width = trie.key_width(sigma)
+        self.dp_lcps = lcps
+        self._key_width = width = trie.key_width(sigma)
         self.last_stats: dict = {}
 
-    # -- construction -------------------------------------------------------
+        items = _relevant_substrings(capped, tau, n)
+        self.t_d, self.t_dp = _tries(items, arr, width, order, lcps)
+        # the dictionaries are all that depends on fn
+        self.ps_d, self.ps_dp = _dictionaries(fn, arr, sigma, block_len, self.t_d,
+                                              self.t_dp, make_dictionary)
+        # the rest is made only now, so it is not resident while the
+        # certification and the prefix table peak
+        self.bt = build_slp(capped, block_len)
+        # the grid joining both tries: one point per relevant substring
+        xr = [0] * len(items)
+        for rank in range(1, self.t_d.num_leaves + 1):
+            for i in self.t_d.leaf_ids[rank]:
+                xr[i] = rank
+        self.grid_r = Grid((xr[i], rank, items[i][1:]) for rank, i in enumerate(order, start=1))
+        self.f_strings, self.f_pairs = _short_strings(capped, tau, arr, width)
+        # each phrase's source and where it is copied
+        self.sources = SourceIndex(_phrase_sources(capped))
 
     @classmethod
     def build(cls, text, config: IndexConfig | None = None) -> "Index":
@@ -160,7 +159,6 @@ class Index:
             raise ValueError("empty text")
         if int(arr.min()) < 1:
             raise ValueError("symbols must be >= 1")
-        sigma = int(arr.max())
 
         ctx = SuffixContext(arr)
         orig = lz77.parse(arr, ctx)
@@ -169,35 +167,18 @@ class Index:
         if tau < 1:
             raise ValueError("tau must be >= 1")
         capped = lz77.cap_phrases(orig, block_len, arr)
-
-        items = _relevant_substrings(capped, tau, n)
-        order, lcps = _suffix_trie_order(ctx, items)
+        order, lcps = _suffix_trie_order(ctx, _relevant_substrings(capped, tau, n))
         del ctx
 
-        # construction may read the text directly; queries go through the
-        # grammar instead
-        width = trie.key_width(sigma)
-        tries = _derive_tries(items, arr, arr.tolist(), width, order, lcps)
         for attempt in range(_MAX_FN_ATTEMPTS):
-            fn = fp.select_function(cfg.seed * 1009 + attempt)
             try:
-                # the dictionaries are all that depends on fn; build
-                # certifies each
-                ps_d, ps_dp = (prefix_search.build(t, block_len, values) for t, values
-                               in _dictionary_values(fn, arr, sigma, tries))
-                break
+                return cls(n=n, sigma=int(arr.max()), orig_z=orig.z, tau=tau,
+                           block_len=block_len, seed=cfg.seed,
+                           fn=fp.select_function(cfg.seed * 1009 + attempt), capped=capped,
+                           order=order, lcps=lcps, arr=arr, make_dictionary=prefix_search.build)
             except prefix_search.FingerprintCollision:
                 continue
-        else:
-            raise RuntimeError("cannot certify a collision-free fingerprint function")
-        # the rest is made only now, so it is not resident while the
-        # certification and the prefix table peak
-        return cls(
-            n=n, sigma=sigma, orig_z=orig.z, tau=tau, block_len=block_len,
-            seed=cfg.seed, fn=fn, capped=capped, bt=build_slp(capped, block_len),
-            ps_d=ps_d, ps_dp=ps_dp, **tries,
-            **_derive_rest(capped, tau, items, arr, width, tries["t_d"], order),
-        )
+        raise RuntimeError("cannot certify a collision-free fingerprint function")
 
     # -- queries -------------------------------------------------------------
 
@@ -329,21 +310,6 @@ class Index:
             if res is None or not self._prefix_holds(res[0], symbols, k):
                 continue
             _, l1, r1 = res
-            if k == m:
-                # whole-pattern cut: the suffix side is empty, match any
-                pts = self.grid_r.query(l1, r1, 1, self.t_dp.num_leaves)
-                for j, b in pts:
-                    o = j - m + 1
-                    identified[o] = identified.get(o, 0) + 1
-                    if m % tau:
-                        # only report what no shorter cut already reports
-                        kk = (b - j + m) // tau + 1  # smallest kk with j - m + kk*tau > b
-                        if kk * tau > m:
-                            out.setdefault(o, b)
-                    else:
-                        out.setdefault(o, b)
-                continue
-
             # right side: the remaining suffix against the suffixes that
             # follow each relevant substring, checked the same way
             def qfp(a, b, k=k):
@@ -375,8 +341,7 @@ class Index:
         text[e - k + 1, e] must equal symbols[:k]."""
         if self.t_d.usable_len(v) < k:
             return False
-        e = self.n + 1 - self.rd_pos[self.t_d.sample[v]]
-        return self.bt.matches(e - k + 1, symbols, 0, k)
+        return self.bt.matches(self.t_d.sample[v] - k + 1, symbols, 0, k)
 
     def _suffix_holds(self, v: int, symbols: list, lo: int, hi: int) -> bool:
         """Whether str(v) of the t_dp vertex v starts with symbols[lo:hi]."""
@@ -462,32 +427,23 @@ class Index:
         if int.from_bytes(r.raw(4), "little") != _checksum(data):
             raise ValueError("corrupt index")
         n, sigma, orig_z, tau, block_len, seed, base = (r.u() for _ in range(7))
-        if min(n, tau, block_len) < 1 or not 1 <= base < fp.P:
+        if min(n, tau) < 1 or not 1 <= base < fp.P:
             raise ValueError("corrupt index")
-        fn = fp.FpFunction(base)
         phrases = tuple(lz77.Phrase(r.u(), r.u(), r.u()) for _ in range(r.u()))
+        # capping splits phrases, never joins them; block_len is n / z rounded up
+        if not 1 <= orig_z <= len(phrases) or block_len != -(-n // orig_z):
+            raise ValueError("corrupt index")
         _check_parse(phrases, n, sigma, block_len)
         capped = lz77.Lz77Parse(phrases, n, len(phrases), sigma)
         order = r.seq()
         lcps = r.seq()
         if r.pos != len(data):
             raise ValueError("corrupt index")
-
-        text = lz77.decompress(capped)
-        arr = to_symbols(text)
-        items = _relevant_substrings(capped, tau, n)
-        width = trie.key_width(sigma)
-        tries = _derive_tries(items, arr, list(text), width, order, lcps)
         # the build certified this function on this text, so its dictionary
         # values need no second check
-        ps_d, ps_dp = (prefix_search.derive(t, block_len, values) for t, values
-                       in _dictionary_values(fn, text, sigma, tries))
-        return cls(
-            n=n, sigma=sigma, orig_z=orig_z, tau=tau, block_len=block_len,
-            seed=seed, fn=fn, capped=capped,
-            bt=build_slp(capped, block_len), ps_d=ps_d, ps_dp=ps_dp, **tries,
-            **_derive_rest(capped, tau, items, arr, width, tries["t_d"], order),
-        )
+        return cls(n=n, sigma=sigma, orig_z=orig_z, tau=tau, block_len=block_len, seed=seed,
+                   fn=fp.FpFunction(base), capped=capped, order=order, lcps=lcps,
+                   arr=to_symbols(lz77.decompress(capped)), make_dictionary=prefix_search.derive)
 
     @classmethod
     def load(cls, path) -> "Index":
@@ -563,7 +519,8 @@ def _check_parse(phrases, n: int, sigma: int, block_len: int) -> None:
     pos = 1
     top = 0
     for ph in phrases:
-        if ph.len > 0 and not 1 <= ph.start < pos:
+        # a phrase without a source stores start 0
+        if not (1 <= ph.start < pos if ph.len > 0 else ph.start == 0):
             raise ValueError("corrupt index")
         if not 1 <= ph.border <= sigma or ph.span() > block_len:
             raise ValueError("corrupt index")
@@ -579,17 +536,14 @@ def _checksum(data) -> int:
     return zlib.crc32(view[_CRC_AT + 4 :], zlib.crc32(view[:_CRC_AT]))
 
 
-def _derive_tries(items, arr: np.ndarray, symbols: list[int], width: int, order,
-                  lcps) -> dict:
+def _tries(items, arr: np.ndarray, width: int, order, lcps) -> tuple[CompactTrie, CompactTrie]:
     """The tries the dictionaries are keyed on, from the relevant substrings,
-    the text (as an array and as a list), the byte key width and the suffix
-    trie's leaf order (an item index per rank) with the lcps of adjacent
-    leaves: the trie over the reversed relevant substrings with rd_pos, and
-    the trie over the suffixes that follow them. Neither depends on the
-    fingerprint function. Build and load both make them here; a leaf order
-    or lcp list that cannot come from the text raises
-    ValueError("corrupt index")."""
-    n = len(symbols)
+    the text, the byte key width and the suffix trie's leaf order with the
+    lcps of adjacent leaves: the trie over the reversed relevant substrings,
+    each vertex's sample the end of an item it spells, and the trie over the
+    suffixes that follow them, each vertex's sample the start of one.
+    Neither depends on the fingerprint function."""
+    n = len(arr)
     if (sorted(order) != list(range(len(items))) or len(lcps) != len(order)
             or lcps[0] != 0):
         raise ValueError("corrupt index")
@@ -608,47 +562,35 @@ def _derive_tries(items, arr: np.ndarray, symbols: list[int], width: int, order,
         groups.setdefault(rtext[(n - e) * width : (n + 1 - s) * width], []).append(i)
     keys = sorted(groups)
     ids = [groups[key] for key in keys]
-    # where each distinct one first starts in the reversed text
-    rd_pos = [n + 1 - items[same[0]][1] for same in ids]
     t_d = trie.build_from_sorted(
-        range(len(keys)), [len(key) // width for key in keys],
+        [items[same[0]][1] for same in ids], [len(key) // width for key in keys],
         trie.key_lcps(keys, width), ids,
     )
-
-    def d_char(sid: int, q: int) -> int:
-        # reversed position rd_pos + q - 1 is forward position n + 2 - rd_pos - q
-        return symbols[n + 1 - rd_pos[sid] - q]
-
-    trie.finalize(t_d, d_char)
+    # depth q of a string read backwards from end e is arr[e - q]
+    trie.finalize(t_d, lambda ends, q: arr[ends - q])
 
     # trie over the suffixes that follow them, assembled in suffix array
     # order so the suffixes never have to be materialized
     t_dp = trie.build_from_sorted(
         starts, [n - st + 1 for st in starts], lcps, [[i] for i in order]
     )
-
-    def dp_char(start: int, q: int) -> int:
-        return symbols[start + q - 2]
-
-    trie.finalize(t_dp, dp_char)
-    return dict(t_d=t_d, rd_pos=rd_pos, t_dp=t_dp, dp_lcps=lcps)
+    trie.finalize(t_dp, lambda starts, q: arr[starts + q - 2])
+    return t_d, t_dp
 
 
-def _dictionary_values(fn: fp.FpFunction, text, sigma: int, tries: dict) -> list:
-    """(trie, prefix_values) for t_d and for t_dp, the prefix_values that
-    prefix_search.build and derive take, from one prefix table over the
-    text that lives as long as they do."""
-    table = fp.PrefixFpTable(fn, text)
-    n = table.length
-    # a t_d vertex spells the text backwards from position n + 1 - rd_pos of
-    # its sample, a t_dp vertex forwards from its sample
-    rd_pos = np.array(tries["rd_pos"], dtype=np.int64)
-    t_d, t_dp = tries["t_d"], tries["t_dp"]
-    return [
-        (t_d, _prefix_values(t_d, table, sigma + 1,
-                             lambda sid, l: table.reversed_values(n + 1 - rd_pos[sid] - l, l))),
-        (t_dp, _prefix_values(t_dp, table, sigma + 1, lambda start, l: table.values(start - 1, l))),
-    ]
+def _dictionaries(fn: fp.FpFunction, arr: np.ndarray, sigma: int, x: int, t_d: CompactTrie,
+                  t_dp: CompactTrie, make_dictionary) -> tuple:
+    """make_dictionary(trie, x, prefix_values) for t_d and for t_dp, the
+    values read off one prefix table over the text. A t_d vertex spells the
+    text backwards from the end in its sample, a t_dp vertex forwards from
+    the start in its sample."""
+    table = fp.PrefixFpTable(fn, arr)
+    return (
+        make_dictionary(t_d, x, _prefix_values(
+            t_d, table, sigma + 1, lambda ends, l: table.reversed_values(ends - l, l))),
+        make_dictionary(t_dp, x, _prefix_values(
+            t_dp, table, sigma + 1, lambda starts, l: table.values(starts - 1, l))),
+    )
 
 
 def _prefix_values(t: CompactTrie, table: fp.PrefixFpTable, term: int, read):
@@ -669,25 +611,12 @@ def _prefix_values(t: CompactTrie, table: fp.PrefixFpTable, term: int, read):
     return prefix_values
 
 
-def _derive_rest(capped: lz77.Lz77Parse, tau: int, items, arr: np.ndarray,
-                 width: int, t_d: CompactTrie, order) -> dict:
-    """The parts only queries read: the border grid, which joins the tries of
-    _derive_tries, and the sorted short strings, as byte keys, with the
-    (start, border) pairs of each. Build and load both make them here."""
+def _short_strings(capped: lz77.Lz77Parse, tau: int, arr: np.ndarray, width: int) -> tuple:
+    """The strings short patterns are looked up in: all strings from at most
+    tau before a border up to tau - 1 past it, sorted as byte keys (slices
+    of the text's encoding), and per distinct one the (start, border) pairs
+    it occurs at."""
     n = len(arr)
-
-    # the grid joining both tries: one point per relevant substring
-    xr = [0] * len(items)
-    for rank in range(1, t_d.num_leaves + 1):
-        for i in t_d.leaf_ids[rank]:
-            xr[i] = rank
-    grid_r = Grid(
-        (xr[i], rank, items[i][1:]) for rank, i in enumerate(order, start=1)
-    )
-
-    # short patterns: all strings from at most tau before a border up to
-    # tau - 1 past it, each distinct one with the (start, border) pairs it
-    # occurs at; the keys are slices of the text's encoding
     text = trie.encode(arr, width)
     groups: dict[bytes, list[tuple[int, int]]] = {}
     pos = 1
@@ -697,21 +626,5 @@ def _derive_rest(capped: lz77.Lz77Parse, tau: int, items, arr: np.ndarray,
         for k in range(max(pos, e - tau + 1), e + 1):
             groups.setdefault(text[(k - 1) * width : hi], []).append((k, e))
         pos = e + 1
-    f_strings = sorted(groups)
-    return dict(grid_r=grid_r, f_strings=f_strings, f_pairs=[groups[s] for s in f_strings])
-
-
-def build(text, config: IndexConfig | None = None) -> Index:
-    return Index.build(text, config)
-
-
-def locate_long_primary(idx: Index, pattern) -> list[tuple[int, int]]:
-    return idx.locate_long_primary(pattern)
-
-
-def locate_short_primary(idx: Index, pattern) -> list[tuple[int, int]]:
-    return idx.locate_short_primary(pattern)
-
-
-def locate_secondary(idx: Index, primaries, m: int) -> list[int]:
-    return idx.locate_secondary(primaries, m)
+    strings = sorted(groups)
+    return strings, [groups[s] for s in strings]

@@ -169,22 +169,26 @@ def build_from_sorted(keys: list[int], real_lens, lcps, ids_per_key) -> CompactT
     return t
 
 
-def finalize(t: CompactTrie, char_access) -> CompactTrie:
-    """Key each child dict by the first symbol of the child's edge, once
-    characters are readable.
+def finalize(t: CompactTrie, symbols_at) -> CompactTrie:
+    """Key each child dict by the first symbol of the child's edge, read for
+    every edge at once: symbols_at(samples, depths) gives, as an array or a
+    list, the symbols at those 1-based depths of the strings of those
+    samples, both given as int64 arrays.
 
     Vertices are visited in creation order, which is lexicographic among
     siblings, so each child dict ends up ordered by symbol.
     """
-    parent, strlen, sample = t.parent, t.strlen, t.sample
-    leaf_rank, children = t.leaf_rank, t.children
-    for child in range(1, t.num_vertices):
-        p = parent[child]
-        pos = strlen[p] + 1
-        if leaf_rank[child] and pos == strlen[child]:
-            children[p][TERMINATOR] = child
-        else:
-            children[p][char_access(sample[child], pos)] = child
+    parent = t.parent[1:]
+    strlen = np.array(t.strlen, dtype=np.int64)
+    depth = strlen[parent] + 1
+    ends = (np.array(t.leaf_rank[1:]) > 0) & (depth == strlen[1:])
+    inner = ~ends
+    symbols = iter(np.asarray(
+        symbols_at(np.array(t.sample[1:], dtype=np.int64)[inner], depth[inner])
+    ).tolist())
+    children = t.children
+    for child, (p, end) in enumerate(zip(parent, ends.tolist()), start=1):
+        children[p][TERMINATOR if end else next(symbols)] = child
     return t
 
 
@@ -213,8 +217,6 @@ def build(strings, ids=None) -> tuple[CompactTrie, list]:
         [groups[s] for s in distinct],
     )
 
-    def char_access(sid: int, pos: int) -> int:
-        return distinct[sid][pos - 1]
-
-    finalize(t, char_access)
+    finalize(t, lambda sids, depths: [distinct[s][q - 1] for s, q
+                                      in zip(sids.tolist(), depths.tolist())])
     return t, distinct

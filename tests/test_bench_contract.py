@@ -25,7 +25,11 @@ def test_traced_run_prints_declared_metrics():
     assert result["failed"] == 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert sorted(result["metrics"]) == sorted(m["name"] for m in declared["per_layer"])
-    # the grammar's layers are wrapped by name; a rename would read 0
+    # the layers are wrapped at the module attributes the index calls them
+    # through; a rename, or a call that bypasses the attribute, would read 0
     for name in ("grammar.build_s", "grammar.extract_s.extract_long",
-                 "grammar.node_visits_per_char.extract_long"):
+                 "grammar.node_visits_per_char.extract_long", "trie.build_s",
+                 "trie.finalize_load_s", "prefix_search.build_s",
+                 "fingerprints.prefix_table_s", "range_report.build_s",
+                 "range_report.build_load_s"):
         assert result["metrics"][name]["value"] > 0, name

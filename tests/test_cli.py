@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from lzindex import cli, oracle
+from lzindex import cli, index, oracle
+from lzindex._io import Reader, Writer
 
 from conftest import random_text
 
@@ -164,3 +169,28 @@ class TestStatsErrors:
         bad.write_bytes(b"not an index at all")
         assert cli.main(["stats", "-x", str(bad)]) == 1
         assert "not an index file" in capsys.readouterr().err
+
+    def test_header_phrase_count_0(self, tmp_path):
+        # a checksummed file whose header says z = 0; stats would look for
+        # the least t with 2^t z >= n for ever, so loading refuses it. It
+        # runs in a child with a timeout, so that a regression fails
+        # rather than hangs.
+        blob = build_index(tmp_path, b"abcabcabc").read_bytes()
+        r = Reader(blob)
+        r.pos = index._CRC_AT + 4
+        fields = [r.u() for _ in range(7)]
+        w = Writer()
+        w.raw(blob[: index._CRC_AT + 4])
+        for k, v in enumerate(fields):
+            w.u(0 if k == 2 else v)  # z
+        w.raw(blob[r.pos :])
+        data = bytes(w.buf)
+        bad = tmp_path / "bad.idx"
+        bad.write_bytes(data[: index._CRC_AT] + index._checksum(data).to_bytes(4, "little")
+                        + data[index._CRC_AT + 4 :])
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-m", "lzindex.cli", "stats", "-x", str(bad)],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "corrupt index" in proc.stderr

@@ -165,7 +165,7 @@ class TestPhaseOps:
         for _ in range(40):
             pattern = planted_pattern(rng, text, idx.tau + 1, len(text) // 2)
             occ, primaries = self.primaries_by_oracle(text, idx, pattern)
-            pairs = ix.locate_long_primary(idx, pattern)
+            pairs = idx.locate_long_primary(pattern)
             assert [p for p, _ in pairs] == primaries
             for p, b in pairs:  # the border lies inside the occurrence
                 assert p <= b <= p + len(pattern) - 1
@@ -188,7 +188,7 @@ class TestPhaseOps:
             found = 0
             for pattern in patterns:
                 occ, primaries = self.primaries_by_oracle(text, idx, pattern)
-                pairs = ix.locate_short_primary(idx, pattern)
+                pairs = idx.locate_short_primary(pattern)
                 assert [p for p, _ in pairs] == primaries
                 for p, b in pairs:
                     assert p <= b <= p + len(pattern) - 1
@@ -200,13 +200,13 @@ class TestPhaseOps:
         for _ in range(40):
             pattern = planted_pattern(rng, text, 1, len(text) // 2)
             occ, primaries = self.primaries_by_oracle(text, idx, pattern)
-            secondary = ix.locate_secondary(idx, primaries, len(pattern))
+            secondary = idx.locate_secondary(primaries, len(pattern))
             assert not set(primaries) & set(secondary)
             assert sorted(primaries + secondary) == occ
 
     def test_no_primaries_no_secondaries(self):
         _, _, idx = self.build_case(95)
-        assert ix.locate_secondary(idx, [], 3) == []
+        assert idx.locate_secondary([], 3) == []
 
     def test_primary_given_with_its_own_copy(self):
         # the expansion meets the given copy again from its primary; it is
@@ -216,14 +216,14 @@ class TestPhaseOps:
             pattern = planted_pattern(rng, text, 2, 6)
             occ, primaries = self.primaries_by_oracle(text, idx, pattern)
             for o in primaries:
-                copies = ix.locate_secondary(idx, [o], len(pattern))
+                copies = idx.locate_secondary([o], len(pattern))
                 if copies:
                     break
             else:
                 continue
-            secondary = ix.locate_secondary(idx, primaries, len(pattern))
+            secondary = idx.locate_secondary(primaries, len(pattern))
             given = primaries + [copies[0]]
-            got = ix.locate_secondary(idx, given, len(pattern))
+            got = idx.locate_secondary(given, len(pattern))
             assert got == [s for s in secondary if s != copies[0]]
             assert len(set(got)) == len(got)
             return
@@ -236,9 +236,9 @@ class TestPhaseOps:
     def test_length_dispatch_errors(self):
         _, _, idx = self.build_case(96)
         with pytest.raises(ValueError):
-            ix.locate_long_primary(idx, b"\x01" * idx.tau)
+            idx.locate_long_primary(b"\x01" * idx.tau)
         with pytest.raises(ValueError):
-            ix.locate_short_primary(idx, b"\x01" * (idx.tau + 1))
+            idx.locate_short_primary(b"\x01" * (idx.tau + 1))
 
 
 class TestVerifyCandidates:
@@ -354,7 +354,6 @@ class TestSerialization:
         # order, and recomputes the dictionary values from the text
         for attr in ("t_d", "t_dp"):
             assert self.trie_fields(getattr(loaded, attr)) == self.trie_fields(getattr(idx, attr))
-        assert loaded.rd_pos == idx.rd_pos
         assert loaded.f_strings == idx.f_strings
         assert loaded.f_pairs == idx.f_pairs
         everything = (1, loaded.t_d.num_leaves, 1, loaded.t_dp.num_leaves)
@@ -446,6 +445,7 @@ class TestSerialization:
         i, pos = next((i, sum(ph.span() for ph in phrases[:i]) + 1)
                       for i, ph in enumerate(phrases) if ph.len > 0)
         ph = phrases[i]
+        j = next(j for j, ph in enumerate(phrases) if j > 0 and ph.len == 0)
         last = phrases[-1]
         self.assert_corrupt({
             case: self.with_parse(idx, bad) for case, bad in {
@@ -453,6 +453,7 @@ class TestSerialization:
                 "spans short of n": phrases[:-1],
                 "source start 0": phrases[:i] + [lz77.Phrase(0, ph.len, ph.border)] + phrases[i + 1 :],
                 "source at its phrase": phrases[:i] + [lz77.Phrase(pos, ph.len, ph.border)] + phrases[i + 1 :],
+                "start without a source": phrases[:j] + [lz77.Phrase(1, 0, phrases[j].border)] + phrases[j + 1 :],
                 "border 0": phrases[:-1] + [lz77.Phrase(last.start, last.len, 0)],
                 "border above sigma": phrases[:-1] + [lz77.Phrase(last.start, last.len, idx.sigma + 1)],
             }.items()
@@ -473,10 +474,16 @@ class TestSerialization:
         fields = self.header_fields(idx)
         crafted = {}
         # the largest border is sigma: a header sigma no parse can have
-        # written is refused, also one too wide for a byte key
+        # written is refused, also one too wide for a byte key; z lies in
+        # [1, capped z], and the block length is n / z rounded up
+        z, capped_z = fields[2], idx.capped.z
+        assert z < capped_z
         for case, at, bad in (("n 0", 0, 0), ("tau 0", 3, 0), ("block_len 0", 4, 0),
                               ("r 0", 6, 0), ("r = p", 6, fp.P),
-                              ("sigma + 1", 1, fields[1] + 1), ("sigma 2^64", 1, 1 << 64)):
+                              ("sigma + 1", 1, fields[1] + 1), ("sigma 2^64", 1, 1 << 64),
+                              ("z 0", 2, 0), ("z above capped z", 2, capped_z + 1),
+                              ("block_len + 1", 4, fields[4] + 1),
+                              ("block_len - 1", 4, fields[4] - 1)):
             w = Writer()
             w.raw(ix.MAGIC + bytes(4))  # with_sections fills the checksum in
             for k, v in enumerate(fields):
@@ -616,7 +623,6 @@ class TestKeyWidths:
             for attr in ("t_d", "t_dp"):
                 assert (TestSerialization.trie_fields(getattr(loaded, attr))
                         == TestSerialization.trie_fields(getattr(idx, attr)))
-            assert loaded.rd_pos == idx.rd_pos
             assert loaded.f_strings == idx.f_strings
             assert loaded.f_pairs == idx.f_pairs
             # every substring up to tau + 1 long, and each with its last
