@@ -4,7 +4,7 @@ Everything here treats the text as a numpy int array and end-of-string as
 smaller than any symbol, so suffix order matches Python's prefix-first
 ordering of the raw sequences. The parser (lz77.parse) reads the suffix
 array to find each phrase's longest previous factor and source, the index
-builder reads the ranks and the LCP array for the suffix trie's leaf order
+builder reads the ranks and the LCP array for the suffix trie's string order
 and adjacent lcps, and then drops all three. No range-minimum table is
 built: the parser compares characters, and the builder takes its minima of
 the LCP array in one pass.

@@ -133,10 +133,6 @@ class PrefixFpTable:
         # an empty substring reads pw[-1], times a difference of 0
         return _mulmod(_reduce(self._rev[ends] + (_P - self._rev[starts])), self.pw[ends - 1])
 
-    def appended(self, values, lengths, symbol: int):
-        """phi(w c) from phi(w) and |w|, per w, for one symbol c."""
-        return _reduce(values + _mulmod(self.pw[lengths], np.uint64(symbol % P)))
-
 
 class PatternFps:
     """The fingerprints of every substring of a pattern and of its reversal,

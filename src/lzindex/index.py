@@ -8,19 +8,22 @@ and a range-max over their ends (Kärkkäinen and Ukkonen), derived from the
 parse whenever an index is built or loaded. Long patterns are cut at
 multiples of tau and each cut is matched as a (reversed prefix, suffix)
 pair. A weak prefix search in the trie of reversed relevant substrings
-narrows the prefix side to a leaf rank range and a locus candidate, and
+narrows the prefix side to a rank range and a locus candidate, and
 the candidate is checked at once by reading the text it stands for off
 the grammar and comparing it with the pattern, one block-bounded piece at
 a time up to the first piece that differs. Only a prefix side that passes
 runs the same search and check on the suffix side, in the trie of the
 suffixes that follow the relevant substrings, and only then does a 2-d
-range query report the border positions where the two ranges meet. Weak
-search compares raw fingerprint values, the pattern's from one pass over
-it (fingerprints.PatternFps). Patterns of length at most tau instead
-bisect the sorted list of the short strings around each border: the
-strings a pattern prefixes form one run of it. Extraction and the
-candidate check both run on the balanced grammar built from the parse, so
-the reversed side has no grammar of its own.
+range query report the border positions where the two ranges meet.
+Neither trie ends its strings with a terminator, which no query holds: a
+string that prefixes another ends at an inner vertex, and the empty suffix
+after the last relevant substring at the root. Weak search compares raw
+fingerprint values, the pattern's from one pass over it
+(fingerprints.PatternFps). Patterns of length at most tau instead bisect
+the sorted list of the short strings around each border: the strings a
+pattern prefixes form one run of it. Extraction and the candidate check
+both run on the balanced grammar built from the parse, so the reversed
+side has no grammar of its own.
 
 No answer is left to chance. Each dictionary is certified at every key
 length: the vertices whose skip intervals hold that length have distinct
@@ -34,10 +37,10 @@ damage to the file that its CRC-32 misses, a chance of about 2^-32, could
 pair a parse with an r that was not certified on it.
 
 The build makes one suffix array with its ranks and LCP array, for the
-parse and for the suffix trie's leaf order and adjacent lcps, and drops
+parse and for the suffix trie's string order and adjacent lcps, and drops
 them before it draws a fingerprint function. The file stores only the header
-with a CRC-32 of the file and the base r, the parse, and that leaf order
-with the lcps of adjacent leaves, and the constructor takes exactly those
+with a CRC-32 of the file and the base r, the parse, and that string order
+with the lcps of adjacent strings, and the constructor takes exactly those
 with the text: the build passes the text it was given, loading decodes it
 from the checked parse. From them the constructor derives the rest in one
 order: the two tries over the relevant substrings; the dictionaries keyed
@@ -112,13 +115,13 @@ class Index:
         arr: np.ndarray, make_dictionary,
     ):
         """The index from what its file stores: the header fields, the
-        function, the capped parse and the suffix trie's leaf order (an item
-        index per rank) with the lcps of adjacent leaves. Everything else is
-        derived from those and the text arr, which construction may read
-        directly (queries go through the grammar instead). make_dictionary
+        function, the capped parse and the suffix trie's string order (an
+        item index per rank) with the lcps of adjacent strings. Everything
+        else is derived from those and the text arr, which construction may
+        read directly (queries go through the grammar instead). make_dictionary
         is prefix_search.build, which certifies each dictionary and raises
         FingerprintCollision, or prefix_search.derive, which trusts fn. A
-        leaf order or lcp list that cannot come from the text raises
+        string order or lcp list that cannot come from the text raises
         ValueError("corrupt index")."""
         self.n = n
         self.sigma = sigma
@@ -128,15 +131,14 @@ class Index:
         self.seed = seed
         self.fn = fn
         self.capped = capped
-        self.dp_lcps = lcps
         self._key_width = width = trie.key_width(sigma)
         self.last_stats: dict = {}
 
         items = _relevant_substrings(capped, tau, n)
         self.t_d, self.t_dp = _tries(items, arr, width, order, lcps)
         # the dictionaries are all that depends on fn
-        self.ps_d, self.ps_dp = _dictionaries(fn, arr, sigma, block_len, self.t_d,
-                                              self.t_dp, make_dictionary)
+        self.ps_d, self.ps_dp = _dictionaries(fn, arr, block_len, self.t_d, self.t_dp,
+                                              make_dictionary)
         # the rest is made only now, so it is not resident while the
         # certification and the prefix table peak
         self.bt = build_slp(capped, block_len)
@@ -339,13 +341,13 @@ class Index:
         """Whether str(v) of the t_d vertex v starts with the reversal of
         symbols[:k]: str(v) is the text read backwards from a position e, so
         text[e - k + 1, e] must equal symbols[:k]."""
-        if self.t_d.usable_len(v) < k:
+        if self.t_d.strlen[v] < k:
             return False
         return self.bt.matches(self.t_d.sample[v] - k + 1, symbols, 0, k)
 
     def _suffix_holds(self, v: int, symbols: list, lo: int, hi: int) -> bool:
         """Whether str(v) of the t_dp vertex v starts with symbols[lo:hi]."""
-        if self.t_dp.usable_len(v) < hi - lo:
+        if self.t_dp.strlen[v] < hi - lo:
             return False
         return self.bt.matches(self.t_dp.sample[v], symbols, lo, hi)
 
@@ -358,7 +360,6 @@ class Index:
             "phrases": self.orig_z,
             "capped_phrases": self.capped.z,
             "tau": self.tau,
-            "x": self.block_len,
             "block_len": self.block_len,
             "seed": self.seed,
             "grammar_nodes": self.bt.node_count,
@@ -391,11 +392,17 @@ class Index:
             w.u(ph.border)
         parse = bytes(w.buf)
 
-        # the suffix trie as its leaf order (an item per rank) and the lcps
-        # of adjacent leaves
+        # the suffix trie as its order (an item per rank) and the lcps of
+        # adjacent ranks: rank r leaves rank r - 1's path at their lcp
+        t = self.t_dp
+        lcps = [0] * t.num_leaves
+        for u in range(1, t.num_vertices):
+            p = t.parent[u]
+            if t.l_rank[u] != t.l_rank[p]:
+                lcps[t.l_rank[u] - 1] = t.strlen[p]
         w = Writer()
-        w.seq(ids[0] for ids in self.t_dp.leaf_ids[1:])
-        w.seq(self.dp_lcps)
+        w.seq(ids[0] for ids in t.leaf_ids[1:])
+        w.seq(lcps)
         suffix_trie = bytes(w.buf)
 
         sections = [
@@ -476,14 +483,14 @@ def _relevant_substrings(capped: lz77.Lz77Parse, tau: int, n: int) -> list:
 
 
 def _suffix_trie_order(ctx: SuffixContext, items) -> tuple[list[int], list[int]]:
-    """The suffix trie's leaf order (an item index per rank) and the lcps of
-    adjacent leaves, from the suffix context.
+    """The suffix trie's string order (an item index per rank) and the lcps
+    of adjacent strings, from the suffix context.
 
     Item i's suffix starts after its end, at 0-based text position e. Ends
     are distinct and ascending, so only the last item can end at n; its
     suffix is empty and sorts first, with lcp 0 to both neighbours. The lcp
-    of two adjacent leaves is the least LCP entry after the first one's rank
-    up to the second one's.
+    of two adjacent suffixes is the least LCP entry after the first one's
+    rank up to the second one's.
     """
     n = ctx.n
     ranks = ctx.rank[[e for _, e, _ in items if e < n]]
@@ -496,7 +503,7 @@ def _suffix_trie_order(ctx: SuffixContext, items) -> tuple[list[int], list[int]]
         ).tolist()
     if len(order) < len(items):
         order.insert(0, len(items) - 1)
-    # the first leaf, and the one after the empty suffix, have lcp 0
+    # the first suffix, and the one after the empty suffix, have lcp 0
     return order, [0] * (len(order) - len(lcps)) + lcps
 
 
@@ -538,8 +545,8 @@ def _checksum(data) -> int:
 
 def _tries(items, arr: np.ndarray, width: int, order, lcps) -> tuple[CompactTrie, CompactTrie]:
     """The tries the dictionaries are keyed on, from the relevant substrings,
-    the text, the byte key width and the suffix trie's leaf order with the
-    lcps of adjacent leaves: the trie over the reversed relevant substrings,
+    the text, the byte key width and the suffix trie's string order with the
+    lcps of adjacent strings: the trie over the reversed relevant substrings,
     each vertex's sample the end of an item it spells, and the trie over the
     suffixes that follow them, each vertex's sample the start of one.
     Neither depends on the fingerprint function."""
@@ -549,8 +556,8 @@ def _tries(items, arr: np.ndarray, width: int, order, lcps) -> tuple[CompactTrie
         raise ValueError("corrupt index")
     starts = [items[i][1] + 1 for i in order]
     for r in range(1, len(starts)):
-        # no longer than the shorter of the two suffixes
-        if lcps[r] > n + 1 - max(starts[r - 1], starts[r]):
+        # the earlier suffix may prefix the later one, never the reverse
+        if lcps[r] > n + 1 - starts[r - 1] or lcps[r] >= n + 1 - starts[r]:
             raise ValueError("corrupt index")
 
     # trie over the reversed relevant substrings, sorted as byte keys: each
@@ -578,37 +585,19 @@ def _tries(items, arr: np.ndarray, width: int, order, lcps) -> tuple[CompactTrie
     return t_d, t_dp
 
 
-def _dictionaries(fn: fp.FpFunction, arr: np.ndarray, sigma: int, x: int, t_d: CompactTrie,
+def _dictionaries(fn: fp.FpFunction, arr: np.ndarray, x: int, t_d: CompactTrie,
                   t_dp: CompactTrie, make_dictionary) -> tuple:
     """make_dictionary(trie, x, prefix_values) for t_d and for t_dp, the
     values read off one prefix table over the text. A t_d vertex spells the
     text backwards from the end in its sample, a t_dp vertex forwards from
     the start in its sample."""
     table = fp.PrefixFpTable(fn, arr)
+    ends = np.array(t_d.sample, dtype=np.int64)
+    starts = np.array(t_dp.sample, dtype=np.int64)
     return (
-        make_dictionary(t_d, x, _prefix_values(
-            t_d, table, sigma + 1, lambda ends, l: table.reversed_values(ends - l, l))),
-        make_dictionary(t_dp, x, _prefix_values(
-            t_dp, table, sigma + 1, lambda starts, l: table.values(starts - 1, l))),
+        make_dictionary(t_d, x, lambda v, l: table.reversed_values(ends[v] - l, l)),
+        make_dictionary(t_dp, x, lambda v, l: table.values(starts[v] - 1, l)),
     )
-
-
-def _prefix_values(t: CompactTrie, table: fp.PrefixFpTable, term: int, read):
-    """The prefix_values of a trie over text substrings:
-    read(samples, lengths) gives the values of the first l symbols of the
-    strings of those samples, and a prefix that takes in a leaf's
-    terminator has the symbol term appended."""
-    strlen = np.array(t.strlen, dtype=np.int64)
-    sample = np.array(t.sample, dtype=np.int64)
-    leaf = np.array(t.leaf_rank) > 0
-
-    def prefix_values(vertices, lengths):
-        ends = leaf[vertices] & (lengths == strlen[vertices])
-        body = lengths - ends
-        values = read(sample[vertices], body)
-        return np.where(ends, table.appended(values, body, term), values)
-
-    return prefix_values
 
 
 def _short_strings(capped: lz77.Lz77Parse, tau: int, arr: np.ndarray, width: int) -> tuple:

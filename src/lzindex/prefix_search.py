@@ -4,8 +4,9 @@ Two fingerprint dictionaries drive the search: G maps each vertex's fat
 prefix (length = the 2-fattest number in its skip interval) and H maps each
 vertex's x-prefix (shortest multiple of x in the interval). A query first
 jumps within x of its locus via H, then binary searches the remaining depth
-via G. Answers are leaf rank ranges and may be arbitrary when the pattern
-prefixes no indexed string.
+via G. Answers are the rank ranges of the indexed strings the pattern
+prefixes, and may be arbitrary when it prefixes none. The strings carry no
+terminator, so every key is a prefix that a query can spell.
 
 A dictionary key is one int, value | length << 61, of a prefix's
 fingerprint value (below 2^61) and its length, so only equal-length prefixes
@@ -22,10 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .trie import CompactTrie
-
-LOCUS_FOUND = "locus_found"
-X_RANGE = "x_range"
-EXIT_FOUND = "exit_found"
 
 
 class FingerprintCollision(Exception):
@@ -82,7 +79,7 @@ def derive(t: CompactTrie, x: int, prefix_values) -> PrefixSearchStructure:
 
     prefix_values(vertices, lengths) -> the fingerprint values of
     str(v)[1, l] per vertex v and length l, given and returned as numpy
-    arrays (l may include the terminator of a leaf).
+    arrays.
     """
     _, _, fat, mult = key_lengths(t, x)
     vertices = np.arange(1, t.num_vertices)
@@ -119,9 +116,10 @@ def build(t: CompactTrie, x: int, prefix_values) -> PrefixSearchStructure:
     return derive(t, x, prefix_values)
 
 
-def find_x_range(ps: PrefixSearchStructure, m: int, pattern_fp) -> tuple[int, str]:
-    """Vertex v with str(v) prefixing P and m - |v| <= x, or the locus itself,
-    valid whenever P prefixes an indexed string. pattern_fp(i, j) -> value."""
+def find_x_range(ps: PrefixSearchStructure, m: int, pattern_fp) -> int:
+    """Vertex v with str(v) prefixing P and m - |v| <= x, or the locus itself
+    (|v| >= m), valid whenever P prefixes an indexed string.
+    pattern_fp(i, j) -> value."""
     t = ps.trie
     v = 0
     if m >= ps.x:
@@ -132,13 +130,12 @@ def find_x_range(ps: PrefixSearchStructure, m: int, pattern_fp) -> tuple[int, st
                 u = ps.H.get(pattern_fp(1, ix) | ix << 61)
                 if u is not None:
                     v = u
-    if t.strlen[v] >= m:
-        return v, LOCUS_FOUND
-    return v, X_RANGE
+    return v
 
 
-def find_exit_vertex(ps: PrefixSearchStructure, start: int, m: int, pattern_fp) -> tuple[int, str]:
-    """Fat binary search from an ancestor of the exit vertex."""
+def find_exit_vertex(ps: PrefixSearchStructure, start: int, m: int, pattern_fp) -> int:
+    """Fat binary search from an ancestor of the exit vertex: the exit
+    vertex (|v| < m), or the locus itself (|v| >= m)."""
     t = ps.trie
     d = m - t.strlen[start]
     y = 1 << d.bit_length()  # smallest power of two > d
@@ -160,8 +157,8 @@ def find_exit_vertex(ps: PrefixSearchStructure, start: int, m: int, pattern_fp) 
                 vc = u
                 l = b
             else:
-                return u, LOCUS_FOUND
-    return vc, EXIT_FOUND
+                return u
+    return vc
 
 
 def weak_search(ps: PrefixSearchStructure, m: int, pattern_fp, pattern_symbol):
@@ -173,16 +170,12 @@ def weak_search(ps: PrefixSearchStructure, m: int, pattern_fp, pattern_symbol):
     t = ps.trie
     if m == 0:
         return 0, 1, t.num_leaves
-    v, status = find_x_range(ps, m, pattern_fp)
-    if status == LOCUS_FOUND:
-        l, r = t.leaf_range(v)
-        return v, l, r
-    v, status = find_exit_vertex(ps, v, m, pattern_fp)
-    if status == LOCUS_FOUND or t.strlen[v] >= m:
-        l, r = t.leaf_range(v)
-        return v, l, r
-    child = t.children[v].get(pattern_symbol(t.strlen[v] + 1))
-    if child is None:
-        return None  # true negative
-    l, r = t.leaf_range(child)
-    return child, l, r
+    v = find_x_range(ps, m, pattern_fp)
+    if t.strlen[v] < m:
+        v = find_exit_vertex(ps, v, m, pattern_fp)
+        if t.strlen[v] < m:
+            v = t.children[v].get(pattern_symbol(t.strlen[v] + 1))
+            if v is None:
+                return None  # true negative
+    l, r = t.leaf_range(v)
+    return v, l, r

@@ -33,7 +33,6 @@ class Grid:
         """points: iterable of (x, y, payload); payload is any hashable pair."""
         pts = list(points)
         self.size = len(pts)
-        self.query_count = 0  # instrumentation
         xs = np.array([p[0] for p in pts], dtype=np.int64)
         ys = np.array([p[1] for p in pts], dtype=np.int64)
         # by (x, y); lexsort is stable, so equal points keep their input order
@@ -59,7 +58,6 @@ class Grid:
 
     def query(self, x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> list:
         """Payloads of all points in [x_lo, x_hi] x [y_lo, y_hi]."""
-        self.query_count += 1
         # node l of level k is [l << k, (l + 1) << k) of the x order, cut at
         # size; take the nodes covering [l, r) bottom up, from both ends in
         l = bisect_left(self.xs, x_lo)

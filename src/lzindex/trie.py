@@ -1,10 +1,13 @@
-"""Compact (PATRICIA) tries over $-terminated strings.
+"""Compact (PATRICIA) tries over strings with no terminator.
 
 Only the first symbol of every edge is stored; full edge labels are read back
-through a caller-supplied character access when needed. Leaves sit in
-lexicographic order (terminator smallest) and every vertex knows the rank
-range of the leaves below it, filled in by the same stack pass that makes
-the vertices.
+through a caller-supplied character access when needed. Every indexed string
+ends at a vertex of its own, which may also have children: a string that
+prefixes another marks the inner vertex at its length, and the empty string
+marks the root. The strings are ranked in lexicographic order, a prefix
+before the strings it prefixes, and every vertex knows the rank range of the
+strings in its subtree, filled in by the same stack pass that makes the
+vertices.
 
 Strings are sorted as byte keys: each symbol becomes a big-endian word of a
 fixed width (`key_width`), so the bytes order of two keys is the order of
@@ -18,15 +21,14 @@ from __future__ import annotations
 
 import numpy as np
 
-TERMINATOR = -1  # edge key for the $ that ends every indexed string
-
 
 class CompactTrie:
-    """Vertex 0 is the root. Leaf ranks are 1-based.
+    """Vertex 0 is the root. Leaf ranks are 1-based: a vertex's leaf rank is
+    the rank of the string that ends at it, 0 when none does.
 
-    strlen counts the terminator, so a leaf for string s has strlen len(s)+1.
-    `sample` holds one represented string id per vertex so edge labels can be
-    recovered from the original text.
+    strlen is the length of a vertex's string. `sample` holds one
+    represented string id per vertex so edge labels can be recovered from
+    the original text.
     """
 
     def __init__(self):
@@ -36,7 +38,7 @@ class CompactTrie:
         self.l_rank: list[int] = [0]
         self.r_rank: list[int] = [0]
         self.sample: list[int] = [-1]
-        self.leaf_rank: list[int] = [0]  # 0 for internal vertices
+        self.leaf_rank: list[int] = [0]
         self.leaf_ids: list[list[int]] = [[]]  # rank -> original string ids; [0] unused
 
     @property
@@ -47,22 +49,12 @@ class CompactTrie:
     def num_vertices(self) -> int:
         return len(self.parent)
 
-    def is_leaf(self, v: int) -> bool:
-        return self.leaf_rank[v] > 0
-
-    def usable_len(self, v: int) -> int:
-        """Length of str(v) without any trailing terminator."""
-        return self.strlen[v] - 1 if self.is_leaf(v) else self.strlen[v]
-
     def leaf_range(self, v: int) -> tuple[int, int]:
         return self.l_rank[v], self.r_rank[v]
 
     # kept because bench/tracing.py wraps locus_by_walk by name (ROADMAP item 1)
     def edge_symbol(self, v: int, pos: int, char_access) -> int:
-        """Symbol at 1-based depth pos of str(v); the terminator for a leaf's
-        final position."""
-        if self.is_leaf(v) and pos == self.strlen[v]:
-            return TERMINATOR
+        """Symbol at 1-based depth pos of str(v)."""
         return char_access(self.sample[v], pos)
 
     # kept because bench/tracing.py wraps it by name (ROADMAP item 1)
@@ -120,18 +112,20 @@ def build_from_sorted(keys: list[int], real_lens, lcps, ids_per_key) -> CompactT
 
     keys are opaque string ids used as `sample`s; real_lens[i] is the i-th
     string's length; lcps[i] is the longest common prefix with string i-1
-    (lcps[0] ignored); ids_per_key[i] lists the original ids collapsed into
-    leaf i. Edge first-symbols are filled in by finalize.
+    (lcps[0] ignored), less than real_lens[i]; ids_per_key[i] lists the
+    original ids collapsed into string i. Edge first-symbols are filled in
+    by finalize.
 
-    The stack holds the rightmost path. A vertex's first leaf is the one it
-    is made with (a split vertex takes over the first leaf of the subtree it
-    splits off), and its last leaf the newest one when it leaves the stack.
+    The stack holds the rightmost path. A vertex's first rank is that of the
+    string it is made with (a split vertex takes over the first rank of the
+    subtree it splits off), and its last rank the newest one when it leaves
+    the stack.
     """
     t = CompactTrie()
     parent, strlen, sample = t.parent, t.strlen, t.sample
     l_rank, r_rank, leaf_rank = t.l_rank, t.r_rank, t.leaf_rank
     stack = [0]
-    rank = 0  # of the newest leaf; the rank lists share its int objects
+    rank = 0  # of the newest string; the rank lists share its int objects
     for i, key in enumerate(keys):
         l = 0 if i == 0 else lcps[i]
         last = -1
@@ -152,9 +146,15 @@ def build_from_sorted(keys: list[int], real_lens, lcps, ids_per_key) -> CompactT
             stack.append(mid)
             top = mid
         rank = i + 1
+        if real_lens[i] == l:
+            # only the empty string, first in the order, ends at a vertex
+            # that is already there: the root
+            leaf_rank[top] = rank
+            sample[top] = key
+            continue
         stack.append(len(parent))
         parent.append(top)
-        strlen.append(real_lens[i] + 1)
+        strlen.append(real_lens[i])
         sample.append(key)
         l_rank.append(rank)
         r_rank.append(0)
@@ -179,26 +179,20 @@ def finalize(t: CompactTrie, symbols_at) -> CompactTrie:
     siblings, so each child dict ends up ordered by symbol.
     """
     parent = t.parent[1:]
-    strlen = np.array(t.strlen, dtype=np.int64)
-    depth = strlen[parent] + 1
-    ends = (np.array(t.leaf_rank[1:]) > 0) & (depth == strlen[1:])
-    inner = ~ends
-    symbols = iter(np.asarray(
-        symbols_at(np.array(t.sample[1:], dtype=np.int64)[inner], depth[inner])
-    ).tolist())
+    depth = np.array(t.strlen, dtype=np.int64)[parent] + 1
+    symbols = np.asarray(symbols_at(np.array(t.sample[1:], dtype=np.int64), depth)).tolist()
     children = t.children
-    for child, (p, end) in enumerate(zip(parent, ends.tolist()), start=1):
-        children[p][TERMINATOR if end else next(symbols)] = child
+    for child, (p, c) in enumerate(zip(parent, symbols), start=1):
+        children[p][c] = child
     return t
 
 
 # kept because bench/tracing.py wraps it by name (ROADMAP item 1)
 def build(strings, ids=None) -> tuple[CompactTrie, list]:
-    """Compact trie over materialized symbol sequences ($ implied) of
-    symbols >= 0.
+    """Compact trie over materialized symbol sequences of symbols >= 0.
 
     Returns the trie plus the distinct sorted strings as tuples; `sample`
-    values index into that list. Duplicate strings merge into one leaf with
+    values index into that list. Duplicate strings merge into one rank with
     all their ids.
     """
     seqs = [tuple(s) for s in strings]

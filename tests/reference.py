@@ -45,24 +45,17 @@ def compose(fy: Fingerprint, fz: Fingerprint) -> Fingerprint:
     return Fingerprint((fy.value + fy.r_pow * fz.value) % fp.P, fy.length + fz.length, fy.fn)
 
 
-def terminator_symbol(strings) -> int:
-    """Fingerprint symbol standing in for the terminator: one past the
-    largest symbol in use, never zero."""
-    return max((c for s in strings for c in s), default=0) + 1
-
-
 def build_from_strings(strings, x: int, fn: fp.FpFunction):
     """The certified search structure over materialized strings: the
-    compact trie, one prefix table over the distinct strings, each followed
-    by the terminator, and prefix_search.build over them. Returns
+    compact trie, one prefix table over the distinct strings joined end to
+    end, and prefix_search.build over them. Returns
     (structure, distinct_strings)."""
     t, distinct = trie.build(strings)
-    term = terminator_symbol(distinct)
     joined: list[int] = []
     offsets = []
     for s in distinct:
         offsets.append(len(joined))
-        joined += [*s, term]
+        joined += s
     table = fp.PrefixFpTable(fn, joined)
     starts = np.array(offsets, dtype=np.int64)
     sample = np.array(t.sample, dtype=np.int64)

@@ -135,12 +135,10 @@ class TestPrefixTable:
                 lengths = [rng.randint(0, len(s) - i) for i in starts]
                 forward = table.values(np.array(starts), np.array(lengths)).tolist()
                 backward = table.reversed_values(np.array(starts), np.array(lengths)).tolist()
-                appended = table.appended(np.array(forward, dtype=np.uint64), np.array(lengths), 7)
                 for k, (i, l) in enumerate(zip(starts, lengths)):
                     piece = s[i : i + l]
                     assert forward[k] == table.values(i, l) == fingerprint(fn, piece).value
                     assert backward[k] == fingerprint(fn, piece[::-1]).value
-                    assert appended[k] == fingerprint(fn, [*piece, 7]).value
 
     def test_limb_arithmetic_at_the_edges(self):
         # products and sums of values next to 0 and p - 1, the cases where

@@ -5,6 +5,8 @@ import pytest
 
 from lzindex import Index, IndexConfig, fingerprints as fp, index as ix, lz77, oracle
 from lzindex._io import Reader, Writer
+from lzindex._suffixes import SuffixContext
+from lzindex._text import to_symbols
 
 from conftest import absent_pattern, planted_pattern, random_text
 
@@ -254,7 +256,7 @@ class TestVerifyCandidates:
 
     def pick_vertex(self, min_len):
         for v in range(1, self.t.num_vertices):
-            if self.t.usable_len(v) >= min_len:
+            if self.t.strlen[v] >= min_len:
                 return v
         raise AssertionError("no deep enough vertex")
 
@@ -275,7 +277,7 @@ class TestVerifyCandidates:
         tail = q[-2:]
         other = next(
             u for u in range(1, self.t.num_vertices)
-            if self.t.usable_len(u) >= 2 and self.vertex_string(u, 2) != tail
+            if self.t.strlen[u] >= 2 and self.vertex_string(u, 2) != tail
         )
         got = self.idx.verify_candidates([(tail, other), (q, v)])
         assert got == [(q, v)]
@@ -294,7 +296,7 @@ class TestVerifyCandidates:
         # order; a vertex whose string is shorter than its suffix is dropped
         v = self.pick_vertex(6)
         q = self.vertex_string(v, 6)
-        short = next(u for u in range(1, self.t.num_vertices) if self.t.usable_len(u) == 2)
+        short = next(u for u in range(1, self.t.num_vertices) if self.t.strlen[u] == 2)
         cands = [(q, v), (q[-4:], v), (q[-4:], short), (q[-1:], v), (q[-2:], v)]
         got = self.idx.verify_candidates(cands)
         assert [len(s) for s, _ in got] == sorted(len(s) for s, _ in got)
@@ -492,10 +494,14 @@ class TestSerialization:
         self.assert_corrupt(crafted)
 
     def test_corrupt_suffix_trie(self):
-        _, _, idx = self.build_random(110)
-        order = [ids[0] for ids in idx.t_dp.leaf_ids[1:]]
-        lcps = list(idx.dp_lcps)
+        _, text, idx = self.build_random(110)
         n = idx.n
+        items = ix._relevant_substrings(idx.capped, idx.tau, n)
+        # the file holds the order and lcps that the build took from the
+        # suffix array, read back off the suffix trie
+        r = Reader(dict(idx._sections())["suffix_trie"])
+        order, lcps = r.seq(), r.seq()
+        assert (order, lcps) == ix._suffix_trie_order(SuffixContext(to_symbols(text)), items)
 
         def section(order, lcps) -> bytes:
             w = Writer()
@@ -506,10 +512,12 @@ class TestSerialization:
         blob = self.with_sections(idx, suffix_trie=section(order, lcps))
         assert Index.from_bytes(blob).to_bytes() == idx.to_bytes()
         # the adjacent pair whose shorter suffix is longest
-        ends = [e for _, e, _ in ix._relevant_substrings(idx.capped, idx.tau, n)]
-        r = max(range(1, len(order)), key=lambda r: n - max(ends[order[r - 1]], ends[order[r]]))
-        shorter = n - max(ends[order[r - 1]], ends[order[r]])
-        too_long = lcps[:r] + [shorter + 1] + lcps[r + 1 :]
+        length = [n - items[i][1] for i in order]
+        r = max(range(1, len(order)), key=lambda r: min(length[r - 1], length[r]))
+        too_long = lcps[:r] + [min(length[r - 1], length[r]) + 1] + lcps[r + 1 :]
+        # a later suffix sorts after an earlier one, so it cannot be its prefix
+        r = next(r for r in range(1, len(order)) if length[r] <= length[r - 1])
+        whole_later = lcps[:r] + [length[r]] + lcps[r + 1 :]
         self.assert_corrupt({
             case: self.with_sections(idx, suffix_trie=section(o, l)) for case, (o, l) in {
                 "item repeated": ([order[1]] + order[1:], lcps),
@@ -518,6 +526,7 @@ class TestSerialization:
                 "lcps too few": (order, lcps[:-1]),
                 "first lcp not 0": (order, [1] + lcps[1:]),
                 "lcp past the shorter suffix": (order, too_long),
+                "lcp the whole later suffix": (order, whole_later),
             }.items()
         })
 
@@ -758,7 +767,7 @@ class TestStats:
         assert s["n"] == 800
         assert s["alphabet_size"] == 4
         assert s["phrases"] <= s["capped_phrases"]
-        assert s["tau"] >= 1 and s["x"] == s["block_len"]
+        assert s["tau"] >= 1 and s["block_len"] >= 1
         for key in ("grammar_nodes", "grammar_height",
                     "trie_d_vertices", "trie_suffix_vertices",
                     "short_strings", "grid_points", "source_points"):
@@ -804,7 +813,7 @@ class TestStats:
                 i = rng.randint(1, len(text))
                 idx.extract(i, min(len(text), i + rng.randint(0, 500)))
             t = idx.t_dp
-            v = next(u for u in range(1, t.num_vertices) if t.usable_len(u) >= 6)
+            v = next(u for u in range(1, t.num_vertices) if t.strlen[u] >= 6)
             q = tuple(idx.extract(t.sample[v], t.sample[v] + 5))
             assert (q, v) in idx.verify_candidates([(q[-3:], v), (q, v)])
             assert idx.fn == fp.FpFunction(r)

@@ -38,15 +38,14 @@ def query_fns(pattern, fn):
 
 def collision_free_by_strings(strings, x: int, fn) -> bool:
     """The definition: at every key length l of the trie over the strings,
-    equal values of length-l prefixes of the terminated strings mean equal
-    prefixes. The key lengths are the 2-fattest number and the least
-    multiple of x of each skip interval (lo, hi], where hi is the length of
-    a distinct prefix that ends a string or branches, and lo the longest
-    such prefix shorter than it."""
-    term = max(c for s in strings for c in s) + 1
-    full = {(*s, term) for s in strings}
-    # a prefix is a vertex when it is empty, a whole terminated string or
-    # one after which two of them branch
+    equal values of length-l prefixes of the strings mean equal prefixes.
+    The key lengths are the 2-fattest number and the least multiple of x of
+    each skip interval (lo, hi], where hi is the length of a distinct prefix
+    that is a whole string or branches, and lo the longest such prefix
+    shorter than it."""
+    full = set(strings)
+    # a prefix is a vertex when it is empty, a whole string (which may also
+    # prefix others) or one after which two of them branch
     nexts: dict[tuple, set] = {}
     for s in full:
         for k in range(len(s)):
@@ -119,9 +118,8 @@ class TestBuild:
     def test_same_length_prefixes_collide(self):
         # under r = 1 "ab" and "ba" collide, and so do the length-2
         # prefixes of these strings, which differ at every other length;
-        # x = 2 keys both leaves at length 2, x = 3 at no length where they
-        # collide
-        strings = [(1, 2, 3), (2, 1, 4)]
+        # x = 2 keys both leaves at length 2, x = 3 only at 3 and 4
+        strings = [(1, 2, 3, 5), (2, 1, 4, 5)]
         with pytest.raises(ps.FingerprintCollision):
             build_from_strings(strings, 2, fp.FpFunction(1))
         build_from_strings(strings, 3, fp.FpFunction(1))
@@ -182,6 +180,18 @@ class TestWeakSearch:
         structure, distinct = build_from_strings(ABC_SET, 2, FN)
         assert ps.weak_search(structure, 0, None, None) == (0, 1, len(distinct))
 
+    def test_empty_string_at_root(self):
+        # the empty string ranks first and ends at the root, and "a" ends
+        # at the inner vertex above "ab"
+        structure, distinct = build_from_strings([(1, 2), (), (1,)], 1, FN)
+        assert distinct == [(), (1,), (1, 2)]
+        assert structure.trie.leaf_rank[0] == 1 and structure.trie.num_vertices == 3
+        assert ps.weak_search(structure, 0, None, None) == (0, 1, 3)
+        for pattern, expected in (((1,), (2, 3)), ((1, 2), (3, 3))):
+            pattern_fp, pattern_symbol = query_fns(pattern, FN)
+            res = ps.weak_search(structure, len(pattern), pattern_fp, pattern_symbol)
+            assert res[1:] == expected
+
     def test_definite_mismatch_is_none(self):
         structure, _ = build_from_strings(ABC_SET, 2, FN)
         pattern = (9, 9)
@@ -207,22 +217,24 @@ class TestFindSteps:
     def test_small_pattern_stays_at_root(self):
         structure, _ = build_from_strings(ABC_SET, 10, FN)
         pattern_fp, _ = query_fns((1,), FN)
-        v, status = ps.find_x_range(structure, 1, pattern_fp)
-        assert v == 0 and status == ps.X_RANGE
+        v = ps.find_x_range(structure, 1, pattern_fp)
+        assert v == 0 and structure.trie.strlen[v] < 1
 
     def test_exact_string_found_with_x_one(self):
         structure, distinct = build_from_strings(ABC_SET, 1, FN)
         pattern = (2,)
-        # the leaf's string includes the terminator, so the locus is reached
-        # by the exit-vertex step rather than the x-range step
+        # the string ends at its own vertex at depth 1, which H keys at
+        # length 1, so the x-range step reaches the locus
         pattern_fp, pattern_symbol = query_fns(pattern, FN)
+        v = ps.find_x_range(structure, 1, pattern_fp)
+        assert structure.trie.strlen[v] == 1
         res = ps.weak_search(structure, 1, pattern_fp, pattern_symbol)
         rank = distinct.index((2,)) + 1
-        assert res[1:] == (rank, rank)
+        assert res == (v, rank, rank)
 
     def test_exit_vertex_example(self):
         structure, _ = build_from_strings(ABC_SET, 10, FN)
         pattern_fp, _ = query_fns((1, 2), FN)
-        v, status = ps.find_exit_vertex(structure, 0, 2, pattern_fp)
+        v = ps.find_exit_vertex(structure, 0, 2, pattern_fp)
         assert structure.trie.strlen[v] == 2
         assert structure.trie.leaf_range(v) == (1, 2)

@@ -101,12 +101,6 @@ class TestGrid:
                 assert g.query(x_lo, x_hi, y_lo, y_hi) == ref.query(x_lo, x_hi, y_lo, y_hi)
             assert g.query(0, u + 1, 0, u + 1) == ref.query(0, u + 1, 0, u + 1)
 
-    def test_query_counter(self):
-        g = Grid([(1, 1, (0, 0))])
-        g.query(1, 1, 1, 1)
-        g.query(1, 1, 1, 1)
-        assert g.query_count == 2
-
 
 def contained_scan(sources, lo, hi):
     return sorted(t + lo - s for s, e, t in sources if s <= lo and e >= hi)

@@ -48,13 +48,15 @@ class TestBuild:
         assert t.leaf_ids[1] == [10, 20]
         assert t.leaf_ids[2] == [30]
 
-    def test_terminator_sorts_first(self):
-        # "a" must rank before "ab": the $ edge is smaller than any symbol
+    def test_prefix_marks_inner_vertex_and_ranks_first(self):
+        # "a" ranks before "ab" and ends at the inner vertex above it
         t, distinct = trie.build([(1, 2), (1,)])
         assert distinct == [(1,), (1, 2)]
         v = t.children[0][1]
-        kids = list(t.children[v])
-        assert kids[0] == trie.TERMINATOR
+        assert t.strlen[v] == 1 and t.leaf_rank[v] == 1
+        assert t.leaf_range(v) == (1, 2)
+        assert list(t.children[v]) == [2]
+        assert t.leaf_rank[t.children[v][2]] == 2
 
 
 class TestLeafRanges:
@@ -72,7 +74,7 @@ class TestLeafRanges:
             # recompute ranges from leaf sets via parent pointers
             below = [set() for _ in range(t.num_vertices)]
             for v in range(t.num_vertices):
-                if t.is_leaf(v):
+                if t.leaf_rank[v]:
                     u = v
                     while u != -1:
                         below[u].add(t.leaf_rank[v])
