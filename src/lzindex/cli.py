@@ -37,7 +37,8 @@ def _cmd_build(args) -> int:
 def _cmd_locate(args) -> int:
     idx = Index.load(args.index)
     if args.pattern is not None:
-        patterns = [args.pattern.encode()]
+        # the argument as the bytes it was given, also those not UTF-8
+        patterns = [os.fsencode(args.pattern)]
     else:
         with open(args.pattern_file, "rb") as fh:
             patterns = [line for line in fh.read().splitlines() if line]

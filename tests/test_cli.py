@@ -115,6 +115,22 @@ class TestLocate:
         with pytest.raises(SystemExit):
             cli.main(["locate", "-x", str(idx_path)])
 
+    def test_pattern_argument_takes_any_byte(self, tmp_path):
+        # a shell passes the argument as bytes, which need not be UTF-8
+        idx_path = build_index(tmp_path, b"ab\xffcd\xffab")
+        batch = tmp_path / "patterns.txt"
+        batch.write_bytes(b"\xff\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        answers = []
+        for how in ([b"-p", b"\xff"], [b"-f", bytes(batch)]):
+            proc = subprocess.run([sys.executable, "-m", "lzindex.cli", "locate",
+                                   "-x", str(idx_path), *how],
+                                  env={**os.environ, "PYTHONPATH": str(src)},
+                                  capture_output=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            answers.append(proc.stdout.split())
+        assert answers == [[b"3", b"6"]] * 2
+
     def test_matches_oracle_on_text(self, tmp_path, capsys):
         rng = random.Random(113)
         data = bytes(rng.choice(b"ab") for _ in range(500))

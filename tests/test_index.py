@@ -1,6 +1,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from lzindex import Index, IndexConfig, fingerprints as fp, index as ix, lz77, oracle
@@ -349,8 +350,8 @@ class TestSerialization:
             assert getattr(loaded.bt.arena, attr) == getattr(idx.bt.arena, attr)
         assert loaded.bt.roots == idx.bt.roots
         # nor the phrase sources; loading derives them from the parse
-        for attr in ("starts", "ends", "targets"):
-            assert getattr(loaded.sources, attr) == getattr(idx.sources, attr)
+        for attr in ("starts", "ends", "shifts"):
+            assert np.array_equal(getattr(loaded.sources, attr), getattr(idx.sources, attr))
         # nor the tries, the grid, the short strings or the dictionaries:
         # loading rebuilds them from the parse and the suffix trie's leaf
         # order, and recomputes the dictionary values from the text
@@ -518,6 +519,9 @@ class TestSerialization:
         # a later suffix sorts after an earlier one, so it cannot be its prefix
         r = next(r for r in range(1, len(order)) if length[r] <= length[r - 1])
         whole_later = lcps[:r] + [length[r]] + lcps[r + 1 :]
+        # every length and lcp fits, but the symbol after the lcp sorts the
+        # two suffixes the other way
+        swapped = order[:2] + [order[3], order[2]] + order[4:]
         self.assert_corrupt({
             case: self.with_sections(idx, suffix_trie=section(o, l)) for case, (o, l) in {
                 "item repeated": ([order[1]] + order[1:], lcps),
@@ -527,6 +531,8 @@ class TestSerialization:
                 "first lcp not 0": (order, [1] + lcps[1:]),
                 "lcp past the shorter suffix": (order, too_long),
                 "lcp the whole later suffix": (order, whole_later),
+                "ranks 3 and 4 swapped": (swapped, lcps),
+                "lcp past n": (order, lcps[:-1] + [1 << 64]),
             }.items()
         })
 

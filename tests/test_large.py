@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from lzindex import Index, fingerprints as fp, oracle
+from lzindex import Index, fingerprints as fp, oracle, range_report
 
 from conftest import absent_pattern, planted_pattern
 
@@ -54,8 +54,17 @@ def test_build_rejects_a_colliding_function(large):
     assert idx.fn.r == fp.select_function(1).r != 1
 
 
-def test_locate_matches_naive_scan(large):
+def test_locate_matches_naive_scan(large, monkeypatch):
     rng, text, idx, _ = large
+    # the widths of the copy-queue levels that ran as one numpy pass
+    wide = []
+    wide_level = range_report.SourceIndex._wide_level
+
+    def spy(self, level, *args):
+        wide.append(len(level))
+        return wide_level(self, level, *args)
+
+    monkeypatch.setattr(range_report.SourceIndex, "_wide_level", spy)
     tau, b = idx.tau, idx.block_len
     patterns = []
     for m in (1, tau, tau + 1, tau + 2, 3 * b, 5 * b + 7):
@@ -71,6 +80,7 @@ def test_locate_matches_naive_scan(large):
     assert len(patterns) >= 40
     for pattern in patterns:
         assert idx.locate(pattern) == oracle.naive_locate(text, pattern)
+    assert wide and min(wide) >= range_report.WIDE_LEVEL
 
 
 def test_extract_across_block_borders(large):

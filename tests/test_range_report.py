@@ -119,6 +119,11 @@ def closure_scan(sources, seeds, m):
     return sorted(out)
 
 
+# expand's level thresholds that put every level on the numpy pass, and
+# every level on the Python loop
+LEVEL_PATHS = (1, 1 << 62)
+
+
 class TestSourceIndex:
     def test_empty(self):
         idx = range_report.SourceIndex([])
@@ -134,57 +139,76 @@ class TestSourceIndex:
         assert idx.expand([6], 3) == []
         assert sorted(idx.expand([3, 4, 5, 6, 7], 1)) == [20, 21, 22, 23, 24]
 
-    def test_matches_scan_oracle(self):
-        rng = random.Random(64)
-        for trial in range(40):
-            count = rng.choice([0, 1, 2, 3, rng.randint(4, 300)])
-            u = rng.choice([5, 30, 1000])
-            sources = []
-            for t in range(count):
-                s = rng.randint(1, u)
-                e = s + rng.randint(0, u // 3)
-                if sources and rng.random() < 0.4:
-                    s0, e0, _ = rng.choice(sources)
-                    if rng.random() < 0.5:  # equal start
-                        s, e = s0, s0 + rng.randint(0, u // 3)
-                    else:  # nested
-                        s = rng.randint(s0, e0)
-                        e = rng.randint(s, e0)
-                # targets lie past every interval, so no copy is copied again
-                sources.append((s, e, 10 * u + 7 * t))
-            idx = range_report.SourceIndex(sources)
-            assert list(zip(idx.starts, idx.ends, idx.targets)) == sorted(sources)
-            for _ in range(200):
-                lo = rng.randint(0, u + 2)
-                hi = lo + rng.randint(0, u // 2)
-                got = idx.expand([lo], hi - lo + 1)
-                assert sorted(got) == contained_scan(sources, lo, hi)
+    def test_matches_scan_oracle(self, monkeypatch):
+        for wide in LEVEL_PATHS:
+            monkeypatch.setattr(range_report, "WIDE_LEVEL", wide)
+            rng = random.Random(64)
+            for trial in range(40):
+                count = rng.choice([0, 1, 2, 3, rng.randint(4, 300)])
+                u = rng.choice([5, 30, 1000])
+                sources = []
+                for t in range(count):
+                    s = rng.randint(1, u)
+                    e = s + rng.randint(0, u // 3)
+                    if sources and rng.random() < 0.4:
+                        s0, e0, _ = rng.choice(sources)
+                        if rng.random() < 0.5:  # equal start
+                            s, e = s0, s0 + rng.randint(0, u // 3)
+                        else:  # nested
+                            s = rng.randint(s0, e0)
+                            e = rng.randint(s, e0)
+                    # targets lie past every interval, so no copy is copied again
+                    sources.append((s, e, 10 * u + 7 * t))
+                idx = range_report.SourceIndex(sources)
+                stored = zip(idx.starts.tolist(), idx.ends.tolist(),
+                             (idx.starts + idx.shifts).tolist())
+                assert list(stored) == sorted(sources)
+                assert idx.span == max((e - s + 1 for s, e, _ in sources), default=0)
+                for _ in range(200):
+                    lo = rng.randint(0, u + 2)
+                    hi = lo + rng.randint(0, u // 2)
+                    got = idx.expand([lo], hi - lo + 1)
+                    assert sorted(got) == contained_scan(sources, lo, hi)
+                # the longest string an interval holds, and one symbol longer
+                for lo in {s for s, e, _ in sources if e - s + 1 == idx.span}:
+                    assert idx.expand([lo], idx.span)
+                    for m in (idx.span, idx.span + 1):
+                        got = idx.expand([lo, lo - 1, lo + 1], m)
+                        assert sorted(got) == sorted(contained_scan(sources, lo, lo + m - 1)
+                                                     + contained_scan(sources, lo - 1, lo + m - 2)
+                                                     + contained_scan(sources, lo + 1, lo + m))
 
-    def test_closure_matches_fixpoint(self):
-        rng = random.Random(65)
-        chained = 0
-        for trial in range(40):
-            u = rng.choice([8, 40, 300])
-            sources = []
-            for _ in range(min(u, rng.choice([1, 2, 5, rng.randint(6, 60)]))):
-                s = rng.randint(1, u)
-                e = s + rng.randint(0, u // 4)
-                if sources and rng.random() < 0.4:
-                    s0, e0, _ = rng.choice(sources)
-                    if rng.random() < 0.5:  # equal start
-                        s, e = s0, s0 + rng.randint(0, u // 4)
-                    else:  # nested
-                        s = rng.randint(s0, e0)
-                        e = rng.randint(s, e0)
-                # a target after its start, often inside other intervals, so
-                # copies are copied again but never back to where they began
-                sources.append((s, e, s + rng.randint(1, u // 2)))
-            idx = range_report.SourceIndex(sources)
-            for _ in range(30):
-                m = rng.randint(1, u // 4 + 1)
-                seeds = [rng.randint(1, u) for _ in range(rng.randint(0, 4))]
-                want = closure_scan(sources, seeds, m)
-                assert sorted(idx.expand(seeds, m)) == want
-                one_step = sum((contained_scan(sources, o, o + m - 1) for o in seeds), [])
-                chained += len(want) > len(one_step)
-        assert chained >= 100  # copies of copies are common
+    def test_closure_matches_fixpoint(self, monkeypatch):
+        for wide in LEVEL_PATHS:
+            monkeypatch.setattr(range_report, "WIDE_LEVEL", wide)
+            rng = random.Random(65)
+            chained = 0
+            for trial in range(40):
+                u = rng.choice([8, 40, 300])
+                sources = []
+                for _ in range(min(u, rng.choice([1, 2, 5, rng.randint(6, 60)]))):
+                    s = rng.randint(1, u)
+                    e = s + rng.randint(0, u // 4)
+                    if sources and rng.random() < 0.4:
+                        s0, e0, _ = rng.choice(sources)
+                        if rng.random() < 0.5:  # equal start
+                            s, e = s0, s0 + rng.randint(0, u // 4)
+                        else:  # nested
+                            s = rng.randint(s0, e0)
+                            e = rng.randint(s, e0)
+                    # a target after its start, often inside other intervals, so
+                    # copies are copied again but never back to where they began
+                    sources.append((s, e, s + rng.randint(1, u // 2)))
+                idx = range_report.SourceIndex(sources)
+                for _ in range(30):
+                    m = rng.randint(1, u // 4 + 1)
+                    seeds = [rng.randint(1, u) for _ in range(rng.randint(0, 4))]
+                    want = closure_scan(sources, seeds, m)
+                    assert sorted(idx.expand(seeds, m)) == want
+                    one_step = sum((contained_scan(sources, o, o + m - 1) for o in seeds), [])
+                    chained += len(want) > len(one_step)
+                # the longest string an interval holds, and one symbol longer
+                seeds = [s for s, e, _ in sources if e - s + 1 == idx.span]
+                for m in (idx.span, idx.span + 1):
+                    assert sorted(idx.expand(seeds, m)) == closure_scan(sources, seeds, m)
+            assert chained >= 100  # copies of copies are common
