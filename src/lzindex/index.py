@@ -23,11 +23,15 @@ Neither trie ends its strings with a terminator, which no query holds: a
 string that prefixes another ends at an inner vertex, and the empty suffix
 after the last relevant substring at the root. Weak search compares raw
 fingerprint values, the pattern's from one pass over it
-(fingerprints.PatternFps). Patterns of length at most tau instead bisect
-the sorted list of the short strings around each border: the strings a
-pattern prefixes form one run of it. Extraction and the candidate check
-both run on the balanced grammar built from the parse, so the reversed
-side has no grammar of its own.
+(fingerprints.PatternFps). A pattern of length at most tau needs no cut:
+an occurrence of it that spans a border ends at most tau - 1 past the
+first border it holds, so it ends where a relevant substring that holds it
+ends. Its reversal is walked down the trie of reversed relevant substrings
+symbol by symbol, reading the text off the grammar, and the border grid's
+points in the locus's rank range, in x order, give each such item's end
+and border; the occurrence ending there is primary when it starts at or
+before that border. Extraction and both checks run on the balanced grammar
+built from the parse, so the reversed side has no grammar of its own.
 
 No answer is left to chance. Each dictionary is certified at every key
 length: the vertices whose skip intervals hold that length have distinct
@@ -49,24 +53,23 @@ with the text: the build passes the text it was given, loading decodes it
 from the checked parse. From them the constructor derives the rest in one
 order: the two tries over the relevant substrings; the dictionaries keyed
 on them, whose values come from one numpy prefix table over the text; the
-grammar (build_slp); the border grid; the sorted short strings; and the
-phrase sources. The function keys only the dictionaries, and the caller
-says how they are made: the build passes prefix_search.build, which
-certifies both, and retries the constructor with the next seed's function
-when one collides, so nothing past the dictionaries is made for a function
-that fails; loading passes prefix_search.derive and does not certify them
-again, since the build certified this r on this text. The derivations make
-no Python object per symbol of a string they sort: the text is encoded once
-as fixed-width big-endian bytes (trie.encode, the width the least that
-holds sigma + 1), forwards for the short strings and backwards for the
-reversed relevant substrings, and each such string is a bytes slice of it,
-so sorting them is a memcmp sort.
+grammar (build_slp); the border grid; and the phrase sources. The
+function keys only the dictionaries, and the caller says how they are
+made: the build passes prefix_search.build, which certifies both, and
+retries the constructor with the next seed's function when one collides,
+so nothing past the dictionaries is made for a function that fails;
+loading passes prefix_search.derive and does not certify them again,
+since the build certified this r on this text. The derivations make
+no Python object per symbol of a string they sort: the reversed text is
+encoded once as fixed-width big-endian bytes (trie.encode, the width the
+least that holds sigma), and each reversed relevant substring is a bytes
+slice of it, so sorting them is a memcmp sort.
 """
 
 from __future__ import annotations
 
 import zlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,11 +141,10 @@ class Index:
         self.seed = seed
         self.fn = fn
         self.capped = capped
-        self._key_width = width = trie.key_width(sigma)
         self.last_stats: dict = {}
 
         items = _relevant_substrings(capped, tau, n)
-        self.t_d, self.t_dp = _tries(items, arr, width, order, lcps)
+        self.t_d, self.t_dp = _tries(items, arr, trie.key_width(sigma), order, lcps)
         # the dictionaries are all that depends on fn
         self.ps_d, self.ps_dp = _dictionaries(fn, arr, block_len, self.t_d, self.t_dp,
                                               make_dictionary)
@@ -155,7 +157,6 @@ class Index:
             for i in self.t_d.leaf_ids[rank]:
                 xr[i] = rank
         self.grid_r = Grid((xr[i], rank, items[i][1:]) for rank, i in enumerate(order, start=1))
-        self.f_strings, self.f_pairs = _short_strings(capped, tau, arr, width)
         # each phrase's source and where it is copied
         self.sources = SourceIndex(_phrase_sources(capped))
 
@@ -276,19 +277,21 @@ class Index:
         return self.bt.extract(i, j)
 
     def _primary_short(self, p: tuple, identified: dict) -> dict[int, int]:
-        # the short strings p prefixes sort from p up to, not including, p
-        # with its last symbol raised by one, which is at most sigma + 1
-        strings = self.f_strings
-        width = self._key_width
-        lo = bisect_left(strings, trie.encode(p, width))
-        hi = bisect_left(strings, trie.encode(p[:-1] + (p[-1] + 1,), width), lo)
+        # an occurrence at o that spans a border ends within tau - 1 of the
+        # first border at or after o, so it ends where a relevant substring
+        # that holds it ends, and that item's border is the rightmost at or
+        # before the end; each end has one item, so o is found once
+        extract = self.bt.extract
+        v = self.t_d.locus_by_walk(p[::-1], lambda e, q: extract(e - q + 1, e - q + 1)[0])
+        if v is None:
+            return {}
         m = len(p)
         out: dict[int, int] = {}
-        for pairs in self.f_pairs[lo:hi]:
-            for k, border in pairs:
-                if border <= k + m - 1:  # the occurrence spans the border
-                    identified[k] = identified.get(k, 0) + 1
-                    out[k] = border
+        for end, border in self.grid_r.column(*self.t_d.leaf_range(v)):
+            o = end - m + 1
+            if o <= border:  # the occurrence spans the border
+                identified[o] = identified.get(o, 0) + 1
+                out[o] = border
         return out
 
     def _primary_long(self, p: tuple, identified: dict) -> dict[int, int]:
@@ -373,7 +376,6 @@ class Index:
             "grammar_height": max(self.bt.block_heights(), default=0),
             "trie_d_vertices": self.t_d.num_vertices,
             "trie_suffix_vertices": self.t_dp.num_vertices,
-            "short_strings": len(self.f_strings),
             "grid_points": self.grid_r.size,
             "source_points": self.sources.size,
         }
@@ -612,22 +614,3 @@ def _dictionaries(fn: fp.FpFunction, arr: np.ndarray, x: int, t_d: CompactTrie,
         make_dictionary(t_d, x, lambda v, l: table.reversed_values(ends[v] - l, l)),
         make_dictionary(t_dp, x, lambda v, l: table.values(starts[v] - 1, l)),
     )
-
-
-def _short_strings(capped: lz77.Lz77Parse, tau: int, arr: np.ndarray, width: int) -> tuple:
-    """The strings short patterns are looked up in: all strings from at most
-    tau before a border up to tau - 1 past it, sorted as byte keys (slices
-    of the text's encoding), and per distinct one the (start, border) pairs
-    it occurs at."""
-    n = len(arr)
-    text = trie.encode(arr, width)
-    groups: dict[bytes, list[tuple[int, int]]] = {}
-    pos = 1
-    for ph in capped.phrases:
-        e = pos + ph.span() - 1
-        hi = min(e + tau - 1, n) * width
-        for k in range(max(pos, e - tau + 1), e + 1):
-            groups.setdefault(text[(k - 1) * width : hi], []).append((k, e))
-        pos = e + 1
-    strings = sorted(groups)
-    return strings, [groups[s] for s in strings]

@@ -63,6 +63,11 @@ class Grid:
                 break
             k += 1
 
+    def column(self, x_lo: int, x_hi: int) -> list:
+        """Payloads of all points with x in [x_lo, x_hi], in x order: one
+        slice of level 0, whose nodes are single points in x order."""
+        return self._payloads[0][bisect_left(self.xs, x_lo) : bisect_right(self.xs, x_hi)]
+
     def query(self, x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> list:
         """Payloads of all points in [x_lo, x_hi] x [y_lo, y_hi]."""
         # node l of level k is [l << k, (l + 1) << k) of the x order, cut at

@@ -13,8 +13,8 @@ Strings are sorted as byte keys: each symbol becomes a big-endian word of a
 fixed width (`key_width`), so the bytes order of two keys is the order of
 their symbol sequences, a shorter prefix first, and the lcp of two adjacent
 keys comes from the bit length of the XOR of their common-length prefixes.
-The index encodes its text this way once and takes every string it sorts as
-a slice of it.
+The index encodes its reversed text this way once and takes every string it
+sorts as a slice of it.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import numpy as np
 
 
 class CompactTrie:
-    """Vertex 0 is the root. Leaf ranks are 1-based: a vertex's leaf rank is
-    the rank of the string that ends at it, 0 when none does.
+    """Vertex 0 is the root. Ranks are 1-based, and a vertex's rank range
+    holds the strings in its subtree, its own string first when one ends at
+    it.
 
     strlen is the length of a vertex's string. `sample` holds one
     represented string id per vertex so edge labels can be recovered from
@@ -38,7 +39,6 @@ class CompactTrie:
         self.l_rank: list[int] = [0]
         self.r_rank: list[int] = [0]
         self.sample: list[int] = [-1]
-        self.leaf_rank: list[int] = [0]
         self.leaf_ids: list[list[int]] = [[]]  # rank -> original string ids; [0] unused
 
     @property
@@ -52,12 +52,10 @@ class CompactTrie:
     def leaf_range(self, v: int) -> tuple[int, int]:
         return self.l_rank[v], self.r_rank[v]
 
-    # kept because bench/tracing.py wraps locus_by_walk by name (ROADMAP item 1)
     def edge_symbol(self, v: int, pos: int, char_access) -> int:
         """Symbol at 1-based depth pos of str(v)."""
         return char_access(self.sample[v], pos)
 
-    # kept because bench/tracing.py wraps it by name (ROADMAP item 1)
     def locus_by_walk(self, pattern, char_access) -> int | None:
         """Minimum depth vertex whose string the pattern prefixes, walking
         edge labels character by character; None when there is no such vertex."""
@@ -80,10 +78,9 @@ class CompactTrie:
 
 def key_width(sigma: int) -> int:
     """Bytes per symbol of the byte keys over symbols 0..sigma: the smallest
-    of 1, 2, 4 and 8 that holds sigma + 1, so that a key can also end in the
-    successor of any symbol, as a bisection's upper bound does."""
+    of 1, 2, 4 and 8 that holds sigma."""
     for width in (1, 2, 4, 8):
-        if sigma < (1 << 8 * width) - 1:
+        if sigma < 1 << 8 * width:
             return width
     raise ValueError("symbol too large for a byte key")
 
@@ -123,7 +120,7 @@ def build_from_sorted(keys: list[int], real_lens, lcps, ids_per_key) -> CompactT
     """
     t = CompactTrie()
     parent, strlen, sample = t.parent, t.strlen, t.sample
-    l_rank, r_rank, leaf_rank = t.l_rank, t.r_rank, t.leaf_rank
+    l_rank, r_rank = t.l_rank, t.r_rank
     stack = [0]
     rank = 0  # of the newest string; the rank lists share its int objects
     for i, key in enumerate(keys):
@@ -141,7 +138,6 @@ def build_from_sorted(keys: list[int], real_lens, lcps, ids_per_key) -> CompactT
             sample.append(sample[last])
             l_rank.append(l_rank[last])
             r_rank.append(0)
-            leaf_rank.append(0)
             parent[last] = mid
             stack.append(mid)
             top = mid
@@ -149,7 +145,6 @@ def build_from_sorted(keys: list[int], real_lens, lcps, ids_per_key) -> CompactT
         if real_lens[i] == l:
             # only the empty string, first in the order, ends at a vertex
             # that is already there: the root
-            leaf_rank[top] = rank
             sample[top] = key
             continue
         stack.append(len(parent))
@@ -158,7 +153,6 @@ def build_from_sorted(keys: list[int], real_lens, lcps, ids_per_key) -> CompactT
         sample.append(key)
         l_rank.append(rank)
         r_rank.append(0)
-        leaf_rank.append(rank)
     for v in stack:
         r_rank[v] = rank
     l_rank[0] = 1

@@ -31,5 +31,5 @@ def test_traced_run_prints_declared_metrics():
                  "grammar.node_visits_per_char.extract_long", "trie.build_s",
                  "trie.finalize_load_s", "prefix_search.build_s",
                  "fingerprints.prefix_table_s", "range_report.build_s",
-                 "range_report.build_load_s"):
+                 "range_report.build_load_s", "trie.locus_walk_s.short"):
         assert result["metrics"][name]["value"] > 0, name

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from lzindex import Index, IndexConfig, fingerprints as fp, index as ix, lz77, oracle
+from lzindex import Index, IndexConfig, fingerprints as fp, index as ix, lz77, oracle, trie
 from lzindex._io import Reader, Writer
 from lzindex._suffixes import SuffixContext
 from lzindex._text import to_symbols
@@ -177,8 +177,7 @@ class TestPhaseOps:
         rng, text, idx = self.build_case(93)
         cases = [(text, idx, [planted_pattern(rng, text, 1, idx.tau) for _ in range(40)])]
         # a reloaded index over an integer alphabet, asked every pattern
-        # that ends in the text's largest symbol, so the bisection's upper
-        # bound lies past the alphabet
+        # that ends in the text's largest symbol
         base = [rng.randint(1, 300) for _ in range(150)] + [300]
         ints = [c if rng.random() > 0.05 else rng.randint(1, 300) for c in base * 8]
         loaded = Index.from_bytes(Index.build(ints, IndexConfig(tau=4)).to_bytes())
@@ -197,6 +196,40 @@ class TestPhaseOps:
                     assert p <= b <= p + len(pattern) - 1
                 found += bool(pairs)
             assert found
+
+    @pytest.mark.parametrize("tau", [40, 10_000])
+    def test_short_patterns_with_large_tau(self, tau):
+        # tau at least the block length, and past n: a short occurrence may
+        # span several borders and reach the text's end
+        rng = random.Random(tau)
+        base = random_text(rng, 4, 30)
+        text = bytearray()
+        while len(text) < 300:
+            copy = bytearray(base)
+            copy[rng.randrange(len(copy))] = rng.randint(1, 4)
+            text += copy
+        text = bytes(text[:300])
+        n = len(text)
+        idx = Index.build(text, IndexConfig(tau=tau))
+        assert idx.tau == tau >= idx.block_len
+        found = longest = 0
+        for m in sorted({*range(1, min(tau, n + 1) + 1), tau}):
+            patterns = {b"\x01" * m}
+            for i in rng.sample(range(n - m + 1), min(3, max(n - m + 1, 0))):
+                p = text[i : i + m]
+                patterns |= {p, p[:-1] + bytes([p[-1] % 4 + 1])}
+            for pattern in sorted(patterns):
+                occ, primaries = self.primaries_by_oracle(text, idx, pattern)
+                assert idx.locate(pattern) == occ
+                pairs = idx.locate_short_primary(pattern)
+                assert [p for p, _ in pairs] == primaries
+                for p, b in pairs:
+                    assert p <= b <= p + m - 1
+                if pairs:
+                    found += 1
+                    longest = m
+        # primaries of patterns longer than a block span two borders or more
+        assert found >= min(tau, n) and longest > 2 * idx.block_len
 
     def test_secondary_completes_the_partition(self):
         rng, text, idx = self.build_case(94)
@@ -352,13 +385,11 @@ class TestSerialization:
         # nor the phrase sources; loading derives them from the parse
         for attr in ("starts", "ends", "shifts"):
             assert np.array_equal(getattr(loaded.sources, attr), getattr(idx.sources, attr))
-        # nor the tries, the grid, the short strings or the dictionaries:
-        # loading rebuilds them from the parse and the suffix trie's leaf
-        # order, and recomputes the dictionary values from the text
+        # nor the tries, the grid or the dictionaries: loading rebuilds them
+        # from the parse and the suffix trie's leaf order, and recomputes the
+        # dictionary values from the text
         for attr in ("t_d", "t_dp"):
             assert self.trie_fields(getattr(loaded, attr)) == self.trie_fields(getattr(idx, attr))
-        assert loaded.f_strings == idx.f_strings
-        assert loaded.f_pairs == idx.f_pairs
         everything = (1, loaded.t_d.num_leaves, 1, loaded.t_dp.num_leaves)
         assert loaded.grid_r.query(*everything) == idx.grid_r.query(*everything)
         for attr in ("ps_d", "ps_dp"):
@@ -610,8 +641,8 @@ class TestSerialization:
 
 
 class TestKeyWidths:
-    """Short strings and the reversed relevant substrings are sorted as byte
-    keys of 1, 2, 4 or 8 bytes a symbol, the least that holds sigma + 1."""
+    """The reversed relevant substrings are sorted as byte keys of 1, 2, 4
+    or 8 bytes a symbol, the least that holds sigma."""
 
     @staticmethod
     def texts(sigma):
@@ -627,21 +658,20 @@ class TestKeyWidths:
         return [text + [sigma] for text in (repetitive, rand)]
 
     @pytest.mark.parametrize("sigma, width", [
-        (254, 1), (255, 2), (256, 2), (65_535, 4), (65_536, 4), (1 << 40, 8),
+        (254, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 4), (1 << 40, 8),
     ])
     def test_locate_and_load(self, sigma, width):
+        assert trie.key_width(sigma) == width
         for text in self.texts(sigma):
             idx = Index.build(text)
             loaded = Index.from_bytes(idx.to_bytes())
-            assert loaded._key_width == width
+            assert loaded.sigma == sigma
             assert loaded.to_bytes() == idx.to_bytes()
             for attr in ("t_d", "t_dp"):
                 assert (TestSerialization.trie_fields(getattr(loaded, attr))
                         == TestSerialization.trie_fields(getattr(idx, attr)))
-            assert loaded.f_strings == idx.f_strings
-            assert loaded.f_pairs == idx.f_pairs
             # every substring up to tau + 1 long, and each with its last
-            # symbol replaced by sigma, whose successor needs the full width
+            # symbol replaced by sigma, which needs the full width
             patterns = set()
             for m in range(1, loaded.tau + 2):
                 for i in range(len(text) - m + 1):
@@ -776,7 +806,7 @@ class TestStats:
         assert s["tau"] >= 1 and s["block_len"] >= 1
         for key in ("grammar_nodes", "grammar_height",
                     "trie_d_vertices", "trie_suffix_vertices",
-                    "short_strings", "grid_points", "source_points"):
+                    "grid_points", "source_points"):
             assert s[key] > 0
         # the file's sections, in file order; size reports read them by name
         assert list(idx.component_sizes()) == [

@@ -185,7 +185,16 @@ class TestWeakSearch:
         # at the inner vertex above "ab"
         structure, distinct = build_from_strings([(1, 2), (), (1,)], 1, FN)
         assert distinct == [(), (1,), (1, 2)]
-        assert structure.trie.leaf_rank[0] == 1 and structure.trie.num_vertices == 3
+        t = structure.trie
+        assert t.num_vertices == 3
+
+        def access(sid, pos):
+            return distinct[sid][pos - 1]
+
+        for rank, s in enumerate(distinct, start=1):
+            v = t.locus_by_walk(s, access)
+            assert t.strlen[v] == len(s) and t.leaf_range(v)[0] == rank
+        assert t.locus_by_walk((), access) == 0
         assert ps.weak_search(structure, 0, None, None) == (0, 1, 3)
         for pattern, expected in (((1,), (2, 3)), ((1, 2), (3, 3))):
             pattern_fp, pattern_symbol = query_fns(pattern, FN)

@@ -19,6 +19,12 @@ def brute_locus_range(strings, pattern):
     return (ranks[0], ranks[-1]) if ranks else None
 
 
+def char_access_for(distinct):
+    """The character access of a trie from trie.build: its samples index
+    the distinct strings."""
+    return lambda sid, pos: distinct[sid][pos - 1]
+
+
 class TestBuild:
     def test_single_string(self):
         t, distinct = trie.build([(1,)])
@@ -52,11 +58,15 @@ class TestBuild:
         # "a" ranks before "ab" and ends at the inner vertex above it
         t, distinct = trie.build([(1, 2), (1,)])
         assert distinct == [(1,), (1, 2)]
-        v = t.children[0][1]
-        assert t.strlen[v] == 1 and t.leaf_rank[v] == 1
+        access = char_access_for(distinct)
+        v = t.locus_by_walk(distinct[0], access)
+        assert v == t.children[0][1]
+        assert t.strlen[v] == 1
         assert t.leaf_range(v) == (1, 2)
         assert list(t.children[v]) == [2]
-        assert t.leaf_rank[t.children[v][2]] == 2
+        w = t.locus_by_walk(distinct[1], access)
+        assert w == t.children[v][2]
+        assert t.strlen[w] == 2 and t.leaf_range(w) == (2, 2)
 
 
 class TestLeafRanges:
@@ -70,43 +80,42 @@ class TestLeafRanges:
         rng = random.Random(42)
         for _ in range(10):
             strings = [tuple(random_text(rng, 4, rng.randint(1, 20))) for _ in range(1000)]
-            t, _ = trie.build(strings)
-            # recompute ranges from leaf sets via parent pointers
+            t, distinct = trie.build(strings)
+            # recompute ranges from the vertex where each string ends, via
+            # parent pointers
+            access = char_access_for(distinct)
             below = [set() for _ in range(t.num_vertices)]
-            for v in range(t.num_vertices):
-                if t.leaf_rank[v]:
-                    u = v
-                    while u != -1:
-                        below[u].add(t.leaf_rank[v])
-                        u = t.parent[u]
+            for rank, s in enumerate(distinct, start=1):
+                v = t.locus_by_walk(s, access)
+                assert t.strlen[v] == len(s)
+                while v != -1:
+                    below[v].add(rank)
+                    v = t.parent[v]
             for v in range(t.num_vertices):
                 l, r = t.leaf_range(v)
                 assert below[v] == set(range(l, r + 1))
 
 
 class TestLocusByWalk:
-    def char_access_for(self, distinct):
-        return lambda sid, pos: distinct[sid][pos - 1]
-
     def test_example(self):
         t, distinct = trie.build(ABC_SET)
-        v = t.locus_by_walk((1, 2), self.char_access_for(distinct))
+        v = t.locus_by_walk((1, 2), char_access_for(distinct))
         assert t.leaf_range(v) == (1, 2)
 
     def test_empty_pattern_is_root(self):
         t, distinct = trie.build(ABC_SET)
-        assert t.locus_by_walk((), self.char_access_for(distinct)) == 0
+        assert t.locus_by_walk((), char_access_for(distinct)) == 0
 
     def test_absent_symbol(self):
         t, distinct = trie.build(ABC_SET)
-        assert t.locus_by_walk((9, 9), self.char_access_for(distinct)) is None
+        assert t.locus_by_walk((9, 9), char_access_for(distinct)) is None
 
     def test_matches_brute_force(self):
         rng = random.Random(43)
         for _ in range(20):
             strings = sorted({tuple(random_text(rng, 3, rng.randint(1, 10))) for _ in range(60)})
             t, distinct = trie.build(strings)
-            access = self.char_access_for(distinct)
+            access = char_access_for(distinct)
             patterns = [s[:k] for s in strings for k in range(len(s) + 1)]
             patterns += [tuple(random_text(rng, 4, rng.randint(1, 8))) for _ in range(50)]
             for pat in patterns:
@@ -120,16 +129,16 @@ class TestLocusByWalk:
 
 class TestByteKeys:
     def test_widths(self):
-        # room for sigma + 1, the successor of the largest symbol
+        # the least width that holds the largest symbol
         assert [trie.key_width(sigma) for sigma in (
-            0, 254, 255, 65_534, 65_535, (1 << 32) - 2, (1 << 32) - 1, (1 << 64) - 2)] == [
+            0, 255, 256, 65_535, 65_536, (1 << 32) - 1, 1 << 32, (1 << 64) - 1)] == [
             1, 1, 2, 2, 4, 4, 8, 8]
         with pytest.raises(ValueError):
-            trie.key_width((1 << 64) - 1)
+            trie.key_width(1 << 64)
 
     def test_order_and_lcps_match_tuples(self):
         rng = random.Random(44)
-        for alphabet in ([1, 2, 3], [1, 255, 256, 257], [1, 65_535, 65_536], [1, 1 << 40]):
+        for alphabet in ([1, 2, 3], [1, 254, 255], [1, 255, 256, 257], [1, 65_535, 65_536], [1, 1 << 40]):
             width = trie.key_width(max(alphabet))
             strings = sorted({tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
                               for _ in range(200)})
