@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._suffixes import lcp_array
 from ._text import to_symbols
 
 P = (1 << 61) - 1
@@ -172,7 +173,8 @@ def verify_pow2_collision_free(fn: FpFunction, ctx) -> bool:
     """True iff equal fingerprints of power-of-two length substrings of the
     text always mean equal substrings, in the text and in its reversal.
 
-    ctx is the text's SuffixContext. For a length L, the suffix array rows
+    ctx is the text's SuffixContext, whose LCP array this makes (Kasai,
+    a Python loop over n). For a length L, the suffix array rows
     whose suffix is at least L long and whose lcp with the row before is
     less than L hold one start of each distinct length-L substring, so the
     level passes when the windows at those starts have distinct values; the
@@ -184,9 +186,10 @@ def verify_pow2_collision_free(fn: FpFunction, ctx) -> bool:
     n = len(ctx)
     fwd = rev = _residues(ctx.text)  # symbols may be >= p
     suffix_len = n - ctx.sa
+    lcp = lcp_array(ctx.text, ctx.sa, ctx.rank)
     length = 1
     while True:
-        starts = ctx.sa[(suffix_len >= length) & (ctx.lcp < length)]
+        starts = ctx.sa[(suffix_len >= length) & (lcp < length)]
         if not (_distinct(fwd[starts]) and _distinct(rev[starts])):
             return False
         if 2 * length > n:

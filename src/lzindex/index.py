@@ -44,22 +44,23 @@ relies on the build's certification of the same r on the same text: only
 damage to the file that its CRC-32 misses, a chance of about 2^-32, could
 pair a parse with an r that was not certified on it.
 
-The build makes one suffix array with its ranks and LCP array, for the
-parse and for the suffix trie's string order and adjacent lcps, and drops
-them before it draws a fingerprint function. The file stores only the header
-with a CRC-32 of the file and the base r, the parse, and that string order
-with the lcps of adjacent strings, and the constructor takes exactly those
-with the text: the build passes the text it was given, loading decodes it
-from the checked parse. From them the constructor derives the rest in one
-order: the two tries over the relevant substrings; the dictionaries keyed
-on them, whose values come from one numpy prefix table over the text; the
-grammar (build_slp); the border grid; and the phrase sources. The
-function keys only the dictionaries, and the caller says how they are
-made: the build passes prefix_search.build, which certifies both, and
-retries the constructor with the next seed's function when one collides,
-so nothing past the dictionaries is made for a function that fails;
-loading passes prefix_search.derive and does not certify them again,
-since the build certified this r on this text. The derivations make
+The build makes one suffix array with its ranks, for the parse and for the
+suffix trie's string order, and drops both before it draws a fingerprint
+function. The lcps of adjacent strings, about z·tau of them, come from
+comparing the two suffixes, so no n-length LCP array is made. The file
+stores only the header with a CRC-32 of the file and the base r, the parse,
+and that string order with the lcps of adjacent strings, and the
+constructor takes exactly those with the text: the build passes the text it
+was given, loading decodes it from the checked parse. From them the
+constructor derives the rest in one order: the two tries over the relevant
+substrings; the dictionaries keyed on them, whose values come from one
+numpy prefix table over the text; the grammar (build_slp); the border grid;
+and the phrase sources. The function keys only the dictionaries, and the
+caller says how they are made: the build passes prefix_search.build, which
+certifies both, and retries the constructor with the next seed's function
+when one collides, so nothing past the dictionaries is made for a function
+that fails; loading passes prefix_search.derive and does not certify them
+again, since the build certified this r on this text. The derivations make
 no Python object per symbol of a string they sort: the reversed text is
 encoded once as fixed-width big-endian bytes (trie.encode, the width the
 least that holds sigma), and each reversed relevant substring is a bytes
@@ -77,7 +78,7 @@ import numpy as np
 from . import fingerprints as fp
 from . import lz77, prefix_search, trie
 from ._io import Reader, Writer
-from ._suffixes import SuffixContext
+from ._suffixes import SuffixContext, pair_lcps
 from ._text import to_symbols
 from .grammar import build_slp
 from .range_report import Grid, SourceIndex
@@ -132,7 +133,8 @@ class Index:
         that does not fit it, raises ValueError("corrupt index"): each lcp L
         must fit both suffixes, leave the later one longer, and, unless the
         earlier suffix has length L, the symbol after L must be smaller in
-        the earlier suffix. Their first L symbols are not compared."""
+        the earlier suffix; and the two suffixes must agree on their first
+        L symbols. So a string order and lcps that pass are the build's."""
         self.n = n
         self.sigma = sigma
         self.orig_z = orig_z
@@ -497,19 +499,16 @@ def _suffix_trie_order(ctx: SuffixContext, items) -> tuple[list[int], list[int]]
 
     Item i's suffix starts after its end, at 0-based text position e. Ends
     are distinct and ascending, so only the last item can end at n; its
-    suffix is empty and sorts first, with lcp 0 to both neighbours. The lcp
-    of two adjacent suffixes is the least LCP entry after the first one's
-    rank up to the second one's.
+    suffix is empty and sorts first, with lcp 0 to both neighbours. The
+    others sort by rank, and each adjacent pair's lcp comes from comparing
+    the two suffixes (pair_lcps).
     """
     n = ctx.n
-    ranks = ctx.rank[[e for _, e, _ in items if e < n]]
-    order = np.argsort(ranks).tolist()
-    sorted_ranks = ranks[order]
-    lcps = []
-    if len(order) > 1:
-        lcps = np.minimum.reduceat(
-            ctx.lcp[: sorted_ranks[-1] + 1], sorted_ranks[:-1] + 1
-        ).tolist()
+    ends = np.array([e for _, e, _ in items if e < n], dtype=np.int64)
+    order = np.argsort(ctx.rank[ends])
+    starts = ends[order]
+    lcps = pair_lcps(ctx.text, starts[:-1], starts[1:]).tolist()
+    order = order.tolist()
     if len(order) < len(items):
         order.insert(0, len(items) - 1)
     # the first suffix, and the one after the empty suffix, have lcp 0
@@ -565,8 +564,9 @@ def _tries(items, arr: np.ndarray, width: int, order, lcps) -> tuple[CompactTrie
         raise ValueError("corrupt index")
     starts = [items[i][1] + 1 for i in order]
     # each adjacent pair: the earlier suffix may prefix the later one, never
-    # the reverse, and where it does not, the symbol after their lcp sorts
-    # the pair
+    # the reverse; the two agree on their first lcp symbols; and where the
+    # earlier one goes on, the symbol after their lcp sorts the pair. So
+    # the order and the lcps are exact.
     s1 = np.array(starts[:-1], dtype=np.int64)
     s2 = np.array(starts[1:], dtype=np.int64)
     lcp = np.array(lcps[1:], dtype=np.int64)
@@ -575,6 +575,12 @@ def _tries(items, arr: np.ndarray, width: int, order, lcps) -> tuple[CompactTrie
     differ = lcp < n + 1 - s1
     if np.any(arr[(s1 - 1 + lcp)[differ]] >= arr[(s2 - 1 + lcp)[differ]]):
         raise ValueError("corrupt index")
+    # the first lcp symbols of both, as slices of the text's byte key
+    text = trie.encode(arr, width)
+    spans = zip(((s1 - 1) * width).tolist(), ((s2 - 1) * width).tolist(), (lcp * width).tolist())
+    for a, b, l in spans:
+        if text[a : a + l] != text[b : b + l]:
+            raise ValueError("corrupt index")
 
     # trie over the reversed relevant substrings, sorted as byte keys: each
     # is a slice of the reversed text's encoding, item (s, e) its 0-based

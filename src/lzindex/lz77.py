@@ -5,18 +5,27 @@ earlier in the text and appends one literal character, the phrase border.
 Parsing is greedy leftmost-longest; when several sources of maximal length
 exist the one with the smallest start is chosen so parses are deterministic.
 
-The parser reads one suffix array and follows Kärkkäinen, Kempa and Puglisi
-(CPM 2013): the longest previous factor is needed only where a phrase
-starts, and there it is the longer lcp with the previous and next smaller
-suffix starts, found by comparing characters. Nothing is computed per text
-position beyond those two neighbours.
+The parser reads one suffix array and its ranks and follows Kärkkäinen,
+Kempa and Puglisi (CPM 2013): the longest previous factor is needed only
+where a phrase starts, and there it is the longer lcp with the previous and
+next smaller suffix starts. So those two neighbours are found only at
+phrase starts, by numpy scans of the suffix array and of a small tree of
+its block minima, and nothing is computed per text position: no PSV/NSV
+array, and no Python object per symbol. (Pointer jumping would fill whole
+PSV/NSV arrays in numpy, but needs a round per rank on a text such as
+"b a^k c", whose suffixes a^i c sort by start.) The lcps, and the search
+for a leftmost source, compare bytes slices of the text's byte key
+(trie.encode), a span of symbols at a time.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import trie
 from ._suffixes import SuffixContext
 from ._text import to_symbols
 
@@ -62,10 +71,12 @@ def parse(text, ctx: SuffixContext | None = None) -> Lz77Parse:
     array order (Kärkkäinen, Kempa and Puglisi, "Linear time Lempel-Ziv
     factorization: simple, fast, small", CPM 2013); each comparison stops
     within the phrase, so all of them take O(n) together. The source is the
-    smallest start in the suffix array interval of the factor, found by
-    bisecting the suffix array against the text. `ctx` is the
-    text's suffix context when the caller already has one; without it the
-    parse builds its own.
+    smallest start in the suffix array interval of the factor, whose ends
+    are found by galloping out from those two neighbours. Comparisons
+    are of bytes slices of the text's byte key (trie.encode), a span at a
+    time, so none of them loops over symbols in Python. `ctx` is the text's
+    suffix context when the caller already has one; without it the parse
+    builds its own.
     """
     arr = to_symbols(text)
     n = len(arr)
@@ -79,55 +90,144 @@ def parse(text, ctx: SuffixContext | None = None) -> Lz77Parse:
 
     if ctx is None:
         ctx = SuffixContext(arr)
-    sa = ctx.sa.tolist()
-    psv, nsv = _smaller_neighbours(sa)
-    # the sentinel stops a comparison at the text's end: the source side
-    # starts earlier, so it never reaches the end first
-    t = arr.tolist() + [None]
+    sa, rank = ctx.sa, ctx.rank
+    smaller = _SmallerNeighbours(sa)
+    width = trie.key_width(sigma)
+    key = trie.encode(arr, width)
 
     phrases = []
     j = 0  # 0-based position of the next phrase
     while j < n:
-        lpf = 0
-        for c in (psv[j], nsv[j]):
-            if c >= 0:
-                l = 0
-                while t[c + l] == t[j + l]:
-                    l += 1
-                lpf = max(lpf, l)
-        length = min(lpf, n - 1 - j)
+        r = int(rank[j])
+        p, q = smaller.around(r)
+        # the sources start before j, so the suffix at j ends first
+        lp = _common(key, width, int(sa[p]), j, n - j) if p >= 0 else 0
+        lq = _common(key, width, int(sa[q]), j, n - j) if q >= 0 else 0
+        length = min(max(lp, lq), n - 1 - j)
         if length == 0:
-            phrases.append(Phrase(0, 0, t[j]))
+            phrases.append(Phrase(0, 0, int(arr[j])))
             j += 1
             continue
-        factor = t[j : j + length]
+        factor = key[j * width : (j + length) * width]
 
-        def prefix(s: int) -> list:
-            return t[s : min(s + length, n)]  # never the sentinel
+        def holds(i: int) -> bool:
+            s = int(sa[i])
+            return key[s * width : (s + length) * width] == factor
 
-        r = int(ctx.rank[j])
-        lo = bisect_left(sa, factor, 0, r, key=prefix)
-        hi = bisect_right(sa, factor, r + 1, n, key=prefix)
-        src = int(ctx.sa[lo:hi].min())
-        phrases.append(Phrase(src + 1, length, t[j + length]))
+        # the suffixes at ranks strictly between p and q all start after j,
+        # so a leftmost source sits at p or before, or at q or after
+        src = j
+        if lp >= length:
+            src = int(sa[_gallop(holds, p, -1, n) : p + 1].min())
+        if lq >= length:
+            src = min(src, int(sa[q : _gallop(holds, q, 1, n) + 1].min()))
+        phrases.append(Phrase(src + 1, length, int(arr[j + length])))
         j += length + 1
     return Lz77Parse(tuple(phrases), n, len(phrases), sigma)
 
 
-def _smaller_neighbours(sa: list[int]) -> tuple[list[int], list[int]]:
-    """Per text position, the previous and the next smaller suffix start in
-    suffix array order (-1 where there is none), by one stack pass."""
-    n = len(sa)
-    psv = [-1] * n
-    nsv = [-1] * n
-    stack: list[int] = []
-    for pos in sa:
-        while stack and stack[-1] > pos:
-            nsv[stack.pop()] = pos
-        if stack:
-            psv[pos] = stack[-1]
-        stack.append(pos)
-    return psv, nsv
+def _common(key: bytes, width: int, a: int, b: int, limit: int) -> int:
+    """Symbols the suffixes at a and b share, up to limit, from the byte key
+    of their text: spans of 8, 16, 32, ... symbols are compared as bytes,
+    and the first that differs is XOR-ed to find the symbol
+    (trie.shared_symbols)."""
+    l = 0
+    span = 8
+    while l < limit:
+        m = min(span, limit - l)
+        x = key[(a + l) * width : (a + l + m) * width]
+        y = key[(b + l) * width : (b + l + m) * width]
+        if x != y:
+            return l + trie.shared_symbols(x, y, width)
+        l += m
+        span <<= 1
+    return limit
+
+
+def _gallop(holds, r: int, step: int, n: int) -> int:
+    """The farthest rank from r, stepping by step (-1 or 1), up to which
+    holds is true, given that it holds on an interval of ranks holding r:
+    steps of 1, 2, 4, ... until it fails, then a bisection."""
+    inside, out = 0, 1
+    while 0 <= r + step * out < n and holds(r + step * out):
+        inside, out = out, out * 2
+    while out - inside > 1:
+        mid = (inside + out) // 2
+        if 0 <= r + step * mid < n and holds(r + step * mid):
+            inside = mid
+        else:
+            out = mid
+    return r + step * inside
+
+
+class _SmallerNeighbours:
+    """Previous and next smaller values in the suffix array, asked only at
+    phrase starts: for a rank r, the nearest ranks before and after r whose
+    suffixes start before the suffix at r.
+
+    A query scans the 64 ranks on each side of r. A side that holds no
+    smaller start climbs a tree of block minima (each level the minima of
+    64-entry blocks of the level below) to the nearest block that does,
+    and descends into it. So a query costs a few numpy scans of at most
+    129 entries, and the tree adds n / 63 entries to the suffix array.
+    """
+
+    _B = 64
+
+    def __init__(self, sa: np.ndarray):
+        b = self._B
+        self.levels = [sa]
+        while len(self.levels[-1]) > b:
+            a = self.levels[-1]
+            padded = np.concatenate((a, np.full(-len(a) % b, len(sa), dtype=a.dtype)))
+            self.levels.append(padded.reshape(-1, b).min(axis=1))
+
+    def around(self, r: int) -> tuple[int, int]:
+        """The nearest ranks before and after r whose suffixes start before
+        the suffix at r, -1 where there is none."""
+        sa = self.levels[0]
+        x = int(sa[r])
+        lo, hi = max(0, r - self._B), r + self._B + 1
+        hits = ((sa[lo:hi] < x).nonzero()[0] + lo).tolist()
+        k = bisect_left(hits, r)
+        return (hits[k - 1] if k else self._before(lo, x),
+                hits[k] if k < len(hits) else self._from(hi, x))
+
+    def _before(self, i: int, x: int) -> int:
+        """The nearest rank below i whose start is below x, or -1."""
+        b, levels = self._B, self.levels
+        lv = 0  # search entries below i of level lv
+        while True:
+            lo = i - i % b
+            hits = (levels[lv][lo:i] < x).nonzero()[0]
+            if len(hits):
+                i = lo + int(hits[-1])
+                break
+            if lo == 0:
+                return -1
+            lv, i = lv + 1, lo // b
+        while lv > 0:
+            lv -= 1
+            i = i * b + int((levels[lv][i * b : (i + 1) * b] < x).nonzero()[0][-1])
+        return i
+
+    def _from(self, i: int, x: int) -> int:
+        """The nearest rank from i on whose start is below x, or -1."""
+        b, levels = self._B, self.levels
+        lv = 0  # search entries from i on of level lv
+        while True:
+            hi = (i // b + 1) * b
+            hits = (levels[lv][i:hi] < x).nonzero()[0]
+            if len(hits):
+                i += int(hits[0])
+                break
+            if hi >= len(levels[lv]):
+                return -1
+            lv, i = lv + 1, hi // b
+        while lv > 0:
+            lv -= 1
+            i = i * b + int((levels[lv][i * b : (i + 1) * b] < x).nonzero()[0][0])
+        return i
 
 
 def decompress(parsed: Lz77Parse) -> bytes | tuple[int, ...]:

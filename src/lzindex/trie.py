@@ -98,10 +98,15 @@ def key_lcps(keys: list[bytes], width: int) -> list[int]:
     for i in range(1, len(keys)):
         a, b = keys[i - 1], keys[i]
         common = min(len(a), len(b))
-        diff = int.from_bytes(a[:common], "big") ^ int.from_bytes(b[:common], "big")
-        # the first differing byte sits (bit length + 7) // 8 bytes from the end
-        lcps[i] = (common - (diff.bit_length() + 7) // 8) // width
+        lcps[i] = shared_symbols(a[:common], b[:common], width)
     return lcps
+
+
+def shared_symbols(a: bytes, b: bytes, width: int) -> int:
+    """Symbols two byte keys of the same length share before they differ."""
+    diff = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    # the first differing byte sits (bit length + 7) // 8 bytes from the end
+    return (len(a) - (diff.bit_length() + 7) // 8) // width
 
 
 def build_from_sorted(keys: list[int], real_lens, lcps, ids_per_key) -> CompactTrie:

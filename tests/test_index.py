@@ -1,15 +1,16 @@
 import dataclasses
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from lzindex import Index, IndexConfig, fingerprints as fp, index as ix, lz77, oracle, trie
+from lzindex import Index, IndexConfig, _suffixes, fingerprints as fp, index as ix, lz77, oracle, trie
 from lzindex._io import Reader, Writer
 from lzindex._suffixes import SuffixContext
 from lzindex._text import to_symbols
 
-from conftest import absent_pattern, planted_pattern, random_text
+from conftest import absent_pattern, mutated_copies, planted_pattern, random_text
 
 
 def all_patterns(sigma, max_len):
@@ -57,6 +58,27 @@ class TestBuild:
         for big in (1 << 63, 1 << 64):
             with pytest.raises(ValueError, match="int64"):
                 Index.build([1, big])
+
+    def test_build_makes_no_lcp_array(self, monkeypatch):
+        # the build compares its few adjacent suffixes directly; Kasai's LCP
+        # array, a Python loop over n, is only for the tracer's certification
+        lcp_array = _suffixes.lcp_array
+
+        def refuse(*args):
+            raise AssertionError("the build made an LCP array")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lzindex") and getattr(module, "lcp_array", None) is lcp_array:
+                monkeypatch.setattr(module, "lcp_array", refuse)
+        rng = random.Random(120)
+        for text in (mutated_copies(rng, 300, 4_000, 3), random_text(rng, 4, 1_500)):
+            idx = Index.build(text)
+            blob = idx.to_bytes()
+            assert Index.from_bytes(blob).to_bytes() == blob
+            patterns = [planted_pattern(rng, text, 1, 60) for _ in range(40)]
+            patterns.append(absent_pattern(rng, text, 4, 12))
+            for pattern in patterns:
+                assert idx.locate(pattern) == oracle.naive_locate(text, pattern)
 
 
 class TestLocate:
@@ -566,6 +588,25 @@ class TestSerialization:
                 "lcp past n": (order, lcps[:-1] + [1 << 64]),
             }.items()
         })
+
+    def test_inflated_lcps(self):
+        # an lcp raised past the true one while the symbols just after it
+        # still sort the pair: only comparing the two suffixes over their
+        # lcp catches every such file
+        rng = random.Random(480)
+        for _ in range(40):
+            text = mutated_copies(rng, rng.randint(20, 60), 480, 2, sigma=2)
+            idx = Index.build(text)
+            r = Reader(dict(idx._sections())["suffix_trie"])
+            order, lcps = r.seq(), r.seq()
+            for k in range(len(lcps)):
+                bad = lcps[:]
+                bad[k] += (1, 2, 3, 5, 8)[k % 5]
+                w = Writer()
+                w.seq(order)
+                w.seq(bad)
+                with pytest.raises(ValueError, match="corrupt index"):
+                    Index.from_bytes(self.with_sections(idx, suffix_trie=bytes(w.buf)))
 
     def test_corrupt_dictionaries(self):
         # loading recomputes the dictionary values, so the file stores none

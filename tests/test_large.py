@@ -13,21 +13,9 @@ import pytest
 
 from lzindex import Index, fingerprints as fp, oracle, range_report
 
-from conftest import absent_pattern, planted_pattern
+from conftest import absent_pattern, mutated_copies, planted_pattern
 
 N = 70_000
-
-
-def mutated_copies(rng: random.Random, base_len: int, n: int, substitutions: int) -> bytes:
-    """Copies of one random base over {1..4}, each with a few substitutions."""
-    base = bytes(rng.randint(1, 4) for _ in range(base_len))
-    out = bytearray()
-    while len(out) < n:
-        copy = bytearray(base)
-        for _ in range(substitutions):
-            copy[rng.randrange(base_len)] = rng.randint(1, 4)
-        out += copy
-    return bytes(out[:n])
 
 
 @pytest.fixture(scope="module")

@@ -68,6 +68,23 @@ class TestParse:
                     for c in base * rng.randint(1, 5)]
             assert lz77.parse(text).phrases == naive_lz77(text).phrases
 
+    def test_matches_naive_parser_on_wide_symbols(self):
+        # byte keys 4 and 8 bytes wide
+        rng = random.Random(18)
+        for top in (1 << 20, (1 << 62) + 5):
+            alphabet = [top] + [rng.randint(1, top) for _ in range(5)]
+            base = [rng.choice(alphabet) for _ in range(rng.randint(20, 120))]
+            text = [c if rng.random() < 0.97 else rng.choice(alphabet)
+                    for c in base * rng.randint(2, 6)]
+            assert lz77.parse(text).phrases == naive_lz77(text).phrases
+
+    def test_matches_naive_parser_on_long_smaller_chains(self):
+        # in "b a^k c" the suffixes a^i c sort by ascending start, so the
+        # previous smaller start of "b a^k c" lies k ranks back
+        for k in (1, 63, 64, 65, 700, 5000):
+            for text in (b"\x02" + b"\x01" * k + b"\x03", b"\x02\x01" * 3 + b"\x01" * k + b"\x03\x02"):
+                assert lz77.parse(text).phrases == naive_lz77(text).phrases
+
     def test_given_context_matches_own(self):
         rng = random.Random(17)
         for sigma in (2, 26, 1000):
@@ -81,6 +98,40 @@ class TestParse:
             text = random_text(rng, 4, rng.randint(1, 2000))
             parsed = lz77.parse(text)
             assert sum(ph.span() for ph in parsed.phrases) == parsed.n
+
+
+class TestSmallerNeighbours:
+    @staticmethod
+    def check(rng, values) -> None:
+        n = len(values)
+        smaller = lz77._SmallerNeighbours(np.array(values, dtype=np.int64))
+        for r in rng.sample(range(n), min(n, 200)):
+            before = [i for i in range(r) if values[i] < values[r]]
+            after = [i for i in range(r + 1, n) if values[i] < values[r]]
+            want = (before[-1] if before else -1, after[0] if after else -1)
+            assert smaller.around(r) == want
+
+    def test_matches_scan(self):
+        # up to three levels of block minima
+        rng = random.Random(19)
+        for n in (1, 2, 63, 64, 65, 129, 4096, 4097, 9000):
+            self.check(rng, rng.sample(range(n), n))
+
+    def test_far_neighbours(self):
+        # runs of rising (falling) values between a few small ones: the next
+        # (previous) smaller value lies past the run, while the block around
+        # a rank holds smaller values only on its other side
+        rng = random.Random(20)
+        n = 9000
+        low = rng.sample(range(n), 40)
+        rest = sorted(set(range(n)) - set(low))
+        for rising in (True, False):
+            values = [0] * n
+            for v, i in enumerate(low):
+                values[i] = v
+            for v, i in enumerate(rest if rising else rest[::-1], start=len(low)):
+                values[i] = v
+            self.check(rng, values)
 
 
 class TestDecompress:
