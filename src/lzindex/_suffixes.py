@@ -5,9 +5,10 @@ smaller than any symbol, so suffix order matches Python's prefix-first
 ordering of the raw sequences. The parser (lz77.parse) reads the suffix
 array and the ranks to find each phrase's longest previous factor and
 source, the index builder reads the ranks for the suffix trie's string
-order and takes the lcps of its adjacent strings by direct comparison
-(pair_lcps), and then both are dropped. No LCP array and no range-minimum
-table is built: those lcps are about z·tau pairs, not n.
+order, and then both are dropped. The index constructor, at build and at
+load alike, takes the lcps of the order's adjacent strings by direct
+comparison (pair_lcps), and checks the order at them. No LCP array and no
+range-minimum table is built: those lcps are about z·tau pairs, not n.
 
 The suffix array comes from prefix doubling on numpy's default (unstable)
 argsort. A round's ranks are the dense ranks of its key values, which do
@@ -72,7 +73,9 @@ def pair_lcps(text: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     All pairs are compared in lockstep, a span of symbols a round, doubling
     from 8 up to 4096 symbols; a pair leaves at its first mismatch or where
     the shorter suffix ends. A round gathers at most 2^16 symbols per side
-    at once, so the pairs run in batches when there are many.
+    at once, so the pairs run in batches when there are many. The symbols
+    are read from a copy in the narrowest unsigned type that holds them,
+    unless one is negative, so a gather moves fewer bytes.
     """
     n = len(text)
     a = np.asarray(a, dtype=np.int64)
@@ -81,7 +84,10 @@ def pair_lcps(text: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros(len(a), dtype=np.int64)
     # the padding lets a span run past the text's end; whatever it reads
     # there is cut back to the limit
-    padded = np.concatenate((text, np.zeros(_MAX_SPAN, dtype=text.dtype)))
+    top = int(text.max(initial=0))
+    narrow = np.min_scalar_type(top) if text.min(initial=0) >= 0 else text.dtype
+    padded = np.zeros(n + _MAX_SPAN, dtype=narrow)
+    padded[:n] = text
     live = np.flatnonzero(limit > 0)
     span = _FIRST_SPAN
     while len(live):

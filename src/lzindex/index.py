@@ -46,25 +46,26 @@ pair a parse with an r that was not certified on it.
 
 The build makes one suffix array with its ranks, for the parse and for the
 suffix trie's string order, and drops both before it draws a fingerprint
-function. The lcps of adjacent strings, about z·tau of them, come from
-comparing the two suffixes, so no n-length LCP array is made. The file
-stores only the header with a CRC-32 of the file and the base r, the parse,
-and that string order with the lcps of adjacent strings, and the
-constructor takes exactly those with the text: the build passes the text it
-was given, loading decodes it from the checked parse. From them the
-constructor derives the rest in one order: the two tries over the relevant
-substrings; the dictionaries keyed on them, whose values come from one
-numpy prefix table over the text; the grammar (build_slp); the border grid;
-and the phrase sources. The function keys only the dictionaries, and the
-caller says how they are made: the build passes prefix_search.build, which
-certifies both, and retries the constructor with the next seed's function
-when one collides, so nothing past the dictionaries is made for a function
-that fails; loading passes prefix_search.derive and does not certify them
-again, since the build certified this r on this text. The derivations make
-no Python object per symbol of a string they sort: the reversed text is
-encoded once as fixed-width big-endian bytes (trie.encode, the width the
-least that holds sigma), and each reversed relevant substring is a bytes
-slice of it, so sorting them is a memcmp sort.
+function. The file stores only the header with a CRC-32 of the file and the
+base r, the parse, and that string order, and the constructor takes exactly
+those with the text: the build passes the text it was given, loading
+decodes it from the checked parse. From them the constructor derives the
+rest in one order: the lcps of the order's adjacent strings, about z·tau of
+them, by comparing the two suffixes (pair_lcps), so no n-length LCP array
+is made, and the order is accepted only if each adjacent pair sorts at its
+lcp; the two tries over the relevant substrings; the dictionaries keyed on
+them, whose values come from one numpy prefix table over the text; the
+grammar (build_slp); the border grid; and the phrase sources. The function
+keys only the dictionaries, and the caller says how they are made: the
+build passes prefix_search.build, which certifies both, and retries the
+constructor with the next seed's function when one collides, so nothing
+past the dictionaries is made for a function that fails; loading passes
+prefix_search.derive and does not certify them again, since the build
+certified this r on this text. The derivations make no Python object per
+symbol of a string they sort: the reversed text is encoded once as
+fixed-width big-endian bytes (trie.encode, the width the least that holds
+sigma), and each reversed relevant substring is a bytes slice of it, so
+sorting them is a memcmp sort.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ from .grammar import build_slp
 from .range_report import Grid, SourceIndex
 from .trie import CompactTrie
 
-MAGIC = b"LZXIDX7\n"
+MAGIC = b"LZXIDX8\n"
 # the file's CRC-32 takes the four bytes after the magic and covers the rest
 _CRC_AT = len(MAGIC)
 _MAX_FN_ATTEMPTS = 8
@@ -119,22 +120,22 @@ class Index:
 
     def __init__(
         self, *, n: int, sigma: int, orig_z: int, tau: int, block_len: int, seed: int,
-        fn: fp.FpFunction, capped: lz77.Lz77Parse, order: list[int], lcps: list[int],
-        arr: np.ndarray, make_dictionary,
+        fn: fp.FpFunction, capped: lz77.Lz77Parse, order: list[int], arr: np.ndarray,
+        make_dictionary,
     ):
         """The index from what its file stores: the header fields, the
         function, the capped parse and the suffix trie's string order (an
-        item index per rank) with the lcps of adjacent strings. Everything
-        else is derived from those and the text arr, which construction may
-        read directly (queries go through the grammar instead). make_dictionary
-        is prefix_search.build, which certifies each dictionary and raises
-        FingerprintCollision, or prefix_search.derive, which trusts fn. A
-        string order that is not a permutation of the items, or an lcp list
-        that does not fit it, raises ValueError("corrupt index"): each lcp L
-        must fit both suffixes, leave the later one longer, and, unless the
-        earlier suffix has length L, the symbol after L must be smaller in
-        the earlier suffix; and the two suffixes must agree on their first
-        L symbols. So a string order and lcps that pass are the build's."""
+        item index per rank). Everything else, the lcps of adjacent strings
+        included, is derived from those and the text arr, which construction
+        may read directly (queries go through the grammar instead).
+        make_dictionary is prefix_search.build, which certifies each
+        dictionary and raises FingerprintCollision, or prefix_search.derive,
+        which trusts fn. A string order that is not a permutation of the
+        items, or that leaves an adjacent pair out of order at its lcp L,
+        raises ValueError("corrupt index"): the later suffix must be longer
+        than L, and, unless the earlier suffix has length L, the symbol after
+        L must be smaller in the earlier suffix. So an order that passes is
+        the build's, the one sorted order of the suffixes."""
         self.n = n
         self.sigma = sigma
         self.orig_z = orig_z
@@ -146,7 +147,7 @@ class Index:
         self.last_stats: dict = {}
 
         items = _relevant_substrings(capped, tau, n)
-        self.t_d, self.t_dp = _tries(items, arr, trie.key_width(sigma), order, lcps)
+        self.t_d, self.t_dp = _tries(items, arr, trie.key_width(sigma), order)
         # the dictionaries are all that depends on fn
         self.ps_d, self.ps_dp = _dictionaries(fn, arr, block_len, self.t_d, self.t_dp,
                                               make_dictionary)
@@ -179,7 +180,7 @@ class Index:
         if tau < 1:
             raise ValueError("tau must be >= 1")
         capped = lz77.cap_phrases(orig, block_len, arr)
-        order, lcps = _suffix_trie_order(ctx, _relevant_substrings(capped, tau, n))
+        order = _suffix_trie_order(ctx, _relevant_substrings(capped, tau, n))
         del ctx
 
         for attempt in range(_MAX_FN_ATTEMPTS):
@@ -187,7 +188,7 @@ class Index:
                 return cls(n=n, sigma=int(arr.max()), orig_z=orig.z, tau=tau,
                            block_len=block_len, seed=cfg.seed,
                            fn=fp.select_function(cfg.seed * 1009 + attempt), capped=capped,
-                           order=order, lcps=lcps, arr=arr, make_dictionary=prefix_search.build)
+                           order=order, arr=arr, make_dictionary=prefix_search.build)
             except prefix_search.FingerprintCollision:
                 continue
         raise RuntimeError("cannot certify a collision-free fingerprint function")
@@ -403,17 +404,9 @@ class Index:
             w.u(ph.border)
         parse = bytes(w.buf)
 
-        # the suffix trie as its order (an item per rank) and the lcps of
-        # adjacent ranks: rank r leaves rank r - 1's path at their lcp
-        t = self.t_dp
-        lcps = [0] * t.num_leaves
-        for u in range(1, t.num_vertices):
-            p = t.parent[u]
-            if t.l_rank[u] != t.l_rank[p]:
-                lcps[t.l_rank[u] - 1] = t.strlen[p]
+        # the suffix trie as its order, an item per rank
         w = Writer()
-        w.seq(ids[0] for ids in t.leaf_ids[1:])
-        w.seq(lcps)
+        w.seq(ids[0] for ids in self.t_dp.leaf_ids[1:])
         suffix_trie = bytes(w.buf)
 
         sections = [
@@ -454,13 +447,12 @@ class Index:
         _check_parse(phrases, n, sigma, block_len)
         capped = lz77.Lz77Parse(phrases, n, len(phrases), sigma)
         order = r.seq()
-        lcps = r.seq()
         if r.pos != len(data):
             raise ValueError("corrupt index")
         # the build certified this function on this text, so its dictionary
         # values need no second check
         return cls(n=n, sigma=sigma, orig_z=orig_z, tau=tau, block_len=block_len, seed=seed,
-                   fn=fp.FpFunction(base), capped=capped, order=order, lcps=lcps,
+                   fn=fp.FpFunction(base), capped=capped, order=order,
                    arr=to_symbols(lz77.decompress(capped)), make_dictionary=prefix_search.derive)
 
     @classmethod
@@ -493,26 +485,20 @@ def _relevant_substrings(capped: lz77.Lz77Parse, tau: int, n: int) -> list:
     return items
 
 
-def _suffix_trie_order(ctx: SuffixContext, items) -> tuple[list[int], list[int]]:
-    """The suffix trie's string order (an item index per rank) and the lcps
-    of adjacent strings, from the suffix context.
+def _suffix_trie_order(ctx: SuffixContext, items) -> list[int]:
+    """The suffix trie's string order, an item index per rank, from the
+    suffix context.
 
     Item i's suffix starts after its end, at 0-based text position e. Ends
     are distinct and ascending, so only the last item can end at n; its
-    suffix is empty and sorts first, with lcp 0 to both neighbours. The
-    others sort by rank, and each adjacent pair's lcp comes from comparing
-    the two suffixes (pair_lcps).
+    suffix is empty and sorts first. The others sort by rank.
     """
     n = ctx.n
     ends = np.array([e for _, e, _ in items if e < n], dtype=np.int64)
-    order = np.argsort(ctx.rank[ends])
-    starts = ends[order]
-    lcps = pair_lcps(ctx.text, starts[:-1], starts[1:]).tolist()
-    order = order.tolist()
+    order = np.argsort(ctx.rank[ends]).tolist()
     if len(order) < len(items):
         order.insert(0, len(items) - 1)
-    # the first suffix, and the one after the empty suffix, have lcp 0
-    return order, [0] * (len(order) - len(lcps)) + lcps
+    return order
 
 
 def _phrase_sources(capped: lz77.Lz77Parse) -> list[tuple[int, int, int]]:
@@ -551,36 +537,27 @@ def _checksum(data) -> int:
     return zlib.crc32(view[_CRC_AT + 4 :], zlib.crc32(view[:_CRC_AT]))
 
 
-def _tries(items, arr: np.ndarray, width: int, order, lcps) -> tuple[CompactTrie, CompactTrie]:
+def _tries(items, arr: np.ndarray, width: int, order) -> tuple[CompactTrie, CompactTrie]:
     """The tries the dictionaries are keyed on, from the relevant substrings,
-    the text, the byte key width and the suffix trie's string order with the
-    lcps of adjacent strings: the trie over the reversed relevant substrings,
-    each vertex's sample the end of an item it spells, and the trie over the
-    suffixes that follow them, each vertex's sample the start of one.
-    Neither depends on the fingerprint function."""
+    the text, the byte key width and the suffix trie's string order: the
+    trie over the reversed relevant substrings, each vertex's sample the end
+    of an item it spells, and the trie over the suffixes that follow them,
+    each vertex's sample the start of one. Neither depends on the
+    fingerprint function."""
     n = len(arr)
-    if (sorted(order) != list(range(len(items))) or len(lcps) != len(order)
-            or lcps[0] != 0 or max(lcps) > n):
+    if sorted(order) != list(range(len(items))):
         raise ValueError("corrupt index")
-    starts = [items[i][1] + 1 for i in order]
-    # each adjacent pair: the earlier suffix may prefix the later one, never
-    # the reverse; the two agree on their first lcp symbols; and where the
-    # earlier one goes on, the symbol after their lcp sorts the pair. So
-    # the order and the lcps are exact.
-    s1 = np.array(starts[:-1], dtype=np.int64)
-    s2 = np.array(starts[1:], dtype=np.int64)
-    lcp = np.array(lcps[1:], dtype=np.int64)
-    if np.any(lcp > n + 1 - s1) or np.any(lcp >= n + 1 - s2):
+    # 0-based starts of the suffixes, and the lcp of each adjacent pair: the
+    # earlier suffix may prefix the later one, never the reverse, and where
+    # the earlier one goes on, the symbol after their lcp sorts the pair.
+    # The suffixes are distinct, so the order is exact.
+    starts = np.array([items[i][1] for i in order], dtype=np.int64)
+    s1, s2 = starts[:-1], starts[1:]
+    lcps = pair_lcps(arr, s1, s2)
+    differ = lcps < n - s1
+    if (np.any(lcps >= n - s2)
+            or np.any(arr[(s1 + lcps)[differ]] >= arr[(s2 + lcps)[differ]])):
         raise ValueError("corrupt index")
-    differ = lcp < n + 1 - s1
-    if np.any(arr[(s1 - 1 + lcp)[differ]] >= arr[(s2 - 1 + lcp)[differ]]):
-        raise ValueError("corrupt index")
-    # the first lcp symbols of both, as slices of the text's byte key
-    text = trie.encode(arr, width)
-    spans = zip(((s1 - 1) * width).tolist(), ((s2 - 1) * width).tolist(), (lcp * width).tolist())
-    for a, b, l in spans:
-        if text[a : a + l] != text[b : b + l]:
-            raise ValueError("corrupt index")
 
     # trie over the reversed relevant substrings, sorted as byte keys: each
     # is a slice of the reversed text's encoding, item (s, e) its 0-based
@@ -601,7 +578,7 @@ def _tries(items, arr: np.ndarray, width: int, order, lcps) -> tuple[CompactTrie
     # trie over the suffixes that follow them, assembled in suffix array
     # order so the suffixes never have to be materialized
     t_dp = trie.build_from_sorted(
-        starts, [n - st + 1 for st in starts], lcps, [[i] for i in order]
+        (starts + 1).tolist(), (n - starts).tolist(), [0] + lcps.tolist(), [[i] for i in order]
     )
     trie.finalize(t_dp, lambda starts, q: arr[starts + q - 2])
     return t_d, t_dp

@@ -452,10 +452,11 @@ class TestSerialization:
         # third the grammar, every trie and the border grid
         # the fourth the same sections as the fifth but no checksum, the
         # fifth a prime p and two certification flags in the header and
-        # dictionary values as wide as p, and the sixth the dictionary values,
-        # 8 bytes each, which loading now recomputes
+        # dictionary values as wide as p, the sixth the dictionary values,
+        # 8 bytes each, which loading now recomputes, and the seventh the
+        # lcps of the suffix trie's adjacent strings, which loading derives
         for blob in (b"garbage!", b"LZXIDX1\n", b"LZXIDX2\n", b"LZXIDX3\n", b"LZXIDX4\n",
-                     b"LZXIDX5\n", b"LZXIDX6\n"):
+                     b"LZXIDX5\n", b"LZXIDX6\n", b"LZXIDX7\n"):
             with pytest.raises(ValueError, match="not an index file"):
                 Index.from_bytes(blob + b"\x00" * 40)
 
@@ -549,62 +550,55 @@ class TestSerialization:
 
     def test_corrupt_suffix_trie(self):
         _, text, idx = self.build_random(110)
-        n = idx.n
-        items = ix._relevant_substrings(idx.capped, idx.tau, n)
-        # the file holds the order and lcps that the build took from the
-        # suffix array, read back off the suffix trie
+        arr = to_symbols(text)
+        items = ix._relevant_substrings(idx.capped, idx.tau, idx.n)
+        # the file holds the order that the build took from the suffix
+        # array, read back off the suffix trie, and nothing after it
         r = Reader(dict(idx._sections())["suffix_trie"])
-        order, lcps = r.seq(), r.seq()
-        assert (order, lcps) == ix._suffix_trie_order(SuffixContext(to_symbols(text)), items)
+        order = r.seq()
+        assert r.pos == len(r.data)
+        assert order == ix._suffix_trie_order(SuffixContext(arr), items)
 
-        def section(order, lcps) -> bytes:
+        def section(*lists) -> bytes:
             w = Writer()
-            w.seq(order)
-            w.seq(lcps)
+            for values in lists:
+                w.seq(values)
             return bytes(w.buf)
 
-        blob = self.with_sections(idx, suffix_trie=section(order, lcps))
+        blob = self.with_sections(idx, suffix_trie=section(order))
         assert Index.from_bytes(blob).to_bytes() == idx.to_bytes()
-        # the adjacent pair whose shorter suffix is longest
-        length = [n - items[i][1] for i in order]
-        r = max(range(1, len(order)), key=lambda r: min(length[r - 1], length[r]))
-        too_long = lcps[:r] + [min(length[r - 1], length[r]) + 1] + lcps[r + 1 :]
-        # a later suffix sorts after an earlier one, so it cannot be its prefix
-        r = next(r for r in range(1, len(order)) if length[r] <= length[r - 1])
-        whole_later = lcps[:r] + [length[r]] + lcps[r + 1 :]
-        # every length and lcp fits, but the symbol after the lcp sorts the
-        # two suffixes the other way
-        swapped = order[:2] + [order[3], order[2]] + order[4:]
+        # the last item ends at n, so its suffix is empty and ranks first
+        assert order[0] == len(items) - 1
+        # the lcps of adjacent strings that the previous format stored
+        starts = np.array([items[i][1] for i in order], dtype=np.int64)
+        lcps = [0] + _suffixes.pair_lcps(arr, starts[:-1], starts[1:]).tolist()
         self.assert_corrupt({
-            case: self.with_sections(idx, suffix_trie=section(o, l)) for case, (o, l) in {
-                "item repeated": ([order[1]] + order[1:], lcps),
-                "item out of range": (order[:-1] + [len(order)], lcps),
-                "item missing": (order[:-1], lcps[:-1]),
-                "lcps too few": (order, lcps[:-1]),
-                "first lcp not 0": (order, [1] + lcps[1:]),
-                "lcp past the shorter suffix": (order, too_long),
-                "lcp the whole later suffix": (order, whole_later),
-                "ranks 3 and 4 swapped": (swapped, lcps),
-                "lcp past n": (order, lcps[:-1] + [1 << 64]),
+            case: self.with_sections(idx, suffix_trie=section(*lists)) for case, lists in {
+                "item repeated": ([order[1]] + order[1:],),
+                "item out of range": (order[:-1] + [len(order)],),
+                "item missing": (order[:-1],),
+                "ranks 3 and 4 swapped": (order[:2] + [order[3], order[2]] + order[4:],),
+                "empty suffix ranked second": ([order[1], order[0]] + order[2:],),
+                "empty suffix ranked last": (order[1:] + order[:1],),
+                "lcps after the order": (order, lcps),
             }.items()
         })
 
-    def test_inflated_lcps(self):
-        # an lcp raised past the true one while the symbols just after it
-        # still sort the pair: only comparing the two suffixes over their
-        # lcp catches every such file
+    def test_adjacent_ranks_swapped(self):
+        # loading checks the order at the lcps it derives, so a swap of any
+        # two adjacent ranks is refused; and the suffix trie it derives from
+        # the order is the built one, vertex for vertex
         rng = random.Random(480)
         for _ in range(40):
             text = mutated_copies(rng, rng.randint(20, 60), 480, 2, sigma=2)
             idx = Index.build(text)
-            r = Reader(dict(idx._sections())["suffix_trie"])
-            order, lcps = r.seq(), r.seq()
-            for k in range(len(lcps)):
-                bad = lcps[:]
-                bad[k] += (1, 2, 3, 5, 8)[k % 5]
+            loaded = Index.from_bytes(idx.to_bytes())
+            for attr in ("parent", "strlen", "sample", "l_rank", "r_rank", "leaf_ids"):
+                assert getattr(loaded.t_dp, attr) == getattr(idx.t_dp, attr), attr
+            order = Reader(dict(idx._sections())["suffix_trie"]).seq()
+            for k in range(1, len(order)):
                 w = Writer()
-                w.seq(order)
-                w.seq(bad)
+                w.seq(order[: k - 1] + [order[k], order[k - 1]] + order[k + 1 :])
                 with pytest.raises(ValueError, match="corrupt index"):
                     Index.from_bytes(self.with_sections(idx, suffix_trie=bytes(w.buf)))
 
@@ -679,6 +673,99 @@ class TestSerialization:
         assert not any(flipped)
         for cut in rng.sample(range(len(blob)), 150):
             assert not loads(blob[:cut])
+
+
+class TestLoadFuzz:
+    """Seeded single edits to a CRC-resealed file: each edited file must be
+    refused with ValueError("corrupt index"), or load into an index that
+    answers right on the text its parse decodes to and writes the same file
+    back."""
+
+    DELTAS = (1, -1, 2, -2, 5, -5)
+
+    @staticmethod
+    def fields(idx) -> tuple[list[int], ...]:
+        """The integers the file stores, by section: the header fields, the
+        parse (phrase count, then start, length and border per phrase) and
+        the suffix trie's order (count, then an item per rank)."""
+        r = Reader(idx.to_bytes())
+        r.pos = ix._CRC_AT + 4
+        header = [r.u() for _ in range(7)]
+        z = r.u()
+        parse = [z] + [r.u() for _ in range(3 * z)]
+        order = [r.u()]
+        order += [r.u() for _ in range(order[0])]
+        assert r.pos == len(r.data)
+        return header, parse, order
+
+    @staticmethod
+    def file(lists) -> bytes:
+        w = Writer()
+        w.raw(ix.MAGIC + bytes(4))
+        for values in lists:
+            for v in values:
+                w.u(v)
+        return TestSerialization.sealed(bytes(w.buf))
+
+    def edits(self, lists):
+        """(kind, file) per edit: every stored integer moved by every delta
+        and swapped with the next one in its section, and the file cut after
+        each of its bytes past the checksum."""
+        for at, values in enumerate(lists):
+            kind = ("header", "parse", "order")[at]
+            for k in range(len(values)):
+                for d in self.DELTAS:
+                    if values[k] + d >= 0:
+                        bad = list(values)
+                        bad[k] += d
+                        yield f"{kind} +-", self.file(lists[:at] + (bad,) + lists[at + 1 :])
+                if k + 1 < len(values) and values[k] != values[k + 1]:
+                    bad = list(values)
+                    bad[k], bad[k + 1] = bad[k + 1], bad[k]
+                    # the order's count is its first entry, so a swap of
+                    # entries 1 and 2 is the first swap of two ranks
+                    swap = "order swap" if kind == "order" and k else f"{kind} swap"
+                    yield swap, self.file(lists[:at] + (bad,) + lists[at + 1 :])
+        blob = self.file(lists)
+        for cut in range(ix._CRC_AT + 4, len(blob)):
+            yield "truncated", TestSerialization.sealed(blob[:cut])
+
+    def loads(self, data: bytes, rng) -> bool:
+        try:
+            idx = Index.from_bytes(data)
+        except ValueError as e:
+            assert str(e) == "corrupt index"
+            return False
+        assert idx.to_bytes() == data
+        text = lz77.decompress(idx.capped)
+        symbols = sorted(set(text))
+        patterns = [text[i : i + m] for m in (1, 2, idx.tau, idx.tau + 1, 9, 30)
+                    for i in rng.sample(range(len(text) - m + 1), 2)]
+        patterns += [tuple(rng.choice(symbols) for _ in range(rng.randint(1, 9))) for _ in range(4)]
+        for pattern in patterns:
+            assert idx.locate(pattern) == oracle.naive_locate(text, pattern), pattern
+        return True
+
+    def test_single_edits(self):
+        rng = random.Random(27)
+        texts = [mutated_copies(rng, 40, 480, 2, sigma=2), mutated_copies(rng, 60, 480, 3),
+                 random_text(rng, 4, 300), random_text(rng, 2, 200),
+                 [rng.choice((1, 300, 70_000)) for _ in range(200)]]
+        loaded: dict[str, int] = {}
+        tried: dict[str, int] = {}
+        for text in texts:
+            idx = Index.build(text)
+            lists = self.fields(idx)
+            assert self.file(lists) == idx.to_bytes()
+            for kind, data in self.edits(lists):
+                tried[kind] = tried.get(kind, 0) + 1
+                ok = self.loads(data, rng)
+                loaded[kind] = loaded.get(kind, 0) + ok
+                assert not (ok and kind in ("order swap", "truncated")), kind
+        assert set(tried) == {"header +-", "header swap", "parse +-", "parse swap",
+                              "order +-", "order swap", "truncated"}
+        print("\nloaded / tried per edit kind:",
+              {kind: f"{loaded[kind]}/{tried[kind]}" for kind in tried})
 
 
 class TestKeyWidths:

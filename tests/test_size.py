@@ -48,9 +48,11 @@ def test_file_words_per_z_lg_n_over_z_stay_flat(indexes):
     for n, idx in indexes:
         z = idx.stats()["phrases"]
         ratios.append(len(idx.to_bytes()) / 8 / (z * default_tau(n, z)))
-    # measured 0.83 to 0.88 words over three seeds
+    # measured 0.52 to 0.58 words, also with the texts' seeds moved by 1
+    # or 2; storing the lcps of the suffix trie's adjacent strings as well
+    # gave 0.83 to 0.88
     assert max(ratios) <= 1.1 * min(ratios), ratios
-    assert max(ratios) < 1.0, ratios
+    assert max(ratios) < 0.65, ratios
 
 
 def test_grammar_nodes_per_capped_z_lg_n_over_z_stay_flat(indexes):

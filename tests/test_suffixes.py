@@ -125,5 +125,27 @@ class TestPairLcps:
             got = pair_lcps(np.array(text, dtype=np.int64), a, b).tolist()
             assert got == [naive_pair_lcp(text, x, y) for x, y in zip(a, b)]
 
+    def test_narrowed_symbol_types(self):
+        # the comparison reads the text in the narrowest unsigned type that
+        # holds its largest symbol: texts at each type's limit and just past
+        # it, and a run of 0s, every pair against the naive lcp; the low
+        # bytes of the largest symbol are symbols too, so a type too narrow
+        # for it would make two symbols equal
+        rng = random.Random(37)
+        for top in (255, 256, 65_535, 65_536, 2**32, 2**62):
+            low = {top & (1 << bits) - 1 for bits in (8, 16, 32)}
+            alphabet = sorted({top, top - 1, 1, 0} | low)
+            base = [rng.choice(alphabet) for _ in range(200)]
+            text = base * 3 + [top] * 40 + base[:50]
+            check(text)
+            n = len(text)
+            a, b = zip(*((x, y) for x, y in ((rng.randrange(n), rng.randrange(n))
+                                              for _ in range(3_000)) if x != y))
+            got = pair_lcps(np.array(text, dtype=np.int64), a, b).tolist()
+            assert got == [naive_pair_lcp(text, x, y) for x, y in zip(a, b)]
+        check([0] * 300)
+        # a negative symbol keeps the text's own type
+        check([-(2**62), 7, -1, 0] * 50 + [7])
+
     def test_no_pairs(self):
         assert pair_lcps(np.array([1, 2], dtype=np.int64), [], []).tolist() == []
