@@ -67,8 +67,9 @@ def suffix_array(text: np.ndarray) -> np.ndarray:
         width <<= 1
 
 
-def pair_lcps(text: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """lcp of the suffixes at 0-based starts a[i] != b[i] of text, per pair.
+def pair_lcps(text: np.ndarray, a: np.ndarray, b: np.ndarray, cap=None) -> np.ndarray:
+    """lcp of the suffixes at 0-based starts a[i] != b[i] of text, per pair,
+    or cap[i] where that is smaller (cap, when given, an int array).
 
     All pairs are compared in lockstep, a span of symbols a round, doubling
     from 8 up to 4096 symbols; a pair leaves at its first mismatch or where
@@ -81,6 +82,8 @@ def pair_lcps(text: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     limit = n - np.maximum(a, b)
+    if cap is not None:
+        limit = np.minimum(limit, cap)
     out = np.zeros(len(a), dtype=np.int64)
     # the padding lets a span run past the text's end; whatever it reads
     # there is cut back to the limit

@@ -31,6 +31,9 @@ P = (1 << 61) - 1
 _P = np.uint64(P)
 _LOW31 = np.uint64((1 << 31) - 1)
 _LOW30 = np.uint64((1 << 30) - 1)
+# PrefixFpTable makes its arrays this many positions at a time, so the
+# temporaries of a product stay this long whatever the string's length
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,14 +74,17 @@ def _mulmod(a, b):
 
 
 def _powers(base: int, count: int) -> np.ndarray:
-    """base^0, ..., base^(count - 1) mod p, doubling the run made so far."""
+    """base^0, ..., base^(count - 1) mod p: the run made so far doubles,
+    and once it is _CHUNK long, each next _CHUNK powers are the last
+    _CHUNK times base^_CHUNK."""
     out = np.ones(count, dtype=np.uint64)
-    done, step = 1, base % P  # step = base^done
+    done = 1
     while done < count:
-        k = min(done, count - done)
-        out[done : done + k] = _mulmod(out[:k], np.uint64(step))
+        run = min(done, _CHUNK)
+        k = min(run, count - done)
+        out[done : done + k] = _mulmod(out[done - run : done - run + k],
+                                       np.uint64(pow(base, run, P)))
         done += k
-        step = step * step % P
     return out
 
 
@@ -106,15 +112,24 @@ class PrefixFpTable:
     phi(s[i : e]) = r^-i (F[e] - F[i]) with F[k] = sum of s[j] r^j over j < k,
     and phi of its reversal = r^(e-1) (R[e] - R[i]) with the weights r^-j in
     R. Starts are 0-based; starts and lengths are numpy int arrays or ints.
+    The four arrays are made _CHUNK positions at a time, so the build holds
+    them and temporaries of O(_CHUNK), not of O(n).
     """
 
     def __init__(self, fn: FpFunction, s):
-        sym = _residues(s)
-        self.length = n = len(sym)
+        s = to_symbols(s)
+        self.length = n = len(s)
         self.pw = _powers(fn.r, n + 1)
         self._ipw = _powers(pow(fn.r, -1, P), n + 1)
-        self._fwd = _prefix_sums(_mulmod(sym, self.pw[:n]))
-        self._rev = _prefix_sums(_mulmod(sym, self._ipw[:n]))
+        self._fwd = np.zeros(n + 1, dtype=np.uint64)
+        self._rev = np.zeros(n + 1, dtype=np.uint64)
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            sym = _residues(s[lo:hi])
+            for sums, weights in ((self._fwd, self.pw), (self._rev, self._ipw)):
+                # each chunk's sums start from the total before it
+                part = _prefix_sums(_mulmod(sym, weights[lo:hi]))
+                sums[lo + 1 : hi + 1] = _reduce(part[1:] + sums[lo])
 
     def _span(self, starts, lengths):
         starts, lengths = np.asarray(starts), np.asarray(lengths)

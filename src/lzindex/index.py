@@ -50,10 +50,12 @@ function. The file stores only the header with a CRC-32 of the file and the
 base r, the parse, and that string order, and the constructor takes exactly
 those with the text: the build passes the text it was given, loading
 decodes it from the checked parse. From them the constructor derives the
-rest in one order: the lcps of the order's adjacent strings, about z·tau of
-them, by comparing the two suffixes (pair_lcps), so no n-length LCP array
-is made, and the order is accepted only if each adjacent pair sorts at its
-lcp; the two tries over the relevant substrings; the dictionaries keyed on
+rest in one order: the relevant substrings, as arrays of starts, ends and
+borders computed from the phrase spans; the lcps of the order's adjacent
+strings, about z·tau of them, by comparing the two suffixes (pair_lcps), so
+no n-length LCP array is made, and the order is accepted only if each
+adjacent pair sorts at its lcp; the two tries over the relevant
+substrings; the dictionaries keyed on
 them, whose values come from one numpy prefix table over the text; the
 grammar (build_slp); the border grid; and the phrase sources. The function
 keys only the dictionaries, and the caller says how they are made: the
@@ -61,17 +63,21 @@ build passes prefix_search.build, which certifies both, and retries the
 constructor with the next seed's function when one collides, so nothing
 past the dictionaries is made for a function that fails; loading passes
 prefix_search.derive and does not certify them again, since the build
-certified this r on this text. The derivations make no Python object per
-symbol of a string they sort: the reversed text is encoded once as
-fixed-width big-endian bytes (trie.encode, the width the least that holds
-sigma), and each reversed relevant substring is a bytes slice of it, so
-sorting them is a memcmp sort.
+certified this r on this text. The derivations are numpy passes over
+arrays of the items and make no Python container per item, vertex or grid
+point, nor any Python object per symbol of a string they sort: the
+reversed text is encoded once as fixed-width big-endian bytes
+(trie.encode, the width the least that holds sigma), each reversed relevant
+substring is a bytes slice of it, so sorting them is a memcmp sort, and
+their adjacent lcps come from one pair_lcps call on the reversed text. The
+tries keep flat per-vertex int lists and one int-keyed dict of edges, the
+grid one flat list for all its levels, so what loading leaves for the
+garbage collector to walk does not grow with the index.
 """
 
 from __future__ import annotations
 
 import zlib
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,9 +131,10 @@ class Index:
     ):
         """The index from what its file stores: the header fields, the
         function, the capped parse and the suffix trie's string order (an
-        item index per rank). Everything else, the lcps of adjacent strings
-        included, is derived from those and the text arr, which construction
-        may read directly (queries go through the grammar instead).
+        item index per rank, kept as self.order for the file). Everything
+        else, the lcps of adjacent strings included, is derived from those
+        and the text arr, which construction may read directly (queries go
+        through the grammar instead).
         make_dictionary is prefix_search.build, which certifies each
         dictionary and raises FingerprintCollision, or prefix_search.derive,
         which trusts fn. A string order that is not a permutation of the
@@ -146,20 +153,22 @@ class Index:
         self.capped = capped
         self.last_stats: dict = {}
 
-        items = _relevant_substrings(capped, tau, n)
-        self.t_d, self.t_dp = _tries(items, arr, trie.key_width(sigma), order)
+        starts, ends, borders = _relevant_substrings(capped, tau, n)
+        if sorted(order) != list(range(len(ends))):
+            raise ValueError("corrupt index")
+        self.order = order
+        order = np.array(order, dtype=np.int64)
+        self.t_d, self.t_dp, x = _tries(starts, ends, arr, trie.key_width(sigma), order)
         # the dictionaries are all that depends on fn
         self.ps_d, self.ps_dp = _dictionaries(fn, arr, block_len, self.t_d, self.t_dp,
                                               make_dictionary)
         # the rest is made only now, so it is not resident while the
         # certification and the prefix table peak
         self.bt = build_slp(capped, block_len)
-        # the grid joining both tries: one point per relevant substring
-        xr = [0] * len(items)
-        for rank in range(1, self.t_d.num_leaves + 1):
-            for i in self.t_d.leaf_ids[rank]:
-                xr[i] = rank
-        self.grid_r = Grid((xr[i], rank, items[i][1:]) for rank, i in enumerate(order, start=1))
+        # the grid joining both tries: one point per relevant substring, at
+        # the t_d rank of its reversal and the t_dp rank of its suffix, with
+        # its end and border
+        self.grid_r = Grid(x[order], ends[order], borders[order])
         # each phrase's source and where it is copied
         self.sources = SourceIndex(_phrase_sources(capped))
 
@@ -180,7 +189,7 @@ class Index:
         if tau < 1:
             raise ValueError("tau must be >= 1")
         capped = lz77.cap_phrases(orig, block_len, arr)
-        order = _suffix_trie_order(ctx, _relevant_substrings(capped, tau, n))
+        order = _suffix_trie_order(ctx, _relevant_substrings(capped, tau, n)[1])
         del ctx
 
         for attempt in range(_MAX_FN_ATTEMPTS):
@@ -211,7 +220,7 @@ class Index:
         if m == 0:
             raise ValueError("empty pattern")
         self.last_stats = {"identified": {}, "primary": [], "secondary": []}
-        if m > self.n or any(c < 1 or c > self.sigma for c in p):
+        if m > self.n or not self._in_alphabet(p):
             return []
         identified = self.last_stats["identified"]
         if m <= self.tau:
@@ -234,7 +243,7 @@ class Index:
         p = self._coerce(pattern)
         if len(p) <= self.tau:
             raise ValueError("pattern not longer than tau")
-        if len(p) > self.n or any(c < 1 or c > self.sigma for c in p):
+        if len(p) > self.n or not self._in_alphabet(p):
             return []
         return sorted(self._primary_long(p, {}).items())
 
@@ -244,7 +253,7 @@ class Index:
         p = self._coerce(pattern)
         if not p or len(p) > self.tau:
             raise ValueError("pattern length must be in [1, tau]")
-        if any(c < 1 or c > self.sigma for c in p):
+        if not self._in_alphabet(p):
             return []
         return sorted(self._primary_short(p, {}).items())
 
@@ -279,6 +288,10 @@ class Index:
         """text[i, j], 1-based inclusive."""
         return self.bt.extract(i, j)
 
+    def _in_alphabet(self, p: tuple) -> bool:
+        """Whether every symbol of the nonempty pattern p is in [1, sigma]."""
+        return min(p) >= 1 and max(p) <= self.sigma
+
     def _primary_short(self, p: tuple, identified: dict) -> dict[int, int]:
         # an occurrence at o that spans a border ends within tau - 1 of the
         # first border at or after o, so it ends where a relevant substring
@@ -293,8 +306,8 @@ class Index:
         for end, border in self.grid_r.column(*self.t_d.leaf_range(v)):
             o = end - m + 1
             if o <= border:  # the occurrence spans the border
-                identified[o] = identified.get(o, 0) + 1
                 out[o] = border
+        identified.update(dict.fromkeys(out, 1))
         return out
 
     def _primary_long(self, p: tuple, identified: dict) -> dict[int, int]:
@@ -337,8 +350,7 @@ class Index:
             if res is None or not self._suffix_holds(res[0], symbols, k, m):
                 continue
             _, l2, r2 = res
-            pts = self.grid_r.query(l1, r1, l2, r2)
-            for j, b in pts:
+            for j, b in self.grid_r.query(l1, r1, l2, r2):
                 o = j - k + 1
                 identified[o] = identified.get(o, 0) + 1
                 out.setdefault(o, b)
@@ -406,7 +418,7 @@ class Index:
 
         # the suffix trie as its order, an item per rank
         w = Writer()
-        w.seq(ids[0] for ids in self.t_dp.leaf_ids[1:])
+        w.seq(self.order)
         suffix_trie = bytes(w.buf)
 
         sections = [
@@ -461,43 +473,37 @@ class Index:
             return cls.from_bytes(fh.read())
 
 
-def _relevant_substrings(capped: lz77.Lz77Parse, tau: int, n: int) -> list:
+def _relevant_substrings(capped: lz77.Lz77Parse, tau: int, n: int):
     """For each phrase border e, the strings ending at e..e+tau-1 that start
     at the phrase start, deduplicated by end position keeping the longest
-    (smallest start); as (start, end, rightmost border <= end) by end."""
-    best: dict[int, int] = {}
-    pos = 1
-    for ph in capped.phrases:
-        e = pos + ph.span() - 1
-        for k in range(tau):
-            end = e + k
-            if end > n:
-                break
-            cur = best.get(end)
-            if cur is None or pos < cur:
-                best[end] = pos
-        pos = e + 1
-    borders = capped.border_positions()
-    items = []
-    for end in sorted(best):
-        b = borders[bisect_right(borders, end) - 1]
-        items.append((best[end], end, b))
-    return items
+    (smallest start); as int64 arrays of their starts, their ends and the
+    rightmost border <= each end, by end.
+
+    Each phrase reaches the ends from its border to tau - 1 past it, and an
+    end keeps the first phrase that reaches it, whose start is the smallest.
+    Those reaches only move right, so a phrase keeps the ends past the
+    previous one's reach."""
+    borders = np.array(capped.border_positions(), dtype=np.int64)
+    reach = np.minimum(borders + tau - 1, n)
+    first = np.maximum(borders, np.concatenate(([0], reach[:-1])) + 1)
+    count = reach - first + 1
+    # phrase i's ends run first[i], first[i] + 1, ..., reach[i]
+    ends = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+    starts = np.repeat(np.concatenate(([1], borders[:-1] + 1)), count)
+    return starts, ends, borders[np.searchsorted(borders, ends, "right") - 1]
 
 
-def _suffix_trie_order(ctx: SuffixContext, items) -> list[int]:
+def _suffix_trie_order(ctx: SuffixContext, ends: np.ndarray) -> list[int]:
     """The suffix trie's string order, an item index per rank, from the
-    suffix context.
+    suffix context and the items' ends.
 
     Item i's suffix starts after its end, at 0-based text position e. Ends
     are distinct and ascending, so only the last item can end at n; its
     suffix is empty and sorts first. The others sort by rank.
     """
-    n = ctx.n
-    ends = np.array([e for _, e, _ in items if e < n], dtype=np.int64)
-    order = np.argsort(ctx.rank[ends]).tolist()
-    if len(order) < len(items):
-        order.insert(0, len(items) - 1)
+    order = np.argsort(ctx.rank[ends[ends < ctx.n]]).tolist()
+    if len(order) < len(ends):
+        order.insert(0, len(ends) - 1)
     return order
 
 
@@ -537,51 +543,56 @@ def _checksum(data) -> int:
     return zlib.crc32(view[_CRC_AT + 4 :], zlib.crc32(view[:_CRC_AT]))
 
 
-def _tries(items, arr: np.ndarray, width: int, order) -> tuple[CompactTrie, CompactTrie]:
-    """The tries the dictionaries are keyed on, from the relevant substrings,
-    the text, the byte key width and the suffix trie's string order: the
-    trie over the reversed relevant substrings, each vertex's sample the end
-    of an item it spells, and the trie over the suffixes that follow them,
-    each vertex's sample the start of one. Neither depends on the
-    fingerprint function."""
+def _tries(starts: np.ndarray, ends: np.ndarray, arr: np.ndarray, width: int,
+           order: np.ndarray) -> tuple[CompactTrie, CompactTrie, np.ndarray]:
+    """The tries the dictionaries are keyed on, from the relevant substrings'
+    starts and ends, the text, the byte key width and the suffix trie's
+    string order (a permutation of the items): the trie over the reversed
+    relevant substrings, each vertex's sample the end of an item it spells,
+    and the trie over the suffixes that follow them, each vertex's sample
+    the start of one; and each item's rank in the first. Neither depends on
+    the fingerprint function."""
     n = len(arr)
-    if sorted(order) != list(range(len(items))):
-        raise ValueError("corrupt index")
     # 0-based starts of the suffixes, and the lcp of each adjacent pair: the
     # earlier suffix may prefix the later one, never the reverse, and where
     # the earlier one goes on, the symbol after their lcp sorts the pair.
     # The suffixes are distinct, so the order is exact.
-    starts = np.array([items[i][1] for i in order], dtype=np.int64)
-    s1, s2 = starts[:-1], starts[1:]
+    after = ends[order]
+    s1, s2 = after[:-1], after[1:]
     lcps = pair_lcps(arr, s1, s2)
     differ = lcps < n - s1
     if (np.any(lcps >= n - s2)
             or np.any(arr[(s1 + lcps)[differ]] >= arr[(s2 + lcps)[differ]])):
         raise ValueError("corrupt index")
 
-    # trie over the reversed relevant substrings, sorted as byte keys: each
-    # is a slice of the reversed text's encoding, item (s, e) its 0-based
-    # [n - e, n + 1 - s)
+    # the reversed relevant substrings, sorted as byte keys: each is a slice
+    # of the reversed text's encoding, item (s, e) its 0-based
+    # [n - e, n + 1 - s); their adjacent lcps are those of the reversed
+    # text's suffixes at n - e, cut at the shorter string, and equal strings
+    # share a rank
     rtext = trie.encode(arr[::-1], width)
-    groups: dict[bytes, list[int]] = {}
-    for i, (s, e, _) in enumerate(items):
-        groups.setdefault(rtext[(n - e) * width : (n + 1 - s) * width], []).append(i)
-    keys = sorted(groups)
-    ids = [groups[key] for key in keys]
-    t_d = trie.build_from_sorted(
-        [items[same[0]][1] for same in ids], [len(key) // width for key in keys],
-        trie.key_lcps(keys, width), ids,
-    )
+    keys = [rtext[a:b] for a, b in zip(((n - ends) * width).tolist(),
+                                       ((n + 1 - starts) * width).tolist())]
+    by_key = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
+    del keys
+    lens = (ends - starts + 1)[by_key]
+    rstarts = n - ends[by_key]
+    key_lcps = pair_lcps(arr[::-1], rstarts[:-1], rstarts[1:], np.minimum(lens[:-1], lens[1:]))
+    new = np.ones(len(by_key), dtype=bool)
+    new[1:] = (key_lcps < lens[1:]) | (lens[:-1] != lens[1:])
+    x = np.empty(len(by_key), dtype=np.int64)
+    x[by_key] = np.cumsum(new)
+    t_d = trie.build_from_sorted(ends[by_key[new]].tolist(), lens[new].tolist(),
+                                 np.concatenate(([0], key_lcps))[new].tolist())
     # depth q of a string read backwards from end e is arr[e - q]
     trie.finalize(t_d, lambda ends, q: arr[ends - q])
 
     # trie over the suffixes that follow them, assembled in suffix array
     # order so the suffixes never have to be materialized
-    t_dp = trie.build_from_sorted(
-        (starts + 1).tolist(), (n - starts).tolist(), [0] + lcps.tolist(), [[i] for i in order]
-    )
+    t_dp = trie.build_from_sorted((after + 1).tolist(), (n - after).tolist(),
+                                  [0, *lcps.tolist()])
     trie.finalize(t_dp, lambda starts, q: arr[starts + q - 2])
-    return t_d, t_dp
+    return t_d, t_dp, x
 
 
 def _dictionaries(fn: fp.FpFunction, arr: np.ndarray, x: int, t_d: CompactTrie,

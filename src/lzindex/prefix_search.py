@@ -174,7 +174,7 @@ def weak_search(ps: PrefixSearchStructure, m: int, pattern_fp, pattern_symbol):
     if t.strlen[v] < m:
         v = find_exit_vertex(ps, v, m, pattern_fp)
         if t.strlen[v] < m:
-            v = t.children[v].get(pattern_symbol(t.strlen[v] + 1))
+            v = t.child(v, pattern_symbol(t.strlen[v] + 1))
             if v is None:
                 return None  # true negative
     l, r = t.leaf_range(v)

@@ -1,13 +1,17 @@
 """Range reporting: the border grid and the phrase-source index.
 
-`Grid` answers 2-d orthogonal range queries with integer payload pairs. It
-is a static merge-sort tree kept as levels: level k cuts the points, sorted
-by x, into nodes of 2^k consecutive ones (the last node of a level may be
-shorter) and holds each node's points sorted by y, ties in x order, as one
-list of y values and one of payloads for the whole level. One stable numpy
-sort per level makes it. A closed-rectangle query decomposes the x range
-into O(lg n) canonical nodes and bisects each node's segment of its level's
-y list, so a query costs O(lg^2 n + k) for k reported points.
+`Grid` answers 2-d orthogonal range queries over points in rank space, one
+point per y in 1..n, each with an integer payload pair. It is a static
+merge-sort tree kept as levels: level k cuts the points, sorted by x, into
+nodes of 2^k consecutive ones (the last node of a level may be shorter) and
+holds each node's y values sorted. All levels lie in one flat list of ints,
+made from one numpy sort of the whole (level, point) array, and the
+payloads lie in two lists in x order, with each y's place in that order;
+so a grid is the same few lists at any size and holds no tuple per point.
+A closed-rectangle query decomposes the x range into O(lg n) canonical
+nodes and bisects each node's segment of its level, so a query costs
+O(lg^2 n + k) for k reported points; a column (an x range alone) is one
+run of the payload lists.
 
 `SourceIndex` expands occurrences into their secondary copies as
 Kärkkäinen and Ukkonen do. A length-m occurrence at o is copied by each
@@ -36,45 +40,49 @@ WIDE_LEVEL = 48
 
 
 class Grid:
-    def __init__(self, points):
-        """points: iterable of (x, y, payload); payload is any hashable pair."""
-        pts = list(points)
-        self.size = len(pts)
-        xs = np.array([p[0] for p in pts], dtype=np.int64)
-        ys = np.array([p[1] for p in pts], dtype=np.int64)
-        # by (x, y); lexsort is stable, so equal points keep their input order
-        order = np.lexsort((ys, xs))
-        self.xs = xs[order].tolist()
-        ys = ys[order]
-        # every level lists the same y and payload objects
-        y_of = ys.tolist().__getitem__
-        payload_of = [pts[i][2] for i in order.tolist()].__getitem__
-        pos = np.arange(self.size)
-        # _ys[k], _payloads[k]: level k, its nodes in x order, each by y with
-        # ties in x order
-        self._ys: list[list[int]] = []
-        self._payloads: list[list] = []
-        k = 0
-        while True:
-            at = np.lexsort((ys, pos >> k)).tolist()
-            self._ys.append(list(map(y_of, at)))
-            self._payloads.append(list(map(payload_of, at)))
-            if 1 << k >= self.size:
-                break
-            k += 1
+    def __init__(self, xs, first, second):
+        """The points (xs[y - 1], y) for y = 1, ..., len(xs), one per y with
+        any int x, each carrying the payload pair (first[y - 1],
+        second[y - 1]); all three are int arrays or lists of one length."""
+        xs = np.asarray(xs, dtype=np.int64)
+        self.size = n = len(xs)
+        # the x order, ties in y order
+        by_x = np.argsort(xs, kind="stable")
+        self.xs = xs[by_x].tolist()
+        # the payloads in x order, so a column reads two runs of them, and
+        # each y's place in that order
+        self._first = np.asarray(first)[by_x].tolist()
+        self._second = np.asarray(second)[by_x].tolist()
+        at = np.zeros(n + 1, dtype=np.int64)
+        at[by_x + 1] = np.arange(n)
+        self._at = at.tolist()
+        # level k holds the points in x order cut into nodes of 2^k, each
+        # node's y values sorted, at [k n, (k + 1) n) of one flat list; a
+        # point's place in the x order over 2^k is its node, so one sort of
+        # node * (n + 1) + y per level orders them all
+        levels = max(n - 1, 0).bit_length() + 1
+        node = np.arange(n) >> np.arange(levels)[:, None]
+        keyed = node * (n + 1) + (by_x + 1)
+        keyed.sort(axis=1)
+        # the entries share the n int objects of the y values
+        ys = np.arange(n + 1).astype(object)
+        self._ys: list[int] = ys[(keyed % (n + 1)).ravel()].tolist()
 
-    def column(self, x_lo: int, x_hi: int) -> list:
-        """Payloads of all points with x in [x_lo, x_hi], in x order: one
-        slice of level 0, whose nodes are single points in x order."""
-        return self._payloads[0][bisect_left(self.xs, x_lo) : bisect_right(self.xs, x_hi)]
+    def column(self, x_lo: int, x_hi: int):
+        """The payload pairs of all points with x in [x_lo, x_hi], in x
+        order, as an iterator."""
+        lo = bisect_left(self.xs, x_lo)
+        hi = bisect_right(self.xs, x_hi)
+        return zip(self._first[lo:hi], self._second[lo:hi])
 
-    def query(self, x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> list:
-        """Payloads of all points in [x_lo, x_hi] x [y_lo, y_hi]."""
+    def query(self, x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> list[tuple[int, int]]:
+        """The payload pairs of all points in [x_lo, x_hi] x [y_lo, y_hi]."""
         # node l of level k is [l << k, (l + 1) << k) of the x order, cut at
         # size; take the nodes covering [l, r) bottom up, from both ends in
         l = bisect_left(self.xs, x_lo)
         r = bisect_right(self.xs, x_hi)
-        out: list = []
+        ys, n = self._ys, self.size
+        found: list[int] = []
         nodes = []
         k = 0
         while l < r:
@@ -88,12 +96,12 @@ class Grid:
             r >>= 1
             k += 1
         for k, node in nodes:
-            ys = self._ys[k]
-            start = node << k
-            end = min(start + (1 << k), self.size)
+            start = k * n + (node << k)
+            end = min(start + (1 << k), (k + 1) * n)
             lo = bisect_left(ys, y_lo, start, end)
-            out.extend(self._payloads[k][lo : bisect_right(ys, y_hi, lo, end)])
-        return out
+            found.extend(ys[lo : bisect_right(ys, y_hi, lo, end)])
+        at, first, second = self._at, self._first, self._second
+        return [(first[at[y]], second[at[y]]) for y in found]
 
 
 class SourceIndex:

@@ -9,12 +9,17 @@ before the strings it prefixes, and every vertex knows the rank range of the
 strings in its subtree, filled in by the same stack pass that makes the
 vertices.
 
+A trie holds no container per vertex: its per-vertex fields are flat int
+lists, and all its edges sit in one dict keyed by a packed (vertex, first
+symbol) int, filled in one pass by finalize.
+
 Strings are sorted as byte keys: each symbol becomes a big-endian word of a
 fixed width (`key_width`), so the bytes order of two keys is the order of
 their symbol sequences, a shorter prefix first, and the lcp of two adjacent
 keys comes from the bit length of the XOR of their common-length prefixes.
-The index encodes its reversed text this way once and takes every string it
-sorts as a slice of it.
+The index encodes its reversed text this way once, takes every string it
+sorts as a slice of it, and takes the adjacent lcps from the text itself
+(_suffixes.pair_lcps) rather than from the keys.
 """
 
 from __future__ import annotations
@@ -29,25 +34,33 @@ class CompactTrie:
 
     strlen is the length of a vertex's string. `sample` holds one
     represented string id per vertex so edge labels can be recovered from
-    the original text.
+    the original text. The per-vertex fields are flat int lists, and every
+    edge is one entry of a single dict, `children`: the child whose edge
+    starts with symbol c hangs off vertex v under the key c * num_vertices
+    + v (set by finalize), so a trie holds the same few containers
+    whatever its size.
     """
 
     def __init__(self):
         self.parent: list[int] = [-1]
         self.strlen: list[int] = [0]
-        self.children: list[dict[int, int]] = [{}]
         self.l_rank: list[int] = [0]
         self.r_rank: list[int] = [0]
         self.sample: list[int] = [-1]
-        self.leaf_ids: list[list[int]] = [[]]  # rank -> original string ids; [0] unused
+        self.children: dict[int, int] = {}
 
     @property
     def num_leaves(self) -> int:
-        return len(self.leaf_ids) - 1
+        """The number of strings, the root's last rank."""
+        return self.r_rank[0]
 
     @property
     def num_vertices(self) -> int:
         return len(self.parent)
+
+    def child(self, v: int, c: int) -> int | None:
+        """The child of v whose edge starts with symbol c, or None."""
+        return self.children.get(c * len(self.parent) + v)
 
     def leaf_range(self, v: int) -> tuple[int, int]:
         return self.l_rank[v], self.r_rank[v]
@@ -61,10 +74,11 @@ class CompactTrie:
         edge labels character by character; None when there is no such vertex."""
         pattern = list(pattern)
         m = len(pattern)
+        children, stride = self.children, len(self.parent)
         v = 0
         depth = 0
         while depth < m:
-            child = self.children[v].get(pattern[depth])
+            child = children.get(pattern[depth] * stride + v)
             if child is None:
                 return None
             end = min(self.strlen[child], m)
@@ -109,14 +123,13 @@ def shared_symbols(a: bytes, b: bytes, width: int) -> int:
     return (len(a) - (diff.bit_length() + 7) // 8) // width
 
 
-def build_from_sorted(keys: list[int], real_lens, lcps, ids_per_key) -> CompactTrie:
+def build_from_sorted(keys: list[int], real_lens, lcps) -> CompactTrie:
     """Core constructor from distinct strings already in lexicographic order.
 
     keys are opaque string ids used as `sample`s; real_lens[i] is the i-th
     string's length; lcps[i] is the longest common prefix with string i-1
-    (lcps[0] ignored), less than real_lens[i]; ids_per_key[i] lists the
-    original ids collapsed into string i. Edge first-symbols are filled in
-    by finalize.
+    (lcps[0] ignored), less than real_lens[i]. String i has rank i + 1.
+    Edge first-symbols are filled in by finalize.
 
     The stack holds the rightmost path. A vertex's first rank is that of the
     string it is made with (a split vertex takes over the first rank of the
@@ -163,53 +176,46 @@ def build_from_sorted(keys: list[int], real_lens, lcps, ids_per_key) -> CompactT
     l_rank[0] = 1
     if len(stack) > 1:
         sample[0] = sample[stack[1]]
-    t.children = [{} for _ in parent]
-    t.leaf_ids += [list(ids) for ids in ids_per_key]
     return t
 
 
 def finalize(t: CompactTrie, symbols_at) -> CompactTrie:
-    """Key each child dict by the first symbol of the child's edge, read for
-    every edge at once: symbols_at(samples, depths) gives, as an array or a
-    list, the symbols at those 1-based depths of the strings of those
-    samples, both given as int64 arrays.
-
-    Vertices are visited in creation order, which is lexicographic among
-    siblings, so each child dict ends up ordered by symbol.
-    """
-    parent = t.parent[1:]
+    """Fill the children dict, keying every edge by the first symbol of the
+    child's edge, read for every edge at once: symbols_at(samples, depths)
+    gives, as an int64 array or an object array of ints, the symbols at
+    those 1-based depths of the strings of those samples, both given as
+    int64 arrays. The keys are made in one numpy pass, as Python ints only
+    where one would pass the int64 range, and go into the dict in vertex
+    order."""
+    parent = np.array(t.parent[1:], dtype=np.int64)
     depth = np.array(t.strlen, dtype=np.int64)[parent] + 1
-    symbols = np.asarray(symbols_at(np.array(t.sample[1:], dtype=np.int64), depth)).tolist()
-    children = t.children
-    for child, (p, c) in enumerate(zip(parent, symbols), start=1):
-        children[p][c] = child
+    symbols = symbols_at(np.array(t.sample[1:], dtype=np.int64), depth)
+    stride = t.num_vertices
+    wide = (int(symbols.max(initial=0)) + 1) * stride > 1 << 63
+    keys = symbols.astype(object if wide else np.int64) * stride + parent
+    t.children = dict(zip(keys.tolist(), range(1, stride)))
     return t
 
 
 # kept because bench/tracing.py wraps it by name (ROADMAP item 1)
-def build(strings, ids=None) -> tuple[CompactTrie, list]:
+def build(strings) -> tuple[CompactTrie, list]:
     """Compact trie over materialized symbol sequences of symbols >= 0.
 
     Returns the trie plus the distinct sorted strings as tuples; `sample`
-    values index into that list. Duplicate strings merge into one rank with
-    all their ids.
+    values index into that list, and a string's rank is its place there
+    plus one. Duplicate strings share one rank.
     """
-    seqs = [tuple(s) for s in strings]
-    if ids is None:
-        ids = range(len(seqs))
-    groups: dict[tuple, list] = {}
-    for s, i in zip(seqs, ids):
-        groups.setdefault(s, []).append(i)
-    width = key_width(max((max(s) for s in groups if s), default=0))
-    keys = {s: encode(s, width) for s in groups}
-    distinct = sorted(groups, key=keys.__getitem__)
+    distinct = {tuple(s) for s in strings}
+    width = key_width(max((max(s) for s in distinct if s), default=0))
+    keys = {s: encode(s, width) for s in distinct}
+    distinct = sorted(distinct, key=keys.__getitem__)
     t = build_from_sorted(
         list(range(len(distinct))),
         [len(s) for s in distinct],
         key_lcps([keys[s] for s in distinct], width),
-        [groups[s] for s in distinct],
     )
 
-    finalize(t, lambda sids, depths: [distinct[s][q - 1] for s, q
-                                      in zip(sids.tolist(), depths.tolist())])
+    finalize(t, lambda sids, depths: np.array([distinct[s][q - 1] for s, q
+                                               in zip(sids.tolist(), depths.tolist())],
+                                              dtype=object))
     return t, distinct

@@ -302,3 +302,51 @@ class TestPow2Equivalence:
         text = [5, 5 + P] * 8
         assert not pow2_collision_free_by_strings(P, 3, text)
         assert not fp.verify_pow2_collision_free(fp.FpFunction(3), context(text))
+
+
+class TestChunkedPrefixTable:
+    """PrefixFpTable makes its arrays fp._CHUNK positions at a time; the
+    arrays must be those of one pass over the whole string."""
+
+    @staticmethod
+    def direct(fn, s):
+        """pw, ipw, F and R of PrefixFpTable by a loop over s."""
+        r, inv = fn.r, pow(fn.r, -1, P)
+        pw, ipw, fwd, rev = [1], [1], [0], [0]
+        for c in s:
+            fwd.append((fwd[-1] + c % P * pw[-1]) % P)
+            rev.append((rev[-1] + c % P * ipw[-1]) % P)
+            pw.append(pw[-1] * r % P)
+            ipw.append(ipw[-1] * inv % P)
+        return pw, ipw, fwd, rev
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4, 7, 1 << 16])
+    def test_arrays_equal_one_pass(self, monkeypatch, chunk):
+        monkeypatch.setattr(fp, "_CHUNK", chunk)
+        rng = random.Random(23)
+        fn = fp.select_function(5)
+        # lengths on both sides of one, two and three chunks
+        lengths = sorted({0, 1, 2, 3} | {k * c + d for k in (1, 2, 3) for c in (chunk, 4)
+                                         for d in (-1, 0, 1) if k * c + d >= 0 and k * c + d < 200})
+        for n in lengths:
+            for sigma in (4, 1 << 62):
+                s = [rng.randint(1, sigma) for _ in range(n)]
+                table = fp.PrefixFpTable(fn, s)
+                pw, ipw, fwd, rev = self.direct(fn, s)
+                assert table.pw.tolist() == pw
+                assert table._ipw.tolist() == ipw
+                assert table._fwd.tolist() == fwd
+                assert table._rev.tolist() == rev
+
+    def test_straddles_the_default_chunk(self):
+        # the real chunk, at lengths that end just before, at and after it
+        rng = random.Random(24)
+        fn = fp.select_function(6)
+        for n in (fp._CHUNK - 1, fp._CHUNK, fp._CHUNK + 1, 2 * fp._CHUNK + 3):
+            s = [rng.randint(1, 1 << 40) for _ in range(n)]
+            table = fp.PrefixFpTable(fn, s)
+            pw, ipw, fwd, rev = self.direct(fn, s)
+            assert table.pw.tolist() == pw
+            assert table._ipw.tolist() == ipw
+            assert table._fwd.tolist() == fwd
+            assert table._rev.tolist() == rev

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import random
 import sys
 
@@ -390,9 +391,9 @@ class TestSerialization:
 
     @staticmethod
     def trie_fields(t):
-        """Every field of a trie, with each child dict in insertion order."""
+        """Every field of a trie, with the children dict in insertion order."""
         fields = dict(vars(t))
-        fields["children"] = [list(c.items()) for c in t.children]
+        fields["children"] = list(t.children.items())
         return fields
 
     def test_byte_identical_round_trip(self):
@@ -412,6 +413,8 @@ class TestSerialization:
         # dictionary values from the text
         for attr in ("t_d", "t_dp"):
             assert self.trie_fields(getattr(loaded, attr)) == self.trie_fields(getattr(idx, attr))
+        assert loaded.order == idx.order
+        assert vars(loaded.grid_r) == vars(idx.grid_r)
         everything = (1, loaded.t_d.num_leaves, 1, loaded.t_dp.num_leaves)
         assert loaded.grid_r.query(*everything) == idx.grid_r.query(*everything)
         for attr in ("ps_d", "ps_dp"):
@@ -551,13 +554,13 @@ class TestSerialization:
     def test_corrupt_suffix_trie(self):
         _, text, idx = self.build_random(110)
         arr = to_symbols(text)
-        items = ix._relevant_substrings(idx.capped, idx.tau, idx.n)
+        _, ends, _ = ix._relevant_substrings(idx.capped, idx.tau, idx.n)
         # the file holds the order that the build took from the suffix
-        # array, read back off the suffix trie, and nothing after it
+        # array, and nothing after it
         r = Reader(dict(idx._sections())["suffix_trie"])
         order = r.seq()
         assert r.pos == len(r.data)
-        assert order == ix._suffix_trie_order(SuffixContext(arr), items)
+        assert order == ix._suffix_trie_order(SuffixContext(arr), ends) == idx.order
 
         def section(*lists) -> bytes:
             w = Writer()
@@ -568,9 +571,9 @@ class TestSerialization:
         blob = self.with_sections(idx, suffix_trie=section(order))
         assert Index.from_bytes(blob).to_bytes() == idx.to_bytes()
         # the last item ends at n, so its suffix is empty and ranks first
-        assert order[0] == len(items) - 1
+        assert order[0] == len(ends) - 1
         # the lcps of adjacent strings that the previous format stored
-        starts = np.array([items[i][1] for i in order], dtype=np.int64)
+        starts = ends[order]
         lcps = [0] + _suffixes.pair_lcps(arr, starts[:-1], starts[1:]).tolist()
         self.assert_corrupt({
             case: self.with_sections(idx, suffix_trie=section(*lists)) for case, lists in {
@@ -584,6 +587,24 @@ class TestSerialization:
             }.items()
         })
 
+    def test_order_values_out_of_range(self):
+        # the order is read as unsigned varints of any size; a value past
+        # int64, the value N (one past the items) or a repeated item is
+        # refused before the order becomes an int64 array, so neither
+        # OverflowError nor IndexError gets out
+        _, _, idx = self.build_random(112)
+        order = idx.order
+        count = len(order)
+        cases = {}
+        for at in (0, 1, count // 2, count - 1):
+            for name, value in (("2^63", 1 << 63), ("2^64", 1 << 64), ("2^64 + 5", (1 << 64) + 5),
+                                ("N", count), ("N + 1", count + 1),
+                                ("repeated", order[(at + 1) % count])):
+                w = Writer()
+                w.seq(order[:at] + [value] + order[at + 1 :])
+                cases[f"{name} at {at}"] = self.with_sections(idx, suffix_trie=bytes(w.buf))
+        self.assert_corrupt(cases)
+
     def test_adjacent_ranks_swapped(self):
         # loading checks the order at the lcps it derives, so a swap of any
         # two adjacent ranks is refused; and the suffix trie it derives from
@@ -593,8 +614,8 @@ class TestSerialization:
             text = mutated_copies(rng, rng.randint(20, 60), 480, 2, sigma=2)
             idx = Index.build(text)
             loaded = Index.from_bytes(idx.to_bytes())
-            for attr in ("parent", "strlen", "sample", "l_rank", "r_rank", "leaf_ids"):
-                assert getattr(loaded.t_dp, attr) == getattr(idx.t_dp, attr), attr
+            assert self.trie_fields(loaded.t_dp) == self.trie_fields(idx.t_dp)
+            assert loaded.order == idx.order
             order = Reader(dict(idx._sections())["suffix_trie"]).seq()
             for k in range(1, len(order)):
                 w = Writer()
@@ -768,6 +789,99 @@ class TestLoadFuzz:
               {kind: f"{loaded[kind]}/{tried[kind]}" for kind in tried})
 
 
+def relevant_substrings_reference(capped, tau, n):
+    """(start, end, border) of every relevant substring by end, one dict
+    entry per end, as the index listed them before it made arrays."""
+    best = {}
+    pos = 1
+    for ph in capped.phrases:
+        e = pos + ph.span() - 1
+        for end in range(e, min(e + tau - 1, n) + 1):
+            best.setdefault(end, pos)
+        pos = e + 1
+    borders = capped.border_positions()
+    return [(best[end], end, max(b for b in borders if b <= end)) for end in sorted(best)]
+
+
+class TestDerivedArrays:
+    """What the constructor derives as arrays, against direct references."""
+
+    @staticmethod
+    def texts():
+        rng = random.Random(28)
+        return [mutated_copies(rng, 40, 600, 2, sigma=2), mutated_copies(rng, 90, 900, 3),
+                random_text(rng, 4, 400), random_text(rng, 2, 50), b"\x01" * 30,
+                [rng.choice((1, 300, 70_000, 1 << 40)) for _ in range(300)]]
+
+    def test_relevant_substrings(self):
+        for text in self.texts():
+            for tau in (1, 2, 3, 7, 40):
+                idx = Index.build(text, IndexConfig(tau=tau))
+                got = ix._relevant_substrings(idx.capped, tau, idx.n)
+                assert all(a.dtype == np.int64 for a in got)
+                assert (list(zip(*(a.tolist() for a in got)))
+                        == relevant_substrings_reference(idx.capped, tau, idx.n))
+
+    def test_item_ranks_and_grid_points(self):
+        # equal reversed relevant substrings share their t_d rank, the
+        # grid's x; each grid point y is the item of t_dp rank y, carrying
+        # that item's end and border
+        for text in self.texts():
+            for tau in (None, 2, 9):
+                idx = Index.build(text, IndexConfig(tau=tau))
+                arr = to_symbols(text)
+                starts, ends, borders = ix._relevant_substrings(idx.capped, idx.tau, idx.n)
+                rev = [tuple(arr[s - 1 : e][::-1].tolist())
+                       for s, e in zip(starts.tolist(), ends.tolist())]
+                rank = {r: k for k, r in enumerate(sorted(set(rev)), start=1)}
+                t_d, t_dp, x = ix._tries(starts, ends, arr, trie.key_width(idx.sigma),
+                                         np.array(idx.order))
+                assert x.tolist() == [rank[r] for r in rev]
+                assert t_d.num_leaves == len(rank) == idx.t_d.num_leaves
+                assert t_dp.num_leaves == len(ends) == idx.t_dp.num_leaves
+                assert idx.t_d.r_rank[0] == len(rank)
+                order = idx.order
+                for r in range(len(rank) + 2):
+                    assert list(idx.grid_r.column(r, r)) == [
+                        (int(ends[i]), int(borders[i])) for i in order if x[i] == r]
+                everything = (1, len(rank), 1, len(order))
+                assert sorted(idx.grid_r.query(*everything)) == list(zip(ends.tolist(),
+                                                                         borders.tolist()))
+
+
+def tracked_containers(root) -> list[str]:
+    """The type names of the GC-tracked objects reachable from root, root
+    included. Types are not followed: a class reaches its module and all
+    that it holds. An untracked object holds no tracked one."""
+    seen = {id(root): root}
+    stack = [root]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if isinstance(ref, type) or id(ref) in seen or not gc.is_tracked(ref):
+                continue
+            seen[id(ref)] = ref
+            stack.append(ref)
+    return sorted(type(obj).__name__ for obj in seen.values())
+
+
+class TestResidentContainers:
+    def test_tries_and_grid_hold_a_fixed_few(self):
+        # the tries and the grid keep per-vertex and per-point values in
+        # flat int lists and one int-keyed dict, never a container per
+        # vertex, string or point, so the collector has the same few to
+        # walk whatever z * tau is
+        rng = random.Random(29)
+        small = Index.build(random_text(rng, 2, 60))
+        large = Index.build(mutated_copies(rng, 1500, 40_000, 30))
+        assert large.grid_r.size > 30 * small.grid_r.size
+        for attr in ("t_d", "t_dp", "grid_r"):
+            got = tracked_containers(getattr(large, attr))
+            assert got == tracked_containers(getattr(small, attr)), attr
+            assert len(got) <= 6, (attr, got)
+        # the children dict holds only ints, so the collector does not track it
+        assert not gc.is_tracked(large.t_d.children)
+
+
 class TestKeyWidths:
     """The reversed relevant substrings are sorted as byte keys of 1, 2, 4
     or 8 bytes a symbol, the least that holds sigma."""
@@ -787,6 +901,8 @@ class TestKeyWidths:
 
     @pytest.mark.parametrize("sigma, width", [
         (254, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 4), (1 << 40, 8),
+        # edge keys past int64, so the tries key their children by Python ints
+        ((1 << 62) + 7, 8),
     ])
     def test_locate_and_load(self, sigma, width):
         assert trie.key_width(sigma) == width

@@ -1,30 +1,44 @@
 import random
-from operator import itemgetter
+
+import numpy as np
 
 from lzindex import range_report
 from lzindex.range_report import Grid
 
 
-def scan(points, x_lo, x_hi, y_lo, y_hi):
-    return sorted(p for x, y, p in points if x_lo <= x <= x_hi and y_lo <= y <= y_hi)
+def tagged(xs, rng):
+    """A grid over the points (xs[y - 1], y), each with the payload pair
+    (y, a random tag), and the list of those pairs by y."""
+    tags = [rng.randint(0, 9) for _ in xs]
+    ys = list(range(1, len(xs) + 1))
+    return Grid(xs, ys, tags), list(zip(ys, tags))
+
+
+def scan(xs, pairs, x_lo, x_hi, y_lo, y_hi):
+    """The payload pairs of the points (xs[y - 1], y) in the rectangle,
+    sorted."""
+    return [pair for y, (x, pair) in enumerate(zip(xs, pairs), start=1)
+            if x_lo <= x <= x_hi and y_lo <= y <= y_hi]
 
 
 class MergeSortTree:
-    """A heap-indexed merge-sort tree of per-node lists: the points sorted
-    by x at the leaves, padded to a power of two, and every node's points
-    sorted by y with the left child's first on equal y."""
+    """A heap-indexed merge-sort tree of per-node lists over the points
+    (xs[y - 1], y): the points sorted by (x, y) at the leaves, padded to a
+    power of two, and every node's points sorted by y; it reports their
+    payload pairs."""
 
-    def __init__(self, points):
-        pts = sorted(points, key=lambda t: (t[0], t[1]))
-        self.xs = [x for x, _, _ in pts]
+    def __init__(self, xs, pairs):
+        pts = sorted((x, y) for y, x in enumerate(xs, start=1))
+        self.pairs = pairs
+        self.xs = [x for x, _ in pts]
         self.leaf0 = 1
         while self.leaf0 < len(pts):
             self.leaf0 *= 2
         self.tree = [[] for _ in range(2 * self.leaf0)]
-        for i, (_, y, p) in enumerate(pts):
-            self.tree[self.leaf0 + i] = [(y, p)]
+        for i, (_, y) in enumerate(pts):
+            self.tree[self.leaf0 + i] = [y]
         for v in range(self.leaf0 - 1, 0, -1):
-            self.tree[v] = sorted(self.tree[2 * v] + self.tree[2 * v + 1], key=itemgetter(0))
+            self.tree[v] = sorted(self.tree[2 * v] + self.tree[2 * v + 1])
 
     def query(self, x_lo, x_hi, y_lo, y_hi):
         out = []
@@ -32,34 +46,38 @@ class MergeSortTree:
         r = sum(x <= x_hi for x in self.xs) + self.leaf0
         while l < r:
             if l & 1:
-                out += [p for y, p in self.tree[l] if y_lo <= y <= y_hi]
+                out += [y for y in self.tree[l] if y_lo <= y <= y_hi]
                 l += 1
             if r & 1:
                 r -= 1
-                out += [p for y, p in self.tree[r] if y_lo <= y <= y_hi]
+                out += [y for y in self.tree[r] if y_lo <= y <= y_hi]
             l >>= 1
             r >>= 1
-        return out
+        return [self.pairs[y - 1] for y in out]
 
 
 class TestGrid:
     def test_empty(self):
-        g = Grid([])
+        g = Grid([], [], [])
+        assert g.size == 0
         assert g.query(0, 10**9, 0, 10**9) == []
+        assert list(g.column(0, 10**9)) == []
 
     def test_single_point(self):
-        g = Grid([(3, 5, (1, 2))])
-        assert g.query(3, 3, 5, 5) == [(1, 2)]
+        g = Grid([3], [7], [8])
+        assert g.query(3, 3, 1, 1) == [(7, 8)]
         assert g.query(4, 9, 0, 9) == []
+        assert g.query(0, 9, 2, 9) == []
+        assert list(g.column(3, 3)) == [(7, 8)]
 
     def test_full_rectangle_returns_everything(self):
         rng = random.Random(61)
-        points = [(rng.randint(1, 50), rng.randint(1, 50), (i, i)) for i in range(200)]
-        g = Grid(points)
-        assert sorted(g.query(1, 50, 1, 50)) == sorted(p for _, _, p in points)
+        xs = [rng.randint(1, 50) for _ in range(200)]
+        g, pairs = tagged(xs, rng)
+        assert sorted(g.query(1, 50, 1, 200)) == pairs
 
     def test_empty_rectangle(self):
-        g = Grid([(1, 1, (0, 0))])
+        g = Grid([1], [1], [0])
         assert g.query(5, 4, 1, 1) == []
         assert g.query(1, 1, 5, 4) == []
 
@@ -68,38 +86,52 @@ class TestGrid:
         for trial in range(6):
             count = rng.randint(1, 2000)
             u = rng.choice([10, 100, 10_000])
-            points = [
-                (rng.randint(1, u), rng.randint(1, u), (i, rng.randint(0, 9)))
-                for i in range(count)
-            ]
-            g = Grid(points)
+            xs = [rng.randint(1, u) for _ in range(count)]
+            g, pairs = tagged(xs, rng)
+            # int arrays make the same grid as lists
+            assert vars(Grid(np.array(xs), *map(np.array, zip(*pairs)))) == vars(g)
+            assert g.size == count
             for _ in range(300):
                 x_lo = rng.randint(0, u)
                 x_hi = rng.randint(x_lo - 1, u + 1)
-                y_lo = rng.randint(0, u)
-                y_hi = rng.randint(y_lo - 1, u + 1)
+                y_lo = rng.randint(0, count)
+                y_hi = rng.randint(y_lo - 1, count + 1)
                 got = g.query(x_lo, x_hi, y_lo, y_hi)
-                assert sorted(got) == scan(points, x_lo, x_hi, y_lo, y_hi)
-                assert len(got) == len(set(got))  # payloads are distinct here
+                assert sorted(got) == scan(xs, pairs, x_lo, x_hi, y_lo, y_hi)
+                assert len(got) == len(set(got))
 
     def test_order_matches_merge_sort_tree(self):
         # the order is part of the answer: a border grid query reports the
         # points of one position in it, and locate keeps the first one's
-        # border; equal y values must keep x order
+        # border; equal x values must keep y order
         rng = random.Random(63)
         for count in (0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65, 300):
-            u = max(2, count // 4)  # many equal x and equal y values
-            points = [(rng.randint(1, u), rng.randint(1, u), (i, rng.randint(0, 3)))
-                      for i in range(count)]
-            g = Grid(points)
-            ref = MergeSortTree(points)
+            u = max(2, count // 4)  # many equal x values
+            xs = [rng.randint(1, u) for _ in range(count)]
+            g, pairs = tagged(xs, rng)
+            ref = MergeSortTree(xs, pairs)
             for _ in range(200):
                 x_lo = rng.randint(0, u)
                 x_hi = rng.randint(x_lo - 1, u + 1)
-                y_lo = rng.randint(0, u)
-                y_hi = rng.randint(y_lo - 1, u + 1)
+                y_lo = rng.randint(0, count)
+                y_hi = rng.randint(y_lo - 1, count + 1)
                 assert g.query(x_lo, x_hi, y_lo, y_hi) == ref.query(x_lo, x_hi, y_lo, y_hi)
-            assert g.query(0, u + 1, 0, u + 1) == ref.query(0, u + 1, 0, u + 1)
+            assert g.query(0, u + 1, 0, count + 1) == ref.query(0, u + 1, 0, count + 1)
+
+    def test_column_in_x_order(self):
+        # short locate reads a column: every point in the x range, by
+        # (x, y), whatever the y range
+        rng = random.Random(66)
+        for count in (0, 1, 2, 7, 64, 500):
+            u = max(2, count // 3)
+            xs = [rng.randint(1, u) for _ in range(count)]
+            g, pairs = tagged(xs, rng)
+            for _ in range(100):
+                x_lo = rng.randint(0, u)
+                x_hi = rng.randint(x_lo - 1, u + 1)
+                want = [pairs[y - 1] for _, y in sorted((x, y) for y, x in enumerate(xs, start=1)
+                                                       if x_lo <= x <= x_hi)]
+                assert list(g.column(x_lo, x_hi)) == want
 
 
 def contained_scan(sources, lo, hi):

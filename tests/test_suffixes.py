@@ -147,5 +147,23 @@ class TestPairLcps:
         # a negative symbol keeps the text's own type
         check([-(2**62), 7, -1, 0] * 50 + [7])
 
+    def test_capped(self):
+        # a cap below, at and above the lcp, 0, and past the text's end; the
+        # pairs that meet their cap leave before a mismatch would stop them
+        rng = random.Random(37)
+        copy = [rng.randint(1, 4) for _ in range(3_000)]
+        text = copy + [5] + copy + [6] + copy[:700]
+        n = len(text)
+        a, b, caps = [], [], []
+        for _ in range(3_000):
+            x, y = rng.sample(range(n), 2)
+            lcp = naive_pair_lcp(text, x, y)
+            a.append(x)
+            b.append(y)
+            caps.append(rng.choice([0, 1, lcp - 1, lcp, lcp + 1, rng.randint(0, 5_000), n + 9]))
+        caps = [max(c, 0) for c in caps]
+        got = pair_lcps(np.array(text, dtype=np.int64), a, b, np.array(caps)).tolist()
+        assert got == [min(naive_pair_lcp(text, x, y), c) for x, y, c in zip(a, b, caps)]
+
     def test_no_pairs(self):
         assert pair_lcps(np.array([1, 2], dtype=np.int64), [], []).tolist() == []

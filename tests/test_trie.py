@@ -19,6 +19,22 @@ def brute_locus_range(strings, pattern):
     return (ranks[0], ranks[-1]) if ranks else None
 
 
+def edges(t):
+    """Every edge of t as {(vertex, first symbol): child}, read off the one
+    children dict; each key must name the child's own parent."""
+    out = {}
+    for key, child in t.children.items():
+        c, v = divmod(key, t.num_vertices)
+        assert t.parent[child] == v
+        out[v, c] = child
+    return out
+
+
+def kids(t, v):
+    """The children of v by the first symbol of their edge, in symbol order."""
+    return {c: child for (u, c), child in sorted(edges(t).items()) if u == v}
+
+
 def char_access_for(distinct):
     """The character access of a trie from trie.build: its samples index
     the distinct strings."""
@@ -37,11 +53,16 @@ class TestBuild:
         assert distinct == [(1, 2, 3), (1, 2, 4), (2,)]
         assert t.num_leaves == 3
         # root branches on symbols 1 and 2
-        assert sorted(t.children[0]) == [1, 2]
+        assert sorted(kids(t, 0)) == [1, 2]
+        assert t.child(0, 3) is None
         # the shared "ab" vertex has string length 2 and covers ranks 1..2
-        ab = t.children[0][1]
+        ab = t.child(0, 1)
+        assert kids(t, 0)[1] == ab
         assert t.strlen[ab] == 2
         assert t.leaf_range(ab) == (1, 2)
+        assert sorted(kids(t, ab)) == [3, 4]
+        # four edges: "ab", "b", and "c" and "d" below "ab"
+        assert len(t.children) == t.num_vertices - 1 == 4
 
     def test_ranks_lexicographic(self):
         t, distinct = trie.build(ABC_SET)
@@ -49,10 +70,14 @@ class TestBuild:
         assert distinct.index((2,)) + 1 == 3
 
     def test_duplicates_merge(self):
-        t, distinct = trie.build([(1, 2), (1, 2), (3,)], ids=[10, 20, 30])
+        # equal strings share a rank (the index's own grouping of equal
+        # reversed substrings is tested by TestItemRanks in test_index.py)
+        t, distinct = trie.build([(1, 2), (3,), (1, 2)])
         assert t.num_leaves == 2
-        assert t.leaf_ids[1] == [10, 20]
-        assert t.leaf_ids[2] == [30]
+        assert distinct == [(1, 2), (3,)]
+        access = char_access_for(distinct)
+        assert t.leaf_range(t.locus_by_walk((1, 2), access)) == (1, 1)
+        assert t.leaf_range(t.locus_by_walk((3,), access)) == (2, 2)
 
     def test_prefix_marks_inner_vertex_and_ranks_first(self):
         # "a" ranks before "ab" and ends at the inner vertex above it
@@ -60,12 +85,12 @@ class TestBuild:
         assert distinct == [(1,), (1, 2)]
         access = char_access_for(distinct)
         v = t.locus_by_walk(distinct[0], access)
-        assert v == t.children[0][1]
+        assert v == t.child(0, 1)
         assert t.strlen[v] == 1
         assert t.leaf_range(v) == (1, 2)
-        assert list(t.children[v]) == [2]
+        assert list(kids(t, v)) == [2]
         w = t.locus_by_walk(distinct[1], access)
-        assert w == t.children[v][2]
+        assert w == t.child(v, 2)
         assert t.strlen[w] == 2 and t.leaf_range(w) == (2, 2)
 
 
@@ -94,6 +119,12 @@ class TestLeafRanges:
             for v in range(t.num_vertices):
                 l, r = t.leaf_range(v)
                 assert below[v] == set(range(l, r + 1))
+            # one key per edge, the first symbol of the child's edge below
+            # its parent, and children keyed in vertex order
+            assert list(t.children.values()) == list(range(1, t.num_vertices))
+            assert edges(t) == {
+                (t.parent[u], distinct[t.sample[u]][t.strlen[t.parent[u]]]): u
+                for u in range(1, t.num_vertices)}
 
 
 class TestLocusByWalk:
@@ -149,3 +180,19 @@ class TestByteKeys:
             assert trie.key_lcps(keys, width) == lcps
             t, distinct = trie.build(strings)
             assert distinct == strings
+
+    def test_wide_symbols(self):
+        # child keys past the int64 range are Python ints, and a symbol
+        # past every stored one misses without colliding with another key
+        big = [1, (1 << 62) + 3, (1 << 63) + 1, (1 << 64) - 1]
+        rng = random.Random(45)
+        strings = sorted({tuple(rng.choice(big) for _ in range(rng.randint(1, 6)))
+                          for _ in range(150)})
+        t, distinct = trie.build(strings)
+        assert distinct == strings
+        assert edges(t)  # every key decodes to its own parent
+        access = char_access_for(distinct)
+        for pat in [s[:k] for s in strings for k in range(len(s) + 1)] + [(1 << 64,), (0,)]:
+            v = t.locus_by_walk(pat, access)
+            expected = brute_locus_range(distinct, pat)
+            assert (v is None) if expected is None else t.leaf_range(v) == expected
