@@ -1,4 +1,8 @@
+import dataclasses
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +12,15 @@ from lzindex import grammar, lz77
 from conftest import random_text
 
 FN = fp.select_function(0)
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def build_for(text: bytes) -> grammar.BlockTable:
+def build_for(text: bytes, block_len: int | None = None) -> grammar.BlockTable:
+    """The grammar of text's capped parse, with blocks of block_len (default
+    n / z rounded up)."""
     parsed = lz77.parse(text)
-    block_len = -(-parsed.n // parsed.z)
+    if block_len is None:
+        block_len = -(-parsed.n // parsed.z)
     return grammar.build_slp(lz77.cap_phrases(parsed, block_len, text), block_len)
 
 
@@ -71,7 +79,7 @@ class TestBuild:
             out = []
             for root in bt.roots:
                 piece: list[int] = []
-                bt.arena.expand(root, piece)
+                bt.arena.expand([root], piece)
                 out.extend(piece)
             assert bytes(out) == text
 
@@ -116,6 +124,75 @@ class TestCompact:
                 if arena.left[v] < 0:
                     assert len(e) == 1 and arena.length[v] == 1
         assert long_nodes
+
+
+def bench_texts() -> list[bytes]:
+    """The benchmark's three generators (bench/workloads.py) at small n."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    workloads = sys.modules[name].WORKLOADS
+    return [sys.modules[name].make_text(dataclasses.replace(workloads[w], n=n), 1)
+            for w, n in (("repetitive", 20_000), ("repetitive-large", 60_000),
+                         ("random", 10_000))]
+
+
+def left_fold(arena, nodes: list[int]) -> int:
+    """concat as one left-to-right fold: the reference that joining in
+    height order is measured against."""
+    root = nodes[0]
+    for v in nodes[1:]:
+        root = arena.join(root, v)
+    return root
+
+
+class TestConcatOrder:
+    """Covers joined in height order, against one left-to-right fold."""
+
+    @staticmethod
+    def build(monkeypatch, text, concat=None) -> tuple[grammar.BlockTable, int]:
+        """The grammar and the number of nodes made before compact."""
+        made = []
+        compact = grammar._Arena.compact
+
+        def counting(arena, roots):
+            made.append(len(arena.left))
+            return compact(arena, roots)
+
+        with monkeypatch.context() as m:
+            m.setattr(grammar._Arena, "compact", counting)
+            if concat is not None:
+                m.setattr(grammar._Arena, "concat", concat)
+            bt = build_for(text)
+        return bt, made[0]
+
+    def test_pairs_balanced(self):
+        for text in bench_texts():
+            bt = build_for(text)
+            a = bt.arena
+            for v, (l, r) in enumerate(zip(a.left, a.right)):
+                if l >= 0:
+                    assert abs(a.height[l] - a.height[r]) <= 1, v
+                    assert a.height[v] == max(a.height[l], a.height[r]) + 1
+                    assert a.length[v] == a.length[l] + a.length[r]
+
+    def test_no_taller_and_fewer_nodes(self, monkeypatch):
+        for text in bench_texts():
+            bt, made = self.build(monkeypatch, text)
+            old, old_made = self.build(monkeypatch, text, left_fold)
+            assert bytes(bt.extract(1, len(text))) == text
+            assert len(bt.roots) == len(old.roots)
+            assert made <= old_made and bt.node_count <= old.node_count
+            heights, old_heights = bt.block_heights(), old.block_heights()
+            # the join order moves a few roots by one level either way,
+            # never the tallest
+            assert max(heights) <= max(old_heights)
+            assert all(h <= o + 1 for h, o in zip(heights, old_heights))
+            if bt.block_len > grammar.SHORT:  # the repetitive generators
+                assert made < 0.85 * old_made
 
 
 class TestExtract:
@@ -178,6 +255,72 @@ class TestExtract:
         for i, j in ((0, 2), (1, 4), (4, 2)):
             with pytest.raises(ValueError):
                 bt.extract(i, j)
+
+
+def visits_oracle(bt, i: int, j: int) -> int:
+    """The nodes a read of text[i, j] passes: every node whose span meets
+    [i, j] and has no node above it, in its block's tree, that holds its
+    expansion; found by a walk of each block's tree."""
+    arena, b = bt.arena, bt.block_len
+    count = 0
+    for k in range((i - 1) // b, (j - 1) // b + 1):
+        stack = [(bt.roots[k], k * b + 1)]
+        while stack:
+            v, start = stack.pop()
+            if start > j or start + arena.length[v] - 1 < i:
+                continue
+            count += 1
+            if arena.exp[v] is None:
+                l = arena.left[v]
+                stack += ((l, start), (arena.right[v], start + arena.length[l]))
+    return count
+
+
+class TestBlockLengths:
+    """Extraction at block lengths around SHORT: up to SHORT every block
+    root holds its expansion, past it only a short last block's root does."""
+
+    N = 2975  # n % b <= SHORT for every b below, so the last root is held
+    LENGTHS = (1, 2, 7, 31, 32, 33, 64)
+
+    @pytest.fixture(scope="class")
+    def text(self):
+        return repetitive_text(random.Random(45), self.N)
+
+    @pytest.mark.parametrize("b", LENGTHS)
+    def test_ranges_and_visits(self, text, b):
+        bt = build_for(text, b)
+        exp, n, blocks = bt.arena.exp, len(text), len(bt.roots)
+        held = [exp[r] is not None for r in bt.roots]
+        assert all(held) == (b <= grammar.SHORT) and held[-1]
+        rng = random.Random(b)
+        ranges = [(1, n), (n, n), (1, 0), (n + 1, n)]
+        ranges += [(i, i) for i in range(1, n + 1)]
+        for k in range(0, blocks, max(1, blocks // 40)):
+            s = k * b + 1
+            i = min(n, s + rng.randrange(b))
+            ranges += [(s, min(n, s + b - 1)), (s, min(n, s + 5 * b - 1)),
+                       (i, min(n, i + rng.randrange(30 * b)))]
+        for _ in range(60):  # runs that end inside the held last block
+            i = rng.randint(1, n)
+            ranges.append((i, rng.randint(max(i, (blocks - 1) * b + 1), n)))
+        for _ in range(300):
+            i = rng.randint(1, n)
+            ranges.append((i, min(n, i + rng.randint(0, 3 * b))))
+        for i, j in ranges:
+            before = bt.node_visits
+            assert bytes(bt.extract(i, j)) == text[i - 1 : j], (i, j)
+            assert bt.node_visits - before == visits_oracle(bt, i, j), (i, j)
+            assert bt.matches(i, list(text[i - 1 : j])), (i, j)
+
+    @pytest.mark.parametrize("b", [b for b in LENGTHS if b <= grammar.SHORT])
+    def test_held_root_run_counts_one_visit_a_block(self, text, b):
+        bt = build_for(text, b)
+        n = len(text)
+        for i, j in ((1, n), (2, n - 1), (b + 1, 40 * b), (b, b + 1), (5, 5), (n, n)):
+            before = bt.node_visits
+            assert bytes(bt.extract(i, j)) == text[i - 1 : j]
+            assert bt.node_visits - before == (j - 1) // b - (i - 1) // b + 1, (i, j)
 
 
 class TestSubstringFp:
