@@ -23,12 +23,6 @@ class Writer:
     def raw(self, data: bytes) -> None:
         self.buf.extend(data)
 
-    def seq(self, values) -> None:
-        values = list(values)
-        self.u(len(values))
-        for v in values:
-            self.u(v)
-
 
 class Reader:
     def __init__(self, data: bytes):
@@ -54,6 +48,3 @@ class Reader:
         out = self.data[self.pos : self.pos + n]
         self.pos += n
         return out
-
-    def seq(self) -> list[int]:
-        return [self.u() for _ in range(self.u())]

@@ -1,14 +1,14 @@
-"""The one suffix-array pass of a build: the suffix array and its ranks.
+"""The one suffix-array pass of a build, and the sorts and lcps after it.
 
 Everything here treats the text as a numpy int array and end-of-string as
 smaller than any symbol, so suffix order matches Python's prefix-first
 ordering of the raw sequences. The parser (lz77.parse) reads the suffix
 array and the ranks to find each phrase's longest previous factor and
-source, the index builder reads the ranks for the suffix trie's string
-order, and then both are dropped. The index constructor, at build and at
-load alike, takes the lcps of the order's adjacent strings by direct
-comparison (pair_lcps), and checks the order at them. No LCP array and no
-range-minimum table is built: those lcps are about z·tau pairs, not n.
+source, and then both are dropped. The index constructor, at build and at
+load alike, sorts only the suffixes that follow the relevant substrings
+(sort_suffixes) and takes the lcps of adjacent ones by direct comparison
+(pair_lcps). No LCP array and no range-minimum table is built: those
+suffixes are about z·tau, not n.
 
 The suffix array comes from prefix doubling on numpy's default (unstable)
 argsort. A round's ranks are the dense ranks of its key values, which do
@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import trie
+
 # bits of a packed first key; the dense symbols keep it below 2^62, so the
 # shifts never reach the int64 sign bit
 _KEY_BITS = 62
@@ -31,6 +33,9 @@ _KEY_BITS = 62
 _FIRST_SPAN = 8
 _MAX_SPAN = 1 << 12
 _GATHER = 1 << 16
+# sort_suffixes compares the first _SORT_SPAN symbols of each suffix, and
+# then, in the groups still tied, four times as many a round
+_SORT_SPAN = 256
 
 
 def suffix_array(text: np.ndarray) -> np.ndarray:
@@ -109,6 +114,42 @@ def pair_lcps(text: np.ndarray, a: np.ndarray, b: np.ndarray, cap=None) -> np.nd
         live = np.concatenate(keep)
         span = min(span << 1, _MAX_SPAN)
     return out
+
+
+def sort_suffixes(text: np.ndarray, starts) -> list[int]:
+    """The order of the suffixes of text at the distinct 0-based starts, an
+    index into starts per rank; the empty suffix (a start of len(text))
+    ranks first.
+
+    Sorts bytes slices of the text, encoded once by trie.encode, over the
+    first 256 symbols; only the groups whose keys tie over the whole window
+    are sorted again, by the next window, four times the symbols compared
+    so far (Larsson and Sadakane, "Faster suffix sorting", 2007). Keys of
+    distinct suffixes tie only when both fill the window, so the rounds end.
+    """
+    width = trie.key_width(int(text.max(initial=0)))
+    enc = trie.encode(text, width)
+    at = (np.asarray(starts, dtype=np.int64) * width).tolist()
+    order = list(range(len(at)))
+    groups = [(0, len(order))]
+    lo, hi = 0, _SORT_SPAN * width  # the window, in bytes past each start
+    while groups:
+        tied = []
+        for a, b in groups:
+            group = order[a:b]
+            keys = [enc[at[i] + lo : at[i] + hi] for i in group]
+            by_key = sorted(range(len(group)), key=keys.__getitem__)
+            order[a:b] = [group[k] for k in by_key]
+            keys = [keys[k] for k in by_key]
+            run = 0  # the first of the current run of equal keys
+            for r in range(1, len(keys) + 1):
+                if r == len(keys) or keys[r] != keys[run]:
+                    if r - run > 1 and len(keys[run]) == hi - lo:
+                        tied.append((a + run, a + r))
+                    run = r
+        groups = tied
+        lo, hi = hi, 4 * hi
+    return order
 
 
 def lcp_array(text: np.ndarray, sa: np.ndarray, rank: np.ndarray) -> np.ndarray:

@@ -44,19 +44,19 @@ relies on the build's certification of the same r on the same text: only
 damage to the file that its CRC-32 misses, a chance of about 2^-32, could
 pair a parse with an r that was not certified on it.
 
-The build makes one suffix array with its ranks, for the parse and for the
-suffix trie's string order, and drops both before it draws a fingerprint
-function. The file stores only the header with a CRC-32 of the file and the
-base r, the parse, and that string order, and the constructor takes exactly
-those with the text: the build passes the text it was given, loading
-decodes it from the checked parse. From them the constructor derives the
-rest in one order: the relevant substrings, as arrays of starts, ends and
-borders computed from the phrase spans; the lcps of the order's adjacent
-strings, about z·tau of them, by comparing the two suffixes (pair_lcps), so
-no n-length LCP array is made, and the order is accepted only if each
-adjacent pair sorts at its lcp; the two tries over the relevant
-substrings; the dictionaries keyed on
-them, whose values come from one numpy prefix table over the text; the
+The build makes one suffix array with its ranks, for the parse alone, and
+drops both once the parse is made. The file stores only the header with a
+CRC-32 of the file, the phrase count z before capping, tau, the seed and
+the base r, and the capped parse; the constructor takes exactly those with
+the text: the build passes the text it was given, loading decodes it from
+the checked parse. n, sigma and the block length follow from the parse and
+z. From them the constructor derives the rest in one order: the relevant
+substrings, as arrays of starts, ends and borders computed from the phrase
+spans; the suffix trie's string order, by sorting the suffixes that follow
+them (sort_suffixes); the lcps of its adjacent strings, about z·tau of
+them, by comparing the two suffixes (pair_lcps), so no n-length LCP array
+is made; the two tries over the relevant substrings; the dictionaries keyed
+on them, whose values come from one numpy prefix table over the text; the
 grammar (build_slp); the border grid; and the phrase sources. The function
 keys only the dictionaries, and the caller says how they are made: the
 build passes prefix_search.build, which certifies both, and retries the
@@ -65,11 +65,12 @@ past the dictionaries is made for a function that fails; loading passes
 prefix_search.derive and does not certify them again, since the build
 certified this r on this text. The derivations are numpy passes over
 arrays of the items and make no Python container per item, vertex or grid
-point, nor any Python object per symbol of a string they sort: the
-reversed text is encoded once as fixed-width big-endian bytes
-(trie.encode, the width the least that holds sigma), each reversed relevant
-substring is a bytes slice of it, so sorting them is a memcmp sort, and
-their adjacent lcps come from one pair_lcps call on the reversed text. The
+point, nor any Python object per symbol of a string they sort: the text
+and its reversal are each encoded once as fixed-width big-endian bytes
+(trie.encode, the width the least that holds sigma), each suffix's window
+and each reversed relevant substring is a bytes slice of one of them, so
+sorting them is a memcmp sort, and the adjacent lcps come from one
+pair_lcps call on each text. The
 tries keep flat per-vertex int lists and one int-keyed dict of edges, the
 grid one flat list for all its levels, so what loading leaves for the
 garbage collector to walk does not grow with the index.
@@ -85,13 +86,13 @@ import numpy as np
 from . import fingerprints as fp
 from . import lz77, prefix_search, trie
 from ._io import Reader, Writer
-from ._suffixes import SuffixContext, pair_lcps
+from ._suffixes import SuffixContext, pair_lcps, sort_suffixes
 from ._text import to_symbols
 from .grammar import build_slp
 from .range_report import Grid, SourceIndex
 from .trie import CompactTrie
 
-MAGIC = b"LZXIDX8\n"
+MAGIC = b"LZXIDX9\n"
 # the file's CRC-32 takes the four bytes after the magic and covers the rest
 _CRC_AT = len(MAGIC)
 _MAX_FN_ATTEMPTS = 8
@@ -125,40 +126,32 @@ class Index:
     # -- construction -------------------------------------------------------
 
     def __init__(
-        self, *, n: int, sigma: int, orig_z: int, tau: int, block_len: int, seed: int,
-        fn: fp.FpFunction, capped: lz77.Lz77Parse, order: list[int], arr: np.ndarray,
-        make_dictionary,
+        self, *, orig_z: int, tau: int, seed: int, fn: fp.FpFunction,
+        capped: lz77.Lz77Parse, arr: np.ndarray, make_dictionary,
     ):
         """The index from what its file stores: the header fields, the
-        function, the capped parse and the suffix trie's string order (an
-        item index per rank, kept as self.order for the file). Everything
-        else, the lcps of adjacent strings included, is derived from those
-        and the text arr, which construction may read directly (queries go
-        through the grammar instead).
+        function and the capped parse. Everything else is derived from
+        those and the text arr, which construction may read directly
+        (queries go through the grammar instead): n and sigma are the
+        parse's, the block length is n / orig_z rounded up, and the suffix
+        trie's string order is the sorted order of the suffixes after the
+        relevant substrings (sort_suffixes).
         make_dictionary is prefix_search.build, which certifies each
         dictionary and raises FingerprintCollision, or prefix_search.derive,
-        which trusts fn. A string order that is not a permutation of the
-        items, or that leaves an adjacent pair out of order at its lcp L,
-        raises ValueError("corrupt index"): the later suffix must be longer
-        than L, and, unless the earlier suffix has length L, the symbol after
-        L must be smaller in the earlier suffix. So an order that passes is
-        the build's, the one sorted order of the suffixes."""
-        self.n = n
-        self.sigma = sigma
+        which trusts fn."""
+        self.n = n = capped.n
+        self.sigma = capped.alphabet_size
         self.orig_z = orig_z
         self.tau = tau
-        self.block_len = block_len
+        self.block_len = block_len = -(-n // orig_z)
         self.seed = seed
         self.fn = fn
         self.capped = capped
         self.last_stats: dict = {}
 
         starts, ends, borders = _relevant_substrings(capped, tau, n)
-        if sorted(order) != list(range(len(ends))):
-            raise ValueError("corrupt index")
-        self.order = order
-        order = np.array(order, dtype=np.int64)
-        self.t_d, self.t_dp, x = _tries(starts, ends, arr, trie.key_width(sigma), order)
+        order = np.array(sort_suffixes(arr, ends), dtype=np.int64)
+        self.t_d, self.t_dp, x = _tries(starts, ends, arr, trie.key_width(self.sigma), order)
         # the dictionaries are all that depends on fn
         self.ps_d, self.ps_dp = _dictionaries(fn, arr, block_len, self.t_d, self.t_dp,
                                               make_dictionary)
@@ -182,22 +175,17 @@ class Index:
         if int(arr.min()) < 1:
             raise ValueError("symbols must be >= 1")
 
-        ctx = SuffixContext(arr)
-        orig = lz77.parse(arr, ctx)
-        block_len = -(-n // orig.z)
+        orig = lz77.parse(arr, SuffixContext(arr))
         tau = cfg.tau if cfg.tau is not None else default_tau(n, orig.z)
         if tau < 1:
             raise ValueError("tau must be >= 1")
-        capped = lz77.cap_phrases(orig, block_len, arr)
-        order = _suffix_trie_order(ctx, _relevant_substrings(capped, tau, n)[1])
-        del ctx
+        capped = lz77.cap_phrases(orig, -(-n // orig.z), arr)
 
         for attempt in range(_MAX_FN_ATTEMPTS):
             try:
-                return cls(n=n, sigma=int(arr.max()), orig_z=orig.z, tau=tau,
-                           block_len=block_len, seed=cfg.seed,
+                return cls(orig_z=orig.z, tau=tau, seed=cfg.seed,
                            fn=fp.select_function(cfg.seed * 1009 + attempt), capped=capped,
-                           order=order, arr=arr, make_dictionary=prefix_search.build)
+                           arr=arr, make_dictionary=prefix_search.build)
             except prefix_search.FingerprintCollision:
                 continue
         raise RuntimeError("cannot certify a collision-free fingerprint function")
@@ -403,8 +391,7 @@ class Index:
         the file does not hold, the dictionaries included, so the sections
         it does not fill stay empty for size reports to keep listing them."""
         w = Writer()
-        for v in (self.n, self.sigma, self.orig_z, self.tau, self.block_len,
-                  self.seed, self.fn.r):
+        for v in (self.orig_z, self.tau, self.seed, self.fn.r):
             w.u(v)
         fields = bytes(w.buf)
 
@@ -416,15 +403,10 @@ class Index:
             w.u(ph.border)
         parse = bytes(w.buf)
 
-        # the suffix trie as its order, an item per rank
-        w = Writer()
-        w.seq(self.order)
-        suffix_trie = bytes(w.buf)
-
         sections = [
             ("header", MAGIC + bytes(4) + fields), ("parse", parse), ("grammar", b""),
             ("reverse_grammar", b""), ("substring_trie", b""),
-            ("suffix_trie", suffix_trie), ("short_trie", b""),
+            ("suffix_trie", b""), ("short_trie", b""),
             ("dictionaries", b""), ("grids", b""),
         ]
         crc = _checksum(b"".join(data for _, data in sections))
@@ -449,22 +431,17 @@ class Index:
             raise ValueError("not an index file")
         if int.from_bytes(r.raw(4), "little") != _checksum(data):
             raise ValueError("corrupt index")
-        n, sigma, orig_z, tau, block_len, seed, base = (r.u() for _ in range(7))
-        if min(n, tau) < 1 or not 1 <= base < fp.P:
+        orig_z, tau, seed, base = (r.u() for _ in range(4))
+        if tau < 1 or not 1 <= base < fp.P:
             raise ValueError("corrupt index")
         phrases = tuple(lz77.Phrase(r.u(), r.u(), r.u()) for _ in range(r.u()))
-        # capping splits phrases, never joins them; block_len is n / z rounded up
-        if not 1 <= orig_z <= len(phrases) or block_len != -(-n // orig_z):
+        # capping splits phrases, never joins them
+        if not 1 <= orig_z <= len(phrases) or r.pos != len(data):
             raise ValueError("corrupt index")
-        _check_parse(phrases, n, sigma, block_len)
-        capped = lz77.Lz77Parse(phrases, n, len(phrases), sigma)
-        order = r.seq()
-        if r.pos != len(data):
-            raise ValueError("corrupt index")
+        capped = _check_parse(phrases, orig_z)
         # the build certified this function on this text, so its dictionary
         # values need no second check
-        return cls(n=n, sigma=sigma, orig_z=orig_z, tau=tau, block_len=block_len, seed=seed,
-                   fn=fp.FpFunction(base), capped=capped, order=order,
+        return cls(orig_z=orig_z, tau=tau, seed=seed, fn=fp.FpFunction(base), capped=capped,
                    arr=to_symbols(lz77.decompress(capped)), make_dictionary=prefix_search.derive)
 
     @classmethod
@@ -493,20 +470,6 @@ def _relevant_substrings(capped: lz77.Lz77Parse, tau: int, n: int):
     return starts, ends, borders[np.searchsorted(borders, ends, "right") - 1]
 
 
-def _suffix_trie_order(ctx: SuffixContext, ends: np.ndarray) -> list[int]:
-    """The suffix trie's string order, an item index per rank, from the
-    suffix context and the items' ends.
-
-    Item i's suffix starts after its end, at 0-based text position e. Ends
-    are distinct and ascending, so only the last item can end at n; its
-    suffix is empty and sorts first. The others sort by rank.
-    """
-    order = np.argsort(ctx.rank[ends[ends < ctx.n]]).tolist()
-    if len(order) < len(ends):
-        order.insert(0, len(ends) - 1)
-    return order
-
-
 def _phrase_sources(capped: lz77.Lz77Parse) -> list[tuple[int, int, int]]:
     """(start, end, phrase position) of every nonempty phrase source."""
     out = []
@@ -518,23 +481,26 @@ def _phrase_sources(capped: lz77.Lz77Parse) -> list[tuple[int, int, int]]:
     return out
 
 
-def _check_parse(phrases, n: int, sigma: int, block_len: int) -> None:
-    """The stored parse must tile the text with phrases that fit a block,
-    copy only from earlier and end in a symbol of the alphabet. The first
-    occurrence of every symbol ends a phrase, so the largest border is
-    sigma, and the build reads symbols as int64."""
+def _check_parse(phrases, orig_z: int) -> lz77.Lz77Parse:
+    """The capped parse of the stored phrases, which must copy only from
+    earlier, end in a symbol >= 1 and fit a block: the text is as long as
+    the phrases' spans together, the block length is that over orig_z
+    rounded up, and sigma is the largest border, since the first occurrence
+    of every symbol ends a phrase. The build reads symbols as int64."""
+    n = sum(ph.span() for ph in phrases)
+    block_len = -(-n // orig_z)
     pos = 1
-    top = 0
     for ph in phrases:
         # a phrase without a source stores start 0
         if not (1 <= ph.start < pos if ph.len > 0 else ph.start == 0):
             raise ValueError("corrupt index")
-        if not 1 <= ph.border <= sigma or ph.span() > block_len:
+        if ph.border < 1 or ph.span() > block_len:
             raise ValueError("corrupt index")
-        top = max(top, ph.border)
         pos += ph.span()
-    if pos != n + 1 or top != sigma or sigma >= 1 << 63:
+    sigma = max(ph.border for ph in phrases)
+    if sigma >= 1 << 63:
         raise ValueError("corrupt index")
+    return lz77.Lz77Parse(phrases, n, len(phrases), sigma)
 
 
 def _checksum(data) -> int:
@@ -546,24 +512,16 @@ def _checksum(data) -> int:
 def _tries(starts: np.ndarray, ends: np.ndarray, arr: np.ndarray, width: int,
            order: np.ndarray) -> tuple[CompactTrie, CompactTrie, np.ndarray]:
     """The tries the dictionaries are keyed on, from the relevant substrings'
-    starts and ends, the text, the byte key width and the suffix trie's
-    string order (a permutation of the items): the trie over the reversed
-    relevant substrings, each vertex's sample the end of an item it spells,
-    and the trie over the suffixes that follow them, each vertex's sample
-    the start of one; and each item's rank in the first. Neither depends on
-    the fingerprint function."""
+    starts and ends, the text, the byte key width and the sorted order of
+    the suffixes after the items (an item index per rank): the trie over the
+    reversed relevant substrings, each vertex's sample the end of an item it
+    spells, and the trie over the suffixes that follow them, each vertex's
+    sample the start of one; and each item's rank in the first. Neither
+    depends on the fingerprint function."""
     n = len(arr)
-    # 0-based starts of the suffixes, and the lcp of each adjacent pair: the
-    # earlier suffix may prefix the later one, never the reverse, and where
-    # the earlier one goes on, the symbol after their lcp sorts the pair.
-    # The suffixes are distinct, so the order is exact.
+    # 0-based starts of the suffixes, and the lcp of each adjacent pair
     after = ends[order]
-    s1, s2 = after[:-1], after[1:]
-    lcps = pair_lcps(arr, s1, s2)
-    differ = lcps < n - s1
-    if (np.any(lcps >= n - s2)
-            or np.any(arr[(s1 + lcps)[differ]] >= arr[(s2 + lcps)[differ]])):
-        raise ValueError("corrupt index")
+    lcps = pair_lcps(arr, after[:-1], after[1:])
 
     # the reversed relevant substrings, sorted as byte keys: each is a slice
     # of the reversed text's encoding, item (s, e) its 0-based

@@ -2,9 +2,10 @@
 
 A fingerprint as a (value, length) pair, evaluated symbol by symbol and
 composed by phi(yz) = phi(y) + r^|y| phi(z): the definition that
-fingerprints.PrefixFpTable and fingerprints.PatternFps must agree with. And
-a prefix search structure over materialized strings, for testing
-prefix_search without a text.
+fingerprints.PrefixFpTable and fingerprints.PatternFps must agree with. A
+prefix search structure over materialized strings, for testing
+prefix_search without a text. And the order of a set of suffixes read off
+the suffix array's ranks, which _suffixes.sort_suffixes must agree with.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from lzindex import fingerprints as fp
 from lzindex import prefix_search as ps
 from lzindex import trie
+from lzindex._suffixes import SuffixContext
 from lzindex._text import to_symbols
 
 
@@ -64,3 +66,12 @@ def build_from_strings(strings, x: int, fn: fp.FpFunction):
         return table.values(starts[sample[vertices]], lengths)
 
     return ps.build(t, x, prefix_values), distinct
+
+
+def suffix_rank_order(text, starts) -> list[int]:
+    """The order of the suffixes of text at the distinct 0-based starts, an
+    index into starts per rank, by their suffix array ranks; a start of
+    len(text), the empty suffix, ranks first. The index built its suffix
+    trie's string order this way before it sorted the suffixes itself."""
+    rank = np.append(SuffixContext(to_symbols(text)).rank, -1)
+    return np.argsort(rank[np.asarray(starts, dtype=np.int64)], kind="stable").tolist()

@@ -194,11 +194,11 @@ class TestStatsErrors:
         blob = build_index(tmp_path, b"abcabcabc").read_bytes()
         r = Reader(blob)
         r.pos = index._CRC_AT + 4
-        fields = [r.u() for _ in range(7)]
+        fields = [r.u() for _ in range(4)]
         w = Writer()
         w.raw(blob[: index._CRC_AT + 4])
         for k, v in enumerate(fields):
-            w.u(0 if k == 2 else v)  # z
+            w.u(0 if k == 0 else v)  # z
         w.raw(blob[r.pos :])
         data = bytes(w.buf)
         bad = tmp_path / "bad.idx"

@@ -8,10 +8,10 @@ import pytest
 
 from lzindex import Index, IndexConfig, _suffixes, fingerprints as fp, index as ix, lz77, oracle, trie
 from lzindex._io import Reader, Writer
-from lzindex._suffixes import SuffixContext
 from lzindex._text import to_symbols
 
 from conftest import absent_pattern, mutated_copies, planted_pattern, random_text
+from reference import suffix_rank_order
 
 
 def all_patterns(sigma, max_len):
@@ -409,11 +409,10 @@ class TestSerialization:
         for attr in ("starts", "ends", "shifts"):
             assert np.array_equal(getattr(loaded.sources, attr), getattr(idx.sources, attr))
         # nor the tries, the grid or the dictionaries: loading rebuilds them
-        # from the parse and the suffix trie's leaf order, and recomputes the
-        # dictionary values from the text
+        # from the parse, sorting the suffix trie's strings again, and
+        # recomputes the dictionary values from the text
         for attr in ("t_d", "t_dp"):
             assert self.trie_fields(getattr(loaded, attr)) == self.trie_fields(getattr(idx, attr))
-        assert loaded.order == idx.order
         assert vars(loaded.grid_r) == vars(idx.grid_r)
         everything = (1, loaded.t_d.num_leaves, 1, loaded.t_dp.num_leaves)
         assert loaded.grid_r.query(*everything) == idx.grid_r.query(*everything)
@@ -443,11 +442,11 @@ class TestSerialization:
         _, _, idx = self.build_random(102)
         sizes = idx.component_sizes()
         assert sum(sizes.values()) == len(idx.to_bytes())
-        assert sizes["suffix_trie"] > 0
+        assert sizes["header"] > 0 and sizes["parse"] > 0
         # rebuilt on load, so stored empty
-        for name in ("grammar", "reverse_grammar", "substring_trie",
-                     "short_trie", "dictionaries", "grids"):
-            assert sizes[name] == 0
+        for name, size in sizes.items():
+            if name not in ("header", "parse"):
+                assert size == 0, name
 
     def test_bad_magic(self):
         # the older formats: the first stored node fingerprints and a grammar
@@ -457,9 +456,11 @@ class TestSerialization:
         # fifth a prime p and two certification flags in the header and
         # dictionary values as wide as p, the sixth the dictionary values,
         # 8 bytes each, which loading now recomputes, and the seventh the
-        # lcps of the suffix trie's adjacent strings, which loading derives
+        # lcps of the suffix trie's adjacent strings, which loading derives,
+        # and the eighth n, sigma and the block length in the header and the
+        # suffix trie's string order, which loading derives from the parse
         for blob in (b"garbage!", b"LZXIDX1\n", b"LZXIDX2\n", b"LZXIDX3\n", b"LZXIDX4\n",
-                     b"LZXIDX5\n", b"LZXIDX6\n", b"LZXIDX7\n"):
+                     b"LZXIDX5\n", b"LZXIDX6\n", b"LZXIDX7\n", b"LZXIDX8\n"):
             with pytest.raises(ValueError, match="not an index file"):
                 Index.from_bytes(blob + b"\x00" * 40)
 
@@ -488,10 +489,23 @@ class TestSerialization:
 
     @staticmethod
     def header_fields(idx) -> list[int]:
-        """n, sigma, z, tau, block_len, seed and r."""
+        """z, tau, seed and r."""
         r = Reader(dict(idx._sections())["header"])
         r.pos = ix._CRC_AT + 4
-        return [r.u() for _ in range(7)]
+        fields = [r.u() for _ in range(4)]
+        assert r.pos == len(r.data)
+        return fields
+
+    @staticmethod
+    def order_section(idx) -> bytes:
+        """The suffix trie's string order as the previous format stored it:
+        the item count, then an item index per rank."""
+        _, ends, _ = ix._relevant_substrings(idx.capped, idx.tau, idx.n)
+        order = suffix_rank_order(lz77.decompress(idx.capped), ends)
+        w = Writer()
+        for v in (len(order), *order):
+            w.u(v)
+        return bytes(w.buf)
 
     def assert_corrupt(self, crafted: dict) -> None:
         for case, blob in crafted.items():
@@ -507,15 +521,17 @@ class TestSerialization:
         ph = phrases[i]
         j = next(j for j, ph in enumerate(phrases) if j > 0 and ph.len == 0)
         last = phrases[-1]
+        # the file stores no n: a parse with a phrase more or less is the
+        # parse of another text, so only its own rules can refuse it
         self.assert_corrupt({
             case: self.with_parse(idx, bad) for case, bad in {
-                "spans past n": phrases + [lz77.Phrase(0, 0, 1)],
-                "spans short of n": phrases[:-1],
                 "source start 0": phrases[:i] + [lz77.Phrase(0, ph.len, ph.border)] + phrases[i + 1 :],
                 "source at its phrase": phrases[:i] + [lz77.Phrase(pos, ph.len, ph.border)] + phrases[i + 1 :],
                 "start without a source": phrases[:j] + [lz77.Phrase(1, 0, phrases[j].border)] + phrases[j + 1 :],
                 "border 0": phrases[:-1] + [lz77.Phrase(last.start, last.len, 0)],
-                "border above sigma": phrases[:-1] + [lz77.Phrase(last.start, last.len, idx.sigma + 1)],
+                # sigma is the largest border, and the build reads symbols as int64
+                "border 2^63": phrases[:-1] + [lz77.Phrase(last.start, last.len, 1 << 63)],
+                "border 2^64": phrases[:-1] + [lz77.Phrase(last.start, last.len, 1 << 64)],
             }.items()
         })
 
@@ -533,17 +549,11 @@ class TestSerialization:
         _, _, idx = self.build_random(109)
         fields = self.header_fields(idx)
         crafted = {}
-        # the largest border is sigma: a header sigma no parse can have
-        # written is refused, also one too wide for a byte key; z lies in
-        # [1, capped z], and the block length is n / z rounded up
-        z, capped_z = fields[2], idx.capped.z
+        # z lies in [1, capped z], tau is at least 1 and r in [1, p)
+        z, capped_z = fields[0], idx.capped.z
         assert z < capped_z
-        for case, at, bad in (("n 0", 0, 0), ("tau 0", 3, 0), ("block_len 0", 4, 0),
-                              ("r 0", 6, 0), ("r = p", 6, fp.P),
-                              ("sigma + 1", 1, fields[1] + 1), ("sigma 2^64", 1, 1 << 64),
-                              ("z 0", 2, 0), ("z above capped z", 2, capped_z + 1),
-                              ("block_len + 1", 4, fields[4] + 1),
-                              ("block_len - 1", 4, fields[4] - 1)):
+        for case, at, bad in (("z 0", 0, 0), ("z above capped z", 0, capped_z + 1),
+                              ("tau 0", 1, 0), ("r 0", 3, 0), ("r = p", 3, fp.P)):
             w = Writer()
             w.raw(ix.MAGIC + bytes(4))  # with_sections fills the checksum in
             for k, v in enumerate(fields):
@@ -551,82 +561,29 @@ class TestSerialization:
             crafted[case] = self.with_sections(idx, header=bytes(w.buf))
         self.assert_corrupt(crafted)
 
-    def test_corrupt_suffix_trie(self):
-        _, text, idx = self.build_random(110)
-        arr = to_symbols(text)
-        _, ends, _ = ix._relevant_substrings(idx.capped, idx.tau, idx.n)
-        # the file holds the order that the build took from the suffix
-        # array, and nothing after it
-        r = Reader(dict(idx._sections())["suffix_trie"])
-        order = r.seq()
-        assert r.pos == len(r.data)
-        assert order == ix._suffix_trie_order(SuffixContext(arr), ends) == idx.order
-
-        def section(*lists) -> bytes:
-            w = Writer()
-            for values in lists:
-                w.seq(values)
-            return bytes(w.buf)
-
-        blob = self.with_sections(idx, suffix_trie=section(order))
-        assert Index.from_bytes(blob).to_bytes() == idx.to_bytes()
-        # the last item ends at n, so its suffix is empty and ranks first
-        assert order[0] == len(ends) - 1
-        # the lcps of adjacent strings that the previous format stored
-        starts = ends[order]
-        lcps = [0] + _suffixes.pair_lcps(arr, starts[:-1], starts[1:]).tolist()
-        self.assert_corrupt({
-            case: self.with_sections(idx, suffix_trie=section(*lists)) for case, lists in {
-                "item repeated": ([order[1]] + order[1:],),
-                "item out of range": (order[:-1] + [len(order)],),
-                "item missing": (order[:-1],),
-                "ranks 3 and 4 swapped": (order[:2] + [order[3], order[2]] + order[4:],),
-                "empty suffix ranked second": ([order[1], order[0]] + order[2:],),
-                "empty suffix ranked last": (order[1:] + order[:1],),
-                "lcps after the order": (order, lcps),
-            }.items()
-        })
-
-    def test_order_values_out_of_range(self):
-        # the order is read as unsigned varints of any size; a value past
-        # int64, the value N (one past the items) or a repeated item is
-        # refused before the order becomes an int64 array, so neither
-        # OverflowError nor IndexError gets out
-        _, _, idx = self.build_random(112)
-        order = idx.order
-        count = len(order)
-        cases = {}
-        for at in (0, 1, count // 2, count - 1):
-            for name, value in (("2^63", 1 << 63), ("2^64", 1 << 64), ("2^64 + 5", (1 << 64) + 5),
-                                ("N", count), ("N + 1", count + 1),
-                                ("repeated", order[(at + 1) % count])):
-                w = Writer()
-                w.seq(order[:at] + [value] + order[at + 1 :])
-                cases[f"{name} at {at}"] = self.with_sections(idx, suffix_trie=bytes(w.buf))
-        self.assert_corrupt(cases)
-
-    def test_adjacent_ranks_swapped(self):
-        # loading checks the order at the lcps it derives, so a swap of any
-        # two adjacent ranks is refused; and the suffix trie it derives from
-        # the order is the built one, vertex for vertex
+    def test_derived_order_matches_suffix_array(self):
+        # the suffix trie's string order is sorted again at every build and
+        # load, so it must be the suffix array's order of the suffixes after
+        # the items; the last item ends at n, so its empty suffix ranks
+        # first; and the suffix trie and grid a load derives are the built
+        # ones, vertex for vertex
         rng = random.Random(480)
         for _ in range(40):
             text = mutated_copies(rng, rng.randint(20, 60), 480, 2, sigma=2)
             idx = Index.build(text)
+            _, ends, _ = ix._relevant_substrings(idx.capped, idx.tau, idx.n)
+            order = _suffixes.sort_suffixes(to_symbols(text), ends)
+            assert order == suffix_rank_order(text, ends)
+            assert ends[order[0]] == len(text)
             loaded = Index.from_bytes(idx.to_bytes())
             assert self.trie_fields(loaded.t_dp) == self.trie_fields(idx.t_dp)
-            assert loaded.order == idx.order
-            order = Reader(dict(idx._sections())["suffix_trie"]).seq()
-            for k in range(1, len(order)):
-                w = Writer()
-                w.seq(order[: k - 1] + [order[k], order[k - 1]] + order[k + 1 :])
-                with pytest.raises(ValueError, match="corrupt index"):
-                    Index.from_bytes(self.with_sections(idx, suffix_trie=bytes(w.buf)))
+            assert vars(loaded.grid_r) == vars(idx.grid_r)
 
     def test_corrupt_dictionaries(self):
-        # loading recomputes the dictionary values, so the file stores none
-        # and any byte after the suffix trie is corrupt, among them the
-        # values that the previous format stored there
+        # loading recomputes the dictionary values and sorts the suffix
+        # trie's strings, so the file stores neither and any byte after the
+        # parse is corrupt, among them the values and the order that
+        # earlier formats stored there
         _, _, idx = self.build_random(111)
         mask = (1 << 61) - 1
         w = Writer()
@@ -637,13 +594,15 @@ class TestSerialization:
                     w.raw((k & mask).to_bytes(8, "little"))
         stored_values = bytes(w.buf)
         blob = idx.to_bytes()
-        assert blob.endswith(dict(idx._sections())["suffix_trie"])
+        parse = dict(idx._sections())["parse"]
+        assert blob.endswith(parse)
         self.assert_corrupt({
             "one zero byte": self.sealed(blob + b"\x00"),
             "one byte 1": self.sealed(blob + b"\x01"),
             "four empty value arrays": self.sealed(blob + bytes(4)),
             "the stored values": self.sealed(blob + stored_values),
-            "the suffix trie twice": self.sealed(blob + dict(idx._sections())["suffix_trie"]),
+            "the stored order": self.sealed(blob + self.order_section(idx)),
+            "the parse twice": self.sealed(blob + parse),
         })
 
     def test_truncated(self):
@@ -659,7 +618,7 @@ class TestSerialization:
         w = Writer()
         w.raw(ix.MAGIC + dict(idx._sections())["header"][ix._CRC_AT : ix._CRC_AT + 4])
         for k, v in enumerate(fields):
-            w.u(v + 1 if k == 5 else v)  # the seed
+            w.u(v + 1 if k == 2 else v)  # the seed
         sections = dict(idx._sections(), header=bytes(w.buf))
         assert Index.from_bytes(self.with_sections(idx, header=sections["header"])).seed == idx.seed + 1
         with pytest.raises(ValueError, match="corrupt index"):
@@ -706,18 +665,16 @@ class TestLoadFuzz:
 
     @staticmethod
     def fields(idx) -> tuple[list[int], ...]:
-        """The integers the file stores, by section: the header fields, the
-        parse (phrase count, then start, length and border per phrase) and
-        the suffix trie's order (count, then an item per rank)."""
+        """The integers the file stores, by section: the header fields and
+        the parse (phrase count, then start, length and border per
+        phrase)."""
         r = Reader(idx.to_bytes())
         r.pos = ix._CRC_AT + 4
-        header = [r.u() for _ in range(7)]
+        header = [r.u() for _ in range(4)]
         z = r.u()
         parse = [z] + [r.u() for _ in range(3 * z)]
-        order = [r.u()]
-        order += [r.u() for _ in range(order[0])]
         assert r.pos == len(r.data)
-        return header, parse, order
+        return header, parse
 
     @staticmethod
     def file(lists) -> bytes:
@@ -728,12 +685,13 @@ class TestLoadFuzz:
                 w.u(v)
         return TestSerialization.sealed(bytes(w.buf))
 
-    def edits(self, lists):
+    def edits(self, idx, lists):
         """(kind, file) per edit: every stored integer moved by every delta
-        and swapped with the next one in its section, and the file cut after
-        each of its bytes past the checksum."""
+        and swapped with the next one in its section, the suffix trie's
+        order that the previous format stored appended after the parse, and
+        the file cut after each of its bytes past the checksum."""
         for at, values in enumerate(lists):
-            kind = ("header", "parse", "order")[at]
+            kind = ("header", "parse")[at]
             for k in range(len(values)):
                 for d in self.DELTAS:
                     if values[k] + d >= 0:
@@ -743,11 +701,10 @@ class TestLoadFuzz:
                 if k + 1 < len(values) and values[k] != values[k + 1]:
                     bad = list(values)
                     bad[k], bad[k + 1] = bad[k + 1], bad[k]
-                    # the order's count is its first entry, so a swap of
-                    # entries 1 and 2 is the first swap of two ranks
-                    swap = "order swap" if kind == "order" and k else f"{kind} swap"
-                    yield swap, self.file(lists[:at] + (bad,) + lists[at + 1 :])
+                    yield f"{kind} swap", self.file(lists[:at] + (bad,) + lists[at + 1 :])
         blob = self.file(lists)
+        yield "bytes after the parse", TestSerialization.sealed(
+            blob + TestSerialization.order_section(idx))
         for cut in range(ix._CRC_AT + 4, len(blob)):
             yield "truncated", TestSerialization.sealed(blob[:cut])
 
@@ -778,13 +735,13 @@ class TestLoadFuzz:
             idx = Index.build(text)
             lists = self.fields(idx)
             assert self.file(lists) == idx.to_bytes()
-            for kind, data in self.edits(lists):
+            for kind, data in self.edits(idx, lists):
                 tried[kind] = tried.get(kind, 0) + 1
                 ok = self.loads(data, rng)
                 loaded[kind] = loaded.get(kind, 0) + ok
-                assert not (ok and kind in ("order swap", "truncated")), kind
+                assert not (ok and kind in ("bytes after the parse", "truncated")), kind
         assert set(tried) == {"header +-", "header swap", "parse +-", "parse swap",
-                              "order +-", "order swap", "truncated"}
+                              "bytes after the parse", "truncated"}
         print("\nloaded / tried per edit kind:",
               {kind: f"{loaded[kind]}/{tried[kind]}" for kind in tried})
 
@@ -834,13 +791,13 @@ class TestDerivedArrays:
                 rev = [tuple(arr[s - 1 : e][::-1].tolist())
                        for s, e in zip(starts.tolist(), ends.tolist())]
                 rank = {r: k for k, r in enumerate(sorted(set(rev)), start=1)}
+                order = suffix_rank_order(arr, ends)
                 t_d, t_dp, x = ix._tries(starts, ends, arr, trie.key_width(idx.sigma),
-                                         np.array(idx.order))
+                                         np.array(order))
                 assert x.tolist() == [rank[r] for r in rev]
                 assert t_d.num_leaves == len(rank) == idx.t_d.num_leaves
                 assert t_dp.num_leaves == len(ends) == idx.t_dp.num_leaves
                 assert idx.t_d.r_rank[0] == len(rank)
-                order = idx.order
                 for r in range(len(rank) + 2):
                     assert list(idx.grid_r.column(r, r)) == [
                         (int(ends[i]), int(borders[i])) for i in order if x[i] == r]

@@ -27,14 +27,6 @@ class TestVarints:
         with pytest.raises(ValueError, match="corrupt index"):
             Reader(bytes(w.buf[:-1])).u()
 
-    def test_seq_round_trip(self):
-        w = Writer()
-        w.seq([5, 0, 99])
-        w.seq([])
-        r = Reader(bytes(w.buf))
-        assert r.seq() == [5, 0, 99]
-        assert r.seq() == []
-
     def test_raw_bounds(self):
         r = Reader(b"ab")
         assert r.raw(2) == b"ab"

@@ -2,9 +2,12 @@ import random
 
 import numpy as np
 
-from lzindex._suffixes import SuffixContext, lcp_array, pair_lcps, suffix_array
+from lzindex import trie
+from lzindex._suffixes import (_SORT_SPAN, SuffixContext, lcp_array, pair_lcps, sort_suffixes,
+                               suffix_array)
 
-from conftest import random_text
+from conftest import mutated_copies, random_text
+from reference import suffix_rank_order
 
 
 def naive_sa(text) -> list[int]:
@@ -167,3 +170,90 @@ class TestPairLcps:
 
     def test_no_pairs(self):
         assert pair_lcps(np.array([1, 2], dtype=np.int64), [], []).tolist() == []
+
+
+class TestSortSuffixes:
+    """sort_suffixes against the suffix array's ranks (reference.py)."""
+
+    @staticmethod
+    def check(text, starts) -> list[int]:
+        arr = np.asarray(list(text), dtype=np.int64)
+        order = sort_suffixes(arr, starts)
+        assert order == suffix_rank_order(arr, starts), starts
+        return order
+
+    def test_random_texts_and_starts(self):
+        # every start, so the order is the suffix array, and random subsets
+        # in random order, with and without the empty suffix
+        rng = random.Random(38)
+        for sigma in (2, 4, 26):
+            for _ in range(8):
+                text = random_text(rng, sigma, rng.randint(1, 400))
+                n = len(text)
+                assert self.check(text, list(range(n))) == naive_sa(text)
+                for _ in range(4):
+                    starts = rng.sample(range(n + 1), rng.randint(1, n + 1))
+                    self.check(text, starts)
+
+    def test_mutated_copies(self):
+        rng = random.Random(39)
+        for _ in range(10):
+            text = mutated_copies(rng, rng.randint(20, 60), 2_000, 2, sigma=2)
+            self.check(text, rng.sample(range(len(text) + 1), 600))
+
+    def test_lcps_past_sixteen_windows(self):
+        # a period-7 text, plain and with a substitution near its end: the
+        # sorted suffixes share more than 16 first windows' worth of
+        # symbols, so at least three rounds refine the groups still tied
+        rng = random.Random(40)
+        base = [rng.randint(1, 4) for _ in range(7)]
+        plain = (base * 1_000)[:6_900]
+        for text in (plain, plain[:-40] + [5] + plain[-39:]):
+            n = len(text)
+            starts = rng.sample(range(n + 1), 80) + [0, 7, 14, 1, 8]
+            starts = list(dict.fromkeys(starts))
+            order = self.check(text, starts)
+            ranked = np.array(starts)[order]
+            arr = np.array(text, dtype=np.int64)
+            assert pair_lcps(arr, ranked[:-1], ranked[1:]).max() > 16 * _SORT_SPAN
+
+    def test_first_difference_at_a_window_edge(self):
+        # four copies of one string of length edge, each followed by a
+        # different symbol, so the suffixes at the copies first differ
+        # edge symbols in: on each side of where one window ends and the
+        # next begins
+        rng = random.Random(44)
+        for edge in (255, 256, 257, 1_023, 1_024, 1_025, 4_095, 4_096, 4_097):
+            base = [rng.randint(1, 2) for _ in range(edge)]
+            text = base + [3] + base + [1] + base + [2] + base
+            starts = [0, edge + 1, 2 * edge + 2, 3 * edge + 3, len(text)]
+            assert self.check(text, starts) == [4, 3, 1, 2, 0]
+
+    def test_symbol_widths(self):
+        # keys of 2, 4 and 8 bytes a symbol; the alphabets hold symbols that
+        # differ only in their low bytes, and a largest symbol whose low
+        # bytes make a smaller one, so a key in the wrong byte order or too
+        # narrow would sort them wrong
+        rng = random.Random(41)
+        for top, width in ((300, 2), (70_000, 4), (1 << 40, 8), ((1 << 62) + 7, 8)):
+            assert trie.key_width(top) == width
+            alphabet = sorted({1, 2, 255, 256, top & 0xFF or 1, top - 1, top})
+            base = [rng.choice(alphabet) for _ in range(300)]
+            text = base * 3 + [top] * 30 + base[:40]
+            self.check(text, list(range(len(text) + 1)))
+            self.check(text, rng.sample(range(len(text) + 1), 200))
+
+    def test_single_symbol(self):
+        for starts, order in (([0, 1], [1, 0]), ([1, 0], [0, 1]), ([0], [0]), ([1], [0])):
+            assert self.check([5], starts) == order
+
+    def test_empty_suffix_first(self):
+        rng = random.Random(42)
+        text = random_text(rng, 3, 500)
+        starts = rng.sample(range(500), 100)
+        for at in (0, 50, 100):
+            with_end = starts[:at] + [500] + starts[at:]
+            assert self.check(text, with_end)[0] == at
+
+    def test_no_starts(self):
+        assert sort_suffixes(np.array([1, 2], dtype=np.int64), []) == []
