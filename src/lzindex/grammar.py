@@ -10,13 +10,12 @@ at a time, and stops at the first piece that differs.
 
 The build hash-conses its pairs, so no two nodes share both children, and
 then keeps only the nodes the block roots reach, renumbered in their old
-order, so children still come before their parents. A phrase is the join
-of the cover of its source, whose pieces rise in height and then fall;
-they are joined up to the tallest from the left and the rest from the
-right (_Arena.concat), which on mutated-copy texts makes about 30% fewer
-nodes than one left-to-right fold. The grammar holds no fingerprint: it
-depends on the parse alone, so a build makes it once whatever fingerprint
-function it keeps.
+order, so children still come before their parents. A block is built as
+a list of existing nodes, its pieces: each phrase adds the cover of its
+source and its terminal, and the block's root is their one concat
+(_Arena.concat). The grammar holds no fingerprint: it depends on the
+parse alone, so a build makes it once whatever fingerprint function it
+keeps.
 
 Every node whose expansion has at most SHORT symbols holds that expansion
 as a tuple, made from its children's tuples. Extraction copies those
@@ -157,28 +156,28 @@ class _Arena:
         return self._node(t, self.right[b])
 
     def concat(self, nodes: list[int]) -> int:
-        """The join of nodes, left to right.
+        """The join of nodes, left to right, in one pass for any order of
+        heights.
 
-        A cover's pieces rise in height and then fall, so the pieces up to
-        the first tallest are folded left to right, the rest right to left,
-        and the two folds joined: each join then meets a fold about as tall
-        as its piece, where a left-to-right fold would walk down the whole
-        right spine of a tall root for every short piece after the peak.
+        A stack holds joined runs whose heights fall from bottom to top: a
+        node absorbs the top while that is no taller than it, then goes on
+        top, and at the end the stack is folded right to left, shortest
+        first. A short node so joins short runs, where a left-to-right fold
+        would walk down the right spine of all before it for every short
+        node after a tall one.
         """
-        if len(nodes) < 3:
-            return nodes[0] if len(nodes) == 1 else self.join(*nodes)
-        join = self.join
-        heights = list(map(self.height.__getitem__, nodes))
-        top = heights.index(max(heights))
-        head = nodes[0]
-        for v in nodes[1 : top + 1]:
-            head = join(head, v)
-        if top + 1 == len(nodes):
-            return head
-        tail = nodes[-1]
-        for v in reversed(nodes[top + 1 : -1]):
-            tail = join(v, tail)
-        return join(head, tail)
+        join, height = self.join, self.height
+        stack: list[int] = []
+        for v in nodes:
+            h = height[v]
+            while stack and height[stack[-1]] <= h:
+                v = join(stack.pop(), v)
+                h = height[v]
+            stack.append(v)
+        v = stack.pop()
+        while stack:
+            v = join(stack.pop(), v)
+        return v
 
     # -- queries ----------------------------------------------------------
 
@@ -422,78 +421,69 @@ class BlockTable:
         return int(fp.PrefixFpTable(fn, self.extract(i, j)).values(0, j - i + 1))
 
 
-def build_slp(parse: Lz77Parse, block_len: int | None = None) -> BlockTable:
+def build_slp(parse: Lz77Parse, block_len: int) -> BlockTable:
     """Build the per-block balanced grammar for the text the parse produces.
 
-    Every phrase must fit inside `block_len` positions (default: ceil(n/z) of
-    the given parse); sources copy node covers from already-built blocks, with
-    self-overlapping sources handled by doubling the available periodic part.
+    Every phrase must fit inside block_len positions. A block is a list of
+    pieces, each an existing node: a phrase adds its source's cover and its
+    terminal, and a piece that crosses the block's end is split in two by
+    covers. The block's root is made by one concat once the block is full.
+    A self-overlapping source is the period before the phrase, doubled
+    until it is long enough and then covered.
     """
-    n = parse.n
-    if block_len is None:
-        block_len = max(1, -(-n // parse.z))
     if any(ph.span() > block_len for ph in parse.phrases):
         raise ValueError("phrase exceeds block length")
 
     arena = _Arena()
-    completed: list[int] = []
-    cur: int | None = None
-    cur_len = 0
-    produced = 0  # characters generated so far
+    length, cover = arena.length, arena.cover
+    roots: list[int] = []
+    block: list[int] = []  # the pieces of the unfinished block
+    filled = 0  # the symbols they stand for
 
     def cover_global(a: int, b: int) -> list[int]:
-        # a, b are 1-based text positions, b <= produced
+        # a, b are 1-based text positions before the current phrase
         pieces: list[int] = []
         k = (a - 1) // block_len
-        while k * block_len < b:
-            root = completed[k] if k < len(completed) else cur
+        while k < len(roots) and k * block_len < b:
             lo = max(a - k * block_len, 1)
-            hi = min(b - k * block_len, arena.length[root])
-            arena.cover(root, lo, hi, pieces)
+            cover(roots[k], lo, min(b - k * block_len, block_len), pieces)
             k += 1
+        # the rest lies in the unfinished block: cover each piece it meets
+        start = k * block_len + 1
+        for v in block:
+            if start > b:
+                break
+            end = start + length[v] - 1
+            if end >= a:
+                cover(v, max(a - start, 0) + 1, min(b, end) - start + 1, pieces)
+            start = end + 1
         return pieces
 
-    def take(g: int, lo: int, hi: int) -> int:
-        pieces: list[int] = []
-        arena.cover(g, lo, hi, pieces)
-        return arena.concat(pieces)
-
-    def push(g: int) -> None:
-        nonlocal cur, cur_len, completed
-        span = arena.length[g]
-        if cur_len + span > block_len:
-            head = block_len - cur_len
-            left = take(g, 1, head)
-            right = take(g, head + 1, span)
-            completed.append(arena.join(cur, left) if cur is not None else left)
-            cur, cur_len = right, span - head
-        else:
-            cur = g if cur is None else arena.join(cur, g)
-            cur_len += span
-        if cur_len == block_len:
-            completed.append(cur)
-            cur, cur_len = None, 0
-
     for ph in parse.phrases:
-        pos = produced + 1
-        if ph.len == 0:
-            g = arena.terminal(ph.border)
-        else:
-            avail = pos - ph.start
-            if ph.len <= avail:
-                g = arena.concat(cover_global(ph.start, ph.start + ph.len - 1))
-            else:
-                g = arena.concat(cover_global(ph.start, pos - 1))
-                covered = avail
-                while covered < ph.len:
-                    g = arena.join(g, g)
-                    covered <<= 1
-                g = take(g, 1, ph.len)
-            g = arena.join(g, arena.terminal(ph.border))
-        push(g)
-        produced += ph.span()
+        pos = len(roots) * block_len + filled + 1
+        pieces: list[int] = []
+        if 0 < ph.len <= pos - ph.start:
+            pieces = cover_global(ph.start, ph.start + ph.len - 1)
+        elif ph.len:  # self-overlapping
+            g = arena.concat(cover_global(ph.start, pos - 1))
+            while length[g] < ph.len:
+                g = arena.join(g, g)
+            cover(g, 1, ph.len, pieces)
+        pieces.append(arena.terminal(ph.border))
+        for v in pieces:
+            span = length[v]
+            if filled + span < block_len:
+                block.append(v)
+                filled += span
+                continue
+            head = block_len - filled
+            cover(v, 1, head, block)
+            roots.append(arena.concat(block))
+            block = []
+            if head < span:
+                cover(v, head + 1, span, block)
+            filled = span - head
 
-    if cur is not None:
-        completed.append(cur)
-    return BlockTable(arena, n, block_len, arena.compact(completed))
-
+    if block:
+        roots.append(arena.concat(block))
+    return BlockTable(arena, parse.n, block_len, arena.compact(roots))

@@ -459,9 +459,10 @@ def _relevant_substrings(capped: lz77.Lz77Parse, tau: int, n: int):
     Each phrase reaches the ends from its border to tau - 1 past it, and an
     end keeps the first phrase that reaches it, whose start is the smallest.
     Those reaches only move right, so a phrase keeps the ends past the
-    previous one's reach."""
+    previous one's reach. A tau past n gives the same strings, so it is cut
+    to n first: a stored tau may not fit in int64."""
     borders = np.array(capped.border_positions(), dtype=np.int64)
-    reach = np.minimum(borders + tau - 1, n)
+    reach = np.minimum(borders + min(tau, n) - 1, n)
     first = np.maximum(borders, np.concatenate(([0], reach[:-1])) + 1)
     count = reach - first + 1
     # phrase i's ends run first[i], first[i] + 1, ..., reach[i]
@@ -486,7 +487,9 @@ def _check_parse(phrases, orig_z: int) -> lz77.Lz77Parse:
     earlier, end in a symbol >= 1 and fit a block: the text is as long as
     the phrases' spans together, the block length is that over orig_z
     rounded up, and sigma is the largest border, since the first occurrence
-    of every symbol ends a phrase. The build reads symbols as int64."""
+    of every symbol ends a phrase. The build reads symbols as int64, and
+    its fingerprints read them mod p, so it certifies no function for a
+    text with two symbols alike mod p."""
     n = sum(ph.span() for ph in phrases)
     block_len = -(-n // orig_z)
     pos = 1
@@ -497,8 +500,9 @@ def _check_parse(phrases, orig_z: int) -> lz77.Lz77Parse:
         if ph.border < 1 or ph.span() > block_len:
             raise ValueError("corrupt index")
         pos += ph.span()
-    sigma = max(ph.border for ph in phrases)
-    if sigma >= 1 << 63:
+    symbols = {ph.border for ph in phrases}
+    sigma = max(symbols)
+    if sigma >= 1 << 63 or len({s % fp.P for s in symbols}) < len(symbols):
         raise ValueError("corrupt index")
     return lz77.Lz77Parse(phrases, n, len(phrases), sigma)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import math
 import random
 import sys
 from pathlib import Path
@@ -141,8 +142,8 @@ def bench_texts() -> list[bytes]:
 
 
 def left_fold(arena, nodes: list[int]) -> int:
-    """concat as one left-to-right fold: the reference that joining in
-    height order is measured against."""
+    """concat as one left-to-right fold: the reference that the stack pass
+    is measured against."""
     root = nodes[0]
     for v in nodes[1:]:
         root = arena.join(root, v)
@@ -150,7 +151,8 @@ def left_fold(arena, nodes: list[int]) -> int:
 
 
 class TestConcatOrder:
-    """Covers joined in height order, against one left-to-right fold."""
+    """Block pieces joined by the stack pass, against one left-to-right
+    fold."""
 
     @staticmethod
     def build(monkeypatch, text, concat=None) -> tuple[grammar.BlockTable, int]:
@@ -185,14 +187,22 @@ class TestConcatOrder:
             old, old_made = self.build(monkeypatch, text, left_fold)
             assert bytes(bt.extract(1, len(text))) == text
             assert len(bt.roots) == len(old.roots)
-            assert made <= old_made and bt.node_count <= old.node_count
-            heights, old_heights = bt.block_heights(), old.block_heights()
-            # the join order moves a few roots by one level either way,
-            # never the tallest
-            assert max(heights) <= max(old_heights)
-            assert all(h <= o + 1 for h, o in zip(heights, old_heights))
+            assert made <= old_made
             if bt.block_len > grammar.SHORT:  # the repetitive generators
-                assert made < 0.85 * old_made
+                assert made < 0.85 * old_made and bt.node_count <= old.node_count
+            else:
+                # blocks of 7 random symbols share pieces by chance, so the
+                # join order moves the kept count either way: on the random
+                # bench texts of seeds 1-8 the stack pass keeps 3 fewer to 9
+                # more of about 1,800 than the fold
+                assert bt.node_count <= 1.01 * old.node_count
+            assert max(bt.block_heights()) <= max(old.block_heights())
+            # Knuth's AVL bound: a tree of N pairs is under
+            # 1.4405 lg(N + 2) - 0.3277 levels of pairs; a root of len
+            # symbols has len - 1 pairs and height - 1 levels of them
+            arena = bt.arena
+            for r in bt.roots:
+                assert arena.height[r] - 1 < 1.4405 * math.log2(arena.length[r] + 1) - 0.3277
 
 
 class TestExtract:
@@ -287,10 +297,18 @@ class TestBlockLengths:
     def text(self):
         return repetitive_text(random.Random(45), self.N)
 
-    @pytest.mark.parametrize("b", LENGTHS)
-    def test_ranges_and_visits(self, text, b):
+    @staticmethod
+    def check_ranges(text, b):
+        """Extract equals slicing and counts the oracle's visits, and
+        matches holds, on ranges at every scale; every pair is balanced."""
         bt = build_for(text, b)
-        exp, n, blocks = bt.arena.exp, len(text), len(bt.roots)
+        a = bt.arena
+        for l, r, h, length in zip(a.left, a.right, a.height, a.length):
+            if l >= 0:
+                assert abs(a.height[l] - a.height[r]) <= 1
+                assert h == max(a.height[l], a.height[r]) + 1
+                assert length == a.length[l] + a.length[r]
+        exp, n, blocks = a.exp, len(text), len(bt.roots)
         held = [exp[r] is not None for r in bt.roots]
         assert all(held) == (b <= grammar.SHORT) and held[-1]
         rng = random.Random(b)
@@ -312,6 +330,48 @@ class TestBlockLengths:
             assert bytes(bt.extract(i, j)) == text[i - 1 : j], (i, j)
             assert bt.node_visits - before == visits_oracle(bt, i, j), (i, j)
             assert bt.matches(i, list(text[i - 1 : j])), (i, j)
+
+    @pytest.mark.parametrize("b", LENGTHS)
+    def test_ranges_and_visits(self, text, b):
+        self.check_ranges(text, b)
+
+    @staticmethod
+    def periodic_texts() -> dict[str, bytes]:
+        """N symbols each of a^(N-1)b, a period-7 text, the Fibonacci word
+        and the Thue-Morse word."""
+        n = TestBlockLengths.N
+        fib = [b"\x01", b"\x01\x02"]
+        while len(fib[-1]) < n:
+            fib.append(fib[-1] + fib[-2])
+        return {
+            "a^(n-1)b": b"\x01" * (n - 1) + b"\x02",
+            "period 7": (b"\x01\x02\x03\x01\x02\x04\x02" * n)[:n],
+            "fibonacci": fib[-1][:n],
+            "thue-morse": bytes(1 + bin(i).count("1") % 2 for i in range(n)),
+        }
+
+    @pytest.mark.parametrize("b", LENGTHS)
+    @pytest.mark.parametrize("name", ["a^(n-1)b", "period 7", "fibonacci", "thue-morse"])
+    def test_sources_in_the_unfinished_block(self, name, b):
+        """Texts whose phrases copy from the block still being built, and
+        whose self-overlapping copies cross block edges: the build reads
+        such sources from the block's pieces."""
+        text = self.periodic_texts()[name]
+        parsed = lz77.parse(text)
+        pos, inside, overlapping = 1, 0, 0
+        for ph in lz77.cap_phrases(parsed, b, text).phrases:
+            if ph.len:
+                block_start = (pos - 1) // b * b + 1
+                inside += ph.start + ph.len - 1 >= block_start
+                overlapping += (ph.start + ph.len - 1 >= pos
+                                and (pos - 1) // b != (pos + ph.len - 1) // b)
+            pos += ph.span()
+        if b > 2:
+            assert inside
+        # the Fibonacci and Thue-Morse parses copy without self-overlap
+        if b - 1 > {"a^(n-1)b": 1, "period 7": 7}.get(name, b):
+            assert overlapping
+        self.check_ranges(text, b)
 
     @pytest.mark.parametrize("b", [b for b in LENGTHS if b <= grammar.SHORT])
     def test_held_root_run_counts_one_visit_a_block(self, text, b):

@@ -60,6 +60,21 @@ class TestBuild:
             with pytest.raises(ValueError, match="int64"):
                 Index.build([1, big])
 
+    def test_tau_past_int64(self):
+        # a tau past n gives the substrings of tau = n, however large
+        rng = random.Random(121)
+        text = mutated_copies(rng, 40, 400, 2)
+        patterns = [planted_pattern(rng, text, 1, 60) for _ in range(30)]
+        patterns.append(absent_pattern(rng, text, 4, 12))
+        for tau in (1 << 62, (1 << 63) - 1, 1 << 63, 1 << 64):
+            idx = Index.build(text, IndexConfig(tau=tau))
+            assert idx.tau == tau
+            assert bytes(idx.extract(1, len(text))) == text
+            for pattern in patterns:
+                assert idx.locate(pattern) == oracle.naive_locate(text, pattern)
+            blob = idx.to_bytes()
+            assert Index.from_bytes(blob).to_bytes() == blob
+
     def test_build_makes_no_lcp_array(self, monkeypatch):
         # the build compares its few adjacent suffixes directly; Kasai's LCP
         # array, a Python loop over n, is only for the tracer's certification
@@ -529,6 +544,10 @@ class TestSerialization:
                 "source at its phrase": phrases[:i] + [lz77.Phrase(pos, ph.len, ph.border)] + phrases[i + 1 :],
                 "start without a source": phrases[:j] + [lz77.Phrase(1, 0, phrases[j].border)] + phrases[j + 1 :],
                 "border 0": phrases[:-1] + [lz77.Phrase(last.start, last.len, 0)],
+                # fingerprints read symbols mod p: 2 + p and 2^62 = 2 (mod p)
+                # would pass for the text's 2s
+                "border 2 + p": phrases[:-1] + [lz77.Phrase(last.start, last.len, 2 + fp.P)],
+                "border 2^62": phrases[:-1] + [lz77.Phrase(last.start, last.len, 1 << 62)],
                 # sigma is the largest border, and the build reads symbols as int64
                 "border 2^63": phrases[:-1] + [lz77.Phrase(last.start, last.len, 1 << 63)],
                 "border 2^64": phrases[:-1] + [lz77.Phrase(last.start, last.len, 1 << 64)],
@@ -545,21 +564,34 @@ class TestSerialization:
         with pytest.raises(ValueError, match="corrupt index"):
             Index.from_bytes(self.with_parse(idx, uncapped))
 
+    def with_field(self, idx, at: int, value: int) -> bytes:
+        """The index file with header field `at` set to value."""
+        w = Writer()
+        w.raw(ix.MAGIC + bytes(4))  # with_sections fills the checksum in
+        for k, v in enumerate(self.header_fields(idx)):
+            w.u(value if k == at else v)
+        return self.with_sections(idx, header=bytes(w.buf))
+
     def test_corrupt_header(self):
-        _, _, idx = self.build_random(109)
-        fields = self.header_fields(idx)
-        crafted = {}
+        rng, text, idx = self.build_random(109)
         # z lies in [1, capped z], tau is at least 1 and r in [1, p)
-        z, capped_z = fields[0], idx.capped.z
+        z, capped_z = self.header_fields(idx)[0], idx.capped.z
         assert z < capped_z
-        for case, at, bad in (("z 0", 0, 0), ("z above capped z", 0, capped_z + 1),
-                              ("tau 0", 1, 0), ("r 0", 3, 0), ("r = p", 3, fp.P)):
-            w = Writer()
-            w.raw(ix.MAGIC + bytes(4))  # with_sections fills the checksum in
-            for k, v in enumerate(fields):
-                w.u(bad if k == at else v)
-            crafted[case] = self.with_sections(idx, header=bytes(w.buf))
-        self.assert_corrupt(crafted)
+        self.assert_corrupt({
+            case: self.with_field(idx, at, bad)
+            for case, at, bad in (("z 0", 0, 0), ("z above capped z", 0, capped_z + 1),
+                                  ("tau 0", 1, 0), ("r 0", 3, 0), ("r = p", 3, fp.P))
+        })
+        # any tau of at least 1 is valid, past int64 too: a tau past n
+        # reads as n
+        patterns = [planted_pattern(rng, text, 1, 40) for _ in range(30)]
+        patterns.append(absent_pattern(rng, text, 4, 8))
+        for tau in (1 << 62, (1 << 63) - 1, 1 << 63, 1 << 64):
+            blob = self.with_field(idx, 1, tau)
+            loaded = Index.from_bytes(blob)
+            assert loaded.tau == tau and loaded.to_bytes() == blob
+            for pattern in patterns:
+                assert loaded.locate(pattern) == oracle.naive_locate(text, pattern)
 
     def test_derived_order_matches_suffix_array(self):
         # the suffix trie's string order is sorted again at every build and
@@ -662,6 +694,8 @@ class TestLoadFuzz:
     back."""
 
     DELTAS = (1, -1, 2, -2, 5, -5)
+    # values at the int64 edge and past it, set in place of stored integers
+    LARGE = (1 << 62, (1 << 63) - 1, 1 << 63, 1 << 64)
 
     @staticmethod
     def fields(idx) -> tuple[list[int], ...]:
@@ -685,11 +719,20 @@ class TestLoadFuzz:
                 w.u(v)
         return TestSerialization.sealed(bytes(w.buf))
 
-    def edits(self, idx, lists):
+    def edits(self, idx, lists, rng):
         """(kind, file) per edit: every stored integer moved by every delta
-        and swapped with the next one in its section, the suffix trie's
+        and swapped with the next one in its section, every header integer
+        and 12 of the parse's set to each LARGE value, the suffix trie's
         order that the previous format stored appended after the parse, and
         the file cut after each of its bytes past the checksum."""
+        for at, values in enumerate(lists):
+            kind = ("header", "parse")[at]
+            ks = range(len(values)) if at == 0 else rng.sample(range(len(values)), 12)
+            for k in ks:
+                for v in self.LARGE:
+                    bad = list(values)
+                    bad[k] = v
+                    yield f"{kind} large", self.file(lists[:at] + (bad,) + lists[at + 1 :])
         for at, values in enumerate(lists):
             kind = ("header", "parse")[at]
             for k in range(len(values)):
@@ -717,7 +760,7 @@ class TestLoadFuzz:
         assert idx.to_bytes() == data
         text = lz77.decompress(idx.capped)
         symbols = sorted(set(text))
-        patterns = [text[i : i + m] for m in (1, 2, idx.tau, idx.tau + 1, 9, 30)
+        patterns = [text[i : i + m] for m in (1, 2, idx.tau, idx.tau + 1, 9, 30) if m < len(text)
                     for i in rng.sample(range(len(text) - m + 1), 2)]
         patterns += [tuple(rng.choice(symbols) for _ in range(rng.randint(1, 9))) for _ in range(4)]
         for pattern in patterns:
@@ -735,13 +778,14 @@ class TestLoadFuzz:
             idx = Index.build(text)
             lists = self.fields(idx)
             assert self.file(lists) == idx.to_bytes()
-            for kind, data in self.edits(idx, lists):
+            for kind, data in self.edits(idx, lists, rng):
                 tried[kind] = tried.get(kind, 0) + 1
                 ok = self.loads(data, rng)
                 loaded[kind] = loaded.get(kind, 0) + ok
                 assert not (ok and kind in ("bytes after the parse", "truncated")), kind
         assert set(tried) == {"header +-", "header swap", "parse +-", "parse swap",
-                              "bytes after the parse", "truncated"}
+                              "header large", "parse large", "bytes after the parse",
+                              "truncated"}
         print("\nloaded / tried per edit kind:",
               {kind: f"{loaded[kind]}/{tried[kind]}" for kind in tried})
 
