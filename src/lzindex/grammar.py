@@ -33,6 +33,8 @@ as does every node passed on the way down.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from . import fingerprints as fp
 from .lz77 import Lz77Parse
 
@@ -159,19 +161,24 @@ class _Arena:
         """The join of nodes, left to right, in one pass for any order of
         heights.
 
-        A stack holds joined runs whose heights fall from bottom to top: a
-        node absorbs the top while that is no taller than it, then goes on
-        top, and at the end the stack is folded right to left, shortest
-        first. A short node so joins short runs, where a left-to-right fold
-        would walk down the right spine of all before it for every short
-        node after a tall one.
+        A stack holds runs whose heights fall from bottom to top: a node
+        absorbs the top while that is no taller, then goes on top, and the
+        stack is folded right to left at the end. Short nodes so join each
+        other, where a left-to-right fold walks down a tall run's right
+        spine for each. A terminal absorbed by a pair of terminals makes
+        ((u x) y), as three terminals in a row do, so equal three-symbol
+        runs share one node.
         """
-        join, height = self.join, self.height
+        join, pair, height = self.join, self.pair, self.height
         stack: list[int] = []
         for v in nodes:
             h = height[v]
             while stack and height[stack[-1]] <= h:
-                v = join(stack.pop(), v)
+                u = stack.pop()
+                if h == 2 and height[u] == 1:
+                    v = pair(pair(u, self.left[v]), self.right[v])
+                else:
+                    v = join(u, v)
                 h = height[v]
             stack.append(v)
         v = stack.pop()
@@ -438,6 +445,7 @@ def build_slp(parse: Lz77Parse, block_len: int) -> BlockTable:
     length, cover = arena.length, arena.cover
     roots: list[int] = []
     block: list[int] = []  # the pieces of the unfinished block
+    ends = [0]  # 0, then each piece's end offset in it, extended when read
     filled = 0  # the symbols they stand for
 
     def cover_global(a: int, b: int) -> list[int]:
@@ -448,15 +456,17 @@ def build_slp(parse: Lz77Parse, block_len: int) -> BlockTable:
             lo = max(a - k * block_len, 1)
             cover(roots[k], lo, min(b - k * block_len, block_len), pieces)
             k += 1
-        # the rest lies in the unfinished block: cover each piece it meets
-        start = k * block_len + 1
-        for v in block:
-            if start > b:
-                break
-            end = start + length[v] - 1
-            if end >= a:
-                cover(v, max(a - start, 0) + 1, min(b, end) - start + 1, pieces)
-            start = end + 1
+        # the rest lies in the unfinished block, at offsets lo to hi of it:
+        # its piece i starts after offset ends[i], so a bisection finds the
+        # first piece the range meets
+        lo, hi = a - k * block_len, b - k * block_len
+        for v in block[len(ends) - 1 :]:
+            ends.append(ends[-1] + length[v])
+        i = bisect_left(ends, lo, 1) - 1
+        while i < len(block) and ends[i] < hi:
+            start = ends[i]
+            cover(block[i], max(lo - start, 1), min(hi, ends[i + 1]) - start, pieces)
+            i += 1
         return pieces
 
     for ph in parse.phrases:
@@ -479,7 +489,7 @@ def build_slp(parse: Lz77Parse, block_len: int) -> BlockTable:
             head = block_len - filled
             cover(v, 1, head, block)
             roots.append(arena.concat(block))
-            block = []
+            block, ends = [], [0]
             if head < span:
                 cover(v, head + 1, span, block)
             filled = span - head
