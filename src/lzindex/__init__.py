@@ -4,7 +4,7 @@ Build an Index from a text, then locate patterns and extract substrings
 without ever storing the text itself uncompressed.
 """
 
-from . import fingerprints, grammar, lz77, oracle, prefix_search, range_report, trie
+from . import fingerprints, grammar, lz77, prefix_search, range_report, trie
 from .index import Index, IndexConfig, default_tau
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "fingerprints",
     "grammar",
     "lz77",
-    "oracle",
     "prefix_search",
     "range_report",
     "trie",

@@ -1,8 +1,7 @@
 """Text representation helpers.
 
 Texts and patterns are sequences of integer symbols >= 1. Internally we keep
-numpy int64 arrays for indexing math and a bytes shadow (when all symbols fit
-in a byte) so scanning oracles can run at C speed.
+numpy int64 arrays for indexing math.
 """
 
 from __future__ import annotations
@@ -22,8 +21,3 @@ def to_symbols(text) -> np.ndarray:
     except OverflowError:
         raise ValueError("symbol outside the int64 range") from None
 
-
-def to_bytes_if_possible(arr: np.ndarray) -> bytes | None:
-    if len(arr) == 0 or (arr.min() >= 0 and arr.max() <= 255):
-        return arr.astype(np.uint8).tobytes()
-    return None

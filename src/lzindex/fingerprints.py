@@ -20,7 +20,6 @@ argument).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,16 +35,10 @@ _LOW30 = np.uint64((1 << 30) - 1)
 _CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class FpFunction:
-    """The base r; p is the fixed prime P."""
-
-    r: int
-
-
-def select_function(rng_seed: int = 0) -> FpFunction:
-    """A uniform r in [1, p), drawn from the seed."""
-    return FpFunction(random.Random(rng_seed).randrange(1, P))
+def select_function(rng_seed: int = 0) -> int:
+    """A uniform base r in [1, p), drawn from the seed; p is the fixed
+    prime P, so r is the whole function."""
+    return random.Random(rng_seed).randrange(1, P)
 
 
 # -- arithmetic mod p on uint64 arrays --------------------------------------
@@ -116,11 +109,11 @@ class PrefixFpTable:
     them and temporaries of O(_CHUNK), not of O(n).
     """
 
-    def __init__(self, fn: FpFunction, s):
+    def __init__(self, r: int, s):
         s = to_symbols(s)
         self.length = n = len(s)
-        self.pw = _powers(fn.r, n + 1)
-        self._ipw = _powers(pow(fn.r, -1, P), n + 1)
+        self.pw = _powers(r, n + 1)
+        self._ipw = _powers(pow(r, -1, P), n + 1)
         self._fwd = np.zeros(n + 1, dtype=np.uint64)
         self._rev = np.zeros(n + 1, dtype=np.uint64)
         for lo in range(0, n, _CHUNK):
@@ -162,8 +155,7 @@ class PatternFps:
 
     __slots__ = ("_s", "_q", "_pw")
 
-    def __init__(self, fn: FpFunction, s: tuple):
-        r = fn.r
+    def __init__(self, r: int, s: tuple):
         m = len(s)
         S = [0] * (m + 2)
         Q = [0] * (m + 1)
@@ -184,7 +176,7 @@ class PatternFps:
 
 
 # kept because bench/tracing.py wraps it by name (ROADMAP item 1)
-def verify_pow2_collision_free(fn: FpFunction, ctx) -> bool:
+def verify_pow2_collision_free(r: int, ctx) -> bool:
     """True iff equal fingerprints of power-of-two length substrings of the
     text always mean equal substrings, in the text and in its reversal.
 
@@ -210,7 +202,7 @@ def verify_pow2_collision_free(fn: FpFunction, ctx) -> bool:
         if 2 * length > n:
             return True
         # windows at i and i + L make the window of length 2L at i
-        rl = np.uint64(pow(fn.r, length, P))
+        rl = np.uint64(pow(r, length, P))
         fwd = _reduce(fwd[:-length] + _mulmod(fwd[length:], rl))
         rev = _reduce(rev[length:] + _mulmod(rev[:-length], rl))
         length <<= 1

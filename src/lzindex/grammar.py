@@ -194,9 +194,12 @@ class _Arena:
 
         One iterative descent: down to the node that splits the range, then
         down the suffix of its left child and the prefix of its right one,
-        taking each whole sibling met on the way.
+        taking each whole sibling met on the way. Raises ValueError unless
+        1 <= lo <= hi <= |v|.
         """
         length, left, right = self.length, self.left, self.right
+        if not 1 <= lo <= hi <= length[v]:
+            raise ValueError("range out of bounds")
         while lo > 1 or hi < length[v]:
             l = left[v]
             ll = length[l]
@@ -424,8 +427,8 @@ class BlockTable:
         return True
 
     # kept because bench/tracing.py wraps it by name (ROADMAP item 1)
-    def substring_fp(self, i: int, j: int, fn: fp.FpFunction) -> int:
-        return int(fp.PrefixFpTable(fn, self.extract(i, j)).values(0, j - i + 1))
+    def substring_fp(self, i: int, j: int, r: int) -> int:
+        return int(fp.PrefixFpTable(r, self.extract(i, j)).values(0, j - i + 1))
 
 
 def build_slp(parse: Lz77Parse, block_len: int) -> BlockTable:

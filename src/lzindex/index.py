@@ -126,34 +126,34 @@ class Index:
     # -- construction -------------------------------------------------------
 
     def __init__(
-        self, *, orig_z: int, tau: int, seed: int, fn: fp.FpFunction,
+        self, *, orig_z: int, tau: int, seed: int, r: int,
         capped: lz77.Lz77Parse, arr: np.ndarray, make_dictionary,
     ):
         """The index from what its file stores: the header fields, the
-        function and the capped parse. Everything else is derived from
-        those and the text arr, which construction may read directly
+        fingerprint base r and the capped parse. Everything else is derived
+        from those and the text arr, which construction may read directly
         (queries go through the grammar instead): n and sigma are the
         parse's, the block length is n / orig_z rounded up, and the suffix
         trie's string order is the sorted order of the suffixes after the
         relevant substrings (sort_suffixes).
         make_dictionary is prefix_search.build, which certifies each
         dictionary and raises FingerprintCollision, or prefix_search.derive,
-        which trusts fn."""
+        which trusts r."""
         self.n = n = capped.n
         self.sigma = capped.alphabet_size
         self.orig_z = orig_z
         self.tau = tau
         self.block_len = block_len = -(-n // orig_z)
         self.seed = seed
-        self.fn = fn
+        self.r = r
         self.capped = capped
         self.last_stats: dict = {}
 
         starts, ends, borders = _relevant_substrings(capped, tau, n)
         order = np.array(sort_suffixes(arr, ends), dtype=np.int64)
         self.t_d, self.t_dp, x = _tries(starts, ends, arr, trie.key_width(self.sigma), order)
-        # the dictionaries are all that depends on fn
-        self.ps_d, self.ps_dp = _dictionaries(fn, arr, block_len, self.t_d, self.t_dp,
+        # the dictionaries are all that depends on r
+        self.ps_d, self.ps_dp = _dictionaries(r, arr, block_len, self.t_d, self.t_dp,
                                               make_dictionary)
         # the rest is made only now, so it is not resident while the
         # certification and the prefix table peak
@@ -184,7 +184,7 @@ class Index:
         for attempt in range(_MAX_FN_ATTEMPTS):
             try:
                 return cls(orig_z=orig.z, tau=tau, seed=cfg.seed,
-                           fn=fp.select_function(cfg.seed * 1009 + attempt), capped=capped,
+                           r=fp.select_function(cfg.seed * 1009 + attempt), capped=capped,
                            arr=arr, make_dictionary=prefix_search.build)
             except prefix_search.FingerprintCollision:
                 continue
@@ -224,54 +224,6 @@ class Index:
         out.sort()
         return out
 
-    def locate_long_primary(self, pattern) -> list[tuple[int, int]]:
-        """Primary occurrences of a pattern with m > tau, as sorted
-        (position, border) pairs; the border is the one stored with the
-        relevant substring that identified the occurrence."""
-        p = self._coerce(pattern)
-        if len(p) <= self.tau:
-            raise ValueError("pattern not longer than tau")
-        if len(p) > self.n or not self._in_alphabet(p):
-            return []
-        return sorted(self._primary_long(p, {}).items())
-
-    def locate_short_primary(self, pattern) -> list[tuple[int, int]]:
-        """Primary occurrences of a pattern with m <= tau, as sorted
-        (position, border) pairs."""
-        p = self._coerce(pattern)
-        if not p or len(p) > self.tau:
-            raise ValueError("pattern length must be in [1, tau]")
-        if not self._in_alphabet(p):
-            return []
-        return sorted(self._primary_short(p, {}).items())
-
-    def locate_secondary(self, primaries, m: int) -> list[int]:
-        """The secondary occurrences reachable from the given primary
-        positions of a length-m pattern."""
-        # positions that are not primaries may copy one another, so the
-        # expansion may meet them twice; locate never passes such input
-        found = set(primaries)
-        return sorted(set(self.sources.expand(found, m)) - found)
-
-    def verify_candidates(self, suffix_candidates) -> list[tuple[tuple, int]]:
-        """Filter weak-search candidates for the suffix trie down to the
-        genuine ones.
-
-        suffix_candidates: (suffix, vertex) pairs where every suffix is a
-        suffix of the longest one and vertex is its locus candidate. Returns
-        the pairs whose vertex string really starts with the suffix.
-        """
-        cands = sorted(((tuple(s), v) for s, v in suffix_candidates),
-                       key=lambda c: len(c[0]))
-        if not cands:
-            return []
-        longest = cands[-1][0]
-        ln = len(longest)
-        for s, _ in cands:
-            if longest[ln - len(s):] != s:
-                raise ValueError("candidates must share the longest suffix")
-        return [(s, v) for s, v in cands if self._suffix_holds(v, list(s), 0, len(s))]
-
     def extract(self, i: int, j: int) -> list[int]:
         """text[i, j], 1-based inclusive."""
         return self.bt.extract(i, j)
@@ -301,7 +253,7 @@ class Index:
     def _primary_long(self, p: tuple, identified: dict) -> dict[int, int]:
         m = len(p)
         tau = self.tau
-        tab = fp.PatternFps(self.fn, p)
+        tab = fp.PatternFps(self.r, p)
         value, reversed_value = tab.value, tab.reversed_value
         symbols = list(p)
 
@@ -391,7 +343,7 @@ class Index:
         the file does not hold, the dictionaries included, so the sections
         it does not fill stay empty for size reports to keep listing them."""
         w = Writer()
-        for v in (self.orig_z, self.tau, self.seed, self.fn.r):
+        for v in (self.orig_z, self.tau, self.seed, self.r):
             w.u(v)
         fields = bytes(w.buf)
 
@@ -441,7 +393,7 @@ class Index:
         capped = _check_parse(phrases, orig_z)
         # the build certified this function on this text, so its dictionary
         # values need no second check
-        return cls(orig_z=orig_z, tau=tau, seed=seed, fn=fp.FpFunction(base), capped=capped,
+        return cls(orig_z=orig_z, tau=tau, seed=seed, r=base, capped=capped,
                    arr=to_symbols(lz77.decompress(capped)), make_dictionary=prefix_search.derive)
 
     @classmethod
@@ -484,14 +436,12 @@ def _phrase_sources(capped: lz77.Lz77Parse) -> list[tuple[int, int, int]]:
 
 def _check_parse(phrases, orig_z: int) -> lz77.Lz77Parse:
     """The capped parse of the stored phrases, which must copy only from
-    earlier, end in a symbol >= 1 and fit a block: the text is as long as
-    the phrases' spans together, the block length is that over orig_z
-    rounded up, and sigma is the largest border, since the first occurrence
-    of every symbol ends a phrase. The build reads symbols as int64, and
+    earlier, end in a symbol >= 1 and fit a block, whose length is the
+    text's over orig_z rounded up. The build reads symbols as int64, and
     its fingerprints read them mod p, so it certifies no function for a
     text with two symbols alike mod p."""
-    n = sum(ph.span() for ph in phrases)
-    block_len = -(-n // orig_z)
+    capped = lz77.Lz77Parse(phrases)
+    block_len = -(-capped.n // orig_z)
     pos = 1
     for ph in phrases:
         # a phrase without a source stores start 0
@@ -501,10 +451,9 @@ def _check_parse(phrases, orig_z: int) -> lz77.Lz77Parse:
             raise ValueError("corrupt index")
         pos += ph.span()
     symbols = {ph.border for ph in phrases}
-    sigma = max(symbols)
-    if sigma >= 1 << 63 or len({s % fp.P for s in symbols}) < len(symbols):
+    if capped.alphabet_size >= 1 << 63 or len({s % fp.P for s in symbols}) < len(symbols):
         raise ValueError("corrupt index")
-    return lz77.Lz77Parse(phrases, n, len(phrases), sigma)
+    return capped
 
 
 def _checksum(data) -> int:
@@ -557,13 +506,13 @@ def _tries(starts: np.ndarray, ends: np.ndarray, arr: np.ndarray, width: int,
     return t_d, t_dp, x
 
 
-def _dictionaries(fn: fp.FpFunction, arr: np.ndarray, x: int, t_d: CompactTrie,
+def _dictionaries(r: int, arr: np.ndarray, x: int, t_d: CompactTrie,
                   t_dp: CompactTrie, make_dictionary) -> tuple:
     """make_dictionary(trie, x, prefix_values) for t_d and for t_dp, the
     values read off one prefix table over the text. A t_d vertex spells the
     text backwards from the end in its sample, a t_dp vertex forwards from
     the start in its sample."""
-    table = fp.PrefixFpTable(fn, arr)
+    table = fp.PrefixFpTable(r, arr)
     ends = np.array(t_d.sample, dtype=np.int64)
     starts = np.array(t_dp.sample, dtype=np.int64)
     return (

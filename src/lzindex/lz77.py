@@ -48,10 +48,24 @@ class Phrase:
 
 @dataclass(frozen=True)
 class Lz77Parse:
+    """A parse as its phrases alone; the rest is read off them."""
+
     phrases: tuple[Phrase, ...]
-    n: int
-    z: int
-    alphabet_size: int
+
+    @property
+    def n(self) -> int:
+        """The text's length, the phrases' spans together."""
+        return len(self.phrases) + sum(ph.len for ph in self.phrases)
+
+    @property
+    def z(self) -> int:
+        return len(self.phrases)
+
+    @property
+    def alphabet_size(self) -> int:
+        """The largest border: the first occurrence of every symbol ends a
+        phrase."""
+        return max(ph.border for ph in self.phrases)
 
     def border_positions(self) -> list[int]:
         """1-based positions of the phrase borders, ascending."""
@@ -86,7 +100,7 @@ def parse(text, ctx: SuffixContext | None = None) -> Lz77Parse:
     if int(arr.min()) < 1:
         raise ValueError("symbols must be >= 1")
     if n == 1:
-        return Lz77Parse((Phrase(0, 0, int(arr[0])),), 1, 1, sigma)
+        return Lz77Parse((Phrase(0, 0, int(arr[0])),))
 
     if ctx is None:
         ctx = SuffixContext(arr)
@@ -123,7 +137,7 @@ def parse(text, ctx: SuffixContext | None = None) -> Lz77Parse:
             src = min(src, int(sa[q : _gallop(holds, q, 1, n) + 1].min()))
         phrases.append(Phrase(src + 1, length, int(arr[j + length])))
         j += length + 1
-    return Lz77Parse(tuple(phrases), n, len(phrases), sigma)
+    return Lz77Parse(tuple(phrases))
 
 
 def _common(key: bytes, width: int, a: int, b: int, limit: int) -> int:
@@ -246,8 +260,6 @@ def decompress(parsed: Lz77Parse) -> bytes | tuple[int, ...]:
         elif ph.start != 0:
             raise ValueError("malformed parse")
         out.append(ph.border)
-    if len(out) != parsed.n:
-        raise ValueError("malformed parse")
     try:
         return bytes(out)
     except ValueError:  # a symbol above 255
@@ -281,4 +293,4 @@ def cap_phrases(parsed: Lz77Parse, limit: int, text) -> Lz77Parse:
                 else:
                     phrases.append(Phrase(ph.start + off, piece - 1, border))
                 off += piece
-    return Lz77Parse(tuple(phrases), parsed.n, len(phrases), parsed.alphabet_size)
+    return Lz77Parse(tuple(phrases))

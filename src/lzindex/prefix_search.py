@@ -30,14 +30,6 @@ class FingerprintCollision(Exception):
     for the required prefix set; the caller reselects r and retries."""
 
 
-def two_fattest(lo: int, hi: int) -> int:
-    """The unique integer in (lo, hi] with the most trailing binary zeros."""
-    if not 0 <= lo < hi:
-        raise ValueError("empty interval")
-    # clear the bits of hi below the highest one where lo and hi differ
-    return hi & ~((1 << ((lo ^ hi).bit_length() - 1)) - 1)
-
-
 def key_lengths(t: CompactTrie, x: int):
     """Per vertex 1, 2, ... in vertex order, as int64 arrays: the ends of the
     skip interval (lo, hi], the G key length (its 2-fattest number) and the
@@ -47,7 +39,8 @@ def key_lengths(t: CompactTrie, x: int):
     strlen = np.array(t.strlen, dtype=np.int64)
     hi = strlen[1:]
     lo = strlen[t.parent[1:]]
-    # two_fattest per vertex; frexp gives bit lengths exactly below 2^53
+    # the 2-fattest number is hi less its bits below the highest one where
+    # lo and hi differ; frexp gives bit lengths exactly below 2^53
     top = np.frexp((lo ^ hi).astype(np.float64))[1].astype(np.int64) - 1
     fat = hi & ~((np.int64(1) << top) - 1)
     mult = (lo // x + 1) * x
@@ -66,10 +59,6 @@ class PrefixSearchStructure:
     # instrumentation
     h_lookups: int = field(default=0, compare=False)
     g_lookups: int = field(default=0, compare=False)
-
-    def reset_counters(self) -> None:
-        self.h_lookups = 0
-        self.g_lookups = 0
 
 
 def derive(t: CompactTrie, x: int, prefix_values) -> PrefixSearchStructure:

@@ -12,14 +12,13 @@ import random
 
 import pytest
 
-from lzindex import Index, IndexConfig, cli, lz77, oracle
+from lzindex import Index, IndexConfig, cli, lz77
 from lzindex import fingerprints as fp
 from lzindex import prefix_search as ps
 from lzindex.grammar import build_slp
-from lzindex.prefix_search import two_fattest
 
 from conftest import absent_pattern, planted_pattern, random_text
-from reference import build_from_strings
+from reference import build_from_strings, classify, naive_locate, naive_lz77, two_fattest
 
 SIGMAS = (2, 4, 26)
 # 50 texts per alphabet size, spread over the three text lengths so the
@@ -74,7 +73,7 @@ def corpus_results():
                     for _ in range(200)
                 ]
                 for pattern in patterns:
-                    expected = oracle.naive_locate(text, pattern)
+                    expected = naive_locate(text, pattern)
                     got = idx.locate(pattern)
                     res["queries"] += 1
                     if got != expected:
@@ -84,7 +83,7 @@ def corpus_results():
                     sec = idx.last_stats["secondary"]
                     if sorted(prim + sec) != expected or set(prim) & set(sec):
                         res["partition_violations"] += 1
-                    flags = oracle.classify(text, idx.capped, expected, len(pattern))
+                    flags = classify(text, idx.capped, expected, len(pattern))
                     if prim != [o for o, f in zip(expected, flags) if f]:
                         res["classification_violations"] += 1
                     counts = idx.last_stats["identified"]
@@ -107,7 +106,7 @@ class TestParser:
         for _ in range(200):
             sigma = rng.choice(SIGMAS)
             text = random_text(rng, sigma, rng.randint(1, 512))
-            assert lz77.parse(text).phrases == oracle.naive_lz77(text).phrases
+            assert lz77.parse(text).phrases == naive_lz77(text).phrases
 
     def test_parse_round_trips(self):
         rng = random.Random(3)
@@ -170,21 +169,21 @@ class TestPrefixSearchContract:
 
     def test_all_prefixes_match_sort_oracle(self):
         rng = random.Random(6)
-        fn = fp.select_function(0)
+        r = fp.select_function(0)
         mismatches = 0
         for count, sigma, x in self.CONFIGS:
             strings = [tuple(random_text(rng, sigma, rng.randint(1, 40)))
                        for _ in range(count)]
-            structure, distinct = build_from_strings(strings, x, fn)
+            structure, distinct = build_from_strings(strings, x, r)
             prefixes = sorted({s[:k] for s in distinct for k in range(1, len(s) + 1)})
             for pattern in prefixes:
-                structure.reset_counters()
+                structure.h_lookups = structure.g_lookups = 0
                 res = ps.weak_search(
                     structure, len(pattern),
-                    fp.PatternFps(fn, pattern).value,
+                    fp.PatternFps(r, pattern).value,
                     lambda i, pattern=pattern: pattern[i - 1],
                 )
-                ranks = [r + 1 for r, s in enumerate(distinct)
+                ranks = [k + 1 for k, s in enumerate(distinct)
                          if s[: len(pattern)] == pattern]
                 if res is None or res[1:] != (ranks[0], ranks[-1]):
                     mismatches += 1

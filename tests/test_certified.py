@@ -15,9 +15,11 @@ from collections import Counter
 
 import pytest
 
-from lzindex import Index, fingerprints as fp, oracle
+from lzindex import Index, fingerprints as fp
 from lzindex._suffixes import SuffixContext
 from lzindex._text import to_symbols
+
+from reference import naive_locate
 
 
 def mutated_copies(rng: random.Random, sigma: int, base_len: int, n: int, substitutions: int) -> list[int]:
@@ -71,7 +73,7 @@ def patterns(rng: random.Random, sigma: int, text: list[int], idx: Index) -> lis
         # an absent pattern, where the text leaves room for one
         for _ in range(100):
             absent = [rng.randint(1, sigma) for _ in range(m)]
-            if not oracle.naive_locate(text, absent):
+            if not naive_locate(text, absent):
                 out.append(absent)
                 break
     # a symbol of the alphabet the text does not hold
@@ -95,7 +97,7 @@ def test_build_is_certified(case):
 def test_locate_matches_naive_scan(case):
     _, text, idx, pats = case
     for pattern in pats:
-        assert idx.locate(pattern) == oracle.naive_locate(text, pattern)
+        assert idx.locate(pattern) == naive_locate(text, pattern)
 
 
 def test_load_round_trip(case):
@@ -107,7 +109,7 @@ def test_load_round_trip(case):
         assert list(a.G.items()) == list(b.G.items())
         assert list(a.H.items()) == list(b.H.items())
     for pattern in pats:
-        assert loaded.locate(pattern) == oracle.naive_locate(text, pattern)
+        assert loaded.locate(pattern) == naive_locate(text, pattern)
     assert loaded.extract(1, loaded.n) == text
 
 
@@ -149,12 +151,12 @@ def test_keeps_a_base_that_collides_on_the_text(monkeypatch):
         assert tries < 100, "no colliding base was kept"
         # attempt 0 draws r
         monkeypatch.setattr(fp, "select_function",
-                            lambda rng_seed=0, r=r: fp.FpFunction(r) if rng_seed == 0 else select(rng_seed))
+                            lambda rng_seed=0, r=r: r if rng_seed == 0 else select(rng_seed))
         idx = Index.build(text)
-        if idx.fn.r == r:
+        if idx.r == r:
             break
-    assert idx.fn == fp.FpFunction(r)
-    assert not fp.verify_pow2_collision_free(fp.FpFunction(r), SuffixContext(to_symbols(text)))
+    assert idx.r == r
+    assert not fp.verify_pow2_collision_free(r, SuffixContext(to_symbols(text)))
 
     lengths = sorted({1, 2, idx.tau, idx.tau + 1, 3 * idx.block_len})
     pats = []
@@ -176,9 +178,9 @@ def test_keeps_a_base_that_collides_on_the_text(monkeypatch):
             swapped = list(holding)
             swapped[i - lo : i - lo + 2] = cd if tuple(holding[i - lo : i - lo + 2]) == ab else ab
             pats += [holding, swapped]
-    assert any(not oracle.naive_locate(text, p) for p in pats)
+    assert any(not naive_locate(text, p) for p in pats)
     loaded = Index.from_bytes(idx.to_bytes())
     for index in (idx, loaded):
         for pattern in pats:
-            assert index.locate(pattern) == oracle.naive_locate(text, pattern)
+            assert index.locate(pattern) == naive_locate(text, pattern)
         assert index.extract(1, len(text)) == text

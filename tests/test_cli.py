@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from lzindex import cli, index, oracle
+from lzindex import cli, index
 from lzindex._io import Reader, Writer
 
 from conftest import random_text
+from reference import naive_locate
 
 
 def write_text(tmp_path, data: bytes):
@@ -141,7 +142,7 @@ class TestLocate:
             pattern = data[s : s + m]
             assert cli.main(["locate", "-x", str(idx_path), "-p", pattern.decode()]) == 0
             got = [int(v) for v in capsys.readouterr().out.split()]
-            assert got == oracle.naive_locate(
+            assert got == naive_locate(
                 [b + 1 for b in data], [b + 1 for b in pattern]
             )
 
@@ -160,9 +161,11 @@ class TestExtract:
         assert capsysbinary.readouterr().out == b""
 
     def test_out_of_bounds(self, tmp_path, capsys):
+        # Index.extract checks the range; main reports its error
         idx_path = build_index(tmp_path, b"abc")
-        assert cli.main(["extract", "-x", str(idx_path), "-i", "1", "-j", "9"]) == 1
-        assert "out of bounds" in capsys.readouterr().err
+        for i, j in (("1", "9"), ("0", "2"), ("-1", "3")):
+            assert cli.main(["extract", "-x", str(idx_path), "-i", i, "-j", j]) == 1
+            assert capsys.readouterr() == ("", "error: range out of bounds\n")
 
     def test_random_slices(self, tmp_path, capsysbinary):
         rng = random.Random(115)

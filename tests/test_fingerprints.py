@@ -13,8 +13,8 @@ from conftest import random_text
 from reference import build_from_strings, compose, fingerprint
 
 P = (1 << 61) - 1
-# small illustrative function used by the hand-computed examples
-TOY = fp.FpFunction(10)
+# small illustrative base used by the hand-computed examples
+TOY = 10
 AB = (1, 2)
 ABC = (1, 2, 3)
 
@@ -45,22 +45,22 @@ class TestFingerprint:
 
 class TestSelectFunction:
     def test_magnitude_and_primality(self):
-        fn = fp.select_function(10)
+        r = fp.select_function(10)
         assert fp.P == P
         # Lucas-Lehmer: 2^61 - 1 is prime iff s_59 = 0 mod it
         s = 4
         for _ in range(61 - 2):
             s = (s * s - 2) % P
         assert s == 0
-        assert 1 <= fn.r < P
+        assert 1 <= r < P
 
     def test_deterministic(self):
         a = fp.select_function(rng_seed=42)
         b = fp.select_function(rng_seed=42)
-        assert a.r == b.r
+        assert a == b
 
     def test_seeds_differ(self):
-        rs = {fp.select_function(rng_seed=s).r for s in range(100)}
+        rs = {fp.select_function(rng_seed=s) for s in range(100)}
         assert len(rs) > 95
 
 
@@ -79,24 +79,24 @@ class TestComposeSplit:
     def test_compose_random_splits(self):
         # every split x = yz composes back to phi(x), and phi(y) carries r^|y|
         rng = random.Random(25)
-        for fn in (TOY, fp.select_function(4)):
+        for r in (TOY, fp.select_function(4)):
             for _ in range(30):
                 x = random_text(rng, 26, rng.randint(0, 60))
-                fx = fingerprint(fn, x)
+                fx = fingerprint(r, x)
                 for k in range(len(x) + 1):
-                    fy, fz = fingerprint(fn, x[:k]), fingerprint(fn, x[k:])
-                    assert fy.r_pow == pow(fn.r, k, P)
+                    fy, fz = fingerprint(r, x[:k]), fingerprint(r, x[k:])
+                    assert fy.r_pow == pow(r, k, P)
                     assert compose(fy, fz) == fx
 
     def test_associativity(self):
         rng = random.Random(21)
-        fn = fp.select_function(3)
+        r = fp.select_function(3)
         for _ in range(50):
             x, y, z = (random_text(rng, 26, rng.randint(0, 40)) for _ in range(3))
-            fx, fy, fz = (fingerprint(fn, s) for s in (x, y, z))
+            fx, fy, fz = (fingerprint(r, s) for s in (x, y, z))
             left = compose(compose(fx, fy), fz)
             right = compose(fx, compose(fy, fz))
-            assert left == right == fingerprint(fn, x + y + z)
+            assert left == right == fingerprint(r, x + y + z)
 
 
 class TestPrefixTable:
@@ -127,18 +127,18 @@ class TestPrefixTable:
         # against the loop of fp.fingerprint, also under the bases of order
         # 1 and 2 and with symbols equal mod p
         rng = random.Random(22)
-        for fn in (fp.select_function(1), *map(fp.FpFunction, small_order_bases((1, 2)))):
+        for r in (fp.select_function(1), *small_order_bases((1, 2))):
             for sigma in (26, 1 << 62):
                 s = [rng.randint(1, sigma) for _ in range(256)]
-                table = fp.PrefixFpTable(fn, s)
+                table = fp.PrefixFpTable(r, s)
                 starts = [rng.randint(0, len(s)) for _ in range(200)]
                 lengths = [rng.randint(0, len(s) - i) for i in starts]
                 forward = table.values(np.array(starts), np.array(lengths)).tolist()
                 backward = table.reversed_values(np.array(starts), np.array(lengths)).tolist()
                 for k, (i, l) in enumerate(zip(starts, lengths)):
                     piece = s[i : i + l]
-                    assert forward[k] == table.values(i, l) == fingerprint(fn, piece).value
-                    assert backward[k] == fingerprint(fn, piece[::-1]).value
+                    assert forward[k] == table.values(i, l) == fingerprint(r, piece).value
+                    assert backward[k] == fingerprint(r, piece[::-1]).value
 
     def test_limb_arithmetic_at_the_edges(self):
         # products and sums of values next to 0 and p - 1, the cases where
@@ -163,26 +163,27 @@ class TestPatternFps:
         # symbols up to 2^62 exceed p = 2^61 - 1, and some are equal mod p
         rng = random.Random(27)
         p = (1 << 61) - 1
-        fn = fp.FpFunction(rng.randrange(2, p))
+        r = rng.randrange(2, p)
         for sigma in (2, 4, 1 << 62):
             for m in range(1, 61):
                 pool = [rng.randint(1, sigma) for _ in range(4)]
                 if sigma > p:
                     pool += [c - p if c > p else c + p for c in pool]
                 s = tuple(rng.choice(pool) for _ in range(m))
-                table = fp.PatternFps(fn, s)
+                table = fp.PatternFps(r, s)
                 for i in range(1, m + 2):
                     for j in range(i - 1, m + 1):
                         piece = s[i - 1 : j]
-                        assert table.value(i, j) == fingerprint(fn, piece).value
-                        assert table.reversed_value(i, j) == fingerprint(fn, piece[::-1]).value
+                        assert table.value(i, j) == fingerprint(r, piece).value
+                        assert table.reversed_value(i, j) == fingerprint(r, piece[::-1]).value
 
     def test_leaves_the_power_cache_alone(self):
-        # the table makes its own powers of r; the function keeps none
-        fn = fp.select_function(0)
-        table = fp.PatternFps(fn, (1, 2, 3) * 20)
-        assert table.value(5, 40) == fingerprint(fn, ((1, 2, 3) * 20)[4:40]).value
-        assert vars(fn) == {"r": fp.select_function(0).r}
+        # the table makes its own powers of r; the function is the plain int
+        # r, which can keep none
+        r = fp.select_function(0)
+        table = fp.PatternFps(r, (1, 2, 3) * 20)
+        assert table.value(5, 40) == fingerprint(r, ((1, 2, 3) * 20)[4:40]).value
+        assert type(r) is int and r == fp.select_function(0)
 
 
 class TestVerification:
@@ -191,46 +192,46 @@ class TestVerification:
     a base collides on it."""
 
     def test_distinct_single_chars(self):
-        fn = fp.select_function(0)
-        build_from_strings([(1,), (2,), (3,)], 1, fn)
+        r = fp.select_function(0)
+        build_from_strings([(1,), (2,), (3,)], 1, r)
 
     def test_equal_strings_not_collisions(self):
         # even under r = 1, a string does not collide with itself
-        build_from_strings([(1, 2), (1, 2)], 1, fp.FpFunction(1))
+        build_from_strings([(1, 2), (1, 2)], 1, 1)
 
     def test_tiny_modulus_collides(self):
         # under r = p - 1, some two strings of length 2 collide
-        fn = fp.FpFunction(small_order_bases([2])[0])
+        r = small_order_bases([2])[0]
         pairs = list(product(range(1, 10), repeat=2))
         colliding = next(
             [s, t]
             for s in pairs
             for t in pairs
-            if s != t and fingerprint(fn, s).value == fingerprint(fn, t).value
+            if s != t and fingerprint(r, s).value == fingerprint(r, t).value
         )
         with pytest.raises(ps.FingerprintCollision):
-            build_from_strings(colliding, 1, fn)
+            build_from_strings(colliding, 1, r)
 
     def test_pow2_small_string(self):
-        fn = fp.select_function(0)
-        assert fp.verify_pow2_collision_free(fn, context((1, 2)))
+        r = fp.select_function(0)
+        assert fp.verify_pow2_collision_free(r, context((1, 2)))
 
     def test_pow2_constant_string(self):
         # one window per length, so even r = 1 passes
-        assert fp.verify_pow2_collision_free(fp.FpFunction(1), context((1,) * 64))
+        assert fp.verify_pow2_collision_free(1, context((1,) * 64))
 
     def test_pow2_tiny_modulus_fails(self):
         rng = random.Random(23)
         # under r = 1 any two windows that permute each other collide
         s = tuple(rng.randint(1, 50) for _ in range(200))
-        assert not fp.verify_pow2_collision_free(fp.FpFunction(1), context(s))
+        assert not fp.verify_pow2_collision_free(1, context(s))
 
     def test_large_modulus_collision_free(self):
         rng = random.Random(24)
-        fn = fp.select_function(5)
+        r = fp.select_function(5)
         text = random_text(rng, 4, 4096)
-        assert fp.verify_pow2_collision_free(fn, context(text))
-        build_from_strings([text[i : i + 200] for i in range(0, 4096, 7)], 3, fn)
+        assert fp.verify_pow2_collision_free(r, context(text))
+        build_from_strings([text[i : i + 200] for i in range(0, 4096, 7)], 3, r)
 
 
 def pow2_collision_free_by_strings(p: int, r: int, text: list[int]) -> bool:
@@ -293,7 +294,7 @@ class TestPow2Equivalence:
             r = rng.choice(self.BASES) if rng.random() < 0.8 else rng.randrange(1, P)
             text = self.text(rng, rng.choice(self.SIGMAS))
             want = pow2_collision_free_by_strings(P, r, text)
-            assert fp.verify_pow2_collision_free(fp.FpFunction(r), context(text)) == want, (r, text)
+            assert fp.verify_pow2_collision_free(r, context(text)) == want, (r, text)
             outcomes[want] += 1
         assert min(outcomes.values()) >= 800, outcomes
 
@@ -301,7 +302,7 @@ class TestPow2Equivalence:
         # a text of two symbols equal mod p collides at length 1 only
         text = [5, 5 + P] * 8
         assert not pow2_collision_free_by_strings(P, 3, text)
-        assert not fp.verify_pow2_collision_free(fp.FpFunction(3), context(text))
+        assert not fp.verify_pow2_collision_free(3, context(text))
 
 
 class TestChunkedPrefixTable:
@@ -309,9 +310,9 @@ class TestChunkedPrefixTable:
     arrays must be those of one pass over the whole string."""
 
     @staticmethod
-    def direct(fn, s):
+    def direct(r, s):
         """pw, ipw, F and R of PrefixFpTable by a loop over s."""
-        r, inv = fn.r, pow(fn.r, -1, P)
+        inv = pow(r, -1, P)
         pw, ipw, fwd, rev = [1], [1], [0], [0]
         for c in s:
             fwd.append((fwd[-1] + c % P * pw[-1]) % P)
@@ -324,15 +325,15 @@ class TestChunkedPrefixTable:
     def test_arrays_equal_one_pass(self, monkeypatch, chunk):
         monkeypatch.setattr(fp, "_CHUNK", chunk)
         rng = random.Random(23)
-        fn = fp.select_function(5)
+        r = fp.select_function(5)
         # lengths on both sides of one, two and three chunks
         lengths = sorted({0, 1, 2, 3} | {k * c + d for k in (1, 2, 3) for c in (chunk, 4)
                                          for d in (-1, 0, 1) if k * c + d >= 0 and k * c + d < 200})
         for n in lengths:
             for sigma in (4, 1 << 62):
                 s = [rng.randint(1, sigma) for _ in range(n)]
-                table = fp.PrefixFpTable(fn, s)
-                pw, ipw, fwd, rev = self.direct(fn, s)
+                table = fp.PrefixFpTable(r, s)
+                pw, ipw, fwd, rev = self.direct(r, s)
                 assert table.pw.tolist() == pw
                 assert table._ipw.tolist() == ipw
                 assert table._fwd.tolist() == fwd
@@ -341,11 +342,11 @@ class TestChunkedPrefixTable:
     def test_straddles_the_default_chunk(self):
         # the real chunk, at lengths that end just before, at and after it
         rng = random.Random(24)
-        fn = fp.select_function(6)
+        r = fp.select_function(6)
         for n in (fp._CHUNK - 1, fp._CHUNK, fp._CHUNK + 1, 2 * fp._CHUNK + 3):
             s = [rng.randint(1, 1 << 40) for _ in range(n)]
-            table = fp.PrefixFpTable(fn, s)
-            pw, ipw, fwd, rev = self.direct(fn, s)
+            table = fp.PrefixFpTable(r, s)
+            pw, ipw, fwd, rev = self.direct(r, s)
             assert table.pw.tolist() == pw
             assert table._ipw.tolist() == ipw
             assert table._fwd.tolist() == fwd

@@ -12,7 +12,7 @@ from lzindex import grammar, lz77
 
 from conftest import random_text
 
-FN = fp.select_function(0)
+R = fp.select_function(0)
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -208,6 +208,35 @@ class TestConcatOrder:
                 assert arena.height[r] - 1 < 1.4405 * math.log2(arena.length[r] + 1) - 0.3277
 
 
+class TestCover:
+    @staticmethod
+    def spell(arena, v) -> list[int]:
+        symbol = {u: s for s, u in arena._terminals.items()}
+        if arena.left[v] < 0:
+            return [symbol[v]]
+        return TestCover.spell(arena, arena.left[v]) + TestCover.spell(arena, arena.right[v])
+
+    def test_pieces_spell_every_range(self):
+        arena = grammar._Arena()
+        text = [1, 2, 3, 1, 2, 2, 3, 1, 1, 3, 2]
+        v = arena.concat([arena.terminal(c) for c in text])
+        for lo in range(1, len(text) + 1):
+            for hi in range(lo, len(text) + 1):
+                pieces: list[int] = []
+                arena.cover(v, lo, hi, pieces)
+                assert sum((self.spell(arena, u) for u in pieces), []) == text[lo - 1 : hi]
+
+    def test_range_checked(self):
+        # a range past the node would step from a terminal to left[-1]
+        arena = grammar._Arena()
+        x = arena.terminal(1)
+        v = arena.concat([x, arena.terminal(2), arena.terminal(3)])
+        for node, lo, hi in ((x, 2, 2), (x, 0, 1), (v, 0, 1), (v, 1, arena.length[v] + 1),
+                             (v, 3, 2), (v, 4, 4)):
+            with pytest.raises(ValueError, match="range out of bounds"):
+                arena.cover(node, lo, hi, [])
+
+
 class TestExtract:
     def test_full_and_empty(self):
         text = random_text(random.Random(32), 4, 777)
@@ -392,9 +421,9 @@ class TestSubstringFp:
 
     @staticmethod
     def assert_residue(bt, text, ranges):
-        table = fp.PrefixFpTable(FN, text)
+        table = fp.PrefixFpTable(R, text)
         for i, j in ranges:
-            assert bt.substring_fp(i, j, FN) == table.values(i - 1, j - i + 1), (i, j)
+            assert bt.substring_fp(i, j, R) == table.values(i - 1, j - i + 1), (i, j)
 
     def test_matches_prefix_table(self):
         text = random_text(random.Random(34), 4, 1024)
@@ -402,7 +431,7 @@ class TestSubstringFp:
 
     def test_empty(self):
         bt = build_for(b"\x01\x02\x03")
-        assert bt.substring_fp(2, 1, FN) == 0
+        assert bt.substring_fp(2, 1, R) == 0
 
     def test_random_ranges(self):
         rng = random.Random(36)

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import random
 import sys
@@ -6,12 +5,12 @@ import sys
 import numpy as np
 import pytest
 
-from lzindex import Index, IndexConfig, _suffixes, fingerprints as fp, index as ix, lz77, oracle, trie
+from lzindex import Index, IndexConfig, _suffixes, fingerprints as fp, index as ix, lz77, trie
 from lzindex._io import Reader, Writer
 from lzindex._text import to_symbols
 
 from conftest import absent_pattern, mutated_copies, planted_pattern, random_text
-from reference import suffix_rank_order
+from reference import classify, naive_locate, primary_pairs, suffix_rank_order
 
 
 def all_patterns(sigma, max_len):
@@ -31,7 +30,7 @@ class TestBuild:
         text = b"\x01\x02\x03" * 3
         idx = Index.build(text, IndexConfig(tau=2))
         for pattern in all_patterns(3, len(text)):
-            assert idx.locate(pattern) == oracle.naive_locate(text, pattern)
+            assert idx.locate(pattern) == naive_locate(text, pattern)
 
     def test_single_symbol_text(self):
         idx = Index.build(b"\x01")
@@ -71,7 +70,7 @@ class TestBuild:
             assert idx.tau == tau
             assert bytes(idx.extract(1, len(text))) == text
             for pattern in patterns:
-                assert idx.locate(pattern) == oracle.naive_locate(text, pattern)
+                assert idx.locate(pattern) == naive_locate(text, pattern)
             blob = idx.to_bytes()
             assert Index.from_bytes(blob).to_bytes() == blob
 
@@ -94,7 +93,7 @@ class TestBuild:
             patterns = [planted_pattern(rng, text, 1, 60) for _ in range(40)]
             patterns.append(absent_pattern(rng, text, 4, 12))
             for pattern in patterns:
-                assert idx.locate(pattern) == oracle.naive_locate(text, pattern)
+                assert idx.locate(pattern) == naive_locate(text, pattern)
 
 
 class TestLocate:
@@ -114,9 +113,7 @@ class TestLocate:
     @pytest.mark.parametrize("call", [
         lambda idx, c: idx.locate([c]),
         lambda idx, c: idx.locate([1] * idx.tau + [c]),
-        lambda idx, c: idx.locate_short_primary([c]),
-        lambda idx, c: idx.locate_long_primary([1] * idx.tau + [c]),
-    ], ids=["locate", "locate_long", "locate_short_primary", "locate_long_primary"])
+    ], ids=["locate", "locate_long"])
     def test_symbol_past_int64_is_absent(self, call):
         # no symbol above sigma occurs, however large
         idx = Index.build(b"\x01\x02\x03" * 3)
@@ -144,7 +141,7 @@ class TestLocate:
                     pattern = planted_pattern(rng, text, 1, n)
                 else:
                     pattern = bytes(rng.randint(1, sigma) for _ in range(rng.randint(1, 12)))
-                assert idx.locate(pattern) == oracle.naive_locate(text, pattern)
+                assert idx.locate(pattern) == naive_locate(text, pattern)
 
 
 class TestLongPatterns:
@@ -158,10 +155,10 @@ class TestLongPatterns:
             for _ in range(6):
                 start = rng.randint(0, n - m)
                 pattern = bytearray(text[start : start + m])
-                assert idx.locate(bytes(pattern)) == oracle.naive_locate(text, bytes(pattern))
+                assert idx.locate(bytes(pattern)) == naive_locate(text, bytes(pattern))
                 pos = rng.randrange(m)
                 pattern[pos] = pattern[pos] % 4 + 1
-                assert idx.locate(bytes(pattern)) == oracle.naive_locate(text, bytes(pattern))
+                assert idx.locate(bytes(pattern)) == naive_locate(text, bytes(pattern))
 
     def test_near_periodic_text(self):
         rng = random.Random(111)
@@ -197,8 +194,8 @@ class TestPhaseOps:
         return rng, text, Index.build(text)
 
     def primaries_by_oracle(self, text, idx, pattern):
-        occ = oracle.naive_locate(text, pattern)
-        flags = oracle.classify(text, idx.capped, occ, len(pattern))
+        occ = naive_locate(text, pattern)
+        flags = classify(text, idx.capped, occ, len(pattern))
         return occ, [o for o, f in zip(occ, flags) if f]
 
     def test_long_primary_pairs(self):
@@ -206,7 +203,7 @@ class TestPhaseOps:
         for _ in range(40):
             pattern = planted_pattern(rng, text, idx.tau + 1, len(text) // 2)
             occ, primaries = self.primaries_by_oracle(text, idx, pattern)
-            pairs = idx.locate_long_primary(pattern)
+            pairs = primary_pairs(idx, pattern)
             assert [p for p, _ in pairs] == primaries
             for p, b in pairs:  # the border lies inside the occurrence
                 assert p <= b <= p + len(pattern) - 1
@@ -228,7 +225,7 @@ class TestPhaseOps:
             found = 0
             for pattern in patterns:
                 occ, primaries = self.primaries_by_oracle(text, idx, pattern)
-                pairs = idx.locate_short_primary(pattern)
+                pairs = primary_pairs(idx, pattern)
                 assert [p for p, _ in pairs] == primaries
                 for p, b in pairs:
                     assert p <= b <= p + len(pattern) - 1
@@ -259,7 +256,7 @@ class TestPhaseOps:
             for pattern in sorted(patterns):
                 occ, primaries = self.primaries_by_oracle(text, idx, pattern)
                 assert idx.locate(pattern) == occ
-                pairs = idx.locate_short_primary(pattern)
+                pairs = primary_pairs(idx, pattern)
                 assert [p for p, _ in pairs] == primaries
                 for p, b in pairs:
                     assert p <= b <= p + m - 1
@@ -270,52 +267,32 @@ class TestPhaseOps:
         assert found >= min(tau, n) and longest > 2 * idx.block_len
 
     def test_secondary_completes_the_partition(self):
+        # the expansion locate runs, from the primaries alone, lists every
+        # other occurrence once
         rng, text, idx = self.build_case(94)
         for _ in range(40):
             pattern = planted_pattern(rng, text, 1, len(text) // 2)
             occ, primaries = self.primaries_by_oracle(text, idx, pattern)
-            secondary = idx.locate_secondary(primaries, len(pattern))
+            secondary = idx.sources.expand(primaries, len(pattern))
+            assert len(set(secondary)) == len(secondary)
             assert not set(primaries) & set(secondary)
             assert sorted(primaries + secondary) == occ
 
     def test_no_primaries_no_secondaries(self):
         _, _, idx = self.build_case(95)
-        assert idx.locate_secondary([], 3) == []
-
-    def test_primary_given_with_its_own_copy(self):
-        # the expansion meets the given copy again from its primary; it is
-        # not reported, since it was given, and nothing is reported twice
-        rng, text, idx = self.build_case(114)
-        for _ in range(40):
-            pattern = planted_pattern(rng, text, 2, 6)
-            occ, primaries = self.primaries_by_oracle(text, idx, pattern)
-            for o in primaries:
-                copies = idx.locate_secondary([o], len(pattern))
-                if copies:
-                    break
-            else:
-                continue
-            secondary = idx.locate_secondary(primaries, len(pattern))
-            given = primaries + [copies[0]]
-            got = idx.locate_secondary(given, len(pattern))
-            assert got == [s for s in secondary if s != copies[0]]
-            assert len(set(got)) == len(got)
-            return
-        raise AssertionError("no primary with a copy")
+        assert idx.sources.expand([], 3) == []
 
     def test_chained_copies(self):
         idx = Index.build(b"\x01" * 64)
         assert idx.locate(b"\x01\x01") == list(range(1, 64))
 
-    def test_length_dispatch_errors(self):
-        _, _, idx = self.build_case(96)
-        with pytest.raises(ValueError):
-            idx.locate_long_primary(b"\x01" * idx.tau)
-        with pytest.raises(ValueError):
-            idx.locate_short_primary(b"\x01" * (idx.tau + 1))
-
 
 class TestVerifyCandidates:
+    """The check locate runs on a weak-search candidate of the suffix side
+    (Index._suffix_holds): a t_dp vertex passes iff its string, the text
+    read forwards from the vertex's sample, starts with the query, a slice
+    of the pattern that may have symbols before it."""
+
     def setup_method(self):
         rng = random.Random(97)
         self.text = random_text(rng, 3, 300)
@@ -323,8 +300,15 @@ class TestVerifyCandidates:
         self.t = self.idx.t_dp
 
     def vertex_string(self, v, length):
-        start = self.t.sample[v]
-        return tuple(self.idx.bt.extract(start, start + length - 1))
+        """The length symbols of the text that str(v) starts with, read past
+        str(v) if it is shorter; fewer at the text's end."""
+        start = self.t.sample[v] - 1
+        return tuple(self.text[start : start + length])
+
+    def holds(self, v, query) -> bool:
+        # the pattern holds two symbols outside the alphabet before the query
+        pattern = [9, 9, *query]
+        return self.idx._suffix_holds(v, pattern, 2, len(pattern))
 
     def pick_vertex(self, min_len):
         for v in range(1, self.t.num_vertices):
@@ -335,15 +319,17 @@ class TestVerifyCandidates:
     def test_genuine_retained(self):
         v = self.pick_vertex(4)
         q = self.vertex_string(v, 4)
-        assert self.idx.verify_candidates([(q, v)]) == [(q, v)]
+        assert self.holds(v, q)
 
     def test_false_discarded(self):
         v = self.pick_vertex(4)
         q = self.vertex_string(v, 4)
         wrong = tuple(c % 3 + 1 for c in q)  # same length, differs everywhere
-        assert self.idx.verify_candidates([(wrong, v)]) == []
+        assert not self.holds(v, wrong)
 
     def test_mixed(self):
+        # two cuts of one pattern, each with its candidate: only the one
+        # whose vertex spells its query passes
         v = self.pick_vertex(4)
         q = self.vertex_string(v, 4)
         tail = q[-2:]
@@ -351,31 +337,44 @@ class TestVerifyCandidates:
             u for u in range(1, self.t.num_vertices)
             if self.t.strlen[u] >= 2 and self.vertex_string(u, 2) != tail
         )
-        got = self.idx.verify_candidates([(tail, other), (q, v)])
-        assert got == [(q, v)]
-
-    def test_suffix_precondition(self):
-        v = self.pick_vertex(4)
-        q = self.vertex_string(v, 4)
-        not_suffix = tuple(c % 3 + 1 for c in q[-2:])
-        if not_suffix == q[-2:]:
-            not_suffix = (q[-1] % 3 + 1,) * 2
-        with pytest.raises(ValueError):
-            self.idx.verify_candidates([(not_suffix, v), (q, v)])
+        cands = [(tail, other), (q, v)]
+        assert [(s, u) for s, u in cands if self.holds(u, s)] == [(q, v)]
 
     def test_order_and_short_vertex(self):
-        # the output runs from the shortest suffix up, whatever the input
-        # order; a vertex whose string is shorter than its suffix is dropped
+        # the text is compared in order, so the query's symbols in another
+        # order fail at the vertex that spells the query; and a vertex whose
+        # string is shorter than the query fails, even where the text it is
+        # read from goes on to spell the query
         v = self.pick_vertex(6)
         q = self.vertex_string(v, 6)
-        short = next(u for u in range(1, self.t.num_vertices) if self.t.strlen[u] == 2)
-        cands = [(q, v), (q[-4:], v), (q[-4:], short), (q[-1:], v), (q[-2:], v)]
-        got = self.idx.verify_candidates(cands)
-        assert [len(s) for s, _ in got] == sorted(len(s) for s, _ in got)
-        assert (q[-4:], short) not in got
-        assert (q, v) in got
-        for s, u in got:
-            assert self.vertex_string(u, len(s)) == s
+        assert self.holds(v, q)
+        others = {q[::-1], q[1:] + q[:1], tuple(sorted(q))} - {q}
+        assert others
+        for other in others:
+            assert not self.holds(v, other)
+        short = next(u for u in range(1, self.t.num_vertices)
+                     if self.t.strlen[u] == 2 and len(self.vertex_string(u, 4)) == 4)
+        assert self.holds(short, self.vertex_string(short, 2))
+        assert not self.holds(short, self.vertex_string(short, 3))
+        assert not self.holds(short, self.vertex_string(short, 4))
+
+
+class TestPrefixCandidates(TestVerifyCandidates):
+    """The same cases on the prefix side (Index._prefix_holds): a t_d vertex
+    passes iff its string, the text read backwards from the vertex's sample,
+    starts with the query, the reversal of the pattern's first symbols."""
+
+    def setup_method(self):
+        super().setup_method()
+        self.t = self.idx.t_d
+
+    def vertex_string(self, v, length):
+        end = self.t.sample[v]
+        return tuple(self.text[max(end - length, 0) : end][::-1])
+
+    def holds(self, v, query) -> bool:
+        # the pattern holds two symbols outside the alphabet after the prefix
+        return self.idx._prefix_holds(v, [*query[::-1], 9, 9], len(query))
 
 
 class TestExtract:
@@ -591,7 +590,7 @@ class TestSerialization:
             loaded = Index.from_bytes(blob)
             assert loaded.tau == tau and loaded.to_bytes() == blob
             for pattern in patterns:
-                assert loaded.locate(pattern) == oracle.naive_locate(text, pattern)
+                assert loaded.locate(pattern) == naive_locate(text, pattern)
 
     def test_derived_order_matches_suffix_array(self):
         # the suffix trie's string order is sorted again at every build and
@@ -664,7 +663,7 @@ class TestSerialization:
         blob = Index.build(text).to_bytes()
         patterns = [planted_pattern(rng, text, 1, 40) for _ in range(20)]
         patterns.append(absent_pattern(rng, text, 4, 8))
-        expected = [oracle.naive_locate(text, pattern) for pattern in patterns]
+        expected = [naive_locate(text, pattern) for pattern in patterns]
 
         def loads(data: bytes) -> bool:
             try:
@@ -764,7 +763,7 @@ class TestLoadFuzz:
                     for i in rng.sample(range(len(text) - m + 1), 2)]
         patterns += [tuple(rng.choice(symbols) for _ in range(rng.randint(1, 9))) for _ in range(4)]
         for pattern in patterns:
-            assert idx.locate(pattern) == oracle.naive_locate(text, pattern), pattern
+            assert idx.locate(pattern) == naive_locate(text, pattern), pattern
         return True
 
     def test_single_edits(self):
@@ -924,7 +923,7 @@ class TestKeyWidths:
                     patterns.add(p)
                     patterns.add(p[:-1] + (sigma,))
             for p in sorted(patterns):
-                assert loaded.locate(p) == oracle.naive_locate(text, p), p
+                assert loaded.locate(p) == naive_locate(text, p), p
             for index in (idx, loaded):
                 for i, j in self.extract_ranges(index.bt):
                     assert index.extract(i, j) == text[i - 1 : j], (i, j)
@@ -967,7 +966,7 @@ class TestCertification:
 
         def select_r1(rng_seed=0):
             seeds.append(rng_seed)
-            return fp.FpFunction(1) if rng_seed == 0 else select(rng_seed)
+            return 1 if rng_seed == 0 else select(rng_seed)
 
         monkeypatch.setattr(fp, "select_function", select_r1)
         return seeds
@@ -977,7 +976,7 @@ class TestCertification:
         patterns = [planted_pattern(rng, text, 1, 60) for _ in range(60)]
         patterns += [absent_pattern(rng, text, 26, 5) for _ in range(5)]
         for pattern in patterns:
-            assert idx.locate(pattern) == oracle.naive_locate(text, pattern)
+            assert idx.locate(pattern) == naive_locate(text, pattern)
 
     def test_retries_after_a_collision(self, monkeypatch):
         # attempt 0 gets a function under which a dictionary collides; the
@@ -996,7 +995,7 @@ class TestCertification:
         idx = Index.build(text)
         assert seeds == [0, 1]
         assert len(grammars) == 1
-        assert idx.fn.r == fp.select_function(1).r
+        assert idx.r == fp.select_function(1)
         self.assert_answers(idx, text)
 
     def test_retries_after_a_dictionary_collision(self, monkeypatch):
@@ -1023,7 +1022,7 @@ class TestCertification:
         idx = Index.build(text)
         assert seeds == [0, 1]
         assert rejected == [0]
-        assert idx.fn.r == fp.select_function(1).r
+        assert idx.r == fp.select_function(1)
         self.assert_answers(idx, text)
 
     def test_every_attempt_collides(self, monkeypatch):
@@ -1032,7 +1031,7 @@ class TestCertification:
 
         def select_r1(rng_seed=0):
             seeds.append(rng_seed)
-            return fp.FpFunction(1)
+            return 1
 
         monkeypatch.setattr(fp, "select_function", select_r1)
         with pytest.raises(RuntimeError, match="cannot certify"):
@@ -1062,18 +1061,15 @@ class TestStats:
 
     def test_build_leaves_small_power_cache(self):
         # the prefix tables make their own powers of r and the grammar uses
-        # none, so the function holds its base and nothing else, and cannot
-        # be changed: neither a build nor a load caches anything in it
-        assert [f.name for f in dataclasses.fields(fp.FpFunction)] == ["r"]
+        # none, so the function is its base, a plain int that can hold
+        # nothing else: a build and a load both keep the r drawn
         rng = random.Random(108)
         base = random_text(rng, 4, 500)
         text = (base * 40)[:20_000]
         idx = Index.build(text)
-        r = fp.select_function(0).r
-        for fn in (idx.fn, Index.from_bytes(idx.to_bytes()).fn):
-            assert vars(fn) == {"r": r}
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                fn.r = 1
+        r = fp.select_function(0)
+        for got in (idx, Index.from_bytes(idx.to_bytes())):
+            assert type(got.r) is int and got.r == r
 
     def test_queries_leave_power_cache_alone(self):
         # queries take their powers of r from the pattern's own tables, so
@@ -1082,7 +1078,7 @@ class TestStats:
         base = random_text(rng, 4, 300)
         text = (base * 12)[:3_000]
         built = Index.build(text)
-        r = fp.select_function(0).r
+        r = fp.select_function(0)
         for idx in (built, Index.from_bytes(built.to_bytes())):
             for _ in range(20):
                 long = planted_pattern(rng, text, idx.tau + 1, 15 * idx.block_len)
@@ -1096,9 +1092,8 @@ class TestStats:
             t = idx.t_dp
             v = next(u for u in range(1, t.num_vertices) if t.strlen[u] >= 6)
             q = tuple(idx.extract(t.sample[v], t.sample[v] + 5))
-            assert (q, v) in idx.verify_candidates([(q[-3:], v), (q, v)])
-            assert idx.fn == fp.FpFunction(r)
-            assert vars(idx.fn) == {"r": r}
+            assert idx._suffix_holds(v, list(q), 0, len(q))
+            assert type(idx.r) is int and idx.r == r
 
     def test_last_stats_partition(self):
         rng = random.Random(105)

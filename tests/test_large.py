@@ -11,9 +11,10 @@ import random
 
 import pytest
 
-from lzindex import Index, fingerprints as fp, oracle, range_report
+from lzindex import Index, fingerprints as fp, range_report
 
 from conftest import absent_pattern, mutated_copies, planted_pattern
+from reference import naive_locate
 
 N = 70_000
 
@@ -27,7 +28,7 @@ def large():
 
     def select_r1_first(rng_seed=0):
         seeds.append(rng_seed)
-        return fp.FpFunction(1) if rng_seed == 0 else select(rng_seed)
+        return 1 if rng_seed == 0 else select(rng_seed)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fp, "select_function", select_r1_first)
@@ -39,7 +40,7 @@ def test_build_rejects_a_colliding_function(large):
     _, _, idx, seeds = large
     assert idx.n == N > 1 << 16
     assert seeds == [0, 1]
-    assert idx.fn.r == fp.select_function(1).r != 1
+    assert idx.r == fp.select_function(1) != 1
 
 
 def test_locate_matches_naive_scan(large, monkeypatch):
@@ -67,7 +68,7 @@ def test_locate_matches_naive_scan(large, monkeypatch):
             patterns.append(absent_pattern(rng, text, 4, m))
     assert len(patterns) >= 40
     for pattern in patterns:
-        assert idx.locate(pattern) == oracle.naive_locate(text, pattern)
+        assert idx.locate(pattern) == naive_locate(text, pattern)
     assert wide and min(wide) >= range_report.WIDE_LEVEL
 
 

@@ -6,9 +6,9 @@ import pytest
 from lzindex import lz77
 from lzindex._suffixes import SuffixContext
 from lzindex.lz77 import Lz77Parse, Phrase
-from lzindex.oracle import naive_lz77
 
 from conftest import random_text
+from reference import naive_lz77
 
 
 def P(*triples):
@@ -97,7 +97,8 @@ class TestParse:
         for _ in range(20):
             text = random_text(rng, 4, rng.randint(1, 2000))
             parsed = lz77.parse(text)
-            assert sum(ph.span() for ph in parsed.phrases) == parsed.n
+            assert sum(ph.span() for ph in parsed.phrases) == parsed.n == len(text)
+            assert parsed.alphabet_size == max(text)
 
 
 class TestSmallerNeighbours:
@@ -136,14 +137,17 @@ class TestSmallerNeighbours:
 
 class TestDecompress:
     def test_example_round_trip(self):
-        parsed = Lz77Parse(P((0, 0, 1), (0, 0, 2), (0, 0, 3), (1, 5, 3)), 9, 4, 3)
+        parsed = Lz77Parse(P((0, 0, 1), (0, 0, 2), (0, 0, 3), (1, 5, 3)))
+        assert (parsed.n, parsed.z, parsed.alphabet_size) == (9, 4, 3)
         assert lz77.decompress(parsed) == b"\x01\x02\x03" * 3
 
     def test_single(self):
-        assert lz77.decompress(Lz77Parse(P((0, 0, 1)), 1, 1, 1)) == b"\x01"
+        assert lz77.decompress(Lz77Parse(P((0, 0, 1)))) == b"\x01"
 
     def test_self_overlap(self):
-        assert lz77.decompress(Lz77Parse(P((0, 0, 1), (1, 2, 1)), 4, 2, 1)) == b"\x01" * 4
+        parsed = Lz77Parse(P((0, 0, 1), (1, 2, 1)))
+        assert (parsed.n, parsed.z, parsed.alphabet_size) == (4, 2, 1)
+        assert lz77.decompress(parsed) == b"\x01" * 4
 
     def test_round_trip_random(self):
         rng = random.Random(13)
@@ -152,7 +156,7 @@ class TestDecompress:
             assert lz77.decompress(lz77.parse(text)) == text
 
     def test_malformed_source_rejected(self):
-        bad = Lz77Parse(P((5, 3, 1),), 4, 1, 1)
+        bad = Lz77Parse(P((5, 3, 1),))
         with pytest.raises(ValueError, match="malformed parse"):
             lz77.decompress(bad)
 

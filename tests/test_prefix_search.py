@@ -5,12 +5,11 @@ import pytest
 
 from lzindex import fingerprints as fp
 from lzindex import prefix_search as ps
-from lzindex.prefix_search import two_fattest
 
 from conftest import random_text
-from reference import build_from_strings, fingerprint
+from reference import build_from_strings, fingerprint, two_fattest
 
-FN = fp.select_function(0)
+R = fp.select_function(0)
 ABC_SET = [(1, 2, 3), (1, 2, 4), (2,)]
 P = (1 << 61) - 1
 # r = 1, r = p - 1 and bases of orders 3 to 6: two different strings of
@@ -27,8 +26,8 @@ def oracle_range(distinct, pattern):
     return (ranks[0], ranks[-1]) if ranks else None
 
 
-def query_fns(pattern, fn):
-    pattern_fp = fp.PatternFps(fn, tuple(pattern)).value
+def query_fns(pattern, r):
+    pattern_fp = fp.PatternFps(r, tuple(pattern)).value
 
     def pattern_symbol(i):
         return pattern[i - 1]
@@ -36,7 +35,7 @@ def query_fns(pattern, fn):
     return pattern_fp, pattern_symbol
 
 
-def collision_free_by_strings(strings, x: int, fn) -> bool:
+def collision_free_by_strings(strings, x: int, r) -> bool:
     """The definition: at every key length l of the trie over the strings,
     equal values of length-l prefixes of the strings mean equal prefixes.
     The key lengths are the 2-fattest number and the least multiple of x of
@@ -61,7 +60,7 @@ def collision_free_by_strings(strings, x: int, fn) -> bool:
     for l in lengths:
         seen: dict[int, tuple] = {}
         for s in full:
-            if len(s) >= l and seen.setdefault(fingerprint(fn, s[:l]).value, s[:l]) != s[:l]:
+            if len(s) >= l and seen.setdefault(fingerprint(r, s[:l]).value, s[:l]) != s[:l]:
                 return False
     return True
 
@@ -98,22 +97,22 @@ class TestTwoFattest:
 
 class TestBuild:
     def test_fat_prefix_per_vertex(self):
-        structure, _ = build_from_strings([(1, 1, 1, 1)], 2, FN)
+        structure, _ = build_from_strings([(1, 1, 1, 1)], 2, R)
         # one non-root vertex (the single leaf) -> exactly one G entry
         assert len(structure.G) == structure.trie.num_vertices - 1
 
     def test_h_empty_when_x_too_large(self):
-        structure, _ = build_from_strings(ABC_SET, 100, FN)
+        structure, _ = build_from_strings(ABC_SET, 100, R)
         assert structure.H == {}
 
     def test_x_one_gives_every_vertex_an_x_prefix(self):
-        structure, _ = build_from_strings(ABC_SET, 1, FN)
+        structure, _ = build_from_strings(ABC_SET, 1, R)
         assert len(structure.H) == structure.trie.num_vertices - 1
 
     def test_collision_triggers_reselection_signal(self):
         # symbols 1 and 1 + p are equal mod p, so the two leaves collide
         with pytest.raises(ps.FingerprintCollision):
-            build_from_strings([(1,), (1 + P,)], 1, FN)
+            build_from_strings([(1,), (1 + P,)], 1, R)
 
     def test_same_length_prefixes_collide(self):
         # under r = 1 "ab" and "ba" collide, and so do the length-2
@@ -121,8 +120,8 @@ class TestBuild:
         # x = 2 keys both leaves at length 2, x = 3 only at 3 and 4
         strings = [(1, 2, 3, 5), (2, 1, 4, 5)]
         with pytest.raises(ps.FingerprintCollision):
-            build_from_strings(strings, 2, fp.FpFunction(1))
-        build_from_strings(strings, 3, fp.FpFunction(1))
+            build_from_strings(strings, 2, 1)
+        build_from_strings(strings, 3, 1)
 
 
 class TestWeakSearch:
@@ -130,11 +129,11 @@ class TestWeakSearch:
         strings = sorted(
             {tuple(random_text(rng, sigma, rng.randint(1, max_len))) for _ in range(count)}
         )
-        structure, distinct = build_from_strings(strings, x, FN)
+        structure, distinct = build_from_strings(strings, x, R)
         patterns = {s[:k] for s in distinct for k in range(1, len(s) + 1)}
         for pattern in sorted(patterns):
-            pattern_fp, pattern_symbol = query_fns(pattern, FN)
-            structure.reset_counters()
+            pattern_fp, pattern_symbol = query_fns(pattern, R)
+            structure.h_lookups = structure.g_lookups = 0
             res = structure_search = ps.weak_search(
                 structure, len(pattern), pattern_fp, pattern_symbol
             )
@@ -159,31 +158,31 @@ class TestWeakSearch:
         for _ in range(600):
             strings = [tuple(random_text(rng, 3, rng.randint(1, 25)))
                        for _ in range(rng.randint(1, 30))]
-            fn = fp.FpFunction(rng.choice(SMALL_ORDER_BASES))
+            r = rng.choice(SMALL_ORDER_BASES)
             x = rng.choice((1, 2, 3, 5))
             try:
-                structure, distinct = build_from_strings(strings, x, fn)
+                structure, distinct = build_from_strings(strings, x, r)
             except ps.FingerprintCollision:
                 accepted = False
             else:
                 accepted = True
                 for s in distinct:
-                    pattern_fp, pattern_symbol = query_fns(s, fn)
+                    pattern_fp, pattern_symbol = query_fns(s, r)
                     for k in range(1, len(s) + 1):
                         res = ps.weak_search(structure, k, pattern_fp, pattern_symbol)
                         assert res is not None and res[1:] == oracle_range(distinct, s[:k])
-            assert accepted == collision_free_by_strings(strings, x, fn)
+            assert accepted == collision_free_by_strings(strings, x, r)
             outcomes[accepted] += 1
         assert outcomes[True] >= 100 and outcomes[False] >= 316, outcomes
 
     def test_empty_pattern_full_range(self):
-        structure, distinct = build_from_strings(ABC_SET, 2, FN)
+        structure, distinct = build_from_strings(ABC_SET, 2, R)
         assert ps.weak_search(structure, 0, None, None) == (0, 1, len(distinct))
 
     def test_empty_string_at_root(self):
         # the empty string ranks first and ends at the root, and "a" ends
         # at the inner vertex above "ab"
-        structure, distinct = build_from_strings([(1, 2), (), (1,)], 1, FN)
+        structure, distinct = build_from_strings([(1, 2), (), (1,)], 1, R)
         assert distinct == [(), (1,), (1, 2)]
         t = structure.trie
         assert t.num_vertices == 3
@@ -197,23 +196,23 @@ class TestWeakSearch:
         assert t.locus_by_walk((), access) == 0
         assert ps.weak_search(structure, 0, None, None) == (0, 1, 3)
         for pattern, expected in (((1,), (2, 3)), ((1, 2), (3, 3))):
-            pattern_fp, pattern_symbol = query_fns(pattern, FN)
+            pattern_fp, pattern_symbol = query_fns(pattern, R)
             res = ps.weak_search(structure, len(pattern), pattern_fp, pattern_symbol)
             assert res[1:] == expected
 
     def test_definite_mismatch_is_none(self):
-        structure, _ = build_from_strings(ABC_SET, 2, FN)
+        structure, _ = build_from_strings(ABC_SET, 2, R)
         pattern = (9, 9)
-        pattern_fp, pattern_symbol = query_fns(pattern, FN)
+        pattern_fp, pattern_symbol = query_fns(pattern, R)
         assert ps.weak_search(structure, 2, pattern_fp, pattern_symbol) is None
 
     def test_non_prefix_never_crashes(self):
         rng = random.Random(53)
         strings = [tuple(random_text(rng, 3, rng.randint(1, 20))) for _ in range(100)]
-        structure, distinct = build_from_strings(strings, 3, FN)
+        structure, distinct = build_from_strings(strings, 3, R)
         for _ in range(300):
             pattern = tuple(random_text(rng, 4, rng.randint(1, 25)))
-            pattern_fp, pattern_symbol = query_fns(pattern, FN)
+            pattern_fp, pattern_symbol = query_fns(pattern, R)
             res = ps.weak_search(structure, len(pattern), pattern_fp, pattern_symbol)
             if oracle_range(distinct, pattern) is None:
                 # weak semantics: any range or None, but no exception
@@ -224,17 +223,17 @@ class TestWeakSearch:
 
 class TestFindSteps:
     def test_small_pattern_stays_at_root(self):
-        structure, _ = build_from_strings(ABC_SET, 10, FN)
-        pattern_fp, _ = query_fns((1,), FN)
+        structure, _ = build_from_strings(ABC_SET, 10, R)
+        pattern_fp, _ = query_fns((1,), R)
         v = ps.find_x_range(structure, 1, pattern_fp)
         assert v == 0 and structure.trie.strlen[v] < 1
 
     def test_exact_string_found_with_x_one(self):
-        structure, distinct = build_from_strings(ABC_SET, 1, FN)
+        structure, distinct = build_from_strings(ABC_SET, 1, R)
         pattern = (2,)
         # the string ends at its own vertex at depth 1, which H keys at
         # length 1, so the x-range step reaches the locus
-        pattern_fp, pattern_symbol = query_fns(pattern, FN)
+        pattern_fp, pattern_symbol = query_fns(pattern, R)
         v = ps.find_x_range(structure, 1, pattern_fp)
         assert structure.trie.strlen[v] == 1
         res = ps.weak_search(structure, 1, pattern_fp, pattern_symbol)
@@ -242,8 +241,8 @@ class TestFindSteps:
         assert res == (v, rank, rank)
 
     def test_exit_vertex_example(self):
-        structure, _ = build_from_strings(ABC_SET, 10, FN)
-        pattern_fp, _ = query_fns((1, 2), FN)
+        structure, _ = build_from_strings(ABC_SET, 10, R)
+        pattern_fp, _ = query_fns((1, 2), R)
         v = ps.find_exit_vertex(structure, 0, 2, pattern_fp)
         assert structure.trie.strlen[v] == 2
         assert structure.trie.leaf_range(v) == (1, 2)
