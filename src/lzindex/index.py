@@ -153,8 +153,7 @@ class Index:
         order = np.array(sort_suffixes(arr, ends), dtype=np.int64)
         self.t_d, self.t_dp, x = _tries(starts, ends, arr, trie.key_width(self.sigma), order)
         # the dictionaries are all that depends on r
-        self.ps_d, self.ps_dp = _dictionaries(r, arr, block_len, self.t_d, self.t_dp,
-                                              make_dictionary)
+        self.ps_d, self.ps_dp = _dictionaries(r, arr, self.t_d, self.t_dp, make_dictionary)
         # the rest is made only now, so it is not resident while the
         # certification and the prefix table peak
         self.bt = build_slp(capped, block_len)
@@ -259,8 +258,10 @@ class Index:
 
         i_max = min(m // tau, -(-self.block_len // tau))
         ks = [i * tau for i in range(1, i_max + 1)]
-        if m % tau:
-            ks.append(m)  # catches occurrences whose border sits in the tail
+        # catches occurrences whose border sits in the tail; no t_d string
+        # is longer than block_len + tau - 1, so a longer prefix side fails
+        if m % tau and m < self.block_len + tau:
+            ks.append(m)
 
         out: dict[int, int] = {}
         for k in ks:
@@ -506,9 +507,9 @@ def _tries(starts: np.ndarray, ends: np.ndarray, arr: np.ndarray, width: int,
     return t_d, t_dp, x
 
 
-def _dictionaries(r: int, arr: np.ndarray, x: int, t_d: CompactTrie,
-                  t_dp: CompactTrie, make_dictionary) -> tuple:
-    """make_dictionary(trie, x, prefix_values) for t_d and for t_dp, the
+def _dictionaries(r: int, arr: np.ndarray, t_d: CompactTrie, t_dp: CompactTrie,
+                  make_dictionary) -> tuple:
+    """make_dictionary(trie, prefix_values) for t_d and for t_dp, the
     values read off one prefix table over the text. A t_d vertex spells the
     text backwards from the end in its sample, a t_dp vertex forwards from
     the start in its sample."""
@@ -516,6 +517,6 @@ def _dictionaries(r: int, arr: np.ndarray, x: int, t_d: CompactTrie,
     ends = np.array(t_d.sample, dtype=np.int64)
     starts = np.array(t_dp.sample, dtype=np.int64)
     return (
-        make_dictionary(t_d, x, lambda v, l: table.reversed_values(ends[v] - l, l)),
-        make_dictionary(t_dp, x, lambda v, l: table.values(starts[v] - 1, l)),
+        make_dictionary(t_d, lambda v, l: table.reversed_values(ends[v] - l, l)),
+        make_dictionary(t_dp, lambda v, l: table.values(starts[v] - 1, l)),
     )

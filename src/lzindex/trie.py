@@ -65,13 +65,10 @@ class CompactTrie:
     def leaf_range(self, v: int) -> tuple[int, int]:
         return self.l_rank[v], self.r_rank[v]
 
-    def edge_symbol(self, v: int, pos: int, char_access) -> int:
-        """Symbol at 1-based depth pos of str(v)."""
-        return char_access(self.sample[v], pos)
-
     def locus_by_walk(self, pattern, char_access) -> int | None:
         """Minimum depth vertex whose string the pattern prefixes, walking
-        edge labels character by character; None when there is no such vertex."""
+        edge labels character by character; None when there is no such vertex.
+        char_access(s, q) -> the symbol at 1-based depth q of sample s's string."""
         pattern = list(pattern)
         m = len(pattern)
         children, stride = self.children, len(self.parent)
@@ -82,8 +79,9 @@ class CompactTrie:
             if child is None:
                 return None
             end = min(self.strlen[child], m)
+            sample = self.sample[child]
             for q in range(depth + 2, end + 1):
-                if self.edge_symbol(child, q, char_access) != pattern[q - 1]:
+                if char_access(sample, q) != pattern[q - 1]:
                     return None
             v = child
             depth = self.strlen[child]

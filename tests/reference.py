@@ -153,7 +153,7 @@ def compose(fy: Fingerprint, fz: Fingerprint) -> Fingerprint:
     return Fingerprint((fy.value + fy.r_pow * fz.value) % fp.P, fy.length + fz.length, fy.r)
 
 
-def build_from_strings(strings, x: int, r: int):
+def build_from_strings(strings, r: int):
     """The certified search structure over materialized strings: the
     compact trie, one prefix table over the distinct strings joined end to
     end, and prefix_search.build over them. Returns
@@ -171,7 +171,7 @@ def build_from_strings(strings, x: int, r: int):
     def prefix_values(vertices, lengths):
         return table.values(starts[sample[vertices]], lengths)
 
-    return ps.build(t, x, prefix_values), distinct
+    return ps.build(t, prefix_values), distinct
 
 
 def suffix_rank_order(text, starts) -> list[int]:

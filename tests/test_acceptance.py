@@ -165,19 +165,19 @@ class TestGrammarBounds:
 
 
 class TestPrefixSearchContract:
-    CONFIGS = ((50, 2, 1), (200, 3, 3), (500, 2, 7), (500, 3, 1), (300, 4, 16))
+    CONFIGS = ((50, 2), (200, 3), (500, 2), (500, 3), (300, 4))
 
     def test_all_prefixes_match_sort_oracle(self):
         rng = random.Random(6)
         r = fp.select_function(0)
         mismatches = 0
-        for count, sigma, x in self.CONFIGS:
+        for count, sigma in self.CONFIGS:
             strings = [tuple(random_text(rng, sigma, rng.randint(1, 40)))
                        for _ in range(count)]
-            structure, distinct = build_from_strings(strings, x, r)
+            structure, distinct = build_from_strings(strings, r)
             prefixes = sorted({s[:k] for s in distinct for k in range(1, len(s) + 1)})
             for pattern in prefixes:
-                structure.h_lookups = structure.g_lookups = 0
+                structure.g_lookups = 0
                 res = ps.weak_search(
                     structure, len(pattern),
                     fp.PatternFps(r, pattern).value,
@@ -187,8 +187,7 @@ class TestPrefixSearchContract:
                          if s[: len(pattern)] == pattern]
                 if res is None or res[1:] != (ranks[0], ranks[-1]):
                     mismatches += 1
-                assert structure.h_lookups <= len(pattern) // x
-                assert structure.g_lookups <= math.ceil(math.log2(2 * x)) + 2
+                assert structure.g_lookups <= len(pattern).bit_length()
         assert mismatches == 0
 
 

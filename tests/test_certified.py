@@ -15,11 +15,11 @@ from collections import Counter
 
 import pytest
 
-from lzindex import Index, fingerprints as fp
+from lzindex import Index, fingerprints as fp, prefix_search
 from lzindex._suffixes import SuffixContext
 from lzindex._text import to_symbols
 
-from reference import naive_locate
+from reference import naive_locate, two_fattest
 
 
 def mutated_copies(rng: random.Random, sigma: int, base_len: int, n: int, substitutions: int) -> list[int]:
@@ -84,14 +84,14 @@ def patterns(rng: random.Random, sigma: int, text: list[int], idx: Index) -> lis
 def test_build_is_certified(case):
     _, text, idx, _ = case
     assert idx.n == len(text)
-    # no two vertices share a dictionary key: G has one per vertex, H one
-    # per vertex whose skip interval holds a multiple of x
+    # no two vertices share a dictionary key: G has one per vertex, at the
+    # 2-fattest length of its skip interval, and H is an empty stand-in
     for ps in (idx.ps_d, idx.ps_dp):
         t = ps.trie
-        with_x_prefix = sum(t.strlen[v] // ps.x > t.strlen[t.parent[v]] // ps.x
-                            for v in range(1, t.num_vertices))
-        assert len(ps.G) == t.num_vertices - 1
-        assert len(ps.H) == with_x_prefix
+        assert sorted(ps.G.values()) == list(range(1, t.num_vertices))
+        assert [k >> 61 for k in ps.G] == [
+            two_fattest(t.strlen[t.parent[v]], t.strlen[v]) for v in ps.G.values()]
+        assert ps.H == {} and ps.h_lookups == 0
 
 
 def test_locate_matches_naive_scan(case):
@@ -107,10 +107,35 @@ def test_load_round_trip(case):
     assert loaded.to_bytes() == blob
     for a, b in ((loaded.ps_d, idx.ps_d), (loaded.ps_dp, idx.ps_dp)):
         assert list(a.G.items()) == list(b.G.items())
-        assert list(a.H.items()) == list(b.H.items())
     for pattern in pats:
         assert loaded.locate(pattern) == naive_locate(text, pattern)
     assert loaded.extract(1, loaded.n) == text
+
+
+def test_weak_search_finds_the_walked_locus(case):
+    # on the index's own tries, at every multiple of tau and at m: wherever
+    # a side prefixes an indexed string, which the symbol-by-symbol walk
+    # tells, weak search returns the vertex the walk reaches
+    _, text, idx, pats = case
+    walked = 0
+    for pattern in pats:
+        m = len(pattern)
+        tab = fp.PatternFps(idx.r, tuple(pattern))
+        for k in sorted({*range(idx.tau, m + 1, idx.tau), m}):
+            sides = (
+                (idx.ps_d, pattern[:k][::-1], lambda e, q: text[e - q],
+                 lambda a, b, k=k: tab.reversed_value(k + 1 - b, k + 1 - a)),
+                (idx.ps_dp, pattern[k:], lambda s, q: text[s + q - 2],
+                 lambda a, b, k=k: tab.value(k + a, k + b)),
+            )
+            for ps, side, access, side_fp in sides:
+                v = ps.trie.locus_by_walk(side, access)
+                if v is not None:
+                    res = prefix_search.weak_search(ps, len(side), side_fp,
+                                                    lambda q, side=side: side[q - 1])
+                    assert res is not None and res[0] == v
+                    walked += 1
+    assert walked
 
 
 def test_extract_matches_slicing(case):

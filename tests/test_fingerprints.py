@@ -193,11 +193,11 @@ class TestVerification:
 
     def test_distinct_single_chars(self):
         r = fp.select_function(0)
-        build_from_strings([(1,), (2,), (3,)], 1, r)
+        build_from_strings([(1,), (2,), (3,)], r)
 
     def test_equal_strings_not_collisions(self):
         # even under r = 1, a string does not collide with itself
-        build_from_strings([(1, 2), (1, 2)], 1, 1)
+        build_from_strings([(1, 2), (1, 2)], 1)
 
     def test_tiny_modulus_collides(self):
         # under r = p - 1, some two strings of length 2 collide
@@ -210,7 +210,7 @@ class TestVerification:
             if s != t and fingerprint(r, s).value == fingerprint(r, t).value
         )
         with pytest.raises(ps.FingerprintCollision):
-            build_from_strings(colliding, 1, r)
+            build_from_strings(colliding, r)
 
     def test_pow2_small_string(self):
         r = fp.select_function(0)
@@ -231,7 +231,7 @@ class TestVerification:
         r = fp.select_function(5)
         text = random_text(rng, 4, 4096)
         assert fp.verify_pow2_collision_free(r, context(text))
-        build_from_strings([text[i : i + 200] for i in range(0, 4096, 7)], 3, r)
+        build_from_strings([text[i : i + 200] for i in range(0, 4096, 7)], r)
 
 
 def pow2_collision_free_by_strings(p: int, r: int, text: list[int]) -> bool:

@@ -187,6 +187,61 @@ class TestLongPatterns:
         self.check(rng, text, idx, [b - 1, b + 1, 3 * b])
 
 
+class TestWeakSearchProbes:
+    """The weak searches locate runs on the index's own tries."""
+
+    @staticmethod
+    def record(monkeypatch, idx) -> list:
+        """(whether on t_d, m, lookups) per weak search locate runs from now
+        on, a lookup being one call for a prefix's value."""
+        searches = []
+        weak_search = ix.prefix_search.weak_search
+
+        def counted(ps, m, pattern_fp, pattern_symbol):
+            lookups = []
+
+            def value(i, j):
+                lookups.append(j)
+                return pattern_fp(i, j)
+
+            res = weak_search(ps, m, value, pattern_symbol)
+            searches.append((ps is idx.ps_d, m, len(lookups)))
+            return res
+
+        monkeypatch.setattr(ix.prefix_search, "weak_search", counted)
+        return searches
+
+    def test_lookups_per_search_at_most_bit_length(self, monkeypatch):
+        # one lookup per halving of (0, 2^bit_length(m)), not one per
+        # multiple of the block length
+        rng = random.Random(121)
+        text = random_text(rng, 4, 30_000)
+        idx = Index.build(text)
+        searches = self.record(monkeypatch, idx)
+        for _ in range(3):
+            pattern = planted_pattern(rng, text, 10_000, 10_000)
+            assert idx.locate(pattern) == naive_locate(text, pattern)
+        assert max(m for _, m, _ in searches) > 10 * idx.block_len
+        assert all(lookups <= m.bit_length() for _, m, lookups in searches)
+
+    def test_tail_cut_only_where_a_string_can_hold_it(self, monkeypatch):
+        # a t_d string runs from a phrase start to at most tau - 1 past its
+        # border, so it is at most block_len + tau - 1 long, and locate
+        # searches the tail cut k = m only up to that length
+        rng = random.Random(122)
+        text = random_text(rng, 4, 3_000)
+        idx = Index.build(text)
+        b, tau = idx.block_len, idx.tau
+        assert tau > 1 and max(idx.t_d.strlen) <= b + tau - 1
+        searches = self.record(monkeypatch, idx)
+        for m in range(tau + 1, b + 3 * tau):
+            if m % tau:
+                pattern = planted_pattern(rng, text, m, m)
+                searches.clear()
+                assert idx.locate(pattern) == naive_locate(text, pattern)
+                assert ((True, m) in {(d, k) for d, k, _ in searches}) == (m < b + tau)
+
+
 class TestPhaseOps:
     def build_case(self, seed, n=400, sigma=4):
         rng = random.Random(seed)
@@ -433,7 +488,6 @@ class TestSerialization:
         for attr in ("ps_d", "ps_dp"):
             a, b = getattr(loaded, attr), getattr(idx, attr)
             assert list(a.G.items()) == list(b.G.items())
-            assert list(a.H.items()) == list(b.H.items())
 
     def test_locate_identical_after_load(self, tmp_path):
         rng, text, idx = self.build_random(100)
@@ -619,10 +673,9 @@ class TestSerialization:
         mask = (1 << 61) - 1
         w = Writer()
         for ps in (idx.ps_d, idx.ps_dp):
-            for keys in (ps.G, ps.H):
-                w.u(len(keys))
-                for k in keys:
-                    w.raw((k & mask).to_bytes(8, "little"))
+            w.u(len(ps.G))
+            for k in ps.G:
+                w.raw((k & mask).to_bytes(8, "little"))
         stored_values = bytes(w.buf)
         blob = idx.to_bytes()
         parse = dict(idx._sections())["parse"]

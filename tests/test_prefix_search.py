@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -35,13 +34,12 @@ def query_fns(pattern, r):
     return pattern_fp, pattern_symbol
 
 
-def collision_free_by_strings(strings, x: int, r) -> bool:
+def collision_free_by_strings(strings, r) -> bool:
     """The definition: at every key length l of the trie over the strings,
     equal values of length-l prefixes of the strings mean equal prefixes.
-    The key lengths are the 2-fattest number and the least multiple of x of
-    each skip interval (lo, hi], where hi is the length of a distinct prefix
-    that is a whole string or branches, and lo the longest such prefix
-    shorter than it."""
+    The key lengths are the 2-fattest numbers of the skip intervals (lo, hi],
+    where hi is the length of a distinct prefix that is a whole string or
+    branches, and lo the longest such prefix shorter than it."""
     full = set(strings)
     # a prefix is a vertex when it is empty, a whole string (which may also
     # prefix others) or one after which two of them branch
@@ -53,10 +51,7 @@ def collision_free_by_strings(strings, x: int, r) -> bool:
     lengths = set()
     for v in vertices - {()}:
         lo = max(len(v[:k]) for k in range(len(v)) if v[:k] in vertices)
-        hi = len(v)
-        lengths.add(two_fattest(lo, hi))
-        if (lo // x + 1) * x <= hi:
-            lengths.add((lo // x + 1) * x)
+        lengths.add(two_fattest(lo, len(v)))
     for l in lengths:
         seen: dict[int, tuple] = {}
         for s in full:
@@ -97,56 +92,60 @@ class TestTwoFattest:
 
 class TestBuild:
     def test_fat_prefix_per_vertex(self):
-        structure, _ = build_from_strings([(1, 1, 1, 1)], 2, R)
+        structure, _ = build_from_strings([(1, 1, 1, 1)], R)
         # one non-root vertex (the single leaf) -> exactly one G entry
         assert len(structure.G) == structure.trie.num_vertices - 1
 
-    def test_h_empty_when_x_too_large(self):
-        structure, _ = build_from_strings(ABC_SET, 100, R)
-        assert structure.H == {}
-
-    def test_x_one_gives_every_vertex_an_x_prefix(self):
-        structure, _ = build_from_strings(ABC_SET, 1, R)
-        assert len(structure.H) == structure.trie.num_vertices - 1
+    def test_one_g_key_per_vertex(self):
+        # each vertex's one key is its string's prefix at the 2-fattest
+        # length of its skip interval; H is only an empty stand-in
+        rng = random.Random(55)
+        random_set = [tuple(random_text(rng, 3, rng.randint(1, 12))) for _ in range(40)]
+        for strings in (ABC_SET, random_set):
+            structure, distinct = build_from_strings(strings, R)
+            t = structure.trie
+            expected = {}
+            for v in range(1, t.num_vertices):
+                l = two_fattest(t.strlen[t.parent[v]], t.strlen[v])
+                expected[fingerprint(R, distinct[t.sample[v]][:l]).value | l << 61] = v
+            assert structure.G == expected
+            assert structure.H == {} and structure.h_lookups == 0
 
     def test_collision_triggers_reselection_signal(self):
         # symbols 1 and 1 + p are equal mod p, so the two leaves collide
         with pytest.raises(ps.FingerprintCollision):
-            build_from_strings([(1,), (1 + P,)], 1, R)
+            build_from_strings([(1,), (1 + P,)], R)
 
     def test_same_length_prefixes_collide(self):
-        # under r = 1 "ab" and "ba" collide, and so do the length-2
-        # prefixes of these strings, which differ at every other length;
-        # x = 2 keys both leaves at length 2, x = 3 only at 3 and 4
-        strings = [(1, 2, 3, 5), (2, 1, 4, 5)]
+        # under r = 1 a value is the sum of the symbols; both pairs share
+        # the root's one skip interval (0, 5], whose 2-fattest length is 4.
+        # The first pair collides at lengths 2 and 4, the second at 2 only
+        strings = [(1, 2, 3, 5, 1), (2, 1, 4, 4, 2)]
         with pytest.raises(ps.FingerprintCollision):
-            build_from_strings(strings, 2, 1)
-        build_from_strings(strings, 3, 1)
+            build_from_strings(strings, 1)
+        build_from_strings([(1, 2, 3, 5, 1), (2, 1, 4, 5, 2)], 1)
 
 
 class TestWeakSearch:
-    def run_set(self, rng, count, max_len, sigma, x):
+    def run_set(self, rng, count, max_len, sigma):
         strings = sorted(
             {tuple(random_text(rng, sigma, rng.randint(1, max_len))) for _ in range(count)}
         )
-        structure, distinct = build_from_strings(strings, x, R)
+        structure, distinct = build_from_strings(strings, R)
         patterns = {s[:k] for s in distinct for k in range(1, len(s) + 1)}
         for pattern in sorted(patterns):
             pattern_fp, pattern_symbol = query_fns(pattern, R)
-            structure.h_lookups = structure.g_lookups = 0
-            res = structure_search = ps.weak_search(
-                structure, len(pattern), pattern_fp, pattern_symbol
-            )
-            expected = oracle_range(distinct, pattern)
-            assert structure_search is not None
-            assert res[1:] == expected
-            assert structure.h_lookups <= len(pattern) // x
-            assert structure.g_lookups <= math.ceil(math.log2(2 * x)) + 2
+            structure.g_lookups = 0
+            res = ps.weak_search(structure, len(pattern), pattern_fp, pattern_symbol)
+            assert res is not None
+            assert res[1:] == oracle_range(distinct, pattern)
+            # one lookup per halving of (0, 2^bit_length(m))
+            assert structure.g_lookups <= len(pattern).bit_length()
 
     def test_ranges_match_oracle(self):
         rng = random.Random(52)
-        for x in (1, 2, 3, 7, 50):
-            self.run_set(rng, count=120, max_len=30, sigma=3, x=x)
+        for max_len in (5, 30, 30, 60, 120):
+            self.run_set(rng, count=120, max_len=max_len, sigma=3)
 
     def test_certified_small_primes_answer_every_prefix(self):
         # under bases of small multiplicative order many functions collide;
@@ -159,9 +158,8 @@ class TestWeakSearch:
             strings = [tuple(random_text(rng, 3, rng.randint(1, 25)))
                        for _ in range(rng.randint(1, 30))]
             r = rng.choice(SMALL_ORDER_BASES)
-            x = rng.choice((1, 2, 3, 5))
             try:
-                structure, distinct = build_from_strings(strings, x, r)
+                structure, distinct = build_from_strings(strings, r)
             except ps.FingerprintCollision:
                 accepted = False
             else:
@@ -171,18 +169,18 @@ class TestWeakSearch:
                     for k in range(1, len(s) + 1):
                         res = ps.weak_search(structure, k, pattern_fp, pattern_symbol)
                         assert res is not None and res[1:] == oracle_range(distinct, s[:k])
-            assert accepted == collision_free_by_strings(strings, x, r)
+            assert accepted == collision_free_by_strings(strings, r)
             outcomes[accepted] += 1
         assert outcomes[True] >= 100 and outcomes[False] >= 316, outcomes
 
     def test_empty_pattern_full_range(self):
-        structure, distinct = build_from_strings(ABC_SET, 2, R)
+        structure, distinct = build_from_strings(ABC_SET, R)
         assert ps.weak_search(structure, 0, None, None) == (0, 1, len(distinct))
 
     def test_empty_string_at_root(self):
         # the empty string ranks first and ends at the root, and "a" ends
         # at the inner vertex above "ab"
-        structure, distinct = build_from_strings([(1, 2), (), (1,)], 1, R)
+        structure, distinct = build_from_strings([(1, 2), (), (1,)], R)
         assert distinct == [(), (1,), (1, 2)]
         t = structure.trie
         assert t.num_vertices == 3
@@ -201,7 +199,7 @@ class TestWeakSearch:
             assert res[1:] == expected
 
     def test_definite_mismatch_is_none(self):
-        structure, _ = build_from_strings(ABC_SET, 2, R)
+        structure, _ = build_from_strings(ABC_SET, R)
         pattern = (9, 9)
         pattern_fp, pattern_symbol = query_fns(pattern, R)
         assert ps.weak_search(structure, 2, pattern_fp, pattern_symbol) is None
@@ -209,7 +207,7 @@ class TestWeakSearch:
     def test_non_prefix_never_crashes(self):
         rng = random.Random(53)
         strings = [tuple(random_text(rng, 3, rng.randint(1, 20))) for _ in range(100)]
-        structure, distinct = build_from_strings(strings, 3, R)
+        structure, distinct = build_from_strings(strings, R)
         for _ in range(300):
             pattern = tuple(random_text(rng, 4, rng.randint(1, 25)))
             pattern_fp, pattern_symbol = query_fns(pattern, R)
@@ -223,26 +221,29 @@ class TestWeakSearch:
 
 class TestFindSteps:
     def test_small_pattern_stays_at_root(self):
-        structure, _ = build_from_strings(ABC_SET, 10, R)
-        pattern_fp, _ = query_fns((1,), R)
-        v = ps.find_x_range(structure, 1, pattern_fp)
-        assert v == 0 and structure.trie.strlen[v] < 1
+        # the one lookup, at length 1, misses: the search stays at the root
+        # and takes its child on P[1], the vertex of "1 2"
+        structure, _ = build_from_strings(ABC_SET, R)
+        pattern_fp, pattern_symbol = query_fns((1,), R)
+        v, l, r = ps.weak_search(structure, 1, pattern_fp, pattern_symbol)
+        assert structure.g_lookups == 1
+        assert v == structure.trie.child(0, 1) and structure.trie.strlen[v] == 2
+        assert (l, r) == (1, 2)
 
-    def test_exact_string_found_with_x_one(self):
-        structure, distinct = build_from_strings(ABC_SET, 1, R)
+    def test_exact_string_found_at_its_vertex(self):
+        structure, distinct = build_from_strings(ABC_SET, R)
         pattern = (2,)
-        # the string ends at its own vertex at depth 1, which H keys at
-        # length 1, so the x-range step reaches the locus
+        # the string ends at its own vertex at depth 1, which G keys at
+        # length 1, so the first lookup reaches the locus
         pattern_fp, pattern_symbol = query_fns(pattern, R)
-        v = ps.find_x_range(structure, 1, pattern_fp)
-        assert structure.trie.strlen[v] == 1
-        res = ps.weak_search(structure, 1, pattern_fp, pattern_symbol)
+        v, l, r = ps.weak_search(structure, 1, pattern_fp, pattern_symbol)
+        assert structure.g_lookups == 1 and structure.trie.strlen[v] == 1
         rank = distinct.index((2,)) + 1
-        assert res == (v, rank, rank)
+        assert (l, r) == (rank, rank)
 
     def test_exit_vertex_example(self):
-        structure, _ = build_from_strings(ABC_SET, 10, R)
-        pattern_fp, _ = query_fns((1, 2), R)
-        v = ps.find_exit_vertex(structure, 0, 2, pattern_fp)
+        structure, _ = build_from_strings(ABC_SET, R)
+        pattern_fp, pattern_symbol = query_fns((1, 2), R)
+        v, l, r = ps.weak_search(structure, 2, pattern_fp, pattern_symbol)
         assert structure.trie.strlen[v] == 2
-        assert structure.trie.leaf_range(v) == (1, 2)
+        assert (l, r) == (1, 2)
