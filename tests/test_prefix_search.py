@@ -96,9 +96,20 @@ class TestBuild:
         # one non-root vertex (the single leaf) -> exactly one G entry
         assert len(structure.G) == structure.trie.num_vertices - 1
 
-    def test_one_g_key_per_vertex(self):
-        # each vertex's one key is its string's prefix at the 2-fattest
-        # length of its skip interval; H is only an empty stand-in
+    def test_h_empty_when_x_too_large(self):
+        # H, once keyed at multiples of a sampling step x, is only an empty
+        # stand-in: no build fills it and no search looks it up
+        structure, distinct = build_from_strings(ABC_SET, R)
+        assert structure.H == {}
+        for s in distinct:
+            pattern_fp, pattern_symbol = query_fns(s, R)
+            for k in range(1, len(s) + 1):
+                assert ps.weak_search(structure, k, pattern_fp, pattern_symbol) is not None
+        assert structure.H == {} and structure.h_lookups == 0
+
+    def test_x_one_gives_every_vertex_an_x_prefix(self):
+        # every vertex has exactly one key, in G: its string's prefix at the
+        # 2-fattest length of its skip interval
         rng = random.Random(55)
         random_set = [tuple(random_text(rng, 3, rng.randint(1, 12))) for _ in range(40)]
         for strings in (ABC_SET, random_set):
@@ -109,7 +120,6 @@ class TestBuild:
                 l = two_fattest(t.strlen[t.parent[v]], t.strlen[v])
                 expected[fingerprint(R, distinct[t.sample[v]][:l]).value | l << 61] = v
             assert structure.G == expected
-            assert structure.H == {} and structure.h_lookups == 0
 
     def test_collision_triggers_reselection_signal(self):
         # symbols 1 and 1 + p are equal mod p, so the two leaves collide
