@@ -6,10 +6,12 @@ expanding them through the phrase sources into the secondary ones
 (Kärkkäinen and Ukkonen), one breadth-first level at a time. The sources
 are derived from the parse whenever an index is built or loaded and sorted
 by start; an occurrence's copies come from those that start in a window no
-wider than the longest source, scanned by one numpy pass for a level of at
-least 48 occurrences and by a Python loop for a narrower one. An occurrence
-costs the sources in its window, 1.3 to 2.0 per copy on the benchmark's
-texts, but all of them where they crowd together. Long patterns are cut at
+wider than the longest source, scanned by one numpy pass for a level whose
+windows hold enough sources and by a Python loop for a smaller one (see
+range_report), and the answer is sorted once: in numpy when a level ran as
+a pass, as a list when none did. An occurrence costs the sources in its
+window, 1.3 to 2.0 per copy on the benchmark's texts, but all of them
+where they crowd together. Long patterns are cut at
 multiples of tau and each cut is matched as a (reversed prefix, suffix)
 pair. A weak prefix search in the trie of reversed relevant substrings
 narrows the prefix side to a rank range and a locus candidate, and
@@ -214,14 +216,20 @@ class Index:
             prim = self._primary_short(p, identified)
         else:
             prim = self._primary_long(p, identified)
+        if not prim:
+            return []
         # expand lists each copy once and no primary, so one sort suffices;
-        # the secondaries are kept in the order it found them
+        # the secondaries are kept as it found them, a list or an int64 array
         sec = self.sources.expand(prim, m)
         self.last_stats["primary"] = prim = sorted(prim)
         self.last_stats["secondary"] = sec
-        out = sec + prim
+        if isinstance(sec, list):
+            out = sec + prim
+            out.sort()
+            return out
+        out = np.concatenate((sec, prim))
         out.sort()
-        return out
+        return out.tolist()
 
     def extract(self, i: int, j: int) -> list[int]:
         """text[i, j], 1-based inclusive."""
@@ -438,11 +446,15 @@ def _phrase_sources(capped: lz77.Lz77Parse) -> list[tuple[int, int, int]]:
 def _check_parse(phrases, orig_z: int) -> lz77.Lz77Parse:
     """The capped parse of the stored phrases, which must copy only from
     earlier, end in a symbol >= 1 and fit a block, whose length is the
-    text's over orig_z rounded up. The build reads symbols as int64, and
-    its fingerprints read them mod p, so it certifies no function for a
-    text with two symbols alike mod p."""
+    text's over orig_z rounded up, and be no more phrases than capping
+    orig_z phrases can make: spans s_i summing to n split into at most
+    sum ceil(s_i / B) <= (n + orig_z (B - 1)) / B pieces of a block B. The
+    build reads symbols as int64, and its fingerprints read them mod p, so
+    it certifies no function for a text with two symbols alike mod p."""
     capped = lz77.Lz77Parse(phrases)
     block_len = -(-capped.n // orig_z)
+    if capped.z > (capped.n + orig_z * (block_len - 1)) // block_len:
+        raise ValueError("corrupt index")
     pos = 1
     for ph in phrases:
         # a phrase without a source stores start 0

@@ -2,6 +2,8 @@
 
 import random
 
+from lzindex import range_report
+
 
 def random_text(rng: random.Random, sigma: int, n: int) -> bytes:
     return bytes(rng.randint(1, sigma) for _ in range(n))
@@ -36,3 +38,18 @@ def absent_pattern(rng: random.Random, text: bytes, sigma: int, m: int) -> bytes
         if pat not in text:
             return pat
     raise RuntimeError("could not find an absent pattern")
+
+
+def levels_by_route(monkeypatch) -> dict[str, list[int]]:
+    """The occurrence counts of the copy-queue levels that expand runs from
+    now on, by route: "wide" for the numpy pass, "narrow" for the Python
+    loop."""
+    routes = {"wide": [], "narrow": []}
+    cls = range_report.SourceIndex
+    for route, name in (("wide", "_wide_level"), ("narrow", "_level")):
+        def spy(self, level, *args, run=getattr(cls, name), seen=routes[route]):
+            seen.append(len(level))
+            return run(self, level, *args)
+
+        monkeypatch.setattr(cls, name, spy)
+    return routes

@@ -81,7 +81,7 @@ def corpus_results():
                         continue
                     prim = idx.last_stats["primary"]
                     sec = idx.last_stats["secondary"]
-                    if sorted(prim + sec) != expected or set(prim) & set(sec):
+                    if sorted([*prim, *sec]) != expected or set(prim) & set(sec):
                         res["partition_violations"] += 1
                     flags = classify(text, idx.capped, expected, len(pattern))
                     if prim != [o for o, f in zip(expected, flags) if f]:

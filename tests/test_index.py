@@ -129,6 +129,44 @@ class TestLocate:
         with pytest.raises(ValueError, match="empty pattern"):
             idx.locate(b"")
 
+    def test_answer_is_sorted_python_ints(self, monkeypatch):
+        # whichever route the copy queue takes, the answer is a sorted list
+        # of Python ints, as the command line's JSON output needs
+        from lzindex import range_report
+        rng = random.Random(96)
+        text = mutated_copies(rng, 200, 6_000, 4)
+        idx = Index.build(text)
+        patterns = [planted_pattern(rng, text, m, m) for m in (1, 2, 3, 8, 40) for _ in range(3)]
+        for wide in (1, range_report.WIDE_SCAN, 1 << 62):
+            monkeypatch.setattr(range_report, "WIDE_SCAN", wide)
+            for pattern in patterns:
+                got = idx.locate(pattern)
+                assert type(got) is list and all(type(o) is int for o in got)
+                assert got == naive_locate(text, pattern)
+        assert max(len(idx.locate(p)) for p in patterns) > 1_000
+
+    def test_absent_pattern_skips_the_expansion(self, monkeypatch):
+        # a pattern with no primary occurrence has no occurrence at all, so
+        # locate returns before the copy queue and leaves empty stats
+        rng = random.Random(97)
+        text = mutated_copies(rng, 200, 3_000, 4)
+        idx = Index.build(text)
+        expanded = []
+        expand = idx.sources.expand
+        monkeypatch.setattr(idx.sources, "expand", lambda *a: expanded.append(a) or expand(*a))
+        for m in (idx.tau, idx.tau + 1, 40):
+            # a near miss: a planted pattern with one symbol changed
+            near = text[:m]
+            while near in text:
+                near = bytearray(planted_pattern(rng, text, m, m))
+                k = rng.randrange(m)
+                near[k] = near[k] % 4 + 1
+                near = bytes(near)
+            assert idx.locate(near) == []
+            assert idx.last_stats == {"identified": {}, "primary": [], "secondary": []}
+        assert not expanded
+        assert idx.locate(planted_pattern(rng, text, 5, 5)) and expanded
+
     def test_random_texts_match_oracle(self):
         rng = random.Random(91)
         for _ in range(15):
@@ -331,7 +369,7 @@ class TestPhaseOps:
             secondary = idx.sources.expand(primaries, len(pattern))
             assert len(set(secondary)) == len(secondary)
             assert not set(primaries) & set(secondary)
-            assert sorted(primaries + secondary) == occ
+            assert sorted([*primaries, *secondary]) == occ
 
     def test_no_primaries_no_secondaries(self):
         _, _, idx = self.build_case(95)
@@ -580,8 +618,8 @@ class TestSerialization:
             with pytest.raises(ValueError, match="corrupt index"):
                 Index.from_bytes(blob)
 
-    def test_corrupt_parse(self):
-        _, _, idx = self.build_random(107)
+    def test_corrupt_parse(self, monkeypatch):
+        _, text, idx = self.build_random(107)
         phrases = list(idx.capped.phrases)
         assert Index.from_bytes(self.with_parse(idx, phrases)).to_bytes() == idx.to_bytes()
         i, pos = next((i, sum(ph.span() for ph in phrases[:i]) + 1)
@@ -604,8 +642,22 @@ class TestSerialization:
                 # sigma is the largest border, and the build reads symbols as int64
                 "border 2^63": phrases[:-1] + [lz77.Phrase(last.start, last.len, 1 << 63)],
                 "border 2^64": phrases[:-1] + [lz77.Phrase(last.start, last.len, 1 << 64)],
+                # capping z phrases of spans s_i at a block B makes at most
+                # sum ceil(s_i / B) <= (n + z (B - 1)) / B of them
+                "one phrase per symbol": [lz77.Phrase(0, 0, c) for c in text],
             }.items()
         })
+        # one phrase of 2^40 symbols after the first whole block, z = 1: the
+        # bound is 1 phrase, so the file is refused before its text is decoded
+        def no_decode(capped):
+            raise AssertionError(f"decoding {capped.n} symbols")
+
+        monkeypatch.setattr(lz77, "decompress", no_decode)
+        w = Writer()
+        w.raw(ix.MAGIC + bytes(4))
+        for v in (1, 1, 0, fp.select_function(0), 2, 0, 0, 1, 1, 1 << 40, 2):
+            w.u(v)
+        self.assert_corrupt({"z 1, two phrases": self.sealed(bytes(w.buf))})
 
     def test_phrase_longer_than_block(self):
         # a valid LZ77 parse of the text, but not capped at the block length
@@ -774,9 +826,10 @@ class TestLoadFuzz:
     def edits(self, idx, lists, rng):
         """(kind, file) per edit: every stored integer moved by every delta
         and swapped with the next one in its section, every header integer
-        and 12 of the parse's set to each LARGE value, the suffix trie's
-        order that the previous format stored appended after the parse, and
-        the file cut after each of its bytes past the checksum."""
+        and 12 of the parse's set to each LARGE value, the parse replaced by
+        one phrase per symbol of its text, the suffix trie's order that the
+        previous format stored appended after the parse, and the file cut
+        after each of its bytes past the checksum."""
         for at, values in enumerate(lists):
             kind = ("header", "parse")[at]
             ks = range(len(values)) if at == 0 else rng.sample(range(len(values)), 12)
@@ -797,6 +850,9 @@ class TestLoadFuzz:
                     bad = list(values)
                     bad[k], bad[k + 1] = bad[k + 1], bad[k]
                     yield f"{kind} swap", self.file(lists[:at] + (bad,) + lists[at + 1 :])
+        # more phrases than capping the header's z makes
+        text = lz77.decompress(idx.capped)
+        yield "phrase per symbol", self.file((lists[0], [len(text), *(v for c in text for v in (0, 0, c))]))
         blob = self.file(lists)
         yield "bytes after the parse", TestSerialization.sealed(
             blob + TestSerialization.order_section(idx))
@@ -834,10 +890,11 @@ class TestLoadFuzz:
                 tried[kind] = tried.get(kind, 0) + 1
                 ok = self.loads(data, rng)
                 loaded[kind] = loaded.get(kind, 0) + ok
-                assert not (ok and kind in ("bytes after the parse", "truncated")), kind
+                assert not (ok and kind in ("bytes after the parse", "truncated",
+                                            "phrase per symbol")), kind
         assert set(tried) == {"header +-", "header swap", "parse +-", "parse swap",
-                              "header large", "parse large", "bytes after the parse",
-                              "truncated"}
+                              "header large", "parse large", "phrase per symbol",
+                              "bytes after the parse", "truncated"}
         print("\nloaded / tried per edit kind:",
               {kind: f"{loaded[kind]}/{tried[kind]}" for kind in tried})
 
@@ -1157,6 +1214,6 @@ class TestStats:
             positions = idx.locate(pattern)
             prim = idx.last_stats["primary"]
             sec = idx.last_stats["secondary"]
-            assert sorted(prim + sec) == positions
+            assert sorted([*prim, *sec]) == positions
             assert not set(prim) & set(sec)
             assert max(idx.last_stats["identified"].values(), default=0) <= 2

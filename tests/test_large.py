@@ -13,7 +13,7 @@ import pytest
 
 from lzindex import Index, fingerprints as fp, range_report
 
-from conftest import absent_pattern, mutated_copies, planted_pattern
+from conftest import absent_pattern, levels_by_route, mutated_copies, planted_pattern
 from reference import naive_locate
 
 N = 70_000
@@ -45,15 +45,7 @@ def test_build_rejects_a_colliding_function(large):
 
 def test_locate_matches_naive_scan(large, monkeypatch):
     rng, text, idx, _ = large
-    # the widths of the copy-queue levels that ran as one numpy pass
-    wide = []
-    wide_level = range_report.SourceIndex._wide_level
-
-    def spy(self, level, *args):
-        wide.append(len(level))
-        return wide_level(self, level, *args)
-
-    monkeypatch.setattr(range_report.SourceIndex, "_wide_level", spy)
+    routes = levels_by_route(monkeypatch)
     tau, b = idx.tau, idx.block_len
     patterns = []
     for m in (1, tau, tau + 1, tau + 2, 3 * b, 5 * b + 7):
@@ -68,8 +60,14 @@ def test_locate_matches_naive_scan(large, monkeypatch):
             patterns.append(absent_pattern(rng, text, 4, m))
     assert len(patterns) >= 40
     for pattern in patterns:
-        assert idx.locate(pattern) == naive_locate(text, pattern)
-    assert wide and min(wide) >= range_report.WIDE_LEVEL
+        got = idx.locate(pattern)
+        assert got == naive_locate(text, pattern)
+        assert all(type(o) is int for o in got)
+    # both routes ran, and the loop only on levels too small to scan
+    # WIDE_SCAN candidates by their bisections alone
+    wide, narrow = routes["wide"], routes["narrow"]
+    assert wide and narrow
+    assert max(narrow) * range_report.OCC_SCAN < range_report.WIDE_SCAN
 
 
 def test_extract_across_block_borders(large):

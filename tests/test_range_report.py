@@ -5,6 +5,8 @@ import numpy as np
 from lzindex import range_report
 from lzindex.range_report import Grid
 
+from conftest import levels_by_route
+
 
 def tagged(xs, rng):
     """A grid over the points (xs[y - 1], y), each with the payload pair
@@ -159,9 +161,20 @@ def closure_scan(sources, seeds, m, cap=CLOSURE_CAP):
     return sorted(out)
 
 
-# expand's level thresholds that put every level on the numpy pass, and
+# expand's scan thresholds that put every level on the numpy pass, and
 # every level on the Python loop
 LEVEL_PATHS = (1, 1 << 62)
+
+
+def copies(idx, seeds, m):
+    """expand's copies, sorted, after checking that they are a list of
+    ints or an int64 array."""
+    got = idx.expand(seeds, m)
+    if isinstance(got, np.ndarray):
+        assert got.dtype == np.int64
+        got = got.tolist()
+    assert all(type(o) is int for o in got)
+    return sorted(got)
 
 
 class TestSourceIndex:
@@ -181,7 +194,7 @@ class TestSourceIndex:
 
     def test_matches_scan_oracle(self, monkeypatch):
         for wide in LEVEL_PATHS:
-            monkeypatch.setattr(range_report, "WIDE_LEVEL", wide)
+            monkeypatch.setattr(range_report, "WIDE_SCAN", wide)
             rng = random.Random(64)
             for trial in range(40):
                 count = rng.choice([0, 1, 2, 3, rng.randint(4, 300)])
@@ -207,20 +220,19 @@ class TestSourceIndex:
                 for _ in range(200):
                     lo = rng.randint(0, u + 2)
                     hi = lo + rng.randint(0, u // 2)
-                    got = idx.expand([lo], hi - lo + 1)
-                    assert sorted(got) == contained_scan(sources, lo, hi)
+                    assert copies(idx, [lo], hi - lo + 1) == contained_scan(sources, lo, hi)
                 # the longest string an interval holds, and one symbol longer
                 for lo in {s for s, e, _ in sources if e - s + 1 == idx.span}:
-                    assert idx.expand([lo], idx.span)
+                    assert copies(idx, [lo], idx.span)
                     for m in (idx.span, idx.span + 1):
-                        got = idx.expand([lo, lo - 1, lo + 1], m)
-                        assert sorted(got) == sorted(contained_scan(sources, lo, lo + m - 1)
-                                                     + contained_scan(sources, lo - 1, lo + m - 2)
-                                                     + contained_scan(sources, lo + 1, lo + m))
+                        got = copies(idx, [lo, lo - 1, lo + 1], m)
+                        assert got == sorted(contained_scan(sources, lo, lo + m - 1)
+                                             + contained_scan(sources, lo - 1, lo + m - 2)
+                                             + contained_scan(sources, lo + 1, lo + m))
 
     def test_closure_matches_fixpoint(self, monkeypatch):
         for wide in LEVEL_PATHS:
-            monkeypatch.setattr(range_report, "WIDE_LEVEL", wide)
+            monkeypatch.setattr(range_report, "WIDE_SCAN", wide)
             rng = random.Random(65)
             chained = cases = skipped = 0
             for trial in range(40):
@@ -252,8 +264,57 @@ class TestSourceIndex:
                     if want is None:  # the copies multiply past the cap
                         skipped += 1
                         continue
-                    assert sorted(idx.expand(seeds, m)) == want
+                    assert copies(idx, seeds, m) == want
                     one_step = sum((contained_scan(sources, o, o + m - 1) for o in seeds), [])
                     chained += len(want) > len(one_step)
             assert skipped <= cases // 20, (skipped, cases)
             assert chained >= 100  # copies of copies are common
+
+    def test_crowded_window(self, monkeypatch):
+        # hundreds of intervals start within one span, so a narrow level
+        # there scans far more candidates than it has occurrences
+        rng = random.Random(66)
+        span = 400
+        sources = [(s, s + rng.randint(0, span - 1), 5_000 + 4 * t)
+                   for t, s in enumerate(rng.randint(1, span) for _ in range(300))]
+        sources.append((1, span, 9_000))
+        # sparse intervals that copy into the crowded ones
+        sources += [(1_000 + 40 * t, 1_003 + 40 * t, 100 + 20 * t) for t in range(10)]
+        idx = range_report.SourceIndex(sources)
+        assert idx.span == span
+        cases = []
+        for _ in range(60):
+            m = rng.randint(1, 30)
+            seeds = rng.sample([*range(1, 2 * span), *range(1_000, 1_400)], rng.randint(1, 8))
+            cases.append((m, seeds, closure_scan(sources, seeds, m)))
+        assert all(want is not None for _, _, want in cases)
+        for wide in (*LEVEL_PATHS, range_report.WIDE_SCAN):
+            monkeypatch.setattr(range_report, "WIDE_SCAN", wide)
+            routes = levels_by_route(monkeypatch)
+            for m, seeds, want in cases:
+                assert copies(idx, seeds, m) == want
+            if wide == 1:
+                assert routes["wide"] and not routes["narrow"]
+            elif wide == 1 << 62:
+                assert routes["narrow"] and not routes["wide"]
+            else:
+                # every route in use, and each narrow level small
+                assert routes["narrow"] and routes["wide"]
+                assert max(routes["narrow"]) * range_report.OCC_SCAN < wide
+            monkeypatch.undo()
+
+    def test_seeds_routed_by_their_crowds(self, monkeypatch):
+        # the same few seeds run as the loop where the intervals are
+        # sparse, and as one numpy pass where hundreds crowd their windows
+        span = 300
+        crowded = range_report.SourceIndex([(s, s + span - 1, 10_000 + s) for s in range(1, 301)])
+        sparse = range_report.SourceIndex([(s, s + span - 1, 10_000 + s) for s in range(1, 3_001, 100)])
+        seeds = [300, 301, 302]
+        assert range_report.OCC_SCAN * len(seeds) < range_report.WIDE_SCAN
+        for idx, route in ((sparse, "narrow"), (crowded, "wide")):
+            routes = levels_by_route(monkeypatch)
+            got = copies(idx, seeds, 1)
+            sources = zip(idx.starts.tolist(), idx.ends.tolist(), (idx.starts + idx.shifts).tolist())
+            assert got == closure_scan(list(sources), seeds, 1)
+            assert routes[route][0] == len(seeds)
+            monkeypatch.undo()
