@@ -25,7 +25,9 @@ Neither trie ends its strings with a terminator, which no query holds: a
 string that prefixes another ends at an inner vertex, and the empty suffix
 after the last relevant substring at the root. Weak search compares raw
 fingerprint values, the pattern's from one pass over it
-(fingerprints.PatternFps). A pattern of length at most tau needs no cut:
+(fingerprints.PatternFps), and asks a cut k only for the values of its
+sides' prefixes: P[k + 1 - b, k] read backwards and P[k + 1, k + b],
+one key per length b. A pattern of length at most tau needs no cut:
 an occurrence of it that spans a border ends at most tau - 1 past the
 first border it holds, so it ends where a relevant substring that holds it
 ends. Its reversal is walked down the trie of reversed relevant substrings
@@ -89,7 +91,7 @@ from . import fingerprints as fp
 from . import lz77, prefix_search, trie
 from ._io import Reader, Writer
 from ._suffixes import SuffixContext, pair_lcps, sort_suffixes
-from ._text import to_symbols
+from ._text import as_ints, to_symbols
 from .grammar import build_slp
 from .range_report import Grid, SourceIndex
 from .trie import CompactTrie
@@ -198,9 +200,9 @@ class Index:
         if isinstance(pattern, (bytes, bytearray)):
             return tuple(pattern)
         if isinstance(pattern, np.ndarray):
-            return tuple(to_symbols(pattern).tolist())
+            pattern = pattern.tolist()
         # Python ints, so a symbol past the int64 range is merely above sigma
-        return tuple(map(int, pattern))
+        return tuple(as_ints(pattern))
 
     def locate(self, pattern) -> list[int]:
         """All 1-based starting positions of the pattern, sorted."""
@@ -277,25 +279,15 @@ class Index:
             # relevant substrings; weak search may answer anything when the
             # prefix ends none of them, so its candidate is checked against
             # the text
-            def rfp(a, b, k=k):
-                return reversed_value(k + 1 - b, k + 1 - a)
-
-            def rsym(q, k=k):
-                return p[k - q]
-
-            res = prefix_search.weak_search(self.ps_d, k, rfp, rsym)
+            res = prefix_search.weak_search(
+                self.ps_d, k, lambda b: reversed_value(k + 1 - b, k), lambda q: p[k - q])
             if res is None or not self._prefix_holds(res[0], symbols, k):
                 continue
             _, l1, r1 = res
             # right side: the remaining suffix against the suffixes that
             # follow each relevant substring, checked the same way
-            def qfp(a, b, k=k):
-                return value(k + a, k + b)
-
-            def qsym(q, k=k):
-                return p[k + q - 1]
-
-            res = prefix_search.weak_search(self.ps_dp, m - k, qfp, qsym)
+            res = prefix_search.weak_search(
+                self.ps_dp, m - k, lambda b: value(k + 1, k + b), lambda q: p[k + q - 1])
             if res is None or not self._suffix_holds(res[0], symbols, k, m):
                 continue
             _, l2, r2 = res

@@ -9,13 +9,14 @@ The parser reads one suffix array and its ranks and follows Kärkkäinen,
 Kempa and Puglisi (CPM 2013): the longest previous factor is needed only
 where a phrase starts, and there it is the longer lcp with the previous and
 next smaller suffix starts. So those two neighbours are found only at
-phrase starts, by numpy scans of the suffix array and of a small tree of
-its block minima, and nothing is computed per text position: no PSV/NSV
-array, and no Python object per symbol. (Pointer jumping would fill whole
-PSV/NSV arrays in numpy, but needs a round per rank on a text such as
-"b a^k c", whose suffixes a^i c sort by start.) The lcps, and the search
-for a leftmost source, compare bytes slices of the text's byte key
-(trie.encode), a span of symbols at a time.
+phrase starts, by numpy scans of the suffix array and one climb of a small
+tree of block minima, over the suffix array for the next smaller start and
+over its reversal for the previous one. Nothing is computed per text
+position: no PSV/NSV array, and no Python object per symbol. (Pointer
+jumping would fill whole PSV/NSV arrays in numpy, but needs a round per
+rank on a text such as "b a^k c", whose suffixes a^i c sort by start.) The
+lcps, and the search for a leftmost source, compare bytes slices of the
+text's byte key (trie.encode), a span of symbols at a time.
 """
 
 from __future__ import annotations
@@ -99,8 +100,6 @@ def parse(text, ctx: SuffixContext | None = None) -> Lz77Parse:
     sigma = int(arr.max())
     if int(arr.min()) < 1:
         raise ValueError("symbols must be >= 1")
-    if n == 1:
-        return Lz77Parse((Phrase(0, 0, int(arr[0])),))
 
     if ctx is None:
         ctx = SuffixContext(arr)
@@ -116,7 +115,7 @@ def parse(text, ctx: SuffixContext | None = None) -> Lz77Parse:
         p, q = smaller.around(r)
         # the sources start before j, so the suffix at j ends first
         lp = _common(key, width, int(sa[p]), j, n - j) if p >= 0 else 0
-        lq = _common(key, width, int(sa[q]), j, n - j) if q >= 0 else 0
+        lq = _common(key, width, int(sa[q]), j, n - j) if q < n else 0
         length = min(max(lp, lq), n - 1 - j)
         if length == 0:
             phrases.append(Phrase(0, 0, int(arr[j])))
@@ -182,52 +181,42 @@ class _SmallerNeighbours:
     A query scans the 64 ranks on each side of r. A side that holds no
     smaller start climbs a tree of block minima (each level the minima of
     64-entry blocks of the level below) to the nearest block that does,
-    and descends into it. So a query costs a few numpy scans of at most
-    129 entries, and the tree adds n / 63 entries to the suffix array.
+    and descends into it. There is one tree per direction, over the suffix
+    array and over its reversal, and one climb, forward, serves both: rank
+    t of the reversal is rank n - 1 - t of the suffix array. So a query
+    costs a few numpy scans of at most 129 entries, and the trees add
+    2n / 63 entries to the suffix array.
     """
 
     _B = 64
 
     def __init__(self, sa: np.ndarray):
-        b = self._B
-        self.levels = [sa]
-        while len(self.levels[-1]) > b:
-            a = self.levels[-1]
-            padded = np.concatenate((a, np.full(-len(a) % b, len(sa), dtype=a.dtype)))
-            self.levels.append(padded.reshape(-1, b).min(axis=1))
+        self.sa = sa
+        self.after, self.before = self._tree(sa), self._tree(sa[::-1])
+
+    def _tree(self, a: np.ndarray) -> list[np.ndarray]:
+        b, levels = self._B, [a]
+        while len(levels[-1]) > b:
+            a = levels[-1]
+            padded = np.concatenate((a, np.full(-len(a) % b, len(self.sa), dtype=a.dtype)))
+            levels.append(padded.reshape(-1, b).min(axis=1))
+        return levels
 
     def around(self, r: int) -> tuple[int, int]:
         """The nearest ranks before and after r whose suffixes start before
-        the suffix at r, -1 where there is none."""
-        sa = self.levels[0]
-        x = int(sa[r])
+        the suffix at r, -1 or n where there is none."""
+        sa = self.sa
+        n, x = len(sa), int(sa[r])
         lo, hi = max(0, r - self._B), r + self._B + 1
         hits = ((sa[lo:hi] < x).nonzero()[0] + lo).tolist()
         k = bisect_left(hits, r)
-        return (hits[k - 1] if k else self._before(lo, x),
-                hits[k] if k < len(hits) else self._from(hi, x))
+        return (hits[k - 1] if k else n - 1 - self._from(self.before, n - lo, x),
+                hits[k] if k < len(hits) else self._from(self.after, hi, x))
 
-    def _before(self, i: int, x: int) -> int:
-        """The nearest rank below i whose start is below x, or -1."""
-        b, levels = self._B, self.levels
-        lv = 0  # search entries below i of level lv
-        while True:
-            lo = i - i % b
-            hits = (levels[lv][lo:i] < x).nonzero()[0]
-            if len(hits):
-                i = lo + int(hits[-1])
-                break
-            if lo == 0:
-                return -1
-            lv, i = lv + 1, lo // b
-        while lv > 0:
-            lv -= 1
-            i = i * b + int((levels[lv][i * b : (i + 1) * b] < x).nonzero()[0][-1])
-        return i
-
-    def _from(self, i: int, x: int) -> int:
-        """The nearest rank from i on whose start is below x, or -1."""
-        b, levels = self._B, self.levels
+    def _from(self, levels: list[np.ndarray], i: int, x: int) -> int:
+        """The nearest index from i on of the tree's base whose entry is
+        below x, or the base's length."""
+        b = self._B
         lv = 0  # search entries from i on of level lv
         while True:
             hi = (i // b + 1) * b
@@ -236,7 +225,7 @@ class _SmallerNeighbours:
                 i += int(hits[0])
                 break
             if hi >= len(levels[lv]):
-                return -1
+                return len(levels[0])
             lv, i = lv + 1, hi // b
         while lv > 0:
             lv -= 1
@@ -278,19 +267,16 @@ def cap_phrases(parsed: Lz77Parse, limit: int, text) -> Lz77Parse:
     phrases: list[Phrase] = []
     for ph in parsed.phrases:
         total = ph.span()
-        if total <= limit:
-            phrases.append(ph)
-        else:
-            off = 0
-            while off < total:
-                piece = min(limit, total - off)
-                if off + piece < total:
-                    border = int(text[ph.start - 1 + off + piece - 1])
-                else:
-                    border = ph.border
-                if piece == 1:
-                    phrases.append(Phrase(0, 0, border))
-                else:
-                    phrases.append(Phrase(ph.start + off, piece - 1, border))
-                off += piece
+        off = 0
+        while off < total:
+            piece = min(limit, total - off)
+            if off + piece < total:
+                border = int(text[ph.start - 1 + off + piece - 1])
+            else:
+                border = ph.border
+            if piece == 1:
+                phrases.append(Phrase(0, 0, border))
+            else:
+                phrases.append(Phrase(ph.start + off, piece - 1, border))
+            off += piece
     return Lz77Parse(tuple(phrases))

@@ -6,7 +6,10 @@ vertex, and a query binary searches its depth from the root through G, the
 fat binary search of Belazzougui, Boldi, Pagh and Vigna. Answers are the
 rank ranges of the indexed strings the pattern prefixes, and may be
 arbitrary when it prefixes none. The strings carry no terminator, so every
-key is a prefix that a query can spell.
+key is a prefix that a query can spell. A lookup reads only the value of a
+prefix of the query, so a query is given as one key per prefix length; the
+sides of a pattern's cuts are suffixes of it and of its reversal, whose
+prefix values one table over the pattern holds.
 
 A dictionary key is one int, value | length << 61, of a prefix's
 fingerprint value (below 2^61) and its length, so only equal-length prefixes
@@ -95,19 +98,17 @@ def build(t: CompactTrie, prefix_values) -> PrefixSearchStructure:
     return derive(t, prefix_values)
 
 
-def weak_search(ps: PrefixSearchStructure, m: int, pattern_fp, pattern_symbol):
+def weak_search(ps: PrefixSearchStructure, m: int, prefix_fp, pattern_symbol):
     """Rank range [l, r] of the strings the pattern prefixes, plus the locus
     candidate vertex; None on a definite mismatch. Correct whenever the
     pattern prefixes an indexed string, arbitrary otherwise.
 
     The fat binary search from the root finds the exit vertex (|v| < m) or
     the locus itself (|v| >= m), in at most m.bit_length() lookups; the
-    exit vertex's child on P[|v| + 1] is the locus.
-    pattern_fp(i, j) -> the value of P[i, j]; pattern_symbol(i) -> P[i]
-    (1-based)."""
+    exit vertex's child on P[|v| + 1] is the locus. Lookups key on prefixes
+    alone: prefix_fp(b) -> the value of P[1, b] (1 <= b <= m);
+    pattern_symbol(i) -> P[i] (1-based). m = 0 gets the root's range."""
     t = ps.trie
-    if m == 0:
-        return 0, 1, t.num_leaves
     strlen = t.strlen
     l, r = 0, 1 << m.bit_length()  # the smallest power of two > m
     v = 0
@@ -119,7 +120,7 @@ def weak_search(ps: PrefixSearchStructure, m: int, pattern_fp, pattern_symbol):
             l = b
         else:
             ps.g_lookups += 1
-            u = ps.G.get(pattern_fp(1, b) | b << 61)
+            u = ps.G.get(prefix_fp(b) | b << 61)
             if u is None:
                 r = b
             else:

@@ -23,6 +23,17 @@ def mutated_copies(rng: random.Random, base_len: int, n: int, substitutions: int
     return bytes(out[:n])
 
 
+def descending_prefix_text(rng: random.Random, distinct: int = 1000) -> list[int]:
+    """`distinct` distinct symbols above 4 in descending order, then a body
+    over {1..4} around a copy of a piece of them. Every suffix that starts
+    earlier in the prefix is larger, so at each prefix position no smaller
+    suffix start lies below its rank."""
+    prefix = list(range(distinct + 4, 4, -1))
+    body = [rng.randint(1, 4) for _ in range(distinct // 2)]
+    piece = prefix[distinct // 4 : distinct // 4 + distinct // 10]
+    return prefix + body + piece + body[::-1]
+
+
 def planted_pattern(rng: random.Random, text: bytes, lo: int, hi: int) -> bytes:
     """A substring of `text` with length drawn from [lo, hi]."""
     n = len(text)

@@ -180,7 +180,7 @@ class TestPrefixSearchContract:
                 structure.g_lookups = 0
                 res = ps.weak_search(
                     structure, len(pattern),
-                    fp.PatternFps(r, pattern).value,
+                    lambda b, value=fp.PatternFps(r, pattern).value: value(1, b),
                     lambda i, pattern=pattern: pattern[i - 1],
                 )
                 ranks = [k + 1 for k, s in enumerate(distinct)

@@ -124,14 +124,18 @@ def test_weak_search_finds_the_walked_locus(case):
         for k in sorted({*range(idx.tau, m + 1, idx.tau), m}):
             sides = (
                 (idx.ps_d, pattern[:k][::-1], lambda e, q: text[e - q],
-                 lambda a, b, k=k: tab.reversed_value(k + 1 - b, k + 1 - a)),
+                 lambda b, k=k: tab.reversed_value(k + 1 - b, k)),
                 (idx.ps_dp, pattern[k:], lambda s, q: text[s + q - 2],
-                 lambda a, b, k=k: tab.value(k + a, k + b)),
+                 lambda b, k=k: tab.value(k + 1, k + b)),
             )
             for ps, side, access, side_fp in sides:
                 v = ps.trie.locus_by_walk(side, access)
                 if v is not None:
-                    res = prefix_search.weak_search(ps, len(side), side_fp,
+                    def prefix_fp(b, side=side, side_fp=side_fp):
+                        assert 1 <= b <= len(side)
+                        return side_fp(b)
+
+                    res = prefix_search.weak_search(ps, len(side), prefix_fp,
                                                     lambda q, side=side: side[q - 1])
                     assert res is not None and res[0] == v
                     walked += 1

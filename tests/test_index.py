@@ -9,7 +9,8 @@ from lzindex import Index, IndexConfig, _suffixes, fingerprints as fp, index as 
 from lzindex._io import Reader, Writer
 from lzindex._text import to_symbols
 
-from conftest import absent_pattern, mutated_copies, planted_pattern, random_text
+from conftest import (absent_pattern, descending_prefix_text, mutated_copies, planted_pattern,
+                      random_text)
 from reference import classify, naive_locate, primary_pairs, suffix_rank_order
 
 
@@ -58,6 +59,19 @@ class TestBuild:
         for big in (1 << 63, 1 << 64):
             with pytest.raises(ValueError, match="int64"):
                 Index.build([1, big])
+
+    @pytest.mark.parametrize("text", [[1.5, 2.7], np.array([1.5, 2.7]), [1, 2.0], ["a"]],
+                             ids=["list", "array", "mixed", "str"])
+    def test_non_integral_symbols_rejected(self, text):
+        # not truncated to the integers below them
+        with pytest.raises(ValueError, match="integers"):
+            Index.build(text)
+
+    def test_uint64_past_int64_rejected(self):
+        # as the same values in a list are, not wrapped to negative symbols
+        with pytest.raises(ValueError, match="int64"):
+            Index.build(np.array([1, 1 << 63], dtype=np.uint64))
+        assert Index.build(np.array([1, 2, 1, 2], dtype=np.uint64)).locate([1, 2]) == [1, 3]
 
     def test_tau_past_int64(self):
         # a tau past n gives the substrings of tau = n, however large
@@ -119,6 +133,30 @@ class TestLocate:
         idx = Index.build(b"\x01\x02\x03" * 3)
         for big in (1 << 63, 1 << 64):
             assert call(idx, big) == []
+
+    def test_uint64_pattern_past_int64_is_absent(self):
+        idx = Index.build(b"\x01\x02\x03" * 3)
+        assert idx.locate(np.array([1, 1 << 63], dtype=np.uint64)) == []
+        assert idx.locate(np.array([1, 2], dtype=np.uint64)) == [1, 4, 7]
+
+    @pytest.mark.parametrize("pattern", [[97.9, 98.2], np.array([97.9, 98.2])],
+                             ids=["list", "array"])
+    def test_non_integral_pattern_rejected(self, pattern):
+        # not read as "ab"
+        idx = Index.build(b"abcabcab")
+        with pytest.raises(ValueError, match="integers"):
+            idx.locate(pattern)
+
+    def test_matches_scan_after_descending_prefix(self):
+        # the parse of the prefix climbs the reversed tree of block minima
+        # to its top at every phrase start
+        rng = random.Random(124)
+        text = descending_prefix_text(rng)
+        idx = Index.build(text)
+        patterns = [planted_pattern(rng, text, 1, 60) for _ in range(60)]
+        patterns += [text[990:1010], text[1000:1050], text[240:260], [6, 6], [7, 5]]
+        for pattern in patterns:
+            assert idx.locate(pattern) == naive_locate(text, pattern)
 
     def test_pattern_longer_than_text(self):
         idx = Index.build(b"\x01\x02")
@@ -231,16 +269,18 @@ class TestWeakSearchProbes:
     @staticmethod
     def record(monkeypatch, idx) -> list:
         """(whether on t_d, m, lookups) per weak search locate runs from now
-        on, a lookup being one call for a prefix's value."""
+        on, a lookup being one call for a prefix's value; each asks for a
+        prefix length b with 1 <= b <= m, on both tries."""
         searches = []
         weak_search = ix.prefix_search.weak_search
 
-        def counted(ps, m, pattern_fp, pattern_symbol):
+        def counted(ps, m, prefix_fp, pattern_symbol):
             lookups = []
 
-            def value(i, j):
-                lookups.append(j)
-                return pattern_fp(i, j)
+            def value(b):
+                assert 1 <= b <= m
+                lookups.append(b)
+                return prefix_fp(b)
 
             res = weak_search(ps, m, value, pattern_symbol)
             searches.append((ps is idx.ps_d, m, len(lookups)))
@@ -261,6 +301,7 @@ class TestWeakSearchProbes:
             assert idx.locate(pattern) == naive_locate(text, pattern)
         assert max(m for _, m, _ in searches) > 10 * idx.block_len
         assert all(lookups <= m.bit_length() for _, m, lookups in searches)
+        assert {d for d, _, lookups in searches if lookups} == {True, False}
 
     def test_tail_cut_only_where_a_string_can_hold_it(self, monkeypatch):
         # a t_d string runs from a phrase start to at most tau - 1 past its

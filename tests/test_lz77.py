@@ -7,7 +7,7 @@ from lzindex import lz77
 from lzindex._suffixes import SuffixContext
 from lzindex.lz77 import Lz77Parse, Phrase
 
-from conftest import random_text
+from conftest import descending_prefix_text, random_text
 from reference import naive_lz77
 
 
@@ -85,6 +85,12 @@ class TestParse:
             for text in (b"\x02" + b"\x01" * k + b"\x03", b"\x02\x01" * 3 + b"\x01" * k + b"\x03\x02"):
                 assert lz77.parse(text).phrases == naive_lz77(text).phrases
 
+    def test_matches_naive_parser_after_descending_prefix(self):
+        # no suffix that starts in the prefix has a smaller start below its
+        # rank, so each phrase there climbs the reversed tree to its top
+        text = descending_prefix_text(random.Random(21))
+        assert lz77.parse(text).phrases == naive_lz77(text).phrases
+
     def test_given_context_matches_own(self):
         rng = random.Random(17)
         for sigma in (2, 26, 1000):
@@ -103,20 +109,29 @@ class TestParse:
 
 class TestSmallerNeighbours:
     @staticmethod
-    def check(rng, values) -> None:
+    def check(rng, values, ranks=()) -> None:
+        """around(r) against a scan at up to 200 sampled ranks and at the
+        given ones; and each tree's climb from r itself, so the climbs are
+        checked past the scanned window on any n: rank t of the reversed
+        tree is rank n - 1 - t."""
         n = len(values)
         smaller = lz77._SmallerNeighbours(np.array(values, dtype=np.int64))
-        for r in rng.sample(range(n), min(n, 200)):
-            before = [i for i in range(r) if values[i] < values[r]]
-            after = [i for i in range(r + 1, n) if values[i] < values[r]]
-            want = (before[-1] if before else -1, after[0] if after else -1)
+        for r in {*rng.sample(range(n), min(n, 200)), *(r for r in ranks if 0 <= r < n)}:
+            x = values[r]
+            before = [i for i in range(r) if values[i] < x]
+            after = [i for i in range(r + 1, n) if values[i] < x]
+            want = (before[-1] if before else -1, after[0] if after else n)
             assert smaller.around(r) == want
+            assert n - 1 - smaller._from(smaller.before, n - r, x) == want[0]
+            assert smaller._from(smaller.after, r + 1, x) == want[1]
 
     def test_matches_scan(self):
-        # up to three levels of block minima
+        # up to three levels of block minima; the first and last ranks and
+        # those on either side of each block edge
         rng = random.Random(19)
         for n in (1, 2, 63, 64, 65, 129, 4096, 4097, 9000):
-            self.check(rng, rng.sample(range(n), n))
+            edges = [64 * k + d for k in range(1, n // 64 + 1) for d in (-1, 1)]
+            self.check(rng, rng.sample(range(n), n), [0, n - 1, *edges])
 
     def test_far_neighbours(self):
         # runs of rising (falling) values between a few small ones: the next

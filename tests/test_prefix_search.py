@@ -26,12 +26,18 @@ def oracle_range(distinct, pattern):
 
 
 def query_fns(pattern, r):
-    pattern_fp = fp.PatternFps(r, tuple(pattern)).value
+    """The per-length prefix key and the symbol access of a pattern; a
+    search asks only for prefixes of length 1 to len(pattern)."""
+    value = fp.PatternFps(r, tuple(pattern)).value
+
+    def prefix_fp(b):
+        assert 1 <= b <= len(pattern)
+        return value(1, b)
 
     def pattern_symbol(i):
         return pattern[i - 1]
 
-    return pattern_fp, pattern_symbol
+    return prefix_fp, pattern_symbol
 
 
 def collision_free_by_strings(strings, r) -> bool:
@@ -102,9 +108,9 @@ class TestBuild:
         structure, distinct = build_from_strings(ABC_SET, R)
         assert structure.H == {}
         for s in distinct:
-            pattern_fp, pattern_symbol = query_fns(s, R)
+            prefix_fp, pattern_symbol = query_fns(s, R)
             for k in range(1, len(s) + 1):
-                assert ps.weak_search(structure, k, pattern_fp, pattern_symbol) is not None
+                assert ps.weak_search(structure, k, prefix_fp, pattern_symbol) is not None
         assert structure.H == {} and structure.h_lookups == 0
 
     def test_x_one_gives_every_vertex_an_x_prefix(self):
@@ -144,9 +150,9 @@ class TestWeakSearch:
         structure, distinct = build_from_strings(strings, R)
         patterns = {s[:k] for s in distinct for k in range(1, len(s) + 1)}
         for pattern in sorted(patterns):
-            pattern_fp, pattern_symbol = query_fns(pattern, R)
+            prefix_fp, pattern_symbol = query_fns(pattern, R)
             structure.g_lookups = 0
-            res = ps.weak_search(structure, len(pattern), pattern_fp, pattern_symbol)
+            res = ps.weak_search(structure, len(pattern), prefix_fp, pattern_symbol)
             assert res is not None
             assert res[1:] == oracle_range(distinct, pattern)
             # one lookup per halving of (0, 2^bit_length(m))
@@ -175,17 +181,19 @@ class TestWeakSearch:
             else:
                 accepted = True
                 for s in distinct:
-                    pattern_fp, pattern_symbol = query_fns(s, r)
+                    prefix_fp, pattern_symbol = query_fns(s, r)
                     for k in range(1, len(s) + 1):
-                        res = ps.weak_search(structure, k, pattern_fp, pattern_symbol)
+                        res = ps.weak_search(structure, k, prefix_fp, pattern_symbol)
                         assert res is not None and res[1:] == oracle_range(distinct, s[:k])
             assert accepted == collision_free_by_strings(strings, r)
             outcomes[accepted] += 1
         assert outcomes[True] >= 100 and outcomes[False] >= 316, outcomes
 
     def test_empty_pattern_full_range(self):
+        # no lookup: the search starts and ends at the root
         structure, distinct = build_from_strings(ABC_SET, R)
         assert ps.weak_search(structure, 0, None, None) == (0, 1, len(distinct))
+        assert structure.g_lookups == 0
 
     def test_empty_string_at_root(self):
         # the empty string ranks first and ends at the root, and "a" ends
@@ -204,15 +212,15 @@ class TestWeakSearch:
         assert t.locus_by_walk((), access) == 0
         assert ps.weak_search(structure, 0, None, None) == (0, 1, 3)
         for pattern, expected in (((1,), (2, 3)), ((1, 2), (3, 3))):
-            pattern_fp, pattern_symbol = query_fns(pattern, R)
-            res = ps.weak_search(structure, len(pattern), pattern_fp, pattern_symbol)
+            prefix_fp, pattern_symbol = query_fns(pattern, R)
+            res = ps.weak_search(structure, len(pattern), prefix_fp, pattern_symbol)
             assert res[1:] == expected
 
     def test_definite_mismatch_is_none(self):
         structure, _ = build_from_strings(ABC_SET, R)
         pattern = (9, 9)
-        pattern_fp, pattern_symbol = query_fns(pattern, R)
-        assert ps.weak_search(structure, 2, pattern_fp, pattern_symbol) is None
+        prefix_fp, pattern_symbol = query_fns(pattern, R)
+        assert ps.weak_search(structure, 2, prefix_fp, pattern_symbol) is None
 
     def test_non_prefix_never_crashes(self):
         rng = random.Random(53)
@@ -220,8 +228,8 @@ class TestWeakSearch:
         structure, distinct = build_from_strings(strings, R)
         for _ in range(300):
             pattern = tuple(random_text(rng, 4, rng.randint(1, 25)))
-            pattern_fp, pattern_symbol = query_fns(pattern, R)
-            res = ps.weak_search(structure, len(pattern), pattern_fp, pattern_symbol)
+            prefix_fp, pattern_symbol = query_fns(pattern, R)
+            res = ps.weak_search(structure, len(pattern), prefix_fp, pattern_symbol)
             if oracle_range(distinct, pattern) is None:
                 # weak semantics: any range or None, but no exception
                 assert res is None or len(res) == 3
@@ -234,8 +242,8 @@ class TestFindSteps:
         # the one lookup, at length 1, misses: the search stays at the root
         # and takes its child on P[1], the vertex of "1 2"
         structure, _ = build_from_strings(ABC_SET, R)
-        pattern_fp, pattern_symbol = query_fns((1,), R)
-        v, l, r = ps.weak_search(structure, 1, pattern_fp, pattern_symbol)
+        prefix_fp, pattern_symbol = query_fns((1,), R)
+        v, l, r = ps.weak_search(structure, 1, prefix_fp, pattern_symbol)
         assert structure.g_lookups == 1
         assert v == structure.trie.child(0, 1) and structure.trie.strlen[v] == 2
         assert (l, r) == (1, 2)
@@ -245,15 +253,15 @@ class TestFindSteps:
         pattern = (2,)
         # the string ends at its own vertex at depth 1, which G keys at
         # length 1, so the first lookup reaches the locus
-        pattern_fp, pattern_symbol = query_fns(pattern, R)
-        v, l, r = ps.weak_search(structure, 1, pattern_fp, pattern_symbol)
+        prefix_fp, pattern_symbol = query_fns(pattern, R)
+        v, l, r = ps.weak_search(structure, 1, prefix_fp, pattern_symbol)
         assert structure.g_lookups == 1 and structure.trie.strlen[v] == 1
         rank = distinct.index((2,)) + 1
         assert (l, r) == (rank, rank)
 
     def test_exit_vertex_example(self):
         structure, _ = build_from_strings(ABC_SET, R)
-        pattern_fp, pattern_symbol = query_fns((1, 2), R)
-        v, l, r = ps.weak_search(structure, 2, pattern_fp, pattern_symbol)
+        prefix_fp, pattern_symbol = query_fns((1, 2), R)
+        v, l, r = ps.weak_search(structure, 2, prefix_fp, pattern_symbol)
         assert structure.trie.strlen[v] == 2
         assert (l, r) == (1, 2)
