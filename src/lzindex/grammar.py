@@ -3,7 +3,8 @@
 The text is carved into fixed-length blocks and each block gets its own
 AVL-balanced binary grammar, after Rytter's AVL-grammar construction (TCS
 2003); nodes are shared freely across blocks. Extraction of a substring
-visits O(lg(block) + length / SHORT) nodes, and queries read the text only
+visits O(lg(block) + length / SHORT) nodes, as it passes only nodes longer
+than SHORT and stops at their children, and queries read the text only
 that way: the index checks a weak-search candidate by comparing the text it
 stands for with the pattern (BlockTable.matches), one block-bounded piece
 at a time, and stops at the first piece that differs.
@@ -17,29 +18,38 @@ source and its terminal, and the block's root is their one concat
 parse alone, so a build makes it once whatever fingerprint function it
 keeps.
 
-Every node whose expansion has at most SHORT symbols holds that expansion
-as a tuple, made from its children's tuples. Extraction copies those
-tuples whole, or slices one, and splits only the longer nodes; it makes a
-constant number of Python calls whatever the length. A range inside one
-block is found by a descent from the block's root; a range that a node
-splits is a suffix of its left child and a prefix of its right one, each
-read down one path. The nodes read whole wait on one stack, and a node
-taken off it is read down its left spine, so only right children are
-pushed. When block_len <= SHORT every block root holds its expansion, and
-the blocks between the ends of a range are copied one tuple each. A node
-whose tuple is copied or sliced counts one visit (BlockTable.node_visits),
-as does every node passed on the way down.
+A node of at most SHORT symbols holds its expansion as a tuple when it
+is on the descent frontier: it is a block root, or a child of a node
+longer than SHORT. Every descent starts at a root and passes only through
+longer nodes, so the first node it meets that is not longer holds its
+tuple, and the nodes below it hold none. The frontier nodes of a block
+partition it, so the tuples hold at most n symbols; the build cuts each
+from the text at the node's first occurrence (_Arena.cut_leaves).
+Extraction copies those tuples whole, or slices one, and splits only the
+longer nodes; it makes a constant number of Python calls whatever the
+length. A range inside one block is found by a descent from the block's
+root; a range that a node splits is a suffix of its left child and a
+prefix of its right one, each read down one path. The nodes read whole
+wait on one stack, and a node taken off it is read down its left spine,
+so only right children are pushed. When every block root holds its
+expansion, as when block_len <= SHORT, the blocks between the ends of a
+range are copied one tuple each. A node whose tuple is copied or sliced
+counts one visit (BlockTable.node_visits), as does every node passed on
+the way down.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
+import numpy as np
+
 from . import fingerprints as fp
+from ._text import to_symbols
 from .lz77 import Lz77Parse
 
 # the longest expansion a node keeps as a tuple
-SHORT = 32
+SHORT = 128
 
 
 class _Arena:
@@ -56,8 +66,9 @@ class _Arena:
         self.right: list[int] = []
         self.length: list[int] = []
         self.height: list[int] = []
-        # the expansion of every node of length <= SHORT, else None; made
-        # by compact
+        # the expansion of every frontier node (at most SHORT symbols, a
+        # block root or a child of a longer node), else None; cut from the
+        # text by cut_leaves
         self.exp: list[tuple | None] = []
         # build only: the node of each symbol and of each pair, keyed
         # left << 32 | right
@@ -89,9 +100,8 @@ class _Arena:
         return v
 
     def compact(self, roots: list[int]) -> list[int]:
-        """Keep only the nodes the roots reach, renumbered in id order, make
-        the expansion table and drop the build's lookups; returns the roots'
-        new ids."""
+        """Keep only the nodes the roots reach, renumbered in id order, and
+        drop the build's lookups; returns the roots' new ids."""
         left, right, length = self.left, self.right, self.length
         keep = bytearray(len(left))
         stack = list(roots)
@@ -107,16 +117,6 @@ class _Arena:
         new = [-1] * (len(keep) + 1)
         for i, v in enumerate(old):
             new[v] = i
-        symbol = {v: s for s, v in self._terminals.items()}
-        exp: list[tuple | None] = []
-        for v in old:
-            if left[v] < 0:
-                exp.append((symbol[v],))
-            elif length[v] <= SHORT:
-                exp.append(exp[new[left[v]]] + exp[new[right[v]]])
-            else:
-                exp.append(None)
-        self.exp = exp
         self.left = [new[left[v]] for v in old]
         self.right = [new[right[v]] for v in old]
         self.length = [length[v] for v in old]
@@ -124,6 +124,30 @@ class _Arena:
         self._terminals = {}
         self._pairs = {}
         return [new[v] for v in roots]
+
+    def cut_leaves(self, roots: list[int], block_len: int, text: np.ndarray) -> None:
+        """Fill exp: every frontier node gets text at its first occurrence.
+
+        One walk from each root, block k starting at offset k * block_len of
+        text; a node longer than SHORT is walked below once, as its frontier
+        children hold their tuples after that.
+        """
+        left, right, length = self.left, self.right, self.length
+        exp: list[tuple | None] = [None] * len(left)
+        walked = bytearray(len(left))
+        for k, root in enumerate(roots):
+            stack = [(root, k * block_len)]
+            while stack:
+                v, start = stack.pop()
+                if length[v] <= SHORT:
+                    if exp[v] is None:
+                        exp[v] = tuple(text[start : start + length[v]].tolist())
+                elif not walked[v]:
+                    walked[v] = 1
+                    l = left[v]
+                    stack.append((right[v], start + length[l]))
+                    stack.append((l, start))
+        self.exp = exp
 
     # -- balanced concatenation ------------------------------------------
 
@@ -334,6 +358,9 @@ class BlockTable:
         self.n = n
         self.block_len = block_len
         self.roots = roots
+        # whether extract may copy the blocks between a range's ends one
+        # root tuple each
+        self.roots_held = all(arena.exp[r] is not None for r in roots)
         self.node_visits = 0  # instrumentation, cumulative over queries
 
     @property
@@ -342,6 +369,11 @@ class BlockTable:
 
     def block_heights(self) -> list[int]:
         return [self.arena.height[r] for r in self.roots]
+
+    @property
+    def leaf_symbols(self) -> int:
+        """The symbols the frontier tuples hold, at most n."""
+        return sum(len(t) for t in self.arena.exp if t is not None)
 
     def extract(self, i: int, j: int) -> list[int]:
         """text[i, j] as a list of symbols (1-based inclusive; empty if i > j).
@@ -388,7 +420,7 @@ class BlockTable:
         else:
             out = list(t[i - k1 * b - 1 :])
             visits = 1
-        if k2 - k1 > 1 and b <= SHORT:
+        if k2 - k1 > 1 and self.roots_held:
             visits += k2 - k1 - 1
             for v in roots[k1 + 1 : k2]:
                 out += exp[v]
@@ -431,8 +463,10 @@ class BlockTable:
         return int(fp.PrefixFpTable(r, self.extract(i, j)).values(0, j - i + 1))
 
 
-def build_slp(parse: Lz77Parse, block_len: int) -> BlockTable:
-    """Build the per-block balanced grammar for the text the parse produces.
+def build_slp(parse: Lz77Parse, block_len: int, text) -> BlockTable:
+    """Build the per-block balanced grammar for text, the text the parse
+    produces (bytes or integer symbols), whose frontier tuples are cut from
+    it.
 
     Every phrase must fit inside block_len positions. A block is a list of
     pieces, each an existing node: a phrase adds its source's cover and its
@@ -443,6 +477,9 @@ def build_slp(parse: Lz77Parse, block_len: int) -> BlockTable:
     """
     if any(ph.span() > block_len for ph in parse.phrases):
         raise ValueError("phrase exceeds block length")
+    text = to_symbols(text)
+    if len(text) != parse.n:
+        raise ValueError("text length differs from the parse's")
 
     arena = _Arena()
     length, cover = arena.length, arena.cover
@@ -499,4 +536,6 @@ def build_slp(parse: Lz77Parse, block_len: int) -> BlockTable:
 
     if block:
         roots.append(arena.concat(block))
-    return BlockTable(arena, parse.n, block_len, arena.compact(roots))
+    roots = arena.compact(roots)
+    arena.cut_leaves(roots, block_len, text)
+    return BlockTable(arena, parse.n, block_len, roots)

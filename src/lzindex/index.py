@@ -160,7 +160,7 @@ class Index:
         self.ps_d, self.ps_dp = _dictionaries(r, arr, self.t_d, self.t_dp, make_dictionary)
         # the rest is made only now, so it is not resident while the
         # certification and the prefix table peak
-        self.bt = build_slp(capped, block_len)
+        self.bt = build_slp(capped, block_len, arr)
         # the grid joining both tries: one point per relevant substring, at
         # the t_d rank of its reversal and the t_dp rank of its suffix, with
         # its end and border
@@ -330,6 +330,7 @@ class Index:
             "seed": self.seed,
             "grammar_nodes": self.bt.node_count,
             "grammar_height": max(self.bt.block_heights(), default=0),
+            "leaf_symbols": self.bt.leaf_symbols,
             "trie_d_vertices": self.t_d.num_vertices,
             "trie_suffix_vertices": self.t_dp.num_vertices,
             "grid_points": self.grid_r.size,

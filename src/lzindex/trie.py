@@ -10,8 +10,8 @@ strings in its subtree, filled in by the same stack pass that makes the
 vertices.
 
 A trie holds no container per vertex: its per-vertex fields are flat int
-lists, and all its edges sit in one dict keyed by a packed (vertex, first
-symbol) int, filled in one pass by finalize.
+lists or int64 arrays, and all its edges sit in one dict keyed by a packed
+(vertex, first symbol) int, filled in one pass by finalize.
 
 Strings are sorted as byte keys: each symbol becomes a big-endian word of a
 fixed width (`key_width`), so the bytes order of two keys is the order of
@@ -24,6 +24,8 @@ sorts as a slice of it, and takes the adjacent lcps from the text itself
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 
@@ -34,18 +36,19 @@ class CompactTrie:
 
     strlen is the length of a vertex's string. `sample` holds one
     represented string id per vertex so edge labels can be recovered from
-    the original text. The per-vertex fields are flat int lists, and every
-    edge is one entry of a single dict, `children`: the child whose edge
-    starts with symbol c hangs off vertex v under the key c * num_vertices
-    + v (set by finalize), so a trie holds the same few containers
-    whatever its size.
+    the original text. strlen and sample, read on every step of a walk,
+    are int lists; parent, l_rank and r_rank, read once per locus, are
+    int64 arrays (array('q')) once built. Every edge is one entry of a
+    single dict, `children`: the child whose edge starts with symbol c
+    hangs off vertex v under the key c * num_vertices + v (set by
+    finalize), so a trie holds the same few containers whatever its size.
     """
 
     def __init__(self):
-        self.parent: list[int] = [-1]
+        self.parent: list[int] | array = [-1]
         self.strlen: list[int] = [0]
-        self.l_rank: list[int] = [0]
-        self.r_rank: list[int] = [0]
+        self.l_rank: list[int] | array = [0]
+        self.r_rank: list[int] | array = [0]
         self.sample: list[int] = [-1]
         self.children: dict[int, int] = {}
 
@@ -174,6 +177,7 @@ def build_from_sorted(keys: list[int], real_lens, lcps) -> CompactTrie:
     l_rank[0] = 1
     if len(stack) > 1:
         sample[0] = sample[stack[1]]
+    t.parent, t.l_rank, t.r_rank = array("q", parent), array("q", l_rank), array("q", r_rank)
     return t
 
 

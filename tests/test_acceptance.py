@@ -47,6 +47,7 @@ def corpus_results():
         "partition_violations": 0,
         "classification_violations": 0,
         "identification_violations": 0,
+        "leaf_symbol_violations": 0,
         "queries": 0,
         "texts": 0,
     }
@@ -55,6 +56,8 @@ def corpus_results():
             for _ in range(count):
                 text = random_text(rng, sigma, n)
                 idx = Index.build(text)
+                if not 0 < idx.stats()["leaf_symbols"] <= n:
+                    res["leaf_symbol_violations"] += 1
                 patterns = set()
                 # (a) every substring of length <= 2 * tau
                 for length in range(1, 2 * idx.tau + 1):
@@ -141,19 +144,25 @@ class TestGrammarBounds:
             n = parsed.n
             block_len = -(-n // parsed.z)
             capped = lz77.cap_phrases(parsed, block_len, text)
-            bt = build_slp(capped, block_len)
+            bt = build_slp(capped, block_len, text)
             lg = max(1.0, math.log2(n / parsed.z))
             # z of the parse the grammar is built from (the capped parse)
             z = capped.z
             assert bt.node_count <= C_NODES * (z * lg + z)
             assert max(bt.block_heights()) <= C_HEIGHT * lg + 10
+            assert 0 < bt.leaf_symbols <= n
+
+    def test_leaf_symbols_within_n(self, corpus_results):
+        # the frontier tuples partition each block
+        assert corpus_results["texts"] == 150
+        assert corpus_results["leaf_symbol_violations"] == 0
 
     def test_extraction_visit_budget(self):
         rng = random.Random(5)
         for text in self.corpus():
             parsed = lz77.parse(text)
             block_len = -(-parsed.n // parsed.z)
-            bt = build_slp(lz77.cap_phrases(parsed, block_len, text), block_len)
+            bt = build_slp(lz77.cap_phrases(parsed, block_len, text), block_len, text)
             lg = max(1.0, math.log2(parsed.n / parsed.z))
             for _ in range(300):
                 i = rng.randint(1, parsed.n)

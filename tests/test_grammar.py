@@ -22,7 +22,7 @@ def build_for(text: bytes, block_len: int | None = None) -> grammar.BlockTable:
     parsed = lz77.parse(text)
     if block_len is None:
         block_len = -(-parsed.n // parsed.z)
-    return grammar.build_slp(lz77.cap_phrases(parsed, block_len, text), block_len)
+    return grammar.build_slp(lz77.cap_phrases(parsed, block_len, text), block_len, text)
 
 
 def repetitive_text(rng: random.Random, n: int) -> bytes:
@@ -43,17 +43,26 @@ def corpus() -> list[bytes]:
     return [random_text(rng, 2, 1500), random_text(rng, 26, 1500), repetitive_text(rng, 6000)]
 
 
-def walk(arena, v: int) -> tuple:
-    """expansion(v), read off the terminals by a plain walk."""
-    out = []
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        if arena.left[u] < 0:
-            out.append(arena.exp[u][0])
-        else:
-            stack += (arena.right[u], arena.left[u])
-    return tuple(out)
+def grammars() -> list[tuple[bytes, grammar.BlockTable]]:
+    """Each corpus text with its grammar at its own block length and at
+    301, past SHORT, so that some nodes are longer than SHORT."""
+    return [(text, build_for(text, b)) for text in corpus() for b in (None, 301)]
+
+
+def spellings(bt, text: bytes) -> dict[int, set[bytes]]:
+    """The text at every occurrence of every node, by a walk of each
+    block's whole tree."""
+    arena, b = bt.arena, bt.block_len
+    out: dict[int, set[bytes]] = {}
+    for k, root in enumerate(bt.roots):
+        stack = [(root, k * b)]
+        while stack:
+            v, start = stack.pop()
+            out.setdefault(v, set()).add(text[start : start + arena.length[v]])
+            l = arena.left[v]
+            if l >= 0:
+                stack += ((l, start), (arena.right[v], start + arena.length[l]))
+    return out
 
 
 class TestBuild:
@@ -68,9 +77,10 @@ class TestBuild:
         assert bt.node_count == 1
 
     def test_uncapped_parse_rejected(self):
-        parsed = lz77.parse(b"\x01" * 32)  # one long copy phrase
+        text = b"\x01" * 32
+        parsed = lz77.parse(text)  # one long copy phrase
         with pytest.raises(ValueError, match="phrase exceeds block length"):
-            grammar.build_slp(parsed, 2)
+            grammar.build_slp(parsed, 2, text)
 
     def test_blocks_concatenate_to_text(self):
         rng = random.Random(31)
@@ -101,30 +111,49 @@ class TestCompact:
             assert seen == set(range(bt.node_count))
 
     def test_pairs_distinct_and_children_first(self):
-        for text in corpus():
-            arena = build_for(text).arena
+        for text, bt in grammars():
+            arena = bt.arena
             pairs = [(arena.left[v], arena.right[v]) for v in range(len(arena.left))
                      if arena.left[v] >= 0]
             assert len(set(pairs)) == len(pairs)
             for v, (a, b) in enumerate(zip(arena.left, arena.right)):
                 assert (a < 0) == (b < 0)
                 assert max(a, b) < v
-            terminals = [arena.exp[v] for v in range(len(arena.left)) if arena.left[v] < 0]
-            assert len(set(terminals)) == len(terminals)
+            # terminals are distinct: each spells one symbol, none shared
+            spelt = spellings(bt, text)
+            terminals = [spelt[v] for v in range(bt.node_count) if arena.left[v] < 0]
+            assert all(len(s) == 1 and len(next(iter(s))) == 1 for s in terminals)
+            assert len({s.pop() for s in terminals}) == len(terminals)
 
-    def test_tuples_equal_walks(self):
-        long_nodes = 0
-        for text in corpus():
-            arena = build_for(text).arena
-            for v, e in enumerate(arena.exp):
-                if arena.length[v] <= grammar.SHORT:
-                    assert e == walk(arena, v)
-                else:
-                    assert e is None
+    def test_tuples_exactly_on_the_frontier(self):
+        """A node holds a tuple iff it has at most SHORT symbols and is a
+        block root or a child of a longer node."""
+        long_nodes = inner_short = 0
+        for _, bt in grammars():
+            arena, short = bt.arena, grammar.SHORT
+            frontier = {r for r in bt.roots if arena.length[r] <= short}
+            for v in range(bt.node_count):
+                if arena.length[v] > short:
                     long_nodes += 1
-                if arena.left[v] < 0:
-                    assert len(e) == 1 and arena.length[v] == 1
-        assert long_nodes
+                    frontier.update(c for c in (arena.left[v], arena.right[v])
+                                    if arena.length[c] <= short)
+            held = {v for v, t in enumerate(arena.exp) if t is not None}
+            assert held == frontier
+            inner_short += sum(arena.length[v] <= short for v in range(bt.node_count)) - len(held)
+        assert long_nodes and inner_short
+
+    def test_tuples_equal_the_text(self):
+        """Every occurrence of a node spells the same text, and its tuple
+        is that text; the tuples hold at most n symbols."""
+        for text, bt in grammars():
+            arena = bt.arena
+            spelt = spellings(bt, text)
+            assert set(spelt) == set(range(bt.node_count))
+            for v, t in enumerate(arena.exp):
+                assert len(spelt[v]) == 1, v
+                if t is not None:
+                    assert t == tuple(next(iter(spelt[v]))), v
+            assert 0 < bt.leaf_symbols <= len(text)
 
 
 def bench_texts() -> list[bytes]:
@@ -191,13 +220,13 @@ class TestConcatOrder:
         assert roots == {arena.pair(arena.pair(x, y), z)}
 
     def test_no_taller_and_fewer_nodes(self, monkeypatch):
-        for text in bench_texts():
+        for text, repetitive in zip(bench_texts(), (True, True, False)):
             bt, made = self.build(monkeypatch, text)
             old, old_made = self.build(monkeypatch, text, left_fold)
             assert bytes(bt.extract(1, len(text))) == text
             assert len(bt.roots) == len(old.roots)
             assert made <= old_made and bt.node_count <= old.node_count
-            if bt.block_len > grammar.SHORT:  # the repetitive generators
+            if repetitive:
                 assert made < 0.85 * old_made
             assert max(bt.block_heights()) <= max(old.block_heights())
             # Knuth's AVL bound: a tree of N pairs is under
@@ -263,7 +292,7 @@ class TestExtract:
         # one, ranges that split long nodes, and ranges across blocks
         rng = random.Random(40)
         text = repetitive_text(rng, 6000)
-        bt = build_for(text)
+        bt = build_for(text, 301)
         arena, b, n = bt.arena, bt.block_len, len(text)
         assert b > grammar.SHORT and arena.exp[bt.roots[0]] is None
         ranges = [(1, n)]
@@ -291,6 +320,19 @@ class TestExtract:
         before = bt.node_visits
         assert bytes(bt.extract(1, len(text))) == text
         assert bt.node_visits - before <= len(text) // 4
+
+    @pytest.mark.parametrize("built, queried", [(32, 128), (128, 32)])
+    def test_short_read_only_at_build(self, monkeypatch, built, queried):
+        # block_len 64 lies between the two values: whether the roots hold
+        # their blocks is what the build made, whatever SHORT reads later
+        text = repetitive_text(random.Random(46), 3000)
+        monkeypatch.setattr(grammar, "SHORT", built)
+        bt = build_for(text, 64)
+        monkeypatch.setattr(grammar, "SHORT", queried)
+        n = len(text)
+        for i, j in ((1, n), (60, 300), (2, n - 1)):
+            assert bytes(bt.extract(i, j)) == text[i - 1 : j], (i, j)
+            assert bt.matches(i, list(text[i - 1 : j])), (i, j)
 
     def test_out_of_range(self):
         bt = build_for(b"\x01\x02\x03")
@@ -322,8 +364,8 @@ class TestBlockLengths:
     """Extraction at block lengths around SHORT: up to SHORT every block
     root holds its expansion, past it only a short last block's root does."""
 
-    N = 2975  # n % b <= SHORT for every b below, so the last root is held
-    LENGTHS = (1, 2, 7, 31, 32, 33, 64)
+    N = 2940  # n % b <= SHORT for every b below, so the last root is held
+    LENGTHS = (1, 2, 7, 31, 32, 33, 64, 127, 128, 129, 256)
 
     @pytest.fixture(scope="class")
     def text(self):
@@ -409,7 +451,7 @@ class TestBlockLengths:
     def test_held_root_run_counts_one_visit_a_block(self, text, b):
         bt = build_for(text, b)
         n = len(text)
-        for i, j in ((1, n), (2, n - 1), (b + 1, 40 * b), (b, b + 1), (5, 5), (n, n)):
+        for i, j in ((1, n), (2, n - 1), (b + 1, min(n, 40 * b)), (b, b + 1), (5, 5), (n, n)):
             before = bt.node_visits
             assert bytes(bt.extract(i, j)) == text[i - 1 : j]
             assert bt.node_visits - before == (j - 1) // b - (i - 1) // b + 1, (i, j)

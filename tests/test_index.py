@@ -1203,6 +1203,7 @@ class TestStats:
                     "trie_d_vertices", "trie_suffix_vertices",
                     "grid_points", "source_points"):
             assert s[key] > 0
+        assert 0 < s["leaf_symbols"] <= s["n"]
         # the file's sections, in file order; size reports read them by name
         assert list(idx.component_sizes()) == [
             "header", "parse", "grammar", "reverse_grammar", "substring_trie",

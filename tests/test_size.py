@@ -75,3 +75,13 @@ def test_grammar_nodes_per_capped_z_lg_n_over_z_stay_flat(indexes):
     # nodes and repeated pairs gave 3.25 to 3.78.
     assert max(ratios) <= 1.4 * min(ratios), ratios
     assert max(ratios) < 1.5, ratios
+
+
+def test_leaf_symbols_at_most_n(indexes):
+    # the frontier tuples partition each block, so they hold at most n
+    # symbols; holding every node of at most SHORT symbols could pass n
+    checked = 0
+    for n, idx in indexes:
+        assert 0 < idx.stats()["leaf_symbols"] <= n
+        checked += 1
+    assert checked == 3
