@@ -2,12 +2,11 @@
 
 The text is carved into fixed-length blocks and each block gets its own
 AVL-balanced binary grammar, after Rytter's AVL-grammar construction (TCS
-2003); nodes are shared freely across blocks. Extraction of a substring
-visits O(lg(block) + length / SHORT) nodes, as it passes only nodes longer
-than SHORT and stops at their children, and queries read the text only
-that way: the index checks a weak-search candidate by comparing the text it
-stands for with the pattern (BlockTable.matches), one block-bounded piece
-at a time, and stops at the first piece that differs.
+2003); nodes are shared freely across blocks. Queries read the text only
+through BlockTable.extract: the index checks a weak-search candidate by
+comparing the text it stands for with the pattern (BlockTable.matches),
+one block-bounded piece at a time, and stops at the first piece that
+differs.
 
 The build hash-conses its pairs, so no two nodes share both children, and
 then keeps only the nodes the block roots reach, renumbered in their old
@@ -18,29 +17,35 @@ source and its terminal, and the block's root is their one concat
 parse alone, so a build makes it once whatever fingerprint function it
 keeps.
 
-A node of at most SHORT symbols holds its expansion as a tuple when it
-is on the descent frontier: it is a block root, or a child of a node
-longer than SHORT. Every descent starts at a root and passes only through
-longer nodes, so the first node it meets that is not longer holds its
-tuple, and the nodes below it hold none. The frontier nodes of a block
-partition it, so the tuples hold at most n symbols; the build cuts each
-from the text at the node's first occurrence (_Arena.cut_leaves).
-Extraction copies those tuples whole, or slices one, and splits only the
-longer nodes; it makes a constant number of Python calls whatever the
-length. A range inside one block is found by a descent from the block's
-root; a range that a node splits is a suffix of its left child and a
-prefix of its right one, each read down one path. The nodes read whole
-wait on one stack, and a node taken off it is read down its left spine,
-so only right children are pushed. When every block root holds its
-expansion, as when block_len <= SHORT, the blocks between the ends of a
-range are copied one tuple each. A node whose tuple is copied or sliced
-counts one visit (BlockTable.node_visits), as does every node passed on
-the way down.
+A block's frontier nodes are the nodes of at most SHORT symbols that are
+its root or a child of a node longer than SHORT; they partition the
+block. The build walks each block down to them once, in text order, and
+keeps one table of frontier pieces for the whole text (_Arena.cut_pieces):
+each piece's start, its expansion as a tuple, and each block's first
+piece. A node's tuple is cut from the text at its first occurrence and
+shared by its later ones, so the tuples hold at most n symbols. Build and
+load make the same table from the same parse. An extract finds its end
+pieces by block arithmetic, and by a bisection of the block's piece
+starts only when the block has more than one piece; it slices the end
+pieces and copies those between, one tuple each, and counts each piece
+it reads as one visit (BlockTable.node_visits).
+
+How many pieces that is follows from the AVL balance. A pair's children
+differ in height by at most one; a node of height h holds at most
+2^(h - 1) symbols and at least F(h + 1), the Fibonacci number
+(F(1) = F(2) = 1). A node longer than SHORT = 128 so has height at least
+9, and each of its children height at least 7 and at least F(8) = 21
+symbols. Every piece is such a child or a whole block, so every piece but
+the text's last holds at least s = min(block_len, 21) symbols. An extract
+of l >= 2 symbols reads its two end pieces and the whole ones between, at
+most 2 + (l - 2) // s pieces, plus a bisection of O(lg(block_len))
+steps; a block of L > SHORT symbols has from ceil(L / SHORT) to L // 21
+pieces (tests/test_bounds.py).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -66,10 +71,6 @@ class _Arena:
         self.right: list[int] = []
         self.length: list[int] = []
         self.height: list[int] = []
-        # the expansion of every frontier node (at most SHORT symbols, a
-        # block root or a child of a longer node), else None; cut from the
-        # text by cut_leaves
-        self.exp: list[tuple | None] = []
         # build only: the node of each symbol and of each pair, keyed
         # left << 32 | right
         self._terminals: dict[int, int] = {}
@@ -125,29 +126,41 @@ class _Arena:
         self._pairs = {}
         return [new[v] for v in roots]
 
-    def cut_leaves(self, roots: list[int], block_len: int, text: np.ndarray) -> None:
-        """Fill exp: every frontier node gets text at its first occurrence.
+    def cut_pieces(self, roots: list[int], block_len: int,
+                   text: np.ndarray) -> tuple[list[int], list[tuple], list[int]]:
+        """The frontier pieces of every block, in text order, as three lists:
+        each piece's 1-based start in the text, then n + 1; each piece's
+        expansion; and the index of each block's first piece, then the
+        piece count.
 
-        One walk from each root, block k starting at offset k * block_len of
-        text; a node longer than SHORT is walked below once, as its frontier
-        children hold their tuples after that.
+        One in-order walk of each block, block k starting at offset
+        k * block_len of text, down to the nodes of at most SHORT symbols.
+        A node's tuple is cut from the text at its first occurrence, and
+        every later occurrence shares it.
         """
         left, right, length = self.left, self.right, self.length
         exp: list[tuple | None] = [None] * len(left)
-        walked = bytearray(len(left))
+        starts: list[int] = []
+        pieces: list[tuple] = []
+        first: list[int] = []
         for k, root in enumerate(roots):
-            stack = [(root, k * block_len)]
+            first.append(len(pieces))
+            start = k * block_len
+            stack = [root]
             while stack:
-                v, start = stack.pop()
-                if length[v] <= SHORT:
-                    if exp[v] is None:
-                        exp[v] = tuple(text[start : start + length[v]].tolist())
-                elif not walked[v]:
-                    walked[v] = 1
-                    l = left[v]
-                    stack.append((right[v], start + length[l]))
-                    stack.append((l, start))
-        self.exp = exp
+                v = stack.pop()
+                while length[v] > SHORT:
+                    stack.append(right[v])
+                    v = left[v]
+                t = exp[v]
+                if t is None:
+                    t = exp[v] = tuple(text[start : start + length[v]].tolist())
+                starts.append(start + 1)
+                pieces.append(t)
+                start += length[v]
+        starts.append(len(text) + 1)
+        first.append(len(pieces))
+        return starts, pieces, first
 
     # -- balanced concatenation ------------------------------------------
 
@@ -263,105 +276,20 @@ class _Arena:
                 u, hi = right[u], hi - ll
         out.append(u)
 
-    def expand(self, stack: list[int], out: list[int]) -> int:
-        """Append the expansions of the nodes on stack to out, the last
-        node's first; empties the stack and returns the nodes visited.
-
-        Each node taken off the stack is read down its left spine to the
-        first node that holds its expansion, and only the right children
-        met on the way wait on the stack.
-        """
-        exp, left, right = self.exp, self.left, self.right
-        visits = len(stack)
-        while stack:
-            v = stack.pop()
-            t = exp[v]
-            while t is None:
-                stack.append(right[v])
-                v = left[v]
-                t = exp[v]
-                visits += 2
-            out += t
-        return visits
-
-    def suffix(self, v: int, lo: int, out: list[int]) -> int:
-        """Append expansion(v)[lo, |v|] to out; returns the nodes visited.
-
-        One path down: the right sibling of every left turn is read whole
-        after the slice where the path ends, so it waits on a stack.
-        """
-        exp = self.exp
-        t = exp[v]
-        if t is not None:
-            out += t[lo - 1 :]
-            return 1
-        length, left, right = self.length, self.left, self.right
-        stack: list[int] = []
-        visits = 0
-        while t is None and lo > 1:
-            visits += 1
-            l = left[v]
-            ll = length[l]
-            if lo > ll:
-                v, lo = right[v], lo - ll
-            else:
-                stack.append(right[v])
-                v = l
-            t = exp[v]
-        if t is None:  # v is read whole
-            stack.append(v)
-        else:
-            out += t[lo - 1 :]
-            visits += 1
-        return visits + self.expand(stack, out) if stack else visits
-
-    def prefix(self, v: int, hi: int, out: list[int]) -> int:
-        """Append expansion(v)[1, hi] to out; returns the nodes visited.
-
-        One path down: the left sibling of every right turn is read whole,
-        in the order met, before the slice where the path ends.
-        """
-        exp = self.exp
-        t = exp[v]
-        if t is not None:
-            out += t[:hi]
-            return 1
-        length, left, right = self.length, self.left, self.right
-        whole: list[int] = []
-        visits = 0
-        while t is None and hi < length[v]:
-            visits += 1
-            l = left[v]
-            ll = length[l]
-            if hi <= ll:
-                v = l
-            else:
-                whole.append(l)
-                v, hi = right[v], hi - ll
-            t = exp[v]
-        if t is None:  # v is read whole
-            whole.append(v)
-        if whole:
-            whole.reverse()
-            visits += self.expand(whole, out)
-        if t is not None:
-            out += t[:hi]
-            visits += 1
-        return visits
-
 
 class BlockTable:
-    """The grammar's nodes plus the root of each block."""
+    """The grammar's nodes, the root of each block, and the table of the
+    blocks' frontier pieces that extraction reads."""
 
-    def __init__(self, arena: _Arena, n: int, block_len: int, roots: list[int]):
+    def __init__(self, arena: _Arena, block_len: int, roots: list[int], text: np.ndarray):
         self.arena = arena
-        self.n = n
+        self.n = len(text)
         self.block_len = block_len
         self.roots = roots
-        # whether extract may copy the blocks between a range's ends one
-        # root tuple each
-        self.roots_held = all(arena.exp[r] is not None for r in roots)
-        self.node_visits = 0  # instrumentation, cumulative over queries
+        # piece p is text[starts[p], starts[p + 1] - 1], and block k's
+        # pieces are first[k] to first[k + 1] - 1 (see _Arena.cut_pieces)
+        self.starts, self.pieces, self.first = arena.cut_pieces(roots, block_len, text)
+        self.node_visits = 0  # pieces read, cumulative over queries
 
     @property
     def node_count(self) -> int:
@@ -372,68 +300,43 @@ class BlockTable:
 
     @property
     def leaf_symbols(self) -> int:
-        """The symbols the frontier tuples hold, at most n."""
-        return sum(len(t) for t in self.arena.exp if t is not None)
+        """The symbols the distinct frontier tuples hold, at most n."""
+        return sum(len(t) for t in {id(t): t for t in self.pieces}.values())
 
     def extract(self, i: int, j: int) -> list[int]:
         """text[i, j] as a list of symbols (1-based inclusive; empty if i > j).
 
-        A range inside one block descends from the block's root to the node
-        that holds it or splits it; only a split calls into the arena. Across
-        blocks, the end blocks are read the same way and every block between
-        them is expanded whole. A root that holds its expansion (every root
-        when block_len <= SHORT) is copied or sliced and counts one visit.
+        Each end's piece is its block's first piece, found by block
+        arithmetic, unless that piece ends before it: then a bisection of
+        the block's piece starts finds it. The end pieces are sliced and
+        the pieces between them copied whole; each counts one visit.
         """
         if i < 1 or j > self.n or i > j + 1:
             raise ValueError("range out of bounds")
         if i > j:
             return []
-        b = self.block_len
-        k1, k2 = (i - 1) // b, (j - 1) // b
-        arena, roots = self.arena, self.roots
-        exp = arena.exp
-        v = roots[k1]
-        t = exp[v]
-        if k1 == k2:
-            lo, hi = i - k1 * b, j - k1 * b
-            length, left = arena.length, arena.left
-            visits = 1
-            while t is None:
-                l = left[v]
-                ll = length[l]
-                if hi <= ll:
-                    v = l
-                elif lo > ll:
-                    v, lo, hi = arena.right[v], lo - ll, hi - ll
-                else:
-                    out: list[int] = []
-                    self.node_visits += (visits + arena.suffix(l, lo, out)
-                                         + arena.prefix(arena.right[v], hi - ll, out))
-                    return out
-                visits += 1
-                t = exp[v]
-            self.node_visits += visits
-            return list(t[lo - 1 : hi])
-        if t is None:
-            out = []
-            visits = arena.suffix(v, i - k1 * b, out)
-        else:
-            out = list(t[i - k1 * b - 1 :])
-            visits = 1
-        if k2 - k1 > 1 and self.roots_held:
-            visits += k2 - k1 - 1
-            for v in roots[k1 + 1 : k2]:
-                out += exp[v]
-        elif k2 - k1 > 1:
-            visits += arena.expand(roots[k2 - 1 : k1 : -1], out)
-        v, hi = roots[k2], j - k2 * b
-        t = exp[v]
-        if t is None:
-            visits += arena.prefix(v, hi, out)
-        else:
-            out += t[:hi]
-            visits += 1
-        self.node_visits += visits
+        b, starts, first = self.block_len, self.starts, self.first
+        k = (i - 1) // b
+        p = first[k]
+        e = starts[p + 1]
+        if e <= i:
+            p = bisect_right(starts, i, p + 2, first[k + 1]) - 1
+            e = starts[p + 1]
+        s = starts[p]
+        if j < e:
+            self.node_visits += 1
+            return list(self.pieces[p][i - s : j - s + 1])
+        k = (j - 1) // b
+        q = first[k]
+        if starts[q + 1] <= j:
+            q = bisect_right(starts, j, q + 2, first[k + 1]) - 1
+        pieces = self.pieces
+        out = list(pieces[p][i - s :])
+        if q - p > 1:
+            for t in pieces[p + 1 : q]:
+                out += t
+        out += pieces[q][: j - starts[q] + 1]
+        self.node_visits += q - p + 1
         return out
 
     def matches(self, i: int, symbols: list, lo: int = 0, hi: int | None = None) -> bool:
@@ -536,6 +439,4 @@ def build_slp(parse: Lz77Parse, block_len: int, text) -> BlockTable:
 
     if block:
         roots.append(arena.concat(block))
-    roots = arena.compact(roots)
-    arena.cut_leaves(roots, block_len, text)
-    return BlockTable(arena, parse.n, block_len, roots)
+    return BlockTable(arena, block_len, arena.compact(roots), text)

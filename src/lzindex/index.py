@@ -331,6 +331,7 @@ class Index:
             "grammar_nodes": self.bt.node_count,
             "grammar_height": max(self.bt.block_heights(), default=0),
             "leaf_symbols": self.bt.leaf_symbols,
+            "pieces": len(self.bt.pieces),
             "trie_d_vertices": self.t_d.num_vertices,
             "trie_suffix_vertices": self.t_dp.num_vertices,
             "grid_points": self.grid_r.size,

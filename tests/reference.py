@@ -10,7 +10,9 @@ r^|y| phi(z): the definition that fingerprints.PrefixFpTable and
 fingerprints.PatternFps must agree with. A prefix search structure over
 materialized strings, for testing prefix_search without a text. And the
 order of a set of suffixes read off the suffix array's ranks, which
-_suffixes.sort_suffixes must agree with.
+_suffixes.sort_suffixes must agree with. And two walks of a grammar
+block's tree, each by its definition: down to its frontier nodes, whose
+tuples grammar.BlockTable reads, and down to its terminals.
 """
 
 from __future__ import annotations
@@ -181,3 +183,19 @@ def suffix_rank_order(text, starts) -> list[int]:
     trie's string order this way before it sorted the suffixes itself."""
     rank = np.append(SuffixContext(to_symbols(text)).rank, -1)
     return np.argsort(rank[np.asarray(starts, dtype=np.int64)], kind="stable").tolist()
+
+
+def frontier(arena, root: int, short: int) -> list[int]:
+    """A block's frontier nodes in text order: the root if it has at most
+    short symbols, else the frontier nodes below each child, left first."""
+    if arena.length[root] <= short:
+        return [root]
+    return frontier(arena, arena.left[root], short) + frontier(arena, arena.right[root], short)
+
+
+def expand(arena, v: int, symbols: dict[int, int]) -> list[int]:
+    """The expansion of node v, by a walk down to its terminals; symbols
+    maps each terminal to its symbol."""
+    if arena.left[v] < 0:
+        return [symbols[v]]
+    return expand(arena, arena.left[v], symbols) + expand(arena, arena.right[v], symbols)

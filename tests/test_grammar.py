@@ -11,6 +11,7 @@ from lzindex import fingerprints as fp
 from lzindex import grammar, lz77
 
 from conftest import random_text
+from reference import expand, frontier
 
 R = fp.select_function(0)
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,6 +66,22 @@ def spellings(bt, text: bytes) -> dict[int, set[bytes]]:
     return out
 
 
+def terminal_symbols(bt, text: bytes) -> dict[int, int]:
+    """Each terminal's symbol, read off the text at its occurrences, which
+    all spell the same one."""
+    out = {}
+    for v, spelt in spellings(bt, text).items():
+        if bt.arena.left[v] < 0:
+            assert len(spelt) == 1, v
+            out[v] = next(iter(spelt))[0]
+    return out
+
+
+def block_pieces(bt, k: int) -> list[tuple]:
+    """Block k's frontier tuples, off the table."""
+    return bt.pieces[bt.first[k] : bt.first[k + 1]]
+
+
 class TestBuild:
     def test_round_trip_example(self):
         text = b"\x01\x02\x03" * 3
@@ -83,16 +100,38 @@ class TestBuild:
             grammar.build_slp(parsed, 2, text)
 
     def test_blocks_concatenate_to_text(self):
+        """The pieces join to the text, and each root, expanded down to its
+        terminals, to its block; the block's pieces are its frontier nodes'
+        expansions."""
         rng = random.Random(31)
-        for sigma in (2, 26):
-            text = random_text(rng, sigma, 1500)
-            bt = build_for(text)
-            out = []
-            for root in bt.roots:
-                piece: list[int] = []
-                bt.arena.expand([root], piece)
-                out.extend(piece)
-            assert bytes(out) == text
+        texts = [(random_text(rng, sigma, 1500), None) for sigma in (2, 26)]
+        texts += [(text, 301) for text in corpus()]
+        for text, block_len in texts:
+            bt = build_for(text, block_len)
+            assert b"".join(map(bytes, bt.pieces)) == text
+            symbols = terminal_symbols(bt, text)
+            b = bt.block_len
+            for k, root in enumerate(bt.roots):
+                assert bytes(expand(bt.arena, root, symbols)) == text[k * b : (k + 1) * b]
+                assert block_pieces(bt, k) == [
+                    tuple(expand(bt.arena, v, symbols))
+                    for v in frontier(bt.arena, root, grammar.SHORT)]
+
+    def test_table_partitions_the_text(self):
+        """starts runs from 1 up to n + 1 by each piece's length, each piece
+        is the text it starts, and first[k] is the piece that starts block
+        k, at k * b + 1."""
+        for text, bt in grammars():
+            starts, pieces, first = bt.starts, bt.pieces, bt.first
+            n, b = len(text), bt.block_len
+            assert len(starts) == len(pieces) + 1 and starts[0] == 1 and starts[-1] == n + 1
+            for p, t in enumerate(pieces):
+                assert 0 < len(t) <= grammar.SHORT
+                assert starts[p + 1] == starts[p] + len(t)
+                assert t == tuple(text[starts[p] - 1 : starts[p] - 1 + len(t)]), p
+            assert len(first) == len(bt.roots) + 1 and first[-1] == len(pieces)
+            for k in range(len(bt.roots)):
+                assert first[k] < first[k + 1] and starts[first[k]] == k * b + 1
 
 
 class TestCompact:
@@ -126,34 +165,42 @@ class TestCompact:
             assert len({s.pop() for s in terminals}) == len(terminals)
 
     def test_tuples_exactly_on_the_frontier(self):
-        """A node holds a tuple iff it has at most SHORT symbols and is a
-        block root or a child of a longer node."""
+        """The table holds one tuple per frontier node (at most SHORT
+        symbols, and a block root or a child of a longer node), shared by
+        all its occurrences, in the order the blocks' trees put them."""
         long_nodes = inner_short = 0
         for _, bt in grammars():
             arena, short = bt.arena, grammar.SHORT
-            frontier = {r for r in bt.roots if arena.length[r] <= short}
+            frontier_nodes = {r for r in bt.roots if arena.length[r] <= short}
             for v in range(bt.node_count):
                 if arena.length[v] > short:
                     long_nodes += 1
-                    frontier.update(c for c in (arena.left[v], arena.right[v])
-                                    if arena.length[c] <= short)
-            held = {v for v, t in enumerate(arena.exp) if t is not None}
-            assert held == frontier
-            inner_short += sum(arena.length[v] <= short for v in range(bt.node_count)) - len(held)
+                    frontier_nodes.update(c for c in (arena.left[v], arena.right[v])
+                                          if arena.length[c] <= short)
+            walked = [v for root in bt.roots for v in frontier(arena, root, short)]
+            assert set(walked) == frontier_nodes
+            assert [len(t) for t in bt.pieces] == [arena.length[v] for v in walked]
+            tuple_of = {}
+            for v, t in zip(walked, bt.pieces):
+                assert tuple_of.setdefault(v, t) is t, v
+            assert len({id(t) for t in bt.pieces}) == len(frontier_nodes)
+            inner_short += sum(arena.length[v] <= short for v in range(bt.node_count)) \
+                - len(frontier_nodes)
         assert long_nodes and inner_short
 
     def test_tuples_equal_the_text(self):
-        """Every occurrence of a node spells the same text, and its tuple
-        is that text; the tuples hold at most n symbols."""
+        """Every occurrence of a node spells the same text, and its piece
+        is that text; the distinct tuples hold at most n symbols."""
         for text, bt in grammars():
             arena = bt.arena
             spelt = spellings(bt, text)
             assert set(spelt) == set(range(bt.node_count))
-            for v, t in enumerate(arena.exp):
-                assert len(spelt[v]) == 1, v
-                if t is not None:
-                    assert t == tuple(next(iter(spelt[v]))), v
+            assert all(len(s) == 1 for s in spelt.values())
+            walked = [v for root in bt.roots for v in frontier(arena, root, grammar.SHORT)]
+            for v, t in zip(walked, bt.pieces, strict=True):
+                assert t == tuple(next(iter(spelt[v]))), v
             assert 0 < bt.leaf_symbols <= len(text)
+            assert bt.leaf_symbols == sum(arena.length[v] for v in set(walked))
 
 
 def bench_texts() -> list[bytes]:
@@ -288,31 +335,47 @@ class TestExtract:
                 assert bytes(bt.extract(i, j)) == text[i - 1 : j]
 
     def test_repetitive_slices(self):
-        # blocks longer than SHORT: ranges inside a held node below a long
-        # one, ranges that split long nodes, and ranges across blocks
+        # blocks longer than SHORT: ranges inside a piece, ranges that
+        # cross pieces inside one block, and ranges across blocks
         rng = random.Random(40)
         text = repetitive_text(rng, 6000)
         bt = build_for(text, 301)
-        arena, b, n = bt.arena, bt.block_len, len(text)
-        assert b > grammar.SHORT and arena.exp[bt.roots[0]] is None
+        b, n = bt.block_len, len(text)
+        assert b > grammar.SHORT and bt.first[1] > 1
         ranges = [(1, n)]
-        for k, root in enumerate(bt.roots):
-            stack = [(root, k * b + 1)]
-            while stack:
-                v, start = stack.pop()
-                if arena.exp[v] is None:
-                    stack += ((arena.left[v], start),
-                              (arena.right[v], start + arena.length[arena.left[v]]))
-                elif arena.length[v] > 1:
-                    end = start + arena.length[v] - 1
-                    cut = rng.randint(start, end - 1)
-                    ranges += [(start, end), (start + 1, end), (start, end - 1),
-                               (cut, cut + 1), (start, cut), (cut + 1, end)]
+        for p, t in enumerate(bt.pieces):
+            if len(t) > 1:
+                start = bt.starts[p]
+                end = start + len(t) - 1
+                cut = rng.randint(start, end - 1)
+                ranges += [(start, end), (start + 1, end), (start, end - 1),
+                           (cut, cut + 1), (start, cut), (cut + 1, end)]
         for _ in range(800):
             i = rng.randint(1, n)
             ranges.append((i, min(n, i + rng.randint(0, 3 * b))))
         for i, j in ranges:
             assert bytes(bt.extract(i, j)) == text[i - 1 : j], (i, j)
+
+    def test_ranges_at_piece_edges(self):
+        """Ranges that start at every piece edge, one before it or one after
+        it, and end at each of the next three edges the same way, or at n,
+        on corpus texts whose blocks are longer than SHORT; each reads the
+        pieces it meets."""
+        for text, bt in grammars():
+            b, n, starts = bt.block_len, len(text), bt.starts
+            if b <= grammar.SHORT:
+                continue
+            assert len(bt.pieces) > len(bt.roots)
+            for p in range(len(bt.pieces)):
+                for i in range(starts[p] - 1, starts[p] + 2):
+                    if not 1 <= i <= n:
+                        continue
+                    ends = {n} | {e + d for e in starts[p + 1 : p + 4] for d in (-2, -1, 0)}
+                    for j in ends:
+                        if i - 1 <= j <= n:
+                            before = bt.node_visits
+                            assert bytes(bt.extract(i, j)) == text[i - 1 : j], (i, j)
+                            assert bt.node_visits - before == pieces_oracle(bt, i, j), (i, j)
 
     def test_long_extract_visits_fewer_nodes_than_chars(self):
         text = repetitive_text(random.Random(41), 6000)
@@ -323,8 +386,8 @@ class TestExtract:
 
     @pytest.mark.parametrize("built, queried", [(32, 128), (128, 32)])
     def test_short_read_only_at_build(self, monkeypatch, built, queried):
-        # block_len 64 lies between the two values: whether the roots hold
-        # their blocks is what the build made, whatever SHORT reads later
+        # block_len 64 lies between the two values: whether a block is one
+        # piece is what the build made, whatever SHORT reads later
         text = repetitive_text(random.Random(46), 3000)
         monkeypatch.setattr(grammar, "SHORT", built)
         bt = build_for(text, 64)
@@ -341,30 +404,26 @@ class TestExtract:
                 bt.extract(i, j)
 
 
-def visits_oracle(bt, i: int, j: int) -> int:
-    """The nodes a read of text[i, j] passes: every node whose span meets
-    [i, j] and has no node above it, in its block's tree, that holds its
-    expansion; found by a walk of each block's tree."""
+def pieces_oracle(bt, i: int, j: int) -> int:
+    """The pieces a read of text[i, j] must take: the frontier nodes of
+    the blocks it meets whose spans meet [i, j], found by walking each of
+    those blocks' trees (reference.frontier), not by the table."""
     arena, b = bt.arena, bt.block_len
     count = 0
     for k in range((i - 1) // b, (j - 1) // b + 1):
-        stack = [(bt.roots[k], k * b + 1)]
-        while stack:
-            v, start = stack.pop()
-            if start > j or start + arena.length[v] - 1 < i:
-                continue
-            count += 1
-            if arena.exp[v] is None:
-                l = arena.left[v]
-                stack += ((l, start), (arena.right[v], start + arena.length[l]))
+        start = k * b + 1
+        for v in frontier(arena, bt.roots[k], grammar.SHORT):
+            end = start + arena.length[v] - 1
+            count += start <= j and end >= i
+            start = end + 1
     return count
 
 
 class TestBlockLengths:
     """Extraction at block lengths around SHORT: up to SHORT every block
-    root holds its expansion, past it only a short last block's root does."""
+    is one piece, past it only a short last block is."""
 
-    N = 2940  # n % b <= SHORT for every b below, so the last root is held
+    N = 2940  # n % b <= SHORT for every b below, so the last block is one piece
     LENGTHS = (1, 2, 7, 31, 32, 33, 64, 127, 128, 129, 256)
 
     @pytest.fixture(scope="class")
@@ -373,7 +432,7 @@ class TestBlockLengths:
 
     @staticmethod
     def check_ranges(text, b):
-        """Extract equals slicing and counts the oracle's visits, and
+        """Extract equals slicing and reads the oracle's pieces, and
         matches holds, on ranges at every scale; every pair is balanced."""
         bt = build_for(text, b)
         a = bt.arena
@@ -382,9 +441,9 @@ class TestBlockLengths:
                 assert abs(a.height[l] - a.height[r]) <= 1
                 assert h == max(a.height[l], a.height[r]) + 1
                 assert length == a.length[l] + a.length[r]
-        exp, n, blocks = a.exp, len(text), len(bt.roots)
-        held = [exp[r] is not None for r in bt.roots]
-        assert all(held) == (b <= grammar.SHORT) and held[-1]
+        n, blocks = len(text), len(bt.roots)
+        one_piece = [len(block_pieces(bt, k)) == 1 for k in range(blocks)]
+        assert all(one_piece) == (b <= grammar.SHORT) and one_piece[-1]
         rng = random.Random(b)
         ranges = [(1, n), (n, n), (1, 0), (n + 1, n)]
         ranges += [(i, i) for i in range(1, n + 1)]
@@ -393,7 +452,7 @@ class TestBlockLengths:
             i = min(n, s + rng.randrange(b))
             ranges += [(s, min(n, s + b - 1)), (s, min(n, s + 5 * b - 1)),
                        (i, min(n, i + rng.randrange(30 * b)))]
-        for _ in range(60):  # runs that end inside the held last block
+        for _ in range(60):  # runs that end inside the one-piece last block
             i = rng.randint(1, n)
             ranges.append((i, rng.randint(max(i, (blocks - 1) * b + 1), n)))
         for _ in range(300):
@@ -402,7 +461,7 @@ class TestBlockLengths:
         for i, j in ranges:
             before = bt.node_visits
             assert bytes(bt.extract(i, j)) == text[i - 1 : j], (i, j)
-            assert bt.node_visits - before == visits_oracle(bt, i, j), (i, j)
+            assert bt.node_visits - before == pieces_oracle(bt, i, j), (i, j)
             assert bt.matches(i, list(text[i - 1 : j])), (i, j)
 
     @pytest.mark.parametrize("b", LENGTHS)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from lzindex import Index, IndexConfig, _suffixes, fingerprints as fp, index as ix, lz77, trie
+from lzindex import Index, IndexConfig, _suffixes, fingerprints as fp, grammar, index as ix, lz77, trie
 from lzindex._io import Reader, Writer
 from lzindex._text import to_symbols
 
@@ -531,6 +531,19 @@ class TestExtract:
             idx.extract(1, 4)
 
 
+def assert_same_table(got, want) -> None:
+    """The same piece starts, first pieces and tuples, with a tuple shared
+    by the same pieces."""
+    assert got.starts == want.starts and got.first == want.first
+    assert got.pieces == want.pieces
+
+    def sharing(pieces):
+        seen: dict[int, int] = {}
+        return [seen.setdefault(id(t), p) for p, t in enumerate(pieces)]
+
+    assert sharing(got.pieces) == sharing(want.pieces)
+
+
 class TestSerialization:
     def build_random(self, seed, n=500, sigma=4):
         rng = random.Random(seed)
@@ -550,9 +563,10 @@ class TestSerialization:
         loaded = Index.from_bytes(blob)
         assert loaded.to_bytes() == blob
         # the file holds no grammar; loading derives the same one
-        for attr in ("left", "right", "length", "height", "exp"):
+        for attr in ("left", "right", "length", "height"):
             assert getattr(loaded.bt.arena, attr) == getattr(idx.bt.arena, attr)
         assert loaded.bt.roots == idx.bt.roots
+        assert_same_table(loaded.bt, idx.bt)
         # nor the phrase sources; loading derives them from the parse
         for attr in ("starts", "ends", "shifts"):
             assert np.array_equal(getattr(loaded.sources, attr), getattr(idx.sources, attr))
@@ -567,6 +581,14 @@ class TestSerialization:
         for attr in ("ps_d", "ps_dp"):
             a, b = getattr(loaded, attr), getattr(idx, attr)
             assert list(a.G.items()) == list(b.G.items())
+
+    def test_loaded_table_equals_built(self):
+        """Blocks longer than SHORT, cut into several pieces each: the load
+        makes the same table of pieces as the build."""
+        text = mutated_copies(random.Random(98), 300, 20_000, 1)
+        idx = Index.build(text)
+        assert idx.block_len > grammar.SHORT and len(idx.bt.pieces) > len(idx.bt.roots)
+        assert_same_table(Index.from_bytes(idx.to_bytes()).bt, idx.bt)
 
     def test_locate_identical_after_load(self, tmp_path):
         rng, text, idx = self.build_random(100)
@@ -1081,25 +1103,17 @@ class TestKeyWidths:
 
     @staticmethod
     def extract_ranges(bt):
-        """(1, n), every range inside a node that holds its expansion and
-        is the child of one that does not (or a block root), and ranges
-        across every block border."""
-        arena, n, b = bt.arena, bt.n, bt.block_len
+        """(1, n), every range inside each frontier piece, and ranges across
+        every block border."""
+        n, b, starts = bt.n, bt.block_len, bt.starts
         ranges = [(1, n)]
-        for k, root in enumerate(bt.roots):
-            stack = [(root, k * b + 1)]
-            while stack:
-                v, start = stack.pop()
-                if arena.exp[v] is None:
-                    stack.append((arena.left[v], start))
-                    stack.append((arena.right[v], start + arena.length[arena.left[v]]))
-                    continue
-                end = start + arena.length[v] - 1
-                ranges += [(i, j) for i in range(start, end + 1) for j in range(i, end + 1)]
-            if k:
-                s = k * b + 1  # the first position of block k
-                ranges += [(i, j) for i in range(max(1, s - 3), s)
-                           for j in (s, s + 2, min(n, s + b), n) if j <= n]
+        for p in range(len(bt.pieces)):
+            start, end = starts[p], starts[p + 1] - 1
+            ranges += [(i, j) for i in range(start, end + 1) for j in range(i, end + 1)]
+        for k in range(1, len(bt.roots)):
+            s = k * b + 1  # the first position of block k
+            ranges += [(i, j) for i in range(max(1, s - 3), s)
+                       for j in (s, s + 2, min(n, s + b), n) if j <= n]
         return ranges
 
 
@@ -1204,6 +1218,7 @@ class TestStats:
                     "grid_points", "source_points"):
             assert s[key] > 0
         assert 0 < s["leaf_symbols"] <= s["n"]
+        assert len(idx.bt.roots) <= s["pieces"] <= s["n"]
         # the file's sections, in file order; size reports read them by name
         assert list(idx.component_sizes()) == [
             "header", "parse", "grammar", "reverse_grammar", "substring_trie",
