@@ -8,14 +8,15 @@ comparing the text it stands for with the pattern (BlockTable.matches),
 one block-bounded piece at a time, and stops at the first piece that
 differs.
 
-The build hash-conses its pairs, so no two nodes share both children, and
-then keeps only the nodes the block roots reach, renumbered in their old
-order, so children still come before their parents. A block is built as
-a list of existing nodes, its pieces: each phrase adds the cover of its
-source and its terminal, and the block's root is their one concat
-(_Arena.concat). The grammar holds no fingerprint: it depends on the
-parse alone, so a build makes it once whatever fingerprint function it
-keeps.
+The build hash-conses its pairs, so no two nodes share both children,
+and children come before their parents. A block is built as a list of
+existing nodes, its pieces: each phrase adds the cover of its source and
+its terminal, and the block's root is their one concat (_Arena.concat).
+The grammar holds no fingerprint: it depends on the parse alone, so a
+build makes it once whatever fingerprint function it keeps. It lives only
+inside the build (_grammar): build_slp cuts the extraction table from it,
+counts the nodes the block roots reach and the tallest root's height, and
+drops it, so no node is renumbered and none is resident after the build.
 
 A block's frontier nodes are the nodes of at most SHORT symbols that are
 its root or a child of a node longer than SHORT; they partition the
@@ -58,12 +59,13 @@ SHORT = 128
 
 
 class _Arena:
-    """Node store, append-only until compact. Terminals have no children
-    (left = -1); pairs carry two.
+    """Node store, append-only. Terminals have no children (left = -1);
+    pairs carry two.
 
     Every node knows its expansion length and AVL height (terminal = 1).
-    Both follow from the children, so a stored grammar needs only its
-    structure.
+    Nodes the block roots stop reaching are kept, and none is renumbered:
+    the arena lives only inside build_slp, which drops it once the table
+    is cut from it.
     """
 
     def __init__(self):
@@ -100,31 +102,18 @@ class _Arena:
             height.append((ha if ha > hb else hb) + 1)
         return v
 
-    def compact(self, roots: list[int]) -> list[int]:
-        """Keep only the nodes the roots reach, renumbered in id order, and
-        drop the build's lookups; returns the roots' new ids."""
-        left, right, length = self.left, self.right, self.length
-        keep = bytearray(len(left))
+    def reached(self, roots: list[int]) -> int:
+        """The number of nodes the roots reach."""
+        left, right = self.left, self.right
+        seen = bytearray(len(left))
         stack = list(roots)
         while stack:
             v = stack.pop()
-            if not keep[v]:
-                keep[v] = 1
+            if not seen[v]:
+                seen[v] = 1
                 if left[v] >= 0:
-                    stack.append(left[v])
-                    stack.append(right[v])
-        old = [v for v in range(len(keep)) if keep[v]]
-        # new[-1] stays -1, so a terminal's missing children map to -1
-        new = [-1] * (len(keep) + 1)
-        for i, v in enumerate(old):
-            new[v] = i
-        self.left = [new[left[v]] for v in old]
-        self.right = [new[right[v]] for v in old]
-        self.length = [length[v] for v in old]
-        self.height = [self.height[v] for v in old]
-        self._terminals = {}
-        self._pairs = {}
-        return [new[v] for v in roots]
+                    stack += (left[v], right[v])
+        return seen.count(1)
 
     def cut_pieces(self, roots: list[int], block_len: int,
                    text: np.ndarray) -> tuple[list[int], list[tuple], list[int]]:
@@ -278,25 +267,19 @@ class _Arena:
 
 
 class BlockTable:
-    """The grammar's nodes, the root of each block, and the table of the
-    blocks' frontier pieces that extraction reads."""
+    """The table of the blocks' frontier pieces that extraction reads, cut
+    from a grammar's arena and block roots; the grammar is not kept."""
 
     def __init__(self, arena: _Arena, block_len: int, roots: list[int], text: np.ndarray):
-        self.arena = arena
         self.n = len(text)
         self.block_len = block_len
-        self.roots = roots
         # piece p is text[starts[p], starts[p + 1] - 1], and block k's
         # pieces are first[k] to first[k + 1] - 1 (see _Arena.cut_pieces)
         self.starts, self.pieces, self.first = arena.cut_pieces(roots, block_len, text)
+        # the nodes the block roots reach, and the tallest root's height
+        self.node_count = arena.reached(roots)
+        self.height = max((arena.height[r] for r in roots), default=0)
         self.node_visits = 0  # pieces read, cumulative over queries
-
-    @property
-    def node_count(self) -> int:
-        return len(self.arena.length)
-
-    def block_heights(self) -> list[int]:
-        return [self.arena.height[r] for r in self.roots]
 
     @property
     def leaf_symbols(self) -> int:
@@ -304,7 +287,9 @@ class BlockTable:
         return sum(len(t) for t in {id(t): t for t in self.pieces}.values())
 
     def extract(self, i: int, j: int) -> list[int]:
-        """text[i, j] as a list of symbols (1-based inclusive; empty if i > j).
+        """text[i, j] as a list of symbols, 1-based inclusive, for
+        1 <= i <= j + 1 <= n + 1: i = j + 1 gives the empty list, and any
+        other range raises ValueError.
 
         Each end's piece is its block's first piece, found by block
         arithmetic, unless that piece ends before it: then a bisection of
@@ -367,9 +352,19 @@ class BlockTable:
 
 
 def build_slp(parse: Lz77Parse, block_len: int, text) -> BlockTable:
-    """Build the per-block balanced grammar for text, the text the parse
-    produces (bytes or integer symbols), whose frontier tuples are cut from
-    it.
+    """The extraction table of text, the text the parse produces (bytes or
+    integer symbols), cut from the grammar _grammar makes of the parse;
+    the grammar is dropped with this call."""
+    text = to_symbols(text)
+    if len(text) != parse.n:
+        raise ValueError("text length differs from the parse's")
+    arena, roots = _grammar(parse, block_len)
+    return BlockTable(arena, block_len, roots, text)
+
+
+def _grammar(parse: Lz77Parse, block_len: int) -> tuple[_Arena, list[int]]:
+    """The per-block balanced grammar of the parse, as its arena and the
+    root of each block.
 
     Every phrase must fit inside block_len positions. A block is a list of
     pieces, each an existing node: a phrase adds its source's cover and its
@@ -380,9 +375,6 @@ def build_slp(parse: Lz77Parse, block_len: int, text) -> BlockTable:
     """
     if any(ph.span() > block_len for ph in parse.phrases):
         raise ValueError("phrase exceeds block length")
-    text = to_symbols(text)
-    if len(text) != parse.n:
-        raise ValueError("text length differs from the parse's")
 
     arena = _Arena()
     length, cover = arena.length, arena.cover
@@ -439,4 +431,4 @@ def build_slp(parse: Lz77Parse, block_len: int, text) -> BlockTable:
 
     if block:
         roots.append(arena.concat(block))
-    return BlockTable(arena, block_len, arena.compact(roots), text)
+    return arena, roots

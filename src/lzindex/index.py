@@ -171,6 +171,10 @@ class Index:
     @classmethod
     def build(cls, text, config: IndexConfig | None = None) -> "Index":
         cfg = config or IndexConfig()
+        if cfg.tau is not None and cfg.tau < 1:
+            raise ValueError("tau must be >= 1")
+        if cfg.seed < 0:
+            raise ValueError("seed must be >= 0")
         arr = to_symbols(text)
         n = len(arr)
         if n == 0:
@@ -180,8 +184,6 @@ class Index:
 
         orig = lz77.parse(arr, SuffixContext(arr))
         tau = cfg.tau if cfg.tau is not None else default_tau(n, orig.z)
-        if tau < 1:
-            raise ValueError("tau must be >= 1")
         capped = lz77.cap_phrases(orig, -(-n // orig.z), arr)
 
         for attempt in range(_MAX_FN_ATTEMPTS):
@@ -234,7 +236,9 @@ class Index:
         return out.tolist()
 
     def extract(self, i: int, j: int) -> list[int]:
-        """text[i, j], 1-based inclusive."""
+        """text[i, j], 1-based inclusive, for 1 <= i <= j + 1 <= n + 1:
+        i = j + 1 gives the empty list, and any other range raises
+        ValueError."""
         return self.bt.extract(i, j)
 
     def _in_alphabet(self, p: tuple) -> bool:
@@ -329,7 +333,7 @@ class Index:
             "block_len": self.block_len,
             "seed": self.seed,
             "grammar_nodes": self.bt.node_count,
-            "grammar_height": max(self.bt.block_heights(), default=0),
+            "grammar_height": self.bt.height,
             "leaf_symbols": self.bt.leaf_symbols,
             "pieces": len(self.bt.pieces),
             "trie_d_vertices": self.t_d.num_vertices,
@@ -376,8 +380,10 @@ class Index:
         return b"".join(data for _, data in self._sections())
 
     def save(self, path) -> None:
+        # serialized first, so a failure leaves an existing file as it was
+        data = self.to_bytes()
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            fh.write(data)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Index":

@@ -53,11 +53,6 @@ class CompactTrie:
         self.children: dict[int, int] = {}
 
     @property
-    def num_leaves(self) -> int:
-        """The number of strings, the root's last rank."""
-        return self.r_rank[0]
-
-    @property
     def num_vertices(self) -> int:
         return len(self.parent)
 

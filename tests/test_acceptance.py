@@ -149,7 +149,7 @@ class TestGrammarBounds:
             # z of the parse the grammar is built from (the capped parse)
             z = capped.z
             assert bt.node_count <= C_NODES * (z * lg + z)
-            assert max(bt.block_heights()) <= C_HEIGHT * lg + 10
+            assert bt.height <= C_HEIGHT * lg + 10
             assert 0 < bt.leaf_symbols <= n
 
     def test_leaf_symbols_within_n(self, corpus_results):

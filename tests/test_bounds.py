@@ -47,12 +47,23 @@ def texts() -> dict[str, list[int]]:
         copy = list(base)
         copy[rng.randrange(len(copy))] = rng.randint(1, 1 << 40)
         wide += copy
+    # a random text with runs of 300 and 400 copies of one symbol, and
+    # short random pieces followed by one run of the rest
+    runs = [rng.randint(1, 4) for _ in range(N)]
+    runs[400:700] = [1] * 300
+    runs[1200:1600] = [3] * 400
+    crowded: list[int] = []
+    while len(crowded) < 600:
+        crowded += [rng.randint(1, 26) for _ in range(rng.randint(1, 6))]
+    crowded += [1] * (N - len(crowded))
     return {
         "fibonacci": fib[-1][:N],
         "thue-morse": [1 + bin(i).count("1") % 2 for i in range(N)],
         "period 7 with substitutions": period,
         "a^(n-1)b": [1] * (N - 1) + [2],
         "sigma 2^40": wide[:N],
+        "two runs": runs,
+        "crowded run": crowded,
     }
 
 
@@ -70,7 +81,7 @@ def test_pieces_per_block_and_per_extract(name, b):
     bt = grammar.build_slp(lz77.cap_phrases(lz77.parse(text), b, text), b, text)
     short, n = grammar.SHORT, len(text)
     s = min(b, shortest_piece(short))
-    for k in range(len(bt.roots)):
+    for k in range(len(bt.first) - 1):
         size = min(b, n - k * b)
         count = bt.first[k + 1] - bt.first[k]
         if size <= short:

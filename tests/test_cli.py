@@ -62,6 +62,14 @@ class TestBuild:
         assert rc == 1
         assert "empty" in capsys.readouterr().err
 
+    def test_negative_seed_fails_and_keeps_the_output(self, tmp_path, capsys):
+        src = write_text(tmp_path, random_text(random.Random(113), 4, 300))
+        out = tmp_path / "text.idx"
+        out.write_bytes(b"an earlier index")
+        assert cli.main(["build", "-i", str(src), "-o", str(out), "--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier index"
+
     def test_rebuild_is_byte_identical(self, tmp_path):
         data = random_text(random.Random(111), 26, 400)
         a = build_index(tmp_path, data, extra=["--seed", "3"])

@@ -4,11 +4,13 @@ import math
 import random
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from lzindex import fingerprints as fp
 from lzindex import grammar, lz77
+from lzindex._text import to_symbols
 
 from conftest import random_text
 from reference import expand, frontier
@@ -24,6 +26,28 @@ def build_for(text: bytes, block_len: int | None = None) -> grammar.BlockTable:
     if block_len is None:
         block_len = -(-parsed.n // parsed.z)
     return grammar.build_slp(lz77.cap_phrases(parsed, block_len, text), block_len, text)
+
+
+class Grammar(NamedTuple):
+    """A grammar as _grammar leaves it, with the table build_slp cuts from
+    it."""
+    arena: grammar._Arena
+    roots: list[int]
+    bt: grammar.BlockTable
+
+
+def grammar_for(text: bytes, block_len: int | None = None) -> Grammar:
+    """The grammar of text's capped parse, as build_for makes it, with its
+    arena and block roots kept."""
+    parsed = lz77.parse(text)
+    if block_len is None:
+        block_len = -(-parsed.n // parsed.z)
+    arena, roots = grammar._grammar(lz77.cap_phrases(parsed, block_len, text), block_len)
+    return Grammar(arena, roots, grammar.BlockTable(arena, block_len, roots, to_symbols(text)))
+
+
+def blocks(bt) -> int:
+    return len(bt.first) - 1
 
 
 def repetitive_text(rng: random.Random, n: int) -> bytes:
@@ -44,18 +68,18 @@ def corpus() -> list[bytes]:
     return [random_text(rng, 2, 1500), random_text(rng, 26, 1500), repetitive_text(rng, 6000)]
 
 
-def grammars() -> list[tuple[bytes, grammar.BlockTable]]:
+def grammars() -> list[tuple[bytes, Grammar]]:
     """Each corpus text with its grammar at its own block length and at
     301, past SHORT, so that some nodes are longer than SHORT."""
-    return [(text, build_for(text, b)) for text in corpus() for b in (None, 301)]
+    return [(text, grammar_for(text, b)) for text in corpus() for b in (None, 301)]
 
 
-def spellings(bt, text: bytes) -> dict[int, set[bytes]]:
-    """The text at every occurrence of every node, by a walk of each
-    block's whole tree."""
-    arena, b = bt.arena, bt.block_len
+def spellings(g: Grammar, text: bytes) -> dict[int, set[bytes]]:
+    """The text at every occurrence of every node the block roots reach,
+    by a walk of each block's whole tree."""
+    arena, b = g.arena, g.bt.block_len
     out: dict[int, set[bytes]] = {}
-    for k, root in enumerate(bt.roots):
+    for k, root in enumerate(g.roots):
         stack = [(root, k * b)]
         while stack:
             v, start = stack.pop()
@@ -66,12 +90,12 @@ def spellings(bt, text: bytes) -> dict[int, set[bytes]]:
     return out
 
 
-def terminal_symbols(bt, text: bytes) -> dict[int, int]:
+def terminal_symbols(g: Grammar, text: bytes) -> dict[int, int]:
     """Each terminal's symbol, read off the text at its occurrences, which
     all spell the same one."""
     out = {}
-    for v, spelt in spellings(bt, text).items():
-        if bt.arena.left[v] < 0:
+    for v, spelt in spellings(g, text).items():
+        if g.arena.left[v] < 0:
             assert len(spelt) == 1, v
             out[v] = next(iter(spelt))[0]
     return out
@@ -107,21 +131,22 @@ class TestBuild:
         texts = [(random_text(rng, sigma, 1500), None) for sigma in (2, 26)]
         texts += [(text, 301) for text in corpus()]
         for text, block_len in texts:
-            bt = build_for(text, block_len)
+            g = grammar_for(text, block_len)
+            bt = g.bt
             assert b"".join(map(bytes, bt.pieces)) == text
-            symbols = terminal_symbols(bt, text)
+            symbols = terminal_symbols(g, text)
             b = bt.block_len
-            for k, root in enumerate(bt.roots):
-                assert bytes(expand(bt.arena, root, symbols)) == text[k * b : (k + 1) * b]
+            for k, root in enumerate(g.roots):
+                assert bytes(expand(g.arena, root, symbols)) == text[k * b : (k + 1) * b]
                 assert block_pieces(bt, k) == [
-                    tuple(expand(bt.arena, v, symbols))
-                    for v in frontier(bt.arena, root, grammar.SHORT)]
+                    tuple(expand(g.arena, v, symbols))
+                    for v in frontier(g.arena, root, grammar.SHORT)]
 
     def test_table_partitions_the_text(self):
         """starts runs from 1 up to n + 1 by each piece's length, each piece
         is the text it starts, and first[k] is the piece that starts block
         k, at k * b + 1."""
-        for text, bt in grammars():
+        for text, (_, roots, bt) in grammars():
             starts, pieces, first = bt.starts, bt.pieces, bt.first
             n, b = len(text), bt.block_len
             assert len(starts) == len(pieces) + 1 and starts[0] == 1 and starts[-1] == n + 1
@@ -129,29 +154,37 @@ class TestBuild:
                 assert 0 < len(t) <= grammar.SHORT
                 assert starts[p + 1] == starts[p] + len(t)
                 assert t == tuple(text[starts[p] - 1 : starts[p] - 1 + len(t)]), p
-            assert len(first) == len(bt.roots) + 1 and first[-1] == len(pieces)
-            for k in range(len(bt.roots)):
+            assert len(first) == len(roots) + 1 == -(-n // b) + 1 and first[-1] == len(pieces)
+            for k in range(len(roots)):
                 assert first[k] < first[k + 1] and starts[first[k]] == k * b + 1
 
 
 class TestCompact:
-    def test_every_node_reachable(self):
+    """The grammar the build makes and drops: hash-consed, children before
+    parents, and the nodes its block roots reach counted."""
+
+    def test_node_count_is_the_reached_nodes(self):
+        discarded = 0
         for text in corpus():
-            bt = build_for(text)
-            arena = bt.arena
+            g = grammar_for(text)
+            arena = g.arena
             seen = set()
-            stack = list(bt.roots)
+            stack = list(g.roots)
             while stack:
                 v = stack.pop()
                 if v not in seen:
                     seen.add(v)
                     if arena.left[v] >= 0:
                         stack += (arena.left[v], arena.right[v])
-            assert seen == set(range(bt.node_count))
+            assert g.bt.node_count == len(seen) == arena.reached(g.roots)
+            assert g.bt.height == max(arena.height[r] for r in g.roots)
+            discarded += len(arena.left) - len(seen)
+        # the arena holds nodes no root reaches, which the count leaves out
+        assert discarded
 
     def test_pairs_distinct_and_children_first(self):
-        for text, bt in grammars():
-            arena = bt.arena
+        for text, g in grammars():
+            arena = g.arena
             pairs = [(arena.left[v], arena.right[v]) for v in range(len(arena.left))
                      if arena.left[v] >= 0]
             assert len(set(pairs)) == len(pairs)
@@ -159,8 +192,8 @@ class TestCompact:
                 assert (a < 0) == (b < 0)
                 assert max(a, b) < v
             # terminals are distinct: each spells one symbol, none shared
-            spelt = spellings(bt, text)
-            terminals = [spelt[v] for v in range(bt.node_count) if arena.left[v] < 0]
+            spelt = spellings(g, text)
+            terminals = [s for v, s in spelt.items() if arena.left[v] < 0]
             assert all(len(s) == 1 and len(next(iter(s))) == 1 for s in terminals)
             assert len({s.pop() for s in terminals}) == len(terminals)
 
@@ -169,34 +202,34 @@ class TestCompact:
         symbols, and a block root or a child of a longer node), shared by
         all its occurrences, in the order the blocks' trees put them."""
         long_nodes = inner_short = 0
-        for _, bt in grammars():
-            arena, short = bt.arena, grammar.SHORT
-            frontier_nodes = {r for r in bt.roots if arena.length[r] <= short}
-            for v in range(bt.node_count):
+        for text, g in grammars():
+            (arena, roots, bt), short = g, grammar.SHORT
+            reached = spellings(g, text)
+            frontier_nodes = {r for r in roots if arena.length[r] <= short}
+            for v in reached:
                 if arena.length[v] > short:
                     long_nodes += 1
                     frontier_nodes.update(c for c in (arena.left[v], arena.right[v])
                                           if arena.length[c] <= short)
-            walked = [v for root in bt.roots for v in frontier(arena, root, short)]
+            walked = [v for root in roots for v in frontier(arena, root, short)]
             assert set(walked) == frontier_nodes
             assert [len(t) for t in bt.pieces] == [arena.length[v] for v in walked]
             tuple_of = {}
             for v, t in zip(walked, bt.pieces):
                 assert tuple_of.setdefault(v, t) is t, v
             assert len({id(t) for t in bt.pieces}) == len(frontier_nodes)
-            inner_short += sum(arena.length[v] <= short for v in range(bt.node_count)) \
-                - len(frontier_nodes)
+            inner_short += sum(arena.length[v] <= short for v in reached) - len(frontier_nodes)
         assert long_nodes and inner_short
 
     def test_tuples_equal_the_text(self):
         """Every occurrence of a node spells the same text, and its piece
         is that text; the distinct tuples hold at most n symbols."""
-        for text, bt in grammars():
-            arena = bt.arena
-            spelt = spellings(bt, text)
-            assert set(spelt) == set(range(bt.node_count))
+        for text, g in grammars():
+            (arena, roots, bt) = g
+            spelt = spellings(g, text)
+            assert len(spelt) == bt.node_count
             assert all(len(s) == 1 for s in spelt.values())
-            walked = [v for root in bt.roots for v in frontier(arena, root, grammar.SHORT)]
+            walked = [v for root in roots for v in frontier(arena, root, grammar.SHORT)]
             for v, t in zip(walked, bt.pieces, strict=True):
                 assert t == tuple(next(iter(spelt[v]))), v
             assert 0 < bt.leaf_symbols <= len(text)
@@ -231,26 +264,17 @@ class TestConcatOrder:
     fold."""
 
     @staticmethod
-    def build(monkeypatch, text, concat=None) -> tuple[grammar.BlockTable, int]:
-        """The grammar and the number of nodes made before compact."""
-        made = []
-        compact = grammar._Arena.compact
-
-        def counting(arena, roots):
-            made.append(len(arena.left))
-            return compact(arena, roots)
-
+    def build(monkeypatch, text, concat=None) -> tuple[Grammar, int]:
+        """The grammar and the number of nodes made."""
         with monkeypatch.context() as m:
-            m.setattr(grammar._Arena, "compact", counting)
             if concat is not None:
                 m.setattr(grammar._Arena, "concat", concat)
-            bt = build_for(text)
-        return bt, made[0]
+            g = grammar_for(text)
+        return g, len(g.arena.left)
 
     def test_pairs_balanced(self):
         for text in bench_texts():
-            bt = build_for(text)
-            a = bt.arena
+            a = grammar_for(text).arena
             for v, (l, r) in enumerate(zip(a.left, a.right)):
                 if l >= 0:
                     assert abs(a.height[l] - a.height[r]) <= 1, v
@@ -268,19 +292,20 @@ class TestConcatOrder:
 
     def test_no_taller_and_fewer_nodes(self, monkeypatch):
         for text, repetitive in zip(bench_texts(), (True, True, False)):
-            bt, made = self.build(monkeypatch, text)
+            g, made = self.build(monkeypatch, text)
             old, old_made = self.build(monkeypatch, text, left_fold)
+            bt = g.bt
             assert bytes(bt.extract(1, len(text))) == text
-            assert len(bt.roots) == len(old.roots)
-            assert made <= old_made and bt.node_count <= old.node_count
+            assert len(g.roots) == len(old.roots)
+            assert made <= old_made and bt.node_count <= old.bt.node_count
             if repetitive:
                 assert made < 0.85 * old_made
-            assert max(bt.block_heights()) <= max(old.block_heights())
+            assert bt.height <= old.bt.height
             # Knuth's AVL bound: a tree of N pairs is under
             # 1.4405 lg(N + 2) - 0.3277 levels of pairs; a root of len
             # symbols has len - 1 pairs and height - 1 levels of them
-            arena = bt.arena
-            for r in bt.roots:
+            arena = g.arena
+            for r in g.roots:
                 assert arena.height[r] - 1 < 1.4405 * math.log2(arena.length[r] + 1) - 0.3277
 
 
@@ -361,11 +386,12 @@ class TestExtract:
         it, and end at each of the next three edges the same way, or at n,
         on corpus texts whose blocks are longer than SHORT; each reads the
         pieces it meets."""
-        for text, bt in grammars():
+        for text, g in grammars():
+            bt = g.bt
             b, n, starts = bt.block_len, len(text), bt.starts
             if b <= grammar.SHORT:
                 continue
-            assert len(bt.pieces) > len(bt.roots)
+            assert len(bt.pieces) > blocks(bt)
             for p in range(len(bt.pieces)):
                 for i in range(starts[p] - 1, starts[p] + 2):
                     if not 1 <= i <= n:
@@ -375,7 +401,7 @@ class TestExtract:
                         if i - 1 <= j <= n:
                             before = bt.node_visits
                             assert bytes(bt.extract(i, j)) == text[i - 1 : j], (i, j)
-                            assert bt.node_visits - before == pieces_oracle(bt, i, j), (i, j)
+                            assert bt.node_visits - before == pieces_oracle(g, i, j), (i, j)
 
     def test_long_extract_visits_fewer_nodes_than_chars(self):
         text = repetitive_text(random.Random(41), 6000)
@@ -404,15 +430,15 @@ class TestExtract:
                 bt.extract(i, j)
 
 
-def pieces_oracle(bt, i: int, j: int) -> int:
+def pieces_oracle(g: Grammar, i: int, j: int) -> int:
     """The pieces a read of text[i, j] must take: the frontier nodes of
     the blocks it meets whose spans meet [i, j], found by walking each of
     those blocks' trees (reference.frontier), not by the table."""
-    arena, b = bt.arena, bt.block_len
+    arena, b = g.arena, g.bt.block_len
     count = 0
     for k in range((i - 1) // b, (j - 1) // b + 1):
         start = k * b + 1
-        for v in frontier(arena, bt.roots[k], grammar.SHORT):
+        for v in frontier(arena, g.roots[k], grammar.SHORT):
             end = start + arena.length[v] - 1
             count += start <= j and end >= i
             start = end + 1
@@ -434,34 +460,34 @@ class TestBlockLengths:
     def check_ranges(text, b):
         """Extract equals slicing and reads the oracle's pieces, and
         matches holds, on ranges at every scale; every pair is balanced."""
-        bt = build_for(text, b)
-        a = bt.arena
+        g = grammar_for(text, b)
+        a, bt = g.arena, g.bt
         for l, r, h, length in zip(a.left, a.right, a.height, a.length):
             if l >= 0:
                 assert abs(a.height[l] - a.height[r]) <= 1
                 assert h == max(a.height[l], a.height[r]) + 1
                 assert length == a.length[l] + a.length[r]
-        n, blocks = len(text), len(bt.roots)
-        one_piece = [len(block_pieces(bt, k)) == 1 for k in range(blocks)]
+        n, count = len(text), blocks(bt)
+        one_piece = [len(block_pieces(bt, k)) == 1 for k in range(count)]
         assert all(one_piece) == (b <= grammar.SHORT) and one_piece[-1]
         rng = random.Random(b)
         ranges = [(1, n), (n, n), (1, 0), (n + 1, n)]
         ranges += [(i, i) for i in range(1, n + 1)]
-        for k in range(0, blocks, max(1, blocks // 40)):
+        for k in range(0, count, max(1, count // 40)):
             s = k * b + 1
             i = min(n, s + rng.randrange(b))
             ranges += [(s, min(n, s + b - 1)), (s, min(n, s + 5 * b - 1)),
                        (i, min(n, i + rng.randrange(30 * b)))]
         for _ in range(60):  # runs that end inside the one-piece last block
             i = rng.randint(1, n)
-            ranges.append((i, rng.randint(max(i, (blocks - 1) * b + 1), n)))
+            ranges.append((i, rng.randint(max(i, (count - 1) * b + 1), n)))
         for _ in range(300):
             i = rng.randint(1, n)
             ranges.append((i, min(n, i + rng.randint(0, 3 * b))))
         for i, j in ranges:
             before = bt.node_visits
             assert bytes(bt.extract(i, j)) == text[i - 1 : j], (i, j)
-            assert bt.node_visits - before == pieces_oracle(bt, i, j), (i, j)
+            assert bt.node_visits - before == pieces_oracle(g, i, j), (i, j)
             assert bt.matches(i, list(text[i - 1 : j])), (i, j)
 
     @pytest.mark.parametrize("b", LENGTHS)
@@ -539,7 +565,7 @@ class TestSubstringFp:
         text = random_text(rng, 26, 2000)
         bt = build_for(text)
         b = bt.block_len
-        assert len(bt.roots) > 3
+        assert blocks(bt) > 3
         ranges = []
         for _ in range(500):
             i = rng.randint(1, len(text))
@@ -553,15 +579,15 @@ class TestSubstringFp:
         rng = random.Random(38)
         text = random_text(rng, 4, 2000)
         bt = build_for(text)
-        n, b, blocks = len(text), bt.block_len, len(bt.roots)
-        assert blocks > 4 and n % b  # the last block is short
+        n, b, count = len(text), bt.block_len, blocks(bt)
+        assert count > 4 and n % b  # the last block is short
         ranges = [(1, n), (1, 0), (n + 1, n)]
-        for k in range(blocks):
+        for k in range(count):
             s, e = k * b + 1, min(n, (k + 1) * b)  # exactly block k
             cut = rng.randint(1, e - s)
             ranges += [(s, e), (s, s), (e, e), (s + 1, e), (s, e - 1),
                        (s + cut, e), (s, s + cut - 1), (s, s - 1), (e + 1, e)]
-            for k2 in range(k + 1, min(blocks, k + 4)):
+            for k2 in range(k + 1, min(count, k + 4)):
                 # runs of whole blocks, with whole or partial ends
                 e2 = min(n, (k2 + 1) * b)
                 ranges += [(s, e2), (s + cut, e2), (s, e2 - cut), (s + cut, e2 - 1),
@@ -588,12 +614,11 @@ class TestMatches:
 
     def ranges(self, rng, bt, n):
         """(1, n), and ranges inside one block, across two and across three."""
-        b = bt.block_len
-        blocks = len(bt.roots)
-        assert blocks > 3 and b > 2
+        b, count = bt.block_len, blocks(bt)
+        assert count > 3 and b > 2
         out = [(1, n)]
         for _ in range(30):
-            k = rng.randrange(blocks - 3)
+            k = rng.randrange(count - 3)
             i = k * b + rng.randint(1, b)
             for span in range(3):  # j in block k + span
                 out.append((i, rng.randint(max(i, (k + span) * b + 1), (k + span + 1) * b)))
@@ -616,7 +641,7 @@ class TestMatches:
                         wrong = piece.copy()
                         wrong[pos - i] = wrong[pos - i] % 4 + 1
                         assert not bt.matches(i, wrong), (i, j, pos)
-            assert {1, 2, 3} <= spans and max(spans) == len(bt.roots)
+            assert {1, 2, 3} <= spans and max(spans) == blocks(bt)
 
     def test_window_of_a_longer_list(self):
         rng = random.Random(43)

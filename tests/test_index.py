@@ -55,6 +55,12 @@ class TestBuild:
         with pytest.raises(ValueError):
             Index.build(b"\x01\x02", IndexConfig(tau=0))
 
+    def test_negative_seed_rejected(self, monkeypatch):
+        # before the build starts: the file could not store the seed
+        monkeypatch.setattr(ix.lz77, "parse", None)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            Index.build(b"\x01\x02", IndexConfig(seed=-1))
+
     def test_symbol_past_int64_rejected(self):
         for big in (1 << 63, 1 << 64):
             with pytest.raises(ValueError, match="int64"):
@@ -529,11 +535,14 @@ class TestExtract:
             idx.extract(0, 2)
         with pytest.raises(ValueError):
             idx.extract(1, 4)
+        with pytest.raises(ValueError):  # i > j + 1
+            idx.extract(3, 1)
 
 
 def assert_same_table(got, want) -> None:
     """The same piece starts, first pieces and tuples, with a tuple shared
-    by the same pieces."""
+    by the same pieces, and the same node count and height."""
+    assert (got.node_count, got.height) == (want.node_count, want.height)
     assert got.starts == want.starts and got.first == want.first
     assert got.pieces == want.pieces
 
@@ -562,10 +571,8 @@ class TestSerialization:
         blob = idx.to_bytes()
         loaded = Index.from_bytes(blob)
         assert loaded.to_bytes() == blob
-        # the file holds no grammar; loading derives the same one
-        for attr in ("left", "right", "length", "height"):
-            assert getattr(loaded.bt.arena, attr) == getattr(idx.bt.arena, attr)
-        assert loaded.bt.roots == idx.bt.roots
+        # the file holds no grammar; loading cuts the same table from the
+        # grammar it makes
         assert_same_table(loaded.bt, idx.bt)
         # nor the phrase sources; loading derives them from the parse
         for attr in ("starts", "ends", "shifts"):
@@ -576,7 +583,7 @@ class TestSerialization:
         for attr in ("t_d", "t_dp"):
             assert self.trie_fields(getattr(loaded, attr)) == self.trie_fields(getattr(idx, attr))
         assert vars(loaded.grid_r) == vars(idx.grid_r)
-        everything = (1, loaded.t_d.num_leaves, 1, loaded.t_dp.num_leaves)
+        everything = (1, loaded.t_d.r_rank[0], 1, loaded.t_dp.r_rank[0])
         assert loaded.grid_r.query(*everything) == idx.grid_r.query(*everything)
         for attr in ("ps_d", "ps_dp"):
             a, b = getattr(loaded, attr), getattr(idx, attr)
@@ -587,7 +594,7 @@ class TestSerialization:
         makes the same table of pieces as the build."""
         text = mutated_copies(random.Random(98), 300, 20_000, 1)
         idx = Index.build(text)
-        assert idx.block_len > grammar.SHORT and len(idx.bt.pieces) > len(idx.bt.roots)
+        assert idx.block_len > grammar.SHORT and len(idx.bt.pieces) > len(idx.bt.first) - 1
         assert_same_table(Index.from_bytes(idx.to_bytes()).bt, idx.bt)
 
     def test_locate_identical_after_load(self, tmp_path):
@@ -1011,9 +1018,8 @@ class TestDerivedArrays:
                 t_d, t_dp, x = ix._tries(starts, ends, arr, trie.key_width(idx.sigma),
                                          np.array(order))
                 assert x.tolist() == [rank[r] for r in rev]
-                assert t_d.num_leaves == len(rank) == idx.t_d.num_leaves
-                assert t_dp.num_leaves == len(ends) == idx.t_dp.num_leaves
-                assert idx.t_d.r_rank[0] == len(rank)
+                assert t_d.r_rank[0] == len(rank) == idx.t_d.r_rank[0]
+                assert t_dp.r_rank[0] == len(ends) == idx.t_dp.r_rank[0]
                 for r in range(len(rank) + 2):
                     assert list(idx.grid_r.column(r, r)) == [
                         (int(ends[i]), int(borders[i])) for i in order if x[i] == r]
@@ -1087,6 +1093,7 @@ class TestKeyWidths:
             for attr in ("t_d", "t_dp"):
                 assert (TestSerialization.trie_fields(getattr(loaded, attr))
                         == TestSerialization.trie_fields(getattr(idx, attr)))
+            assert_same_table(loaded.bt, idx.bt)
             # every substring up to tau + 1 long, and each with its last
             # symbol replaced by sigma, which needs the full width
             patterns = set()
@@ -1110,7 +1117,7 @@ class TestKeyWidths:
         for p in range(len(bt.pieces)):
             start, end = starts[p], starts[p + 1] - 1
             ranges += [(i, j) for i in range(start, end + 1) for j in range(i, end + 1)]
-        for k in range(1, len(bt.roots)):
+        for k in range(1, len(bt.first) - 1):
             s = k * b + 1  # the first position of block k
             ranges += [(i, j) for i in range(max(1, s - 3), s)
                        for j in (s, s + 2, min(n, s + b), n) if j <= n]
@@ -1218,7 +1225,7 @@ class TestStats:
                     "grid_points", "source_points"):
             assert s[key] > 0
         assert 0 < s["leaf_symbols"] <= s["n"]
-        assert len(idx.bt.roots) <= s["pieces"] <= s["n"]
+        assert len(idx.bt.first) - 1 <= s["pieces"] <= s["n"]
         # the file's sections, in file order; size reports read them by name
         assert list(idx.component_sizes()) == [
             "header", "parse", "grammar", "reverse_grammar", "substring_trie",

@@ -20,3 +20,14 @@ def test_readme_names_magic_and_sections():
     listed = re.findall(r"^\| `(\w+)` \|", part, flags=re.MULTILINE)
     idx = Index.build(random_text(random.Random(43), 4, 200))
     assert listed == list(idx.component_sizes())
+
+
+def test_readme_lists_the_stats_keys():
+    # the keys under "Library usage", in the order stats() returns them
+    text = README.read_text(encoding="utf-8")
+    part = text[text.index("## Library usage") :]
+    part = part[: part.index("\n## ")]
+    part = part[part.index("`stats()` returns") :].split("\n\n")[0]
+    listed = re.findall(r"`(\w+)`", part)
+    idx = Index.build(random_text(random.Random(44), 4, 200))
+    assert listed == list(idx.stats())

@@ -44,14 +44,14 @@ def char_access_for(distinct):
 class TestBuild:
     def test_single_string(self):
         t, distinct = trie.build([(1,)])
-        assert t.num_leaves == 1
+        assert t.r_rank[0] == 1
         assert distinct == [(1,)]
         assert t.leaf_range(0) == (1, 1)
 
     def test_three_strings_shape(self):
         t, distinct = trie.build(ABC_SET)
         assert distinct == [(1, 2, 3), (1, 2, 4), (2,)]
-        assert t.num_leaves == 3
+        assert t.r_rank[0] == 3
         # root branches on symbols 1 and 2
         assert sorted(kids(t, 0)) == [1, 2]
         assert t.child(0, 3) is None
@@ -73,7 +73,7 @@ class TestBuild:
         # equal strings share a rank (the index's own grouping of equal
         # reversed substrings is tested by TestItemRanks in test_index.py)
         t, distinct = trie.build([(1, 2), (3,), (1, 2)])
-        assert t.num_leaves == 2
+        assert t.r_rank[0] == 2
         assert distinct == [(1, 2), (3,)]
         access = char_access_for(distinct)
         assert t.leaf_range(t.locus_by_walk((1, 2), access)) == (1, 1)
