@@ -5,10 +5,11 @@ smaller than any symbol, so suffix order matches Python's prefix-first
 ordering of the raw sequences. The parser (lz77.parse) reads the suffix
 array and the ranks to find each phrase's longest previous factor and
 source, and then both are dropped. The index constructor, at build and at
-load alike, sorts only the suffixes that follow the relevant substrings
-(sort_suffixes) and takes the lcps of adjacent ones by direct comparison
-(pair_lcps). No LCP array and no range-minimum table is built: those
-suffixes are about z·tau, not n.
+load alike, sorts the strings of both its tries with sort_suffixes, each
+cut from a text at its start and length (the reversed relevant substrings
+from the reversed text), and takes the lcps of adjacent ones by direct
+comparison (pair_lcps). No LCP array and no range-minimum table is built:
+those strings are about z·tau, not n.
 
 The suffix array comes from prefix doubling on numpy's default (unstable)
 argsort. A round's ranks are the dense ranks of its key values, which do
@@ -19,6 +20,8 @@ leaves equal keys in.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -116,40 +119,51 @@ def pair_lcps(text: np.ndarray, a: np.ndarray, b: np.ndarray, cap=None) -> np.nd
     return out
 
 
-def sort_suffixes(text: np.ndarray, starts) -> list[int]:
-    """The order of the suffixes of text at the distinct 0-based starts, an
-    index into starts per rank; the empty suffix (a start of len(text))
-    ranks first.
+def sort_suffixes(text: np.ndarray, starts, lens) -> tuple[np.ndarray, np.ndarray]:
+    """The strings text[s, s + l) for the 0-based starts s and lengths l,
+    sorted: an index into starts per rank, and the lcp of each rank's string
+    with the one before it (0 for the first), as int64 arrays. A string
+    ranks before those it prefixes, and equal strings are adjacent, in
+    starts order.
 
-    Sorts bytes slices of the text, encoded once by trie.encode, over the
-    first 256 symbols; only the groups whose keys tie over the whole window
-    are sorted again, by the next window, four times the symbols compared
-    so far (Larsson and Sadakane, "Faster suffix sorting", 2007). Keys of
-    distinct suffixes tie only when both fill the window, so the rounds end.
+    Sorts bytes slices of the text, encoded once by trie.encode, over each
+    string's first 256 symbols; only the strings whose slices tie are
+    sorted again, over a prefix four times as long (Larsson and Sadakane,
+    "Faster suffix sorting", 2007), in one sort a round. A slice is cut at
+    its string's end, so strings tie only while both fill the prefix, and
+    the rounds end. The lcps come from one pair_lcps call, capped at the
+    shorter string.
     """
     width = trie.key_width(int(text.max(initial=0)))
     enc = trie.encode(text, width)
-    at = (np.asarray(starts, dtype=np.int64) * width).tolist()
-    order = list(range(len(at)))
-    groups = [(0, len(order))]
-    lo, hi = 0, _SORT_SPAN * width  # the window, in bytes past each start
-    while groups:
-        tied = []
-        for a, b in groups:
-            group = order[a:b]
-            keys = [enc[at[i] + lo : at[i] + hi] for i in group]
-            by_key = sorted(range(len(group)), key=keys.__getitem__)
-            order[a:b] = [group[k] for k in by_key]
-            keys = [keys[k] for k in by_key]
-            run = 0  # the first of the current run of equal keys
-            for r in range(1, len(keys) + 1):
-                if r == len(keys) or keys[r] != keys[run]:
-                    if r - run > 1 and len(keys[run]) == hi - lo:
-                        tied.append((a + run, a + r))
-                    run = r
-        groups = tied
-        lo, hi = hi, 4 * hi
-    return order
+    starts = np.asarray(starts, dtype=np.int64)
+    lens = np.asarray(lens, dtype=np.int64)
+    at, end = starts * width, (starts + lens) * width
+    order = np.arange(len(starts), dtype=np.int64)
+    live = order.copy()  # the ranks still tied, ascending
+    span = _SORT_SPAN * width  # the prefix compared, in bytes
+    while len(live):
+        items = order[live]
+        lo = at[items]
+        hi = np.minimum(lo + span, end[items])
+        keys = [enc[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
+        by_key = sorted(range(len(keys)), key=keys.__getitem__)
+        keys = [keys[k] for k in by_key]
+        by_key = np.array(by_key, dtype=np.int64)
+        order[live] = items[by_key]
+        # a tie is a run of equal slices that fill the prefix; strings of
+        # two ties differ before it, so one sort keeps each tie in place
+        tie = np.fromiter(map(operator.eq, keys[1:], keys), dtype=bool, count=len(keys) - 1)
+        tie &= (hi - lo)[by_key[1:]] == span
+        keep = np.zeros(len(live), dtype=bool)
+        keep[1:] = tie
+        keep[:-1] |= tie
+        live = live[keep]
+        span *= 4
+    s, l = starts[order], lens[order]
+    lcps = np.zeros(len(order), dtype=np.int64)
+    lcps[1:] = pair_lcps(text, s[:-1], s[1:], np.minimum(l[:-1], l[1:]))
+    return order, lcps
 
 
 def lcp_array(text: np.ndarray, sa: np.ndarray, rank: np.ndarray) -> np.ndarray:

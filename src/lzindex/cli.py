@@ -61,8 +61,6 @@ def _cmd_locate(args) -> int:
 
 def _cmd_extract(args) -> int:
     idx = Index.load(args.index)
-    if args.start > args.end:
-        return 0  # empty range
     sys.stdout.buffer.write(_decode(idx.extract(args.start, args.end)))
     sys.stdout.buffer.flush()
     return 0

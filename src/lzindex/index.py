@@ -56,12 +56,12 @@ the text: the build passes the text it was given, loading decodes it from
 the checked parse. n, sigma and the block length follow from the parse and
 z. From them the constructor derives the rest in one order: the relevant
 substrings, as arrays of starts, ends and borders computed from the phrase
-spans; the suffix trie's string order, by sorting the suffixes that follow
-them (sort_suffixes); the lcps of its adjacent strings, about z·tau of
-them, by comparing the two suffixes (pair_lcps), so no n-length LCP array
-is made; the two tries over the relevant substrings; the dictionaries keyed
-on them, whose values come from one numpy prefix table over the text; the
-grammar (build_slp); the border grid; and the phrase sources. The function
+spans; the trie of the reversed relevant substrings and that of the
+suffixes that follow them, by one _trie call each, which sorts the strings
+and compares each adjacent pair for its lcp (sort_suffixes), about z·tau
+of them, so no n-length LCP array is made; the dictionaries keyed on them,
+whose values come from one numpy prefix table over the text; the grammar
+(build_slp); the border grid; and the phrase sources. The function
 keys only the dictionaries, and the caller says how they are made: the
 build passes prefix_search.build, which certifies both, and retries the
 constructor with the next seed's function when one collides, so nothing
@@ -69,15 +69,12 @@ past the dictionaries is made for a function that fails; loading passes
 prefix_search.derive and does not certify them again, since the build
 certified this r on this text. The derivations are numpy passes over
 arrays of the items and make no Python container per item, vertex or grid
-point, nor any Python object per symbol of a string they sort: the text
-and its reversal are each encoded once as fixed-width big-endian bytes
-(trie.encode, the width the least that holds sigma), each suffix's window
-and each reversed relevant substring is a bytes slice of one of them, so
-sorting them is a memcmp sort, and the adjacent lcps come from one
-pair_lcps call on each text. The
-tries keep flat per-vertex int lists and one int-keyed dict of edges, the
-grid one flat list for all its levels, so what loading leaves for the
-garbage collector to walk does not grow with the index.
+point, nor any Python object per symbol of a string they sort: the
+sorter encodes its text once as fixed-width big-endian bytes
+(trie.encode), so each string is a bytes slice of it and sorting them is
+a memcmp sort. The tries keep flat per-vertex int lists and one int-keyed
+dict of edges, the grid one flat list for all its levels, so what loading
+leaves for the garbage collector to walk does not grow with the index.
 """
 
 from __future__ import annotations
@@ -90,7 +87,7 @@ import numpy as np
 from . import fingerprints as fp
 from . import lz77, prefix_search, trie
 from ._io import Reader, Writer
-from ._suffixes import SuffixContext, pair_lcps, sort_suffixes
+from ._suffixes import SuffixContext, sort_suffixes
 from ._text import as_ints, to_symbols
 from .grammar import build_slp
 from .range_report import Grid, SourceIndex
@@ -137,9 +134,8 @@ class Index:
         fingerprint base r and the capped parse. Everything else is derived
         from those and the text arr, which construction may read directly
         (queries go through the grammar instead): n and sigma are the
-        parse's, the block length is n / orig_z rounded up, and the suffix
-        trie's string order is the sorted order of the suffixes after the
-        relevant substrings (sort_suffixes).
+        parse's, the block length is n / orig_z rounded up, and the
+        suffix trie's rank order of the items orders the grid's points.
         make_dictionary is prefix_search.build, which certifies each
         dictionary and raises FingerprintCollision, or prefix_search.derive,
         which trusts r."""
@@ -154,8 +150,13 @@ class Index:
         self.last_stats: dict = {}
 
         starts, ends, borders = _relevant_substrings(capped, tau, n)
-        order = np.array(sort_suffixes(arr, ends), dtype=np.int64)
-        self.t_d, self.t_dp, x = _tries(starts, ends, arr, trie.key_width(self.sigma), order)
+        # item (s, e) reversed starts at n - e in the reversed text, and
+        # depth q of a string read backwards from e is arr[e - q]
+        self.t_d, x, _ = _trie(arr[::-1], n - ends, ends - starts + 1, ends,
+                               lambda ends, q: arr[ends - q])
+        # the suffixes after the items are distinct: one item per rank
+        self.t_dp, _, order = _trie(arr, ends, n - ends, ends + 1,
+                                    lambda starts, q: arr[starts + q - 2])
         # the dictionaries are all that depends on r
         self.ps_d, self.ps_dp = _dictionaries(r, arr, self.t_d, self.t_dp, make_dictionary)
         # the rest is made only now, so it is not resident while the
@@ -475,48 +476,22 @@ def _checksum(data) -> int:
     return zlib.crc32(view[_CRC_AT + 4 :], zlib.crc32(view[:_CRC_AT]))
 
 
-def _tries(starts: np.ndarray, ends: np.ndarray, arr: np.ndarray, width: int,
-           order: np.ndarray) -> tuple[CompactTrie, CompactTrie, np.ndarray]:
-    """The tries the dictionaries are keyed on, from the relevant substrings'
-    starts and ends, the text, the byte key width and the sorted order of
-    the suffixes after the items (an item index per rank): the trie over the
-    reversed relevant substrings, each vertex's sample the end of an item it
-    spells, and the trie over the suffixes that follow them, each vertex's
-    sample the start of one; and each item's rank in the first. Neither
-    depends on the fingerprint function."""
-    n = len(arr)
-    # 0-based starts of the suffixes, and the lcp of each adjacent pair
-    after = ends[order]
-    lcps = pair_lcps(arr, after[:-1], after[1:])
-
-    # the reversed relevant substrings, sorted as byte keys: each is a slice
-    # of the reversed text's encoding, item (s, e) its 0-based
-    # [n - e, n + 1 - s); their adjacent lcps are those of the reversed
-    # text's suffixes at n - e, cut at the shorter string, and equal strings
-    # share a rank
-    rtext = trie.encode(arr[::-1], width)
-    keys = [rtext[a:b] for a, b in zip(((n - ends) * width).tolist(),
-                                       ((n + 1 - starts) * width).tolist())]
-    by_key = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
-    del keys
-    lens = (ends - starts + 1)[by_key]
-    rstarts = n - ends[by_key]
-    key_lcps = pair_lcps(arr[::-1], rstarts[:-1], rstarts[1:], np.minimum(lens[:-1], lens[1:]))
-    new = np.ones(len(by_key), dtype=bool)
-    new[1:] = (key_lcps < lens[1:]) | (lens[:-1] != lens[1:])
-    x = np.empty(len(by_key), dtype=np.int64)
-    x[by_key] = np.cumsum(new)
-    t_d = trie.build_from_sorted(ends[by_key[new]].tolist(), lens[new].tolist(),
-                                 np.concatenate(([0], key_lcps))[new].tolist())
-    # depth q of a string read backwards from end e is arr[e - q]
-    trie.finalize(t_d, lambda ends, q: arr[ends - q])
-
-    # trie over the suffixes that follow them, assembled in suffix array
-    # order so the suffixes never have to be materialized
-    t_dp = trie.build_from_sorted((after + 1).tolist(), (n - after).tolist(),
-                                  [0, *lcps.tolist()])
-    trie.finalize(t_dp, lambda starts, q: arr[starts + q - 2])
-    return t_d, t_dp, x
+def _trie(text: np.ndarray, starts: np.ndarray, lens: np.ndarray, samples: np.ndarray,
+          symbols_at) -> tuple[CompactTrie, np.ndarray, np.ndarray]:
+    """The trie over the items' strings text[s, s + l) (sort_suffixes), a
+    vertex's sample that of the first item spelling it, its edges' symbols
+    read by symbols_at (trie.finalize); each item's rank, equal strings
+    sharing one; and the items in rank order, as int64 arrays."""
+    order, lcps = sort_suffixes(text, starts, lens)
+    lens = lens[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (lcps[1:] < lens[1:]) | (lens[:-1] != lens[1:])
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.cumsum(new)
+    t = trie.build_from_sorted(samples[order[new]].tolist(), lens[new].tolist(),
+                               lcps[new].tolist())
+    trie.finalize(t, symbols_at)
+    return t, rank, order
 
 
 def _dictionaries(r: int, arr: np.ndarray, t_d: CompactTrie, t_dp: CompactTrie,

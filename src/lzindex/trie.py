@@ -17,9 +17,10 @@ Strings are sorted as byte keys: each symbol becomes a big-endian word of a
 fixed width (`key_width`), so the bytes order of two keys is the order of
 their symbol sequences, a shorter prefix first, and the lcp of two adjacent
 keys comes from the bit length of the XOR of their common-length prefixes.
-The index encodes its reversed text this way once, takes every string it
-sorts as a slice of it, and takes the adjacent lcps from the text itself
-(_suffixes.pair_lcps) rather than from the keys.
+The index's one sorter (_suffixes.sort_suffixes) encodes each text it
+sorts strings of this way once, takes every string's prefix as a slice of
+it, and takes the adjacent lcps from the text itself (_suffixes.pair_lcps)
+rather than from the keys.
 """
 
 from __future__ import annotations

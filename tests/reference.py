@@ -9,8 +9,9 @@ pair, evaluated symbol by symbol and composed by phi(yz) = phi(y) +
 r^|y| phi(z): the definition that fingerprints.PrefixFpTable and
 fingerprints.PatternFps must agree with. A prefix search structure over
 materialized strings, for testing prefix_search without a text. And the
-order of a set of suffixes read off the suffix array's ranks, which
-_suffixes.sort_suffixes must agree with. And two walks of a grammar
+order of a set of suffixes read off the suffix array's ranks, and of a set
+of strings cut from a text by a stable sort, which _suffixes.sort_suffixes
+must agree with. And two walks of a grammar
 block's tree, each by its definition: down to its frontier nodes, whose
 tuples grammar.BlockTable reads, and down to its terminals.
 """
@@ -183,6 +184,16 @@ def suffix_rank_order(text, starts) -> list[int]:
     trie's string order this way before it sorted the suffixes itself."""
     rank = np.append(SuffixContext(to_symbols(text)).rank, -1)
     return np.argsort(rank[np.asarray(starts, dtype=np.int64)], kind="stable").tolist()
+
+
+def cut_string_order(text, starts, lens) -> list[int]:
+    """The order of the strings text[s, s + l) for the 0-based starts s and
+    lengths l, an index into starts per rank, by a stable sort of the
+    strings as Python tuples: a proper prefix first, equal strings in starts
+    order."""
+    t = tuple(to_symbols(text).tolist())
+    strings = [t[s : s + l] for s, l in zip(starts, lens)]
+    return sorted(range(len(strings)), key=strings.__getitem__)
 
 
 def frontier(arena, root: int, short: int) -> list[int]:

@@ -4,7 +4,8 @@ Covers oracle equivalence of locate over a randomized corpus, parser
 cross-checks, structural bounds on the grammar, the weak prefix search
 contract with operation-count limits, the interval-midpoint property of the
 two-fattest helper, primary/secondary accounting, the verification filter,
-extraction, and a measured space report.
+extraction, texts with long runs of one symbol, and a measured space
+report.
 """
 
 import math
@@ -17,7 +18,7 @@ from lzindex import fingerprints as fp
 from lzindex import prefix_search as ps
 from lzindex.grammar import build_slp
 
-from conftest import absent_pattern, planted_pattern, random_text
+from conftest import absent_pattern, mutated_copies, planted_pattern, random_text
 from reference import build_from_strings, classify, naive_locate, naive_lz77, two_fattest
 
 SIGMAS = (2, 4, 26)
@@ -290,6 +291,105 @@ class TestExtraction:
         rc = cli.main(["extract", "-x", str(idx_path), "-i", "1", "-j", str(len(data))])
         assert rc == 0
         assert capsysbinary.readouterr().out == data
+
+
+def two_runs_text():
+    """Mutated copies to 20,000 symbols with two runs of 8,000 of one
+    symbol inserted, and the runs' 0-based [start, end) spans."""
+    rng = random.Random(16)
+    copies = mutated_copies(rng, 2_000, 20_000, 3)
+    text = copies[:7_000] + b"\x01" * 8_000 + copies[7_000:14_000] + b"\x04" * 8_000 + copies[14_000:]
+    return text, [(7_000, 15_000), (22_000, 30_000)]
+
+
+def crowded_run_text():
+    """A crowded run at small scale: X, 300 random symbols; 1,000 pieces of
+    8 symbols of X, each followed by 4; then 3, a run of 20,000 1s and 2.
+    Many short phrases copy from X, and one long one covers the run."""
+    rng = random.Random(7)
+    x = bytes(rng.randint(1, 4) for _ in range(300))
+    pieces = b"".join(x[s : s + 8] + b"\x04" for s in (rng.randrange(len(x) - 8)
+                                                       for _ in range(1_000)))
+    start = len(x) + len(pieces) + 1
+    return x + pieces + b"\x03" + b"\x01" * 20_000 + b"\x02", [(start, start + 20_000)]
+
+
+@pytest.fixture(scope="module", params=["two runs", "crowded run"])
+def run_text(request):
+    """A text with long runs of one symbol, its runs, its index and the
+    index loaded back from its bytes."""
+    text, runs = {"two runs": two_runs_text, "crowded run": crowded_run_text}[request.param]()
+    idx = Index.build(text)
+    return text, runs, idx, Index.from_bytes(idx.to_bytes())
+
+
+class TestRunTexts:
+    """Texts with runs of one symbol thousands long (ROADMAP item 15's
+    corpus): locate against a naive scan with patterns inside, across and
+    outside the runs and absent ones, extract against slicing, and a load
+    that gives back the built index."""
+
+    LENGTHS = (3, 5, 12, 40, 200)
+
+    @staticmethod
+    def patterns(rng, text, runs, m):
+        n = len(text)
+        out = set()
+        for lo, hi in runs:
+            out.add(text[lo : lo + m])
+            # across each end of the run, holding at least one symbol
+            # on each side
+            for edge in (lo, hi):
+                for _ in range(2):
+                    s = rng.randint(edge - m + 1, edge - 1)
+                    out.add(text[s : s + m])
+        outside = 0
+        while outside < 8:
+            s = rng.randint(0, n - m)
+            if all(s + m <= lo or hi <= s for lo, hi in runs):
+                out.add(text[s : s + m])
+                outside += 1
+        # one symbol of a present pattern replaced, kept where absent
+        for _ in range(40):
+            s = rng.randint(0, n - m)
+            k = rng.randrange(m)
+            p = text[s : s + k] + bytes([text[s + k] % 4 + 1]) + text[s + k + 1 : s + m]
+            if p not in text:
+                out.add(p)
+        return sorted(out)
+
+    def test_locate_matches_naive_scan(self, run_text):
+        text, runs, _, loaded = run_text
+        rng = random.Random(len(text))
+        checked = absent = 0
+        for m in self.LENGTHS:
+            for p in self.patterns(rng, text, runs, m):
+                expected = naive_locate(text, p)
+                assert loaded.locate(p) == expected, (m, p[:20])
+                checked += 1
+                absent += not expected
+        assert checked >= 100 and absent >= 20
+
+    def test_extract_matches_slicing(self, run_text):
+        text, runs, idx, loaded = run_text
+        rng = random.Random(len(text) + 1)
+        n = len(text)
+        ranges = [(1, n)]
+        for lo, hi in runs:
+            ranges += [(lo - 50, lo + 50), (hi - 50, hi + 50), (lo + 1, hi), (lo - 2_000, hi + 2_000)]
+        ranges += [sorted(rng.randint(1, n) for _ in range(2)) for _ in range(50)]
+        for i, j in ranges:
+            i, j = max(i, 1), min(j, n)
+            assert bytes(idx.extract(i, j)) == bytes(loaded.extract(i, j)) == text[i - 1 : j]
+
+    def test_load_gives_back_the_build(self, run_text):
+        _, _, idx, loaded = run_text
+        assert loaded.to_bytes() == idx.to_bytes()
+        for attr in ("t_d", "t_dp"):
+            built, back = getattr(idx, attr), getattr(loaded, attr)
+            assert {**vars(back), "children": list(back.children.items())} == {
+                **vars(built), "children": list(built.children.items())}
+        assert vars(loaded.grid_r) == vars(idx.grid_r)
 
 
 class TestSpaceReport:

@@ -171,7 +171,7 @@ class TestExtract:
     def test_out_of_bounds(self, tmp_path, capsys):
         # Index.extract checks the range; main reports its error
         idx_path = build_index(tmp_path, b"abc")
-        for i, j in (("1", "9"), ("0", "2"), ("-1", "3")):
+        for i, j in (("1", "9"), ("0", "2"), ("-1", "3"), ("100", "1"), ("3", "1"), ("0", "-5")):
             assert cli.main(["extract", "-x", str(idx_path), "-i", i, "-j", j]) == 1
             assert capsys.readouterr() == ("", "error: range out of bounds\n")
 

@@ -779,9 +779,16 @@ class TestSerialization:
             text = mutated_copies(rng, rng.randint(20, 60), 480, 2, sigma=2)
             idx = Index.build(text)
             _, ends, _ = ix._relevant_substrings(idx.capped, idx.tau, idx.n)
-            order = _suffixes.sort_suffixes(to_symbols(text), ends)
-            assert order == suffix_rank_order(text, ends)
+            arr = to_symbols(text)
+            n = len(arr)
+            order, _ = _suffixes.sort_suffixes(arr, ends, n - ends)
+            assert order.tolist() == suffix_rank_order(text, ends)
             assert ends[order[0]] == len(text)
+            t_dp, rank, by_rank = ix._trie(arr, ends, n - ends, ends + 1,
+                                           lambda s, q: arr[s + q - 2])
+            assert by_rank.tolist() == order.tolist()
+            assert rank[order].tolist() == list(range(1, len(ends) + 1))
+            assert self.trie_fields(t_dp) == self.trie_fields(idx.t_dp)
             loaded = Index.from_bytes(idx.to_bytes())
             assert self.trie_fields(loaded.t_dp) == self.trie_fields(idx.t_dp)
             assert vars(loaded.grid_r) == vars(idx.grid_r)
@@ -1015,9 +1022,16 @@ class TestDerivedArrays:
                        for s, e in zip(starts.tolist(), ends.tolist())]
                 rank = {r: k for k, r in enumerate(sorted(set(rev)), start=1)}
                 order = suffix_rank_order(arr, ends)
-                t_d, t_dp, x = ix._tries(starts, ends, arr, trie.key_width(idx.sigma),
-                                         np.array(order))
+                n = len(arr)
+                t_d, x, _ = ix._trie(arr[::-1], n - ends, ends - starts + 1, ends,
+                                     lambda e, q: arr[e - q])
+                t_dp, _, by_rank = ix._trie(arr, ends, n - ends, ends + 1,
+                                            lambda s, q: arr[s + q - 2])
+                assert by_rank.tolist() == order
                 assert x.tolist() == [rank[r] for r in rev]
+                for attr, t in (("t_d", t_d), ("t_dp", t_dp)):
+                    assert (TestSerialization.trie_fields(t)
+                            == TestSerialization.trie_fields(getattr(idx, attr)))
                 assert t_d.r_rank[0] == len(rank) == idx.t_d.r_rank[0]
                 assert t_dp.r_rank[0] == len(ends) == idx.t_dp.r_rank[0]
                 for r in range(len(rank) + 2):
@@ -1062,8 +1076,8 @@ class TestResidentContainers:
 
 
 class TestKeyWidths:
-    """The reversed relevant substrings are sorted as byte keys of 1, 2, 4
-    or 8 bytes a symbol, the least that holds sigma."""
+    """Both tries' strings are sorted as byte keys of 1, 2, 4 or 8 bytes a
+    symbol, the least that holds sigma."""
 
     @staticmethod
     def texts(sigma):

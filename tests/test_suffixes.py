@@ -7,7 +7,7 @@ from lzindex._suffixes import (_SORT_SPAN, SuffixContext, lcp_array, pair_lcps, 
                                suffix_array)
 
 from conftest import mutated_copies, random_text
-from reference import suffix_rank_order
+from reference import cut_string_order, suffix_rank_order
 
 
 def naive_sa(text) -> list[int]:
@@ -172,14 +172,35 @@ class TestPairLcps:
         assert pair_lcps(np.array([1, 2], dtype=np.int64), [], []).tolist() == []
 
 
+def naive_string_lcp(a, b) -> int:
+    l = 0
+    while l < min(len(a), len(b)) and a[l] == b[l]:
+        l += 1
+    return l
+
+
 class TestSortSuffixes:
-    """sort_suffixes against the suffix array's ranks (reference.py)."""
+    """sort_suffixes against a stable sort of the cut strings
+    (reference.py), its lcps against a symbol-by-symbol count; with no
+    lengths given, the strings are the suffixes and the order is also the
+    suffix array's (reference.py)."""
 
     @staticmethod
-    def check(text, starts) -> list[int]:
+    def check(text, starts, lens=None) -> list[int]:
         arr = np.asarray(list(text), dtype=np.int64)
-        order = sort_suffixes(arr, starts)
-        assert order == suffix_rank_order(arr, starts), starts
+        suffixes = lens is None
+        if suffixes:
+            lens = [len(arr) - s for s in starts]
+        order, lcps = sort_suffixes(arr, starts, lens)
+        assert order.dtype == lcps.dtype == np.int64
+        order = order.tolist()
+        assert order == cut_string_order(arr, starts, lens), (starts, lens)
+        if suffixes:
+            assert order == suffix_rank_order(arr, starts), starts
+        t = arr.tolist()
+        ranked = [t[starts[i] : starts[i] + lens[i]] for i in order]
+        assert lcps.tolist() == [0] * bool(ranked) + [
+            naive_string_lcp(a, b) for a, b in zip(ranked, ranked[1:])]
         return order
 
     def test_random_texts_and_starts(self):
@@ -242,6 +263,8 @@ class TestSortSuffixes:
             text = base * 3 + [top] * 30 + base[:40]
             self.check(text, list(range(len(text) + 1)))
             self.check(text, rng.sample(range(len(text) + 1), 200))
+            starts = rng.sample(range(len(text)), 200)
+            self.check(text, starts, [rng.randint(0, len(text) - s) for s in starts])
 
     def test_single_symbol(self):
         for starts, order in (([0, 1], [1, 0]), ([1, 0], [0, 1]), ([0], [0]), ([1], [0])):
@@ -255,5 +278,65 @@ class TestSortSuffixes:
             with_end = starts[:at] + [500] + starts[at:]
             assert self.check(text, with_end)[0] == at
 
+    def test_random_lengths(self):
+        # strings cut anywhere, zero lengths and whole suffixes among them,
+        # on random and repetitive texts
+        rng = random.Random(45)
+        texts = [random_text(rng, sigma, rng.randint(1, 400)) for sigma in (2, 4, 26)]
+        texts += [mutated_copies(rng, rng.randint(20, 60), 2_000, 2, sigma=2) for _ in range(3)]
+        for text in texts:
+            n = len(text)
+            for _ in range(4):
+                starts = [rng.randrange(n + 1) for _ in range(rng.randint(1, 300))]
+                lens = [rng.choice((0, n - s, rng.randint(0, n - s))) for s in starts]
+                self.check(text, starts, lens)
+
+    def test_equal_strings_keep_start_order(self):
+        # copies of one string, cut at its length, are equal: they sit next
+        # to each other in starts order, their lcps the whole string; the
+        # same copies cut one symbol longer differ in their last symbol
+        rng = random.Random(46)
+        base = [rng.randint(1, 3) for _ in range(40)]
+        text = base + [4] + base + [1] + base + [2] + base + [4]
+        at = [0, 41, 82, 123]
+        starts = [at[2], 5, at[0], 90, at[3], at[1], 200]
+        order = self.check(text, starts, [40, 30, 40, 20, 40, 40, 0])
+        copies = [k for k in order if starts[k] in at]
+        assert copies == [0, 2, 4, 5]
+        assert order.index(5) - order.index(0) == 3
+        order = self.check(text, at, [41] * 4)
+        assert order == [1, 2, 0, 3]
+
+    def test_a_prefix_ranks_first(self):
+        # a string that prefixes another, and the empty string, rank before
+        # it, whichever comes first in starts
+        text = [1, 2, 3, 1, 2, 3, 4, 1, 2]
+        for starts, lens, order in (([0, 3], [3, 4], [0, 1]), ([3, 0], [4, 3], [1, 0]),
+                                    ([3, 0, 7], [4, 2, 2], [1, 2, 0]),
+                                    ([4, 2, 8], [0, 3, 0], [0, 2, 1])):
+            assert self.check(text, starts, lens) == order
+
+    def test_zero_lengths(self):
+        # empty strings are all equal: first, in starts order, lcps 0
+        order = self.check([3, 1, 2], [2, 0, 1, 3, 0], [0, 0, 2, 0, 1])
+        assert order == [0, 1, 3, 2, 4]
+
+    def test_lengths_at_a_window_edge(self):
+        # copies of one string at least edge + 1 long, each followed by a
+        # different symbol, cut at edge - 1, edge and edge + 1 symbols: the
+        # slices cut at the window's edge tie, or stop one short of it, or
+        # run one past it into the next round
+        rng = random.Random(47)
+        for edge in (255, 256, 257, 1_023, 1_024, 1_025):
+            base = [rng.randint(1, 2) for _ in range(edge + 1)]
+            text = base + [3] + base + [1] + base + [2] + base
+            at = [0, edge + 2, 2 * edge + 4, 3 * edge + 6]
+            for cut in (edge - 1, edge, edge + 1):
+                assert self.check(text, at, [cut] * 4) == [0, 1, 2, 3]
+            assert self.check(text, at, [edge, edge + 1, edge + 1, edge]) == [0, 3, 1, 2]
+            assert self.check(text, at, [edge + 2, edge + 2, edge + 2, edge + 1]) == [3, 1, 2, 0]
+
     def test_no_starts(self):
-        assert sort_suffixes(np.array([1, 2], dtype=np.int64), []) == []
+        order, lcps = sort_suffixes(np.array([1, 2], dtype=np.int64), [], [])
+        assert order.tolist() == lcps.tolist() == []
+        assert order.dtype == lcps.dtype == np.int64
